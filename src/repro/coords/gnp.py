@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.coords.base import DelayPredictor
 from repro.delayspace.matrix import DelayMatrix
@@ -124,6 +123,8 @@ def _relative_error(predicted: np.ndarray, measured: np.ndarray) -> float:
 def _place_landmarks(
     landmark_delays: np.ndarray, dimension: int, max_iterations: int, gen: np.random.Generator
 ) -> np.ndarray:
+    from scipy.optimize import minimize
+
     count = landmark_delays.shape[0]
     scale = np.nanmax(landmark_delays[np.isfinite(landmark_delays)]) or 1.0
 
@@ -146,6 +147,8 @@ def _place_host(
     max_iterations: int,
     gen: np.random.Generator,
 ) -> np.ndarray:
+    from scipy.optimize import minimize
+
     dimension = landmark_coords.shape[1]
     scale = float(np.nanmax(host_delays)) if np.isfinite(host_delays).any() else 1.0
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse.csgraph import csgraph_from_masked
-from scipy.sparse.csgraph import shortest_path as _csgraph_shortest_path
 
 from repro.delayspace.matrix import DelayMatrix
 from repro.errors import DelayMatrixError
@@ -66,6 +64,8 @@ def landmark_indices(
 
 
 def _masked_graph(matrix: DelayMatrix):
+    from scipy.sparse.csgraph import csgraph_from_masked
+
     delays = matrix.to_array()
     return csgraph_from_masked(np.ma.masked_array(delays, mask=~np.isfinite(delays)))
 
@@ -78,8 +78,10 @@ def landmark_distances(
     Runs SciPy's single-source sweep with ``indices=landmarks`` (Dijkstra
     by default), so the cost is L single-source runs rather than N.
     """
+    from scipy.sparse.csgraph import shortest_path
+
     landmarks = np.asarray(landmarks, dtype=int)
-    dist = _csgraph_shortest_path(
+    dist = shortest_path(
         _masked_graph(matrix), method=method, directed=False, indices=landmarks
     )
     return np.asarray(dist, dtype=float)
@@ -152,7 +154,9 @@ def shortest_path_matrix(matrix: DelayMatrix, *, method: str = "auto") -> np.nda
     # An explicit missing-entry mask (in _masked_graph) keeps measured
     # zero-delay edges (e.g. co-located nodes) in the graph: a dense
     # csgraph input would treat every 0 entry as "no edge" and drop them.
-    dist = _csgraph_shortest_path(_masked_graph(matrix), method=method, directed=False)
+    from scipy.sparse.csgraph import shortest_path
+
+    dist = shortest_path(_masked_graph(matrix), method=method, directed=False)
     return np.asarray(dist, dtype=float)
 
 

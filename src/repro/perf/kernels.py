@@ -140,6 +140,29 @@ def _setup_tiv_severity(size: int, seed: int) -> tuple[PreparedKernel, float]:
     return (lambda: compute_tiv_severity(matrix)), float(size) * size
 
 
+def _setup_ring_misplacement(size: int, seed: int) -> tuple[PreparedKernel, float]:
+    from repro.meridian.analysis import ring_misplacement_by_delay
+
+    matrix = _dataset(size, seed)
+    max_pairs = 40_000  # what the fig13 runner samples
+    # One call = one beta's curve of the Fig. 13 analysis.
+    return (
+        lambda: ring_misplacement_by_delay(matrix, beta=0.5, max_pairs=max_pairs, rng=seed)
+    ), float(min(size * (size - 1), max_pairs))
+
+
+def _setup_violating_triangles(size: int, seed: int) -> tuple[PreparedKernel, float]:
+    from repro.tiv.severity import violating_triangle_fraction
+
+    matrix = _dataset(size, seed)
+    # Exact enumeration below the default 2M-triple cap (both bench-smoke
+    # sizes), sampling above it — as the fig02 runner calls it.
+    triples = size * (size - 1) * (size - 2) // 6
+    return (
+        lambda: violating_triangle_fraction(matrix, rng=seed)
+    ), float(min(triples, 2_000_000))
+
+
 def _setup_shortest_paths(size: int, seed: int) -> tuple[PreparedKernel, float]:
     from repro.delayspace.shortest_path import shortest_path_matrix
 
@@ -436,6 +459,20 @@ _KERNELS: dict[str, KernelSpec] = {
             "full-matrix TIV severity (O(N^3), vectorised per source row)",
             "edges/s",
             _setup_tiv_severity,
+        ),
+        KernelSpec(
+            "ring_misplacement",
+            "Fig. 13 ring-misplacement curve for one beta "
+            "(chunked whole-row pair evaluation)",
+            "pairs/s",
+            _setup_ring_misplacement,
+        ),
+        KernelSpec(
+            "violating_triangles",
+            "fraction of violating triangles (one upper-triangle pass per "
+            "corner node; sampled above 2M triples)",
+            "triangles/s",
+            _setup_violating_triangles,
         ),
         KernelSpec(
             "shortest_paths",

@@ -287,33 +287,31 @@ def violating_triangle_fraction(
         a = gen.integers(0, n, size=max_triangles)
         b = gen.integers(0, n, size=max_triangles)
         c = gen.integers(0, n, size=max_triangles)
-        distinct = (a != b) & (b != c) & (a != c)
-        a, b, c = a[distinct], b[distinct], c[distinct]
-        ab, bc, ca = delays[a, b], delays[b, c], delays[c, a]
-        measured = np.isfinite(ab) & np.isfinite(bc) & np.isfinite(ca)
-        ab, bc, ca = ab[measured], bc[measured], ca[measured]
-        if ab.size == 0:
+        flat = delays.ravel()
+        ab, bc, ca = flat.take(a * n + b), flat.take(b * n + c), flat.take(c * n + a)
+        # Counted triangles: distinct corners with all three edges measured.
+        counted = (a != b) & (b != c) & (a != c)
+        counted &= np.isfinite(ab) & np.isfinite(bc) & np.isfinite(ca)
+        triangle_count = np.count_nonzero(counted)
+        if triangle_count == 0:
             return 0.0
         violated = (ab + bc < ca) | (bc + ca < ab) | (ca + ab < bc)
-        return float(np.count_nonzero(violated) / violated.size)
+        return float(np.count_nonzero(violated & counted) / triangle_count)
 
+    # Exact enumeration: one (b, c > b) upper-triangle pass per corner a.
+    finite = np.isfinite(delays)
+    upper = np.triu(np.ones((n - 1, n - 1), dtype=bool), k=1)
     violated_count = 0
     triangle_count = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            ab = delays[a, b]
-            if not np.isfinite(ab):
-                continue
-            cs = np.arange(b + 1, n)
-            if cs.size == 0:
-                continue
-            bc = delays[b, cs]
-            ca = delays[cs, a]
-            measured = np.isfinite(bc) & np.isfinite(ca)
-            bc, ca = bc[measured], ca[measured]
-            triangle_count += bc.size
-            violated = (ab + bc < ca) | (bc + ca < ab) | (ca + ab < bc)
-            violated_count += int(np.count_nonzero(violated))
+    for a in range(n - 2):
+        ab = delays[a, a + 1:, None]          # d(a, b), down the rows
+        ca = delays[a + 1:, a][None, :]       # d(c, a), across the columns
+        bc = delays[a + 1:, a + 1:]           # d(b, c)
+        counted = upper[a:, a:] & finite[a + 1:, a + 1:]
+        counted &= np.isfinite(ab) & np.isfinite(ca)
+        violated = (ab + bc < ca) | (bc + ca < ab) | (ca + ab < bc)
+        triangle_count += int(np.count_nonzero(counted))
+        violated_count += int(np.count_nonzero(violated & counted))
     if triangle_count == 0:
         return 0.0
     return violated_count / triangle_count

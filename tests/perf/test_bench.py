@@ -32,6 +32,8 @@ class TestKernelRegistry:
             assert f"{family}_batched" in names
             assert f"{family}_reference" in names
         assert "tiv_severity" in names
+        assert "ring_misplacement" in names
+        assert "violating_triangles" in names
         assert "shortest_paths" in names
         assert "scenario_generation" in names
         assert "artifact_restore_disk" in names

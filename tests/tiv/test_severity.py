@@ -1,12 +1,18 @@
 """Tests for repro.tiv.severity."""
 
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.delayspace.matrix import DelayMatrix
 from repro.errors import DelayMatrixError
+from repro.stats.rng import RngLike, ensure_rng
 from repro.tiv.severity import (
     TIVSeverityResult,
+    _prepared_delays,
     compute_tiv_severity,
     edge_tiv_severity,
     triangulation_ratios,
@@ -250,3 +256,104 @@ class TestChunkedComputation:
     def test_invalid_chunk_size_rejected(self, tiv_matrix, chunk_size):
         with pytest.raises(ValueError):
             compute_tiv_severity(tiv_matrix, chunk_size=chunk_size)
+
+
+def _violating_triangle_loop(
+    matrix: DelayMatrix,
+    *,
+    max_triangles: int | None = 2_000_000,
+    rng: RngLike = 0,
+) -> float:
+    """Scalar oracle: the original per-(a, b) double-loop implementation."""
+    n = matrix.n_nodes
+    if n < 3:
+        raise DelayMatrixError("need at least 3 nodes to form a triangle")
+    delays = _prepared_delays(matrix)
+    total_triples = n * (n - 1) * (n - 2) // 6
+
+    if max_triangles is not None and total_triples > max_triangles:
+        gen = ensure_rng(rng)
+        a = gen.integers(0, n, size=max_triangles)
+        b = gen.integers(0, n, size=max_triangles)
+        c = gen.integers(0, n, size=max_triangles)
+        distinct = (a != b) & (b != c) & (a != c)
+        a, b, c = a[distinct], b[distinct], c[distinct]
+        ab, bc, ca = delays[a, b], delays[b, c], delays[c, a]
+        measured = np.isfinite(ab) & np.isfinite(bc) & np.isfinite(ca)
+        ab, bc, ca = ab[measured], bc[measured], ca[measured]
+        if ab.size == 0:
+            return 0.0
+        violated = (ab + bc < ca) | (bc + ca < ab) | (ca + ab < bc)
+        return float(np.count_nonzero(violated) / violated.size)
+
+    violated_count = 0
+    triangle_count = 0
+    for a in range(n):
+        for b in range(a + 1, n):
+            ab = delays[a, b]
+            if not np.isfinite(ab):
+                continue
+            cs = np.arange(b + 1, n)
+            if cs.size == 0:
+                continue
+            bc = delays[b, cs]
+            ca = delays[cs, a]
+            measured = np.isfinite(bc) & np.isfinite(ca)
+            bc, ca = bc[measured], ca[measured]
+            triangle_count += bc.size
+            violated = (ab + bc < ca) | (bc + ca < ab) | (ca + ab < bc)
+            violated_count += int(np.count_nonzero(violated))
+    if triangle_count == 0:
+        return 0.0
+    return violated_count / triangle_count
+
+
+def _tie_heavy_matrix(n: int, beta: float, seed: int, holes: float, zeros: float) -> DelayMatrix:
+    """A symmetric matrix full of exact triangle-inequality ties.
+
+    Small integer delays make ``d(a,b) + d(b,c) == d(c,a)`` common; their
+    ``beta`` and ``1 ± beta`` multiples add non-integer ties, and zero
+    delays and NaN holes cover the degenerate and missing cases.
+    """
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(0, 9, size=(n, n)).astype(float)
+    scale = np.array([1.0, beta, 1.0 - beta, 1.0 + beta])[rng.integers(0, 4, size=(n, n))]
+    values = np.where(rng.random((n, n)) < 0.8, ints, ints * scale)
+    values[rng.random((n, n)) < zeros] = 0.0
+    values[rng.random((n, n)) < holes] = np.nan
+    upper = np.triu(values, k=1)
+    return DelayMatrix(upper + upper.T, symmetrize=False)
+
+
+class TestViolatingTriangleOracle:
+    """The array kernel is bit-identical to the per-(a, b) loop."""
+
+    @given(
+        n=st.integers(min_value=3, max_value=40),
+        beta=st.sampled_from([0.1, 0.5, 0.9]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        holes=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        zeros=st.sampled_from([0.0, 0.2]),
+        max_triangles=st.one_of(st.none(), st.integers(min_value=1, max_value=3_000)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical(self, n, beta, seed, holes, zeros, max_triangles):
+        matrix = _tie_heavy_matrix(n, beta, seed, holes, zeros)
+        expected = _violating_triangle_loop(matrix, max_triangles=max_triangles, rng=seed)
+        actual = violating_triangle_fraction(matrix, max_triangles=max_triangles, rng=seed)
+        assert type(actual) is type(expected)
+        assert actual == expected
+
+    @pytest.mark.parametrize("max_triangles", [None, 20_000])
+    def test_bit_identical_on_internet_matrix(self, small_internet_matrix, max_triangles):
+        expected = _violating_triangle_loop(
+            small_internet_matrix, max_triangles=max_triangles, rng=4
+        )
+        actual = violating_triangle_fraction(
+            small_internet_matrix, max_triangles=max_triangles, rng=4
+        )
+        assert actual == expected
+
+    def test_exact_branch_threshold_stays_at_two_million_triples(self):
+        default = inspect.signature(violating_triangle_fraction).parameters["max_triangles"]
+        assert default.default == 2_000_000
