@@ -105,9 +105,10 @@ class ArtifactNode:
         prune`` evicts entries that predate these parameters or carry
         retired values.
     storage:
-        How the artifact persists: ``"npz"`` (the compressed-archive
-        default), ``"raw"`` (uncompressed per-array ``.npy`` files that
-        restore as memory maps — the shard layout), or ``"virtual"``
+        How the artifact persists: ``"npz"`` (the default: one
+        uncompressed ``.npz`` archive, read into memory on restore),
+        ``"raw"`` (per-array ``.npy`` files that restore as memory
+        maps — the shard layout), or ``"virtual"``
         (never persisted; recomputed — cheaply stitched — every run).
         May be a callable ``storage(ctx, instance) -> str`` for nodes
         whose layout depends on the instance (the logical severity and
@@ -170,41 +171,30 @@ def _shard_range(n_nodes: int, index: int, n_shards: int) -> tuple[int, int]:
 
 
 def _stitched_parts(ctx, node_name: str, keys: tuple[ArtifactKey, ...]) -> list:
-    """Materialise shard keys and return their parts, preferring shared blocks.
+    """Materialise shard keys and return their parts as memory-mapped blocks.
 
     A cold run computes each shard in-memory and stores it; this helper
-    then swaps the memoised in-RAM rows for an already-shared block — a
-    zero-copy shared-memory attach when the run's
-    :class:`~repro.experiments.cache.SharedArtifactTier` holds the shard
-    (so the stitched view rides shm blocks), else the freshly stored
-    read-only memory map — releasing the context memo either way, so the
-    stitched view the consumers hold is not backed by private resident
-    arrays.  Without a cache the in-memory parts are kept — out-of-core
-    behaviour requires a cache directory, which the CLI always supplies.
+    then swaps the memoised in-RAM rows for the freshly stored read-only
+    memory map and releases the context memo, so the stitched view the
+    consumers hold is not backed by private resident arrays.  Without a
+    cache the in-memory parts are kept — out-of-core behaviour requires a
+    cache directory, which the CLI always supplies.
     """
     from repro.artifacts.shards import ShardPart
-    from repro.experiments.cache import ShmArray, stable_key
 
-    def shared(part) -> bool:
-        return any(
-            isinstance(array, (np.memmap, ShmArray)) for array in part.arrays.values()
-        )
+    def mapped(part) -> bool:
+        return any(isinstance(array, np.memmap) for array in part.arrays.values())
 
     node = get_node(node_name)
     parts = []
     for key in keys:
         part = ctx.materialize(key)
         if ctx.cache is not None:
-            if not shared(part):
-                params = node.params(ctx, key.instance)
-                entry = None
-                if getattr(ctx, "shm", None) is not None:
-                    entry = ctx.shm.attach(node.kind, stable_key(node.kind, params))
-                if entry is None:
-                    entry = ctx.cache.load_raw(node.kind, params)
+            if not mapped(part):
+                entry = ctx.cache.load_raw(node.kind, node.params(ctx, key.instance))
                 if entry is not None:
                     part = ShardPart(dict(entry.arrays), dict(entry.meta))
-            if shared(part):
+            if mapped(part):
                 ctx.release(key)
         parts.append(part)
     return parts

@@ -15,7 +15,9 @@ artifact node could have written:
   (``<key>__<name>.npy`` shard files, see
   :meth:`~repro.experiments.cache.ArtifactCache.store_raw`) missing any
   declared array file, stray ``.npy`` files with no metadata, and
-  unparseable metadata files.
+  unparseable metadata files;
+* abandoned atomic-write temp files (``.tmp-*``) of a worker killed
+  mid-store.
 
 Live entries are never touched: the address recomputation uses the stored
 parameters themselves, so any entry the current code could hit is kept.
@@ -106,7 +108,13 @@ def _classify(kind_dir: Path, meta_path: Path) -> str | None:
 
 
 def prune_cache(root: PathLike, *, dry_run: bool = False) -> PruneReport:
-    """Evict stale entries under ``root``; with ``dry_run`` only report them."""
+    """Evict stale entries under ``root``; with ``dry_run`` only report them.
+
+    Only for a cache no run is using: a running store's temp file cannot
+    be told from an abandoned one, and is removed too.
+    """
+    from repro.experiments.cache import TEMP_PREFIX
+
     root = Path(root)
     report = PruneReport(root=str(root), dry_run=dry_run)
     if not root.is_dir():
@@ -152,4 +160,14 @@ def prune_cache(root: PathLike, *, dry_run: bool = False) -> PruneReport:
             )
             if not dry_run:
                 npy_path.unlink(missing_ok=True)
+        for tmp_path in sorted(kind_dir.glob(f"{TEMP_PREFIX}*")):
+            report.pruned.append(
+                PrunedEntry(
+                    kind_dir.name,
+                    tmp_path.name,
+                    "abandoned temp file (store interrupted mid-write)",
+                )
+            )
+            if not dry_run:
+                tmp_path.unlink(missing_ok=True)
     return report

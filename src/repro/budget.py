@@ -17,12 +17,12 @@ The constants encode how the budget is split:
   severity + violation-count pair);
 * an eighth bounds the per-row witness temporaries of the severity kernel
   (:func:`auto_chunk_size` — roughly 20 bytes per ``(witness, C)`` cell
-  for the two-hop matrix, the boolean mask and the ratio matrix);
-* half of the budget bounds the resident shared-memory segments of the
-  zero-copy artifact tier (:func:`shm_budget_bytes` — the
-  :class:`~repro.experiments.cache.SharedArtifactTier` evicts
-  least-recently-attached segments back to disk-only when a publish
-  would overflow it).
+  for the two-hop matrix, the boolean mask and the ratio matrix).
+
+Artifacts move between worker processes only through the disk cache:
+dense artifacts as uncompressed ``.npz`` archives, shards as raw ``.npy``
+files restored as memory maps, so a stitched view's pages stay in the
+page cache rather than in any process's private memory.
 
 Both clamps keep small matrices on the exact single-pass path: at the
 default 2 GiB budget the auto-tuned chunk only drops below ``n`` beyond
@@ -44,12 +44,6 @@ SHARD_OUTPUT_FRACTION = 0.25
 
 #: Fraction of the budget the severity witness temporaries may occupy.
 CHUNK_TEMPORARY_FRACTION = 0.125
-
-#: Fraction of the budget the resident shared-memory artifact segments may
-#: occupy.  Segments are shared pages, not per-process allocations, so the
-#: fraction is generous: one run holds at most one copy of each artifact
-#: regardless of worker count.
-SHM_RESIDENT_FRACTION = 0.5
 
 #: Peak bytes per ``(witness, C)`` cell of the severity inner loop: the
 #: float64 two-hop matrix + the boolean violating mask + the float64 ratio
@@ -78,17 +72,6 @@ def auto_chunk_size(n_nodes: int, memory_budget_mb: int | None = None) -> int:
     allowance = int(budget_bytes(memory_budget_mb) * CHUNK_TEMPORARY_FRACTION)
     chunk = allowance // (SEVERITY_BYTES_PER_CELL * n)
     return max(64, min(n, chunk)) if n > 64 else n
-
-
-def shm_budget_bytes(memory_budget_mb: int | None = None) -> int:
-    """Bytes the shared-memory artifact tier may keep resident.
-
-    The :class:`~repro.experiments.cache.SharedArtifactTier` counts every
-    published segment against this allowance and evicts least-recently
-    attached segments (their disk entries remain authoritative) before a
-    publish that would overflow it.
-    """
-    return int(budget_bytes(memory_budget_mb) * SHM_RESIDENT_FRACTION)
 
 
 def peak_rss_mb() -> float:

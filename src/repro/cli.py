@@ -173,7 +173,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         report_path=args.report,
-        shm=False if args.no_shm else None,
     )
     payload = outcome.report.as_dict()
     if not args.full:
@@ -299,7 +298,6 @@ def _cmd_run_scenarios(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         report_path=args.report,
-        shm=False if args.no_shm else None,
     )
     _print_json(outcome.report.as_dict())
     if args.report:
@@ -575,17 +573,6 @@ def _only_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _shm_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="disable the zero-copy shared-memory artifact tier (parallel "
-        "runs fall back to disk-only artifact transport)",
-    )
-    return parent
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -641,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
             _cache_parent(),
             _report_parent(report_name),
             _only_parent(),
-            _shm_parent(),
         ]
 
     run_all = sub.add_parser(
@@ -686,7 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     prune = cache_sub.add_parser(
         "prune",
         help="evict cache entries no registered artifact node can produce "
-        "(retired schema tags or kernel eras, unknown kinds, orphans)",
+        "(retired schema tags or kernel eras, unknown kinds, orphans, "
+        "abandoned temp files); run it only on a cache no run is using",
         parents=[_cache_parent(required=True)],
     )
     prune.add_argument(

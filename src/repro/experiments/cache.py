@@ -10,14 +10,16 @@ disk and a parallel run shares the artefacts across worker processes.
 
 Each cache entry is a pair of files under ``<root>/<kind>/``:
 
-* ``<key>.npz`` — the numpy arrays of the artefact;
+* ``<key>.npz`` — the numpy arrays of the artefact, stored uncompressed
+  (``np.savez``): zlib was the only cost a same-run restore paid, and
+  ``np.load`` reads compressed archives written by older releases alike;
 * ``<key>.json`` — the generating parameters plus small scalar metadata.
 
 The out-of-core shard tier stores a second entry layout: *raw* entries
 (:meth:`ArtifactCache.store_raw`) persist each array as an uncompressed
 ``<key>__<name>.npy`` file next to the usual ``<key>.json``, because
 ``np.load(mmap_mode="r")`` only memory-maps plain ``.npy`` files — the
-members of an ``.npz`` archive are always decompressed eagerly.
+members of an ``.npz`` archive are always read eagerly.
 :meth:`ArtifactCache.load_raw` therefore restores shard arrays as
 read-only memory maps, which is what keeps stitched large-matrix views
 out of RAM.  The metadata file lists the raw array names under a ``"raw"``
@@ -28,16 +30,6 @@ Writes are atomic (temp file + ``os.replace``) so concurrent workers racing
 to store the same entry cannot corrupt it; a corrupted or truncated entry is
 detected on load, deleted, and treated as a miss so the artefact is simply
 recomputed.
-
-On top of the two disk layouts sits the *shared-memory tier*
-(:class:`SharedArtifactTier`): within one scheduler run, a worker that
-computes an artefact also publishes its arrays into a named
-``multiprocessing.shared_memory`` segment and records the layout in a
-per-run segment table (a directory of JSON descriptors).  Same-run
-dependents attach the producer's segment read-only and rebuild the arrays
-zero-copy; across runs, or whenever a segment is missing or evicted, they
-fall back to the disk layouts transparently.  The tier changes transport
-only — cache addresses are byte-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -46,9 +38,7 @@ import dataclasses
 import hashlib
 import json
 import os
-import shutil
 import tempfile
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Union
@@ -63,6 +53,11 @@ PathLike = Union[str, Path]
 #: cache directories from older versions are invalidated instead of
 #: silently serving stale artefacts.
 CACHE_SCHEMA = "artifact-cache/v1"
+
+#: File-name prefix of in-flight atomic writes (``<kind>/.tmp-<file>-XXXX``).
+#: A writer killed mid-store leaves one behind; ``repro cache prune``
+#: removes them.
+TEMP_PREFIX = ".tmp-"
 
 
 def stable_key(kind: str, params: Mapping[str, Any]) -> str:
@@ -221,7 +216,7 @@ class ArtifactCache:
             "params": {k: _jsonable(v) for k, v in params.items()},
             "meta": {k: _jsonable(v) for k, v in (meta or {}).items()},
         }
-        self._atomic_write(npz_path, lambda handle: np.savez_compressed(handle, **dict(arrays)))
+        self._atomic_write(npz_path, lambda handle: np.savez(handle, **dict(arrays)))
         self._atomic_write(
             meta_path,
             lambda handle: handle.write(json.dumps(payload, sort_keys=True).encode("utf-8")),
@@ -314,7 +309,7 @@ class ArtifactCache:
 
     @staticmethod
     def _atomic_write(path: Path, writer) -> None:
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".tmp-{path.name}-")
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f"{TEMP_PREFIX}{path.name}-")
         try:
             with os.fdopen(fd, "wb") as handle:
                 writer(handle)
@@ -338,471 +333,3 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     return value
-
-
-# -- shared-memory tier --------------------------------------------------------
-
-
-#: Alignment of each array inside a segment, so attached views keep numpy's
-#: preferred SIMD alignment regardless of the preceding arrays' sizes.
-_SHM_ALIGN = 64
-
-
-class ShmArray(np.ndarray):
-    """Marker subclass for arrays whose buffer lives in a shared segment.
-
-    Consumers that care where an array's bytes reside (the stitched
-    shard views, which must not copy an already-shared block back into
-    private memory) test ``isinstance(a, ShmArray)`` exactly like they
-    test ``np.memmap`` for the raw on-disk layout.  Slicing or viewing
-    preserves the marker; any copying operation degrades to a plain
-    ``ndarray``, which is the correct signal — the copy is private.
-    """
-
-
-@dataclass
-class ShmStats:
-    """Counters of one :class:`SharedArtifactTier` instance."""
-
-    published: int = 0
-    publish_bytes: int = 0
-    attaches: int = 0
-    attach_bytes: int = 0
-    fallbacks: int = 0
-    evictions: int = 0
-
-    def snapshot(self) -> "ShmStats":
-        return ShmStats(**self.as_dict())
-
-    def merge(self, other: "ShmStats") -> None:
-        self.published += other.published
-        self.publish_bytes += other.publish_bytes
-        self.attaches += other.attaches
-        self.attach_bytes += other.attach_bytes
-        self.fallbacks += other.fallbacks
-        self.evictions += other.evictions
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "published": self.published,
-            "publish_bytes": self.publish_bytes,
-            "attaches": self.attaches,
-            "attach_bytes": self.attach_bytes,
-            "fallbacks": self.fallbacks,
-            "evictions": self.evictions,
-        }
-
-
-@dataclass(frozen=True)
-class ShmSpec:
-    """Picklable recipe for one run's shared-memory tier.
-
-    The scheduler builds one spec per run and ships it to every worker,
-    which instantiates its own :class:`SharedArtifactTier` from it — the
-    tier itself holds live OS handles and must never cross a process
-    boundary.
-    """
-
-    table_dir: str
-    token: str
-    scratch: bool = False
-    memory_budget_mb: int | None = None
-
-    def tier(self) -> "SharedArtifactTier":
-        return SharedArtifactTier(
-            self.table_dir,
-            token=self.token,
-            scratch=self.scratch,
-            memory_budget_mb=self.memory_budget_mb,
-        )
-
-
-_SHM_SUPPORTED: bool | None = None
-
-
-def shm_supported() -> bool:
-    """True when named shared memory actually works on this platform.
-
-    Probes once per process by creating and unlinking a tiny segment;
-    sandboxes without a usable ``/dev/shm`` (or platforms without POSIX
-    shared memory) make every parallel run fall back to disk transport.
-    """
-    global _SHM_SUPPORTED
-    if _SHM_SUPPORTED is None:
-        try:
-            from multiprocessing import shared_memory
-
-            probe = shared_memory.SharedMemory(
-                name=f"rpprobe{uuid.uuid4().hex[:8]}", create=True, size=16
-            )
-            probe.close()
-            probe.unlink()
-            _SHM_SUPPORTED = True
-        except Exception:
-            _SHM_SUPPORTED = False
-    return _SHM_SUPPORTED
-
-
-class SharedArtifactTier:
-    """Zero-copy same-run artifact transport over named shared memory.
-
-    One run owns one *segment table* — a directory of JSON descriptors,
-    one per published cache address — plus the named
-    ``multiprocessing.shared_memory`` segments the descriptors point at.
-    A worker that computes an artifact :meth:`publish`\\ es its arrays
-    into a fresh segment; same-run dependents :meth:`attach` the segment
-    and rebuild the arrays as read-only zero-copy views
-    (:class:`ShmArray`).  Anything that fails — segment evicted, table
-    from another run, platform without shared memory — degrades to the
-    disk layouts, so the tier is purely an optimisation: cache addresses
-    and results are byte-identical with it on or off.
-
-    Lifecycle and ownership rules:
-
-    * A segment's *name* is deterministic in ``(token, address)``, so
-      exactly one of any number of racing publishers wins the exclusive
-      ``create`` — publish is exactly-once per address per run.
-    * Publishers write an ``<address>.intent`` marker before creating
-      the segment and remove it after the descriptor lands; a worker
-      that crashes mid-publish therefore leaves a sweepable record, and
-      :meth:`sweep_intents` (called on every supervised pool rebuild)
-      unlinks the orphan before new workers race for the name.
-    * The scheduler that created the table calls :meth:`cleanup` on run
-      end (normal, failed or interrupted): every descriptor's segment is
-      unlinked and the table directory removed.  POSIX unlink only
-      removes the *name* — a straggler still attached keeps reading its
-      mapping safely and simply falls back to disk next run.
-    * The creating process's ``resource_tracker`` registration is left
-      in place until cleanup unlinks (which also unregisters), so a
-      hard-killed run leaks nothing: the tracker unlinks survivors at
-      session exit.
-
-    Resident bytes are bounded by :func:`repro.budget.shm_budget_bytes`
-    (a fraction of ``--memory-budget``): a publish that would overflow
-    first evicts least-recently-attached segments to disk-only.
-    """
-
-    def __init__(
-        self,
-        table_dir: PathLike,
-        *,
-        token: str | None = None,
-        scratch: bool = False,
-        memory_budget_mb: int | None = None,
-        allowance_bytes: int | None = None,
-    ):
-        from repro.budget import shm_budget_bytes
-
-        self._table = Path(table_dir)
-        self._table.mkdir(parents=True, exist_ok=True)
-        self.token = token if token is not None else uuid.uuid4().hex[:8]
-        #: True when the backing disk cache is an ephemeral scratch dir:
-        #: a successful publish then makes the disk store redundant (the
-        #: scratch cache shrinks to metadata-only for published entries).
-        self.scratch = bool(scratch)
-        self._allowance = (
-            int(allowance_bytes)
-            if allowance_bytes is not None
-            else shm_budget_bytes(memory_budget_mb)
-        )
-        self.stats = ShmStats()
-        self._attached: dict[str, Any] = {}
-
-    @property
-    def table_dir(self) -> Path:
-        return self._table
-
-    @property
-    def allowance_bytes(self) -> int:
-        return self._allowance
-
-    # -- naming ----------------------------------------------------------------
-
-    def _segment_name(self, address: str) -> str:
-        # Short enough for macOS's 31-char PSHMNAMLEN including the
-        # leading slash the stdlib prepends.
-        return f"rp{self.token}{address[:12]}"
-
-    def _descriptor_path(self, address: str) -> Path:
-        return self._table / f"{address}.json"
-
-    def _intent_path(self, address: str) -> Path:
-        return self._table / f"{address}.intent"
-
-    # -- publish / attach ------------------------------------------------------
-
-    def publish(
-        self,
-        kind: str,
-        address: str,
-        arrays: Mapping[str, np.ndarray],
-        meta: Mapping[str, Any] | None = None,
-    ) -> bool:
-        """Make ``arrays`` shm-resident under ``address``; True when resident.
-
-        Returns ``True`` both when this call created the segment and when
-        the address was already published by a peer (either way dependents
-        can attach).  ``False`` means the arrays are *not* resident — too
-        large for the allowance, unsupported dtype, a racing publisher
-        mid-flight, or a platform/OS failure — and the caller must keep
-        the disk copy authoritative.
-        """
-        from multiprocessing import shared_memory
-
-        if self._descriptor_path(address).exists():
-            return True
-        try:
-            plain = {
-                name: np.ascontiguousarray(np.asarray(array))
-                for name, array in arrays.items()
-            }
-        except Exception:
-            return False
-        if any(array.dtype.hasobject for array in plain.values()):
-            return False
-        specs = []
-        offset = 0
-        for name in sorted(plain):
-            array = plain[name]
-            offset = -(-offset // _SHM_ALIGN) * _SHM_ALIGN
-            specs.append(
-                {
-                    "name": name,
-                    "dtype": array.dtype.str,
-                    "shape": list(array.shape),
-                    "offset": offset,
-                }
-            )
-            offset += array.nbytes
-        total = offset
-        if total > self._allowance:
-            return False
-        self._evict_for(total)
-        name = self._segment_name(address)
-        intent = self._intent_path(address)
-        try:
-            intent.write_text(json.dumps({"segment": name}), encoding="utf-8")
-        except OSError:
-            return False
-        try:
-            segment = shared_memory.SharedMemory(name=name, create=True, size=max(1, total))
-        except FileExistsError:
-            # A peer holds the name: it is publishing (or already
-            # published) this address — not resident *yet* from our
-            # point of view, so the caller keeps its disk copy.
-            intent.unlink(missing_ok=True)
-            return False
-        except Exception:
-            intent.unlink(missing_ok=True)
-            return False
-        try:
-            for spec in specs:
-                array = plain[spec["name"]]
-                view = np.ndarray(
-                    array.shape,
-                    dtype=array.dtype,
-                    buffer=segment.buf,
-                    offset=spec["offset"],
-                )
-                view[...] = array
-            payload = {
-                "segment": name,
-                "kind": kind,
-                "address": address,
-                "total_bytes": total,
-                "meta": {k: _jsonable(v) for k, v in (meta or {}).items()},
-                "arrays": specs,
-            }
-            ArtifactCache._atomic_write(
-                self._descriptor_path(address),
-                lambda handle: handle.write(
-                    json.dumps(payload, sort_keys=True).encode("utf-8")
-                ),
-            )
-        except BaseException:
-            try:
-                segment.close()
-                segment.unlink()
-            except OSError:
-                pass
-            intent.unlink(missing_ok=True)
-            raise
-        finally:
-            # The creator's own mapping is no longer needed: the named
-            # segment persists until unlinked at run end.
-            try:
-                segment.close()
-            except BufferError:
-                pass
-        intent.unlink(missing_ok=True)
-        self.stats.published += 1
-        self.stats.publish_bytes += total
-        return True
-
-    def attach(self, kind: str, address: str) -> CacheEntry | None:
-        """Attach ``address`` and rebuild its arrays zero-copy, or ``None``.
-
-        ``None`` covers both the ordinary miss (never published in this
-        run) and the fallback cases (segment evicted or already unlinked,
-        descriptor unreadable) — the caller restores from disk either way.
-        """
-        from multiprocessing import shared_memory
-
-        path = self._descriptor_path(address)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        try:
-            if payload.get("kind") != kind:
-                raise ValueError(f"descriptor {path} does not describe kind {kind!r}")
-            name = payload["segment"]
-            segment = self._attached.get(name)
-            if segment is None:
-                segment = shared_memory.SharedMemory(name=name)
-                self._attached[name] = segment
-            arrays: dict[str, np.ndarray] = {}
-            for spec in payload["arrays"]:
-                view = np.ndarray(
-                    tuple(spec["shape"]),
-                    dtype=np.dtype(spec["dtype"]),
-                    buffer=segment.buf,
-                    offset=spec["offset"],
-                ).view(ShmArray)
-                view.flags.writeable = False
-                arrays[spec["name"]] = view
-        except Exception:
-            # Descriptor existed but the segment is gone (evicted, or a
-            # previous run's table): disk fallback.
-            self.stats.fallbacks += 1
-            return None
-        try:
-            os.utime(path)  # LRU touch for the eviction order
-        except OSError:
-            pass
-        self.stats.attaches += 1
-        self.stats.attach_bytes += int(payload.get("total_bytes", 0))
-        return CacheEntry(arrays=arrays, meta=payload.get("meta", {}))
-
-    def close(self) -> None:
-        """Drop this process's attached mappings (never unlinks names).
-
-        A segment whose arrays are still referenced raises
-        ``BufferError`` on close; it is kept and released when the
-        process exits — correctness never depends on this succeeding.
-        """
-        for name, segment in list(self._attached.items()):
-            try:
-                segment.close()
-            except BufferError:
-                continue
-            del self._attached[name]
-
-    # -- budget ----------------------------------------------------------------
-
-    def _descriptor_entries(self) -> list[tuple[float, Path, dict]]:
-        entries = []
-        for path in self._table.glob("*.json"):
-            try:
-                mtime = path.stat().st_mtime
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if isinstance(payload, dict):
-                entries.append((mtime, path, payload))
-        entries.sort(key=lambda item: item[0])
-        return entries
-
-    def resident_bytes(self) -> int:
-        """Total bytes of segments currently listed in the table."""
-        return sum(
-            int(payload.get("total_bytes", 0))
-            for _, _, payload in self._descriptor_entries()
-        )
-
-    def _evict_for(self, incoming: int) -> None:
-        """Unlink least-recently-attached segments until ``incoming`` fits."""
-        entries = self._descriptor_entries()
-        total = sum(int(p.get("total_bytes", 0)) for _, _, p in entries)
-        while entries and total + incoming > self._allowance:
-            _, path, payload = entries.pop(0)
-            path.unlink(missing_ok=True)
-            _unlink_segment(str(payload.get("segment", "")))
-            total -= int(payload.get("total_bytes", 0))
-            self.stats.evictions += 1
-
-    # -- run-end / crash cleanup -----------------------------------------------
-
-    @staticmethod
-    def sweep_intents(table_dir: PathLike) -> int:
-        """Unlink segments of interrupted publishes (crash recovery).
-
-        Called by the scheduler after a supervised pool rebuild, when no
-        worker is in flight: any ``.intent`` marker left behind belongs
-        to a publisher that died between creating its segment and
-        landing the descriptor.  Returns the number of markers swept.
-        """
-        swept = 0
-        table = Path(table_dir)
-        if not table.is_dir():
-            return 0
-        for path in table.glob("*.intent"):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                payload = {}
-            if isinstance(payload, dict) and payload.get("segment"):
-                _unlink_segment(str(payload["segment"]))
-            path.unlink(missing_ok=True)
-            swept += 1
-        return swept
-
-    @staticmethod
-    def cleanup(table_dir: PathLike) -> None:
-        """Unlink every segment of a run's table and remove the table.
-
-        Idempotent and safe at any point: unlinking only removes the
-        segment *names*, so processes still attached keep valid mappings
-        and later attachers simply fall back to disk.
-        """
-        table = Path(table_dir)
-        if not table.is_dir():
-            return
-        SharedArtifactTier.sweep_intents(table)
-        for path in table.glob("*.json"):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if isinstance(payload, dict) and payload.get("segment"):
-                _unlink_segment(str(payload["segment"]))
-        shutil.rmtree(table, ignore_errors=True)
-
-
-def _unlink_segment(name: str) -> None:
-    """Remove a named segment if it still exists (tolerates every race).
-
-    Attaching first keeps the stdlib's resource-tracker bookkeeping
-    balanced: ``unlink()`` unregisters the name from the session-wide
-    tracker, clearing the registration the creating worker left behind.
-    """
-    if not name:
-        return
-    from multiprocessing import shared_memory
-
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError, ValueError):
-        return
-    try:
-        segment.close()
-    except BufferError:
-        pass
-    try:
-        segment.unlink()
-    except (FileNotFoundError, OSError):
-        pass

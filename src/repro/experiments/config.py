@@ -8,10 +8,7 @@ the qualitative shape of every result.  Pass a custom
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.errors import ConfigError
 
@@ -22,10 +19,6 @@ KERNEL_VALUES = ("batched", "reference")
 #: ``"default"`` pseudo-system supplies the fallback for every system
 #: without an explicit entry.
 KERNEL_SYSTEMS = ("default", "vivaldi", "gnp", "ides", "lat", "meridian")
-
-#: The systems the retired ``coords_kernel`` knob used to cover (every
-#: non-Vivaldi fit kernel plus the Meridian overlay gathers).
-COORDS_SYSTEMS = ("gnp", "ides", "lat", "meridian")
 
 
 def _normalize_kernels(kernels) -> dict[str, str]:
@@ -48,18 +41,6 @@ def _normalize_kernels(kernels) -> dict[str, str]:
                 f"{', '.join(KERNEL_VALUES)}, got {kernel!r}"
             )
     return table
-
-
-def _merge_deprecated(table: dict[str, str], updates: Mapping[str, str], knob: str) -> None:
-    """Fold a deprecated kernel knob into the kernels table, in place."""
-    for system, kernel in updates.items():
-        existing = table.get(system, table.get("default"))
-        if existing is not None and existing != kernel:
-            raise ConfigError(
-                f"deprecated {knob}={kernel!r} conflicts with "
-                f"kernels[{system!r}]={existing!r}; drop the deprecated kwarg"
-            )
-        table[system] = kernel
 
 
 @dataclass(frozen=True)
@@ -93,14 +74,6 @@ class ExperimentConfig:
         pre-kernel code) read as misses, never as stale hits.  Stored
         normalised as a sorted tuple of ``(system, kernel)`` pairs so the
         configuration stays hashable; pass a plain dict.
-    vivaldi_kernel, coords_kernel:
-        **Deprecated** constructor-only shims for the pre-``kernels`` API.
-        ``vivaldi_kernel=k`` merges ``{"vivaldi": k}`` and
-        ``coords_kernel=k`` merges ``{s: k for s in COORDS_SYSTEMS}`` into
-        the kernels mapping, emitting a :class:`DeprecationWarning`.
-        Reading ``config.vivaldi_kernel`` / ``config.coords_kernel`` still
-        works (resolved through :meth:`kernel_for`), and the resulting
-        cache addresses are byte-identical to the two-knob era.
     candidate_fraction:
         Fraction of nodes used as selection candidates in the
         coordinate-driven experiments (paper: 200 / 4000 = 5 %).
@@ -183,24 +156,6 @@ class ExperimentConfig:
         table = dict(self.kernels)
         return table.get(system, table.get("default", "batched"))
 
-    def __getattr__(self, name: str):
-        # Legacy read access for the retired two-knob API (the deprecated
-        # constructor kwargs are intercepted by the __init__ wrapper below
-        # and are not fields, so instance lookups fall through to here).
-        if name == "vivaldi_kernel":
-            return self.kernel_for("vivaldi")
-        if name == "coords_kernel":
-            resolved = {self.kernel_for(system) for system in COORDS_SYSTEMS}
-            if len(resolved) > 1:
-                raise ConfigError(
-                    "coords_kernel is ambiguous: the per-system kernels differ "
-                    f"({dict(self.kernels)}); use kernel_for(system)"
-                )
-            return resolved.pop()
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
     @property
     def n_candidates(self) -> int:
         """Number of selection candidates derived from ``candidate_fraction``."""
@@ -215,52 +170,6 @@ class ExperimentConfig:
     def n_meridian_small(self) -> int:
         """Number of Meridian nodes in the small idealised setting."""
         return min(self.meridian_small_count, self.n_nodes - 2)
-
-
-_dataclass_init = ExperimentConfig.__init__
-
-
-@functools.wraps(_dataclass_init)
-def _compat_init(self, *args, vivaldi_kernel=None, coords_kernel=None, **kwargs):
-    """Deprecation shim folding the retired two-knob kernel API into
-    ``kernels``.  Kept outside the dataclass machinery (rather than as
-    ``InitVar`` fields) so ``dataclasses.replace`` and ``asdict`` see only
-    the real fields and derived configurations never re-trigger the
-    warning."""
-    if vivaldi_kernel is not None or coords_kernel is not None:
-        table = _normalize_kernels(kwargs.pop("kernels", ()))
-        if vivaldi_kernel is not None:
-            warnings.warn(
-                "ExperimentConfig(vivaldi_kernel=...) is deprecated; "
-                "use kernels={'vivaldi': ...}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if vivaldi_kernel not in KERNEL_VALUES:
-                raise ConfigError(
-                    f"vivaldi_kernel must be 'batched' or 'reference', got {vivaldi_kernel!r}"
-                )
-            _merge_deprecated(table, {"vivaldi": vivaldi_kernel}, "vivaldi_kernel")
-        if coords_kernel is not None:
-            warnings.warn(
-                "ExperimentConfig(coords_kernel=...) is deprecated; "
-                "use kernels={'gnp': ..., 'ides': ..., 'lat': ..., 'meridian': ...} "
-                "or kernels={'default': ...}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if coords_kernel not in KERNEL_VALUES:
-                raise ConfigError(
-                    f"coords_kernel must be 'batched' or 'reference', got {coords_kernel!r}"
-                )
-            _merge_deprecated(
-                table, {system: coords_kernel for system in COORDS_SYSTEMS}, "coords_kernel"
-            )
-        kwargs["kernels"] = table
-    _dataclass_init(self, *args, **kwargs)
-
-
-ExperimentConfig.__init__ = _compat_init
 
 
 #: Configuration approximating the paper's full scale.  Running the whole

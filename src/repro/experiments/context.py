@@ -31,20 +31,20 @@ from typing import Any
 import numpy as np
 
 from repro.artifacts.nodes import ArtifactKey, get_node, node_storage
-from repro.experiments.cache import ArtifactCache, SharedArtifactTier, stable_key
+from repro.experiments.cache import ArtifactCache, stable_key
 from repro.experiments.config import ExperimentConfig
 
 
 @dataclass(frozen=True)
 class ArtifactEvent:
-    """One artifact materialisation (attached, restored, or computed)."""
+    """One artifact materialisation (restored or computed)."""
 
     artifact: str
     node: str
     kind: str
     address: str
     wall_seconds: float
-    outcome: str  # "computed" | "restored" | "attached"
+    outcome: str  # "computed" | "restored"
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -68,13 +68,6 @@ class ExperimentContext:
         Optional on-disk artifact cache.  When given, every artifact is
         loaded from / stored to the cache in addition to the in-memory
         memoisation, making repeated and multi-process runs incremental.
-    shm:
-        Optional same-run :class:`~repro.experiments.cache.SharedArtifactTier`.
-        When given (always alongside a cache), restores first try a
-        zero-copy shared-memory attach and computes publish their arrays
-        for same-run peers; every miss or failure degrades to the disk
-        cache, so results and cache addresses are identical with or
-        without it.
     """
 
     @classmethod
@@ -98,11 +91,9 @@ class ExperimentContext:
         config: ExperimentConfig | None = None,
         *,
         cache: ArtifactCache | None = None,
-        shm: SharedArtifactTier | None = None,
     ):
         self.config = config if config is not None else ExperimentConfig()
         self.cache = cache
-        self.shm = shm if cache is not None else None
         # Resolve the scenario dimension eagerly so an unknown name fails at
         # construction, not mid-sweep inside a worker process.
         if self.config.scenario is not None:
@@ -161,39 +152,24 @@ class ExperimentContext:
         params = node.params(self, key.instance)
         address = stable_key(node.kind, params)
         storage = node_storage(node, self, key.instance)
-        restored = self._restore_cached(node, key, params, storage, address)
+        restored = self._restore_cached(node, key, params, storage)
         if restored is not None:
-            value, outcome = restored
-            return value, outcome, address, node.kind
+            return restored, "restored", address, node.kind
         value = node.compute(self, key.instance)
         if self.cache is not None and storage != "virtual":
             payload = node.payload(value)
             if payload is not None:
                 arrays, meta = payload
-                published = (
-                    self.shm.publish(node.kind, address, arrays, meta=meta)
-                    if self.shm is not None
-                    else False
-                )
-                # A scratch cache exists solely to move arrays between
-                # same-run workers; once they ride shm, writing the bulk
-                # arrays to disk too would be pure overhead.
-                if not (published and self.shm.scratch):
-                    if storage == "raw":
-                        self.cache.store_raw(node.kind, params, arrays, meta=meta)
-                    else:
-                        self.cache.store(node.kind, params, arrays, meta=meta)
+                if storage == "raw":
+                    self.cache.store_raw(node.kind, params, arrays, meta=meta)
+                else:
+                    self.cache.store(node.kind, params, arrays, meta=meta)
         return value, "computed", address, node.kind
 
-    def _restore_cached(self, node, key: ArtifactKey, params: dict, storage: str, address: str):
-        """Rebuild the artifact from shm or disk, self-healing on failure.
+    def _restore_cached(self, node, key: ArtifactKey, params: dict, storage: str):
+        """Rebuild the artifact from the disk cache, self-healing on failure.
 
-        Returns ``(value, outcome)`` or ``None`` for a miss.  The
-        shared-memory tier is consulted first (a same-run producer's
-        segment, rebuilt zero-copy as ``outcome="attached"``); any miss or
-        failure there falls through to the disk layouts.  A successful
-        disk restore re-publishes the entry so later same-run readers
-        attach instead of hitting the disk again.
+        Returns the restored value, or ``None`` for a miss.
 
         An entry whose stored arrays/metadata do not match what the node's
         restore function expects (e.g. written by an incompatible version
@@ -207,16 +183,6 @@ class ExperimentContext:
         """
         if self.cache is None or storage == "virtual":
             return None
-        if self.shm is not None:
-            entry = self.shm.attach(node.kind, address)
-            if entry is not None:
-                try:
-                    return node.restore(self, key.instance, entry), "attached"
-                except Exception:
-                    # A segment this run published cannot be stale, but be
-                    # defensive: degrade to the disk path (whose own
-                    # self-healing evicts genuinely bad entries).
-                    pass
         if storage == "raw":
             entry = self.cache.load_raw(node.kind, params)
         else:
@@ -224,15 +190,12 @@ class ExperimentContext:
         if entry is None:
             return None
         try:
-            value = node.restore(self, key.instance, entry)
+            return node.restore(self, key.instance, entry)
         except Exception:
             self.cache.evict(node.kind, params)
             self.cache.stats.hits -= 1
             self.cache.stats.misses += 1
             return None
-        if self.shm is not None:
-            self.shm.publish(node.kind, address, entry.arrays, meta=entry.meta)
-        return value, "restored"
 
     def release(self, key: ArtifactKey) -> None:
         """Drop ``key`` from the in-memory memo (cache entries are kept).

@@ -39,7 +39,6 @@ import os
 import shutil
 import tempfile
 import time
-import uuid
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
@@ -55,15 +54,7 @@ import numpy as np
 from repro.artifacts.graph import ExecutionPlan, resolve_plan
 from repro.artifacts.nodes import ArtifactKey
 from repro.errors import ExperimentError
-from repro.experiments.cache import (
-    ArtifactCache,
-    CacheStats,
-    SharedArtifactTier,
-    ShmSpec,
-    ShmStats,
-    config_fingerprint,
-    shm_supported,
-)
+from repro.experiments.cache import ArtifactCache, CacheStats, config_fingerprint
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ArtifactEvent, ExperimentContext
 from repro.experiments.result import ExperimentResult
@@ -73,6 +64,17 @@ PathLike = Union[str, Path]
 
 #: Schema identifier written into BENCH_experiments.json.
 REPORT_SCHEMA = "bench-experiments/v1"
+
+# Retired shm-transport keys, written as 0 because bench-experiments/v1 readers index them.
+_RETIRED_ARTIFACT_KEYS = {"attaches": 0, "attach_seconds": 0.0}
+_RETIRED_SHM_COUNTERS = (
+    "published",
+    "publish_bytes",
+    "attaches",
+    "attach_bytes",
+    "fallbacks",
+    "evictions",
+)
 
 
 @dataclass
@@ -85,10 +87,8 @@ class ArtifactRecord:
     address: str
     computes: int = 0
     restores: int = 0
-    attaches: int = 0
     compute_seconds: float = 0.0
     restore_seconds: float = 0.0
-    attach_seconds: float = 0.0
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -98,10 +98,9 @@ class ArtifactRecord:
             "address": self.address,
             "computes": self.computes,
             "restores": self.restores,
-            "attaches": self.attaches,
             "compute_seconds": round(self.compute_seconds, 6),
             "restore_seconds": round(self.restore_seconds, 6),
-            "attach_seconds": round(self.attach_seconds, 6),
+            **_RETIRED_ARTIFACT_KEYS,
         }
 
 
@@ -127,9 +126,6 @@ def aggregate_artifact_events(events: Iterable[ArtifactEvent]) -> list[ArtifactR
         if event.outcome == "computed":
             record.computes += 1
             record.compute_seconds += event.wall_seconds
-        elif event.outcome == "attached":
-            record.attaches += 1
-            record.attach_seconds += event.wall_seconds
         else:
             record.restores += 1
             record.restore_seconds += event.wall_seconds
@@ -182,9 +178,6 @@ class RunReport:
     artifact_retries: int = 0
     figure_retries: int = 0
     pool_rebuilds: int = 0
-    #: Shared-memory tier counters summed over every worker of the run
-    #: (all zero in sequential runs or with the tier disabled).
-    shm: ShmStats = field(default_factory=ShmStats)
 
     def total_cache(self) -> CacheStats:
         """Cache counters summed over the shared phase and every experiment."""
@@ -219,8 +212,8 @@ class RunReport:
                     "materialized": len(self.artifacts),
                     "computed": sum(r.computes for r in self.artifacts),
                     "restored": sum(r.restores for r in self.artifacts),
-                    "attached": sum(r.attaches for r in self.artifacts),
-                    "shm": self.shm.as_dict(),
+                    "attached": 0,
+                    "shm": dict.fromkeys(_RETIRED_SHM_COUNTERS, 0),
                 },
                 "cache": total.as_dict(),
                 "all_cache_hits": self.all_cache_hits,
@@ -264,40 +257,6 @@ def resolve_jobs(jobs: int | None) -> int:
     return int(jobs)
 
 
-def resolve_shm(shm: bool | None, jobs: int) -> bool:
-    """Resolve the tri-state shared-memory switch for a run at ``jobs``.
-
-    ``False`` (the ``--no-shm`` flag) always wins; ``True`` asks for the
-    tier explicitly (still requiring a parallel run and platform
-    support); ``None`` auto-enables it for parallel runs unless the
-    ``REPRO_NO_SHM`` environment variable is set to a non-empty value.
-    """
-    if jobs <= 1 or shm is False:
-        return False
-    if shm is None and os.environ.get("REPRO_NO_SHM", ""):
-        return False
-    return shm_supported()
-
-
-def make_shm_spec(
-    cache_dir: str, *, scratch: bool, memory_budget_mb: int | None = None
-) -> ShmSpec:
-    """A fresh per-run :class:`ShmSpec` whose segment table lives in the cache.
-
-    The table directory is dot-prefixed and token-suffixed so it never
-    collides with artifact kinds or with a concurrent run over the same
-    cache directory; the scheduler removes it (and unlinks its segments)
-    when the run ends.
-    """
-    token = uuid.uuid4().hex[:8]
-    return ShmSpec(
-        table_dir=os.path.join(cache_dir, f".shm-{token}"),
-        token=token,
-        scratch=scratch,
-        memory_budget_mb=memory_budget_mb,
-    )
-
-
 def resolve_experiment_ids(only: Iterable[str] | None) -> list[str]:
     """Validate an ``--only`` subset against the registry (deduplicated).
 
@@ -321,62 +280,44 @@ def _run_in_worker(
     experiment_id: str,
     config: ExperimentConfig,
     cache_dir: Optional[str],
-    shm_spec: ShmSpec | None = None,
-) -> tuple[str, ExperimentResult, float, CacheStats, ShmStats]:
+) -> tuple[str, ExperimentResult, float, CacheStats]:
     """Execute one experiment in a worker process.
 
     Module-level so it pickles under every multiprocessing start method.
     Each invocation builds a fresh context backed by the shared on-disk
-    cache (and, when the run carries a :class:`ShmSpec`, the zero-copy
-    shared-memory tier); the artifact scheduler only releases a figure
-    once its closure is materialised, so every artifact access here is
-    served without recomputing.
+    cache; the artifact scheduler only releases a figure once its closure
+    is materialised, so every artifact access here is served without
+    recomputing.
     """
     from repro.experiments.registry import run_experiment
 
     cache = ArtifactCache(cache_dir) if cache_dir is not None else None
-    tier = shm_spec.tier() if shm_spec is not None and cache is not None else None
-    context = ExperimentContext(config, cache=cache, shm=tier)
-    try:
-        start = time.perf_counter()
-        result = run_experiment(experiment_id, context=context)
-        elapsed = time.perf_counter() - start
-    finally:
-        stats = cache.stats.snapshot() if cache is not None else CacheStats()
-        shm_stats = tier.stats.snapshot() if tier is not None else ShmStats()
-        del context
-        if tier is not None:
-            tier.close()
-    return experiment_id, result, elapsed, stats, shm_stats
+    context = ExperimentContext(config, cache=cache)
+    start = time.perf_counter()
+    result = run_experiment(experiment_id, context=context)
+    elapsed = time.perf_counter() - start
+    stats = cache.stats.snapshot() if cache is not None else CacheStats()
+    return experiment_id, result, elapsed, stats
 
 
 def _materialize_in_worker(
     key: ArtifactKey,
     config: ExperimentConfig,
     cache_dir: str,
-    shm_spec: ShmSpec | None = None,
-) -> tuple[ArtifactKey, float, CacheStats, list[ArtifactEvent], ShmStats]:
+) -> tuple[ArtifactKey, float, CacheStats, list[ArtifactEvent]]:
     """Materialise one artifact in a worker process.
 
-    The scheduler guarantees the artifact's dependencies are already
-    materialised (shm-resident or on disk), so the context restores them
-    and computes (then publishes and stores) only the target.
-    Module-level so it pickles under every start method.
+    The scheduler guarantees the artifact's dependencies are already in
+    the disk cache, so the context restores them and computes (then
+    stores) only the target.  Module-level so it pickles under every
+    start method.
     """
     cache = ArtifactCache(cache_dir)
-    tier = shm_spec.tier() if shm_spec is not None else None
-    context = ExperimentContext(config, cache=cache, shm=tier)
-    try:
-        start = time.perf_counter()
-        context.materialize(key)
-        elapsed = time.perf_counter() - start
-        events = context.drain_events()
-    finally:
-        shm_stats = tier.stats.snapshot() if tier is not None else ShmStats()
-        del context
-        if tier is not None:
-            tier.close()
-    return key, elapsed, cache.stats.snapshot(), events, shm_stats
+    context = ExperimentContext(config, cache=cache)
+    start = time.perf_counter()
+    context.materialize(key)
+    elapsed = time.perf_counter() - start
+    return key, elapsed, cache.stats.snapshot(), context.drain_events()
 
 
 class ExperimentEngine:
@@ -393,14 +334,7 @@ class ExperimentEngine:
     cache_dir:
         Directory of the on-disk artifact cache; ``None`` disables
         persistence.  An uncached parallel run still shares artifacts
-        through a temporary scratch cache (deleted afterwards) plus the
-        shared-memory tier, which carries the bulk arrays.
-    shm:
-        Tri-state shared-memory-tier switch: ``True``/``False`` force it
-        on/off, ``None`` (the default) enables it for parallel runs on
-        platforms where named shared memory works unless the
-        ``REPRO_NO_SHM`` environment variable is set.  Sequential runs
-        never use the tier (one process shares through its own memo).
+        through a temporary scratch cache (deleted afterwards).
     """
 
     def __init__(
@@ -409,16 +343,10 @@ class ExperimentEngine:
         *,
         jobs: int | None = 1,
         cache_dir: PathLike | None = None,
-        shm: bool | None = None,
     ):
         self.config = config if config is not None else ExperimentConfig()
         self.jobs = resolve_jobs(jobs)
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.shm = shm
-
-    def shm_enabled(self) -> bool:
-        """Resolve the tri-state ``shm`` switch for this engine's run."""
-        return resolve_shm(self.shm, self.jobs)
 
     def run(self, only: Iterable[str] | None = None) -> EngineOutcome:
         """Run every registered experiment (or the subset in ``only``)."""
@@ -432,9 +360,9 @@ class ExperimentEngine:
         ephemeral_dir: Optional[str] = None
         try:
             # Worker processes can only share artifacts through the disk
-            # cache and the shm tier, so an uncached parallel run would
-            # recompute the whole shared pipeline once per experiment.
-            # Give it a scratch cache instead, deleted when the run ends.
+            # cache, so an uncached parallel run would recompute the whole
+            # shared pipeline once per experiment.  Give it a scratch
+            # cache instead, deleted when the run ends.
             effective_cache_dir = self.cache_dir
             if effective_cache_dir is None and self.jobs > 1:
                 ephemeral_dir = tempfile.mkdtemp(prefix="repro-engine-cache-")
@@ -444,7 +372,6 @@ class ExperimentEngine:
                 if effective_cache_dir is not None
                 else None
             )
-            shm_stats = ShmStats()
             if self.jobs == 1:
                 # A sequential full sweep materialises the graph up front
                 # (the shared phase of the report); a sequential subset run
@@ -461,13 +388,6 @@ class ExperimentEngine:
                 artifact_events = artifact_events + figure_events
                 supervision = {}
             else:
-                shm_spec = None
-                if self.shm_enabled():
-                    shm_spec = make_shm_spec(
-                        effective_cache_dir,
-                        scratch=ephemeral_dir is not None,
-                        memory_budget_mb=self.config.memory_budget_mb,
-                    )
                 (
                     results,
                     records,
@@ -475,8 +395,7 @@ class ExperimentEngine:
                     artifact_events,
                     first_exc,
                     supervision,
-                    shm_stats,
-                ) = self._run_parallel(wanted, effective_cache_dir, shm_spec)
+                ) = self._run_parallel(wanted, effective_cache_dir)
         finally:
             if ephemeral_dir is not None:
                 shutil.rmtree(ephemeral_dir, ignore_errors=True)
@@ -492,7 +411,6 @@ class ExperimentEngine:
             artifact_retries=supervision.get("artifact_retries", 0),
             figure_retries=supervision.get("figure_retries", 0),
             pool_rebuilds=supervision.get("pool_rebuilds", 0),
-            shm=shm_stats,
         )
         failures = {
             record.experiment_id: record.error
@@ -569,7 +487,7 @@ class ExperimentEngine:
         return results, records, first_exc, context.drain_events()
 
     def _run_parallel(
-        self, wanted: list[str], cache_dir: str, shm_spec: ShmSpec | None = None
+        self, wanted: list[str], cache_dir: str
     ) -> tuple[
         dict[str, ExperimentResult],
         list[ExperimentRunRecord],
@@ -577,7 +495,6 @@ class ExperimentEngine:
         list[ArtifactEvent],
         BaseException | None,
         dict[str, int],
-        ShmStats,
     ]:
         """Schedule artifacts, then figures, over one pool by dependency frontier."""
         plan = resolve_plan(self.config, wanted)
@@ -591,7 +508,6 @@ class ExperimentEngine:
             },
             cache_dir=cache_dir,
             jobs=self.jobs,
-            shm=shm_spec,
         )
         scheduler.execute()
         results = {
@@ -611,7 +527,6 @@ class ExperimentEngine:
                 "figure_retries": scheduler.figure_retries,
                 "pool_rebuilds": scheduler.pool_rebuilds,
             },
-            scheduler.tag_shm(""),
         )
 
 
@@ -700,15 +615,6 @@ class FrontierScheduler:
         Optional per-task wall-clock budget in seconds; an overrunning
         task counts as a crash attributed to that task (its worker is
         torn down with the pool).  ``None`` disables deadlines.
-    shm:
-        Optional :class:`~repro.experiments.cache.ShmSpec` of the run's
-        shared-memory tier.  The scheduler owns the segment table's
-        lifecycle: it creates the table directory before the first
-        submission, sweeps orphaned publish intents after every
-        supervised pool rebuild (no worker is in flight at that point),
-        and on run end — normal, failed or interrupted — unlinks every
-        segment and removes the table, so crashes never leak
-        ``/dev/shm`` entries.
     """
 
     def __init__(
@@ -724,7 +630,6 @@ class FrontierScheduler:
         retry_backoff: float = 0.05,
         backoff_cap: float = 1.0,
         task_timeout: float | None = None,
-        shm: ShmSpec | None = None,
     ):
         self.tasks = dict(tasks)
         self.configs = dict(configs)
@@ -742,7 +647,6 @@ class FrontierScheduler:
         self.retry_backoff = float(retry_backoff)
         self.backoff_cap = float(backoff_cap)
         self.task_timeout = task_timeout
-        self.shm = shm
 
         self.results: dict[tuple[str, str], ExperimentResult] = {}
         self.figure_records: dict[tuple[str, str], ExperimentRunRecord] = {}
@@ -759,8 +663,6 @@ class FrontierScheduler:
         self._owner_stats: dict[str, CacheStats] = {tag: CacheStats() for tag in configs}
         self._owner_wall: dict[str, float] = {tag: 0.0 for tag in configs}
         self._owner_errors: dict[str, list[str]] = {tag: [] for tag in configs}
-        # Shared-memory counters per tag, artifact and figure tasks both.
-        self._tag_shm: dict[str, ShmStats] = {tag: ShmStats() for tag in configs}
 
     @property
     def artifact_retries(self) -> int:
@@ -811,14 +713,8 @@ class FrontierScheduler:
         """Materialisation events of the artifact tasks charged to ``tag``."""
         return list(self._owner_events[tag])
 
-    def tag_shm(self, tag: str) -> ShmStats:
-        """Shared-memory counters of ``tag``'s artifact and figure tasks."""
-        return self._tag_shm[tag]
-
     def execute(self) -> None:
         cache = ArtifactCache(self.cache_dir)
-        if self.shm is not None:
-            os.makedirs(self.shm.table_dir, exist_ok=True)
         to_compute = [
             address
             for address, task in self.tasks.items()
@@ -926,7 +822,6 @@ class FrontierScheduler:
                         task.key,
                         self.configs[task.owner],
                         self.cache_dir,
-                        self.shm,
                     )
                 else:
                     tag, experiment_id = payload
@@ -935,7 +830,6 @@ class FrontierScheduler:
                         experiment_id,
                         self.configs[tag],
                         self.cache_dir,
-                        self.shm,
                     )
             except Exception:
                 return False
@@ -973,17 +867,15 @@ class FrontierScheduler:
             """Fold one successfully finished task into the run state."""
             kind, payload = key
             if kind == "artifact":
-                _, elapsed, stats, events, shm_stats = future.result()
+                _, elapsed, stats, events = future.result()
                 owner = self.tasks[payload].owner
                 self._owner_wall[owner] += elapsed
                 self._owner_stats[owner].merge(stats)
                 self._owner_events[owner].extend(events)
-                self._tag_shm[owner].merge(shm_stats)
                 artifact_done(payload)
             else:
-                _, result, elapsed, stats, shm_stats = future.result()
+                _, result, elapsed, stats = future.result()
                 self.results[payload] = result
-                self._tag_shm[payload[0]].merge(shm_stats)
                 self.figure_records[payload] = ExperimentRunRecord(
                     experiment_id=payload[1],
                     wall_seconds=elapsed,
@@ -1032,11 +924,6 @@ class FrontierScheduler:
             )
             if delay > 0:
                 time.sleep(delay)
-            if self.shm is not None:
-                # No worker is alive between teardown and the new pool:
-                # safe to unlink the segments of interrupted publishes so
-                # re-submitted tasks can re-create their names.
-                SharedArtifactTier.sweep_intents(self.shm.table_dir)
             pool = ProcessPoolExecutor(max_workers=max_workers)
             charged = set(attributed)
             for key in crashed:
@@ -1157,11 +1044,6 @@ class FrontierScheduler:
                 healthy = submit_ready()
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
-            if self.shm is not None:
-                # Run end (including KeyboardInterrupt): unlink every
-                # published segment and drop the table.  Unlink removes
-                # only the names — anything still mapped stays readable.
-                SharedArtifactTier.cleanup(self.shm.table_dir)
 
         # Anything still unscheduled lost its dependency chain.
         for address in to_compute:
@@ -1182,7 +1064,6 @@ def run_experiments(
     jobs: int | None = 1,
     cache_dir: PathLike | None = None,
     report_path: PathLike | None = None,
-    shm: bool | None = None,
 ) -> EngineOutcome:
     """Run experiments through the engine and optionally write the run report.
 
@@ -1191,10 +1072,8 @@ def run_experiments(
     ``repro run-all``.  If any experiment fails, the report (including the
     per-experiment ``status``/``error`` records) is still written before an
     :class:`ExperimentError` summarising the failures is raised.
-    ``shm`` is the tri-state shared-memory switch of
-    :class:`ExperimentEngine` (``--no-shm`` passes ``False``).
     """
-    engine = ExperimentEngine(config, jobs=jobs, cache_dir=cache_dir, shm=shm)
+    engine = ExperimentEngine(config, jobs=jobs, cache_dir=cache_dir)
     outcome = engine.run(only=only)
     if report_path is not None:
         outcome.report.write(report_path)

@@ -8,9 +8,10 @@ least noisy estimator of what the code can do on the machine, while the
 mean documents run-to-run spread.
 
 The report is a plain-JSON document (``BENCH_perf.json``) that also
-carries the environment (python/numpy/scipy versions) and, whenever both
-Vivaldi kernels were measured at a size, their speedup — the number the CI
-``bench-smoke`` job asserts on.
+carries the environment (python/numpy/scipy versions) and, per kernel
+family whose batched and reference variants were both measured at a size,
+their speedup (``speedups``) — the numbers the CI ``bench-smoke`` job
+asserts on.
 """
 
 from __future__ import annotations
@@ -93,14 +94,6 @@ class BenchReport:
                 result[family] = per_size
         return result
 
-    def vivaldi_speedups(self) -> dict[str, float]:
-        """Batched-over-reference Vivaldi speedup per measured size.
-
-        The ``vivaldi_step`` entry of :meth:`speedups`, kept as a dedicated
-        accessor (and report key) for the original bench-smoke contract.
-        """
-        return self.speedups().get("vivaldi_step", {})
-
     def as_dict(self) -> dict:
         import numpy
         import scipy
@@ -118,7 +111,6 @@ class BenchReport:
             "seed": self.seed,
             "kernels": [row.as_dict() for row in self.timings],
             "speedups": self.speedups(),
-            "vivaldi_speedup": self.vivaldi_speedups(),
         }
 
 

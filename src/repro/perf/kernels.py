@@ -220,87 +220,6 @@ def _setup_artifact_graph_resolve(size: int, seed: int) -> tuple[PreparedKernel,
     return (lambda: resolve_plan(config, wanted)), float(len(wanted))
 
 
-def _transport_payload(size: int, seed: int):
-    """A dataset-shaped artifact payload for the transport kernels.
-
-    Both transport kernels move the same byte-identical arrays so the
-    speedup compares transports, not payloads; synthetic data keeps the
-    (untimed) setup cheap at large sizes.
-    """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    arrays = {
-        "delays": rng.standard_normal((size, size)),
-        "clusters": rng.integers(0, 8, size=size),
-    }
-    meta = {"labels": [f"n{i}" for i in range(size)]}
-    total_bytes = float(sum(array.nbytes for array in arrays.values()))
-    return arrays, meta, total_bytes
-
-
-def _bench_scratch_dir(prefix: str) -> str:
-    """A tempdir removed at interpreter exit (KernelSpec has no teardown)."""
-    import atexit
-    import shutil
-    import tempfile
-
-    path = tempfile.mkdtemp(prefix=prefix)
-    atexit.register(shutil.rmtree, path, ignore_errors=True)
-    return path
-
-
-def _setup_artifact_restore_disk(size: int, seed: int) -> tuple[PreparedKernel, float]:
-    from repro.experiments.cache import ArtifactCache
-
-    arrays, meta, total_bytes = _transport_payload(size, seed)
-    cache = ArtifactCache(_bench_scratch_dir("repro-bench-disk-"))
-    params = {"bench": "transport", "n_nodes": size, "seed": seed}
-    cache.store("dataset", params, arrays, meta=meta)
-
-    def run() -> float:
-        # One call = one dependent rehydrating the artifact from the
-        # durable tier: metadata JSON + full .npz decompression.
-        entry = cache.load("dataset", params)
-        if entry is None:
-            raise BenchmarkError("disk restore unexpectedly missed the cache")
-        return float(entry.arrays["delays"][0, 0])
-
-    return run, total_bytes
-
-
-def _setup_artifact_attach_shm(size: int, seed: int) -> tuple[PreparedKernel, float]:
-    import atexit
-
-    from repro.experiments.cache import SharedArtifactTier, shm_supported, stable_key
-
-    if not shm_supported():
-        raise BenchmarkError(
-            "artifact_attach_shm requires POSIX shared memory, "
-            "which this host does not support"
-        )
-    arrays, meta, total_bytes = _transport_payload(size, seed)
-    table_dir = _bench_scratch_dir("repro-bench-shm-")
-    # Registered after the rmtree above, so it runs first (atexit is LIFO)
-    # and unlinks the segments before the table directory disappears.
-    atexit.register(SharedArtifactTier.cleanup, table_dir)
-    tier = SharedArtifactTier(table_dir, allowance_bytes=int(total_bytes) * 4)
-    params = {"bench": "transport", "n_nodes": size, "seed": seed}
-    address = stable_key("dataset", params)
-    if not tier.publish("dataset", address, arrays, meta=meta):
-        raise BenchmarkError("shared-memory publish failed during setup")
-
-    def run() -> float:
-        # One call = one same-run dependent attaching the artifact
-        # zero-copy: descriptor JSON + read-only views over the segment.
-        entry = tier.attach("dataset", address)
-        if entry is None:
-            raise BenchmarkError("shared-memory attach unexpectedly fell back")
-        return float(entry.arrays["delays"][0, 0])
-
-    return run, total_bytes
-
-
 def _setup_online_update(size: int, seed: int) -> tuple[PreparedKernel, float]:
     from repro.stream.service import StreamCoordinateService
 
@@ -522,35 +441,12 @@ _KERNELS: dict[str, KernelSpec] = {
             _setup_scenario_generation,
         ),
         KernelSpec(
-            "artifact_restore_disk",
-            "one dependent rehydrating a dataset-sized artifact from the "
-            "durable disk tier (metadata JSON + compressed .npz load)",
-            "bytes/s",
-            _setup_artifact_restore_disk,
-        ),
-        KernelSpec(
-            "artifact_attach_shm",
-            "one dependent attaching the same artifact zero-copy from the "
-            "shared-memory tier (descriptor JSON + read-only segment views)",
-            "bytes/s",
-            _setup_artifact_attach_shm,
-        ),
-        KernelSpec(
             "artifact_graph_resolve",
             "full-suite artifact-DAG resolution (requirements -> addressed plan)",
             "figures/s",
             _setup_artifact_graph_resolve,
         ),
     )
-}
-
-
-#: Fast/slow kernel pairs whose names do not follow the ``_batched`` /
-#: ``_reference`` convention, keyed by family name.  Each value is
-#: ``(fast, reference)`` — the same orientation the suffix-derived
-#: families use, so ``BenchReport.speedups()`` reports reference/fast.
-_EXPLICIT_FAMILIES: dict[str, tuple[str, str]] = {
-    "artifact_transport": ("artifact_attach_shm", "artifact_restore_disk"),
 }
 
 
@@ -563,11 +459,9 @@ def kernel_families() -> dict[str, tuple[str, str]]:
     """Kernels that come as a fast/reference pair, keyed by family name.
 
     A family is the shared prefix of a ``<family>_batched`` /
-    ``<family>_reference`` kernel pair (e.g. ``"gnp_fit"``), plus the
-    explicitly-paired entries of :data:`_EXPLICIT_FAMILIES` (e.g.
-    ``"artifact_transport"``).  The bench report computes one speedup per
-    family, and ``repro bench --kernels`` accepts family names as
-    shorthand for timing both variants.
+    ``<family>_reference`` kernel pair (e.g. ``"gnp_fit"``).  The bench
+    report computes one speedup per family, and ``repro bench --kernels``
+    accepts family names as shorthand for timing both variants.
     """
     families: dict[str, tuple[str, str]] = {}
     for name in _KERNELS:
@@ -576,9 +470,6 @@ def kernel_families() -> dict[str, tuple[str, str]]:
             reference = f"{family}_reference"
             if reference in _KERNELS:
                 families[family] = (name, reference)
-    for family, (fast, reference) in _EXPLICIT_FAMILIES.items():
-        if fast in _KERNELS and reference in _KERNELS:
-            families[family] = (fast, reference)
     return families
 
 

@@ -39,12 +39,10 @@ from repro.experiments.engine import (
     FrontierScheduler,
     RunReport,
     aggregate_artifact_events,
-    make_shm_spec,
     plan_artifact_tasks,
     plan_figure_addresses,
     resolve_experiment_ids,
     resolve_jobs,
-    resolve_shm,
 )
 from repro.scenarios.library import get_scenario, scenario_matrix
 from repro.scenarios.spec import Scenario
@@ -223,8 +221,6 @@ def _run_matrix_parallel(
     worker_count: int,
     cache_dir: PathLike,
     report_cache_dir: Optional[str],
-    shm: bool | None = None,
-    scratch: bool = False,
 ) -> dict[str, EngineOutcome]:
     """Fan the whole (scenario × figure) grid out over one worker pool.
 
@@ -268,12 +264,6 @@ def _run_matrix_parallel(
                 plan, experiment_id
             )
 
-    shm_spec = None
-    if resolve_shm(shm, worker_count):
-        # One segment table serves the whole matrix: cross-scenario shared
-        # artifacts (deduplicated by address above) ride one segment.
-        base_budget = next(iter(configs.values())).memory_budget_mb if configs else None
-        shm_spec = make_shm_spec(cache_dir, scratch=scratch, memory_budget_mb=base_budget)
     scheduler = FrontierScheduler(
         tasks=tasks,
         configs={name: configs[name] for name in plans},
@@ -281,7 +271,6 @@ def _run_matrix_parallel(
         figure_needs=figure_needs,
         cache_dir=cache_dir,
         jobs=worker_count,
-        shm=shm_spec,
     )
     scheduler.execute()
 
@@ -318,7 +307,6 @@ def _run_matrix_parallel(
             # matrix report carries the true overall wall-clock).
             wall_seconds=shared.wall_seconds
             + float(sum(record.wall_seconds for record in ordered)),
-            shm=scheduler.tag_shm(name),
         )
         failures = {
             record.experiment_id: record.error
@@ -356,7 +344,6 @@ def run_scenario_matrix(
     jobs: int | None = 1,
     cache_dir: PathLike | None = None,
     report_path: PathLike | None = None,
-    shm: bool | None = None,
 ) -> ScenarioMatrixOutcome:
     """Run the figure suite under every scenario of a matrix.
 
@@ -383,11 +370,6 @@ def run_scenario_matrix(
         100% cache-served.
     report_path:
         Where to write the ``BENCH_scenarios.json`` report (optional).
-    shm:
-        Tri-state shared-memory-tier switch (see
-        :class:`~repro.experiments.engine.ExperimentEngine`); parallel
-        matrix runs move same-run artifact arrays through named shared
-        memory and fall back to disk transport when disabled.
 
     A scenario whose figures fail is recorded (``status: "error"`` with the
     per-figure messages) and the sweep continues; an
@@ -432,16 +414,12 @@ def run_scenario_matrix(
                 worker_count,
                 effective_cache_dir,
                 str(cache_dir) if cache_dir is not None else None,
-                shm=shm,
-                scratch=ephemeral_dir is not None,
             )
         else:
             outcomes = {}
             for scenario in selected:
                 cfg = scenario_config(base, scenario)
-                engine = ExperimentEngine(
-                    cfg, jobs=jobs, cache_dir=effective_cache_dir, shm=shm
-                )
+                engine = ExperimentEngine(cfg, jobs=jobs, cache_dir=effective_cache_dir)
                 try:
                     outcomes[scenario.name] = engine.run(only=wanted)
                 except Exception as exc:

@@ -1,8 +1,11 @@
 """Tests for ``repro cache prune`` (repro.artifacts.prune)."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
+import pytest
 
 from repro.artifacts import ArtifactKey, prune_cache
 from repro.experiments.cache import ArtifactCache, stable_key
@@ -104,6 +107,53 @@ class TestStaleEraEviction:
         counting = ArtifactCache(cache_dir)
         context = ExperimentContext(TINY, cache=counting)
         _ = context.severity
+        assert counting.stats.misses == 0
+
+
+class TestAbandonedTempFiles:
+    @pytest.mark.parametrize(
+        "method, dying_replace",
+        [("store", 0), ("store", 1), ("store_raw", 0)],
+        ids=["npz-archive", "json-metadata", "raw-array"],
+    )
+    def test_temp_file_of_a_killed_store_is_pruned(self, tmp_path, method, dying_replace):
+        cache_dir = tmp_path / "cache"
+        _populate(cache_dir)
+        kept = prune_cache(cache_dir).kept
+
+        def killed_mid_store():
+            # The worker dies between writing a temp file and the
+            # os.replace that would publish it (an OOM kill or segfault).
+            real_replace, done = os.replace, []
+
+            def replace(*args):
+                if len(done) == dying_replace:
+                    os._exit(1)
+                done.append(args)
+                real_replace(*args)
+
+            os.replace = replace
+            getattr(ArtifactCache(cache_dir), method)(
+                "dataset", {"n": 4}, {"delays": np.eye(4)}
+            )
+
+        worker = multiprocessing.get_context("fork").Process(target=killed_mid_store)
+        worker.start()
+        worker.join()
+        assert worker.exitcode == 1
+        (leftover,) = (cache_dir / "dataset").glob(".tmp-*")
+
+        report = prune_cache(cache_dir, dry_run=True)
+        temp_entries = [e for e in report.pruned if e.name == leftover.name]
+        assert [e.kind for e in temp_entries] == ["dataset"]
+        assert "abandoned temp file" in temp_entries[0].reason
+        assert leftover.exists()
+
+        report = prune_cache(cache_dir)
+        assert report.kept == kept
+        assert not list(cache_dir.glob("*/.tmp-*"))
+        counting = ArtifactCache(cache_dir)
+        _ = ExperimentContext(TINY, cache=counting).severity
         assert counting.stats.misses == 0
 
 

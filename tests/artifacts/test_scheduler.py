@@ -46,10 +46,35 @@ class TestComputeExactlyOnce:
         counts = _computes_by_address(report)
         assert counts, "parallel cold run reported no artifact records"
         assert all(count == 1 for count in counts.values()), counts
-        # The shared dataset was rehydrated by its dependents (zero-copy
-        # shm attach, or disk restore with the tier off), never recomputed.
+        # The shared dataset was restored from disk by its dependents,
+        # never recomputed.
         dataset_rows = [r for r in report["artifacts"] if r["node"] == "dataset"]
-        assert any(row["restores"] + row["attaches"] > 0 for row in dataset_rows)
+        assert any(row["restores"] > 0 for row in dataset_rows)
+
+    def test_report_keeps_retired_transport_keys_at_zero(self, tmp_path):
+        # bench-experiments/v1 readers index the keys of the deleted
+        # shared-memory transport; they stay in the report as zeros.
+        outcome = run_experiments(
+            TINY, only=["fig03", "fig19"], jobs=2, cache_dir=tmp_path / "cache"
+        )
+        report = outcome.report.as_dict()
+        assert report["artifacts"]
+        for row in report["artifacts"]:
+            assert (row["attaches"], row["attach_seconds"]) == (0, 0.0)
+        totals = report["totals"]["artifacts"]
+        assert totals["attached"] == 0
+        assert totals["restored"] > 0
+        assert totals["shm"] == dict.fromkeys(
+            (
+                "published",
+                "publish_bytes",
+                "attaches",
+                "attach_bytes",
+                "fallbacks",
+                "evictions",
+            ),
+            0,
+        )
 
     def test_sequential_full_sweep_computes_each_artifact_once(self, tmp_path):
         outcome = run_experiments(TINY, jobs=1, cache_dir=tmp_path / "cache")

@@ -1,6 +1,7 @@
 """Tests for the content-addressed artifact cache."""
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -80,6 +81,50 @@ class TestRoundTrip:
         entry = cache.load("x", {"n": 4})
         assert entry is not None
         assert entry.meta["mean"] == 1.5
+
+
+class TestArchiveFormat:
+    def test_stored_npz_members_are_uncompressed(self, cache, tmp_path):
+        cache.store("dataset", {"n": 6}, {"delays": np.eye(6), "clusters": np.arange(6)})
+        (npz_path,) = (tmp_path / "cache" / "dataset").glob("*.npz")
+        with zipfile.ZipFile(npz_path) as archive:
+            members = archive.infolist()
+        assert sorted(member.filename for member in members) == [
+            "clusters.npy",
+            "delays.npy",
+        ]
+        assert {member.compress_type for member in members} == {zipfile.ZIP_STORED}
+
+    def test_compressed_entry_from_older_release_hits(self, cache, tmp_path):
+        # Releases before uncompressed stores wrote np.savez_compressed
+        # archives under the same address; they must keep hitting.
+        delays = np.random.default_rng(1).uniform(1.0, 300.0, size=(12, 12))
+        cache.store("dataset", {"n": 12}, {"delays": delays}, meta={"labels": ["a"]})
+        (npz_path,) = (tmp_path / "cache" / "dataset").glob("*.npz")
+        np.savez_compressed(npz_path, delays=delays)
+        with zipfile.ZipFile(npz_path) as archive:
+            assert archive.infolist()[0].compress_type == zipfile.ZIP_DEFLATED
+        entry = cache.load("dataset", {"n": 12})
+        assert entry is not None
+        assert np.array_equal(entry.arrays["delays"], delays)
+        assert entry.meta == {"labels": ["a"]}
+        assert (cache.stats.hits, cache.stats.misses) == (1, 0)
+
+
+class TestRawLayout:
+    def test_mmap_load_survives_concurrent_evict(self, tmp_path):
+        # POSIX unlink removes only the name: a reader holding
+        # np.load(mmap_mode="r") views keeps reading after another process
+        # evicts the entry out from under it.
+        cache = ArtifactCache(tmp_path / "cache")
+        params = {"seed": 3, "n_nodes": 16}
+        arrays = {"block": np.arange(256, dtype=np.float64).reshape(16, 16)}
+        cache.store_raw("dataset", params, arrays)
+        entry = cache.load_raw("dataset", params, mmap=True)
+        assert isinstance(entry.arrays["block"], np.memmap)
+        ArtifactCache(tmp_path / "cache").evict("dataset", params)
+        assert cache.load_raw("dataset", params) is None  # eviction took
+        np.testing.assert_array_equal(entry.arrays["block"], arrays["block"])
 
 
 class TestMissesAndCorruption:

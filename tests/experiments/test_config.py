@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.config import (
-    COORDS_SYSTEMS,
-    PAPER_SCALE,
-    ExperimentConfig,
-)
+from repro.experiments.config import PAPER_SCALE, ExperimentConfig
 from repro.experiments.context import ExperimentContext
+
+COORDS_SYSTEMS = ("gnp", "ides", "lat", "meridian")
 
 
 class TestExperimentConfig:
@@ -139,61 +137,13 @@ class TestKernelsMapping:
         assert bumped.kernel_for("vivaldi") == "reference"
         assert bumped.seed == 7
 
-
-class TestDeprecatedKernelKwargs:
-    """The retired two-knob API warns but keeps working (PR 6 shim)."""
-
-    def test_vivaldi_kernel_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="vivaldi_kernel"):
-            config = ExperimentConfig(vivaldi_kernel="reference")
-        assert config == ExperimentConfig(kernels={"vivaldi": "reference"})
-
-    def test_coords_kernel_warns_and_maps_to_all_coords_systems(self):
-        with pytest.warns(DeprecationWarning, match="coords_kernel"):
-            config = ExperimentConfig(coords_kernel="reference")
-        assert config == ExperimentConfig(
-            kernels={system: "reference" for system in COORDS_SYSTEMS}
-        )
-        assert config.kernel_for("vivaldi") == "batched"
-
-    def test_deprecated_bad_value_still_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                ExperimentConfig(vivaldi_kernel="turbo")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                ExperimentConfig(coords_kernel="turbo")
-
-    def test_conflicting_explicit_entry_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError, match="conflict"):
-                ExperimentConfig(
-                    vivaldi_kernel="reference", kernels={"vivaldi": "batched"}
-                )
-
-    def test_agreeing_explicit_entry_accepted(self):
-        with pytest.warns(DeprecationWarning):
-            config = ExperimentConfig(
-                vivaldi_kernel="reference", kernels={"vivaldi": "reference"}
-            )
-        assert config.kernel_for("vivaldi") == "reference"
-
-    def test_legacy_attribute_reads_resolve(self):
-        config = ExperimentConfig(kernels={"vivaldi": "reference"})
-        assert config.vivaldi_kernel == "reference"
-        assert config.coords_kernel == "batched"
-
-    def test_ambiguous_coords_kernel_read_rejected(self):
-        config = ExperimentConfig(kernels={"ides": "reference"})
-        with pytest.raises(ConfigError, match="ambiguous"):
-            config.coords_kernel
-
-    def test_replace_does_not_retrigger_the_warning(self, recwarn):
-        config = ExperimentConfig(kernels={"vivaldi": "reference"})
-        dataclasses.replace(config, seed=3)
-        assert not [
-            w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
-        ]
+    def test_retired_kernel_kwargs_are_gone(self):
+        # The pre-kernels two-knob API is no longer accepted or readable.
+        with pytest.raises(TypeError):
+            ExperimentConfig(vivaldi_kernel="reference")
+        with pytest.raises(TypeError):
+            ExperimentConfig(coords_kernel="reference")
+        assert not hasattr(ExperimentConfig(), "coords_kernel")
 
 
 class TestExperimentContext:

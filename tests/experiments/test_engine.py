@@ -132,6 +132,25 @@ class TestCachedRuns:
                 warm_parallel.results[experiment_id].data,
             ), experiment_id
 
+    def test_compressed_cache_of_older_releases_serves_warm_runs(self, tmp_path):
+        # Older releases wrote every .npz with np.savez_compressed under the
+        # same addresses; a warm run over such a cache must miss nothing.
+        cache_dir = tmp_path / "artifacts"
+        cold = run_experiments(TINY, only=list(SUBSET), jobs=2, cache_dir=cache_dir)
+        archives = sorted(cache_dir.glob("*/*.npz"))
+        assert archives
+        for path in archives:
+            with np.load(path) as archive:
+                arrays = {name: archive[name] for name in archive.files}
+            np.savez_compressed(path, **arrays)
+        warm = run_experiments(TINY, only=list(SUBSET), jobs=2, cache_dir=cache_dir)
+        assert warm.report.all_cache_hits
+        assert warm.report.total_cache().misses == 0
+        for experiment_id in SUBSET:
+            assert results_equal(
+                cold.results[experiment_id].data, warm.results[experiment_id].data
+            ), experiment_id
+
 
 class TestContextCache:
     def test_matrix_and_severity_round_trip_bit_for_bit(self, tmp_path):
@@ -408,36 +427,11 @@ class TestStrawmanArtifacts:
         not reuse the other kernel's artefacts."""
         import dataclasses
 
-        from repro.experiments.config import COORDS_SYSTEMS
-
         cache_dir = tmp_path / "artifacts"
         run_experiments(TINY, only=["fig16"], jobs=1, cache_dir=cache_dir)
         reference = dataclasses.replace(
-            TINY, kernels={system: "reference" for system in COORDS_SYSTEMS}
+            TINY, kernels={system: "reference" for system in ("gnp", "ides", "lat", "meridian")}
         )
         outcome = run_experiments(reference, only=["fig16"], jobs=1, cache_dir=cache_dir)
         total = outcome.report.total_cache()
         assert total.misses > 0
-
-    def test_deprecated_kernel_kwargs_hit_the_same_cache(self, tmp_path):
-        """Cross-version warm-cache contract (PR 6): artefacts stored under
-        a config built with the retired ``vivaldi_kernel``/``coords_kernel``
-        kwargs must be served as hits to the equivalent ``kernels``-mapping
-        config — the deprecation shim may not move a single address."""
-        import dataclasses
-
-        from repro.experiments.config import COORDS_SYSTEMS
-
-        cache_dir = tmp_path / "artifacts"
-        with pytest.warns(DeprecationWarning):
-            legacy = dataclasses.replace(
-                TINY, vivaldi_kernel="reference", coords_kernel="reference"
-            )
-        run_experiments(legacy, only=["fig16", "fig19"], jobs=1, cache_dir=cache_dir)
-        modern = dataclasses.replace(
-            TINY,
-            kernels={"vivaldi": "reference", **{s: "reference" for s in COORDS_SYSTEMS}},
-        )
-        assert modern == legacy
-        warm = run_experiments(modern, only=["fig16", "fig19"], jobs=1, cache_dir=cache_dir)
-        assert warm.report.all_cache_hits

@@ -13,6 +13,7 @@ experiment registry in the parent is visible inside the workers.
 
 import json
 import os
+import tempfile
 import time
 
 import pytest
@@ -144,6 +145,52 @@ class TestCrashRetry:
         }
         # Per-record "retries" keys only appear when nonzero.
         assert all("retries" not in entry for entry in payload["experiments"])
+
+
+class TestScratchCacheHygiene:
+    """An uncached parallel run works through a ``repro-engine-cache-*``
+    scratch dir; no exit path may leak it.  Redirecting ``tempfile`` lands
+    every scratch dir somewhere the test can inspect exhaustively."""
+
+    @pytest.fixture
+    def scratch_root(self, tmp_path, monkeypatch):
+        root = tmp_path / "tmproot"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    def test_pool_rebuild_leaks_no_scratch_dir(self, tmp_path, monkeypatch, scratch_root):
+        from repro.experiments import registry
+
+        sentinel = str(tmp_path / "crashed-once")
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "fig03",
+            registry.RegisteredExperiment(
+                _crash_once_runner(sentinel), frozenset({"matrix"})
+            ),
+        )
+        outcome = run_experiments(TINY, only=["fig03", "fig02"], jobs=2)
+        assert outcome.failures == {}
+        assert outcome.report.pool_rebuilds >= 1
+        assert list(scratch_root.glob("repro-engine-cache-*")) == []
+
+    def test_keyboard_interrupt_removes_scratch_dir(self, monkeypatch, scratch_root):
+        import repro.experiments.engine as engine_module
+
+        # ^C lands in the scheduler's wait loop; the engine's finally must
+        # still remove the scratch cache.
+        live_scratch_dirs = []
+
+        def _interrupt(*args, **kwargs):
+            live_scratch_dirs.extend(scratch_root.glob("repro-engine-cache-*"))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine_module, "wait", _interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiments(TINY, only=["fig03"], jobs=2)
+        assert len(live_scratch_dirs) == 1
+        assert list(scratch_root.glob("repro-engine-cache-*")) == []
 
 
 class TestTaskTimeout:

@@ -36,8 +36,6 @@ class TestKernelRegistry:
         assert "violating_triangles" in names
         assert "shortest_paths" in names
         assert "scenario_generation" in names
-        assert "artifact_restore_disk" in names
-        assert "artifact_attach_shm" in names
 
     def test_unknown_kernel_raises(self):
         with pytest.raises(BenchmarkError):
@@ -52,24 +50,10 @@ class TestKernelRegistry:
             "lat_adjust",
             "meridian_query",
             "stream_closest",
-            "artifact_transport",
         }
         for family, (batched, reference) in families.items():
-            if family == "artifact_transport":
-                continue  # explicitly paired, no suffix convention
             assert batched == f"{family}_batched"
             assert reference == f"{family}_reference"
-        # The explicit pair keeps the (fast, reference) orientation.
-        assert families["artifact_transport"] == (
-            "artifact_attach_shm",
-            "artifact_restore_disk",
-        )
-
-    def test_artifact_transport_family_expands(self):
-        assert resolve_kernel_names(["artifact_transport"]) == (
-            "artifact_attach_shm",
-            "artifact_restore_disk",
-        )
 
     def test_resolve_kernel_names_expands_families_and_commas(self):
         assert resolve_kernel_names(["gnp_fit"]) == (
@@ -151,21 +135,6 @@ class TestRunBenchmarks:
         assert set(speedups["gnp_fit"]) == {str(TINY)}
         assert speedups["gnp_fit"][str(TINY)] > 0
 
-    def test_vivaldi_speedup_requires_both_kernels(self):
-        only_batched = run_benchmarks(
-            kernels=["vivaldi_step_batched"], sizes=[TINY], repeats=1, warmup=0
-        )
-        assert only_batched.vivaldi_speedups() == {}
-        both = run_benchmarks(
-            kernels=["vivaldi_step_batched", "vivaldi_step_reference"],
-            sizes=[TINY],
-            repeats=1,
-            warmup=0,
-        )
-        speedups = both.vivaldi_speedups()
-        assert set(speedups) == {str(TINY)}
-        assert speedups[str(TINY)] > 0
-
     def test_as_dict_schema(self):
         report = run_benchmarks(
             kernels=["vivaldi_step_batched"], sizes=[TINY], repeats=1, warmup=0
@@ -176,6 +145,7 @@ class TestRunBenchmarks:
         assert {"python", "numpy", "scipy", "machine"} <= set(payload["environment"])
         assert payload["kernels"][0]["kernel"] == "vivaldi_step_batched"
         assert "speedups" in payload
+        assert "vivaldi_speedup" not in payload
 
     def test_write_report_round_trips(self, tmp_path):
         report = run_benchmarks(
@@ -225,7 +195,7 @@ class TestBenchCli:
         assert code == 0
         payload = json.loads(captured.out)
         assert payload["schema"] == SCHEMA
-        assert str(TINY) in payload["vivaldi_speedup"]
+        assert str(TINY) in payload["speedups"]["vivaldi_step"]
 
     def test_bench_writes_report_file(self, capsys, tmp_path):
         path = tmp_path / "BENCH_perf.json"

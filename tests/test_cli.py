@@ -495,9 +495,8 @@ class TestHelpSnapshots:
         "[--memory-budget MIB]\n"
         "                     [--jobs JOBS] [--cache-dir CACHE_DIR] "
         "[--report REPORT]\n"
-        "                     [--only ONLY [ONLY ...]] [--no-shm] "
-        "[--scenario SCENARIO]\n"
-        "                     [--full]\n"
+        "                     [--only ONLY [ONLY ...]] [--scenario SCENARIO] "
+        "[--full]\n"
     )
 
     def test_top_level_command_list_pinned(self, capsys, monkeypatch):
@@ -558,7 +557,6 @@ class TestHelpSnapshots:
             ("--nodes", ("run-all", "run-scenarios", "graph", "run", "report")),
             ("--seed", ("run-all", "run-scenarios", "graph", "run", "report")),
             ("--only", ("run-all", "run-scenarios", "report")),
-            ("--no-shm", ("run-all", "run-scenarios")),
         ):
             rendered = {self.option_help(helps[c], flag) for c in commands}
             assert len(rendered) == 1, f"{flag} help text diverged: {rendered}"
