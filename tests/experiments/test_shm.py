@@ -1,38 +1,13 @@
-"""The zero-copy shared-memory artifact tier.
+"""Parallel runs without a shared-memory artifact plane.
 
-Unit tests exercise the tier's concurrency contract directly (exactly-once
-publish, reader survival across run end, LRU eviction, mmap entries
-surviving eviction); engine-level tests assert the run-report accounting,
-on/off behavioural identity, and — via injected worker crashes and
-interrupts — that neither shared-memory segments nor scratch cache
-directories ever leak.
-
-The pool uses the ``fork`` start method on Linux, so monkeypatching the
-experiment registry in the parent is visible inside the workers.
+Workers hand every artifact to each other through the disk cache. These
+tests pin that a warm parallel run over that cache is still all hits and
+that nothing of the retired shared-memory transport shows up: its report
+counters read zero and no ``.shm-*`` segment table appears in the cache.
 """
 
-import json
-import os
-import tempfile
-from pathlib import Path
-
-import numpy as np
-import pytest
-
-from repro.experiments.cache import (
-    ArtifactCache,
-    SharedArtifactTier,
-    ShmArray,
-    shm_supported,
-    stable_key,
-)
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engine import (
-    make_shm_spec,
-    resolve_shm,
-    run_experiments,
-)
-from repro.experiments.result import ExperimentResult
+from repro.experiments.engine import run_experiments
 
 TINY = ExperimentConfig(
     n_nodes=48,
@@ -42,312 +17,14 @@ TINY = ExperimentConfig(
     meridian_small_count=10,
 )
 
-pytestmark = pytest.mark.skipif(
-    not shm_supported(), reason="POSIX shared memory unavailable"
-)
-
-SHM_DIR = Path("/dev/shm")
-
-
-def _segments() -> set[str]:
-    """Names of our shared-memory segments currently visible to the OS."""
-    if not SHM_DIR.is_dir():
-        return set()
-    return {path.name for path in SHM_DIR.glob("rp*")}
-
-
-@pytest.fixture
-def no_leaked_segments():
-    """Assert the test leaves no new ``rp*`` segment behind."""
-    before = _segments()
-    yield
-    leaked = _segments() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-
-
-def _payload(fill: float, n: int = 32) -> dict[str, np.ndarray]:
-    return {
-        "delays": np.full((n, n), fill),
-        "clusters": np.arange(n, dtype=np.int64),
-    }
-
-
-class TestTierConcurrency:
-    def test_racing_publishers_are_exactly_once(self, tmp_path, no_leaked_segments):
-        # Two workers of the same run share the table and token: whoever
-        # lands the descriptor first wins; the other's publish is a no-op
-        # report of "already resident", and attaching yields the winner's
-        # bytes.  stats.published across both must therefore be exactly 1.
-        table = tmp_path / "table"
-        first = SharedArtifactTier(table, token="cafe0123")
-        second = SharedArtifactTier(table, token="cafe0123")
-        try:
-            address = stable_key("dataset", {"seed": 0})
-            assert first.publish("dataset", address, _payload(1.0), meta={"who": "first"})
-            assert second.publish("dataset", address, _payload(2.0), meta={"who": "second"})
-            assert first.stats.published + second.stats.published == 1
-            entry = second.attach("dataset", address)
-            assert entry is not None
-            assert isinstance(entry.arrays["delays"], ShmArray)
-            assert not entry.arrays["delays"].flags.writeable
-            np.testing.assert_array_equal(entry.arrays["delays"], _payload(1.0)["delays"])
-            assert entry.meta == {"who": "first"}
-        finally:
-            first.close()
-            second.close()
-            SharedArtifactTier.cleanup(table)
-
-    def test_mid_flight_peer_makes_publish_report_not_resident(
-        self, tmp_path, no_leaked_segments
-    ):
-        from multiprocessing import shared_memory
-
-        # A peer that created the segment but has not landed its
-        # descriptor yet holds the name: our publish must not win, must
-        # not crash, and must tell the caller to keep its disk copy.
-        table = tmp_path / "table"
-        tier = SharedArtifactTier(table, token="cafe0123")
-        address = stable_key("dataset", {"seed": 1})
-        peer = shared_memory.SharedMemory(
-            name=f"rpcafe0123{address[:12]}", create=True, size=64
-        )
-        try:
-            assert tier.publish("dataset", address, _payload(3.0)) is False
-            assert tier.stats.published == 0
-            # The losing publisher cleaned up its intent marker.
-            assert not list(table.glob("*.intent"))
-        finally:
-            tier.close()
-            peer.close()
-            peer.unlink()
-            SharedArtifactTier.cleanup(table)
-
-    def test_attached_reader_survives_run_end(self, tmp_path, no_leaked_segments):
-        # POSIX unlink removes only the name: a reader attached while the
-        # producing run tears down keeps a valid mapping, and the *next*
-        # attach cleanly reports a miss so the caller restores from disk.
-        table = tmp_path / "table"
-        producer = SharedArtifactTier(table, token="cafe0123")
-        reader = SharedArtifactTier(table, token="cafe0123")
-        address = stable_key("dataset", {"seed": 2})
-        arrays = _payload(4.0)
-        assert producer.publish("dataset", address, arrays)
-        entry = reader.attach("dataset", address)
-        assert entry is not None
-        producer.close()
-        SharedArtifactTier.cleanup(table)  # the run ends under the reader
-        np.testing.assert_array_equal(entry.arrays["delays"], arrays["delays"])
-        assert reader.attach("dataset", address) is None  # disk fallback
-        del entry
-        reader.close()
-
-    def test_mmap_load_survives_concurrent_evict(self, tmp_path):
-        # The raw tier has the same unlink semantics one level down: a
-        # reader holding np.load(mmap_mode="r") views keeps reading after
-        # another process evicts the entry out from under it.
-        cache = ArtifactCache(tmp_path / "cache")
-        params = {"seed": 3, "n_nodes": 16}
-        arrays = {"block": np.arange(256, dtype=np.float64).reshape(16, 16)}
-        cache.store_raw("dataset", params, arrays)
-        entry = cache.load_raw("dataset", params, mmap=True)
-        assert isinstance(entry.arrays["block"], np.memmap)
-        ArtifactCache(tmp_path / "cache").evict("dataset", params)
-        assert cache.load_raw("dataset", params) is None  # eviction took
-        np.testing.assert_array_equal(entry.arrays["block"], arrays["block"])
-
-    def test_lru_eviction_to_disk_only(self, tmp_path, no_leaked_segments):
-        # An allowance sized for one artifact forces the second publish to
-        # evict the least-recently-attached segment; the evicted address
-        # cleanly falls back (attach -> None) while the survivor attaches.
-        table = tmp_path / "table"
-        one = _payload(1.0)
-        size = sum(a.nbytes for a in one.values())
-        tier = SharedArtifactTier(table, token="cafe0123", allowance_bytes=size + 256)
-        try:
-            old = stable_key("dataset", {"seed": 4})
-            new = stable_key("dataset", {"seed": 5})
-            assert tier.publish("dataset", old, one)
-            assert tier.publish("dataset", new, _payload(2.0))
-            assert tier.stats.evictions >= 1
-            assert tier.attach("dataset", old) is None
-            assert tier.attach("dataset", new) is not None
-            # An artifact bigger than the whole allowance is never resident.
-            assert not tier.publish(
-                "dataset", stable_key("dataset", {"seed": 6}), _payload(3.0, n=64)
-            )
-        finally:
-            tier.close()
-            SharedArtifactTier.cleanup(table)
-
-    def test_cleanup_is_idempotent_and_total(self, tmp_path, no_leaked_segments):
-        table = tmp_path / "table"
-        tier = SharedArtifactTier(table, token="cafe0123")
-        tier.publish("dataset", stable_key("dataset", {"seed": 7}), _payload(1.0))
-        tier.close()
-        SharedArtifactTier.cleanup(table)
-        assert not table.exists()
-        SharedArtifactTier.cleanup(table)  # second call is a no-op
-
-    def test_sweep_intents_reclaims_crashed_publisher(
-        self, tmp_path, no_leaked_segments
-    ):
-        from multiprocessing import shared_memory
-
-        # Simulate a worker that died between creating its segment and
-        # landing the descriptor: the intent marker is all that remains,
-        # and the rebuild-time sweep reclaims the orphaned segment.
-        table = tmp_path / "table"
-        table.mkdir()
-        orphan = shared_memory.SharedMemory(name="rpdeadbeef0rphan", create=True, size=64)
-        orphan.close()
-        (table / "abc123.intent").write_text(
-            json.dumps({"segment": "rpdeadbeef0rphan"}), encoding="utf-8"
-        )
-        assert SharedArtifactTier.sweep_intents(table) == 1
-        assert not list(table.glob("*.intent"))
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name="rpdeadbeef0rphan")
-
-
-class TestResolveShm:
-    def test_sequential_and_explicit_off_never_enable(self):
-        assert resolve_shm(None, 1) is False
-        assert resolve_shm(True, 1) is False
-        assert resolve_shm(False, 4) is False
-
-    def test_env_knob_disables_auto_but_not_explicit(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        assert resolve_shm(None, 4) is False
-        assert resolve_shm(True, 4) is True  # explicit request wins
-
-    def test_spec_table_is_dot_prefixed_inside_the_cache(self, tmp_path):
-        spec = make_shm_spec(str(tmp_path), scratch=True)
-        assert Path(spec.table_dir).parent == tmp_path
-        assert Path(spec.table_dir).name == f".shm-{spec.token}"
-        assert spec.scratch is True
-
 
 class TestEngineIntegration:
-    def test_cold_parallel_run_attaches_instead_of_restoring(
-        self, tmp_path, no_leaked_segments
-    ):
-        outcome = run_experiments(
-            TINY,
-            only=["fig03", "fig16", "fig19"],
-            jobs=2,
-            cache_dir=tmp_path / "cache",
-        )
-        totals = outcome.report.as_dict()["totals"]["artifacts"]
-        # Same-run dependents go through the zero-copy tier, not disk.
-        assert totals["attached"] > 0
-        assert totals["restored"] == 0
-        assert totals["shm"]["published"] > 0
-        assert totals["shm"]["attaches"] > 0
-        assert totals["shm"]["fallbacks"] == 0
-        # The run-scoped segment table was torn down with the run.
-        assert not list((tmp_path / "cache").glob(".shm-*"))
-
-    def test_results_and_cache_layout_identical_with_tier_off(self, tmp_path):
-        from repro.experiments.engine import results_equal
-
-        with_shm = run_experiments(
-            TINY, only=["fig03", "fig19"], jobs=2, cache_dir=tmp_path / "on"
-        )
-        without = run_experiments(
-            TINY, only=["fig03", "fig19"], jobs=2, cache_dir=tmp_path / "off", shm=False
-        )
-        assert without.report.shm.as_dict() == {
-            "published": 0,
-            "publish_bytes": 0,
-            "attaches": 0,
-            "attach_bytes": 0,
-            "fallbacks": 0,
-            "evictions": 0,
-        }
-        for experiment_id in ("fig03", "fig19"):
-            assert results_equal(
-                with_shm.results[experiment_id].data,
-                without.results[experiment_id].data,
-            ), experiment_id
-        # The durable tier is byte-for-byte unaffected: same addresses,
-        # same files, whichever transport carried the arrays in-run.
-        layout = lambda root: {  # noqa: E731
-            str(path.relative_to(root))
-            for path in root.rglob("*")
-            if path.is_file() and ".shm-" not in str(path)
-        }
-        assert layout(tmp_path / "on") == layout(tmp_path / "off")
-
     def test_warm_parallel_run_stays_all_cache_hits(self, tmp_path):
-        run_experiments(TINY, only=["fig03", "fig19"], jobs=2, cache_dir=tmp_path / "c")
-        warm = run_experiments(
-            TINY, only=["fig03", "fig19"], jobs=2, cache_dir=tmp_path / "c"
-        )
+        cache_dir = tmp_path / "c"
+        run_experiments(TINY, only=["fig03", "fig19"], jobs=2, cache_dir=cache_dir)
+        warm = run_experiments(TINY, only=["fig03", "fig19"], jobs=2, cache_dir=cache_dir)
         totals = warm.report.as_dict()["totals"]
         assert totals["all_cache_hits"], totals
         assert totals["cache"]["misses"] == 0
-
-
-def _stub_result(experiment_id: str) -> ExperimentResult:
-    return ExperimentResult(
-        experiment_id=experiment_id, title="shm crash stub", data={"value": 1.0}
-    )
-
-
-def _crash_once_runner(sentinel: str):
-    """A figure runner that hard-kills its worker on the first attempt."""
-
-    def _runner(config=None, *, context=None, **kwargs):
-        if not os.path.exists(sentinel):
-            with open(sentinel, "w", encoding="utf-8") as handle:
-                handle.write("crashed")
-            os._exit(1)
-        return _stub_result("fig03")
-
-    return _runner
-
-
-class TestCrashAndInterruptHygiene:
-    def test_pool_rebuild_leaks_no_scratch_dir_or_segments(
-        self, tmp_path, monkeypatch, no_leaked_segments
-    ):
-        from repro.experiments import registry
-
-        # An uncached parallel run uses an ephemeral scratch cache; a
-        # worker crash mid-run (BrokenProcessPool -> supervised rebuild)
-        # must not leak the repro-engine-cache-* directory, the run's
-        # .shm-* table, or any segment.  Redirecting tempfile makes every
-        # scratch dir land somewhere we can exhaustively inspect.
-        scratch_root = tmp_path / "tmproot"
-        scratch_root.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(scratch_root))
-        sentinel = str(tmp_path / "crashed-once")
-        monkeypatch.setitem(
-            registry._REGISTRY,
-            "fig03",
-            registry.RegisteredExperiment(
-                _crash_once_runner(sentinel), frozenset({"matrix"})
-            ),
-        )
-        outcome = run_experiments(TINY, only=["fig03", "fig02"], jobs=2)
-        assert outcome.failures == {}
-        assert outcome.report.pool_rebuilds >= 1
-        leftovers = list(scratch_root.glob("repro-engine-cache-*"))
-        assert leftovers == [], f"leaked scratch caches: {leftovers}"
-
-    def test_keyboard_interrupt_cleans_up_table_and_segments(
-        self, tmp_path, monkeypatch, no_leaked_segments
-    ):
-        import repro.experiments.engine as engine_module
-
-        # ^C lands in the scheduler's wait loop; the finally must still
-        # unlink the run's segments and remove its table directory.
-        def _interrupt(*args, **kwargs):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(engine_module, "wait", _interrupt)
-        with pytest.raises(KeyboardInterrupt):
-            run_experiments(
-                TINY, only=["fig03"], jobs=2, cache_dir=tmp_path / "cache"
-            )
-        assert not list((tmp_path / "cache").glob(".shm-*"))
+        assert not any(totals["artifacts"]["shm"].values())
+        assert not list(cache_dir.glob(".shm-*"))
