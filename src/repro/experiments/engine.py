@@ -1,4 +1,4 @@
-"""Parallel, cached execution engine over the artifact graph.
+"""Cached execution engine over the artifact graph.
 
 The 20 figure runners are independent of each other, but they share
 expensive intermediates (delay matrices, TIV severities, shortest paths,
@@ -6,21 +6,24 @@ the converged embeddings, the TIV alert).  Each runner declares the shared
 artifacts it touches at registration time
 (:func:`repro.experiments.registry.register_experiment`), and
 :func:`repro.artifacts.resolve_plan` closes those declarations over the
-node-declared dependencies into a schedulable DAG.  The engine executes
-that plan:
+node-declared dependencies into a schedulable DAG.  :func:`run_plans`
+executes that plan — the one execution path of ``run-all`` and of the
+scenario matrix, at every job count:
 
-* **Caching** — with a cache directory every artifact is persisted through
+* **Caching** — every artifact is persisted through
   :class:`~repro.experiments.cache.ArtifactCache`, content-addressed by the
-  node's declared parameters; a second run of the same configuration is
-  served entirely from disk.
-* **DAG-level parallelism** — with ``jobs > 1`` the engine schedules at
-  *artifact* granularity across one
-  :class:`concurrent.futures.ProcessPoolExecutor`: an artifact task is
-  released the moment its dependencies finish (independent embeddings of
-  the same dataset build concurrently), every artifact is computed exactly
-  once per run however many figures share it, and each figure task is
-  submitted as soon as its artifact closure is materialised — a slow
-  artifact chain never stalls unrelated figures.
+  node's declared parameters.  With a cache directory a second run of the
+  same configuration is served entirely from disk; without one the run
+  works through a scratch cache deleted when it ends.
+* **DAG-level scheduling** — one :class:`FrontierScheduler` runs the plan
+  at *artifact* granularity: an artifact task is released the moment its
+  dependencies finish (independent embeddings of the same dataset build
+  concurrently), every artifact is computed exactly once per run however
+  many figures share it, and each figure task is submitted as soon as its
+  artifact closure is materialised — a slow artifact chain never stalls
+  unrelated figures.  ``jobs > 1`` runs the tasks on a
+  :class:`concurrent.futures.ProcessPoolExecutor`; ``jobs == 1`` runs them
+  in-process.
 
 Every run produces a structured :class:`RunReport` (per-experiment
 wall-clock seconds and cache hit/miss counters, plus per-artifact
@@ -29,7 +32,7 @@ compute/restore timings) which ``repro run-all`` serialises as
 reports zero misses.
 
 Determinism: every runner derives all randomness from the configuration
-seed, so sequential, parallel, cold-cache and warm-cache runs all produce
+seed, so in-process, parallel, cold-cache and warm-cache runs all produce
 identical :class:`ExperimentResult` payloads.
 """
 
@@ -42,6 +45,7 @@ import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
@@ -75,6 +79,13 @@ _RETIRED_SHM_COUNTERS = (
     "fallbacks",
     "evictions",
 )
+
+#: Attributed worker crashes one task survives before it is isolated as poison.
+_MAX_RETRIES = 2
+#: Sleep before the n-th pool rebuild: ``_RETRY_BACKOFF * 2**(n - 1)`` seconds,
+#: capped at ``_BACKOFF_CAP``, so a crashing environment is not hammered.
+_RETRY_BACKOFF = 0.05
+_BACKOFF_CAP = 1.0
 
 
 @dataclass
@@ -161,11 +172,11 @@ class ExperimentRunRecord:
 class RunReport:
     """Structured report of one engine run (the BENCH_experiments.json payload).
 
-    ``shared`` accounts the artifact (warm) work.  In a sequential run its
-    ``wall_seconds`` is the elapsed in-process warm phase; in a parallel
-    run artifact tasks interleave with figure tasks across the pool, so it
-    is the *sum* of the individual task times — compare it across runs of
-    the same mode only (``wall_seconds`` here is always true elapsed time).
+    ``shared`` accounts the artifact tasks.  Its ``wall_seconds`` is always
+    their *summed* task time: artifact tasks interleave with figure tasks
+    (across the pool when ``jobs > 1``), so no distinct shared-phase
+    elapsed time exists — the top-level ``wall_seconds`` carries the true
+    elapsed time.
     """
 
     config: dict[str, Any]
@@ -276,52 +287,72 @@ def resolve_experiment_ids(only: Iterable[str] | None) -> list[str]:
     return wanted
 
 
-def _run_in_worker(
-    experiment_id: str,
-    config: ExperimentConfig,
-    cache_dir: Optional[str],
-) -> tuple[str, ExperimentResult, float, CacheStats]:
-    """Execute one experiment in a worker process.
+def _run_task(
+    context: ExperimentContext, kind: str, target: Any
+) -> tuple[float, CacheStats, Any]:
+    """Run one artifact or figure task through ``context``: the one task body.
 
-    Module-level so it pickles under every multiprocessing start method.
-    Each invocation builds a fresh context backed by the shared on-disk
-    cache; the artifact scheduler only releases a figure once its closure
-    is materialised, so every artifact access here is served without
-    recomputing.
+    Returns the elapsed seconds, the cache counters the task moved, and its
+    payload: the artifact task's materialisation events, or the figure's
+    :class:`ExperimentResult`.  A figure's own materialisations stay out of
+    the report's ``artifacts`` section, so its events are dropped (at the
+    start of the next task, which also drops those of a task that raised).
     """
     from repro.experiments.registry import run_experiment
 
-    cache = ArtifactCache(cache_dir) if cache_dir is not None else None
-    context = ExperimentContext(config, cache=cache)
+    context.drain_events()
+    before = context.cache.stats.snapshot()
     start = time.perf_counter()
-    result = run_experiment(experiment_id, context=context)
-    elapsed = time.perf_counter() - start
-    stats = cache.stats.snapshot() if cache is not None else CacheStats()
-    return experiment_id, result, elapsed, stats
+    if kind == "artifact":
+        context.materialize(target)
+        payload = context.drain_events()
+    else:
+        payload = run_experiment(target, context=context)
+    return time.perf_counter() - start, context.cache.stats.since(before), payload
 
 
-def _materialize_in_worker(
-    key: ArtifactKey,
-    config: ExperimentConfig,
-    cache_dir: str,
-) -> tuple[ArtifactKey, float, CacheStats, list[ArtifactEvent]]:
-    """Materialise one artifact in a worker process.
+def _run_fresh_task(
+    config: ExperimentConfig, cache_dir: str, kind: str, target: Any
+) -> tuple[float, CacheStats, Any]:
+    """:func:`_run_task` in a pool worker, over a fresh context.
 
-    The scheduler guarantees the artifact's dependencies are already in
-    the disk cache, so the context restores them and computes (then
-    stores) only the target.  Module-level so it pickles under every
-    start method.
+    Module-level so it pickles under every start method.  The scheduler
+    only releases a task once its dependencies are on disk, so the context
+    restores them and computes nothing but the target.
     """
-    cache = ArtifactCache(cache_dir)
-    context = ExperimentContext(config, cache=cache)
-    start = time.perf_counter()
-    context.materialize(key)
-    elapsed = time.perf_counter() - start
-    return key, elapsed, cache.stats.snapshot(), context.drain_events()
+    return _run_task(ExperimentContext(config, cache=ArtifactCache(cache_dir)), kind, target)
+
+
+class _InlineExecutor:
+    """The ``jobs == 1`` executor: runs each task at once, in this process.
+
+    It holds the context of the last configuration it ran.  A one-config
+    run therefore memoises every artifact across its tasks; a task of
+    another configuration (the next scenario of a matrix) replaces the
+    context and restores its dependencies from the cache, so at most one
+    configuration's artifacts stay resident.
+    """
+
+    def __init__(self) -> None:
+        self._context: Optional[ExperimentContext] = None
+
+    def submit(self, fn, config: ExperimentConfig, cache_dir: str, kind: str, target) -> Future:
+        """Run ``fn``'s task now, through the held context instead of a fresh one."""
+        if self._context is None or self._context.config != config:
+            self._context = ExperimentContext(config, cache=ArtifactCache(cache_dir))
+        future: Future = Future()
+        try:
+            future.set_result(_run_task(self._context, kind, target))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        self._context = None
 
 
 class ExperimentEngine:
-    """Runs a set of figure experiments in parallel with artifact caching.
+    """Runs a set of figure experiments with artifact caching.
 
     Parameters
     ----------
@@ -329,12 +360,12 @@ class ExperimentEngine:
         Shared experiment configuration (defaults to the scaled-down
         defaults).
     jobs:
-        Worker process count; ``1`` runs sequentially in-process (sharing a
-        single context), ``0``/``None`` uses one worker per CPU.
+        Worker process count; ``1`` runs every task in-process,
+        ``0``/``None`` uses one worker per CPU.
     cache_dir:
         Directory of the on-disk artifact cache; ``None`` disables
-        persistence.  An uncached parallel run still shares artifacts
-        through a temporary scratch cache (deleted afterwards).
+        persistence (the run works through a temporary scratch cache,
+        deleted afterwards).
     """
 
     def __init__(
@@ -351,183 +382,12 @@ class ExperimentEngine:
     def run(self, only: Iterable[str] | None = None) -> EngineOutcome:
         """Run every registered experiment (or the subset in ``only``)."""
         wanted = resolve_experiment_ids(only)
-
         started = time.perf_counter()
-        # Everything that allocates run-scoped state lives inside the try:
-        # an exception anywhere after the scratch directory exists (even in
-        # setup steps) must still reach the rmtree below, or a supervised
-        # failure path would leak repro-engine-cache-* directories.
-        ephemeral_dir: Optional[str] = None
-        try:
-            # Worker processes can only share artifacts through the disk
-            # cache, so an uncached parallel run would recompute the whole
-            # shared pipeline once per experiment.  Give it a scratch
-            # cache instead, deleted when the run ends.
-            effective_cache_dir = self.cache_dir
-            if effective_cache_dir is None and self.jobs > 1:
-                ephemeral_dir = tempfile.mkdtemp(prefix="repro-engine-cache-")
-                effective_cache_dir = ephemeral_dir
-            cache = (
-                ArtifactCache(effective_cache_dir)
-                if effective_cache_dir is not None
-                else None
-            )
-            if self.jobs == 1:
-                # A sequential full sweep materialises the graph up front
-                # (the shared phase of the report); a sequential subset run
-                # simply lets its single shared context resolve artifacts
-                # lazily — same work either way.
-                shared_record: Optional[ExperimentRunRecord] = None
-                warm_context: Optional[ExperimentContext] = None
-                artifact_events: list[ArtifactEvent] = []
-                if cache is not None and only is None:
-                    shared_record, warm_context, artifact_events = self.warm(cache, wanted)
-                results, records, first_exc, figure_events = self._run_sequential(
-                    wanted, cache, warm_context
-                )
-                artifact_events = artifact_events + figure_events
-                supervision = {}
-            else:
-                (
-                    results,
-                    records,
-                    shared_record,
-                    artifact_events,
-                    first_exc,
-                    supervision,
-                ) = self._run_parallel(wanted, effective_cache_dir)
-        finally:
-            if ephemeral_dir is not None:
-                shutil.rmtree(ephemeral_dir, ignore_errors=True)
-
-        report = RunReport(
-            config=config_fingerprint(self.config),
-            jobs=self.jobs,
-            cache_dir=self.cache_dir,
-            records=records,
-            shared=shared_record,
-            artifacts=aggregate_artifact_events(artifact_events),
-            wall_seconds=time.perf_counter() - started,
-            artifact_retries=supervision.get("artifact_retries", 0),
-            figure_retries=supervision.get("figure_retries", 0),
-            pool_rebuilds=supervision.get("pool_rebuilds", 0),
-        )
-        failures = {
-            record.experiment_id: record.error
-            for record in records
-            if record.status != "ok"
-        }
-        return EngineOutcome(
-            results=results, report=report, failures=failures, first_exception=first_exc
-        )
-
-    def warm(
-        self, cache: ArtifactCache, wanted: list[str]
-    ) -> tuple[ExperimentRunRecord, Optional[ExperimentContext], list[ArtifactEvent]]:
-        """Materialise the artifact graph ``wanted`` resolves to, in-process.
-
-        Used by the sequential path of :meth:`run` (and directly by tests
-        pinning the declared requirements to runner reality); the parallel
-        path schedules the same graph across the worker pool instead.
-        """
-        plan = resolve_plan(self.config, wanted)
-        before = cache.stats.snapshot()
-        start = time.perf_counter()
-        context = ExperimentContext(self.config, cache=cache)
-        for key in plan.graph.topological_order():
-            context.materialize(key)
-        record = ExperimentRunRecord(
-            experiment_id="__shared__",
-            wall_seconds=time.perf_counter() - start,
-            cache=cache.stats.since(before),
-        )
-        return record, context, context.drain_events()
-
-    def _run_sequential(
-        self,
-        wanted: list[str],
-        cache: ArtifactCache | None,
-        context: ExperimentContext | None = None,
-    ) -> tuple[
-        dict[str, ExperimentResult],
-        list[ExperimentRunRecord],
-        BaseException | None,
-        list[ArtifactEvent],
-    ]:
-        from repro.experiments.registry import run_experiment
-
-        # Reuse the warm phase's context when there is one: its artifacts
-        # are already in memory, so re-reading them from disk would only
-        # duplicate I/O.
-        if context is None:
-            context = ExperimentContext(self.config, cache=cache)
-        results: dict[str, ExperimentResult] = {}
-        records: list[ExperimentRunRecord] = []
-        first_exc: BaseException | None = None
-        for experiment_id in wanted:
-            before = cache.stats.snapshot() if cache is not None else CacheStats()
-            start = time.perf_counter()
-            status, error = "ok", ""
-            try:
-                results[experiment_id] = run_experiment(experiment_id, context=context)
-            except Exception as exc:
-                status, error = "error", f"{type(exc).__name__}: {exc}"
-                first_exc = exc if first_exc is None else first_exc
-            elapsed = time.perf_counter() - start
-            stats = cache.stats.since(before) if cache is not None else CacheStats()
-            records.append(
-                ExperimentRunRecord(
-                    experiment_id=experiment_id,
-                    wall_seconds=elapsed,
-                    cache=stats,
-                    status=status,
-                    error=error,
-                )
-            )
-        return results, records, first_exc, context.drain_events()
-
-    def _run_parallel(
-        self, wanted: list[str], cache_dir: str
-    ) -> tuple[
-        dict[str, ExperimentResult],
-        list[ExperimentRunRecord],
-        ExperimentRunRecord,
-        list[ArtifactEvent],
-        BaseException | None,
-        dict[str, int],
-    ]:
-        """Schedule artifacts, then figures, over one pool by dependency frontier."""
-        plan = resolve_plan(self.config, wanted)
-        tasks = plan_artifact_tasks(plan, tag="")
-        scheduler = FrontierScheduler(
-            tasks=tasks,
-            configs={"": self.config},
-            figure_grid=[("", experiment_id) for experiment_id in wanted],
-            figure_needs={
-                ("", eid): plan_figure_addresses(plan, eid) for eid in wanted
-            },
-            cache_dir=cache_dir,
-            jobs=self.jobs,
-        )
-        scheduler.execute()
-        results = {
-            eid: scheduler.results[("", eid)]
-            for eid in wanted
-            if ("", eid) in scheduler.results
-        }
-        records = [scheduler.figure_records[("", eid)] for eid in wanted]
-        return (
-            results,
-            records,
-            scheduler.shared_record(""),
-            scheduler.owner_events(""),
-            scheduler.tag_exception(""),
-            {
-                "artifact_retries": scheduler.artifact_retries,
-                "figure_retries": scheduler.figure_retries,
-                "pool_rebuilds": scheduler.pool_rebuilds,
-            },
-        )
+        outcome = run_plans(
+            {"": self.config}, wanted, jobs=self.jobs, cache_dir=self.cache_dir
+        )[""]
+        outcome.report.wall_seconds = time.perf_counter() - started
+        return outcome
 
 
 @dataclass(frozen=True)
@@ -577,14 +437,26 @@ def plan_figure_addresses(plan: ExecutionPlan, experiment_id: str) -> frozenset[
 
 
 class FrontierScheduler:
-    """DAG-frontier execution of artifact + figure tasks over one pool.
+    """DAG-frontier execution of artifact + figure tasks.
 
-    Shared by the engine (single configuration) and the scenario-matrix
-    runner (one configuration per scenario, with cross-scenario artifacts
-    deduplicated by cache address before scheduling): an artifact task is
-    released the moment its last dependency lands on disk, each figure
-    task the moment its artifact closure is materialised, and every
-    artifact address is computed at most once per run.
+    The executor behind :func:`run_plans`, for one configuration or a whole
+    scenario matrix (cross-scenario artifacts deduplicated by cache address
+    before scheduling): an artifact task is released the moment its last
+    dependency lands on disk, each figure task the moment its artifact
+    closure is materialised, and every artifact address is computed at most
+    once per run.  ``jobs > 1`` runs each task on a process pool in a fresh
+    context; ``jobs == 1`` runs it in-process on an :class:`_InlineExecutor`.
+
+    Supervision (pool only: an in-process task cannot kill its worker): a
+    worker death — segfault, OOM kill, hard exit — tears the pool down and
+    rebuilds it after a capped exponential backoff (``_RETRY_BACKOFF``,
+    ``_BACKOFF_CAP``).  A crash is charged to a task only when that task
+    flew alone; unattributed suspects re-run one at a time (probe mode) so
+    the next crash names its culprit, and a task charged more than
+    ``_MAX_RETRIES`` times is isolated as poison into the ordinary
+    failure-cascade path.  Deterministic task exceptions are never retried —
+    a runner that raises will raise again, and retrying it would only mask
+    the bug.
 
     Parameters
     ----------
@@ -595,26 +467,10 @@ class FrontierScheduler:
         zero artifact work.
     configs:
         Configuration per scenario tag (the engine uses the single tag
-        ``""``); each task's worker runs under its owner's configuration.
-    figure_grid:
-        Ordered ``(tag, experiment_id)`` figure tasks.
+        ``""``); each task runs under its owner's configuration.
     figure_needs:
-        Artifact closure (as addresses) per figure task.
-    max_retries:
-        How many *attributed* crashes (a task that was alone in flight
-        when the pool broke, or that overran ``task_timeout``) a single
-        task survives before it is isolated as poison and routed into
-        the ordinary failure-cascade path.  Deterministic task
-        exceptions are never retried — a runner that raises will raise
-        again, and retrying it would only mask the bug.
-    retry_backoff / backoff_cap:
-        Deterministic exponential backoff (``retry_backoff * 2**n``
-        seconds, capped) slept before each pool rebuild, so a crashing
-        environment is not hammered in a tight loop.
-    task_timeout:
-        Optional per-task wall-clock budget in seconds; an overrunning
-        task counts as a crash attributed to that task (its worker is
-        torn down with the pool).  ``None`` disables deadlines.
+        The ordered ``(tag, experiment_id)`` figure tasks, each mapped to
+        its artifact closure (as addresses).
     """
 
     def __init__(
@@ -622,31 +478,16 @@ class FrontierScheduler:
         *,
         tasks: Mapping[str, ArtifactTask],
         configs: Mapping[str, ExperimentConfig],
-        figure_grid: list[tuple[str, str]],
         figure_needs: Mapping[tuple[str, str], frozenset[str]],
         cache_dir: str,
         jobs: int,
-        max_retries: int = 2,
-        retry_backoff: float = 0.05,
-        backoff_cap: float = 1.0,
-        task_timeout: float | None = None,
     ):
         self.tasks = dict(tasks)
         self.configs = dict(configs)
-        self.figure_grid = list(figure_grid)
         self.figure_needs = dict(figure_needs)
+        self.figure_grid = list(self.figure_needs)
         self.cache_dir = str(cache_dir)
         self.jobs = jobs
-        if max_retries < 0:
-            raise ExperimentError("max_retries must be >= 0")
-        if retry_backoff < 0 or backoff_cap < 0:
-            raise ExperimentError("retry_backoff and backoff_cap must be >= 0")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ExperimentError("task_timeout must be > 0 (or None)")
-        self.max_retries = int(max_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.backoff_cap = float(backoff_cap)
-        self.task_timeout = task_timeout
 
         self.results: dict[tuple[str, str], ExperimentResult] = {}
         self.figure_records: dict[tuple[str, str], ExperimentRunRecord] = {}
@@ -664,40 +505,17 @@ class FrontierScheduler:
         self._owner_wall: dict[str, float] = {tag: 0.0 for tag in configs}
         self._owner_errors: dict[str, list[str]] = {tag: [] for tag in configs}
 
-    @property
-    def artifact_retries(self) -> int:
-        """Total artifact-task re-submissions after crashes/timeouts."""
-        return sum(self.artifact_retry_counts.values())
-
-    @property
-    def figure_retries(self) -> int:
-        """Total figure-task re-submissions after crashes/timeouts."""
-        return sum(self.figure_retry_counts.values())
-
-    def owner_artifact_retries(self, tag: str) -> int:
-        """Artifact re-submissions charged to ``tag``'s tasks."""
-        return sum(
-            count
-            for address, count in self.artifact_retry_counts.items()
-            if self.tasks[address].owner == tag
-        )
-
     def tag_exception(self, tag: str) -> BaseException | None:
         """The first exception that affected ``tag``'s artifacts or figures."""
         return self._tag_exceptions.get(tag)
-
-    @property
-    def first_exception(self) -> BaseException | None:
-        """The first exception of the whole run (any tag), or ``None``."""
-        return next(iter(self._tag_exceptions.values()), None)
 
     def shared_record(self, tag: str) -> ExperimentRunRecord:
         """The ``__shared__`` report record of one scenario's artifact tasks.
 
         ``wall_seconds`` is the *summed* wall-clock of the tag's artifact
-        tasks — they run concurrently with each other and with figure
-        tasks, so no distinct shared-phase elapsed time exists (the run
-        report's top-level ``wall_seconds`` carries the true wall-clock).
+        tasks — they interleave with each other and with figure tasks, so
+        no distinct shared-phase elapsed time exists (the run report's
+        top-level ``wall_seconds`` carries the true wall-clock).
         """
         errors = self._owner_errors[tag]
         return ExperimentRunRecord(
@@ -706,7 +524,11 @@ class FrontierScheduler:
             cache=self._owner_stats[tag],
             status="ok" if not errors else "error",
             error="; ".join(errors),
-            retries=self.owner_artifact_retries(tag),
+            retries=sum(
+                count
+                for address, count in self.artifact_retry_counts.items()
+                if self.tasks[address].owner == tag
+            ),
         )
 
     def owner_events(self, tag: str) -> list[ArtifactEvent]:
@@ -744,10 +566,15 @@ class FrontierScheduler:
         probe_queue: list[tuple[str, Any]] = []
 
         max_workers = min(self.jobs, max(1, len(self.figure_grid) + len(to_compute)))
-        pool = ProcessPoolExecutor(max_workers=max_workers)
+
+        def new_pool() -> Any:
+            if self.jobs == 1:
+                return _InlineExecutor()
+            return ProcessPoolExecutor(max_workers=max_workers)
+
+        pool = new_pool()
         inflight: dict[Any, tuple[str, Any]] = {}
         flying: set[tuple[str, Any]] = set()
-        deadlines: dict[Any, float] = {}
         probe_future: Any = None
 
         def record_figure_failure(task: tuple[str, str], message: str) -> None:
@@ -814,29 +641,17 @@ class FrontierScheduler:
         def submit(key: tuple[str, Any]) -> bool:
             """Submit one task; ``False`` means the pool refused (broken)."""
             kind, payload = key
+            if kind == "artifact":
+                task = self.tasks[payload]
+                config, target = self.configs[task.owner], task.key
+            else:
+                config, target = self.configs[payload[0]], payload[1]
             try:
-                if kind == "artifact":
-                    task = self.tasks[payload]
-                    future = pool.submit(
-                        _materialize_in_worker,
-                        task.key,
-                        self.configs[task.owner],
-                        self.cache_dir,
-                    )
-                else:
-                    tag, experiment_id = payload
-                    future = pool.submit(
-                        _run_in_worker,
-                        experiment_id,
-                        self.configs[tag],
-                        self.cache_dir,
-                    )
+                future = pool.submit(_run_fresh_task, config, self.cache_dir, kind, target)
             except Exception:
                 return False
             inflight[future] = key
             flying.add(key)
-            if self.task_timeout is not None:
-                deadlines[future] = time.monotonic() + self.task_timeout
             return True
 
         def submit_ready() -> bool:
@@ -866,16 +681,15 @@ class FrontierScheduler:
         def complete(future: Any, key: tuple[str, Any]) -> None:
             """Fold one successfully finished task into the run state."""
             kind, payload = key
+            elapsed, stats, value = future.result()
             if kind == "artifact":
-                _, elapsed, stats, events = future.result()
                 owner = self.tasks[payload].owner
                 self._owner_wall[owner] += elapsed
                 self._owner_stats[owner].merge(stats)
-                self._owner_events[owner].extend(events)
+                self._owner_events[owner].extend(value)
                 artifact_done(payload)
             else:
-                _, result, elapsed, stats = future.result()
-                self.results[payload] = result
+                self.results[payload] = value
                 self.figure_records[payload] = ExperimentRunRecord(
                     experiment_id=payload[1],
                     wall_seconds=elapsed,
@@ -902,9 +716,9 @@ class FrontierScheduler:
             """Rebuild the pool; charge ``attributed`` tasks, requeue the rest.
 
             A broken pool poisons every in-flight future with the same
-            exception, so the crasher is only knowable when it flew alone
-            (or overran its deadline).  Unattributed suspects are requeued
-            without a strike and probed one at a time.
+            exception, so the crasher is only knowable when it flew alone.
+            Unattributed suspects are requeued without a strike and probed
+            one at a time.
             """
             nonlocal pool, probe_future
             probe_future = None
@@ -917,14 +731,9 @@ class FrontierScheduler:
             pool.shutdown(wait=False, cancel_futures=True)
             inflight.clear()
             flying.clear()
-            deadlines.clear()
             self.pool_rebuilds += 1
-            delay = min(
-                self.backoff_cap, self.retry_backoff * (2 ** (self.pool_rebuilds - 1))
-            )
-            if delay > 0:
-                time.sleep(delay)
-            pool = ProcessPoolExecutor(max_workers=max_workers)
+            time.sleep(min(_BACKOFF_CAP, _RETRY_BACKOFF * (2 ** (self.pool_rebuilds - 1))))
+            pool = new_pool()
             charged = set(attributed)
             for key in crashed:
                 kind, payload = key
@@ -936,7 +745,7 @@ class FrontierScheduler:
                     continue
                 if key in charged:
                     attempts[key] = attempts.get(key, 0) + 1
-                    if attempts[key] > self.max_retries:
+                    if attempts[key] > _MAX_RETRIES:
                         isolate(
                             key,
                             f"{reason}; isolated after "
@@ -975,37 +784,14 @@ class FrontierScheduler:
                     if not inflight and healthy:
                         break
                     continue
-                poll = None
-                if deadlines:
-                    poll = max(
-                        0.05, min(deadlines.values()) - time.monotonic() + 0.01
-                    )
-                done, _ = wait(set(inflight), timeout=poll, return_when=FIRST_COMPLETED)
-                if not done:
-                    now = time.monotonic()
-                    overdue = [
-                        inflight[f]
-                        for f in list(inflight)
-                        if deadlines.get(f, float("inf")) <= now
-                    ]
-                    if overdue:
-                        timeout_exc: BaseException = ExperimentError(
-                            f"task exceeded task_timeout={self.task_timeout}s"
-                        )
-                        handle_pool_failure(
-                            list(inflight.values()),
-                            overdue,
-                            timeout_exc,
-                            f"timed out after {self.task_timeout}s",
-                        )
-                        healthy = submit_ready()
-                    continue
+                done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
                 crashed: list[tuple[str, Any]] = []
                 crash_exc: BaseException | None = None
-                for future in done:
+                # Fold finished tasks in submission order, so an in-process
+                # run reports its artifacts in topological order.
+                for future in [f for f in inflight if f in done]:
                     key = inflight.pop(future)
                     flying.discard(key)
-                    deadlines.pop(future, None)
                     if future is probe_future:
                         probe_future = None
                     error = future.exception()
@@ -1057,6 +843,108 @@ class FrontierScheduler:
                 )
 
 
+def run_plans(
+    configs: Mapping[str, ExperimentConfig],
+    wanted: list[str],
+    *,
+    jobs: int,
+    cache_dir: PathLike | None,
+) -> dict[str, EngineOutcome]:
+    """Run the figures ``wanted`` under every tagged configuration.
+
+    The one execution path: :meth:`ExperimentEngine.run` is its one-tag
+    case, :func:`repro.scenarios.runner.run_scenario_matrix` its
+    one-tag-per-scenario case.  Each configuration's plan is resolved, the
+    artifact tasks are merged by cache address (an artifact two
+    configurations share is computed once and charged to its first
+    declarer), and every task runs on one :class:`FrontierScheduler`.
+    Without ``cache_dir`` the run works through a ``repro-engine-cache-*``
+    scratch cache, removed on every exit (``^C`` included).
+
+    A configuration whose plan fails to resolve is recorded against each of
+    its figures; the others still run.  Each outcome's report
+    ``wall_seconds`` is its tag's summed task time.
+    """
+    report_cache_dir = str(cache_dir) if cache_dir is not None else None
+    plans: dict[str, ExecutionPlan] = {}
+    unresolved: dict[str, Exception] = {}
+    for tag, config in configs.items():
+        try:
+            plans[tag] = resolve_plan(config, wanted)
+        except Exception as exc:
+            unresolved[tag] = exc
+
+    tasks: dict[str, ArtifactTask] = {}
+    figure_needs: dict[tuple[str, str], frozenset[str]] = {}
+    for tag, plan in plans.items():
+        for address, task in plan_artifact_tasks(plan, tag=tag).items():
+            tasks.setdefault(address, task)
+        for experiment_id in wanted:
+            figure_needs[(tag, experiment_id)] = plan_figure_addresses(plan, experiment_id)
+
+    scratch_dir: Optional[str] = None
+    try:
+        if report_cache_dir is None:
+            scratch_dir = tempfile.mkdtemp(prefix="repro-engine-cache-")
+        scheduler = FrontierScheduler(
+            tasks=tasks,
+            configs={tag: configs[tag] for tag in plans},
+            figure_needs=figure_needs,
+            cache_dir=report_cache_dir or scratch_dir,
+            jobs=jobs,
+        )
+        scheduler.execute()
+    finally:
+        if scratch_dir is not None:
+            shutil.rmtree(scratch_dir, ignore_errors=True)
+
+    outcomes: dict[str, EngineOutcome] = {}
+    for tag, config in configs.items():
+        if tag in unresolved:
+            first_exception: Optional[BaseException] = unresolved[tag]
+            message = f"{type(first_exception).__name__}: {first_exception}"
+            shared = ExperimentRunRecord("__shared__", 0.0, status="error", error=message)
+            records = [
+                ExperimentRunRecord(
+                    eid, 0.0, status="error", error=f"artifact plan failed: {message}"
+                )
+                for eid in wanted
+            ]
+            events: list[ArtifactEvent] = []
+        else:
+            first_exception = scheduler.tag_exception(tag)
+            shared = scheduler.shared_record(tag)
+            records = [scheduler.figure_records[(tag, eid)] for eid in wanted]
+            events = scheduler.owner_events(tag)
+        report = RunReport(
+            config=config_fingerprint(config),
+            jobs=jobs,
+            # The caller's value, not the scratch directory (deleted above).
+            cache_dir=report_cache_dir,
+            records=records,
+            shared=shared,
+            # Cross-scenario shared artifacts are charged to their first
+            # declarer, so a scenario arriving second sees them as figure
+            # cache hits rather than shared-phase work.
+            artifacts=aggregate_artifact_events(events),
+            wall_seconds=shared.wall_seconds + sum(r.wall_seconds for r in records),
+            artifact_retries=shared.retries,
+            figure_retries=sum(r.retries for r in records),
+            pool_rebuilds=scheduler.pool_rebuilds,
+        )
+        outcomes[tag] = EngineOutcome(
+            results={
+                eid: scheduler.results[(tag, eid)]
+                for eid in wanted
+                if (tag, eid) in scheduler.results
+            },
+            report=report,
+            failures={r.experiment_id: r.error for r in records if r.status != "ok"},
+            first_exception=first_exception,
+        )
+    return outcomes
+
+
 def run_experiments(
     config: ExperimentConfig | None = None,
     *,
@@ -1089,7 +977,7 @@ def results_equal(a: Mapping[str, Any], b: Mapping[str, Any]) -> bool:
     """Deep equality of two experiment-result payloads (NaN-tolerant).
 
     Public determinism-checking helper: the engine guarantees parallel,
-    sequential, cold-cache and warm-cache runs agree bit-for-bit, and this
+    in-process, cold-cache and warm-cache runs agree bit-for-bit, and this
     is the comparison that pins that guarantee down (the engine tests use
     it; external harnesses comparing two runs can too).
     """

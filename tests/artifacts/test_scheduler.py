@@ -3,13 +3,18 @@ and concurrent cache-write safety."""
 
 import dataclasses
 import json
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.artifacts import resolve_plan
 from repro.errors import ExperimentError
-from repro.experiments.cache import ArtifactCache
+from repro.experiments.cache import ArtifactCache, stable_key
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.engine import run_experiments
 from repro.scenarios.runner import run_scenario_matrix
@@ -144,8 +149,9 @@ class TestCrossScenarioDedup:
 
 
 class TestFailureCascade:
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_artifact_fails_dependents_but_not_independents(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, jobs
     ):
         import repro.artifacts.nodes as nodes
 
@@ -162,7 +168,7 @@ class TestFailureCascade:
             run_experiments(
                 TINY,
                 only=["fig03", "fig19"],
-                jobs=2,
+                jobs=jobs,
                 cache_dir=tmp_path / "cache",
                 report_path=report_path,
             )
@@ -183,10 +189,11 @@ class TestFailureCascade:
     def test_matrix_exceptions_attributed_per_scenario(self, tmp_path, monkeypatch):
         # A broken scenario must not leak its exception into a healthy
         # scenario's outcome (each outcome chains a cause that actually
-        # affected it).
+        # affected it), in-process and on the pool alike.
         import repro.artifacts.nodes as nodes
+        from repro.experiments.engine import run_plans
         from repro.scenarios.library import get_scenario
-        from repro.scenarios.runner import _run_matrix_parallel
+        from repro.scenarios.runner import scenario_config
 
         real_compute = nodes._NODES["vivaldi"].compute
 
@@ -200,21 +207,78 @@ class TestFailureCascade:
             "vivaldi",
             dataclasses.replace(nodes._NODES["vivaldi"], compute=_boom_under_tiv_free),
         )
-        outcomes = _run_matrix_parallel(
-            TINY,
-            [get_scenario("baseline"), get_scenario("tiv_free")],
-            ["fig03", "fig19"],
-            2,
-            tmp_path / "cache",
-            None,
-        )
-        assert outcomes["baseline"].failures == {}
-        assert outcomes["baseline"].first_exception is None
-        assert "fig19" in outcomes["tiv_free"].failures
-        assert isinstance(outcomes["tiv_free"].first_exception, RuntimeError)
-        assert "tiv_free generator exploded" in str(
-            outcomes["tiv_free"].first_exception
-        )
+        configs = {
+            name: scenario_config(TINY, get_scenario(name))
+            for name in ("baseline", "tiv_free")
+        }
+        for jobs in (1, 2):
+            outcomes = run_plans(
+                configs, ["fig03", "fig19"], jobs=jobs, cache_dir=tmp_path / f"cache{jobs}"
+            )
+            assert outcomes["baseline"].failures == {}
+            assert outcomes["baseline"].first_exception is None
+            assert "fig19" in outcomes["tiv_free"].failures
+            assert isinstance(outcomes["tiv_free"].first_exception, RuntimeError)
+            assert "tiv_free generator exploded" in str(
+                outcomes["tiv_free"].first_exception
+            )
+
+
+#: Cheap figures whose closures between them cover every main-dataset node.
+_PROPERTY_FIGURES = ("fig03", "fig08", "fig10", "fig11", "text_3_2_1", "fig15", "fig16", "fig19")
+_PROPERTY_NODES = ("dataset", "severity", "clusters", "shortest", "vivaldi", "alert", "ides", "lat")
+
+
+class TestInProcessFrontierProperty:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        figures=st.lists(
+            st.sampled_from(_PROPERTY_FIGURES), min_size=1, max_size=3, unique=True
+        ),
+        broken=st.sets(st.sampled_from(_PROPERTY_NODES), max_size=2),
+    )
+    def test_broken_nodes_fail_exactly_the_figures_whose_closure_holds_them(
+        self, figures, broken
+    ):
+        # The oracle is the resolved plan, not the scheduler: a figure must
+        # fail iff its artifact closure contains a node whose compute raises.
+        import repro.artifacts.nodes as nodes
+
+        plan = resolve_plan(TINY, figures)
+        doomed = {
+            experiment_id
+            for experiment_id in figures
+            if any(key.node in broken for key in plan.figure_needs[experiment_id])
+        }
+        computed: list[str] = []
+
+        def instrumented(node):
+            def compute(ctx, instance):
+                computed.append(stable_key(node.kind, node.params(ctx, instance)))
+                if node.name in broken:
+                    raise RuntimeError(f"injected {node.name} failure")
+                return node.compute(ctx, instance)
+
+            return dataclasses.replace(node, compute=compute)
+
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            for name, node in list(nodes._NODES.items()):
+                patch.setitem(nodes._NODES, name, instrumented(node))
+            report_path = Path(tmp) / "report.json"
+            try:
+                run_experiments(TINY, only=figures, jobs=1, report_path=report_path)
+            except ExperimentError:
+                assert doomed
+            else:
+                assert not doomed
+            payload = json.loads(report_path.read_text(encoding="utf-8"))
+
+        assert len(computed) == len(set(computed)), computed
+        by_id = {row["id"]: row for row in payload["experiments"]}
+        assert {eid for eid, row in by_id.items() if row["status"] != "ok"} == doomed
+        for experiment_id in doomed:
+            error = by_id[experiment_id]["error"]
+            assert any(f"injected {name} failure" in error for name in broken), error
 
 
 def _store_repeatedly(cache_dir: str, worker_seed: int, rounds: int) -> int:

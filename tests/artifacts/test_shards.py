@@ -206,6 +206,29 @@ class TestShardedArtifacts:
             key.node == "severity_shard" for key in ctx._values
         )
 
+    def test_uncached_in_process_run_keeps_shards_memory_mapped(self, sharded, monkeypatch):
+        # Out-of-core needs a cache directory.  A run without --cache-dir
+        # works through its scratch cache at every job count, so even an
+        # in-process run hands the runners memory-mapped shard rows.
+        from repro.experiments import registry
+        from repro.experiments.engine import run_experiments
+        from repro.experiments.result import ExperimentResult
+
+        mapped = []
+
+        def _probe(config=None, *, context=None, **kwargs):
+            blocks = context.severity.severity.blocks
+            mapped.append([isinstance(block, np.memmap) for block in blocks])
+            return ExperimentResult(experiment_id="fig03", title="shard probe", data={})
+
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "fig03",
+            registry.RegisteredExperiment(_probe, frozenset({"matrix", "severity"})),
+        )
+        run_experiments(self.CONFIG, only=["fig03"], jobs=1)
+        assert mapped == [[True, True]]
+
     def test_sharded_severity_bit_identical_at_400(self, monkeypatch, tmp_path):
         # The ISSUE-pinned scale point: a 400-node matrix, sharded (by
         # lowering the threshold to cover it), stitches back bit-for-bit.

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.artifacts import resolve_plan
 from repro.errors import ExperimentError
 from repro.experiments.cache import ArtifactCache
 from repro.experiments.config import ExperimentConfig
@@ -290,14 +291,15 @@ class TestEngineValidation:
 class TestDeclaredNeedsScoping:
     @pytest.mark.parametrize("experiment_id", sorted(list_experiments()))
     def test_declared_needs_match_runner_usage(self, tmp_path, experiment_id):
-        # Pin the declarations to reality: warming exactly the declared
-        # artifact graph must leave the runner with zero cache misses.  A
-        # stale declaration would make cold parallel workers silently
-        # recompute the skipped artifact (no failure, just duplicated
-        # wall-clock).
+        # Pin the declarations to reality: materialising exactly the
+        # declared artifact graph must leave the runner with zero cache
+        # misses.  A stale declaration would make cold parallel workers
+        # silently recompute the skipped artifact (no failure, just
+        # duplicated wall-clock).
         cache_dir = tmp_path / "artifacts"
-        engine = ExperimentEngine(TINY, jobs=1, cache_dir=cache_dir)
-        engine.warm(ArtifactCache(cache_dir), [experiment_id])
+        context = ExperimentContext(TINY, cache=ArtifactCache(cache_dir))
+        for key in resolve_plan(TINY, [experiment_id]).graph.topological_order():
+            context.materialize(key)
 
         counting = ArtifactCache(cache_dir)
         run_experiment(
@@ -307,13 +309,15 @@ class TestDeclaredNeedsScoping:
             f"{experiment_id} used artifacts its registered needs do not declare"
         )
 
-    def test_already_warm_parallel_run_submits_no_artifact_tasks(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_already_warm_parallel_run_submits_no_artifact_tasks(self, tmp_path, jobs):
         # Every artifact address is already materialised, so the frontier
-        # scheduler must submit zero artifact tasks: the shared record
-        # stays all-zero and the figures run straight off the cache.
+        # scheduler must submit zero artifact tasks, in-process or on the
+        # pool: the shared record stays all-zero and the figures run
+        # straight off the cache.
         cache_dir = tmp_path / "artifacts"
-        run_experiments(TINY, only=list(SUBSET), jobs=2, cache_dir=cache_dir)
-        warm = run_experiments(TINY, only=list(SUBSET), jobs=2, cache_dir=cache_dir)
+        run_experiments(TINY, only=list(SUBSET), jobs=jobs, cache_dir=cache_dir)
+        warm = run_experiments(TINY, only=list(SUBSET), jobs=jobs, cache_dir=cache_dir)
         shared = warm.report.as_dict()["shared_precompute"]
         assert shared["cache"] == {"hits": 0, "misses": 0, "stores": 0}
         assert warm.report.as_dict()["artifacts"] == []

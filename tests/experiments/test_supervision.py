@@ -1,11 +1,11 @@
-"""Crash/timeout supervision of the frontier scheduler.
+"""Crash supervision of the frontier scheduler's worker pool.
 
 These tests inject real worker deaths (``os._exit`` inside a forked pool
-worker — the same signature as a segfault or an OOM kill) and overlong
-tasks, then check the scheduler's contract: transient crashes are retried
-with the run completing normally, poison tasks are isolated into the
-ordinary failure-cascade path after ``max_retries`` attributed failures,
-and every retry/rebuild is recorded in the run report.
+worker — the same signature as a segfault or an OOM kill), then check the
+scheduler's contract: transient crashes are retried with the run
+completing normally, poison tasks are isolated into the ordinary
+failure-cascade path after ``_MAX_RETRIES`` attributed failures, and every
+retry/rebuild is recorded in the run report.
 
 The pool uses the ``fork`` start method on Linux, so monkeypatching the
 experiment registry in the parent is visible inside the workers.
@@ -14,19 +14,12 @@ experiment registry in the parent is visible inside the workers.
 import json
 import os
 import tempfile
-import time
 
 import pytest
 
-from repro.artifacts.graph import resolve_plan
 from repro.errors import ExperimentError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.engine import (
-    FrontierScheduler,
-    plan_artifact_tasks,
-    plan_figure_addresses,
-    run_experiments,
-)
+from repro.experiments.engine import run_experiments
 from repro.experiments.result import ExperimentResult
 
 TINY = ExperimentConfig(
@@ -61,11 +54,6 @@ def _crash_once_runner(sentinel: str):
 
 def _always_crash_runner(config=None, *, context=None, **kwargs):
     os._exit(1)
-
-
-def _hang_runner(config=None, *, context=None, **kwargs):
-    time.sleep(300)
-    return _stub_result("fig03")
 
 
 class TestCrashRetry:
@@ -148,9 +136,9 @@ class TestCrashRetry:
 
 
 class TestScratchCacheHygiene:
-    """An uncached parallel run works through a ``repro-engine-cache-*``
-    scratch dir; no exit path may leak it.  Redirecting ``tempfile`` lands
-    every scratch dir somewhere the test can inspect exhaustively."""
+    """An uncached run works through a ``repro-engine-cache-*`` scratch dir
+    at every job count; no exit path may leak it.  Redirecting ``tempfile``
+    lands every scratch dir somewhere the test can inspect exhaustively."""
 
     @pytest.fixture
     def scratch_root(self, tmp_path, monkeypatch):
@@ -175,7 +163,8 @@ class TestScratchCacheHygiene:
         assert outcome.report.pool_rebuilds >= 1
         assert list(scratch_root.glob("repro-engine-cache-*")) == []
 
-    def test_keyboard_interrupt_removes_scratch_dir(self, monkeypatch, scratch_root):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_keyboard_interrupt_removes_scratch_dir(self, monkeypatch, scratch_root, jobs):
         import repro.experiments.engine as engine_module
 
         # ^C lands in the scheduler's wait loop; the engine's finally must
@@ -188,54 +177,6 @@ class TestScratchCacheHygiene:
 
         monkeypatch.setattr(engine_module, "wait", _interrupt)
         with pytest.raises(KeyboardInterrupt):
-            run_experiments(TINY, only=["fig03"], jobs=2)
+            run_experiments(TINY, only=["fig03"], jobs=jobs)
         assert len(live_scratch_dirs) == 1
         assert list(scratch_root.glob("repro-engine-cache-*")) == []
-
-
-class TestTaskTimeout:
-    def _figure_only_scheduler(self, cache_dir, **kwargs) -> FrontierScheduler:
-        plan = resolve_plan(TINY, ["fig03"])
-        return FrontierScheduler(
-            tasks=plan_artifact_tasks(plan, tag=""),
-            configs={"": TINY},
-            figure_grid=[("", "fig03")],
-            figure_needs={("", "fig03"): plan_figure_addresses(plan, "fig03")},
-            cache_dir=str(cache_dir),
-            jobs=2,
-            **kwargs,
-        )
-
-    def test_overrunning_task_is_attributed_and_isolated(self, tmp_path, monkeypatch):
-        from repro.experiments import registry
-
-        # Warm the artifact cache first so the supervised run only has the
-        # hanging figure task in flight (a clean attribution scenario).
-        cache_dir = tmp_path / "artifacts"
-        run_experiments(TINY, only=["fig03"], jobs=2, cache_dir=cache_dir)
-
-        monkeypatch.setitem(
-            registry._REGISTRY,
-            "fig03",
-            registry.RegisteredExperiment(_hang_runner, frozenset({"matrix"})),
-        )
-        scheduler = self._figure_only_scheduler(
-            cache_dir, max_retries=0, retry_backoff=0.0, task_timeout=1.0
-        )
-        start = time.monotonic()
-        scheduler.execute()
-        elapsed = time.monotonic() - start
-        record = scheduler.figure_records[("", "fig03")]
-        assert record.status == "error"
-        assert "timed out" in record.error
-        assert scheduler.pool_rebuilds >= 1
-        # The hung worker was torn down, not waited out.
-        assert elapsed < 60
-
-    def test_invalid_supervision_parameters_rejected(self, tmp_path):
-        with pytest.raises(ExperimentError, match="max_retries"):
-            self._figure_only_scheduler(tmp_path, max_retries=-1)
-        with pytest.raises(ExperimentError, match="task_timeout"):
-            self._figure_only_scheduler(tmp_path, task_timeout=0)
-        with pytest.raises(ExperimentError, match="retry_backoff"):
-            self._figure_only_scheduler(tmp_path, retry_backoff=-0.1)

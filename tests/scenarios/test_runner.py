@@ -192,37 +192,44 @@ class TestRunScenarioMatrix:
             assert list(scenario_outcome.results) == ["fig03"], name
 
     def test_warm_failure_recorded_not_fatal(self, tmp_path, monkeypatch):
-        # A scenario whose shared phase blows up is recorded against every
-        # figure; the rest of the matrix still runs and the report is
-        # written before the summary error is raised.
-        from repro.scenarios import runner as runner_module
+        # A scenario whose artifact chain blows up is recorded against
+        # every figure it feeds; the rest of the matrix still runs and the
+        # report is written before the summary error is raised, in-process
+        # and on the pool alike.
+        import dataclasses
 
-        real_engine = runner_module.ExperimentEngine
+        import repro.artifacts.nodes as nodes
 
-        class Flaky(real_engine):
-            def run(self, only=None):
-                if self.config.scenario == "tiv_free":
-                    raise RuntimeError("generator exploded")
-                return super().run(only=only)
+        real_compute = nodes._NODES["dataset"].compute
 
-        monkeypatch.setattr(runner_module, "ExperimentEngine", Flaky)
-        report_path = tmp_path / "BENCH_scenarios.json"
-        with pytest.raises(ExperimentError, match="generator exploded") as excinfo:
-            run_scenario_matrix(
-                TINY,
-                scenarios=["baseline", "tiv_free"],
-                only=["fig03"],
-                jobs=1,
-                report_path=report_path,
-            )
-        assert isinstance(excinfo.value.__cause__, RuntimeError)
-        payload = json.loads(report_path.read_text(encoding="utf-8"))
-        by_name = {row["scenario"]["name"]: row for row in payload["scenarios"]}
-        assert by_name["baseline"]["status"] == "ok"
-        assert by_name["tiv_free"]["status"] == "error"
-        assert "generator exploded" in by_name["tiv_free"]["failures"]["fig03"]
-        shared = by_name["tiv_free"]["report"]["shared_precompute"]
-        assert shared["status"] == "error"
+        def _flaky(ctx, instance):
+            if ctx.config.scenario == "tiv_free":
+                raise RuntimeError("generator exploded")
+            return real_compute(ctx, instance)
+
+        monkeypatch.setitem(
+            nodes._NODES,
+            "dataset",
+            dataclasses.replace(nodes._NODES["dataset"], compute=_flaky),
+        )
+        for jobs in (1, 2):
+            report_path = tmp_path / f"BENCH_scenarios-{jobs}.json"
+            with pytest.raises(ExperimentError, match="generator exploded") as excinfo:
+                run_scenario_matrix(
+                    TINY,
+                    scenarios=["baseline", "tiv_free"],
+                    only=["fig03"],
+                    jobs=jobs,
+                    report_path=report_path,
+                )
+            assert isinstance(excinfo.value.__cause__, RuntimeError)
+            payload = json.loads(report_path.read_text(encoding="utf-8"))
+            by_name = {row["scenario"]["name"]: row for row in payload["scenarios"]}
+            assert by_name["baseline"]["status"] == "ok"
+            assert by_name["tiv_free"]["status"] == "error"
+            assert "generator exploded" in by_name["tiv_free"]["failures"]["fig03"]
+            shared = by_name["tiv_free"]["report"]["shared_precompute"]
+            assert shared["status"] == "error"
 
     def test_empty_scenario_list_rejected(self):
         with pytest.raises(ExperimentError, match="empty scenario list"):
