@@ -178,7 +178,8 @@ def _stitched_parts(ctx, node_name: str, keys: tuple[ArtifactKey, ...]) -> list:
     memory map and releases the context memo, so the stitched view the
     consumers hold is not backed by private resident arrays.  Without a
     cache the in-memory parts are kept — out-of-core behaviour requires a
-    cache directory, which the CLI always supplies.
+    cache directory, which every engine run has: its ``--cache-dir`` or,
+    without one, its scratch cache.
     """
     from repro.artifacts.shards import ShardPart
 

@@ -538,7 +538,7 @@ def _jobs_parent() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (1 = sequential in-process, 0 = one per CPU)",
+        help="worker processes (1 = in-process, 0 = one per CPU)",
     )
     return parent
 

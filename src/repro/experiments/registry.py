@@ -186,11 +186,12 @@ def run_all_experiments(
 ) -> dict[str, ExperimentResult]:
     """Run every registered experiment (or the subset in ``only``).
 
-    Delegates to :class:`repro.experiments.engine.ExperimentEngine`:
-    ``jobs`` fans the artifact DAG and the runners out over worker
-    processes and ``cache_dir`` persists the shared artifacts so repeated
-    runs are incremental.  The default (``jobs=1``, no cache) runs
-    sequentially in-process with one shared context.  ``scenario`` runs the
+    Delegates to :class:`repro.experiments.engine.ExperimentEngine`, which
+    schedules the artifact DAG and the runners as one frontier: ``jobs``
+    worker processes, or in-process at ``jobs=1`` (the default).
+    ``cache_dir`` persists the shared artifacts so repeated runs are
+    incremental; without it the run works through a scratch cache deleted
+    when it ends.  ``scenario`` runs the
     whole sweep under a library scenario with full scenario semantics
     (``size_factor`` scales the node count); for a sweep over many
     scenarios use :func:`repro.scenarios.runner.run_scenario_matrix`
