@@ -120,6 +120,18 @@ class TIVAlert:
         """Predicted delay of edge ``(i, j)`` in milliseconds."""
         return float(self._predicted[i, j])
 
+    def ratios(self, rows, cols) -> np.ndarray:
+        """Prediction ratios of many edges: ``ratio_matrix[rows, cols]``.
+
+        ``rows`` and ``cols`` are index arrays combined by numpy
+        broadcasting; the values equal :meth:`ratio` edge by edge.
+        """
+        return self._ratios[rows, cols]
+
+    def predicted_delays(self, rows, cols) -> np.ndarray:
+        """Predicted delays of many edges: ``predicted_matrix[rows, cols]``."""
+        return self._predicted[rows, cols]
+
     def is_alert(self, i: int, j: int, *, threshold: float = 0.6) -> bool:
         """True when the alert fires for edge ``(i, j)`` at ``threshold``.
 

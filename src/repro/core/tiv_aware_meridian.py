@@ -66,6 +66,36 @@ class TIVAwareMeridianConfig:
             raise AlertError("restart_members must be >= 1")
 
 
+class _TIVAwareAdjuster:
+    """The §5.3 double-placement rule, per edge and for whole arrays."""
+
+    def __init__(self, alert: TIVAlert, config: TIVAwareMeridianConfig):
+        self._alert = alert
+        self._config = config
+
+    def __call__(self, owner: int, member: int, measured_delay: float) -> Optional[float]:
+        cfg = self._config
+        ratio = self._alert.ratio(owner, member)
+        if not np.isfinite(ratio):
+            return None
+        if ratio < cfg.ts or ratio > cfg.tl:
+            predicted = self._alert.predicted_delay(owner, member)
+            if np.isfinite(predicted) and predicted >= 0:
+                return float(predicted)
+        return None
+
+    def placement_delays(
+        self, owners: np.ndarray, members: np.ndarray, delays: np.ndarray
+    ) -> np.ndarray:
+        """The adjuster over whole index arrays: ``nan`` where it returns None."""
+        cfg = self._config
+        ratio = self._alert.ratios(owners, members)
+        predicted = self._alert.predicted_delays(owners, members)
+        fires = np.isfinite(ratio) & ((ratio < cfg.ts) | (ratio > cfg.tl))
+        fires &= np.isfinite(predicted) & (predicted >= 0)
+        return np.where(fires, predicted, np.nan)
+
+
 def tiv_aware_membership_adjuster(
     alert: TIVAlert, config: TIVAwareMeridianConfig | None = None
 ) -> MembershipAdjuster:
@@ -74,21 +104,11 @@ def tiv_aware_membership_adjuster(
     The returned callable, given ``(owner, member, measured_delay)``, returns
     the member's *predicted* delay when the alert's prediction ratio for the
     edge lies outside ``[ts, tl]`` (triggering double placement), or ``None``
-    when the measured placement alone is safe.
+    when the measured placement alone is safe.  It also answers for whole
+    index arrays (``placement_delays``), which the batched overlay build
+    reads from the alert's ratio and predicted-delay rows in one pass.
     """
-    cfg = config if config is not None else TIVAwareMeridianConfig()
-
-    def adjuster(owner: int, member: int, measured_delay: float) -> Optional[float]:
-        ratio = alert.ratio(owner, member)
-        if not np.isfinite(ratio):
-            return None
-        if ratio < cfg.ts or ratio > cfg.tl:
-            predicted = alert.predicted_delay(owner, member)
-            if np.isfinite(predicted) and predicted >= 0:
-                return float(predicted)
-        return None
-
-    return adjuster
+    return _TIVAwareAdjuster(alert, config if config is not None else TIVAwareMeridianConfig())
 
 
 def tiv_aware_restart_policy(
@@ -115,7 +135,7 @@ def tiv_aware_restart_policy(
         members = overlay.node(current).members()
         if not members:
             return None
-        predicted = np.array([alert.predicted_delay(m, target) for m in members])
+        predicted = alert.predicted_delays(np.asarray(members, dtype=np.int64), target)
         order = np.argsort(predicted, kind="stable")
         count = min(cfg.restart_members, len(members))
         return [members[int(k)] for k in order[:count]]
@@ -140,9 +160,10 @@ def build_tiv_aware_overlay(
     This is the convenience entry point used by the Fig. 24 / Fig. 25
     experiments: the overlay is built with the TIV-aware membership
     adjuster, and the matching restart policy is returned so callers can
-    pass it to every query.  ``kernel`` is forwarded to the overlay; note
-    the membership adjuster forces the per-member construction path either
-    way (queries still use the batched gathers).
+    pass it to every query.  ``kernel`` is forwarded to the overlay: the
+    batched kernel places every node's members, double placements
+    included, in one whole-array pass; the reference kernel adds them one
+    by one.
     """
     if alert.matrix.n_nodes != matrix.n_nodes:
         raise MeridianError("alert was built for a different delay matrix size")

@@ -269,3 +269,19 @@ class DelayMatrix:
     def median_delay(self) -> float:
         """Median of all measured edge delays."""
         return float(np.median(self.edge_delays()))
+
+
+def edge_mask(n_nodes: int, edges: Optional[Iterable[tuple[int, int]]]) -> np.ndarray:
+    """Symmetric ``(n_nodes, n_nodes)`` boolean mask of undirected ``edges``.
+
+    ``mask[i, j]`` and ``mask[j, i]`` are True for every ``(i, j)`` in
+    ``edges`` (either order).  Edges naming a node outside ``[0, n_nodes)``
+    can never be used and are ignored, as a set-membership test would.
+    """
+    mask = np.zeros((n_nodes, n_nodes), dtype=bool)
+    pairs = np.asarray(list(edges or ()), dtype=np.int64).reshape(-1, 2)
+    inside = np.all((pairs >= 0) & (pairs < n_nodes), axis=1)
+    a, b = pairs[inside, 0], pairs[inside, 1]
+    mask[a, b] = True
+    mask[b, a] = True
+    return mask

@@ -87,8 +87,8 @@ class ExperimentConfig:
         Number of Meridian nodes in the small idealised setting
         (paper: 200); scaled with the node count when necessary.
     max_clients:
-        Cap on clients evaluated per Meridian run (keeps scaled-down runs
-        fast); ``None`` evaluates every client.
+        Cap (>= 1) on clients evaluated per Meridian run (keeps scaled-down
+        runs fast); ``None`` evaluates every client.
     memory_budget_mb:
         Memory budget (MiB) of the out-of-core artifact tier: it sizes the
         severity witness chunks and the shard plan of large artifacts (see
@@ -139,6 +139,8 @@ class ExperimentConfig:
             raise ConfigError("vivaldi_seconds must be >= 1")
         if self.meridian_small_count < 2:
             raise ConfigError("meridian_small_count must be >= 2")
+        if self.max_clients is not None and self.max_clients < 1:
+            raise ConfigError("max_clients must be >= 1 (or None for every client)")
         table = _normalize_kernels(self.kernels)
         object.__setattr__(self, "kernels", tuple(sorted(table.items())))
 

@@ -6,7 +6,8 @@ concentric, exponentially growing delay rings, and a query is forwarded
 recursively to whichever ring member is measured (online) to be closest to
 the target.
 
-* :mod:`repro.meridian.rings` — ring geometry and per-node ring sets;
+* :mod:`repro.meridian.rings` — ring geometry, per-node ring sets and the
+  overlay-wide array ring store of the batched kernel;
 * :mod:`repro.meridian.node` — one Meridian node's membership state;
 * :mod:`repro.meridian.overlay` — overlay construction and the recursive
   closest-neighbour query (with probe accounting and the β termination

@@ -15,7 +15,10 @@ from repro.meridian.rings import MeridianConfig, RingSet
 # A membership adjuster inspects the (owner, member, measured delay) triple
 # and may return a second delay at which the member should also be ring
 # placed (or None to keep the default single placement).  The TIV-aware ring
-# construction of §5.3 supplies one based on the TIV alert.
+# construction of §5.3 supplies one based on the TIV alert.  An adjuster may
+# also offer ``placement_delays(owners, members, delays)``, the same answers
+# for broadcast index arrays with ``nan`` for None; the batched overlay build
+# then asks once for every candidate instead of once per edge.
 MembershipAdjuster = Callable[[int, int, float], Optional[float]]
 
 

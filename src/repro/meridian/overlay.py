@@ -23,10 +23,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.delayspace.matrix import DelayMatrix
+from repro.delayspace.matrix import DelayMatrix, edge_mask
 from repro.errors import MeridianError
 from repro.meridian.node import MembershipAdjuster, MeridianNode
-from repro.meridian.rings import MeridianConfig
+from repro.meridian.rings import MeridianConfig, RingStore, StoredRingSet
 from repro.stats.rng import RngLike, ensure_rng
 
 # A restart policy is consulted when the recursive query is about to
@@ -115,15 +115,14 @@ class MeridianOverlay:
     membership_adjuster:
         Optional TIV-aware double-placement hook (§5.3 ring construction).
     kernel:
-        ``"batched"`` (default) fills every node's rings with whole-array
-        ring assignment (:meth:`repro.meridian.rings.RingSet.bulk_add`) and
-        answers queries with whole-ring delay gathers plus a vectorised
-        ground-truth search; ``"reference"`` keeps the per-member Python
-        loops.  Both kernels consume the RNG identically and produce
-        identical rings and query results — the switch only trades loop
-        shape for array operations.  A ``membership_adjuster`` always takes
-        the per-member construction path (double placement is inherently
-        per-edge); queries still use the batched gathers.
+        ``"batched"`` (default) keeps every node's rings in one
+        :class:`~repro.meridian.rings.RingStore`, filled by one
+        whole-array placement pass (excluded edges, sampled or full
+        membership and adjuster double placements included), and answers
+        batches of queries in lock-step over it; ``"reference"`` keeps the
+        per-member Python loops and dict rings.  Both kernels consume the
+        RNG identically and produce identical rings and query results —
+        the switch only trades loop shape for array operations.
     """
 
     KERNELS = ("batched", "reference")
@@ -163,12 +162,16 @@ class MeridianOverlay:
         self._meridian_set = set(ids)
         self._meridian_arr = np.asarray(ids, dtype=np.int64)
 
+        self._nodes: dict[int, MeridianNode] = {}
+        if kernel == "batched":
+            self._build_store(
+                full_membership, membership_sample_size, excluded_edges, membership_adjuster
+            )
+            return
         self._excluded: set[frozenset[int]] = set()
         if excluded_edges:
             for a, b in excluded_edges:
                 self._excluded.add(frozenset((int(a), int(b))))
-
-        self._nodes: dict[int, MeridianNode] = {}
         self._build(full_membership, membership_sample_size, membership_adjuster)
 
     # -- construction ---------------------------------------------------------
@@ -187,7 +190,6 @@ class MeridianOverlay:
         config = self._config
         if sample_size is None:
             sample_size = config.k * config.n_rings
-        batched = self._kernel == "batched" and adjuster is None
         for node_id in self._meridian_ids:
             node = MeridianNode(node_id, config)
             others = [m for m in self._meridian_ids if m != node_id]
@@ -196,25 +198,54 @@ class MeridianOverlay:
             else:
                 chosen = self._rng.choice(len(others), size=sample_size, replace=False)
                 candidates = [others[int(c)] for c in chosen]
-            if batched:
-                cand = np.asarray(candidates, dtype=np.int64)
-                usable = np.isfinite(self._delays[node_id, cand])
-                if self._excluded:
-                    usable &= np.fromiter(
-                        (frozenset((node_id, m)) not in self._excluded for m in candidates),
-                        dtype=bool,
-                        count=cand.size,
-                    )
-                cand = cand[usable]
-                node.rings.bulk_add(cand, self._delays[node_id, cand].astype(float))
-            else:
-                for member in candidates:
-                    if not self._usable(node_id, member):
-                        continue
-                    node.add_member(
-                        member, float(self._delays[node_id, member]), adjuster=adjuster
-                    )
+            for member in candidates:
+                if not self._usable(node_id, member):
+                    continue
+                node.add_member(
+                    member, float(self._delays[node_id, member]), adjuster=adjuster
+                )
             self._nodes[node_id] = node
+
+    def _build_store(
+        self,
+        full_membership: bool,
+        sample_size: Optional[int],
+        excluded_edges: Optional[Iterable[tuple[int, int]]],
+        adjuster: MembershipAdjuster | None,
+    ) -> None:
+        """The batched build: every node's candidates placed in one pass.
+
+        Candidates are drawn exactly as :meth:`_build` draws them (one
+        ``rng.choice`` per node, in node order), laid out as one row per
+        node, filtered by one boolean edge mask and handed to
+        :meth:`RingStore.place`.
+        """
+        config = self._config
+        if sample_size is None:
+            sample_size = config.k * config.n_rings
+        ids = self._meridian_arr
+        n_meridian = ids.size
+        # Column c of row r is position c of the node list without node r.
+        if full_membership or n_meridian - 1 <= sample_size:
+            cols = np.arange(n_meridian - 1)
+            positions = cols[None, :] + (cols[None, :] >= np.arange(n_meridian)[:, None])
+        else:
+            positions = np.empty((n_meridian, sample_size), dtype=np.int64)
+            for row in range(n_meridian):
+                chosen = self._rng.choice(n_meridian - 1, size=sample_size, replace=False)
+                positions[row] = chosen + (chosen >= row)
+        owners = ids[:, None]
+        members = ids[positions]
+        delays = self._delays[owners, members]
+        usable = np.isfinite(delays)
+        if excluded_edges:
+            usable &= ~edge_mask(self._matrix.n_nodes, excluded_edges)[owners, members]
+        extra = None
+        if adjuster is not None:
+            extra = _second_placements(adjuster, owners, members, delays, usable)
+        self._store = RingStore.place(config, members, delays, usable, extra)
+        self._row_of = np.full(self._matrix.n_nodes, -1, dtype=np.int64)
+        self._row_of[ids] = np.arange(n_meridian)
 
     # -- accessors ------------------------------------------------------------
 
@@ -240,14 +271,21 @@ class MeridianOverlay:
 
     def node(self, node_id: int) -> MeridianNode:
         """Return the :class:`MeridianNode` with the given id."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise MeridianError(f"{node_id} is not a Meridian node") from None
+        node = self._nodes.get(node_id)
+        if node is not None:
+            return node
+        if self._kernel == "reference" or node_id not in self._meridian_set:
+            raise MeridianError(f"{node_id} is not a Meridian node")
+        # Batched overlays make node objects on first access, as views of
+        # their row of the ring store.
+        node = MeridianNode(node_id, self._config)
+        node.rings = StoredRingSet(self._store, int(self._row_of[node_id]))
+        self._nodes[node_id] = node
+        return node
 
     def ring_occupancy(self) -> dict[int, list[int]]:
         """Per-node ring occupancy counts (used to study under-population)."""
-        return {nid: node.rings.occupancy() for nid, node in self._nodes.items()}
+        return {nid: self.node(nid).rings.occupancy() for nid in self._meridian_ids}
 
     def true_closest(self, target: int) -> tuple[int, float]:
         """Ground-truth closest Meridian node to ``target`` and its delay."""
@@ -272,6 +310,17 @@ class MeridianOverlay:
         if best_node < 0:
             raise MeridianError(f"no Meridian node has a measured delay to target {target}")
         return best_node, best_delay
+
+    def _true_closest_all(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`true_closest` of many targets with one two-dimensional gather."""
+        delays = self._delays[self._meridian_arr[:, None], targets[None, :]]
+        valid = (self._meridian_arr[:, None] != targets[None, :]) & np.isfinite(delays)
+        unreachable = ~valid.any(axis=0)
+        if unreachable.any():
+            target = int(targets[np.argmax(unreachable)])
+            raise MeridianError(f"no Meridian node has a measured delay to target {target}")
+        positions = np.argmin(np.where(valid, delays, np.inf), axis=0)
+        return self._meridian_arr[positions], delays[positions, np.arange(targets.size)]
 
     # -- the recursive query ---------------------------------------------------
 
@@ -365,7 +414,7 @@ class MeridianOverlay:
         probed_delay: dict[int, float] = {current: current_delay}
 
         for _ in range(max_hops):
-            node = self._nodes[current]
+            node = self.node(current)
             candidates = node.eligible_members(current_delay)
             candidate_delays, new_probes = self._gather_candidate_delays(
                 candidates, target, probed_delay
@@ -428,6 +477,7 @@ class MeridianOverlay:
             restarted=restarted,
         )
 
+
     # -- the multi-query batch search ------------------------------------------
 
     def closest_neighbor_query_batch(
@@ -435,21 +485,20 @@ class MeridianOverlay:
         targets: Sequence[int],
         *,
         start_nodes: Optional[Sequence[int]] = None,
+        restart_policy: RestartPolicy | None = None,
         max_hops: int = 64,
     ) -> list[QueryResult]:
         """Run the recursive closest-neighbour query for a batch of targets.
 
-        The queries advance in lock-step: each round, the still-active
-        queries are grouped by the Meridian node they currently sit at and
-        each group's un-probed ring-member delays are fetched with *one*
-        two-dimensional matrix gather shared across the group's targets —
-        the serving hot path — instead of one per-query ring gather.
-
-        Results (selected node, probe counts, hops, tie-breaking) are
-        identical to calling :meth:`closest_neighbor_query` once per
-        target in order, including RNG consumption when ``start_nodes``
-        is omitted.  Restart policies are per-query control flow and are
-        not supported on the batch path.
+        Results (selected node, probe counts, hops, restarts, tie-breaking)
+        are identical to calling :meth:`closest_neighbor_query` once per
+        target in order with the same ``restart_policy``, including RNG
+        consumption when ``start_nodes`` is omitted.  Under the batched
+        kernel every live query advances in lock-step: each hop is one
+        eligibility test over the ring store rows the queries sit at and
+        one delay gather for all of them; only a restart policy, where
+        consulted, runs per query.  The reference kernel answers the batch
+        with the scalar query, one target at a time.
         """
         targets = [int(t) for t in targets]
         for target in targets:
@@ -471,145 +520,188 @@ class MeridianOverlay:
                     raise MeridianError(f"start node {start} is not a Meridian node")
         if not targets:
             return []
-
-        config = self._config
-        measured = self._delays[
-            np.asarray(starts, dtype=np.int64), np.asarray(targets, dtype=np.int64)
-        ]
-        initial = np.where(np.isfinite(measured), measured, np.inf)
-        states = [
-            _BatchQueryState(target, start, float(d0)) for target, start, d0 in zip(targets, starts, initial)
-        ]
-
-        for _ in range(max_hops):
-            live = [state for state in states if not state.done]
-            if not live:
-                break
-            groups: dict[int, list[_BatchQueryState]] = {}
-            for state in live:
-                groups.setdefault(state.current, []).append(state)
-            for node_id, group in groups.items():
-                node = self._nodes[node_id]
-                group_candidates = [
-                    node.eligible_members(state.current_delay) for state in group
-                ]
-                # One gather covers every (member, target) pair any query
-                # of this group still needs measured.
-                union = sorted(
-                    {
-                        member
-                        for state, candidates in zip(group, group_candidates)
-                        for member in candidates
-                        if member != state.target and member not in state.probed
-                    }
+        if self._kernel == "reference":
+            return [
+                self.closest_neighbor_query(
+                    target, start_node=start, restart_policy=restart_policy, max_hops=max_hops
                 )
-                if union:
-                    sub = self._delays[
-                        np.asarray(union, dtype=np.int64)[:, None],
-                        np.asarray([state.target for state in group], dtype=np.int64)[None, :],
-                    ]
-                    sub = np.where(np.isfinite(sub), sub, np.inf)
-                else:
-                    sub = None
-                member_row = {member: row for row, member in enumerate(union)}
-                for col, (state, candidates) in enumerate(zip(group, group_candidates)):
-                    state.step(
-                        candidates,
-                        sub[:, col] if sub is not None else None,
-                        member_row,
-                        config,
-                    )
+                for target, start in zip(targets, starts)
+            ]
+        return self._lockstep_queries(
+            np.asarray(targets, dtype=np.int64),
+            np.asarray(starts, dtype=np.int64),
+            restart_policy,
+            max_hops,
+        )
+
+    def _lockstep_queries(
+        self,
+        targets: np.ndarray,
+        starts: np.ndarray,
+        restart_policy: RestartPolicy | None,
+        max_hops: int,
+    ) -> list[QueryResult]:
+        """The batched kernel's query loop; mirrors :meth:`closest_neighbor_query`."""
+        config = self._config
+        store = self._store
+        n_nodes = self._matrix.n_nodes
+        count = targets.size
+        optimal, optimal_delay = self._true_closest_all(targets)
+
+        first = self._delays[starts, targets]
+        current = starts.copy()
+        current_delay = np.where(np.isfinite(first), first, np.inf)
+        best_node = starts.copy()
+        best_delay = current_delay.copy()
+        probes = np.ones(count, dtype=np.int64)
+        probed = np.zeros((count, n_nodes), dtype=bool)
+        probed[np.arange(count), starts] = True
+        hops = np.empty((count, max(max_hops, 0) + 1), dtype=np.int64)
+        hops[:, 0] = starts
+        n_hops = np.ones(count, dtype=np.int64)
+        restarted = np.zeros(count, dtype=bool)
+        # Probe order, kept only where the final "never answer the target
+        # itself" fallback can fire: a target that is a Meridian node.
+        probe_log = {
+            int(q): [int(starts[q])] for q in np.flatnonzero(self._row_of[targets] >= 0)
+        }
+
+        live = np.arange(count)
+        for _ in range(max_hops):
+            if live.size == 0:
+                break
+            target = targets[live]
+            delay = current_delay[live]
+            rows = self._row_of[current[live]]
+            # The eligible (query, slot) pairs, grouped by query, and one
+            # delay gather for all of them.
+            query, slot = np.nonzero(
+                store.eligible(rows, (1.0 - config.beta) * delay, (1.0 + config.beta) * delay)
+            )
+            member = store.members[rows[query], slot]
+            measured = self._delays[member, target[query]]
+            value = np.where(np.isfinite(measured), measured, np.inf)
+            is_target = member == target[query]
+            value[is_target] = 0.0
+
+            # The closest eligible member per query; ties go to the lowest
+            # member id, as min() over the sorted members_within list does.
+            has_candidates = np.bincount(query, minlength=live.size) > 0
+            group_starts = np.searchsorted(query, np.flatnonzero(has_candidates))
+            closest_delay = np.full(live.size, np.inf)
+            closest_delay[has_candidates] = np.minimum.reduceat(value, group_starts)
+            closest = np.full(live.size, n_nodes)
+            tied = np.where(value == closest_delay[query], member, n_nodes)
+            closest[has_candidates] = np.minimum.reduceat(tied, group_starts)
+
+            # Count each member once per query, however many of its ring
+            # placements were eligible, and never the target itself.
+            fresh = ~is_target & ~probed[live[query], member]
+            query, member = query[fresh], member[fresh]
+            if store.repeats:
+                query, member = np.divmod(np.unique(query * n_nodes + member), n_nodes)
+            probes[live] += np.bincount(query, minlength=live.size)
+            probed[live[query], member] = True
+            if probe_log:
+                for q in probe_log.keys() & set(live[query].tolist()):
+                    probe_log[q].extend(np.unique(member[live[query] == q]).tolist())
+
+            improved = has_candidates & (closest_delay < best_delay[live])
+            best_node[live[improved]] = closest[improved]
+            best_delay[live[improved]] = closest_delay[improved]
+            if config.use_termination:
+                advance = closest_delay <= config.beta * delay
+            else:
+                advance = closest_delay < delay
+            advance &= has_candidates & (closest != current[live])
+            next_node = np.where(advance, closest, -1)
+            next_delay = closest_delay
+
+            # A stalled query consults the restart policy and probes its
+            # alternates exactly as the scalar query does.
+            stalled = np.flatnonzero(~advance) if restart_policy is not None else []
+            for position in stalled:
+                q = int(live[position])
+                node, goal = int(current[q]), int(targets[q])
+                alternates = restart_policy(self, node, goal, float(current_delay[q]))
+                if not alternates:
+                    continue
+                restarted[q] = True
+                members = [int(m) for m in alternates if m != node and m != goal]
+                # A repeated unprobed member counts once per occurrence,
+                # like the scalar gather.
+                fresh = [m for m in members if not probed[q, m]]
+                probes[q] += len(fresh)
+                probed[q, fresh] = True
+                if q in probe_log:
+                    probe_log[q].extend(dict.fromkeys(fresh))
+                if not members:
+                    continue
+                values = {m: self._measured(m, goal) for m in members}
+                closest_member = min(values, key=values.get)
+                if values[closest_member] < best_delay[q]:
+                    best_node[q], best_delay[q] = closest_member, values[closest_member]
+                if values[closest_member] < current_delay[q] and closest_member != node:
+                    if self._row_of[closest_member] < 0:
+                        raise MeridianError(
+                            f"restart policy chose {closest_member}, not a Meridian node"
+                        )
+                    next_node[position] = closest_member
+                    next_delay[position] = values[closest_member]
+
+            moving = next_node >= 0
+            live = live[moving]
+            current[live] = next_node[moving]
+            current_delay[live] = next_delay[moving]
+            hops[live, n_hops[live]] = next_node[moving]
+            n_hops[live] += 1
 
         results = []
-        for state in states:
-            best_node, best_delay = state.best_node, state.best_delay
-            if best_node == state.target and len(state.probed) > 1:
-                others = {k: v for k, v in state.probed.items() if k != state.target}
-                best_node = min(others, key=others.get)
-                best_delay = others[best_node]
-            optimal, optimal_delay = self.true_closest(state.target)
+        for q in range(count):
+            selected, selected_delay = int(best_node[q]), float(best_delay[q])
+            target = int(targets[q])
+            others = [m for m in probe_log.get(q, ()) if m != target]
+            if selected == target and others:
+                # Never answer the target itself: the closest other probed
+                # node, first probed on ties (min over the probe order).
+                values = [self._measured(m, target) for m in others]
+                position = values.index(min(values))
+                selected, selected_delay = others[position], values[position]
             results.append(
                 QueryResult(
-                    target=state.target,
-                    selected=best_node,
-                    selected_delay=float(best_delay),
-                    optimal=optimal,
-                    optimal_delay=float(optimal_delay),
-                    probes=state.probes,
-                    hops=state.hops,
-                    restarted=False,
+                    target=target,
+                    selected=selected,
+                    selected_delay=float(selected_delay),
+                    optimal=int(optimal[q]),
+                    optimal_delay=float(optimal_delay[q]),
+                    probes=int(probes[q]),
+                    hops=hops[q, : n_hops[q]].tolist(),
+                    restarted=bool(restarted[q]),
                 )
             )
         return results
 
 
-class _BatchQueryState:
-    """Per-query bookkeeping of the lock-step batch search.
+def _second_placements(
+    adjuster: MembershipAdjuster,
+    owners: np.ndarray,
+    members: np.ndarray,
+    delays: np.ndarray,
+    usable: np.ndarray,
+) -> np.ndarray:
+    """The adjuster's second placement delay of every candidate (``nan``: none).
 
-    Mirrors the loop-local state of :meth:`MeridianOverlay.closest_neighbor_query`
-    exactly; :meth:`step` is one hop decision with the member delays served
-    from the group's shared gather.
+    An adjuster exposing ``placement_delays(owners, members, delays)``
+    answers for the whole candidate array at once; any other callable is
+    asked about each usable candidate, in the order the reference build
+    asks.
     """
-
-    __slots__ = (
-        "target",
-        "current",
-        "current_delay",
-        "best_node",
-        "best_delay",
-        "probed",
-        "hops",
-        "probes",
-        "done",
-    )
-
-    def __init__(self, target: int, start: int, start_delay: float):
-        self.target = target
-        self.current = start
-        self.current_delay = start_delay
-        self.best_node = start
-        self.best_delay = start_delay
-        self.probed: dict[int, float] = {start: start_delay}
-        self.hops = [start]
-        self.probes = 1
-        self.done = False
-
-    def step(
-        self,
-        candidates: Sequence[int],
-        gathered_column: Optional[np.ndarray],
-        member_row: dict[int, int],
-        config: MeridianConfig,
-    ) -> None:
-        candidate_delays: dict[int, float] = {}
-        for member in candidates:
-            if member == self.target:
-                candidate_delays[member] = 0.0
-                self.probed[member] = 0.0
-            elif member in self.probed:
-                candidate_delays[member] = self.probed[member]
-            else:
-                value = float(gathered_column[member_row[member]])
-                self.probed[member] = value
-                candidate_delays[member] = value
-                self.probes += 1
-
-        next_node: Optional[int] = None
-        if candidate_delays:
-            closest_member = min(candidate_delays, key=candidate_delays.get)
-            closest_delay = candidate_delays[closest_member]
-            if closest_delay < self.best_delay:
-                self.best_node, self.best_delay = closest_member, closest_delay
-            if config.use_termination:
-                advance = closest_delay <= config.beta * self.current_delay
-            else:
-                advance = closest_delay < self.current_delay
-            if advance and closest_member != self.current:
-                next_node = closest_member
-
-        if next_node is None:
-            self.done = True
-        else:
-            self.current = next_node
-            self.current_delay = self.probed[next_node]
-            self.hops.append(next_node)
+    whole = getattr(adjuster, "placement_delays", None)
+    if whole is not None:
+        return np.asarray(whole(owners, members, delays), dtype=float)
+    extra = np.full(delays.shape, np.nan)
+    for row, col in zip(*np.nonzero(usable)):
+        value = adjuster(int(owners[row, 0]), int(members[row, col]), float(delays[row, col]))
+        if value is not None:
+            extra[row, col] = value
+    return extra

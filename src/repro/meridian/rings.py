@@ -186,18 +186,15 @@ class RingSet:
         return placed
 
     def bulk_add(self, members: np.ndarray, delays: np.ndarray) -> int:
-        """Add many fresh members at once (the batched overlay-build path).
+        """Add many fresh members at once, in order, without double placement.
 
-        Equivalent to calling :meth:`add` for each ``(member, delay)`` pair
-        in order (without double placement): members fall into their ring by
-        delay, each ring keeps its first arrivals up to the remaining
-        capacity, and members whose ring is full are dropped entirely.  The
-        ring assignment, the per-ring cut-off and the insertion order are
-        computed as whole-array operations.
+        Equivalent to calling :meth:`add` for each ``(member, delay)`` pair:
+        members fall into their ring by delay, each ring keeps its first
+        arrivals up to the remaining capacity, and members whose ring is
+        full are dropped entirely.
 
-        ``members`` must be distinct and not already stored — the overlay
-        build guarantees this; violations raise so the equivalence with the
-        sequential path can never silently drift.
+        ``members`` must be distinct and not already stored; violations
+        raise rather than silently re-placing a member.
 
         Returns the number of members stored.
         """
@@ -211,27 +208,12 @@ class RingSet:
             raise MeridianError("invalid member delay in bulk add")
         if np.unique(member_arr).size != member_arr.size:
             raise MeridianError("bulk add requires distinct members")
-        if self._delays and any(int(m) in self._delays for m in member_arr):
+        if any(int(m) in self for m in member_arr):
             raise MeridianError("bulk add cannot re-add stored members")
-
-        indices = ring_indices(delay_arr, self._config)
-        capacity = np.array(
-            [self._config.k - len(ring) for ring in self._rings], dtype=np.int64
+        return sum(
+            self.add(member, delay)
+            for member, delay in zip(member_arr.tolist(), delay_arr.tolist())
         )
-        # Stable sort by ring: each member's rank within its ring equals its
-        # sorted position minus the start of the ring's block, i.e. exactly
-        # how many earlier members claimed a slot in the same ring.
-        order = np.argsort(indices, kind="stable")
-        sorted_rings = indices[order]
-        block_starts = np.searchsorted(sorted_rings, sorted_rings, side="left")
-        rank = np.arange(order.size) - block_starts
-        kept = order[rank < capacity[sorted_rings]]
-        for position in np.sort(kept):
-            member = int(member_arr[position])
-            delay = float(delay_arr[position])
-            self._rings[int(indices[position])][member] = delay
-            self._delays[member] = delay
-        return int(kept.size)
 
     def member_delay(self, member: int) -> float:
         """Measured delay to ``member``."""
@@ -277,3 +259,223 @@ class RingSet:
     def occupancy(self) -> list[int]:
         """Number of members stored in each ring."""
         return [len(ring) for ring in self._rings]
+
+
+class RingStore:
+    """The rings of every node of one overlay, as padded whole arrays.
+
+    Row ``r`` lists its owner's ring placements in insertion order: slot
+    ``c < counts[r]`` puts ``members[r, c]`` into ring ``rings[r, c]`` at
+    placement delay ``placement[r, c]``, the member having been measured
+    at ``measured[r, c]``.  A double-placed member fills two slots, one
+    per ring.  Padding slots hold member ``-1`` and ``nan`` delays.
+
+    This is the batched Meridian kernel's ring state: a query hop's
+    eligible members are one comparison over a row (:meth:`eligible`), and
+    a lock-step batch of queries compares many rows at once.
+    """
+
+    def __init__(self, config: MeridianConfig, n_rows: int, width: int = 1):
+        self.config = config
+        shape = (int(n_rows), max(int(width), 1))
+        self.members = np.full(shape, -1, dtype=np.int64)
+        self.rings = np.zeros(shape, dtype=np.int64)
+        self.placement = np.full(shape, np.nan)
+        self.measured = np.full(shape, np.nan)
+        self.counts = np.zeros(shape[0], dtype=np.int64)
+        # Whether some row holds a member in two slots (double placement).
+        self.repeats = False
+        bounds = [ring_bounds(i, config) for i in range(config.n_rings)]
+        self._inner = np.array([inner for inner, _ in bounds])
+        self._outer = np.array([outer for _, outer in bounds])
+        # A slot is eligible for a window [low, high] when its placement
+        # delay lies inside it *and* its ring overlaps it (members_within
+        # skips non-overlapping rings, which matters when rounding put a
+        # boundary delay just outside its ring).  Both tests fold into
+        # reach_low >= low and reach_high <= high.
+        self._reach_low = np.full(shape, np.nan)
+        self._reach_high = np.full(shape, np.nan)
+
+    @classmethod
+    def place(
+        cls,
+        config: MeridianConfig,
+        members: np.ndarray,
+        delays: np.ndarray,
+        usable: np.ndarray,
+        extra: np.ndarray | None = None,
+    ) -> "RingStore":
+        """Fill a store with one vectorised placement pass over all rows.
+
+        ``members``, ``delays``, ``usable`` and ``extra`` are matching
+        ``(n_rows, width)`` arrays.  Row ``r`` offers ``members[r, j]``, measured at ``delays[r, j]``,
+        in column order, skipping columns where ``usable`` is False;
+        ``extra[r, j]`` (``nan`` for none) is a second placement delay like
+        :meth:`RingSet.add`'s ``also_at_delay``.  Members must be distinct
+        within a row.  The rings equal what :meth:`RingSet.add` builds from
+        an empty ring set per row, calls made in the same order: every
+        placement claims a slot in its ring, and each ring keeps its first
+        ``k`` claims.
+        """
+        n_rows, width = members.shape
+        first = delays[usable]
+        if first.size and (first.min() < 0 or not np.all(np.isfinite(first))):
+            raise MeridianError("invalid member delay in ring placement")
+        first_ring = np.zeros(members.shape, dtype=np.int64)
+        first_ring[usable] = ring_indices(first, config)
+        claimed, ring, placement = [usable], [first_ring], [delays]
+        if extra is not None:
+            second = usable & ~np.isnan(extra)
+            values = extra[second]
+            if values.size and (values.min() < 0 or not np.all(np.isfinite(values))):
+                raise MeridianError("invalid second placement delay")
+            second_ring = np.zeros(members.shape, dtype=np.int64)
+            second_ring[second] = ring_indices(values, config)
+            # A second placement into the first placement's ring changes
+            # nothing: the member is already there, or that ring is full.
+            claimed.append(second & (second_ring != first_ring))
+            ring.append(second_ring)
+            placement.append(extra)
+        layers = len(claimed)
+        # Row-major over (row, column, layer) is exactly insertion order.
+        claims = np.flatnonzero(np.stack(claimed, axis=-1))
+        rows = claims // (width * layers)
+        claim_ring = np.stack(ring, axis=-1).ravel()[claims]
+
+        # Rank every claim among the earlier claims on the same (row, ring);
+        # a stable sort keeps insertion order inside each group.
+        group = rows * config.n_rings + claim_ring
+        order = np.argsort(group, kind="stable")
+        sorted_group = group[order]
+        rank = np.arange(order.size) - np.searchsorted(sorted_group, sorted_group, side="left")
+        kept = np.empty(claims.size, dtype=bool)
+        kept[order] = rank < config.k
+        claims, rows = claims[kept], rows[kept]
+
+        counts = np.bincount(rows, minlength=n_rows)
+        store = cls(config, n_rows, int(counts.max(initial=0)))
+        columns = np.arange(claims.size) - (np.cumsum(counts) - counts)[rows]
+        candidate = claims // layers
+        store.members[rows, columns] = members.ravel()[candidate]
+        store.rings[rows, columns] = np.stack(ring, axis=-1).ravel()[claims]
+        store.placement[rows, columns] = np.stack(placement, axis=-1).ravel()[claims]
+        store.measured[rows, columns] = delays.ravel()[candidate]
+        store.counts = counts.astype(np.int64)
+        store.repeats = bool(np.any(candidate[1:] == candidate[:-1]))
+        store._reach_low = np.minimum(store.placement, store._outer[store.rings])
+        store._reach_high = np.maximum(store.placement, store._inner[store.rings])
+        return store
+
+    def eligible(self, rows, low, high) -> np.ndarray:
+        """Slot mask of ``rows`` that ``members_within(low, high)`` reports.
+
+        ``rows`` is one row index or an index array; ``low``/``high`` are
+        scalars or one window per row.
+        """
+        low = np.asarray(low, dtype=float)[..., None]
+        high = np.asarray(high, dtype=float)[..., None]
+        return (self._reach_low[rows] >= low) & (self._reach_high[rows] <= high)
+
+    def add(self, row: int, member: int, delay: float, also_at_delay: float | None = None) -> bool:
+        """:meth:`RingSet.add` on row ``row`` (same rules, same result)."""
+        if delay < 0 or not math.isfinite(delay):
+            raise MeridianError(f"invalid member delay {delay}")
+        placed = False
+        for d in ([delay] if also_at_delay is None else [delay, also_at_delay]):
+            idx = ring_index(d, self.config)
+            count = int(self.counts[row])
+            in_ring = self.rings[row, :count] == idx
+            if np.any(in_ring & (self.members[row, :count] == member)):
+                placed = True
+                continue
+            if np.count_nonzero(in_ring) < self.config.k:
+                self.repeats |= bool(np.any(self.members[row, :count] == member))
+                self._append(row, member, idx, d)
+                placed = True
+        if placed:
+            count = int(self.counts[row])
+            self.measured[row, :count][self.members[row, :count] == member] = delay
+        return placed
+
+    def _append(self, row: int, member: int, ring: int, placement: float) -> None:
+        count = int(self.counts[row])
+        if count == self.members.shape[1]:
+            pad = self.members.shape[1]
+            self.members = np.pad(self.members, ((0, 0), (0, pad)), constant_values=-1)
+            self.rings = np.pad(self.rings, ((0, 0), (0, pad)))
+            for name in ("placement", "measured", "_reach_low", "_reach_high"):
+                grown = np.pad(getattr(self, name), ((0, 0), (0, pad)), constant_values=np.nan)
+                setattr(self, name, grown)
+        self.members[row, count] = member
+        self.rings[row, count] = ring
+        self.placement[row, count] = placement
+        self._reach_low[row, count] = min(placement, self._outer[ring])
+        self._reach_high[row, count] = max(placement, self._inner[ring])
+        self.counts[row] = count + 1
+
+    def row_members(self, row: int) -> np.ndarray:
+        """Member id of every filled slot of ``row``, in insertion order."""
+        return self.members[row, : self.counts[row]]
+
+
+class StoredRingSet(RingSet):
+    """One node's rings held in row ``row`` of a :class:`RingStore`.
+
+    A :class:`RingSet` in every observable way — same methods, same values,
+    same insertion orders — whose state lives in the overlay-wide store the
+    batched kernel queries, so reading or adding through either view sees
+    the same rings.
+    """
+
+    def __init__(self, store: RingStore, row: int):
+        # The dict-backed state of RingSet is replaced by the store row.
+        self._config = store.config
+        self._store = store
+        self._row = int(row)
+
+    def __len__(self) -> int:
+        return len(self.members())
+
+    def __contains__(self, member: int) -> bool:
+        return bool(np.any(self._store.row_members(self._row) == member))
+
+    def add(self, member: int, delay: float, *, also_at_delay: float | None = None) -> bool:
+        return self._store.add(self._row, member, delay, also_at_delay)
+
+    def member_delay(self, member: int) -> float:
+        slots = np.flatnonzero(self._store.row_members(self._row) == member)
+        if slots.size == 0:
+            raise MeridianError(f"node {member} is not a ring member")
+        return float(self._store.measured[self._row, slots[0]])
+
+    def members(self) -> list[int]:
+        return list(dict.fromkeys(self._store.row_members(self._row).tolist()))
+
+    def ring_members(self, index: int) -> dict[int, float]:
+        if not 0 <= index < self._config.n_rings:
+            raise MeridianError(f"ring index {index} out of range")
+        count = self._store.counts[self._row]
+        in_ring = self._store.rings[self._row, :count] == index
+        return dict(
+            zip(
+                self._store.members[self._row, :count][in_ring].tolist(),
+                self._store.placement[self._row, :count][in_ring].tolist(),
+            )
+        )
+
+    def ring_of(self, member: int) -> list[int]:
+        count = self._store.counts[self._row]
+        mine = self._store.members[self._row, :count] == member
+        return np.unique(self._store.rings[self._row, :count][mine]).tolist()
+
+    def members_within(self, low: float, high: float) -> list[int]:
+        found = np.sort(self._store.members[self._row][self._store.eligible(self._row, low, high)])
+        if self._store.repeats and found.size > 1:
+            found = found[np.concatenate(([True], found[1:] != found[:-1]))]
+        return found.tolist()
+
+    def occupancy(self) -> list[int]:
+        count = self._store.counts[self._row]
+        return np.bincount(
+            self._store.rings[self._row, :count], minlength=self._config.n_rings
+        ).tolist()

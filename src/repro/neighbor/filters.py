@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.delayspace.matrix import DelayMatrix
+from repro.delayspace.matrix import DelayMatrix, edge_mask
 from repro.errors import NeighborSelectionError
 from repro.stats.rng import RngLike, ensure_rng
 from repro.tiv.severity import TIVSeverityResult
@@ -58,17 +58,16 @@ def random_neighbor_lists(
     gen = ensure_rng(rng)
     n = matrix.n_nodes
     k = min(n_neighbors, n - 1)
-    excluded = {frozenset(edge) for edge in (excluded_edges or set())}
+    excluded = edge_mask(n, excluded_edges)
 
     lists: list[list[int]] = []
     for i in range(n):
         pool = np.delete(np.arange(n), i)
         gen.shuffle(pool)
-        allowed = [int(j) for j in pool if frozenset((i, int(j))) not in excluded]
-        blocked = [int(j) for j in pool if frozenset((i, int(j))) in excluded]
-        chosen = allowed[:k]
+        blocked = excluded[i, pool]
+        chosen = pool[~blocked][:k].tolist()
         if len(chosen) < k:
-            chosen.extend(blocked[: k - len(chosen)])
+            chosen.extend(pool[blocked][: k - len(chosen)].tolist())
         lists.append(chosen)
     return lists
 

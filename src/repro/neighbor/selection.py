@@ -228,8 +228,9 @@ class MeridianSelectionExperiment:
     n_runs:
         Number of independent Meridian-node subsets (paper: 5).
     max_clients:
-        Optional cap on the number of clients evaluated per run (keeps the
-        scaled-down experiments fast); ``None`` evaluates every client.
+        Optional cap (>= 1) on the number of clients evaluated per run
+        (keeps the scaled-down experiments fast); ``None`` evaluates every
+        client.
     rng:
         Seed or generator.
     overlay_kwargs:
@@ -254,6 +255,8 @@ class MeridianSelectionExperiment:
     ):
         if n_meridian < 2 or n_meridian >= matrix.n_nodes:
             raise NeighborSelectionError("n_meridian must be in [2, n_nodes)")
+        if max_clients is not None and max_clients < 1:
+            raise NeighborSelectionError("max_clients must be >= 1 (or None for every client)")
         self._matrix = matrix
         self._n_meridian = n_meridian
         self._config = config if config is not None else MeridianConfig()
@@ -288,17 +291,14 @@ class MeridianSelectionExperiment:
             if self._max_clients is not None and clients.size > self._max_clients:
                 clients = clients[: self._max_clients]
             overlay = self._build_overlay(meridian_nodes, run_rng)
-            penalties = []
-            probes = 0
-            for client in clients:
-                outcome = overlay.closest_neighbor_query(
-                    int(client), restart_policy=self._restart_policy
-                )
-                penalties.append(outcome.percentage_penalty)
-                probes += outcome.probes
+            outcomes = overlay.closest_neighbor_query_batch(
+                clients.tolist(), restart_policy=self._restart_policy
+            )
             results.append(
                 NeighborSelectionResult(
-                    penalties=np.asarray(penalties), probes=probes, n_runs=1
+                    penalties=np.asarray([o.percentage_penalty for o in outcomes]),
+                    probes=sum(o.probes for o in outcomes),
+                    n_runs=1,
                 )
             )
         return NeighborSelectionResult.pooled(results)

@@ -133,6 +133,30 @@ def _setup_meridian_query(kernel: str):
     return setup
 
 
+def _setup_meridian_build(kernel: str):
+    def setup(size: int, seed: int) -> tuple[PreparedKernel, float]:
+        from repro.coords.vivaldi import VivaldiConfig, VivaldiSystem
+        from repro.core.alert import TIVAlert
+        from repro.core.tiv_aware_meridian import build_tiv_aware_overlay
+
+        matrix = _dataset(size, seed)
+        system = VivaldiSystem(matrix, VivaldiConfig(), rng=seed + 1)
+        system.run(20)  # a partly converged embedding: the alert fires on some edges
+        alert = TIVAlert(matrix, system)
+        meridian_ids = list(range(0, size, 2))
+
+        def run() -> int:
+            # One call = one TIV-aware overlay build (the slowest variant:
+            # every usable edge is checked for double placement), seeded
+            # identically each time so both kernels build the same rings.
+            build_tiv_aware_overlay(matrix, meridian_ids, alert, rng=seed + 1, kernel=kernel)
+            return len(meridian_ids)
+
+        return run, float(len(meridian_ids))
+
+    return setup
+
+
 def _setup_tiv_severity(size: int, seed: int) -> tuple[PreparedKernel, float]:
     from repro.tiv.severity import compute_tiv_severity
 
@@ -363,7 +387,7 @@ _KERNELS: dict[str, KernelSpec] = {
         ),
         KernelSpec(
             "meridian_query_batched",
-            "closest-node queries over whole-ring delay gathers",
+            "closest-node queries reading eligible members from the ring store",
             "queries/s",
             _setup_meridian_query("batched"),
         ),
@@ -372,6 +396,18 @@ _KERNELS: dict[str, KernelSpec] = {
             "closest-node queries with per-member probe loops",
             "queries/s",
             _setup_meridian_query("reference"),
+        ),
+        KernelSpec(
+            "meridian_build_batched",
+            "TIV-aware Meridian overlay build in one whole-array ring placement pass",
+            "nodes/s",
+            _setup_meridian_build("batched"),
+        ),
+        KernelSpec(
+            "meridian_build_reference",
+            "TIV-aware Meridian overlay build with per-member ring adds",
+            "nodes/s",
+            _setup_meridian_build("reference"),
         ),
         KernelSpec(
             "tiv_severity",

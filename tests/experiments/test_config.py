@@ -46,6 +46,12 @@ class TestExperimentConfig:
             ExperimentConfig(vivaldi_seconds=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(meridian_small_count=1)
+        with pytest.raises(ConfigError, match="max_clients"):
+            ExperimentConfig(max_clients=0)
+        with pytest.raises(ConfigError, match="max_clients"):
+            ExperimentConfig(max_clients=-3)
+        assert ExperimentConfig(max_clients=None).max_clients is None
+        assert ExperimentConfig(max_clients=1).max_clients == 1
         with pytest.raises(ConfigError):
             ExperimentConfig(kernels={"vivaldi": "turbo"})
         with pytest.raises(ConfigError):

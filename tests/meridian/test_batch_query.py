@@ -109,6 +109,18 @@ class TestBatchQueryValidation:
         with pytest.raises(MeridianError, match="not a Meridian node"):
             overlay.closest_neighbor_query_batch([1], start_nodes=[1])
 
+    @pytest.mark.parametrize("max_hops", [-1, 0, 1])
+    def test_hop_budget_matches_scalar(self, small_internet_matrix, max_hops):
+        ov_scalar, ov_batch = overlays(small_internet_matrix, seed=8)
+        targets, starts = [1, 3, 5], [0, 2, 4]
+        scalar = [
+            ov_scalar.closest_neighbor_query(t, start_node=s, max_hops=max_hops)
+            for t, s in zip(targets, starts)
+        ]
+        assert ov_batch.closest_neighbor_query_batch(
+            targets, start_nodes=starts, max_hops=max_hops
+        ) == scalar
+
     def test_mismatched_start_count_raises(self, small_internet_matrix):
         overlay, _ = overlays(small_internet_matrix)
         with pytest.raises(MeridianError, match="entries for"):
@@ -119,6 +131,27 @@ class TestBatchQueryValidation:
         results = overlay.closest_neighbor_query_batch([1, 3, 5])
         assert all(not r.restarted for r in results)
         assert all(isinstance(r.selected_delay, float) for r in results)
+
+
+class TestBatchRestartPolicy:
+    def test_restart_policy_matches_scalar(self, small_internet_matrix):
+        # Every stalled query restarts through three of its node's members
+        # (repeats included); the batch must replay the scalar control flow.
+        def restart(overlay, current, target, delay):
+            return overlay.node(current).members()[:3] * 2
+
+        ov_scalar, ov_batch = overlays(small_internet_matrix, seed=6)
+        targets = list(range(1, 80, 2))
+        starts = [ov_scalar.meridian_ids[t % 40] for t in targets]
+        scalar = [
+            ov_scalar.closest_neighbor_query(t, start_node=s, restart_policy=restart)
+            for t, s in zip(targets, starts)
+        ]
+        batch = ov_batch.closest_neighbor_query_batch(
+            targets, start_nodes=starts, restart_policy=restart
+        )
+        assert batch == scalar
+        assert any(r.restarted for r in batch)
 
 
 class TestScalarMeridianTargetRegression:

@@ -345,8 +345,8 @@ class TestKernels:
         self._assert_same_rings(*overlays)
 
     def test_identical_rings_with_membership_adjuster(self, small_internet_matrix):
-        # A membership adjuster forces the per-member build path under both
-        # kernels; the batched overlay must still produce the same rings.
+        # A plain callable adjuster is asked edge by edge; the batched build
+        # still places the resulting double placements in one pass.
         adjuster = lambda owner, member, delay: delay * 2 if delay < 50 else None  # noqa: E731
         overlays = [
             MeridianOverlay(

@@ -10,6 +10,26 @@ from repro.neighbor.filters import (
     severity_excluded_edges,
     severity_filtered_neighbor_lists,
 )
+from repro.stats.rng import ensure_rng
+
+
+def scalar_random_neighbor_lists(matrix, *, n_neighbors, rng, excluded_edges=None):
+    """The per-pair frozenset loop the edge-mask version must reproduce."""
+    gen = ensure_rng(rng)
+    n = matrix.n_nodes
+    k = min(n_neighbors, n - 1)
+    excluded = {frozenset(edge) for edge in (excluded_edges or set())}
+    lists = []
+    for i in range(n):
+        pool = np.delete(np.arange(n), i)
+        gen.shuffle(pool)
+        allowed = [int(j) for j in pool if frozenset((i, int(j))) not in excluded]
+        blocked = [int(j) for j in pool if frozenset((i, int(j))) in excluded]
+        chosen = allowed[:k]
+        if len(chosen) < k:
+            chosen.extend(blocked[: k - len(chosen)])
+        lists.append(chosen)
+    return lists
 
 
 class TestSeverityExcludedEdges:
@@ -62,6 +82,32 @@ class TestRandomNeighborLists:
         a = random_neighbor_lists(small_internet_matrix, n_neighbors=5, rng=9)
         b = random_neighbor_lists(small_internet_matrix, n_neighbors=5, rng=9)
         assert a == b
+
+
+class TestRandomNeighborListsOracle:
+    """The edge-mask lists equal the per-pair frozenset loop exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_no_exclusions(self, small_internet_matrix, seed):
+        assert random_neighbor_lists(
+            small_internet_matrix, n_neighbors=32, rng=seed
+        ) == scalar_random_neighbor_lists(small_internet_matrix, n_neighbors=32, rng=seed)
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.2, 0.9])
+    def test_severity_exclusions(self, small_internet_matrix, small_internet_severity, fraction):
+        excluded = severity_excluded_edges(small_internet_severity, fraction=fraction)
+        kwargs = {"n_neighbors": 16, "rng": 3, "excluded_edges": excluded}
+        assert random_neighbor_lists(
+            small_internet_matrix, **kwargs
+        ) == scalar_random_neighbor_lists(small_internet_matrix, **kwargs)
+
+    def test_edges_in_either_order_and_out_of_range(self, small_internet_matrix):
+        n = small_internet_matrix.n_nodes
+        excluded = {(5, 0), (0, 7), (3, 3), (1, n + 4), (-1, 2)} | {(0, j) for j in range(40, 70)}
+        kwargs = {"n_neighbors": 8, "rng": 12, "excluded_edges": excluded}
+        assert random_neighbor_lists(
+            small_internet_matrix, **kwargs
+        ) == scalar_random_neighbor_lists(small_internet_matrix, **kwargs)
 
 
 class TestSeverityFilteredLists:

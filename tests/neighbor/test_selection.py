@@ -162,6 +162,21 @@ class TestMeridianSelectionExperiment:
                 small_internet_matrix, n_meridian=small_internet_matrix.n_nodes
             )
 
+    @pytest.mark.parametrize("max_clients", [0, -3])
+    def test_non_positive_max_clients_rejected(self, small_internet_matrix, max_clients):
+        # 0 used to crash summary() inside np.quantile; a negative cap used
+        # to silently drop the last clients through clients[:-3].
+        with pytest.raises(NeighborSelectionError, match="max_clients"):
+            MeridianSelectionExperiment(
+                small_internet_matrix, n_meridian=20, max_clients=max_clients
+            )
+
+    def test_no_cap_evaluates_every_client(self, small_internet_matrix):
+        result = MeridianSelectionExperiment(
+            small_internet_matrix, n_meridian=70, n_runs=1, max_clients=None, rng=2
+        ).run()
+        assert result.penalties.size == small_internet_matrix.n_nodes - 70
+
     def test_overlay_kwargs_forwarded(self, small_internet_matrix):
         result = MeridianSelectionExperiment(
             small_internet_matrix,

@@ -26,6 +26,7 @@ class TestKernelRegistry:
             "gnp_fit",
             "ides_fit",
             "lat_adjust",
+            "meridian_build",
             "meridian_query",
             "stream_closest",
         ):
@@ -48,6 +49,7 @@ class TestKernelRegistry:
             "gnp_fit",
             "ides_fit",
             "lat_adjust",
+            "meridian_build",
             "meridian_query",
             "stream_closest",
         }
