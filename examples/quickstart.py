@@ -69,8 +69,8 @@ def main(n_nodes: int = 200) -> None:
     alerted_edges = alert.alerted_edges(threshold=0.6)
     hit = len(worst & alerted_edges)
     print(f"\nof the {len(worst)} worst-severity edges, {hit} are flagged by the alert")
-    print("done — see examples/server_selection.py and examples/overlay_multicast.py "
-          "for the alert applied to real neighbour-selection tasks")
+    print("done — see examples/server_selection.py for the alert applied to a real "
+          "neighbour-selection task")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Markdown report generation for experiment results.
 
-EXPERIMENTS.md in this repository is a curated paper-vs-measured table; this
-module produces the raw, regenerated counterpart: run any subset of the
-figure experiments and render their headline numbers as a Markdown document
-(one section per figure, scalar results flattened into bullet lists).  Used
-by ``python -m repro report`` and handy when re-running at a different scale
-or seed.
+Run any subset of the figure experiments and render their headline
+numbers as a Markdown document (one section per figure, scalar results
+flattened into bullet lists).  Used by ``python -m repro report`` and
+handy when re-running at a different scale or seed.  The paper's claims
+about these numbers, and the seeds on which they fail, are tabled in
+DESIGN.md (*Paper claims*).
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def generate_report(
         "",
         "Absolute values depend on the synthetic substrate (DESIGN.md §2); compare",
         "shapes against the paper using the per-figure expectations below and the",
-        "curated table in EXPERIMENTS.md.",
+        "claims table in DESIGN.md (Paper claims).",
         "",
     ]
     sections = [render_result(results[key]) for key in results]

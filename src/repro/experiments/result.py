@@ -18,7 +18,7 @@ class ExperimentResult:
         Short human-readable description of what the figure shows.
     data:
         The regenerated series/statistics.  Keys are runner-specific but are
-        documented in each runner's docstring and in EXPERIMENTS.md.
+        documented in each runner's docstring.
     paper_expectation:
         One-line statement of the qualitative result the paper reports, so a
         reader can compare ``data`` against it directly.
@@ -33,7 +33,7 @@ class ExperimentResult:
     notes: str = ""
 
     def summary(self) -> dict[str, Any]:
-        """Compact dictionary view used by EXPERIMENTS.md generation."""
+        """Compact dictionary view: the id, title, expectation and notes, without ``data``."""
         return {
             "experiment": self.experiment_id,
             "title": self.title,

@@ -90,7 +90,7 @@ class NeighborSelectionResult:
         return float(np.median(self.penalties[np.isfinite(self.penalties)]))
 
     def summary(self) -> dict[str, float]:
-        """Scalar summary used by EXPERIMENTS.md and the benchmarks."""
+        """Scalar summary: what the figure runners report and the claims in DESIGN.md compare."""
         finite = self.penalties[np.isfinite(self.penalties)]
         return {
             "tests": float(self.penalties.size),

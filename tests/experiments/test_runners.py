@@ -1,7 +1,8 @@
 """Integration tests: every experiment runner produces a sane result.
 
 These use a deliberately small configuration so the whole module runs in
-well under a minute; the benchmarks exercise the realistic sizes.
+well under a minute; ``tests/claims`` checks the paper's claims at 120 and
+240 nodes.
 """
 
 import numpy as np
@@ -114,9 +115,9 @@ class TestSection3Results:
 class TestSection4Results:
     def test_fig15_reports_both_mechanisms(self, all_results):
         """Structural check only: the paper-direction claim (IDES no better
-        than Vivaldi for neighbour selection) is asserted at realistic scale
-        by benchmarks/test_fig15.py — at this test's tiny scale the landmark
-        budget covers a large share of the matrix and the comparison flips.
+        than Vivaldi for neighbour selection) is checked at 120 and 240 nodes
+        by tests/claims — at this test's tiny scale the landmark budget
+        covers a large share of the matrix and the comparison flips.
         """
         data = all_results["fig15"].data
         for key in ("vivaldi", "ides"):
