@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     from repro.tiv.severity import TIVSeverityResult
 
 #: Coordinate systems :func:`build_embedding` can construct.
-EMBEDDING_SYSTEMS = ("vivaldi", "gnp", "ides", "lat")
+EMBEDDING_SYSTEMS = ("vivaldi", "ides", "lat")
 
 
 def load_matrix(
@@ -91,12 +91,12 @@ def build_embedding(
     Parameters
     ----------
     system:
-        ``"vivaldi"`` (the paper's main embedding), ``"gnp"``, ``"ides"``
-        or ``"lat"`` (the §4.2 strawmen; LAT fits a Vivaldi embedding
-        first and adjusts it).
+        ``"vivaldi"`` (the paper's main embedding), ``"ides"`` or
+        ``"lat"`` (the §4.2 strawmen; LAT fits a Vivaldi embedding first
+        and adjusts it).
     kernel:
-        ``"batched"`` or ``"reference"`` — same semantics as
-        ``ExperimentConfig.kernels``.
+        ``"batched"`` (the whole-array code path every figure runs) or
+        ``"reference"`` (the scalar loops kept as its equivalence oracle).
     seconds:
         Simulated convergence seconds (Vivaldi-based systems only).
     seed:
@@ -108,10 +108,6 @@ def build_embedding(
         from repro.coords.vivaldi import embed_vivaldi
 
         return embed_vivaldi(matrix, seconds=seconds, rng=seed, kernel=kernel, **kwargs)
-    if system == "gnp":
-        from repro.coords.gnp import fit_gnp
-
-        return fit_gnp(matrix, rng=seed, kernel=kernel, **kwargs)
     if system == "ides":
         from repro.coords.ides import fit_ides
 

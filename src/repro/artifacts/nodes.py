@@ -49,10 +49,12 @@ import numpy as np
 
 from repro.errors import ExperimentError
 
-#: Values the kernel-switch parameters may take.  Entries carrying any
-#: other value (or missing a declared era parameter entirely) belong to a
-#: retired kernel era and are eligible for ``repro cache prune``.
-KNOWN_KERNELS = ("batched", "reference")
+#: Values the kernel parameters of live addresses may take.  Every
+#: experiment run uses the batched kernels, so entries carrying any other
+#: value (``"reference"`` entries written while runs could pick a kernel)
+#: or missing a declared era parameter entirely belong to a retired kernel
+#: era and are eligible for ``repro cache prune``.
+KNOWN_KERNELS = ("batched",)
 
 
 @dataclass(frozen=True, order=True)
@@ -233,11 +235,11 @@ def _embedding_params(ctx, instance) -> dict:
         "n_nodes": ctx.config.n_nodes,
         "seed": ctx.config.seed,
         "vivaldi_seconds": ctx.config.vivaldi_seconds,
-        # The kernel always joins the address (even at its default): the
-        # batched kernel follows a different per-seed stream than the
-        # scalar one, so entries written by pre-kernel versions of this
-        # code must read as misses, not as stale hits.
-        "kernel": ctx.config.kernel_for("vivaldi"),
+        # Every run uses the batched kernel, but its name stays in the
+        # address: it follows a different per-seed stream than the scalar
+        # one, so entries written by pre-kernel versions of this code must
+        # read as misses, not as stale hits.
+        "kernel": "batched",
     }
     if ctx.scenario is not None and not ctx.scenario.is_noop:
         params["scenario"] = ctx.scenario.cache_params()
@@ -247,7 +249,7 @@ def _embedding_params(ctx, instance) -> dict:
 def _ides_params(ctx, instance) -> dict:
     """IDES never touches the Vivaldi embedding: dataset address + kernel."""
     params = _dataset_params(ctx, _main_instance(ctx))
-    params["kernel"] = ctx.config.kernel_for("ides")
+    params["kernel"] = "batched"
     return params
 
 
@@ -257,7 +259,7 @@ def _lat_params(ctx, instance) -> dict:
     top because the two LAT kernels follow different per-seed sampling
     streams."""
     params = _embedding_params(ctx, instance)
-    params["coords_kernel"] = ctx.config.kernel_for("lat")
+    params["coords_kernel"] = "batched"
     return params
 
 
@@ -549,12 +551,7 @@ def _compute_shortest_shard(ctx, instance):
 def _build_vivaldi_system(ctx):
     from repro.coords.vivaldi import VivaldiConfig, VivaldiSystem
 
-    return VivaldiSystem(
-        ctx.matrix,
-        VivaldiConfig(),
-        rng=ctx.config.seed + 1,
-        kernel=ctx.config.kernel_for("vivaldi"),
-    )
+    return VivaldiSystem(ctx.matrix, VivaldiConfig(), rng=ctx.config.seed + 1)
 
 
 def _compute_vivaldi(ctx, instance):
@@ -608,7 +605,6 @@ def _compute_ides(ctx, instance):
         ctx.matrix,
         IDESConfig(method="svd", n_landmarks=n_landmarks),
         rng=ctx.config.seed,
-        kernel=ctx.config.kernel_for("ides"),
     )
 
 
@@ -632,7 +628,7 @@ def _payload_ides(value):
 def _compute_lat(ctx, instance):
     from repro.coords.lat import fit_lat
 
-    return fit_lat(ctx.vivaldi, rng=ctx.config.seed, kernel=ctx.config.kernel_for("lat"))
+    return fit_lat(ctx.vivaldi, rng=ctx.config.seed)
 
 
 def _restore_lat(ctx, instance, entry):

@@ -10,7 +10,8 @@ artifact node could have written:
 * entries whose stored parameters re-address to a different file name
   (written under a retired ``CACHE_SCHEMA`` tag, or corrupted);
 * entries predating a node's declared era parameters (e.g. a ``vivaldi``
-  entry without a ``kernel`` parameter) or carrying retired era values;
+  entry without a ``kernel`` parameter) or carrying retired era values
+  (e.g. a ``"reference"`` kernel, which no experiment run writes);
 * orphaned halves of the ``.npz`` + ``.json`` pair, raw-layout entries
   (``<key>__<name>.npy`` shard files, see
   :meth:`~repro.experiments.cache.ArtifactCache.store_raw`) missing any

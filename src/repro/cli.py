@@ -888,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=None,
         help="subset of kernels to time: kernel names, family names "
-        "(e.g. gnp_fit expands to its batched+reference pair) or "
+        "(e.g. ides_fit expands to its batched+reference pair) or "
         "comma-separated lists of either (default: all kernels)",
     )
     bench.add_argument(

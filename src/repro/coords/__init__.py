@@ -16,7 +16,6 @@
 """
 
 from repro.coords.base import DelayPredictor, MatrixPredictor
-from repro.coords.gnp import GNPConfig, GNPCoordinates, fit_gnp
 from repro.coords.ides import IDESConfig, IDESCoordinates, fit_ides
 from repro.coords.lat import LATCoordinates, fit_lat
 from repro.coords.online import OnlineVivaldi, OnlineVivaldiConfig
@@ -38,7 +37,4 @@ __all__ = [
     "fit_ides",
     "LATCoordinates",
     "fit_lat",
-    "GNPConfig",
-    "GNPCoordinates",
-    "fit_gnp",
 ]

@@ -4,8 +4,8 @@ Every coordinate system in this library (Vivaldi, IDES, LAT) exposes the
 same small surface: predict the delay between two nodes, and materialise the
 full predicted-delay matrix.  The neighbour-selection harness and the TIV
 alert mechanism are written against this interface, so plugging in a new
-coordinate system (e.g. GNP or a hyperbolic embedding) only requires
-implementing :class:`DelayPredictor`.
+coordinate system (e.g. a hyperbolic embedding) only requires implementing
+:class:`DelayPredictor`.
 """
 
 from __future__ import annotations

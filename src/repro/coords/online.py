@@ -61,8 +61,8 @@ class OnlineVivaldiConfig:
         Constant scaling the error-estimate update (0.25).
     rho:
         Gravity tuning factor (Ledlie et al.): after each update the
-        coordinate is pulled toward the origin by ``(|x| / rho)**2``.
-        ``0`` disables gravity.
+        coordinate is pulled toward the origin by ``(|x| / rho)**2``, but
+        never past it.  ``0`` disables gravity.
     use_height:
         Whether coordinates carry the non-Euclidean height component.
     min_height:
@@ -273,10 +273,13 @@ class OnlineVivaldi:
         if cfg.rho > 0:
             # Rho gravity (Ledlie et al.): a quadratic pull toward the
             # origin counters whole-system drift without disturbing
-            # relative distances at working scale.
+            # relative distances at working scale.  The pull stops at the
+            # origin: unclamped, it crosses the origin once |x| > rho**2,
+            # and once |x| > 2 * rho**2 it lands farther out than it
+            # started, so every later step lands farther still.
             norm = float(np.linalg.norm(self._coords[i]))
             if norm > 0:
-                pull = (norm / cfg.rho) ** 2
+                pull = min((norm / cfg.rho) ** 2, norm)
                 self._coords[i] -= self._coords[i] * (pull / norm)
 
         self._last_update[i] = float(t)

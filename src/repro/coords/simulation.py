@@ -89,8 +89,6 @@ class VivaldiSimulation:
     neighbors:
         Optional explicit neighbour lists passed through to
         :class:`VivaldiSystem`.
-    kernel:
-        Step kernel passed through to :class:`VivaldiSystem`.
     """
 
     def __init__(
@@ -100,11 +98,8 @@ class VivaldiSimulation:
         *,
         rng: RngLike = None,
         neighbors: Optional[Sequence[Sequence[int]]] = None,
-        kernel: str = "batched",
     ):
-        self._system = VivaldiSystem(
-            matrix, config, rng=rng, neighbors=neighbors, kernel=kernel
-        )
+        self._system = VivaldiSystem(matrix, config, rng=rng, neighbors=neighbors)
         self._matrix = matrix
 
     @property

@@ -100,9 +100,6 @@ class DynamicNeighborVivaldi:
     rng:
         Seed or generator (controls initial neighbours, candidate sampling
         and the Vivaldi dynamics).
-    kernel:
-        Step kernel passed through to the underlying
-        :class:`~repro.coords.vivaldi.VivaldiSystem`.
     """
 
     def __init__(
@@ -111,7 +108,6 @@ class DynamicNeighborVivaldi:
         config: DynamicVivaldiConfig | None = None,
         *,
         rng: RngLike = None,
-        kernel: str = "batched",
     ):
         self._matrix = matrix
         self._config = config if config is not None else DynamicVivaldiConfig()
@@ -120,7 +116,7 @@ class DynamicNeighborVivaldi:
             matrix, n_neighbors=self._config.vivaldi.n_neighbors, rng=self._rng
         )
         self._system = VivaldiSystem(
-            matrix, self._config.vivaldi, rng=self._rng, neighbors=initial, kernel=kernel
+            matrix, self._config.vivaldi, rng=self._rng, neighbors=initial
         )
         self._iterations: list[DynamicVivaldiIteration] = []
 

@@ -143,9 +143,7 @@ def fig22_23_dynamic_neighbor(
     ctx = ExperimentContext.resolve(config, context)
     cfg = ctx.config
     dynamic_config = DynamicVivaldiConfig(period=cfg.vivaldi_seconds)
-    dynamic = DynamicNeighborVivaldi(
-        ctx.matrix, dynamic_config, rng=cfg.seed + 8, kernel=cfg.kernel_for("vivaldi")
-    )
+    dynamic = DynamicNeighborVivaldi(ctx.matrix, dynamic_config, rng=cfg.seed + 8)
     snapshots = dynamic.run(iterations)
     report = tuple(i for i in report_iterations if i <= iterations)
 
@@ -207,7 +205,7 @@ def _meridian_alert_comparison(
     alert = ctx.alert
 
     results: dict[str, dict[str, float]] = {}
-    overlay_kwargs = {"full_membership": full_membership, "kernel": cfg.kernel_for("meridian")}
+    overlay_kwargs = {"full_membership": full_membership}
 
     results["meridian_original"] = MeridianSelectionExperiment(
         ctx.matrix,

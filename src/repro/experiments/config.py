@@ -12,36 +12,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-#: Values a kernel entry may take.
-KERNEL_VALUES = ("batched", "reference")
-
-#: Systems a :attr:`ExperimentConfig.kernels` entry may address.  The
-#: ``"default"`` pseudo-system supplies the fallback for every system
-#: without an explicit entry.
-KERNEL_SYSTEMS = ("default", "vivaldi", "gnp", "ides", "lat", "meridian")
-
-
-def _normalize_kernels(kernels) -> dict[str, str]:
-    """Validate a kernels mapping (or pair sequence) into a plain dict."""
-    try:
-        table = dict(kernels)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"kernels must be a mapping of system -> kernel, got {kernels!r}"
-        ) from None
-    for system, kernel in table.items():
-        if system not in KERNEL_SYSTEMS:
-            raise ConfigError(
-                f"unknown kernel system {system!r}; expected one of "
-                f"{', '.join(KERNEL_SYSTEMS)}"
-            )
-        if kernel not in KERNEL_VALUES:
-            raise ConfigError(
-                f"kernel for system {system!r} must be one of "
-                f"{', '.join(KERNEL_VALUES)}, got {kernel!r}"
-            )
-    return table
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -60,20 +30,6 @@ class ExperimentConfig:
     vivaldi_seconds:
         Simulated seconds each Vivaldi embedding runs before being treated
         as converged (paper: 100 s).
-    kernels:
-        Mapping from system name (``"vivaldi"``, ``"gnp"``, ``"ides"``,
-        ``"lat"``, ``"meridian"``, or the fallback pseudo-system
-        ``"default"``) to the step/fit kernel that system uses:
-        ``"batched"`` (vectorised whole-array code paths) or
-        ``"reference"`` (the scalar loops kept for equivalence checks).
-        Resolution happens through :meth:`kernel_for`: the per-system
-        entry wins, then the ``"default"`` entry, then ``"batched"``.
-        The kernels follow different per-seed RNG streams, so the resolved
-        kernel is part of the cache address of every artifact it
-        determines — entries written by a different kernel (or by
-        pre-kernel code) read as misses, never as stale hits.  Stored
-        normalised as a sorted tuple of ``(system, kernel)`` pairs so the
-        configuration stays hashable; pass a plain dict.
     candidate_fraction:
         Fraction of nodes used as selection candidates in the
         coordinate-driven experiments (paper: 200 / 4000 = 5 %).
@@ -115,7 +71,6 @@ class ExperimentConfig:
     n_nodes: int = 240
     seed: int = 0
     vivaldi_seconds: int = 100
-    kernels: tuple = ()
     candidate_fraction: float = 0.05
     selection_runs: int = 3
     meridian_fraction: float = 0.5
@@ -141,22 +96,6 @@ class ExperimentConfig:
             raise ConfigError("meridian_small_count must be >= 2")
         if self.max_clients is not None and self.max_clients < 1:
             raise ConfigError("max_clients must be >= 1 (or None for every client)")
-        table = _normalize_kernels(self.kernels)
-        object.__setattr__(self, "kernels", tuple(sorted(table.items())))
-
-    def kernel_for(self, system: str) -> str:
-        """The kernel ``system`` resolves to under this configuration.
-
-        Resolution order: the per-system :attr:`kernels` entry, the
-        ``"default"`` entry, then ``"batched"``.
-        """
-        if system not in KERNEL_SYSTEMS or system == "default":
-            raise ConfigError(
-                f"unknown kernel system {system!r}; expected one of "
-                f"{', '.join(s for s in KERNEL_SYSTEMS if s != 'default')}"
-            )
-        table = dict(self.kernels)
-        return table.get(system, table.get("default", "batched"))
 
     @property
     def n_candidates(self) -> int:

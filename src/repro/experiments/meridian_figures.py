@@ -76,7 +76,7 @@ def fig14_meridian_ideal(
             n_runs=cfg.selection_runs,
             max_clients=cfg.max_clients,
             rng=cfg.seed + 4,
-            overlay_kwargs={"full_membership": True, "kernel": cfg.kernel_for("meridian")},
+            overlay_kwargs={"full_membership": True},
         )
         results[name] = experiment.run().summary()
     return ExperimentResult(

@@ -26,8 +26,7 @@ def fig15_ides(
     The landmark count scales with the matrix (0.5 % of nodes, at least 6),
     which reproduces the measurement budget of a real IDES deployment
     (~20 landmarks for a few thousand hosts).  The embedding itself is a
-    shared context artefact (fitted with ``config.kernel_for("ides")``, cached
-    on disk when the context has a cache).
+    shared context artefact (cached on disk when the context has a cache).
     """
     ctx = ExperimentContext.resolve(config, context)
     experiment = ctx.selection_experiment()
@@ -92,7 +91,6 @@ def fig17_vivaldi_filter(
         VivaldiConfig(),
         rng=ctx.config.seed + 6,
         neighbors=filtered_lists,
-        kernel=ctx.config.kernel_for("vivaldi"),
     )
     filtered_system.run(ctx.config.vivaldi_seconds)
     filtered_result = experiment.run(filtered_system)
@@ -130,7 +128,6 @@ def fig18_meridian_filter(
         n_runs=cfg.selection_runs,
         max_clients=cfg.max_clients,
         rng=cfg.seed + 7,
-        overlay_kwargs={"kernel": cfg.kernel_for("meridian")},
     ).run()
     filtered = MeridianSelectionExperiment(
         ctx.matrix,
@@ -139,7 +136,7 @@ def fig18_meridian_filter(
         n_runs=cfg.selection_runs,
         max_clients=cfg.max_clients,
         rng=cfg.seed + 7,
-        overlay_kwargs={"excluded_edges": excluded, "kernel": cfg.kernel_for("meridian")},
+        overlay_kwargs={"excluded_edges": excluded},
     ).run()
     return ExperimentResult(
         experiment_id="fig18",

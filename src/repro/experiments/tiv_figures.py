@@ -43,8 +43,8 @@ DATASET_PRESETS: dict[str, str] = {
 def dataset_sizes(config: ExperimentConfig) -> dict[str, int]:
     """Scale the four data sets' node counts relative to the config.
 
-    Public because the engine's warm phase precomputes the matrices and
-    severities of exactly these variants.
+    Public because :func:`repro.artifacts.nodes.requirement_keys` expands
+    the ``"datasets"`` requirement token into exactly these variants.
     """
     base = config.n_nodes
     return {

@@ -38,7 +38,7 @@ def fig10_three_node_trace(
     cfg = ExperimentContext.resolve(config, context).config
     matrix = three_node_tiv_matrix()
     vivaldi_config = VivaldiConfig(n_neighbors=2, dimension=2)
-    sim = VivaldiSimulation(matrix, vivaldi_config, rng=cfg.seed, kernel=cfg.kernel_for("vivaldi"))
+    sim = VivaldiSimulation(matrix, vivaldi_config, rng=cfg.seed)
     edges = [(0, 1), (1, 2), (2, 0)]
     trace = sim.run(seconds, track_edges=edges)
 
@@ -79,12 +79,7 @@ def fig11_oscillation(
     of tens of ms even for short edges).
     """
     ctx = ExperimentContext.resolve(config, context)
-    sim = VivaldiSimulation(
-        ctx.matrix,
-        VivaldiConfig(),
-        rng=ctx.config.seed + 3,
-        kernel=ctx.config.kernel_for("vivaldi"),
-    )
+    sim = VivaldiSimulation(ctx.matrix, VivaldiConfig(), rng=ctx.config.seed + 3)
     # Let the embedding reach steady state before measuring oscillation.
     sim.system.run(ctx.config.vivaldi_seconds)
     trace = sim.run(seconds, track_oscillation=True, track_movement=True)

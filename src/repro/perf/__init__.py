@@ -1,11 +1,12 @@
 """Performance benchmark subsystem.
 
 ``repro.perf`` times the library's hot kernels — the batched and reference
-variants of the Vivaldi spring step, the GNP/IDES/LAT embedding fits and
-the Meridian closest-node query, plus TIV severity, all-pairs shortest
-paths and scenario generation — across matrix sizes, and writes a
-structured ``BENCH_perf.json`` report so the performance trajectory of the
-codebase accumulates run over run (locally and as a CI artifact).
+variants of the Vivaldi spring step, the IDES and LAT embedding fits, the
+Meridian overlay build and closest-node query and the live service's
+closest-node query, plus TIV severity, all-pairs shortest paths and
+scenario generation — across matrix sizes, and writes a structured
+``BENCH_perf.json`` report so the performance trajectory of the codebase
+accumulates run over run (locally and as a CI artifact).
 
 The CLI entry points are ``repro bench`` (timing) and ``repro perf-gate``
 (compare a fresh report against the committed baseline and fail on

@@ -70,20 +70,6 @@ def _setup_vivaldi_step(kernel: str):
     return setup
 
 
-def _setup_gnp_fit(kernel: str):
-    def setup(size: int, seed: int) -> tuple[PreparedKernel, float]:
-        from repro.coords.gnp import GNPConfig, fit_gnp
-
-        matrix = _dataset(size, seed)
-        # A reduced iteration budget keeps the reference simplex loop inside
-        # smoke-test territory; both kernels run the same configuration so
-        # the speedup stays an apples-to-apples comparison.
-        config = GNPConfig(max_iterations=40)
-        return (lambda: fit_gnp(matrix, config, rng=seed + 1, kernel=kernel)), float(size)
-
-    return setup
-
-
 def _setup_ides_fit(kernel: str):
     def setup(size: int, seed: int) -> tuple[PreparedKernel, float]:
         from repro.coords.ides import IDESConfig, fit_ides
@@ -350,18 +336,6 @@ _KERNELS: dict[str, KernelSpec] = {
             _setup_vivaldi_step("reference"),
         ),
         KernelSpec(
-            "gnp_fit_batched",
-            "full GNP fit with the vectorised majorization (SMACOF) kernel",
-            "hosts/s",
-            _setup_gnp_fit("batched"),
-        ),
-        KernelSpec(
-            "gnp_fit_reference",
-            "full GNP fit with the per-host Nelder-Mead reference kernel",
-            "hosts/s",
-            _setup_gnp_fit("reference"),
-        ),
-        KernelSpec(
             "ides_fit_batched",
             "full IDES fit with one-shot multi-RHS host projection",
             "hosts/s",
@@ -495,7 +469,7 @@ def kernel_families() -> dict[str, tuple[str, str]]:
     """Kernels that come as a fast/reference pair, keyed by family name.
 
     A family is the shared prefix of a ``<family>_batched`` /
-    ``<family>_reference`` kernel pair (e.g. ``"gnp_fit"``).  The bench
+    ``<family>_reference`` kernel pair (e.g. ``"ides_fit"``).  The bench
     report computes one speedup per family, and ``repro bench --kernels``
     accepts family names as shorthand for timing both variants.
     """
@@ -514,7 +488,7 @@ def resolve_kernel_names(tokens: Sequence[str]) -> tuple[str, ...]:
 
     Each token may be a kernel name, a family name (expanding to its
     batched and reference variants) or a comma-separated list of either —
-    so ``--kernels gnp_fit,ides_fit,lat_adjust`` times all six variants.
+    so ``--kernels ides_fit,lat_adjust`` times all four variants.
     """
     families = kernel_families()
     names: list[str] = []

@@ -91,7 +91,7 @@ class TestAddressCompatibility:
             "n_nodes": TINY.n_nodes,
             "seed": TINY.seed,
             "vivaldi_seconds": TINY.vivaldi_seconds,
-            "kernel": TINY.kernel_for("vivaldi"),
+            "kernel": "batched",
         }
         assert plan.graph[ArtifactKey("vivaldi")].address == stable_key(
             "vivaldi", legacy_embedding
@@ -103,10 +103,10 @@ class TestAddressCompatibility:
             "preset": TINY.dataset,
             "n_nodes": TINY.n_nodes,
             "seed": TINY.seed,
-            "kernel": TINY.kernel_for("ides"),
+            "kernel": "batched",
         }
         assert plan.graph[ArtifactKey("ides")].address == stable_key("ides", legacy_ides)
-        legacy_lat = dict(legacy_embedding, coords_kernel=TINY.kernel_for("lat"))
+        legacy_lat = dict(legacy_embedding, coords_kernel="batched")
         assert plan.graph[ArtifactKey("lat")].address == stable_key("lat", legacy_lat)
 
     def test_kind_layout_unchanged(self):
@@ -122,39 +122,6 @@ class TestAddressCompatibility:
             "ides",
             "lat",
         }
-
-    def test_reference_kernels_address_like_the_two_knob_era(self):
-        """An all-reference ``kernels`` mapping addresses every embedding
-        artefact exactly as the retired ``vivaldi_kernel``/``coords_kernel``
-        knobs did, so caches written through them keep hitting."""
-        config = dataclasses.replace(
-            TINY,
-            kernels={
-                s: "reference" for s in ("vivaldi", "gnp", "ides", "lat", "meridian")
-            },
-        )
-        plan = resolve_plan(config, ["fig15", "fig16", "fig19"])
-        legacy_embedding = {
-            "preset": TINY.dataset,
-            "n_nodes": TINY.n_nodes,
-            "seed": TINY.seed,
-            "vivaldi_seconds": TINY.vivaldi_seconds,
-            "kernel": "reference",
-        }
-        legacy_ides = {
-            "preset": TINY.dataset,
-            "n_nodes": TINY.n_nodes,
-            "seed": TINY.seed,
-            "kernel": "reference",
-        }
-        legacy_lat = dict(legacy_embedding, coords_kernel="reference")
-        for node, kind, params in (
-            ("vivaldi", "vivaldi", legacy_embedding),
-            ("alert", "alert", legacy_embedding),
-            ("ides", "ides", legacy_ides),
-            ("lat", "lat", legacy_lat),
-        ):
-            assert plan.graph[ArtifactKey(node)].address == stable_key(kind, params), node
 
     def test_baseline_scenario_shares_addresses_with_plain(self):
         plain = resolve_plan(TINY)

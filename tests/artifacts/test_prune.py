@@ -71,6 +71,36 @@ class TestStaleEraEviction:
         assert len(report.pruned) == 1
         assert "retired 'kernel' value" in report.pruned[0].reason
 
+    def test_reference_kernel_entries_are_pruned(self, tmp_path):
+        # Experiment runs write only batched-kernel entries, so the
+        # reference-kernel entries older releases wrote are retired; the
+        # batched entries beside them stay live.
+        cache_dir = tmp_path / "cache"
+        cache = ArtifactCache(cache_dir)
+        context = ExperimentContext(TINY, cache=cache)
+        retired = set()
+        for node in ("vivaldi", "ides", "lat"):
+            key = ArtifactKey(node)
+            context.materialize(key)
+            params = context.artifact_params(key)
+            assert params["kernel"] == "batched"
+            reference = {
+                name: "reference" if name in ("kernel", "coords_kernel") else value
+                for name, value in params.items()
+            }
+            cache.store(node, reference, {"unused": np.zeros(1)})
+            retired.add((node, stable_key(node, reference)))
+        report = prune_cache(cache_dir)
+        assert {(entry.kind, entry.name) for entry in report.pruned} == retired
+        assert {entry.reason for entry in report.pruned} == {
+            "retired 'kernel' value 'reference'"
+        }
+        counting = ArtifactCache(cache_dir)
+        fresh = ExperimentContext(TINY, cache=counting)
+        for node in ("vivaldi", "ides", "lat"):
+            fresh.materialize(ArtifactKey(node))
+        assert counting.stats.misses == 0
+
     def test_retired_schema_address_is_pruned(self, tmp_path):
         # An entry whose stored params no longer hash to its file name was
         # written under a different CACHE_SCHEMA tag.

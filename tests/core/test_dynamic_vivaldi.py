@@ -90,13 +90,6 @@ class TestDynamicNeighborVivaldi:
         assert a[1].neighbor_lists == b[1].neighbor_lists
         assert np.allclose(a[1].predicted, b[1].predicted)
 
-    def test_kernel_passthrough(self, small_internet_matrix):
-        reference = DynamicNeighborVivaldi(
-            small_internet_matrix, _config(), rng=0, kernel="reference"
-        )
-        assert reference.system.kernel == "reference"
-        assert DynamicNeighborVivaldi(small_internet_matrix, _config(), rng=0).system.kernel == "batched"
-
     def test_refinement_dedupes_duplicate_neighbors(self, small_internet_matrix):
         """Externally-set duplicate entries never survive into refined lists."""
         dynamic = DynamicNeighborVivaldi(

@@ -1,15 +1,11 @@
 """Tests for repro.experiments.config and the experiment context."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.experiments.config import PAPER_SCALE, ExperimentConfig
 from repro.experiments.context import ExperimentContext
-
-COORDS_SYSTEMS = ("gnp", "ides", "lat", "meridian")
 
 
 class TestExperimentConfig:
@@ -52,104 +48,31 @@ class TestExperimentConfig:
             ExperimentConfig(max_clients=-3)
         assert ExperimentConfig(max_clients=None).max_clients is None
         assert ExperimentConfig(max_clients=1).max_clients == 1
-        with pytest.raises(ConfigError):
-            ExperimentConfig(kernels={"vivaldi": "turbo"})
-        with pytest.raises(ConfigError):
-            ExperimentConfig(kernels={"warp_drive": "batched"})
 
     def test_vivaldi_kernel_threads_to_embedding(self):
-        """The configured kernel reaches the context's shared embedding."""
-        for kernel in ("batched", "reference"):
-            context = ExperimentContext(
-                ExperimentConfig(
-                    n_nodes=24, vivaldi_seconds=2, kernels={"vivaldi": kernel}
-                )
-            )
-            assert context.vivaldi.kernel == kernel
-
-    def test_coords_kernel_is_part_of_strawman_cache_addresses(self):
-        """Both strawman artefact addresses carry the coords kernel.
-
-        Mirrors the vivaldi-kernel contract: entries written by a different
-        kernel (or by pre-kernel code) must read as misses, never as stale
-        hits.
-        """
-        contexts = {
-            kernel: ExperimentContext(
-                ExperimentConfig(
-                    n_nodes=24,
-                    vivaldi_seconds=2,
-                    kernels={system: kernel for system in COORDS_SYSTEMS},
-                )
-            )
-            for kernel in ("batched", "reference")
-        }
+        """The context's shared embedding runs the kernel its address names."""
         from repro.artifacts import ArtifactKey
 
-        ides_params = {
-            k: ctx.artifact_params(ArtifactKey("ides")) for k, ctx in contexts.items()
-        }
-        lat_params = {
-            k: ctx.artifact_params(ArtifactKey("lat")) for k, ctx in contexts.items()
-        }
-        assert ides_params["batched"] != ides_params["reference"]
-        assert lat_params["batched"] != lat_params["reference"]
-        assert ides_params["batched"]["kernel"] == "batched"
-        assert lat_params["batched"]["coords_kernel"] == "batched"
-        # The Vivaldi step kernel addresses the LAT artefact too (LAT
-        # adjusts the converged embedding).
-        assert "kernel" in lat_params["batched"]
+        context = ExperimentContext(ExperimentConfig(n_nodes=24, vivaldi_seconds=2))
+        assert context.vivaldi.kernel == "batched"
+        assert context.artifact_params(ArtifactKey("vivaldi"))["kernel"] == "batched"
 
 
 class TestKernelsMapping:
-    """The unified per-system kernel table (PR 6)."""
-
-    def test_default_is_batched_everywhere(self):
-        config = ExperimentConfig()
-        for system in ("vivaldi", "gnp", "ides", "lat", "meridian"):
-            assert config.kernel_for(system) == "batched"
-
-    def test_per_system_override(self):
-        config = ExperimentConfig(kernels={"ides": "reference"})
-        assert config.kernel_for("ides") == "reference"
-        assert config.kernel_for("vivaldi") == "batched"
-        assert config.kernel_for("lat") == "batched"
-
-    def test_default_entry_sets_the_fallback(self):
-        config = ExperimentConfig(kernels={"default": "reference", "gnp": "batched"})
-        assert config.kernel_for("gnp") == "batched"
-        for system in ("vivaldi", "ides", "lat", "meridian"):
-            assert config.kernel_for(system) == "reference"
-
-    def test_kernels_normalized_to_sorted_tuple(self):
-        # The field must stay hashable and order-independent: two configs
-        # with the same mapping are the same config (and cache key).
-        a = ExperimentConfig(kernels={"lat": "reference", "gnp": "reference"})
-        b = ExperimentConfig(kernels={"gnp": "reference", "lat": "reference"})
-        assert a == b
-        assert isinstance(a.kernels, tuple)
-        assert hash(a) == hash(b)
-
-    def test_kernel_for_rejects_unknown_system(self):
-        config = ExperimentConfig()
-        with pytest.raises(ConfigError):
-            config.kernel_for("warp_drive")
-        with pytest.raises(ConfigError):
-            config.kernel_for("default")
-
-    def test_replace_preserves_the_table(self):
-        config = ExperimentConfig(kernels={"vivaldi": "reference"})
-        bumped = dataclasses.replace(config, seed=7)
-        assert bumped.kernel_for("vivaldi") == "reference"
-        assert bumped.seed == 7
+    """Experiment runs have no kernel switch: they run the batched kernels."""
 
     def test_retired_kernel_kwargs_are_gone(self):
-        # The pre-kernels two-knob API is no longer accepted or readable.
+        # Neither the two-knob API nor the per-system mapping that replaced
+        # it is accepted or readable.
         with pytest.raises(TypeError):
             ExperimentConfig(vivaldi_kernel="reference")
         with pytest.raises(TypeError):
             ExperimentConfig(coords_kernel="reference")
-        assert not hasattr(ExperimentConfig(), "coords_kernel")
+        with pytest.raises(TypeError):
+            ExperimentConfig(kernels={"meridian": "reference"})
+        config = ExperimentConfig()
+        assert not hasattr(config, "coords_kernel")
+        assert not hasattr(config, "kernels")
 
 
 class TestExperimentContext:

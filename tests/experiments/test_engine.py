@@ -425,17 +425,3 @@ class TestStrawmanArtifacts:
                 cold.results[experiment_id].data, warm.results[experiment_id].data
             ), experiment_id
         assert warm.report.all_cache_hits
-
-    def test_reference_coords_kernel_addresses_separate_entries(self, tmp_path):
-        """Switching the coords kernels must miss (and refill) the cache,
-        not reuse the other kernel's artefacts."""
-        import dataclasses
-
-        cache_dir = tmp_path / "artifacts"
-        run_experiments(TINY, only=["fig16"], jobs=1, cache_dir=cache_dir)
-        reference = dataclasses.replace(
-            TINY, kernels={system: "reference" for system in ("gnp", "ides", "lat", "meridian")}
-        )
-        outcome = run_experiments(reference, only=["fig16"], jobs=1, cache_dir=cache_dir)
-        total = outcome.report.total_cache()
-        assert total.misses > 0

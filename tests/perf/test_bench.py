@@ -23,7 +23,6 @@ class TestKernelRegistry:
         names = available_kernels()
         for family in (
             "vivaldi_step",
-            "gnp_fit",
             "ides_fit",
             "lat_adjust",
             "meridian_build",
@@ -46,7 +45,6 @@ class TestKernelRegistry:
         families = kernel_families()
         assert set(families) == {
             "vivaldi_step",
-            "gnp_fit",
             "ides_fit",
             "lat_adjust",
             "meridian_build",
@@ -58,15 +56,15 @@ class TestKernelRegistry:
             assert reference == f"{family}_reference"
 
     def test_resolve_kernel_names_expands_families_and_commas(self):
-        assert resolve_kernel_names(["gnp_fit"]) == (
-            "gnp_fit_batched",
-            "gnp_fit_reference",
-        )
-        assert resolve_kernel_names(["gnp_fit,ides_fit", "tiv_severity"]) == (
-            "gnp_fit_batched",
-            "gnp_fit_reference",
+        assert resolve_kernel_names(["ides_fit"]) == (
             "ides_fit_batched",
             "ides_fit_reference",
+        )
+        assert resolve_kernel_names(["ides_fit,vivaldi_step", "tiv_severity"]) == (
+            "ides_fit_batched",
+            "ides_fit_reference",
+            "vivaldi_step_batched",
+            "vivaldi_step_reference",
             "tiv_severity",
         )
         # Plain names pass through; duplicates collapse in first-seen order.
@@ -79,7 +77,7 @@ class TestKernelRegistry:
         with pytest.raises(BenchmarkError):
             resolve_kernel_names(["warp_drive"])
         with pytest.raises(BenchmarkError):
-            resolve_kernel_names(["gnp_fit,warp_drive"])
+            resolve_kernel_names(["ides_fit,warp_drive"])
 
     @pytest.mark.parametrize("name", available_kernels())
     def test_every_kernel_sets_up_and_runs(self, name):
@@ -121,8 +119,8 @@ class TestRunBenchmarks:
     def test_speedups_grouped_by_family(self):
         report = run_benchmarks(
             kernels=[
-                "gnp_fit_batched",
-                "gnp_fit_reference",
+                "ides_fit_batched",
+                "ides_fit_reference",
                 "lat_adjust_batched",
                 "tiv_severity",
             ],
@@ -133,9 +131,9 @@ class TestRunBenchmarks:
         speedups = report.speedups()
         # Only complete pairs produce a family entry; unpaired and
         # pairless kernels are absent.
-        assert set(speedups) == {"gnp_fit"}
-        assert set(speedups["gnp_fit"]) == {str(TINY)}
-        assert speedups["gnp_fit"][str(TINY)] > 0
+        assert set(speedups) == {"ides_fit"}
+        assert set(speedups["ides_fit"]) == {str(TINY)}
+        assert speedups["ides_fit"][str(TINY)] > 0
 
     def test_as_dict_schema(self):
         report = run_benchmarks(

@@ -12,7 +12,7 @@ from repro.perf.gate import (
     load_report,
     regressions,
 )
-from repro.perf.kernels import BenchmarkError
+from repro.perf.kernels import BenchmarkError, available_kernels, kernel_families
 
 
 def report_with(rows: list[tuple[str, int, float]]) -> dict:
@@ -28,7 +28,7 @@ def report_with(rows: list[tuple[str, int, float]]) -> dict:
 class TestLoadReport:
     def test_round_trips_a_written_report(self, tmp_path):
         path = tmp_path / "report.json"
-        payload = report_with([("gnp_fit_batched", 100, 0.01)])
+        payload = report_with([("ides_fit_batched", 100, 0.01)])
         path.write_text(json.dumps(payload))
         assert load_report(str(path)) == payload
 
@@ -53,6 +53,19 @@ class TestLoadReport:
         # schema expectations — CI compares against it on every PR.
         report = load_report("BENCH_perf.json")
         assert report["kernels"]
+
+    def test_committed_baseline_matches_the_kernel_registry(self):
+        # The gate never fails on baseline-only ("missing") or fresh-only
+        # ("new") rows, so this keeps the baseline in step with the
+        # registry: no rows for deleted kernels, every kernel gated at the
+        # sizes bench-smoke times, one speedup entry per kernel family.
+        report = load_report("BENCH_perf.json")
+        registered = set(available_kernels())
+        rows = {(row["kernel"], row["size"]) for row in report["kernels"]}
+        assert {kernel for kernel, _ in rows} - registered == set()
+        for kernel in sorted(registered):
+            assert {(kernel, 100), (kernel, 200)} <= rows, kernel
+        assert set(report["speedups"]) == set(kernel_families())
 
 
 class TestCompareReports:

@@ -320,28 +320,7 @@ class TestPenaltyProperties:
 
 
 class TestBatchedKernelProperties:
-    """ISSUE 4 invariants of the batched GNP/IDES/LAT/Meridian kernels."""
-
-    @given(st.integers(min_value=10, max_value=20), st.integers(min_value=0, max_value=9_999))
-    @settings(max_examples=8, deadline=None)
-    def test_gnp_batched_finite_deterministic_landmarks_exact(self, n, seed):
-        from repro.coords.gnp import GNPConfig, _place_landmarks_batched, fit_gnp
-        from repro.stats.rng import ensure_rng
-
-        matrix = euclidean_delay_space(n, rng=seed)
-        landmarks = list(range(4))
-        config = GNPConfig(dimension=2, max_iterations=15)
-        fit = fit_gnp(matrix, config, rng=seed, landmarks=landmarks, kernel="batched")
-        again = fit_gnp(matrix, config, rng=seed, landmarks=landmarks, kernel="batched")
-        assert np.all(np.isfinite(fit.coordinates))
-        assert np.array_equal(fit.coordinates, again.coordinates)
-        # The landmark rows are exactly the landmark optimisation's output:
-        # the whole-matrix host solve never touches them.
-        gen = ensure_rng(seed)
-        expected = _place_landmarks_batched(
-            matrix.values[np.ix_(landmarks, landmarks)], 2, 15, gen
-        )
-        assert np.array_equal(fit.coordinates[landmarks], expected)
+    """Invariants of the batched IDES, LAT and Meridian kernels."""
 
     @given(delay_matrices(min_nodes=6, max_nodes=12))
     @settings(max_examples=10, deadline=None)

@@ -149,14 +149,17 @@ class TestObservation:
     def test_rho_gravity_bounds_the_norm(self):
         # With a tight rho the pull grows quadratically: coordinates
         # cannot wander far beyond rho even under one-sided measurements.
-        emb = OnlineVivaldi(
-            OnlineVivaldiConfig(rho=50.0, use_height=False), rng=2
-        )
-        emb.join(1)
-        emb.join(2)
-        for _ in range(500):
-            emb.observe(1, 2, 400.0, t=1.0)
-        assert np.linalg.norm(emb.coordinate_of(1)) < 250.0
+        # An RTT far above 2 * rho**2 pushes the coordinate to where an
+        # unclamped pull would overshoot the origin and diverge.
+        for rtt in (400.0, 1e6):
+            emb = OnlineVivaldi(
+                OnlineVivaldiConfig(rho=50.0, use_height=False), rng=2
+            )
+            emb.join(1)
+            emb.join(2)
+            for _ in range(500):
+                emb.observe(1, 2, rtt, t=1.0)
+            assert np.linalg.norm(emb.coordinate_of(1)) < 250.0, rtt
 
     def test_reduces_error_on_euclidean_data(self):
         # A TIV-free metric space must embed well through the pure

@@ -16,7 +16,7 @@ class TestFacadeSurface:
             assert hasattr(api, name)
 
     def test_embedding_systems_constant(self):
-        assert api.EMBEDDING_SYSTEMS == ("vivaldi", "gnp", "ides", "lat")
+        assert api.EMBEDDING_SYSTEMS == ("vivaldi", "ides", "lat")
 
 
 class TestLoadMatrix:
@@ -58,8 +58,9 @@ class TestBuildEmbedding:
         assert predictor.kernel == "reference"
 
     def test_unknown_system_rejected(self, matrix):
-        with pytest.raises(ConfigError, match="unknown embedding system"):
-            api.build_embedding(matrix, system="warp_drive")
+        for system in ("warp_drive", "gnp"):
+            with pytest.raises(ConfigError, match="unknown embedding system"):
+                api.build_embedding(matrix, system=system)
 
 
 class TestSeverityAndExperiments:
