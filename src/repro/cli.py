@@ -800,12 +800,12 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--checkpoint",
         default=None,
-        help="stream-checkpoint/v1 .npz path to write (and resume from)",
+        help="stream-checkpoint/v2 .npz path to write (and resume from; v1 files load too)",
     )
     stream.add_argument(
         "--wal",
         default=None,
-        help="append-only write-ahead log (.jsonl) recording every applied event",
+        help="write-ahead log (.jsonl) of the events applied since the last checkpoint",
     )
     stream.add_argument(
         "--checkpoint-every",

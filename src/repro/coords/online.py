@@ -27,6 +27,7 @@ stream-vs-batch equivalence tests pin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,23 +236,31 @@ class OnlineVivaldi:
                 f"cannot observe {src!r} -> {dst!r}: node {missing!r} is not active"
             ) from None
         cfg = self._config
-        if not np.isfinite(rtt) or rtt <= 0:
+        if not (math.isfinite(rtt) and rtt > 0):
             return 0.0
+        rtt = float(rtt)
 
-        diff = self._coords[i] - self._coords[j]
-        mag = float(np.linalg.norm(diff))
+        # Scalars are Python floats and vector norms are sqrt(v . v), the
+        # op np.linalg.norm runs for a real vector: the same IEEE results
+        # without numpy's per-call overhead on 5-element rows.
+        row = self._coords[i]
+        diff = row - self._coords[j]
+        mag = math.sqrt(diff.dot(diff))
+        h_i = self._heights.item(i)
+        h_j = self._heights.item(j)
         dist = mag
         if cfg.use_height:
-            dist += self._heights[i] + self._heights[j]
+            dist += h_i + h_j
 
-        e_i = max(self._errors[i], cfg.min_error)
-        e_j = max(self._errors[j], cfg.min_error)
+        err_i = self._errors.item(i)
+        e_i = max(err_i, cfg.min_error)
+        e_j = max(self._errors.item(j), cfg.min_error)
         w = e_i / (e_i + e_j)
         relative_error = abs(dist - rtt) / rtt
 
         ce_w = cfg.ce * w
         self._errors[i] = min(
-            relative_error * ce_w + self._errors[i] * (1.0 - ce_w),
+            relative_error * ce_w + err_i * (1.0 - ce_w),
             cfg.initial_error,
         )
 
@@ -260,15 +269,12 @@ class OnlineVivaldi:
             unit = diff / mag
         else:
             unit = self._rng.normal(size=cfg.dimension)
-            unit /= np.linalg.norm(unit)
-        self._coords[i] = self._coords[i] + force * unit
+            unit /= math.sqrt(unit.dot(unit))
+        row += force * unit
         if cfg.use_height and mag > 0:
             # The height absorbs the share of the spring force that
             # travelled the access links rather than the Euclidean core.
-            self._heights[i] = max(
-                cfg.min_height,
-                self._heights[i] + force * (self._heights[i] + self._heights[j]) / mag,
-            )
+            self._heights[i] = max(cfg.min_height, h_i + force * (h_i + h_j) / mag)
 
         if cfg.rho > 0:
             # Rho gravity (Ledlie et al.): a quadratic pull toward the
@@ -277,10 +283,10 @@ class OnlineVivaldi:
             # origin: unclamped, it crosses the origin once |x| > rho**2,
             # and once |x| > 2 * rho**2 it lands farther out than it
             # started, so every later step lands farther still.
-            norm = float(np.linalg.norm(self._coords[i]))
+            norm = math.sqrt(row.dot(row))
             if norm > 0:
                 pull = min((norm / cfg.rho) ** 2, norm)
-                self._coords[i] -= self._coords[i] * (pull / norm)
+                row -= row * (pull / norm)
 
         self._last_update[i] = float(t)
         self._update_counts[i] += 1

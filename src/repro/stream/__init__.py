@@ -23,9 +23,10 @@ the repo's frozen-matrix pipeline into an event-driven service:
   accuracy/staleness metrics against the trace's ground-truth matrix
   (CLI: ``repro stream``), feeding the golden harness and the CI smoke
   job.
-* :mod:`repro.stream.durability` — ``stream-checkpoint/v1`` snapshots +
-  an append-only WAL, with :func:`recover` rebuilding bit-identical live
-  state (CLI: ``repro stream --checkpoint-every/--resume``).
+* :mod:`repro.stream.durability` — ``stream-checkpoint/v2`` snapshots
+  (arrays as npz members) + a WAL that each checkpoint cuts, with
+  :func:`recover` rebuilding bit-identical live state (CLI:
+  ``repro stream --checkpoint-every/--resume``).
 * :mod:`repro.stream.chaos` — the chaos sweep measuring defended vs
   undefended accuracy degradation against the fault rate (CLI:
   ``repro chaos``).

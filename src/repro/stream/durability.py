@@ -6,18 +6,24 @@ survive a crash with a classic two-piece recovery protocol:
 
 * **Checkpoints** (:func:`save_checkpoint` / :func:`load_checkpoint`):
   the complete :meth:`~repro.stream.service.StreamCoordinateService.state_dict`
-  persisted as a schema-tagged ``stream-checkpoint/v1`` ``.npz`` — the
-  embedding's full-capacity arrays as npz members, everything else
-  (edge memory, severity EWMAs, defense ledger, RNG bit-generator
-  state) as an embedded JSON blob.  Writes go through a temp file +
-  atomic rename so a crash mid-checkpoint never leaves a torn file
-  where a good one stood.
-* **The WAL** (:class:`WalWriter` / :func:`read_wal`): an append-only
-  JSONL of every applied event, each line carrying its global sequence
-  number and flushed before the event is considered applied.  A torn
-  final line (the crash landed mid-write) is tolerated and dropped;
-  damage anywhere else raises a typed :class:`StreamError` naming the
-  path.
+  persisted as a schema-tagged ``stream-checkpoint/v2`` ``.npz``.  Every
+  array is a plain (uncompressed) npz member: the embedding's
+  full-capacity arrays and the edge memory (``edge_ids``, ``edge_obs``,
+  ``severity_ids``, ``severity``, rows sorted by id pair).  An embedded
+  JSON blob holds the rest: config, RNG bit-generator state, slot map,
+  free-slot stack, counters and defense ledger.  Writes go through a
+  temp file + atomic rename so a crash mid-checkpoint never leaves a
+  torn file where a good one stood.  ``stream-checkpoint/v1`` files,
+  which kept the edge memory and the peer sets as JSON lists, still
+  load.
+* **The WAL** (:class:`WalWriter` / :func:`read_wal`): a JSONL log of
+  the events applied since the last checkpoint, each line carrying its
+  global sequence number and flushed before the event is applied.  The
+  replay loop empties it (:meth:`WalWriter.cut`) once a checkpoint that
+  covers every logged line is in place, so it holds at most one
+  checkpoint interval.  A torn final line (the crash landed mid-write)
+  is tolerated and dropped; damage anywhere else raises a typed
+  :class:`StreamError` naming the path.
 
 :func:`recover` composes them: restore the newest checkpoint, then
 re-apply the WAL suffix (``seq >= checkpoint.n_events``).  Because the
@@ -43,11 +49,47 @@ from repro.stream.service import StreamCoordinateService
 
 PathLike = Union[str, Path]
 
-#: Schema tag of the on-disk checkpoint files.
-CHECKPOINT_SCHEMA = "stream-checkpoint/v1"
+#: Schema tag of the checkpoint files :func:`save_checkpoint` writes.
+CHECKPOINT_SCHEMA = "stream-checkpoint/v2"
+
+#: The previous tag, still accepted by :func:`load_checkpoint`.
+_CHECKPOINT_SCHEMA_V1 = "stream-checkpoint/v1"
 
 #: Embedding arrays stored as npz members instead of inside the JSON blob.
 _ARRAY_KEYS = ("coords", "heights", "errors", "last_update", "update_counts")
+
+#: Edge-memory arrays of the service state, npz members since v2.
+_EDGE_KEYS = ("edge_ids", "edge_obs", "severity_ids", "severity")
+
+
+def _split_state(state: dict) -> tuple[dict, dict]:
+    """Split a service state into its JSON-safe part and its named arrays."""
+    state = dict(state)
+    embedding = dict(state["embedding"])
+    arrays = {key: np.asarray(embedding.pop(key)) for key in _ARRAY_KEYS}
+    arrays.update((key, np.asarray(state.pop(key))) for key in _EDGE_KEYS)
+    state["embedding"] = embedding
+    return state, arrays
+
+
+def _edge_arrays_from_v1(state: dict) -> dict:
+    """The v2 edge arrays of a v1 state, whose edge memory is JSON lists.
+
+    v1 stored ``edge_rtt`` rows ``[a, b, rtt, observed_at]``, ``severity``
+    rows ``[a, b, value]`` and the per-node ``peers`` lists, which v2
+    derives from the edge table instead.
+    """
+    edges = state.pop("edge_rtt")
+    severity = state.pop("severity")
+    state.pop("peers")
+    return {
+        "edge_ids": np.array([row[:2] for row in edges], dtype=np.int64).reshape(-1, 2),
+        "edge_obs": np.array([row[2:] for row in edges], dtype=float).reshape(-1, 2),
+        "severity_ids": np.array(
+            [row[:2] for row in severity], dtype=np.int64
+        ).reshape(-1, 2),
+        "severity": np.array([row[2] for row in severity], dtype=float),
+    }
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -61,28 +103,25 @@ def save_checkpoint(service: StreamCoordinateService, path: PathLike) -> None:
     file.
     """
     path = Path(path)
-    state = service.state_dict()
-    embedding = dict(state["embedding"])
-    arrays = {key: np.asarray(embedding.pop(key)) for key in _ARRAY_KEYS}
-    state["embedding"] = embedding
+    state, arrays = _split_state(service.state_dict())
     blob = json.dumps({"schema": CHECKPOINT_SCHEMA, "state": state})
     tmp = path.with_name(path.name + ".tmp")
-    np.savez_compressed(
-        tmp,
-        state=np.frombuffer(blob.encode("utf-8"), dtype=np.uint8),
-        **arrays,
-    )
-    # savez appends .npz when the target lacks the suffix.
-    written = tmp if tmp.exists() else tmp.with_name(tmp.name + ".npz")
-    written.replace(path)
+    with open(tmp, "wb") as handle:
+        np.savez(
+            handle,
+            state=np.frombuffer(blob.encode("utf-8"), dtype=np.uint8),
+            **arrays,
+        )
+    tmp.replace(path)
 
 
 def load_checkpoint(path: PathLike) -> StreamCoordinateService:
     """Restore a service from a checkpoint written by :func:`save_checkpoint`.
 
-    Damaged files — truncation, corrupt members, missing arrays, a bad
-    schema tag — surface as typed :class:`StreamError`\\ s naming the
-    path, mirroring :func:`repro.stream.events.load_trace`.
+    Reads ``stream-checkpoint/v2`` and the older ``v1`` layout.  Damaged
+    files — truncation, corrupt members, missing arrays, a bad schema
+    tag — surface as typed :class:`StreamError`\\ s naming the path,
+    mirroring :func:`repro.stream.events.load_trace`.
     """
     path = Path(path)
     if not path.exists():
@@ -91,7 +130,9 @@ def load_checkpoint(path: PathLike) -> StreamCoordinateService:
         with np.load(path) as data:
             try:
                 payload = json.loads(bytes(data["state"]).decode("utf-8"))
-                arrays = {key: np.array(data[key]) for key in _ARRAY_KEYS}
+                schema = payload.get("schema")
+                keys = _ARRAY_KEYS + (_EDGE_KEYS if schema == CHECKPOINT_SCHEMA else ())
+                arrays = {key: np.array(data[key]) for key in keys}
             except KeyError as exc:
                 raise StreamError(
                     f"{path} is not a stream checkpoint (missing {exc})"
@@ -103,11 +144,20 @@ def load_checkpoint(path: PathLike) -> StreamCoordinateService:
             f"checkpoint file {path} is truncated or corrupted "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-    if payload.get("schema") != CHECKPOINT_SCHEMA:
-        raise StreamError(f"{path} is not a {CHECKPOINT_SCHEMA} file")
-    state = payload["state"]
-    state["embedding"] = {**state["embedding"], **arrays}
+    if schema not in (CHECKPOINT_SCHEMA, _CHECKPOINT_SCHEMA_V1):
+        raise StreamError(
+            f"{path} has schema {schema!r}, not {CHECKPOINT_SCHEMA} "
+            f"or {_CHECKPOINT_SCHEMA_V1}"
+        )
     try:
+        state = payload["state"]
+        if schema == _CHECKPOINT_SCHEMA_V1:
+            arrays.update(_edge_arrays_from_v1(state))
+        state["embedding"] = {
+            **state["embedding"],
+            **{key: arrays.pop(key) for key in _ARRAY_KEYS},
+        }
+        state.update(arrays)
         return StreamCoordinateService.from_state(state)
     except StreamError:
         raise
@@ -154,12 +204,13 @@ def _decode_event(record: dict) -> tuple[int, Event]:
 
 
 class WalWriter:
-    """Append-only JSONL event log, flushed line by line.
+    """JSONL event log, appended and flushed line by line.
 
     Each :meth:`log` call writes one self-describing line (sequence
     number, event kind, payload) and flushes it, so after a crash the log
     is complete up to — at worst — one torn final line, which
-    :func:`read_wal` tolerates.
+    :func:`read_wal` tolerates.  :meth:`cut` empties the log once a
+    checkpoint covers all of it.
     """
 
     def __init__(self, path: PathLike, *, append: bool = False):
@@ -170,6 +221,16 @@ class WalWriter:
         """Append one event under global sequence number ``seq``."""
         self._handle.write(json.dumps(_encode_event(int(seq), event)) + "\n")
         self._handle.flush()
+
+    def cut(self) -> None:
+        """Empty the log: a checkpoint already covers every logged event.
+
+        Call it only after that checkpoint is in place.  A crash between
+        the two leaves the full log, whose covered prefix :func:`recover`
+        skips.
+        """
+        self._handle.seek(0)
+        self._handle.truncate()
 
     def close(self) -> None:
         self._handle.close()
@@ -223,7 +284,9 @@ def recover(
     """Restore a service from a checkpoint plus the WAL suffix beyond it.
 
     WAL entries the checkpoint already covers (``seq < n_events``) are
-    skipped; the rest must form a gapless continuation or recovery
+    skipped: a log cut at that checkpoint holds none, a log a crash left
+    uncut holds the whole covered prefix.  The rest must form a gapless
+    continuation or recovery
     refuses with a typed error (silently resuming over a hole would
     corrupt the embedding while claiming bit-identity).
     """
@@ -246,28 +309,25 @@ def recover(
 
 
 def state_fingerprint(service: StreamCoordinateService) -> str:
-    """SHA-256 over the service's canonicalised complete state.
+    """SHA-256 over the service's canonical complete state.
 
     Two services with equal fingerprints hold bit-identical live state —
     coordinates, heights, errors, edge memory, severity EWMAs, defense
     ledger and RNG stream — and therefore answer every future query and
-    process every future event identically.  Collections whose iteration
-    order is incidental (edge maps, the suspicion ledger) are sorted
-    before hashing so the fingerprint only reflects state that matters.
+    process every future event identically.  The digest covers each
+    array of the checkpoint layout (name, dtype, shape, bytes; the edge
+    arrays are already sorted by id pair), then the JSON-safe remainder
+    dumped with sorted keys and the suspicion and probation ledgers as
+    sorted item lists, so dict order never changes it.
     """
-    state = service.state_dict()
-    embedding = dict(state["embedding"])
+    state, arrays = _split_state(service.state_dict())
     digest = hashlib.sha256()
-    for key in _ARRAY_KEYS:
-        array = np.ascontiguousarray(embedding.pop(key))
+    for key, array in arrays.items():
+        array = np.ascontiguousarray(array)
         digest.update(key.encode())
         digest.update(str(array.dtype).encode())
         digest.update(str(array.shape).encode())
         digest.update(array.tobytes())
-    state["embedding"] = embedding
-    state["edge_rtt"] = sorted(state["edge_rtt"])
-    state["severity"] = sorted(state["severity"])
-    state["peers"] = sorted((node, peers) for node, peers in state["peers"].items())
     state["suspicion"] = sorted(state["suspicion"].items())
     state["probation"] = sorted(state["probation"].items())
     digest.update(json.dumps(state, sort_keys=True).encode("utf-8"))

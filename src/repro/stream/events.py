@@ -104,11 +104,15 @@ class Trace:
             raise StreamError("trace events must be ordered by time")
         n = truth.shape[0]
         for event in self.events:
-            ids = (
-                (event.src, event.dst)
-                if isinstance(event, MeasurementEvent)
-                else (event.node,)
-            )
+            if isinstance(event, MeasurementEvent):
+                if event.src == event.dst:
+                    raise StreamError(
+                        f"measurement at t={event.t} is a self-measurement "
+                        f"of node {event.src}"
+                    )
+                ids = (event.src, event.dst)
+            else:
+                ids = (event.node,)
             for node in ids:
                 if not 0 <= node < n:
                     raise StreamError(

@@ -215,8 +215,10 @@ def replay_trace(
         Where to write checkpoints (and, with ``resume``, where to read
         the one to restore).
     wal_path:
-        Append-only event log written as events apply; with ``resume``
-        the WAL suffix beyond the checkpoint is replayed first, then
+        Event log, one line per event, written before the event applies.
+        Each periodic checkpoint, once in place, cuts it (empties it), so
+        it holds at most ``checkpoint_every`` lines.  With ``resume`` the
+        WAL suffix beyond the checkpoint is replayed first, then
         appended to.
     checkpoint_every:
         Checkpoint after every N applied events (0 disables periodic
@@ -317,6 +319,9 @@ def replay_trace(
                     from repro.stream.durability import save_checkpoint
 
                     save_checkpoint(service, checkpoint_path)
+                    if wal is not None:
+                        # The checkpoint covers every logged event.
+                        wal.cut()
             counts["events"] += 1
             if isinstance(event, MeasurementEvent):
                 counts["measurements"] += 1

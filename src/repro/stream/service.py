@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -172,6 +173,30 @@ class StreamServiceConfig:
 
 def _edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
+
+
+def _sorted_table(table: dict, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """An edge-keyed dict as ``(ids, values)`` arrays, rows sorted by id pair.
+
+    ``width`` is the length of each value tuple, or 0 for float values.
+    """
+    n = len(table)
+    ids = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=2 * n)
+    ids = ids.reshape(n, 2)
+    if width:
+        values = np.fromiter(
+            chain.from_iterable(table.values()), dtype=float, count=width * n
+        ).reshape(n, width)
+    else:
+        values = np.fromiter(table.values(), dtype=float, count=n)
+    order = np.lexsort((ids[:, 1], ids[:, 0]))
+    return ids[order], values[order]
+
+
+def _id_pairs(ids) -> list[tuple[int, int]]:
+    """The rows of an E x 2 id array as ``(int, int)`` tuples."""
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1, 2)
+    return list(zip(ids[:, 0].tolist(), ids[:, 1].tolist()))
 
 
 class StreamCoordinateService:
@@ -341,8 +366,11 @@ class StreamCoordinateService:
         quarantine check and the adaptive residual gate; a rejected
         measurement still advances the clock and the event counter (so
         WAL replay stays aligned) but never touches the embedding or the
-        edge memory.
+        edge memory.  A self-measurement (``src == dst``) is refused before
+        it touches any state.
         """
+        if src == dst:
+            raise StreamError(f"measurement {src}->{dst} is a self-measurement")
         defense = self._config.defense
         if (
             defense is not None
@@ -368,10 +396,12 @@ class StreamCoordinateService:
             # unusable evidence — count the drop instead of hiding it.
             self._dropped += 1
             return
-        self._edge_rtt[_edge(src, dst)] = (float(rtt), float(t))
+        rtt = float(rtt)
+        edge = _edge(src, dst)
+        self._edge_rtt[edge] = (rtt, float(t))
         self._peers[src].add(dst)
         self._peers[dst].add(src)
-        self._update_severity(src, dst, float(rtt))
+        self._update_severity(src, dst, edge, rtt)
 
     # -- the measurement defense ----------------------------------------------
 
@@ -452,39 +482,45 @@ class StreamCoordinateService:
             self._quarantined.discard(node)
             self._probation.pop(node, None)
 
-    def _update_severity(self, src: int, dst: int, rtt: float) -> None:
-        """Fold one witness sample into the edge's rolling severity."""
-        witnesses = list((self._peers[src] & self._peers[dst]) - {src, dst})
+    def _update_severity(
+        self, src: int, dst: int, edge: tuple[int, int], rtt: float
+    ) -> None:
+        """Fold one witness sample into the edge's rolling severity.
+
+        Witnesses are the common peers of ``src`` and ``dst`` (never the
+        endpoints themselves: there are no self-edges), visited in sorted
+        order.  A set's iteration order depends on its insertion history,
+        which a restored service does not share, so summing in set order
+        would let a checkpoint round trip move the estimate by an ulp.
+        """
+        peers = self._peers
+        witnesses = sorted(peers[src] & peers[dst])
         if not witnesses:
             return
         k = self._config.severity_witnesses
         if len(witnesses) > k:
-            witnesses.sort()
             chosen = self._rng.choice(len(witnesses), size=k, replace=False)
             witnesses = [witnesses[index] for index in chosen]
+        # Every witness is a peer of both endpoints, so both of its edges
+        # are in the table and carry a positive RTT.
+        edge_rtt = self._edge_rtt
         total = 0.0
-        counted = 0
         for witness in witnesses:
-            side_a = self._edge_rtt.get(_edge(src, witness))
-            side_b = self._edge_rtt.get(_edge(witness, dst))
-            if side_a is None or side_b is None:
-                continue
-            detour = side_a[0] + side_b[0]
-            if detour <= 0:
-                continue
+            detour = (
+                edge_rtt[(src, witness) if src <= witness else (witness, src)][0]
+                + edge_rtt[(witness, dst) if witness <= dst else (dst, witness)][0]
+            )
             # The paper's severity ratio: >1 iff the witness offers a
             # faster two-hop detour than the direct edge (a TIV).
-            total += max(1.0, rtt / detour)
-            counted += 1
-        if not counted:
-            return
-        sample = total / counted
-        alpha = self._config.severity_alpha
-        previous = self._severity.get(_edge(src, dst))
+            ratio = rtt / detour
+            total += ratio if ratio > 1.0 else 1.0
+        sample = total / len(witnesses)
+        previous = self._severity.get(edge)
         if previous is None:
-            self._severity[_edge(src, dst)] = sample
+            self._severity[edge] = sample
         else:
-            self._severity[_edge(src, dst)] = alpha * sample + (1 - alpha) * previous
+            alpha = self._config.severity_alpha
+            self._severity[edge] = alpha * sample + (1 - alpha) * previous
 
     # -- live queries ---------------------------------------------------------
 
@@ -595,30 +631,33 @@ class StreamCoordinateService:
     # -- durable state ---------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Everything future behaviour depends on, in JSON/array-safe form.
+        """Everything future behaviour depends on, as arrays plus JSON-safe values.
 
         Captures the embedding's full-capacity state, the edge memory and
         severity EWMAs, the defense ledger and the *shared* RNG stream
         (the service and its embedding draw from one generator, so its
-        bit-generator state appears here exactly once).  Restoring via
-        :meth:`from_state` and continuing a replay is bit-identical to
-        never having stopped — the guarantee
-        :func:`repro.stream.durability.recover` and the recovery property
-        tests pin.
+        bit-generator state appears here exactly once).  The edge memory
+        is four arrays with rows sorted by id pair, so equal states give
+        equal arrays: ``edge_ids`` (E x 2 int64) with ``edge_obs`` (E x 2
+        float64: the RTT and the time it was observed), and
+        ``severity_ids`` (S x 2 int64) with ``severity`` (S float64).
+        The per-node peer sets are not stored: they are exactly the
+        adjacency of the edge table over the active nodes, which
+        :meth:`from_state` rebuilds.  Restoring via :meth:`from_state`
+        and continuing a replay is bit-identical to never having stopped
+        — the guarantee :func:`repro.stream.durability.recover` and the
+        recovery property tests pin.
         """
+        edge_ids, edge_obs = _sorted_table(self._edge_rtt, 2)
+        severity_ids, severity = _sorted_table(self._severity, 0)
         return {
             "config": self._config.as_dict(),
             "embedding": self._embedding.state_dict(),
             "rng_state": self._rng.bit_generator.state,
-            "edge_rtt": [
-                [int(a), int(b), float(rtt), float(at)]
-                for (a, b), (rtt, at) in self._edge_rtt.items()
-            ],
-            "peers": {int(node): sorted(peers) for node, peers in self._peers.items()},
-            "severity": [
-                [int(a), int(b), float(value)]
-                for (a, b), value in self._severity.items()
-            ],
+            "edge_ids": edge_ids,
+            "edge_obs": edge_obs,
+            "severity_ids": severity_ids,
+            "severity": severity,
             "clock": float(self._clock),
             "events": int(self._events),
             "dropped": int(self._dropped),
@@ -643,17 +682,26 @@ class StreamCoordinateService:
         service._embedding = OnlineVivaldi.from_state(
             state["embedding"], config.online, rng=rng
         )
-        service._edge_rtt = {
-            _edge(int(a), int(b)): (float(rtt), float(at))
-            for a, b, rtt, at in state["edge_rtt"]
+        edges = _id_pairs(state["edge_ids"])
+        obs = np.asarray(state["edge_obs"], dtype=float).reshape(-1, 2)
+        service._edge_rtt = dict(zip(edges, zip(obs[:, 0].tolist(), obs[:, 1].tolist())))
+        service._severity = dict(
+            zip(
+                _id_pairs(state["severity_ids"]),
+                np.asarray(state["severity"], dtype=float).tolist(),
+            )
+        )
+        peers: dict[int, set[int]] = {
+            node: set() for node in service._embedding.active_nodes()
         }
-        service._peers = {
-            int(node): {int(p) for p in peers}
-            for node, peers in state["peers"].items()
-        }
-        service._severity = {
-            _edge(int(a), int(b)): float(value) for a, b, value in state["severity"]
-        }
+        for a, b in edges:
+            if a >= b or a not in peers or b not in peers:
+                raise StreamError(
+                    f"edge ({a}, {b}) is not an ordered pair of distinct active nodes"
+                )
+            peers[a].add(b)
+            peers[b].add(a)
+        service._peers = peers
         service._clock = float(state["clock"])
         service._events = int(state["events"])
         service._dropped = int(state["dropped"])

@@ -1,7 +1,9 @@
 """Checkpoint + WAL durability: round-trips, corruption, bit-identical recovery."""
 
 import json
+import zipfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,9 @@ from repro.stream.durability import CHECKPOINT_SCHEMA
 from repro.stream.service import StreamCoordinateService
 
 DEFENDED = StreamServiceConfig(defense=DefenseConfig())
+
+EMBEDDING_ARRAYS = ("coords", "heights", "errors", "last_update", "update_counts")
+EDGE_ARRAYS = ("edge_ids", "edge_obs", "severity_ids", "severity")
 
 
 def _busy_service(n_events=300):
@@ -75,8 +80,6 @@ class TestCheckpointRoundTrip:
         service = _busy_service(50)
         path = tmp_path / "ck.npz"
         save_checkpoint(service, path)
-        import numpy as np
-
         with np.load(path, allow_pickle=False) as payload:
             members = {key: payload[key] for key in payload.files}
         state = json.loads(bytes(members["state"]).decode("utf-8"))
@@ -89,13 +92,135 @@ class TestCheckpointRoundTrip:
             load_checkpoint(path)
 
     def test_schema_tag_present(self, tmp_path):
-        import numpy as np
-
         path = tmp_path / "ck.npz"
         save_checkpoint(_busy_service(50), path)
         with np.load(path, allow_pickle=False) as payload:
             state = json.loads(bytes(payload["state"]).decode("utf-8"))
-        assert state["schema"] == CHECKPOINT_SCHEMA
+        assert state["schema"] == CHECKPOINT_SCHEMA == "stream-checkpoint/v2"
+
+
+def _write_v1_checkpoint(service, path):
+    """Save ``service`` in the ``stream-checkpoint/v1`` layout.
+
+    v1 kept the edge memory and the peer sets as JSON lists in dict
+    order and zlib-compressed every member.
+    """
+    state = service.state_dict()
+    for key in EDGE_ARRAYS:
+        del state[key]
+    state["edge_rtt"] = [
+        [a, b, rtt, at] for (a, b), (rtt, at) in service._edge_rtt.items()
+    ]
+    state["peers"] = {node: sorted(peers) for node, peers in service._peers.items()}
+    state["severity"] = [[a, b, value] for (a, b), value in service._severity.items()]
+    embedding = dict(state["embedding"])
+    arrays = {key: embedding.pop(key) for key in EMBEDDING_ARRAYS}
+    state["embedding"] = embedding
+    blob = json.dumps({"schema": "stream-checkpoint/v1", "state": state})
+    np.savez_compressed(
+        path, state=np.frombuffer(blob.encode("utf-8"), dtype=np.uint8), **arrays
+    )
+
+
+class TestCheckpointFormat:
+    def test_v2_keeps_the_edge_memory_in_plain_npz_members(self, tmp_path):
+        service = _busy_service()
+        path = tmp_path / "ck.npz"
+        save_checkpoint(service, path)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+        with np.load(path, allow_pickle=False) as data:
+            members = {key: data[key] for key in data.files}
+        assert set(members) == {"state", *EMBEDDING_ARRAYS, *EDGE_ARRAYS}
+        state = json.loads(bytes(members["state"]).decode("utf-8"))["state"]
+        assert not {"edge_rtt", "peers", *EDGE_ARRAYS} & set(state)
+
+        edges = service.observed_edges()
+        assert len(edges) > 10
+        assert members["edge_ids"].dtype == np.int64
+        assert members["edge_ids"].shape == (len(edges), 2)
+        assert list(map(tuple, members["edge_ids"].tolist())) == edges
+        assert members["edge_obs"].dtype == np.float64
+        assert members["edge_obs"].shape == (len(edges), 2)
+        for (a, b), (rtt, observed_at) in zip(edges, members["edge_obs"].tolist()):
+            verdict = service.tiv_alert(a, b)
+            assert verdict["observed"] == rtt
+            assert verdict["observation_age"] == service.clock - observed_at
+
+        severity_edges = list(map(tuple, members["severity_ids"].tolist()))
+        assert severity_edges == sorted(severity_edges)
+        assert members["severity"].shape == (len(severity_edges),)
+        assert severity_edges == [
+            edge for edge in edges if service.severity_estimate(*edge) is not None
+        ]
+        estimates = [service.severity_estimate(a, b) for a, b in severity_edges]
+        assert estimates == members["severity"].tolist()
+
+    def test_state_dict_derives_peers_instead_of_storing_them(self):
+        service = _busy_service()
+        state = service.state_dict()
+        assert "peers" not in state
+        restored = StreamCoordinateService.from_state(state)
+        assert restored._peers == service._peers
+
+    def test_v1_file_restores_the_live_service(self, tmp_path):
+        trace = synthesize_trace(n_nodes=16, seed=2, duration=30.0, churn=0.2)
+        service = StreamCoordinateService(config=DEFENDED, rng=4)
+        for event in trace.events[:200]:
+            service.apply(event)
+        path = tmp_path / "v1.npz"
+        _write_v1_checkpoint(service, path)
+        restored = load_checkpoint(path)
+        assert state_fingerprint(restored) == state_fingerprint(service)
+        for event in trace.events[200:300]:
+            service.apply(event)
+            restored.apply(event)
+        assert state_fingerprint(restored) == state_fingerprint(service)
+
+    def test_edge_on_an_inactive_node_refused(self, tmp_path):
+        service = _busy_service(50)
+        state = service.state_dict()
+        state["edge_ids"] = np.array([[0, 999]], dtype=np.int64)
+        state["edge_obs"] = np.array([[10.0, 0.0]])
+        with pytest.raises(StreamError, match="active nodes"):
+            StreamCoordinateService.from_state(state)
+
+
+class TestRestoredServiceMatchesLive:
+    def test_witness_order_does_not_depend_on_set_history(self, tmp_path):
+        """Regression: severity summed witnesses in set iteration order.
+
+        The live peer sets and the ones a checkpoint rebuilds hold the
+        same ids in different hash-table orders once ids collide, so the
+        first severity update after a restore drifted by an ulp.
+        """
+        live = StreamCoordinateService(rng=0)
+        for node in (0, 2, 71, 187, 61, 154, 29, 84):
+            live.join(node, t=0.0)
+        t = 1.0
+        pairs = [(17, 29), (18, 6), (13, 21), (20, 17), (30, 14), (20, 16)]
+        for witness, (a, b) in zip([71, 187, 61, 154, 29, 84], pairs):
+            live.observe(0, witness, float(a), t=t)
+            live.observe(2, witness, float(b), t=t + 1.0)
+            t += 2.0
+        path = tmp_path / "ck.npz"
+        save_checkpoint(live, path)
+        restored = load_checkpoint(path)
+
+        def set_order(service):
+            # The witness list as the old code built it.
+            return list((service._peers[0] & service._peers[2]) - {0, 2})
+
+        # The precondition that made the bug visible: same witnesses,
+        # different iteration order.
+        assert sorted(set_order(live)) == sorted(set_order(restored))
+        assert set_order(live) != set_order(restored)
+        live.observe(0, 2, 100.0, t=t)
+        restored.observe(0, 2, 100.0, t=t)
+        assert restored.severity_estimate(0, 2) == live.severity_estimate(0, 2)
+        assert state_fingerprint(restored) == state_fingerprint(live)
 
 
 class TestWal:
@@ -152,6 +277,18 @@ class TestWal:
         with WalWriter(path, append=True) as wal:
             wal.log(1, self.EVENTS[1])
         assert [seq for seq, _ in read_wal(path)] == [0, 1]
+
+    @pytest.mark.parametrize("append", [False, True])
+    def test_cut_empties_the_log(self, tmp_path, append):
+        path = tmp_path / "wal.jsonl"
+        with WalWriter(path, append=append) as wal:
+            wal.log(0, self.EVENTS[0])
+            wal.log(1, self.EVENTS[1])
+            wal.cut()
+            assert path.read_text(encoding="utf-8") == ""
+            wal.log(2, self.EVENTS[2])
+        assert path.read_text(encoding="utf-8").count("\n") == 1
+        assert read_wal(path) == [(2, self.EVENTS[2])]
 
 
 class TestRecovery:
@@ -236,6 +373,59 @@ class TestRecovery:
         trace = synthesize_trace(n_nodes=16, seed=2, duration=10.0)
         with pytest.raises(StreamError, match="resume"):
             replay_trace(trace, config=DEFENDED, resume=True)
+
+
+class TestWalCut:
+    def test_wal_starts_at_the_last_periodic_checkpoint(self, tmp_path):
+        trace = synthesize_trace(n_nodes=16, seed=2, duration=30.0, churn=0.2)
+        last_periodic = trace.n_events // 100 * 100
+        assert 0 < last_periodic < trace.n_events
+        ck = tmp_path / "ck.npz"
+        wal = tmp_path / "wal.jsonl"
+        replay_trace(
+            trace,
+            config=DEFENDED,
+            checkpoint_path=ck,
+            wal_path=wal,
+            checkpoint_every=100,
+        )
+        seqs = [seq for seq, _ in read_wal(wal)]
+        assert seqs == list(range(last_periodic, trace.n_events))
+        # The final checkpoint covers that suffix.
+        assert recover(ck, wal).n_events == trace.n_events
+
+    def test_killed_replay_leaves_only_the_uncovered_suffix(self, tmp_path):
+        trace = synthesize_trace(n_nodes=16, seed=2, duration=30.0, churn=0.2)
+        ck = tmp_path / "ck.npz"
+        wal = tmp_path / "wal.jsonl"
+        replay_trace(
+            trace,
+            config=DEFENDED,
+            checkpoint_path=ck,
+            wal_path=wal,
+            checkpoint_every=100,
+            stop_after_events=250,
+        )
+        assert [seq for seq, _ in read_wal(wal)] == list(range(200, 250))
+        assert load_checkpoint(ck).n_events == 200
+
+    def test_uncut_wal_still_recovers(self, tmp_path):
+        # A crash between a checkpoint's rename and the cut leaves the
+        # whole log behind; recovery skips the covered prefix.
+        trace = synthesize_trace(n_nodes=16, seed=2, duration=30.0, churn=0.2)
+        ck = tmp_path / "ck.npz"
+        wal = tmp_path / "wal.jsonl"
+        service = StreamCoordinateService(config=DEFENDED, rng=0)
+        with WalWriter(wal) as log:
+            for seq, event in enumerate(trace.events[:250]):
+                log.log(seq, event)
+                service.apply(event)
+                if seq == 199:
+                    save_checkpoint(service, ck)
+        assert read_wal(wal)[0][0] == 0
+        recovered = recover(ck, wal)
+        assert recovered.n_events == 250
+        assert state_fingerprint(recovered) == state_fingerprint(service)
 
 
 class TestCutPointProperty:

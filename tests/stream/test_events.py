@@ -35,6 +35,13 @@ class TestTraceValidation:
         with pytest.raises(StreamError):
             Trace(events, tiny_truth(), {})
 
+    def test_self_measurements_rejected(self):
+        # Regression: a trace could carry src == dst, which the service
+        # recorded as a self-edge and later crashed on at leave().
+        events = [NodeJoin(0.0, 2), MeasurementEvent(1.0, 2, 2, 10.0)]
+        with pytest.raises(StreamError, match="self-measurement of node 2"):
+            Trace(events, tiny_truth(), {})
+
     def test_properties(self):
         events = [
             NodeJoin(0.0, 0),

@@ -69,6 +69,21 @@ class TestEventHandling:
         with pytest.raises(StreamError, match="inactive node 2"):
             service.observe(1, 2, 10.0)
 
+    def test_self_measurement_rejected_without_touching_state(self):
+        # Regression: observe(2, 2, ...) recorded the edge (2, 2) and a
+        # later leave(2) raised a bare KeyError after the node had
+        # already left the embedding.
+        service = StreamCoordinateService(rng=0)
+        service.join(1)
+        service.join(2)
+        with pytest.raises(StreamError, match="self-measurement"):
+            service.observe(2, 2, 10.0, t=1.0)
+        assert service.n_events == 2
+        assert service.clock == 0.0
+        assert service.n_observed_edges == 0
+        service.leave(2, t=2.0)
+        assert service.active_nodes() == [1]
+
 
 class TestEdgeMemory:
     def test_observation_is_remembered(self):
