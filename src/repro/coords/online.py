@@ -379,9 +379,20 @@ class OnlineVivaldi:
 
         The op sequence (subtract, einsum, sqrt, add heights row-wise then
         column-wise) mirrors :meth:`distances_from` exactly, so every
-        entry is bit-identical to the scalar query for that pair.
+        entry is bit-identical to the scalar query for that pair.  The
+        C-contiguous ``(Q, N, D)`` difference tensor is filled one
+        coordinate axis at a time, so each subtraction's inner loop runs
+        over the N active nodes rather than the D dimensions; its values
+        and layout, and hence the einsum's, are those of one broadcast
+        subtraction.
         """
-        diff = self._coords[slots][None, :, :] - self._coords[q_slots][:, None, :]
+        active = self._coords[slots]
+        queries = self._coords[q_slots]
+        diff = np.empty((len(q_slots), len(slots), active.shape[1]))
+        for axis in range(active.shape[1]):
+            np.subtract(
+                active[None, :, axis], queries[:, axis, None], out=diff[:, :, axis]
+            )
         dists = np.sqrt(np.einsum("qnd,qnd->qn", diff, diff))
         if self._config.use_height:
             dists = dists + self._heights[slots][None, :]
@@ -413,10 +424,16 @@ class OnlineVivaldi:
     def closest_batch(self, nodes, k: int = 1) -> list[list[tuple[object, float]]]:
         """Batch :meth:`closest`: the ``k`` nearest active nodes per query.
 
-        One distance matrix plus one lexsort per query row answers the
-        whole batch; ids, predicted delays and tie-breaking are identical
-        to per-query :meth:`closest` calls.  Populations with non-integer
-        ids fall back to the scalar path per query.
+        One distance matrix and one tie-aware top-k selection answer the
+        whole batch: a row-wise partition finds each query's ``take``-th
+        smallest delay, every entry at or below it stays a candidate (so
+        all ties at the boundary survive), and one lexsort by (query,
+        delay, id) orders the candidates.  Ids, predicted delays and
+        tie-breaking are identical to per-query :meth:`closest` calls.
+        Coordinates stay finite (:meth:`observe` refuses non-finite RTTs
+        and gravity is clamped), so every row holds at least ``take``
+        candidates.  Populations with non-integer ids fall back to the
+        scalar path per query.
         """
         if k < 1:
             raise EmbeddingError("k must be >= 1")
@@ -429,15 +446,24 @@ class OnlineVivaldi:
         q_slots = np.fromiter(
             (self._slot_of(n) for n in nodes), dtype=np.int64, count=len(nodes)
         )
-        dists = self._distances_to_active(q_slots, slots)
         take = min(int(k), len(active) - 1)
-        out: list[list[tuple[object, float]]] = []
-        for qi, node in enumerate(nodes):
-            row = dists[qi]
-            row[int(np.searchsorted(ids, node))] = np.inf  # exclude the query node
-            order = np.lexsort((ids, row))[:take]
-            out.append([(int(ids[t]), float(row[t])) for t in order])
-        return out
+        if take == 0:
+            return [[] for _ in nodes]
+        dists = self._distances_to_active(q_slots, slots)
+        queries = np.arange(len(nodes))
+        # Exclude each query node from its own row.
+        dists[queries, np.searchsorted(ids, np.asarray(nodes, dtype=np.int64))] = np.inf
+        kth = np.partition(dists, take - 1, axis=1)[:, take - 1]
+        row, col = np.nonzero(dists <= kth[:, None])
+        value = dists[row, col]
+        order = np.lexsort((ids[col], value, row))
+        # ``row`` (row-major from np.nonzero) and ``row[order]`` are both
+        # sorted, so each query's candidates start at the same offset.
+        starts = np.searchsorted(row, queries)
+        picked = order[(starts[:, None] + np.arange(take)).ravel()]
+        out_ids = ids[col[picked]].reshape(len(nodes), take).tolist()
+        out_values = value[picked].reshape(len(nodes), take).tolist()
+        return [list(zip(i, v)) for i, v in zip(out_ids, out_values)]
 
     def distance_batch(self, pairs) -> np.ndarray:
         """Predicted delays for a batch of ``(a, b)`` node pairs.

@@ -293,8 +293,8 @@ def _setup_stream_closest(kernel: str):
 
             def run() -> int:
                 # One call = a closest-node query from every node, answered
-                # by one whole-population einsum + per-row lexsort — the
-                # serving hot path `repro serve-bench` stresses.
+                # by one whole-population einsum + one tie-aware top-k
+                # selection — the serving hot path `repro serve-bench` stresses.
                 service.closest_batch(nodes, k=3)
                 return len(nodes)
 

@@ -21,9 +21,10 @@ survive a crash with a classic two-piece recovery protocol:
   global sequence number and flushed before the event is applied.  The
   replay loop empties it (:meth:`WalWriter.cut`) once a checkpoint that
   covers every logged line is in place, so it holds at most one
-  checkpoint interval.  A torn final line (the crash landed mid-write)
-  is tolerated and dropped; damage anywhere else raises a typed
-  :class:`StreamError` naming the path.
+  checkpoint interval.  A line is complete once its newline is written;
+  a torn final line (the crash landed mid-write) is dropped, and a
+  resumed writer cuts it off before appending.  Damage anywhere else
+  raises a typed :class:`StreamError` naming the path.
 
 :func:`recover` composes them: restore the newest checkpoint, then
 re-apply the WAL suffix (``seq >= checkpoint.n_events``).  Because the
@@ -207,14 +208,19 @@ class WalWriter:
     """JSONL event log, appended and flushed line by line.
 
     Each :meth:`log` call writes one self-describing line (sequence
-    number, event kind, payload) and flushes it, so after a crash the log
-    is complete up to — at worst — one torn final line, which
-    :func:`read_wal` tolerates.  :meth:`cut` empties the log once a
-    checkpoint covers all of it.
+    number, event kind, payload) and its newline, and flushes them, so
+    after a crash the log is complete up to — at worst — one torn final
+    line without its newline, which :func:`read_wal` drops.  With
+    ``append`` the log is first cut back to its last complete line, so
+    the next line does not land on a torn one.  :meth:`cut` empties the
+    log once a checkpoint covers all of it.
     """
 
     def __init__(self, path: PathLike, *, append: bool = False):
         self._path = Path(path)
+        if append and self._path.exists():
+            with open(self._path, "r+b") as handle:
+                handle.truncate(handle.read().rfind(b"\n") + 1)
         self._handle = open(self._path, "a" if append else "w", encoding="utf-8")
 
     def log(self, seq: int, event: Event) -> None:
@@ -245,23 +251,24 @@ class WalWriter:
 def read_wal(path: PathLike) -> list[tuple[int, Event]]:
     """Read a WAL back as ``(seq, event)`` pairs.
 
-    A torn *final* line — the signature of a crash mid-write — is
-    silently dropped; an undecodable line anywhere else means real
-    corruption and raises a typed :class:`StreamError` naming the path.
+    A final line without its newline — the signature of a crash
+    mid-write — is torn and silently dropped, even if what survived
+    parses: its event never finished logging, so it was never applied.
+    An undecodable complete line means real corruption and raises a
+    typed :class:`StreamError` naming the path.
     """
     path = Path(path)
     if not path.exists():
         raise StreamError(f"WAL file not found: {path}")
     entries: list[tuple[int, Event]] = []
-    lines = path.read_text(encoding="utf-8").splitlines()
+    text = path.read_text(encoding="utf-8")
+    lines = text[: text.rfind("\n") + 1].splitlines()
     for index, line in enumerate(lines):
         if not line.strip():
             continue
         try:
             entries.append(_decode_event(json.loads(line)))
         except Exception as exc:
-            if index == len(lines) - 1:
-                break  # torn tail from a crash mid-write: recover without it
             raise StreamError(
                 f"WAL file {path} is corrupted at line {index + 1} "
                 f"({type(exc).__name__}: {exc})"

@@ -278,6 +278,22 @@ class TestWal:
             wal.log(1, self.EVENTS[1])
         assert [seq for seq, _ in read_wal(path)] == [0, 1]
 
+    @pytest.mark.parametrize("torn_bytes", [1, 10])
+    def test_append_cuts_a_torn_tail_first(self, tmp_path, torn_bytes):
+        # One byte short, the last record still parses but lacks its
+        # newline: it was never completely written, so it is torn too.
+        path = tmp_path / "wal.jsonl"
+        with WalWriter(path) as wal:
+            for seq, event in enumerate(self.EVENTS[:3]):
+                wal.log(seq, event)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - torn_bytes])
+        assert read_wal(path) == list(enumerate(self.EVENTS[:2]))
+        with WalWriter(path, append=True) as wal:
+            wal.log(2, self.EVENTS[2])
+            wal.log(3, self.EVENTS[3])
+        assert read_wal(path) == list(enumerate(self.EVENTS))
+
     @pytest.mark.parametrize("append", [False, True])
     def test_cut_empties_the_log(self, tmp_path, append):
         path = tmp_path / "wal.jsonl"
@@ -367,6 +383,43 @@ class TestRecovery:
         assert (
             resumed.windows[-1].median_relative_error
             == uninterrupted.windows[-1].median_relative_error
+        )
+
+    def test_second_crash_after_resuming_onto_a_torn_tail_recovers(self, tmp_path):
+        # Killed at 250 (checkpoint at 200), the WAL's last line torn,
+        # resumed and killed again at 290, before the next checkpoint:
+        # the log must still recover, and a last resume must reach the
+        # uninterrupted state.
+        trace = synthesize_trace(n_nodes=16, duration=60.0, seed=0)
+        uninterrupted = replay_trace(trace)
+        ck = tmp_path / "ck.npz"
+        wal = tmp_path / "wal.jsonl"
+        replay_trace(
+            trace,
+            checkpoint_path=ck,
+            wal_path=wal,
+            checkpoint_every=200,
+            stop_after_events=250,
+        )
+        data = wal.read_bytes()
+        wal.write_bytes(data[:-7])
+        first = replay_trace(
+            trace,
+            checkpoint_path=ck,
+            wal_path=wal,
+            checkpoint_every=200,
+            resume=True,
+            stop_after_events=290,
+        )
+        assert first.totals["resumed_at_event"] == 249
+        assert recover(ck, wal).n_events == 290
+        resumed = replay_trace(
+            trace, checkpoint_path=ck, wal_path=wal, checkpoint_every=200, resume=True
+        )
+        assert resumed.totals["resumed_at_event"] == 290
+        assert (
+            resumed.totals["state_fingerprint"]
+            == uninterrupted.totals["state_fingerprint"]
         )
 
     def test_resume_without_checkpoint_rejected(self):

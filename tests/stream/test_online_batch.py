@@ -4,11 +4,17 @@
 the same einsum formulation the scalar queries use, so every value is
 required to be *bit-identical* (plain ``==``, no approx) to the
 per-query answer — across churny populations, seeds, and slot reuse
-after leaves.
+after leaves.  ``closest_batch`` selects its top k for the whole batch at
+once, so a Hypothesis property also pins it to scalar ``closest`` on
+tie-heavy populations: nodes that never probed sit at the origin with
+the minimum height, and a selection that keeps an arbitrary subset of
+the delays tied at the k-th place returns the wrong ids.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.coords.online import OnlineVivaldi, OnlineVivaldiConfig
 from repro.errors import EmbeddingError
@@ -124,3 +130,64 @@ class TestBatchEdgeCases:
         emb.join(victim, t=100.0)
         again = emb.closest_batch(emb.active_nodes(), k=2)
         assert len(again) == len(before)
+
+
+@st.composite
+def tie_heavy_populations(draw):
+    """``(config, ids, probes, queries, k)`` for a population full of exact ties.
+
+    Ids are integers, negative and sparse ones included.  Only a drawn
+    share of the nodes sends probes, with RTTs from a small set, so the
+    rest stay at the origin with the minimum height and tie exactly.
+    Queries may repeat an id, and ``k`` runs past the population.
+    """
+    config = OnlineVivaldiConfig(
+        dimension=draw(st.integers(min_value=1, max_value=5)),
+        use_height=draw(st.booleans()),
+    )
+    n_nodes = draw(st.integers(min_value=1, max_value=40))
+    ids = draw(
+        st.lists(
+            st.integers(min_value=-20, max_value=20)
+            | st.integers(min_value=-(10**12), max_value=10**12),
+            min_size=n_nodes,
+            max_size=n_nodes,
+            unique=True,
+        )
+    )
+    probes = []
+    if n_nodes > 1:
+        movers = draw(st.integers(min_value=0, max_value=n_nodes))
+        if movers:
+            probes = [
+                (ids[src], ids[(src + offset) % n_nodes], rtt)
+                for src, offset, rtt in draw(
+                    st.lists(
+                        st.tuples(
+                            st.integers(min_value=0, max_value=movers - 1),
+                            st.integers(min_value=1, max_value=n_nodes - 1),
+                            st.sampled_from([1.0, 2.0, 5.0, 20.0]),
+                        ),
+                        max_size=60,
+                    )
+                )
+            ]
+    queries = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12))
+    k = draw(st.integers(min_value=1, max_value=n_nodes + 2))
+    return config, ids, probes, queries, k
+
+
+@given(tie_heavy_populations())
+@example((OnlineVivaldiConfig(), [-5], [], [-5, -5], 3))
+@settings(max_examples=200, deadline=None)
+def test_closest_batch_matches_scalar_closest_with_ties(population):
+    config, ids, probes, queries, k = population
+    emb = OnlineVivaldi(config, rng=0)
+    for node in ids:
+        emb.join(node)
+    for src, dst, rtt in probes:
+        emb.observe(src, dst, rtt)
+    batch = emb.closest_batch(queries, k=k)
+    assert batch == [emb.closest(node, k=k) for node in queries]
+    if len(ids) == 1:
+        assert batch == [[] for _ in queries]
