@@ -27,7 +27,6 @@ from repro import (
     compute_tiv_severity,
     embed_vivaldi,
     load_dataset,
-    violating_triangle_fraction,
 )
 from repro.stats import median_absolute_error
 
@@ -40,7 +39,7 @@ def main(n_nodes: int = 200) -> None:
     print("\n=== 2. TIV severity analysis (Section 2) ===")
     severity = compute_tiv_severity(matrix)
     summary = severity.summary()
-    triangles = violating_triangle_fraction(matrix, rng=0)
+    triangles = severity.violating_triangle_fraction()
     print(f"fraction of violating triangles: {triangles:.1%}")
     print(f"edges causing at least one violation: {summary['fraction_nonzero']:.1%}")
     print(f"median / p90 / max edge severity: "

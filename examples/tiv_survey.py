@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from repro import classify_major_clusters, compute_tiv_severity, load_dataset, violating_triangle_fraction
+from repro import classify_major_clusters, compute_tiv_severity, load_dataset
 from repro.tiv.analysis import cluster_severity_analysis, severity_vs_delay
 from repro.tiv.proximity import proximity_analysis
 
@@ -38,7 +38,7 @@ def survey(name: str, preset: str, n_nodes: int) -> None:
     summary = severity.summary()
 
     print(f"--- {name} ({matrix.n_nodes} nodes, preset {preset!r}) ---")
-    print(f"violating triangles: {violating_triangle_fraction(matrix, rng=0):.1%}")
+    print(f"violating triangles: {severity.violating_triangle_fraction():.1%}")
     print(
         f"edge severity: median {summary['median']:.3f}, p90 {summary['p90']:.3f}, "
         f"max {summary['max']:.2f} ({summary['fraction_nonzero']:.0%} of edges violate at least once)"

@@ -48,7 +48,7 @@ from repro.delayspace.matrix import DelayMatrix
 from repro.errors import ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import list_experiments, run_experiment
-from repro.tiv.severity import compute_tiv_severity, violating_triangle_fraction
+from repro.tiv.severity import compute_tiv_severity
 
 
 def _json_default(value):
@@ -103,7 +103,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "n_nodes": matrix.n_nodes,
         "median_delay_ms": matrix.median_delay(),
         "missing_fraction": matrix.missing_fraction(),
-        "violating_triangle_fraction": violating_triangle_fraction(matrix, rng=args.seed),
+        "violating_triangle_fraction": severity.violating_triangle_fraction(),
         "severity": severity.summary(),
     }
     _print_json(payload)

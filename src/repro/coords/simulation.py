@@ -127,9 +127,12 @@ class VivaldiSimulation:
         track_oscillation:
             Record the running min/max predicted distance of every measured
             edge so the oscillation range can be reported (Fig. 11).  Each
-            step evaluates one distance per measured edge (an O(E·d)
-            gather), so this is the most expensive option, though it no
-            longer materialises the full predicted matrix.
+            step gathers both ends of every measured edge into preallocated
+            buffers (O(E·d)) and updates the extrema of the squared
+            distances; the square roots are taken once, after the last
+            step.  The range equals the extrema of per-step
+            :meth:`~repro.coords.vivaldi.VivaldiSystem.predict_edges` calls
+            bit for bit.  Still the most expensive option.
         track_movement:
             Record per-node movement magnitudes each step.
         """
@@ -156,7 +159,12 @@ class VivaldiSimulation:
         rows = cols = None
         running_min = running_max = None
         if track_oscillation:
+            # Squared-distance extrema; sqrt is monotone, so it waits for
+            # the end.
             rows, cols = self._matrix.edge_index_pairs()
+            ends = np.empty((rows.size, self._system.config.dimension))
+            diff = np.empty_like(ends)
+            squared = np.empty(rows.size)
             running_min = np.full(rows.size, np.inf)
             running_max = np.full(rows.size, -np.inf)
 
@@ -171,17 +179,18 @@ class VivaldiSimulation:
                 predicted = self._system.predict_edges(tracked_rows, tracked_cols)
                 tracked_errors[step] = predicted - tracked_measured
             if track_oscillation:
-                # Only the measured edges are evaluated — predict_edges skips
-                # the full N x N predicted matrix the old path materialised
-                # every step.
-                values = self._system.predict_edges(rows, cols)
-                np.minimum(running_min, values, out=running_min)
-                np.maximum(running_max, values, out=running_max)
+                coords = self._system.coordinates
+                np.take(coords, rows, axis=0, out=diff)
+                np.take(coords, cols, axis=0, out=ends)
+                np.subtract(diff, ends, out=diff)
+                np.einsum("ij,ij->i", diff, diff, out=squared)
+                np.minimum(running_min, squared, out=running_min)
+                np.maximum(running_max, squared, out=running_max)
 
         oscillation = None
         edge_delays = None
         if track_oscillation:
-            oscillation = running_max - running_min
+            oscillation = np.sqrt(running_max) - np.sqrt(running_min)
             edge_delays = measured[rows, cols].astype(float)
 
         return EmbeddingTrace(

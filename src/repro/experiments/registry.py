@@ -95,7 +95,7 @@ for _experiment_id, _runner, _needs in (
     ("fig09", fig09_proximity, ("datasets",)),
     ("fig10", fig10_three_node_trace, ()),
     ("fig11", fig11_oscillation, ("matrix",)),
-    ("text_3_2_1", text_vivaldi_error_stats, ("matrix", "vivaldi")),
+    ("text_3_2_1", text_vivaldi_error_stats, ("matrix", "severity", "vivaldi")),
     ("fig13", fig13_ring_misplacement, ("matrix",)),
     ("fig14", fig14_meridian_ideal, ("matrix", "euclidean")),
     ("fig15", fig15_ides, ("matrix", "vivaldi", "ides")),

@@ -18,7 +18,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
 from repro.experiments.result import ExperimentResult
 from repro.stats.summary import absolute_errors
-from repro.tiv.severity import violating_triangle_fraction
 
 
 def fig10_three_node_trace(
@@ -113,9 +112,7 @@ def text_vivaldi_error_stats(
         experiment_id="text_3_2_1",
         title="Vivaldi aggregate error under TIV (in-text statistics)",
         data={
-            "violating_triangle_fraction": violating_triangle_fraction(
-                ctx.matrix, rng=ctx.config.seed
-            ),
+            "violating_triangle_fraction": ctx.severity.violating_triangle_fraction(),
             "median_abs_error_ms": float(np.median(errors)),
             "p90_abs_error_ms": float(np.quantile(errors, 0.90)),
         },

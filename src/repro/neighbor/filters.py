@@ -10,6 +10,7 @@ finer-grained TIV alert mechanism of §5.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,14 +94,14 @@ def neighbor_edge_severities(
     """TIV severity of every (node, neighbour) edge in the given lists.
 
     Used by Fig. 22 to show how the dynamic-neighbour procedure drains high
-    severity edges out of the Vivaldi neighbour sets.
+    severity edges out of the Vivaldi neighbour sets.  The values come in
+    list order, from one gather over every (node, neighbour) pair.
     """
-    values: list[float] = []
-    for i, neighbors in enumerate(neighbor_lists):
-        for j in neighbors:
-            value = severity.severity[i, int(j)]
-            if np.isfinite(value):
-                values.append(float(value))
-    if not values:
+    sizes = [len(neighbors) for neighbors in neighbor_lists]
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    cols = np.fromiter(chain.from_iterable(neighbor_lists), dtype=np.int64, count=rows.size)
+    values = severity.severity[rows, cols]
+    values = values[np.isfinite(values)]
+    if values.size == 0:
         raise NeighborSelectionError("neighbour lists contain no measured edges")
-    return np.asarray(values)
+    return values

@@ -122,40 +122,57 @@ def select_by_predictor(
 
     Each client chooses the candidate with the smallest delay *predicted* by
     ``predictor``; the penalty is computed against the candidate with the
-    smallest *measured* delay.  Clients with no measured delay to any
-    candidate are skipped.
+    smallest *measured* delay.  A client never picks itself, and only
+    candidates with a measured delay count; clients with none are skipped.
+    Ties go to the first such candidate in ``candidates`` order, and a
+    ``nan`` prediction wins over every number, as :func:`numpy.argmin` rules.
+
+    All clients are scored at once over their (clients × candidates) block
+    of the measured and predicted matrices.
     """
     if predictor.n_nodes != matrix.n_nodes:
         raise NeighborSelectionError(
             "predictor and matrix cover a different number of nodes"
         )
+    return _select(matrix.values, predictor.predicted_matrix(), candidates, clients)
+
+
+def _select(
+    measured: np.ndarray,
+    predicted: np.ndarray,
+    candidates: Sequence[int],
+    clients: Sequence[int],
+) -> NeighborSelectionResult:
+    """:func:`select_by_predictor` over an already computed predicted matrix."""
     cand = np.asarray(list(candidates), dtype=int)
     if cand.size < 1:
         raise NeighborSelectionError("need at least one candidate")
-    measured = matrix.values
-    predicted = predictor.predicted_matrix()
-
-    penalties: list[float] = []
-    for client in clients:
-        client = int(client)
-        pool = cand[cand != client]
-        if pool.size == 0:
-            continue
-        measured_delays = measured[client, pool]
-        finite = np.isfinite(measured_delays)
-        if not finite.any():
-            continue
-        pool_f = pool[finite]
-        measured_f = measured_delays[finite]
-        predicted_f = predicted[client, pool_f]
-        selected = pool_f[int(np.argmin(predicted_f))]
-        optimal_delay = float(measured_f.min())
-        selected_delay = float(measured[client, selected])
-        penalties.append(percentage_penalty(selected_delay, optimal_delay))
-
-    if not penalties:
+    clients = np.asarray(list(clients), dtype=int)
+    block = np.ix_(clients, cand)
+    delays = measured[block]
+    valid = np.isfinite(delays) & (cand[None, :] != clients[:, None])
+    tested = valid.any(axis=1)
+    if not tested.any():
         raise NeighborSelectionError("no client produced a valid selection test")
-    return NeighborSelectionResult(penalties=np.asarray(penalties), probes=0, n_runs=1)
+    delays, valid, guess = delays[tested], valid[tested], predicted[block][tested]
+
+    # The first valid column holding the row's smallest valid prediction: a
+    # nan makes that minimum nan and only nan columns match it, as argmin
+    # would pick the first nan.  Matching the minimum (instead of masking
+    # invalid columns with +inf) keeps an invalid column from winning a
+    # row whose valid predictions are all +inf.
+    best = np.where(valid, guess, np.inf).min(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        chosen = valid & ((guess == best) | np.isnan(guess))
+    selected = delays[np.arange(delays.shape[0]), chosen.argmax(axis=1)]
+    optimal = np.where(valid, delays, np.inf).min(axis=1)
+
+    # percentage_penalty, element-wise: 0 or inf at a zero optimum.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        penalties = (selected - optimal) * 100.0 / optimal
+    zero = optimal == 0
+    penalties[zero] = np.where(selected[zero] == 0, 0.0, np.inf)
+    return NeighborSelectionResult(penalties=penalties, probes=0, n_runs=1)
 
 
 class CoordinateSelectionExperiment:
@@ -206,8 +223,13 @@ class CoordinateSelectionExperiment:
 
     def run(self, predictor: DelayPredictor) -> NeighborSelectionResult:
         """Evaluate ``predictor`` over all candidate/client splits."""
+        if predictor.n_nodes != self._matrix.n_nodes:
+            raise NeighborSelectionError(
+                "predictor and matrix cover a different number of nodes"
+            )
+        predicted = predictor.predicted_matrix()
         results = [
-            select_by_predictor(self._matrix, predictor, candidates, clients)
+            _select(self._matrix.values, predicted, candidates, clients)
             for candidates, clients in self.splits()
         ]
         return NeighborSelectionResult.pooled(results)

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.delayspace.matrix import DelayMatrix
 from repro.errors import DelayMatrixError
-from repro.stats.rng import RngLike, ensure_rng
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,29 @@ class TIVSeverityResult:
             raise ValueError(f"fraction must be in (0, 1], got {fraction}")
         vals = self.edge_severities()
         return float(np.quantile(vals, 1.0 - fraction))
+
+    def violating_triangle_fraction(self) -> float:
+        """Fraction of measured triangles that violate the inequality (§2).
+
+        A triangle counts when all three of its edges are measured; it
+        violates when one edge is longer than the sum of the other two.
+        Delays are non-negative and the matrix is symmetric, so at most one
+        edge of a triangle can be violated (in floating point too, since
+        ``fl(x + y) >= max(x, y)`` for ``x, y >= 0``), and edge (a, c)
+        counts witness b exactly when triangle (a, b, c) violates at
+        (a, c).  The violating triangles are therefore the upper-triangle
+        sum of :attr:`violation_counts`.  Severity is ``nan`` exactly on
+        unmeasured edges and the diagonal, so with ``M`` the measured-edge
+        mask the triangles number ``((M @ M) * M).sum() / 6``.  Both counts
+        are exact integers, so the fraction equals exhaustive enumeration
+        bit for bit, in one O(N³) matrix product instead of a pass over
+        every triple.
+        """
+        measured = (~np.isnan(self.severity)).astype(float)
+        triangles = int(((measured @ measured) * measured).sum()) // 6
+        if triangles == 0:
+            return 0.0
+        return int(np.triu(self.violation_counts, k=1).sum()) / triangles
 
     def summary(self) -> dict[str, float]:
         """Scalar summary of the edge-severity distribution."""
@@ -254,64 +276,15 @@ def triangulation_ratios(matrix: DelayMatrix, i: int, j: int) -> np.ndarray:
     return direct / two_hop[violating]
 
 
-def violating_triangle_fraction(
-    matrix: DelayMatrix,
-    *,
-    max_triangles: int | None = 2_000_000,
-    rng: RngLike = 0,
-) -> float:
+def violating_triangle_fraction(matrix: DelayMatrix) -> float:
     """Fraction of node triples whose triangle violates the inequality.
 
     The paper reports "around 12 %" for the DS² data.  A triangle (A, B, C)
-    counts as violating if any of its three edges is longer than the sum of
-    the other two.  For large matrices the triples are sampled
-    (``max_triangles`` of them) rather than enumerated.
-
-    Parameters
-    ----------
-    matrix:
-        The delay matrix.
-    max_triangles:
-        Sample size cap; ``None`` forces exact enumeration.
-    rng:
-        Seed or generator for the sampling path.
+    with all three edges measured counts as violating if any of its edges
+    is longer than the sum of the other two.  The fraction is exact: it is
+    :meth:`TIVSeverityResult.violating_triangle_fraction` of the matrix's
+    severity, so a caller that already holds the severity should ask it.
     """
-    n = matrix.n_nodes
-    if n < 3:
+    if matrix.n_nodes < 3:
         raise DelayMatrixError("need at least 3 nodes to form a triangle")
-    delays = _prepared_delays(matrix)
-    total_triples = n * (n - 1) * (n - 2) // 6
-
-    if max_triangles is not None and total_triples > max_triangles:
-        gen = ensure_rng(rng)
-        a = gen.integers(0, n, size=max_triangles)
-        b = gen.integers(0, n, size=max_triangles)
-        c = gen.integers(0, n, size=max_triangles)
-        flat = delays.ravel()
-        ab, bc, ca = flat.take(a * n + b), flat.take(b * n + c), flat.take(c * n + a)
-        # Counted triangles: distinct corners with all three edges measured.
-        counted = (a != b) & (b != c) & (a != c)
-        counted &= np.isfinite(ab) & np.isfinite(bc) & np.isfinite(ca)
-        triangle_count = np.count_nonzero(counted)
-        if triangle_count == 0:
-            return 0.0
-        violated = (ab + bc < ca) | (bc + ca < ab) | (ca + ab < bc)
-        return float(np.count_nonzero(violated & counted) / triangle_count)
-
-    # Exact enumeration: one (b, c > b) upper-triangle pass per corner a.
-    finite = np.isfinite(delays)
-    upper = np.triu(np.ones((n - 1, n - 1), dtype=bool), k=1)
-    violated_count = 0
-    triangle_count = 0
-    for a in range(n - 2):
-        ab = delays[a, a + 1:, None]          # d(a, b), down the rows
-        ca = delays[a + 1:, a][None, :]       # d(c, a), across the columns
-        bc = delays[a + 1:, a + 1:]           # d(b, c)
-        counted = upper[a:, a:] & finite[a + 1:, a + 1:]
-        counted &= np.isfinite(ab) & np.isfinite(ca)
-        violated = (ab + bc < ca) | (bc + ca < ab) | (ca + ab < bc)
-        triangle_count += int(np.count_nonzero(counted))
-        violated_count += int(np.count_nonzero(violated & counted))
-    if triangle_count == 0:
-        return 0.0
-    return violated_count / triangle_count
+    return compute_tiv_severity(matrix).violating_triangle_fraction()

@@ -41,7 +41,7 @@ from repro.experiments.engine import run_plans
 from repro.experiments.registry import list_experiments
 from repro.meridian.rings import MeridianConfig
 from repro.neighbor.selection import MeridianSelectionExperiment
-from repro.tiv.severity import compute_tiv_severity, violating_triangle_fraction
+from repro.tiv.severity import compute_tiv_severity
 
 SIZES = (120, 240)
 SEEDS = (0, 1, 2)
@@ -466,7 +466,7 @@ def tiv_edge_fraction(ctx, fraction):
     severity = compute_tiv_severity(matrix)
     evaluation = TIVAlert(matrix, system).evaluate(severity, target_fraction=0.1)
     return {
-        "violating triangles > 0": gt(violating_triangle_fraction(matrix, rng=0), 0),
+        "violating triangles > 0": gt(severity.violating_triangle_fraction(), 0),
         "best alert accuracy > 0.1": gt(np.nanmax(evaluation.accuracy), 0.1),
     }
 

@@ -82,12 +82,13 @@ class TestVivaldiSimulation:
             assert trace.edge_errors[(i, j)][-1] == pytest.approx(expected)
 
     def test_oscillation_matches_predicted_matrix(self, small_internet_matrix):
-        """Edge-wise oscillation equals a replay using the full predicted matrix.
+        """Edge-wise oscillation equals a replay of per-step predictions.
 
-        The trace records extrema via the predict_edges gather; a second,
-        identically seeded simulation recomputes them from predicted_matrix
-        every step, so any disagreement between the two prediction paths
-        (or a recording bug) shows up as a mismatch.
+        The trace keeps the extrema of squared distances and takes one sqrt
+        at the end.  A second, identically seeded simulation takes the
+        extrema of ``predict_edges`` every step: the two must agree bit for
+        bit, and agree with the full predicted matrix up to its summation
+        order.
         """
         config = VivaldiConfig(n_neighbors=8)
         steps = 5
@@ -100,14 +101,20 @@ class TestVivaldiSimulation:
         rows, cols = small_internet_matrix.edge_index_pairs()
         running_min = np.full(rows.size, np.inf)
         running_max = np.full(rows.size, -np.inf)
+        matrix_min = np.full(rows.size, np.inf)
+        matrix_max = np.full(rows.size, -np.inf)
         for _ in range(steps):
             replay.step()
-            values = replay.predicted_matrix()[rows, cols]
+            values = replay.predict_edges(rows, cols)
             np.minimum(running_min, values, out=running_min)
             np.maximum(running_max, values, out=running_max)
+            values = replay.predicted_matrix()[rows, cols]
+            np.minimum(matrix_min, values, out=matrix_min)
+            np.maximum(matrix_max, values, out=matrix_max)
 
-        assert np.allclose(trace.oscillation_range, running_max - running_min)
-        assert np.allclose(
+        assert np.array_equal(trace.oscillation_range, running_max - running_min)
+        assert np.allclose(trace.oscillation_range, matrix_max - matrix_min)
+        assert np.array_equal(
             trace.edge_delays, small_internet_matrix.values[rows, cols]
         )
 

@@ -133,3 +133,22 @@ class TestSeverityFilteredLists:
     def test_empty_lists_raise(self, small_internet_severity):
         with pytest.raises(NeighborSelectionError):
             neighbor_edge_severities([[]], small_internet_severity)
+
+    def test_matches_per_edge_loop(self, small_internet_severity):
+        # Ragged lists, empty ones, numpy rows, self-edges (nan severity) and
+        # repeated neighbours: the gather keeps the loop's values and order.
+        rng = np.random.default_rng(8)
+        n = small_internet_severity.n_nodes
+        lists = [rng.integers(0, n, size=rng.integers(0, 6)) for _ in range(n)]
+        lists[3] = [3, 3, 4]
+        lists[5] = []
+        lists[7] = lists[7].tolist()
+        expected = []
+        for i, neighbors in enumerate(lists):
+            for j in neighbors:
+                value = small_internet_severity.severity[i, int(j)]
+                if np.isfinite(value):
+                    expected.append(float(value))
+        actual = neighbor_edge_severities(lists, small_internet_severity)
+        assert actual.dtype == np.float64
+        assert np.array_equal(actual, np.asarray(expected))

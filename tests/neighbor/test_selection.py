@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coords.base import MatrixPredictor
+from repro.delayspace.matrix import DelayMatrix
 from repro.errors import NeighborSelectionError
 from repro.meridian.rings import MeridianConfig
 from repro.neighbor.selection import (
@@ -71,6 +74,91 @@ class TestSelectByPredictor:
     def test_empty_candidates_raise(self, small_internet_matrix, converged_vivaldi):
         with pytest.raises(NeighborSelectionError):
             select_by_predictor(small_internet_matrix, converged_vivaldi, [], [1, 2])
+
+
+def _select_by_predictor_loop(matrix, predictor, candidates, clients):
+    """Scalar oracle: the original per-client loop of select_by_predictor."""
+    if predictor.n_nodes != matrix.n_nodes:
+        raise NeighborSelectionError(
+            "predictor and matrix cover a different number of nodes"
+        )
+    cand = np.asarray(list(candidates), dtype=int)
+    if cand.size < 1:
+        raise NeighborSelectionError("need at least one candidate")
+    measured = matrix.values
+    predicted = predictor.predicted_matrix()
+
+    penalties: list[float] = []
+    for client in clients:
+        client = int(client)
+        pool = cand[cand != client]
+        if pool.size == 0:
+            continue
+        measured_delays = measured[client, pool]
+        finite = np.isfinite(measured_delays)
+        if not finite.any():
+            continue
+        pool_f = pool[finite]
+        measured_f = measured_delays[finite]
+        predicted_f = predicted[client, pool_f]
+        selected = pool_f[int(np.argmin(predicted_f))]
+        optimal_delay = float(measured_f.min())
+        selected_delay = float(measured[client, selected])
+        penalties.append(percentage_penalty(selected_delay, optimal_delay))
+
+    if not penalties:
+        raise NeighborSelectionError("no client produced a valid selection test")
+    return NeighborSelectionResult(penalties=np.asarray(penalties), probes=0, n_runs=1)
+
+
+@st.composite
+def _selection_cases(draw):
+    """A small delay matrix, a predictor and a candidate/client draw.
+
+    Delays repeat (so optima tie), include zeros and holes (so some
+    clients have no measured candidate); predictions repeat and include
+    nan and +-inf.  Candidates repeat, and clients may be candidates.
+    """
+    n = draw(st.integers(min_value=2, max_value=8))
+    delay = st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.5, np.nan])
+    upper = np.array(draw(st.lists(delay, min_size=n * n, max_size=n * n))).reshape(n, n)
+    upper = np.triu(upper, k=1)
+    guess = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.0, 2.0, 2.5])
+    predicted = np.array(draw(st.lists(guess, min_size=n * n, max_size=n * n))).reshape(n, n)
+    node = st.integers(min_value=0, max_value=n - 1)
+    candidates = draw(st.lists(node, min_size=1, max_size=n + 2))
+    clients = draw(st.lists(node, max_size=n + 2))
+    matrix = DelayMatrix(upper + upper.T, symmetrize=False)
+    return matrix, MatrixPredictor(predicted), candidates, clients
+
+
+class TestSelectByPredictorOracle:
+    """The whole-array selection equals the per-client loop it replaced."""
+
+    @given(case=_selection_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_client_loop(self, case):
+        matrix, predictor, candidates, clients = case
+        try:
+            expected = _select_by_predictor_loop(matrix, predictor, candidates, clients)
+        except NeighborSelectionError as error:
+            with pytest.raises(NeighborSelectionError, match=str(error)):
+                select_by_predictor(matrix, predictor, candidates, clients)
+            return
+        actual = select_by_predictor(matrix, predictor, candidates, clients)
+        assert actual.penalties.dtype == expected.penalties.dtype
+        assert np.array_equal(actual.penalties, expected.penalties)
+
+    def test_all_infinite_predictions_pick_a_valid_candidate(self):
+        # Client 0 is also the first candidate and every other prediction
+        # is +inf: the pick must be the first *other* candidate (penalty
+        # 100 %), not the client's own masked column.
+        delays = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        predicted = np.full((3, 3), np.inf)
+        result = select_by_predictor(
+            DelayMatrix(delays), MatrixPredictor(predicted), [0, 1, 2], [0]
+        )
+        assert result.penalties.tolist() == [100.0]
 
 
 class TestNeighborSelectionResult:
