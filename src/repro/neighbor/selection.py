@@ -188,7 +188,9 @@ class CoordinateSelectionExperiment:
         Number of candidate subsets to evaluate (paper: 5); penalties are
         pooled over runs.
     rng:
-        Seed or generator controlling the candidate splits.
+        Seed or generator controlling the candidate splits.  The splits are
+        drawn once, here, so every predictor scored on this experiment sees
+        the same ones.
     """
 
     def __init__(
@@ -206,20 +208,14 @@ class CoordinateSelectionExperiment:
         if n_runs < 1:
             raise NeighborSelectionError("n_runs must be >= 1")
         self._matrix = matrix
-        self._n_candidates = n_candidates
-        self._n_runs = n_runs
-        self._rng = ensure_rng(rng)
+        self._splits = []
+        for run_rng in spawn_rngs(rng, n_runs):
+            permutation = run_rng.permutation(matrix.n_nodes)
+            self._splits.append((permutation[:n_candidates], permutation[n_candidates:]))
 
     def splits(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Return the (candidates, clients) split of each run."""
-        n = self._matrix.n_nodes
-        result = []
-        for run_rng in spawn_rngs(self._rng, self._n_runs):
-            permutation = run_rng.permutation(n)
-            candidates = permutation[: self._n_candidates]
-            clients = permutation[self._n_candidates:]
-            result.append((candidates, clients))
-        return result
+        return list(self._splits)
 
     def run(self, predictor: DelayPredictor) -> NeighborSelectionResult:
         """Evaluate ``predictor`` over all candidate/client splits."""

@@ -227,6 +227,18 @@ class TestCoordinateSelectionExperiment:
 
         assert np.array_equal(run().penalties, run().penalties)
 
+    def test_every_run_scores_the_same_splits(self, small_internet_matrix, converged_vivaldi):
+        # fig15/16/17/22_23 score several predictors on one experiment, so
+        # each run must see the candidate sets the first one saw.
+        experiment = CoordinateSelectionExperiment(
+            small_internet_matrix, n_candidates=10, n_runs=2, rng=5
+        )
+        first = experiment.run(converged_vivaldi)
+        second = experiment.run(converged_vivaldi)
+        assert np.array_equal(first.penalties, second.penalties)
+        for (a, _), (b, _) in zip(experiment.splits(), experiment.splits()):
+            assert np.array_equal(a, b)
+
 
 class TestMeridianSelectionExperiment:
     def test_basic_run(self, small_internet_matrix):
