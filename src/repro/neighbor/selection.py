@@ -130,10 +130,6 @@ def select_by_predictor(
     All clients are scored at once over their (clients × candidates) block
     of the measured and predicted matrices.
     """
-    if predictor.n_nodes != matrix.n_nodes:
-        raise NeighborSelectionError(
-            "predictor and matrix cover a different number of nodes"
-        )
     return _select(matrix.values, predictor.predicted_matrix(), candidates, clients)
 
 
@@ -144,6 +140,10 @@ def _select(
     clients: Sequence[int],
 ) -> NeighborSelectionResult:
     """:func:`select_by_predictor` over an already computed predicted matrix."""
+    if predicted.shape != measured.shape:
+        raise NeighborSelectionError(
+            "predictor and matrix cover a different number of nodes"
+        )
     cand = np.asarray(list(candidates), dtype=int)
     if cand.size < 1:
         raise NeighborSelectionError("need at least one candidate")
@@ -156,11 +156,11 @@ def _select(
         raise NeighborSelectionError("no client produced a valid selection test")
     delays, valid, guess = delays[tested], valid[tested], predicted[block][tested]
 
-    # The first valid column holding the row's smallest valid prediction: a
-    # nan makes that minimum nan and only nan columns match it, as argmin
-    # would pick the first nan.  Matching the minimum (instead of masking
-    # invalid columns with +inf) keeps an invalid column from winning a
-    # row whose valid predictions are all +inf.
+    # Pick the first valid column holding the row's smallest valid
+    # prediction.  A nan makes that minimum nan and only nan columns match
+    # it, so the first nan wins, as with argmin; matching the minimum rather
+    # than argmin over an inf-masked row keeps a masked column from winning
+    # when every valid prediction is +inf.
     best = np.where(valid, guess, np.inf).min(axis=1, keepdims=True)
     with np.errstate(invalid="ignore"):
         chosen = valid & ((guess == best) | np.isnan(guess))
@@ -219,10 +219,6 @@ class CoordinateSelectionExperiment:
 
     def run(self, predictor: DelayPredictor) -> NeighborSelectionResult:
         """Evaluate ``predictor`` over all candidate/client splits."""
-        if predictor.n_nodes != self._matrix.n_nodes:
-            raise NeighborSelectionError(
-                "predictor and matrix cover a different number of nodes"
-            )
         predicted = predictor.predicted_matrix()
         results = [
             _select(self._matrix.values, predicted, candidates, clients)

@@ -102,7 +102,8 @@ class TIVSeverityResult:
         counts witness b exactly when triangle (a, b, c) violates at
         (a, c).  The violating triangles are therefore the upper-triangle
         sum of :attr:`violation_counts`.  Severity is ``nan`` exactly on
-        unmeasured edges and the diagonal, so with ``M`` the measured-edge
+        unmeasured edges and the diagonal (a zero-length detour makes a
+        measured edge's severity ``inf``), so with ``M`` the measured-edge
         mask the triangles number ``((M @ M) * M).sum() / 6``.  Both counts
         are exact integers, so the fraction equals exhaustive enumeration
         bit for bit, in one O(N³) matrix product instead of a pass over
