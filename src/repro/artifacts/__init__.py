@@ -7,10 +7,7 @@ The subsystem has three layers:
 * :mod:`repro.artifacts.graph` — resolution of figure requirements into a
   schedulable :class:`~repro.artifacts.graph.ArtifactGraph` /
   :class:`~repro.artifacts.graph.ExecutionPlan`;
-* :mod:`repro.artifacts.prune` — cache maintenance against the registry;
-* :mod:`repro.artifacts.shards` — the out-of-core tier: shard planning
-  and the :class:`~repro.artifacts.shards.StitchedMatrix` view that makes
-  per-shard memory-mapped files look like one dense matrix.
+* :mod:`repro.artifacts.prune` — cache maintenance against the registry.
 
 The experiment context materialises artifacts through the node registry;
 the engine and the scenario-matrix runner schedule whole plans across a
@@ -33,43 +30,27 @@ from repro.artifacts.nodes import (
     get_node,
     list_nodes,
     node_kinds,
-    node_storage,
     register_node,
     requirement_keys,
 )
 from repro.artifacts.prune import PruneReport, prune_cache
-from repro.artifacts.shards import (
-    SHARD_NODE_THRESHOLD,
-    ShardPart,
-    StitchedMatrix,
-    shard_count,
-    shard_slices,
-    stitch_parts,
-)
 
 __all__ = [
     "REQUIREMENTS",
-    "SHARD_NODE_THRESHOLD",
     "ArtifactGraph",
     "ArtifactKey",
     "ArtifactNode",
     "ExecutionPlan",
     "PruneReport",
     "ResolvedArtifact",
-    "ShardPart",
-    "StitchedMatrix",
     "get_node",
     "graph_status",
     "list_nodes",
     "node_kinds",
-    "node_storage",
     "prune_cache",
     "register_node",
     "requirement_keys",
     "resolve_artifact",
     "resolve_graph",
     "resolve_plan",
-    "shard_count",
-    "shard_slices",
-    "stitch_parts",
 ]

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.errors import ExperimentError
 
-from repro.artifacts.nodes import ArtifactKey, get_node, node_storage, requirement_keys
+from repro.artifacts.nodes import ArtifactKey, get_node, requirement_keys
 
 if TYPE_CHECKING:
     from repro.experiments.config import ExperimentConfig
@@ -34,7 +34,6 @@ class ResolvedArtifact:
     params: dict
     address: str
     deps: tuple[ArtifactKey, ...]
-    storage: str = "npz"
 
     @property
     def label(self) -> str:
@@ -168,7 +167,6 @@ def resolve_artifact(ctx, key: ArtifactKey) -> ResolvedArtifact:
         params=params,
         address=stable_key(node.kind, params),
         deps=node.deps(ctx, key.instance),
-        storage=node_storage(node, ctx, key.instance),
     )
 
 
@@ -237,18 +235,13 @@ def graph_status(
 
     ``cache`` is an optional :class:`~repro.experiments.cache.ArtifactCache`;
     with one, each row reports whether the artifact's address is currently
-    materialised (``"hit"``/``"miss"``); without, ``"unknown"``.  Virtual
-    artifacts (stitched views over sharded storage) are never stored, so
-    their cache column always reads ``"virtual"``; their shard
-    dependencies carry the real hit/miss state.
+    materialised (``"hit"``/``"miss"``); without, ``"unknown"``.
     """
     rows: list[dict[str, Any]] = []
     for wave_index, wave in enumerate(graph.waves()):
         for key in wave:
             artifact = graph[key]
-            if artifact.storage == "virtual":
-                status = "virtual"
-            elif cache is None:
+            if cache is None:
                 status = "unknown"
             else:
                 status = "hit" if cache.contains(artifact.kind, artifact.params) else "miss"
@@ -259,7 +252,6 @@ def graph_status(
                     "kind": artifact.kind,
                     "wave": wave_index,
                     "address": artifact.address,
-                    "storage": artifact.storage,
                     "cache": status,
                     "deps": [dep.label for dep in artifact.deps],
                 }

@@ -29,15 +29,6 @@ dataset/severity variant, ``()`` for the singletons bound to the
 configuration's main dataset.  An :class:`ArtifactKey` is the pair of node
 name and instance — the unit the scheduler works in.
 
-**The out-of-core tier** (see :mod:`repro.artifacts.shards`): at or above
-the shard threshold the logical ``severity`` and ``shortest`` nodes turn
-*virtual* — they depend on per-row-slice shard nodes (``severity_shard``,
-``shortest_shard``) that persist as raw memory-mappable ``.npy`` entries,
-and their compute stitches the shards into a lazy
-:class:`~repro.artifacts.shards.StitchedMatrix` view instead of a dense
-array.  Below the threshold nothing changes: the shard count never joins
-the parameters, so the byte-compatibility contract above still holds for
-every harness-scale address.
 """
 
 from __future__ import annotations
@@ -98,24 +89,12 @@ class ArtifactNode:
         ``restore(ctx, instance, entry) -> value``: rebuild the artifact
         from a loaded :class:`~repro.experiments.cache.CacheEntry`.
     payload:
-        ``payload(value) -> (arrays, meta)``: what to persist, or ``None``
-        for values that must not be stored (the stitched views of virtual
-        nodes — their shards already are the persistent form).
+        ``payload(value) -> (arrays, meta)``: what to persist.
     era_params:
         Parameter keys a *live* cache entry of this kind must carry, mapped
         to their allowed values (``None`` = any value).  ``repro cache
         prune`` evicts entries that predate these parameters or carry
         retired values.
-    storage:
-        How the artifact persists: ``"npz"`` (the default: one
-        uncompressed ``.npz`` archive, read into memory on restore),
-        ``"raw"`` (per-array ``.npy`` files that restore as memory
-        maps — the shard layout), or ``"virtual"``
-        (never persisted; recomputed — cheaply stitched — every run).
-        May be a callable ``storage(ctx, instance) -> str`` for nodes
-        whose layout depends on the instance (the logical severity and
-        shortest-path nodes are ``"npz"`` below the shard threshold and
-        ``"virtual"`` above it); resolve through :func:`node_storage`.
     """
 
     name: str
@@ -124,26 +103,8 @@ class ArtifactNode:
     params: Callable[[Any, tuple], dict]
     compute: Callable[[Any, tuple], Any]
     restore: Callable[[Any, tuple, Any], Any]
-    payload: Callable[[Any], tuple[dict, dict] | None]
+    payload: Callable[[Any], tuple[dict, dict]]
     era_params: Mapping[str, tuple[str, ...] | None] = field(default_factory=dict)
-    storage: Any = "npz"
-
-
-#: Storage layouts an :class:`ArtifactNode` may resolve to.
-STORAGE_LAYOUTS = ("npz", "raw", "virtual")
-
-
-def node_storage(node: ArtifactNode, ctx, instance: tuple) -> str:
-    """Resolve a node's storage layout for one instance."""
-    storage = node.storage
-    if callable(storage):
-        storage = storage(ctx, instance)
-    if storage not in STORAGE_LAYOUTS:
-        raise ExperimentError(
-            f"artifact node {node.name!r} resolved to unknown storage "
-            f"{storage!r}; expected one of {', '.join(STORAGE_LAYOUTS)}"
-        )
-    return storage
 
 
 def _main_instance(ctx) -> tuple:
@@ -153,54 +114,6 @@ def _main_instance(ctx) -> tuple:
 
 def _no_deps(ctx, instance) -> tuple[ArtifactKey, ...]:
     return ()
-
-
-def _shard_count_for(ctx, n_nodes: int) -> int:
-    """Shard count of an ``n_nodes`` artifact under this context's budget.
-
-    Reads the shards module at call time (not via ``from``-import) so the
-    threshold stays monkeypatchable by the shard-correctness tests.
-    """
-    from repro.artifacts import shards
-
-    return shards.shard_count(int(n_nodes), getattr(ctx.config, "memory_budget_mb", None))
-
-
-def _shard_range(n_nodes: int, index: int, n_shards: int) -> tuple[int, int]:
-    from repro.artifacts.shards import shard_slices
-
-    return shard_slices(int(n_nodes), int(n_shards))[int(index)]
-
-
-def _stitched_parts(ctx, node_name: str, keys: tuple[ArtifactKey, ...]) -> list:
-    """Materialise shard keys and return their parts as memory-mapped blocks.
-
-    A cold run computes each shard in-memory and stores it; this helper
-    then swaps the memoised in-RAM rows for the freshly stored read-only
-    memory map and releases the context memo, so the stitched view the
-    consumers hold is not backed by private resident arrays.  Without a
-    cache the in-memory parts are kept — out-of-core behaviour requires a
-    cache directory, which every engine run has: its ``--cache-dir`` or,
-    without one, its scratch cache.
-    """
-    from repro.artifacts.shards import ShardPart
-
-    def mapped(part) -> bool:
-        return any(isinstance(array, np.memmap) for array in part.arrays.values())
-
-    node = get_node(node_name)
-    parts = []
-    for key in keys:
-        part = ctx.materialize(key)
-        if ctx.cache is not None:
-            if not mapped(part):
-                entry = ctx.cache.load_raw(node.kind, node.params(ctx, key.instance))
-                if entry is not None:
-                    part = ShardPart(dict(entry.arrays), dict(entry.meta))
-            if mapped(part):
-                ctx.release(key)
-        parts.append(part)
-    return parts
 
 
 # -- parameter functions (bit-compatible with the pre-graph addresses) --------
@@ -293,52 +206,16 @@ def _payload_dataset(value):
     )
 
 
-def _severity_params(ctx, instance) -> dict:
-    """Severity address: the dataset address, plus the shard count when
-    (and only when) the instance is large enough to shard — below the
-    threshold the parameters stay byte-identical to the pre-shard era."""
-    preset, n_nodes = instance
-    params = _dataset_params(ctx, instance)
-    n_shards = _shard_count_for(ctx, n_nodes)
-    if n_shards > 1:
-        params["shards"] = n_shards
-    return params
-
-
-def _severity_deps(ctx, instance) -> tuple[ArtifactKey, ...]:
-    preset, n_nodes = instance
-    n_shards = _shard_count_for(ctx, n_nodes)
-    if n_shards == 1:
-        return (ArtifactKey("dataset", instance),)
-    return tuple(
-        ArtifactKey("severity_shard", (preset, int(n_nodes), index, n_shards))
-        for index in range(n_shards)
-    )
-
-
-def _severity_storage(ctx, instance) -> str:
-    preset, n_nodes = instance
-    return "virtual" if _shard_count_for(ctx, n_nodes) > 1 else "npz"
+def _dataset_dep(ctx, instance) -> tuple[ArtifactKey, ...]:
+    """The one dataset an instance-keyed artifact (severity) is derived from."""
+    return (ArtifactKey("dataset", instance),)
 
 
 def _compute_severity(ctx, instance):
-    from repro.tiv.severity import TIVSeverityResult, compute_tiv_severity
+    from repro.tiv.severity import compute_tiv_severity
 
     preset, n_nodes = instance
-    n_shards = _shard_count_for(ctx, n_nodes)
-    if n_shards == 1:
-        return compute_tiv_severity(
-            ctx.dataset_matrix(preset, int(n_nodes)),
-            memory_budget_mb=ctx.config.memory_budget_mb,
-        )
-    from repro.artifacts.shards import stitch_parts
-
-    parts = _stitched_parts(ctx, "severity_shard", _severity_deps(ctx, instance))
-    return TIVSeverityResult(
-        severity=stitch_parts(parts, "severity"),
-        violation_counts=stitch_parts(parts, "violation_counts"),
-        n_nodes=int(n_nodes),
-    )
+    return compute_tiv_severity(ctx.dataset_matrix(preset, int(n_nodes)))
 
 
 def _restore_severity(ctx, instance, entry):
@@ -352,55 +229,10 @@ def _restore_severity(ctx, instance, entry):
 
 
 def _payload_severity(value):
-    from repro.artifacts.shards import StitchedMatrix
-
-    if isinstance(value.severity, StitchedMatrix):
-        return None  # virtual: the shards are the persistent form
     return (
         {"severity": value.severity, "violation_counts": value.violation_counts},
         {"n_nodes": value.n_nodes},
     )
-
-
-def _severity_shard_params(ctx, instance) -> dict:
-    preset, n_nodes, index, n_shards = instance
-    params = _dataset_params(ctx, (preset, int(n_nodes)))
-    params["shard"] = int(index)
-    params["shards"] = int(n_shards)
-    return params
-
-
-def _severity_shard_deps(ctx, instance) -> tuple[ArtifactKey, ...]:
-    preset, n_nodes, index, n_shards = instance
-    return (ArtifactKey("dataset", (preset, int(n_nodes))),)
-
-
-def _compute_severity_shard(ctx, instance):
-    from repro.artifacts.shards import ShardPart
-    from repro.tiv.severity import compute_tiv_severity_rows
-
-    preset, n_nodes, index, n_shards = instance
-    start, stop = _shard_range(n_nodes, index, n_shards)
-    severity, counts = compute_tiv_severity_rows(
-        ctx.dataset_matrix(preset, int(n_nodes)),
-        start,
-        stop,
-        memory_budget_mb=ctx.config.memory_budget_mb,
-    )
-    return ShardPart(
-        {"severity": severity, "violation_counts": counts},
-        {"start": start, "stop": stop, "n_nodes": int(n_nodes)},
-    )
-
-
-def _restore_shard(ctx, instance, entry):
-    from repro.artifacts.shards import ShardPart
-
-    return ShardPart(dict(entry.arrays), dict(entry.meta))
-
-
-def _payload_shard(value):
-    return dict(value.arrays), dict(value.meta)
 
 
 def _compute_clusters(ctx, instance):
@@ -431,45 +263,10 @@ def _payload_clusters(value):
     )
 
 
-def _shortest_params(ctx, instance) -> dict:
-    """Shortest-path address; at sharded sizes the approximation scheme
-    (landmark count) and shard count join it, keeping exact-era entries
-    distinct from landmark-era ones."""
-    from repro.delayspace.shortest_path import landmark_count
-
-    params = _main_dataset_params(ctx, instance)
-    n_nodes = int(ctx.config.n_nodes)
-    n_shards = _shard_count_for(ctx, n_nodes)
-    if n_shards > 1:
-        params["shards"] = n_shards
-        params["approx"] = "landmark"
-        params["n_landmarks"] = landmark_count(n_nodes)
-    return params
-
-
-def _shortest_deps(ctx, instance) -> tuple[ArtifactKey, ...]:
-    n_shards = _shard_count_for(ctx, int(ctx.config.n_nodes))
-    if n_shards == 1:
-        return (ArtifactKey("dataset", _main_instance(ctx)),)
-    return tuple(
-        ArtifactKey("shortest_shard", (index, n_shards)) for index in range(n_shards)
-    )
-
-
-def _shortest_storage(ctx, instance) -> str:
-    return "virtual" if _shard_count_for(ctx, int(ctx.config.n_nodes)) > 1 else "npz"
-
-
 def _compute_shortest(ctx, instance):
     from repro.delayspace.shortest_path import shortest_path_matrix
 
-    n_shards = _shard_count_for(ctx, int(ctx.config.n_nodes))
-    if n_shards == 1:
-        return shortest_path_matrix(ctx.matrix)
-    from repro.artifacts.shards import stitch_parts
-
-    parts = _stitched_parts(ctx, "shortest_shard", _shortest_deps(ctx, instance))
-    return stitch_parts(parts, "shortest")
+    return shortest_path_matrix(ctx.matrix)
 
 
 def _restore_shortest(ctx, instance, entry):
@@ -477,75 +274,7 @@ def _restore_shortest(ctx, instance, entry):
 
 
 def _payload_shortest(value):
-    from repro.artifacts.shards import StitchedMatrix
-
-    if isinstance(value, StitchedMatrix):
-        return None  # virtual: the shards are the persistent form
     return {"shortest": value}, {}
-
-
-def _landmark_rng(ctx) -> np.ndarray:
-    """Deterministic landmark-selection stream derived from the seed."""
-    return np.random.default_rng([abs(int(ctx.config.seed)) & 0xFFFFFFFF, 0x1A5D])
-
-
-def _landmarks_params(ctx, instance) -> dict:
-    from repro.delayspace.shortest_path import landmark_count
-
-    params = _main_dataset_params(ctx, instance)
-    params["n_landmarks"] = landmark_count(int(ctx.config.n_nodes))
-    return params
-
-
-def _compute_landmarks(ctx, instance):
-    from repro.delayspace.shortest_path import (
-        landmark_count,
-        landmark_distances,
-        landmark_indices,
-    )
-
-    matrix = ctx.matrix
-    count = landmark_count(matrix.n_nodes)
-    landmarks = landmark_indices(matrix.n_nodes, count, rng=_landmark_rng(ctx))
-    return landmarks, landmark_distances(matrix, landmarks)
-
-
-def _restore_landmarks(ctx, instance, entry):
-    return entry.arrays["landmarks"].astype(int), entry.arrays["distances"]
-
-
-def _payload_landmarks(value):
-    landmarks, distances = value
-    return {"landmarks": np.asarray(landmarks), "distances": distances}, {}
-
-
-def _shortest_shard_params(ctx, instance) -> dict:
-    from repro.delayspace.shortest_path import landmark_count
-
-    index, n_shards = instance
-    params = _main_dataset_params(ctx, instance)
-    params["shard"] = int(index)
-    params["shards"] = int(n_shards)
-    params["n_landmarks"] = landmark_count(int(ctx.config.n_nodes))
-    return params
-
-
-def _shortest_shard_deps(ctx, instance) -> tuple[ArtifactKey, ...]:
-    return (ArtifactKey("shortest_landmarks"),)
-
-
-def _compute_shortest_shard(ctx, instance):
-    from repro.artifacts.shards import ShardPart
-    from repro.delayspace.shortest_path import landmark_shortest_rows
-
-    index, n_shards = instance
-    n_nodes = int(ctx.config.n_nodes)
-    start, stop = _shard_range(n_nodes, index, n_shards)
-    landmarks, distances = ctx.materialize(ArtifactKey("shortest_landmarks"))
-    rows = landmark_shortest_rows(distances, landmarks, start, stop)
-    return ShardPart(
-        {"shortest": rows}, {"start": start, "stop": stop, "n_nodes": n_nodes}
-    )
 
 
 def _build_vivaldi_system(ctx):
@@ -707,23 +436,11 @@ for _node in (
     ArtifactNode(
         name="severity",
         kind="severity",
-        deps=_severity_deps,
-        params=_severity_params,
+        deps=_dataset_dep,
+        params=_dataset_params,
         compute=_compute_severity,
         restore=_restore_severity,
         payload=_payload_severity,
-        storage=_severity_storage,
-    ),
-    ArtifactNode(
-        name="severity_shard",
-        kind="severity_shard",
-        deps=_severity_shard_deps,
-        params=_severity_shard_params,
-        compute=_compute_severity_shard,
-        restore=_restore_shard,
-        payload=_payload_shard,
-        era_params={"shard": None, "shards": None},
-        storage="raw",
     ),
     ArtifactNode(
         name="clusters",
@@ -737,33 +454,11 @@ for _node in (
     ArtifactNode(
         name="shortest",
         kind="shortest_path",
-        deps=_shortest_deps,
-        params=_shortest_params,
+        deps=_main_dataset_dep,
+        params=_main_dataset_params,
         compute=_compute_shortest,
         restore=_restore_shortest,
         payload=_payload_shortest,
-        storage=_shortest_storage,
-    ),
-    ArtifactNode(
-        name="shortest_landmarks",
-        kind="shortest_landmarks",
-        deps=_main_dataset_dep,
-        params=_landmarks_params,
-        compute=_compute_landmarks,
-        restore=_restore_landmarks,
-        payload=_payload_landmarks,
-        era_params={"n_landmarks": None},
-    ),
-    ArtifactNode(
-        name="shortest_shard",
-        kind="shortest_shard",
-        deps=_shortest_shard_deps,
-        params=_shortest_shard_params,
-        compute=_compute_shortest_shard,
-        restore=_restore_shard,
-        payload=_payload_shard,
-        era_params={"shard": None, "shards": None, "n_landmarks": None},
-        storage="raw",
     ),
     ArtifactNode(
         name="vivaldi",

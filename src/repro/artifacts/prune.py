@@ -12,11 +12,11 @@ artifact node could have written:
 * entries predating a node's declared era parameters (e.g. a ``vivaldi``
   entry without a ``kernel`` parameter) or carrying retired era values
   (e.g. a ``"reference"`` kernel, which no experiment run writes);
-* orphaned halves of the ``.npz`` + ``.json`` pair, raw-layout entries
-  (``<key>__<name>.npy`` shard files, see
-  :meth:`~repro.experiments.cache.ArtifactCache.store_raw`) missing any
-  declared array file, stray ``.npy`` files with no metadata, and
-  unparseable metadata files;
+* entries in the retired raw layout (per-array ``.npy`` files, see
+  :meth:`~repro.experiments.cache.ArtifactCache.store_raw`), which no node
+  writes any more;
+* orphaned halves of the ``.npz`` + ``.json`` pair, any other file with
+  no metadata, and unparseable metadata files;
 * abandoned atomic-write temp files (``.tmp-*``) of a worker killed
   mid-store.
 
@@ -89,14 +89,9 @@ def _classify(kind_dir: Path, meta_path: Path) -> str | None:
             raise ValueError("malformed payload")
     except Exception:
         return "unreadable or malformed metadata"
-    raw_names = payload.get("raw")
-    if raw_names is not None:
-        if not isinstance(raw_names, list) or not raw_names:
-            return "unreadable or malformed metadata"
-        for name in raw_names:
-            if not (kind_dir / f"{meta_path.stem}__{name}.npy").exists():
-                return f"raw entry missing array file {name!r}"
-    elif not meta_path.with_suffix(".npz").exists():
+    if "raw" in payload:
+        return "retired raw (memory-mapped) layout"
+    if not meta_path.with_suffix(".npz").exists():
         return "orphaned metadata (missing .npz archive)"
     if stable_key(kind, params) != meta_path.stem:
         return "address no longer matches (written under a retired cache schema)"
@@ -130,45 +125,18 @@ def prune_cache(root: PathLike, *, dry_run: bool = False) -> PruneReport:
                 continue
             report.pruned.append(PrunedEntry(kind_dir.name, meta_path.stem, reason))
             if not dry_run:
-                meta_path.unlink(missing_ok=True)
-                meta_path.with_suffix(".npz").unlink(missing_ok=True)
-                for raw_path in kind_dir.glob(f"{meta_path.stem}__*.npy"):
-                    raw_path.unlink(missing_ok=True)
-        for npz_path in sorted(kind_dir.glob("*.npz")):
-            if npz_path.stem in seen_stems:
+                for path in kind_dir.glob(f"{meta_path.stem}[._]*"):
+                    path.unlink()
+        for path in sorted(p for p in kind_dir.iterdir() if p.is_file()):
+            if path.name.startswith(TEMP_PREFIX):
+                reason = "abandoned temp file (store interrupted mid-write)"
+            elif path.suffix == ".json" or path.name.split(".")[0].split("__")[0] in seen_stems:
                 continue
-            report.pruned.append(
-                PrunedEntry(
-                    kind_dir.name,
-                    npz_path.stem,
-                    "orphaned archive (missing .json metadata)",
-                )
-            )
+            elif path.suffix == ".npz":
+                reason = "orphaned archive (missing .json metadata)"
+            else:
+                reason = "stray file (no .json metadata)"
+            report.pruned.append(PrunedEntry(kind_dir.name, path.name, reason))
             if not dry_run:
-                npz_path.unlink(missing_ok=True)
-        for npy_path in sorted(kind_dir.glob("*.npy")):
-            # Raw array files are named <address>__<array>.npy; any .npy
-            # whose address half has no (kept) metadata is an orphaned shard.
-            stem = npy_path.name[: -len(".npy")].split("__", 1)[0]
-            if stem in seen_stems and (kind_dir / f"{stem}.json").exists():
-                continue
-            report.pruned.append(
-                PrunedEntry(
-                    kind_dir.name,
-                    npy_path.stem,
-                    "orphaned shard array (missing .json metadata)",
-                )
-            )
-            if not dry_run:
-                npy_path.unlink(missing_ok=True)
-        for tmp_path in sorted(kind_dir.glob(f"{TEMP_PREFIX}*")):
-            report.pruned.append(
-                PrunedEntry(
-                    kind_dir.name,
-                    tmp_path.name,
-                    "abandoned temp file (store interrupted mid-write)",
-                )
-            )
-            if not dry_run:
-                tmp_path.unlink(missing_ok=True)
+                path.unlink()
     return report

@@ -121,11 +121,7 @@ def _scoped_config(args: argparse.Namespace) -> ExperimentConfig:
     A scenario is applied with its full semantics (``size_factor`` scales
     the node count), not just stamped onto the configuration.
     """
-    config = ExperimentConfig(
-        n_nodes=args.nodes,
-        seed=args.seed,
-        memory_budget_mb=getattr(args, "memory_budget", None),
-    )
+    config = ExperimentConfig(n_nodes=args.nodes, seed=args.seed)
     if args.scenario:
         from repro.scenarios.runner import apply_scenario
 
@@ -220,16 +216,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         )
         return 0
     waves = 1 + max((row["wave"] for row in rows), default=-1)
-    shard_rows = sum(1 for row in rows if row["storage"] == "raw")
-    virtual_rows = sum(1 for row in rows if row["storage"] == "virtual")
-    sharding = (
-        f"; {shard_rows} shard(s) stitched into {virtual_rows} virtual view(s)"
-        if virtual_rows
-        else ""
-    )
     print(
         f"artifact graph for {len(wanted)} experiment(s): "
-        f"{len(rows)} artifact(s) in {waves} wave(s){sharding}"
+        f"{len(rows)} artifact(s) in {waves} wave(s)"
     )
     width = max((len(row["artifact"]) for row in rows), default=0)
     current_wave = None
@@ -238,10 +227,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
             current_wave = row["wave"]
             print(f"wave {current_wave}:")
         deps = f"  <- {', '.join(row['deps'])}" if row["deps"] else ""
-        storage = f" storage={row['storage']}" if row["storage"] != "npz" else ""
         print(
             f"  {row['artifact']:<{width}}  kind={row['kind']:<13} "
-            f"cache={row['cache']:<7} addr={row['address']}{storage}{deps}"
+            f"cache={row['cache']:<7} addr={row['address']}{deps}"
         )
     return 0
 
@@ -283,11 +271,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 def _cmd_run_scenarios(args: argparse.Namespace) -> int:
     from repro.scenarios.runner import run_scenario_matrix
 
-    config = ExperimentConfig(
-        n_nodes=args.nodes,
-        seed=args.seed,
-        memory_budget_mb=getattr(args, "memory_budget", None),
-    )
+    config = ExperimentConfig(n_nodes=args.nodes, seed=args.seed)
     # On failure the report (with per-scenario failure records) is still
     # written before the raised ExperimentError reaches main()'s handler.
     outcome = run_scenario_matrix(
@@ -519,19 +503,6 @@ def _population_parent(default_nodes: int | None = 240) -> argparse.ArgumentPars
     return parent
 
 
-def _budget_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="MIB",
-        help="memory budget (MiB) of the out-of-core artifact tier: sizes "
-        "severity chunks and the shard plan of large matrices (default: 2048)",
-    )
-    return parent
-
-
 def _jobs_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
@@ -608,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run",
         help="run one figure experiment",
-        parents=[_population_parent(), _budget_parent()],
+        parents=[_population_parent()],
     )
     run.add_argument("experiment", help="experiment id, e.g. fig20 (see 'experiments')")
     run.add_argument(
@@ -623,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
         """The flag families run-all and run-scenarios share."""
         return [
             _population_parent(),
-            _budget_parent(),
             _jobs_parent(),
             _cache_parent(),
             _report_parent(report_name),
@@ -647,9 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     graph = sub.add_parser(
         "graph",
-        help="print the resolved artifact DAG (topological waves, shard plan, "
-        "cache status)",
-        parents=[_population_parent(), _budget_parent(), _cache_parent()],
+        help="print the resolved artifact DAG (topological waves, cache status)",
+        parents=[_population_parent(), _cache_parent()],
     )
     graph.add_argument(
         "--experiment",

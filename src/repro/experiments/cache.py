@@ -15,16 +15,10 @@ Each cache entry is a pair of files under ``<root>/<kind>/``:
   ``np.load`` reads compressed archives written by older releases alike;
 * ``<key>.json`` — the generating parameters plus small scalar metadata.
 
-The out-of-core shard tier stores a second entry layout: *raw* entries
-(:meth:`ArtifactCache.store_raw`) persist each array as an uncompressed
-``<key>__<name>.npy`` file next to the usual ``<key>.json``, because
-``np.load(mmap_mode="r")`` only memory-maps plain ``.npy`` files — the
-members of an ``.npz`` archive are always read eagerly.
-:meth:`ArtifactCache.load_raw` therefore restores shard arrays as
-read-only memory maps, which is what keeps stitched large-matrix views
-out of RAM.  The metadata file lists the raw array names under a ``"raw"``
-key so maintenance tooling (``repro cache prune``) can detect orphaned
-shard files.
+:meth:`ArtifactCache.store_raw` / :meth:`~ArtifactCache.load_raw` keep a
+retired second layout (uncompressed ``<key>__<name>.npy`` files beside the
+``.json``, restored as memory maps) that no artifact node writes any more;
+``repro cache prune`` evicts such entries.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent workers racing
 to store the same entry cannot corrupt it; a corrupted or truncated entry is
@@ -158,18 +152,9 @@ class ArtifactCache:
         return meta_path.with_name(f"{meta_path.stem}__{name}.npy")
 
     def contains(self, kind: str, params: Mapping[str, Any]) -> bool:
-        """True when an entry for ``(kind, params)`` exists (no stats update).
-
-        Covers both layouts: the ``.npz`` pair and raw shard entries (a
-        ``.json`` accompanied by ``<key>__*.npy`` array files).
-        """
+        """True when an entry for ``(kind, params)`` exists (no stats update)."""
         npz_path, meta_path = self._paths(kind, params)
-        if not meta_path.exists():
-            return False
-        if npz_path.exists():
-            return True
-        pattern = f"{meta_path.stem}__*.npy"
-        return next(meta_path.parent.glob(pattern), None) is not None
+        return npz_path.exists() and meta_path.exists()
 
     def load(self, kind: str, params: Mapping[str, Any]) -> CacheEntry | None:
         """Load the entry for ``(kind, params)``, or ``None`` on a miss.
@@ -230,11 +215,12 @@ class ArtifactCache:
         arrays: Mapping[str, np.ndarray],
         meta: Mapping[str, Any] | None = None,
     ) -> None:
-        """Persist ``arrays`` as raw ``.npy`` files (the memory-mappable layout).
+        """Persist ``arrays`` as raw ``.npy`` files (the retired mmap layout).
 
-        Array names must be usable as file-name fragments.  The metadata
-        file records them under ``"raw"`` so loads and prune passes know
-        which files belong to the entry.
+        No artifact node writes this layout; it stays because the
+        benchmark's tracer wraps it by name.  Array names must be usable as
+        file-name fragments.  The metadata file records them under
+        ``"raw"``.
         """
         _, meta_path = self._paths(kind, params)
         meta_path.parent.mkdir(parents=True, exist_ok=True)
@@ -265,10 +251,9 @@ class ArtifactCache:
         """Load a raw entry, memory-mapping its arrays by default.
 
         With ``mmap=True`` each array is an ``np.load(mmap_mode="r")``
-        view whose pages are only read when touched — the restore path of
-        the stitched out-of-core artifacts.  Corrupted or incomplete
-        entries are evicted and reported as misses, exactly like the
-        ``.npz`` layout.
+        view whose pages are only read when touched.  Corrupted or
+        incomplete entries are evicted and reported as misses, exactly like
+        the ``.npz`` layout.
         """
         _, meta_path = self._paths(kind, params)
         if not meta_path.exists():

@@ -45,14 +45,6 @@ class ExperimentConfig:
     max_clients:
         Cap (>= 1) on clients evaluated per Meridian run (keeps scaled-down
         runs fast); ``None`` evaluates every client.
-    memory_budget_mb:
-        Memory budget (MiB) of the out-of-core artifact tier: it sizes the
-        severity witness chunks and the shard plan of large artifacts (see
-        :mod:`repro.budget` and :mod:`repro.artifacts.shards`).  ``None``
-        (the default) uses :data:`repro.budget.DEFAULT_MEMORY_BUDGET_MB`.
-        The budget itself never joins a cache address — only the shard
-        count derived from it does, and only for matrices at or above the
-        shard threshold — so harness-scale addresses are unaffected.
     scenario:
         Optional name of a library scenario (see
         :mod:`repro.scenarios.library`) every dataset load is generated
@@ -77,11 +69,8 @@ class ExperimentConfig:
     meridian_small_count: int = 40
     max_clients: int | None = 150
     scenario: str | None = None
-    memory_budget_mb: int | None = None
 
     def __post_init__(self) -> None:
-        if self.memory_budget_mb is not None and self.memory_budget_mb < 64:
-            raise ConfigError("memory_budget_mb must be >= 64 (MiB)")
         if self.n_nodes < 8:
             raise ConfigError("n_nodes must be >= 8")
         if not 0 < self.candidate_fraction < 1:

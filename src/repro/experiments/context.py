@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.artifacts.nodes import ArtifactKey, get_node, node_storage
+from repro.artifacts.nodes import ArtifactKey, get_node
 from repro.experiments.cache import ArtifactCache, stable_key
 from repro.experiments.config import ExperimentConfig
 
@@ -151,22 +151,16 @@ class ExperimentContext:
         node = get_node(key.node)
         params = node.params(self, key.instance)
         address = stable_key(node.kind, params)
-        storage = node_storage(node, self, key.instance)
-        restored = self._restore_cached(node, key, params, storage)
+        restored = self._restore_cached(node, key, params)
         if restored is not None:
             return restored, "restored", address, node.kind
         value = node.compute(self, key.instance)
-        if self.cache is not None and storage != "virtual":
-            payload = node.payload(value)
-            if payload is not None:
-                arrays, meta = payload
-                if storage == "raw":
-                    self.cache.store_raw(node.kind, params, arrays, meta=meta)
-                else:
-                    self.cache.store(node.kind, params, arrays, meta=meta)
+        if self.cache is not None:
+            arrays, meta = node.payload(value)
+            self.cache.store(node.kind, params, arrays, meta=meta)
         return value, "computed", address, node.kind
 
-    def _restore_cached(self, node, key: ArtifactKey, params: dict, storage: str):
+    def _restore_cached(self, node, key: ArtifactKey, params: dict):
         """Rebuild the artifact from the disk cache, self-healing on failure.
 
         Returns the restored value, or ``None`` for a miss.
@@ -176,17 +170,10 @@ class ExperimentContext:
         into a persistent cache dir) is evicted and reclassified as a miss
         so the caller recomputes, keeping the cache's documented
         corrupted-entries-are-recomputed contract.
-
-        Virtual artifacts (the stitched views over sharded storage) are
-        never stored, so they skip the cache entirely — no stats are
-        touched; their shard dependencies account for all disk traffic.
         """
-        if self.cache is None or storage == "virtual":
+        if self.cache is None:
             return None
-        if storage == "raw":
-            entry = self.cache.load_raw(node.kind, params)
-        else:
-            entry = self.cache.load(node.kind, params)
+        entry = self.cache.load(node.kind, params)
         if entry is None:
             return None
         try:
@@ -196,15 +183,6 @@ class ExperimentContext:
             self.cache.stats.hits -= 1
             self.cache.stats.misses += 1
             return None
-
-    def release(self, key: ArtifactKey) -> None:
-        """Drop ``key`` from the in-memory memo (cache entries are kept).
-
-        The sharded artifact tier uses this to let go of per-shard blocks
-        once the stitched memory-mapped view over their on-disk files is
-        built, bounding peak RSS to roughly one shard.
-        """
-        self._values.pop(key, None)
 
     def drain_events(self) -> list[ArtifactEvent]:
         """Return (and clear) the materialisation events recorded so far."""

@@ -178,44 +178,6 @@ def _setup_shortest_paths(size: int, seed: int) -> tuple[PreparedKernel, float]:
     return (lambda: shortest_path_matrix(matrix)), float(size) * size
 
 
-#: Source rows one ``severity_sharded`` / ``shortest_landmark`` call covers.
-#: A fixed slab keeps large-size bench runs bounded (the full sharded
-#: artifact is just this unit repeated shard-by-shard by the scheduler).
-SHARD_SLAB_ROWS = 64
-
-
-def _setup_severity_sharded(size: int, seed: int) -> tuple[PreparedKernel, float]:
-    from repro.tiv.severity import compute_tiv_severity_rows
-
-    matrix = _dataset(size, seed)
-    rows = min(SHARD_SLAB_ROWS, size)
-    # One call = one shard-sized slab of the chunked severity kernel — the
-    # unit of out-of-core severity work the sharded artifact tier schedules.
-    return (
-        lambda: compute_tiv_severity_rows(matrix, 0, rows)
-    ), float(rows) * size
-
-
-def _setup_shortest_landmark(size: int, seed: int) -> tuple[PreparedKernel, float]:
-    from repro.delayspace.shortest_path import (
-        landmark_count,
-        landmark_distances,
-        landmark_indices,
-        landmark_shortest_rows,
-    )
-
-    matrix = _dataset(size, seed)
-    landmarks = landmark_indices(size, landmark_count(size), rng=seed + 1)
-    # The landmark sweep (L single-source Dijkstras) is a separately cached
-    # artifact, so it stays in setup; the timed unit is the per-shard row
-    # estimation the sharded shortest-path tier repeats shard by shard.
-    dists = landmark_distances(matrix, landmarks)
-    rows = min(SHARD_SLAB_ROWS, size)
-    return (
-        lambda: landmark_shortest_rows(dists, landmarks, 0, rows)
-    ), float(rows) * size
-
-
 def _setup_artifact_graph_resolve(size: int, seed: int) -> tuple[PreparedKernel, float]:
     from repro.artifacts import resolve_plan
     from repro.experiments.config import ExperimentConfig
@@ -406,20 +368,6 @@ _KERNELS: dict[str, KernelSpec] = {
             "all-pairs shortest paths over the delay graph (scipy csgraph)",
             "edges/s",
             _setup_shortest_paths,
-        ),
-        KernelSpec(
-            "severity_sharded",
-            "one shard-sized slab of the chunked TIV-severity kernel "
-            "(the out-of-core tier's unit of severity work)",
-            "edges/s",
-            _setup_severity_sharded,
-        ),
-        KernelSpec(
-            "shortest_landmark",
-            "landmark shortest-path row estimation over one shard slab "
-            "(the out-of-core tier's unit of shortest-path work)",
-            "edges/s",
-            _setup_shortest_landmark,
         ),
         KernelSpec(
             "online_update",

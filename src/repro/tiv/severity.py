@@ -141,42 +141,36 @@ def _prepared_delays(matrix: DelayMatrix) -> np.ndarray:
     return delays
 
 
-def compute_tiv_severity_rows(
-    matrix: DelayMatrix,
-    start: int,
-    stop: int,
-    *,
-    chunk_size: int | None = None,
-    memory_budget_mb: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Severity and violation-count rows for source nodes ``[start, stop)``.
+def compute_tiv_severity(
+    matrix: DelayMatrix, *, chunk_size: int | None = None
+) -> TIVSeverityResult:
+    """Compute the TIV severity of every edge of ``matrix``.
 
-    This is the shardable unit of the severity computation: each source
-    row depends only on the full delay matrix, never on other output rows,
-    so disjoint row ranges computed independently (by the sharded artifact
-    tier, or by parallel workers) concatenate into exactly the result of
-    :func:`compute_tiv_severity`, bit for bit.
+    The computation is O(N³) time, vectorised per source row.  Each source
+    row materialises O(N²) temporaries (the ``two_hop`` float matrix plus
+    the boolean witness mask and the ratio matrix — roughly ``20 * N²``
+    bytes at peak).
 
-    Returns ``(severity_rows, count_rows)`` of shape ``(stop - start, N)``,
-    with missing-edge and diagonal entries already masked (``nan`` / 0).
+    Parameters
+    ----------
+    matrix:
+        The delay matrix.
+    chunk_size:
+        Bound on the witness dimension processed at once, capping the
+        per-row temporaries at O(chunk × N).  ``None`` (the default) takes
+        every witness in one pass.  Results are equivalent up to
+        floating-point summation order (the witness sum accumulates per
+        chunk).
     """
     n = matrix.n_nodes
-    start, stop = int(start), int(stop)
-    if not 0 <= start <= stop <= n:
-        raise ValueError(f"need 0 <= start <= stop <= {n}, got [{start}, {stop})")
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     delays = _prepared_delays(matrix)
-    if chunk_size is None:
-        from repro.budget import auto_chunk_size
+    step = n if chunk_size is None else min(chunk_size, n)
+    severity = np.zeros((n, n), dtype=float)
+    counts = np.zeros((n, n), dtype=np.int64)
 
-        step = auto_chunk_size(n, memory_budget_mb)
-    else:
-        step = min(chunk_size, n)
-    severity = np.zeros((stop - start, n), dtype=float)
-    counts = np.zeros((stop - start, n), dtype=np.int64)
-
-    for a in range(start, stop):
+    for a in range(n):
         d_a = delays[a]                       # d(A, B) for all B
         direct = d_a[None, :]                 # d(A, C) broadcast over rows (B)
         row_ratio = np.zeros(n, dtype=float)
@@ -196,55 +190,14 @@ def compute_tiv_severity_rows(
                 ratios = np.where(violating, direct / two_hop, 0.0)
             row_ratio += ratios.sum(axis=0)
             row_count += violating.sum(axis=0)
-        severity[a - start] = row_ratio / n
-        counts[a - start] = row_count
+        severity[a] = row_ratio / n
+        counts[a] = row_count
 
     # Edges with a missing direct measurement have undefined severity.
-    measured = np.isfinite(matrix.values[start:stop])
+    measured = np.isfinite(matrix.values)
     severity[~measured] = np.nan
-    for a in range(start, stop):
-        severity[a - start, a] = np.nan
+    np.fill_diagonal(severity, np.nan)
     counts[~measured] = 0
-    return severity, counts
-
-
-def compute_tiv_severity(
-    matrix: DelayMatrix,
-    *,
-    chunk_size: int | None = None,
-    memory_budget_mb: int | None = None,
-) -> TIVSeverityResult:
-    """Compute the TIV severity of every edge of ``matrix``.
-
-    The computation is O(N³) time, vectorised per source row.  Each source
-    row materialises O(N²) temporaries (the ``two_hop`` float matrix plus
-    the boolean witness mask and the ratio matrix — roughly ``20 * N²``
-    bytes at peak), so the witness (B) dimension is processed in chunks
-    that cap peak extra memory at O(chunk × N).
-
-    Chunked evaluation is the default path: the chunk size is auto-tuned
-    from the memory budget (:func:`repro.budget.auto_chunk_size`), which
-    resolves to a single whole-row pass — bit-identical to the historical
-    unchunked computation — for every matrix whose temporaries fit the
-    budget (all harness-scale sizes under the 2 GiB default).
-
-    Parameters
-    ----------
-    matrix:
-        The delay matrix.
-    chunk_size:
-        Explicit bound on the witness dimension, overriding the auto-tuned
-        value.  Results are equivalent up to floating-point summation
-        order (the witness sum accumulates per chunk).
-    memory_budget_mb:
-        Memory budget the auto-tuned chunk size is derived from; ``None``
-        uses :data:`repro.budget.DEFAULT_MEMORY_BUDGET_MB`.  Ignored when
-        ``chunk_size`` is given.
-    """
-    n = matrix.n_nodes
-    severity, counts = compute_tiv_severity_rows(
-        matrix, 0, n, chunk_size=chunk_size, memory_budget_mb=memory_budget_mb
-    )
     return TIVSeverityResult(severity=severity, violation_counts=counts, n_nodes=n)
 
 

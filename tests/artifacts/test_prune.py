@@ -101,6 +101,27 @@ class TestStaleEraEviction:
             fresh.materialize(ArtifactKey(node))
         assert counting.stats.misses == 0
 
+    def test_raw_layout_entries_are_pruned(self, tmp_path):
+        # No node writes the memory-mapped raw layout any more, so prune
+        # evicts its entries, array files included, and array files left
+        # without metadata; the live entries beside them stay.
+        cache_dir = tmp_path / "cache"
+        _populate(cache_dir)
+        kept = prune_cache(cache_dir).kept
+        params = {"preset": "ds2_like", "n_nodes": 24, "seed": 0, "shard": 0, "shards": 2}
+        ArtifactCache(cache_dir).store_raw("severity", params, {"severity": np.zeros((12, 24))})
+        (cache_dir / "severity" / f"{'f' * 32}__severity.npy").write_bytes(b"orphan")
+        report = prune_cache(cache_dir)
+        assert sorted(entry.reason for entry in report.pruned) == [
+            "retired raw (memory-mapped) layout",
+            "stray file (no .json metadata)",
+        ]
+        assert report.kept == kept
+        assert not list(cache_dir.glob("*/*.npy"))
+        counting = ArtifactCache(cache_dir)
+        _ = ExperimentContext(TINY, cache=counting).severity
+        assert counting.stats.misses == 0
+
     def test_retired_schema_address_is_pruned(self, tmp_path):
         # An entry whose stored params no longer hash to its file name was
         # written under a different CACHE_SCHEMA tag.

@@ -1,10 +1,8 @@
-"""The artifact cache against a dict model, across both disk layouts.
+"""The artifact cache against a dict model.
 
-Even addresses use the ``.npz`` archive layout, odd ones the raw
-memory-mapped ``.npy`` layout.  Random sequences of stores, loads,
-evictions, corruptions, killed writers and prune passes must keep the
-cache's contents, ``contains`` answers and hit/miss counters equal to the
-model's.
+Random sequences of stores, loads, evictions, corruptions, killed writers
+and prune passes must keep the cache's contents, ``contains`` answers and
+hit/miss counters equal to the model's.
 """
 
 import shutil
@@ -42,28 +40,19 @@ class CacheMachine(RuleBasedStateMachine):
     def teardown(self):
         shutil.rmtree(self.root, ignore_errors=True)
 
-    def _load(self, n: int):
-        if n % 2:
-            return self.cache.load_raw(KIND, _params(n))
-        return self.cache.load(KIND, _params(n))
-
     @rule(n=ADDRESSES, fill=st.integers(-3, 3))
     def store(self, n, fill):
         array = np.full((n + 1, 2), float(fill))
-        if n % 2:
-            self.cache.store_raw(KIND, _params(n), {"delays": array})
-        else:
-            self.cache.store(KIND, _params(n), {"delays": array})
+        self.cache.store(KIND, _params(n), {"delays": array})
         self.model[n] = array
 
     @rule(n=ADDRESSES)
     def load(self, n):
-        entry = self._load(n)
+        entry = self.cache.load(KIND, _params(n))
         if n in self.model:
             self.hits += 1
             assert entry is not None
             np.testing.assert_array_equal(entry.arrays["delays"], self.model[n])
-            assert isinstance(entry.arrays["delays"], np.memmap) == bool(n % 2)
         else:
             self.misses += 1
             assert entry is None
@@ -77,10 +66,9 @@ class CacheMachine(RuleBasedStateMachine):
     def corrupt(self, n):
         if n not in self.model:
             return
-        suffix = "__delays.npy" if n % 2 else ".npz"
-        (self.root / KIND / f"{_stem(n)}{suffix}").write_bytes(b"not an array")
+        (self.root / KIND / f"{_stem(n)}.npz").write_bytes(b"not an array")
         # A corrupted entry reads as a miss and is evicted on the spot.
-        assert self._load(n) is None
+        assert self.cache.load(KIND, _params(n)) is None
         self.misses += 1
         del self.model[n]
 

@@ -484,17 +484,14 @@ class TestHelpSnapshots:
 
     GRAPH_USAGE = (
         "usage: repro graph [-h] [--nodes NODES] [--seed SEED] "
-        "[--memory-budget MIB]\n"
-        "                   [--cache-dir CACHE_DIR]\n"
+        "[--cache-dir CACHE_DIR]\n"
         "                   [--experiment EXPERIMENT [EXPERIMENT ...]]\n"
         "                   [--scenario SCENARIO] [--json]\n"
     )
 
     RUN_ALL_USAGE = (
-        "usage: repro run-all [-h] [--nodes NODES] [--seed SEED] "
-        "[--memory-budget MIB]\n"
-        "                     [--jobs JOBS] [--cache-dir CACHE_DIR] "
-        "[--report REPORT]\n"
+        "usage: repro run-all [-h] [--nodes NODES] [--seed SEED] [--jobs JOBS]\n"
+        "                     [--cache-dir CACHE_DIR] [--report REPORT]\n"
         "                     [--only ONLY [ONLY ...]] [--scenario SCENARIO] "
         "[--full]\n"
     )
