@@ -28,6 +28,10 @@ from repro.errors import EmbeddingError
 from repro.stats.binning import BinnedStats, bin_by_value
 from repro.stats.rng import RngLike
 
+#: Steps of coordinates the oscillation tracker buffers before folding
+#: them into the running extrema (bounds the buffer at 64 × N × d floats).
+_FOLD_STEPS = 64
+
 
 @dataclass(frozen=True)
 class EmbeddingTrace:
@@ -127,12 +131,14 @@ class VivaldiSimulation:
         track_oscillation:
             Record the running min/max predicted distance of every measured
             edge so the oscillation range can be reported (Fig. 11).  Each
-            step gathers both ends of every measured edge into preallocated
-            buffers (O(E·d)) and updates the extrema of the squared
-            distances; the square roots are taken once, after the last
-            step.  The range equals the extrema of per-step
-            :meth:`~repro.coords.vivaldi.VivaldiSystem.predict_edges` calls
-            bit for bit.  Still the most expensive option.
+            step's coordinates go into a buffer of up to 64 steps; a full
+            (or final) buffer is folded source row by source row into the
+            N×N extrema of the squared distances, and the square roots are
+            taken once, after the last step.  Each squared distance is the
+            same contiguous length-d einsum reduction as
+            :meth:`~repro.coords.vivaldi.VivaldiSystem.predict_edges`, so the
+            range equals the extrema of per-step ``predict_edges`` calls bit
+            for bit.  Still the most expensive option.
         track_movement:
             Record per-node movement magnitudes each step.
         """
@@ -156,17 +162,16 @@ class VivaldiSimulation:
             measured[tracked_rows, tracked_cols].astype(float) if tracked else None
         )
 
-        rows = cols = None
-        running_min = running_max = None
+        history = running_min = running_max = None
+        filled = 0
         if track_oscillation:
             # Squared-distance extrema; sqrt is monotone, so it waits for
             # the end.
-            rows, cols = self._matrix.edge_index_pairs()
-            ends = np.empty((rows.size, self._system.config.dimension))
-            diff = np.empty_like(ends)
-            squared = np.empty(rows.size)
-            running_min = np.full(rows.size, np.inf)
-            running_max = np.full(rows.size, -np.inf)
+            n = self._system.n_nodes
+            dimension = self._system.config.dimension
+            history = np.empty((min(seconds, _FOLD_STEPS), n, dimension))
+            running_min = np.full((n, n), np.inf)
+            running_max = np.full((n, n), -np.inf)
 
         movements = np.zeros((seconds, self._system.n_nodes)) if track_movement else None
 
@@ -179,18 +184,17 @@ class VivaldiSimulation:
                 predicted = self._system.predict_edges(tracked_rows, tracked_cols)
                 tracked_errors[step] = predicted - tracked_measured
             if track_oscillation:
-                coords = self._system.coordinates
-                np.take(coords, rows, axis=0, out=diff)
-                np.take(coords, cols, axis=0, out=ends)
-                np.subtract(diff, ends, out=diff)
-                np.einsum("ij,ij->i", diff, diff, out=squared)
-                np.minimum(running_min, squared, out=running_min)
-                np.maximum(running_max, squared, out=running_max)
+                history[filled] = self._system.coordinates
+                filled += 1
+                if filled == len(history) or step == seconds - 1:
+                    _fold_squared_extrema(history[:filled], running_min, running_max)
+                    filled = 0
 
         oscillation = None
         edge_delays = None
         if track_oscillation:
-            oscillation = np.sqrt(running_max) - np.sqrt(running_min)
+            rows, cols = self._matrix.edge_index_pairs()
+            oscillation = np.sqrt(running_max[rows, cols]) - np.sqrt(running_min[rows, cols])
             edge_delays = measured[rows, cols].astype(float)
 
         return EmbeddingTrace(
@@ -202,6 +206,24 @@ class VivaldiSimulation:
             edge_delays=edge_delays,
             movement_speeds=movements,
         )
+
+
+def _fold_squared_extrema(
+    history: np.ndarray, running_min: np.ndarray, running_max: np.ndarray
+) -> None:
+    """Fold a ``(steps, N, d)`` block of coordinates into pair extrema.
+
+    Updates the upper triangle of the N×N running minimum and maximum of
+    the squared distance between every node pair, one source row at a
+    time, in place.
+    """
+    for i in range(history.shape[1] - 1):
+        diff = history[:, i, None, :] - history[:, i + 1 :, :]
+        squared = np.einsum("sjk,sjk->sj", diff, diff)
+        low = running_min[i, i + 1 :]
+        high = running_max[i, i + 1 :]
+        np.minimum(low, squared.min(axis=0), out=low)
+        np.maximum(high, squared.max(axis=0), out=high)
 
 
 def three_node_tiv_matrix(

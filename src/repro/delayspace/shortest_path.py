@@ -6,8 +6,8 @@ shortest alternative path is much shorter than the direct delay are exactly
 the edges that cause severe triangle inequality violations.
 
 The computation treats the delay matrix as a dense weighted graph and runs
-all-pairs shortest paths (SciPy's C implementation), so it scales to the
-matrix sizes used by the experiment harness.
+an in-place numpy Floyd–Warshall over it: O(N³) work in N whole-matrix
+steps, exact at every size.
 """
 
 from __future__ import annotations
@@ -18,34 +18,25 @@ from repro.delayspace.matrix import DelayMatrix
 from repro.errors import DelayMatrixError
 
 
-def _masked_graph(matrix: DelayMatrix):
-    from scipy.sparse.csgraph import csgraph_from_masked
-
-    delays = matrix.to_array()
-    return csgraph_from_masked(np.ma.masked_array(delays, mask=~np.isfinite(delays)))
-
-
-def shortest_path_matrix(matrix: DelayMatrix, *, method: str = "auto") -> np.ndarray:
+def shortest_path_matrix(matrix: DelayMatrix) -> np.ndarray:
     """Return the all-pairs shortest-path delay matrix.
 
     Missing edges are treated as absent (infinite direct delay); if the
-    graph is disconnected the corresponding entries are ``inf``.
+    graph is disconnected the corresponding entries are ``inf``.  Measured
+    zero-delay edges (co-located nodes) stay in the graph.  The graph is
+    undirected: a pair measured in either direction is an edge, at the
+    smaller of the two delays.
 
-    Parameters
-    ----------
-    matrix:
-        The delay matrix.
-    method:
-        Passed through to :func:`scipy.sparse.csgraph.shortest_path`
-        (``"auto"``, ``"FW"``, ``"D"``...).
+    Floyd–Warshall relaxes every pair through each intermediate ``k`` in
+    ascending order, one in-place ``(N, N)`` ``np.minimum`` per ``k``.
     """
-    # An explicit missing-entry mask (in _masked_graph) keeps measured
-    # zero-delay edges (e.g. co-located nodes) in the graph: a dense
-    # csgraph input would treat every 0 entry as "no edge" and drop them.
-    from scipy.sparse.csgraph import shortest_path
-
-    dist = shortest_path(_masked_graph(matrix), method=method, directed=False)
-    return np.asarray(dist, dtype=float)
+    delays = matrix.to_array()
+    dist = np.fmin(delays, delays.T)
+    dist[np.isnan(dist)] = np.inf
+    np.fill_diagonal(dist, 0.0)
+    for k in range(matrix.n_nodes):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    return dist
 
 
 def detour_gains(matrix: DelayMatrix, shortest: np.ndarray | None = None) -> np.ndarray:

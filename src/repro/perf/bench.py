@@ -8,7 +8,7 @@ least noisy estimator of what the code can do on the machine, while the
 mean documents run-to-run spread.
 
 The report is a plain-JSON document (``BENCH_perf.json``) that also
-carries the environment (python/numpy/scipy versions) and, per kernel
+carries the environment (python/numpy versions) and, per kernel
 family whose batched and reference variants were both measured at a size,
 their speedup (``speedups``) — the numbers the CI ``bench-smoke`` job
 asserts on.
@@ -96,14 +96,12 @@ class BenchReport:
 
     def as_dict(self) -> dict:
         import numpy
-        import scipy
 
         return {
             "schema": SCHEMA,
             "environment": {
                 "python": platform.python_version(),
                 "numpy": numpy.__version__,
-                "scipy": scipy.__version__,
                 "machine": platform.machine(),
             },
             "sizes": list(self.sizes),

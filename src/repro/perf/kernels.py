@@ -365,7 +365,7 @@ _KERNELS: dict[str, KernelSpec] = {
         ),
         KernelSpec(
             "shortest_paths",
-            "all-pairs shortest paths over the delay graph (scipy csgraph)",
+            "all-pairs shortest paths over the delay graph (numpy Floyd–Warshall)",
             "edges/s",
             _setup_shortest_paths,
         ),

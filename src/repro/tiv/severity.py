@@ -146,10 +146,22 @@ def compute_tiv_severity(
 ) -> TIVSeverityResult:
     """Compute the TIV severity of every edge of ``matrix``.
 
-    The computation is O(N³) time, vectorised per source row.  Each source
-    row materialises O(N²) temporaries (the ``two_hop`` float matrix plus
-    the boolean witness mask and the ratio matrix — roughly ``20 * N²``
-    bytes at peak).
+    The computation is O(N³) time, vectorised per source row, and covers
+    one triangle: source row ``a`` evaluates only the columns ``c >= a``,
+    and the lower triangle is their mirror.  The mirror is exact because a
+    symmetric matrix gives ``d(c,b) + d(b,a)`` the same float as
+    ``d(a,b) + d(b,c)``, summed over the witnesses b in the same order,
+    and the counts are integers.  (A matrix that is not exactly symmetric,
+    equal only within ``np.allclose`` or measured in one direction only,
+    therefore counts by its upper-triangle orientation, as the triangle
+    fraction does.)  Slices start at the diagonal, not past it, so every
+    one that matters is at least two columns wide: numpy sums a one-column
+    slice pairwise instead of in witness order, which would move the last
+    edge by an ulp.
+
+    Each source row materialises O(N²) temporaries (the ``two_hop`` float
+    matrix plus the boolean witness mask and the ratio matrix — roughly
+    ``20 * N²`` bytes at peak).
 
     Parameters
     ----------
@@ -169,30 +181,28 @@ def compute_tiv_severity(
     step = n if chunk_size is None else min(chunk_size, n)
     severity = np.zeros((n, n), dtype=float)
     counts = np.zeros((n, n), dtype=np.int64)
+    nodes = np.arange(n)
 
-    for a in range(n):
-        d_a = delays[a]                       # d(A, B) for all B
-        direct = d_a[None, :]                 # d(A, C) broadcast over rows (B)
-        row_ratio = np.zeros(n, dtype=float)
-        row_count = np.zeros(n, dtype=np.int64)
-        for b0 in range(0, n, step):
-            b1 = min(b0 + step, n)
-            witnesses = np.arange(b0, b1)
-            # two_hop[b - b0, c] = d(A, b) + d(b, c)
-            two_hop = d_a[b0:b1, None] + delays[b0:b1]
-            with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(n):
+            d_a = delays[a]                   # d(A, B) for all B
+            direct = d_a[None, a:]            # d(A, C) for C >= A, broadcast over B
+            for b0 in range(0, n, step):
+                b1 = min(b0 + step, n)
+                # two_hop[b - b0, c - a] = d(A, b) + d(b, c)
+                two_hop = d_a[b0:b1, None] + delays[b0:b1, a:]
                 violating = two_hop < direct
-            # A node cannot witness a violation of an edge it belongs to.
-            if b0 <= a < b1:
-                violating[a - b0, :] = False
-            violating[np.arange(b1 - b0), witnesses] = False  # B == C
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(violating, direct / two_hop, 0.0)
-            row_ratio += ratios.sum(axis=0)
-            row_count += violating.sum(axis=0)
-        severity[a] = row_ratio / n
-        counts[a] = row_count
+                # A node cannot witness a violation of an edge it belongs to.
+                if b0 <= a < b1:
+                    violating[a - b0, :] = False
+                same = nodes[max(a, b0):b1]
+                violating[same - b0, same - a] = False  # B == C
+                severity[a, a:] += np.where(violating, direct / two_hop, 0.0).sum(axis=0)
+                counts[a, a:] += violating.sum(axis=0)
 
+    severity /= n
+    severity += severity.T
+    counts += counts.T
     # Edges with a missing direct measurement have undefined severity.
     measured = np.isfinite(matrix.values)
     severity[~measured] = np.nan
@@ -227,7 +237,10 @@ def triangulation_ratios(matrix: DelayMatrix, i: int, j: int) -> np.ndarray:
     two_hop[i] = np.inf
     two_hop[j] = np.inf
     violating = two_hop < direct
-    return direct / two_hop[violating]
+    # A zero-length detour is an unboundedly severe violation: +inf, as in
+    # compute_tiv_severity.
+    with np.errstate(divide="ignore"):
+        return direct / two_hop[violating]
 
 
 def violating_triangle_fraction(matrix: DelayMatrix) -> float:

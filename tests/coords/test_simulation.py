@@ -88,35 +88,36 @@ class TestVivaldiSimulation:
         at the end.  A second, identically seeded simulation takes the
         extrema of ``predict_edges`` every step: the two must agree bit for
         bit, and agree with the full predicted matrix up to its summation
-        order.
+        order.  70 steps cross the 64-step fold boundary and end on a
+        partial block.
         """
-        config = VivaldiConfig(n_neighbors=8)
-        steps = 5
-        sim = VivaldiSimulation(small_internet_matrix, config, rng=6)
-        trace = sim.run(steps, track_oscillation=True)
-
         from repro.coords.vivaldi import VivaldiSystem
 
-        replay = VivaldiSystem(small_internet_matrix, config, rng=6)
+        config = VivaldiConfig(n_neighbors=8)
         rows, cols = small_internet_matrix.edge_index_pairs()
-        running_min = np.full(rows.size, np.inf)
-        running_max = np.full(rows.size, -np.inf)
-        matrix_min = np.full(rows.size, np.inf)
-        matrix_max = np.full(rows.size, -np.inf)
-        for _ in range(steps):
-            replay.step()
-            values = replay.predict_edges(rows, cols)
-            np.minimum(running_min, values, out=running_min)
-            np.maximum(running_max, values, out=running_max)
-            values = replay.predicted_matrix()[rows, cols]
-            np.minimum(matrix_min, values, out=matrix_min)
-            np.maximum(matrix_max, values, out=matrix_max)
+        for steps in (5, 70):
+            sim = VivaldiSimulation(small_internet_matrix, config, rng=6)
+            trace = sim.run(steps, track_oscillation=True)
 
-        assert np.array_equal(trace.oscillation_range, running_max - running_min)
-        assert np.allclose(trace.oscillation_range, matrix_max - matrix_min)
-        assert np.array_equal(
-            trace.edge_delays, small_internet_matrix.values[rows, cols]
-        )
+            replay = VivaldiSystem(small_internet_matrix, config, rng=6)
+            running_min = np.full(rows.size, np.inf)
+            running_max = np.full(rows.size, -np.inf)
+            matrix_min = np.full(rows.size, np.inf)
+            matrix_max = np.full(rows.size, -np.inf)
+            for _ in range(steps):
+                replay.step()
+                values = replay.predict_edges(rows, cols)
+                np.minimum(running_min, values, out=running_min)
+                np.maximum(running_max, values, out=running_max)
+                values = replay.predicted_matrix()[rows, cols]
+                np.minimum(matrix_min, values, out=matrix_min)
+                np.maximum(matrix_max, values, out=matrix_max)
+
+            assert np.array_equal(trace.oscillation_range, running_max - running_min)
+            assert np.allclose(trace.oscillation_range, matrix_max - matrix_min)
+            assert np.array_equal(
+                trace.edge_delays, small_internet_matrix.values[rows, cols]
+            )
 
     def test_invalid_run_length(self, small_internet_matrix):
         sim = VivaldiSimulation(small_internet_matrix, rng=0)

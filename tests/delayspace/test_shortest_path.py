@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.delayspace.matrix import DelayMatrix
 from repro.delayspace.shortest_path import (
@@ -41,6 +43,12 @@ class TestShortestPathMatrix:
     def test_symmetric(self, small_internet_matrix):
         shortest = shortest_path_matrix(small_internet_matrix)
         assert np.allclose(shortest, shortest.T)
+
+    def test_one_sided_measurement_is_an_undirected_edge(self):
+        delays = np.array([[0.0, 5.0, np.nan], [np.nan, 0.0, 7.0], [np.nan, 7.0, 0.0]])
+        shortest = shortest_path_matrix(DelayMatrix(delays, symmetrize=False))
+        assert shortest[1, 0] == shortest[0, 1] == 5.0
+        assert shortest[2, 0] == shortest[0, 2] == 12.0
 
     def test_disconnected_nodes_are_inf(self):
         delays = np.full((4, 4), np.nan)
@@ -133,9 +141,9 @@ class TestDisconnectedGraphs:
 
 class TestZeroDelayEdges:
     def test_zero_edge_is_a_zero_length_path(self):
-        # Regression guard: a dense csgraph conversion treats 0 as "no
-        # edge" and would report a positive shortest path between the
-        # co-located nodes.
+        # Regression guard: a measured zero delay is an edge, not a missing
+        # one (a dense sparse-graph conversion would drop it and report a
+        # positive path between the co-located nodes).
         shortest = shortest_path_matrix(_zero_edge_matrix())
         assert shortest[0, 1] == 0.0
 
@@ -185,3 +193,43 @@ class TestZeroDelayEdges:
         # A 50ms edge with a 0ms detour is an unboundedly severe violation,
         # not a neutral gain of 1.
         assert np.isinf(gains[idx[0]])
+
+
+def _floyd_warshall_loop(matrix: DelayMatrix) -> np.ndarray:
+    """Scalar oracle: textbook Floyd–Warshall over plain Python floats."""
+    n = matrix.n_nodes
+    values = matrix.values
+    dist = [
+        [
+            0.0 if i == j else float(values[i, j]) if np.isfinite(values[i, j]) else np.inf
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                via = dist[i][k] + dist[k][j]
+                if via < dist[i][j]:
+                    dist[i][j] = via
+    return np.array(dist)
+
+
+@st.composite
+def _graphs(draw) -> DelayMatrix:
+    """Symmetric matrices with ties, zero edges, holes and split components."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.integers(0, 9, size=(n, n)) * rng.choice([0.5, 1.0, 1.25], size=(n, n))
+    values[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = np.nan
+    component = rng.integers(0, draw(st.integers(min_value=1, max_value=3)), size=n)
+    values[component[:, None] != component[None, :]] = np.nan
+    upper = np.triu(values, k=1)
+    return DelayMatrix(upper + upper.T, symmetrize=False)
+
+
+class TestFloydWarshallOracle:
+    @given(matrix=_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical(self, matrix):
+        assert np.array_equal(shortest_path_matrix(matrix), _floyd_warshall_loop(matrix))

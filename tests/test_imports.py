@@ -1,36 +1,22 @@
-"""Import-time contracts.
+"""Import contracts.
 
-scipy loads only inside the functions that use it, and every third-party
+numpy is the one runtime dependency: every module under ``src/`` imports
+only numpy, the standard library and ``repro`` itself.  Every third-party
 module the tests import is declared in ``pyproject.toml``.
 """
 
 import ast
-import os
 import re
-import subprocess
 import sys
 import tomllib
 from importlib.metadata import packages_distributions
 from pathlib import Path
 
-import pytest
-
 import repro
 
-SRC = str(Path(repro.__file__).resolve().parents[1])
+SRC = Path(repro.__file__).resolve().parents[1]
 ROOT = Path(__file__).resolve().parents[1]
 FIRST_PARTY = {"repro", "tests"}
-
-
-@pytest.mark.parametrize("module", ["repro", "repro.cli"])
-def test_import_leaves_scipy_unloaded(module):
-    # A fresh interpreter: this test process has long since imported scipy.
-    code = f"import sys, {module}; print('scipy' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert proc.stdout.strip() == "False"
 
 
 def _normalise(name: str) -> str:
@@ -62,3 +48,16 @@ def test_test_imports_are_declared_dependencies():
             if not any(_normalise(name) in declared for name in names):
                 undeclared.setdefault(module, []).append(str(path.relative_to(ROOT)))
     assert not undeclared, f"imported under tests/ but not declared: {undeclared}"
+
+
+def test_src_imports_only_numpy_stdlib_and_repro():
+    # Every import counts, function-local ones included.
+    allowed = {"numpy", "repro"}
+    foreign: dict[str, list[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for module in _top_level_imports(path):
+            if module not in allowed and module not in sys.stdlib_module_names:
+                foreign.setdefault(module, []).append(str(path.relative_to(SRC)))
+    assert not foreign, f"imported under src/ beyond numpy and the stdlib: {foreign}"
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [re.match(r"[\w.-]+", req).group() for req in project["dependencies"]] == ["numpy"]

@@ -1,8 +1,10 @@
 """Tests for repro.tiv.severity."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.delayspace.matrix import DelayMatrix
@@ -64,9 +66,18 @@ class TestComputeTivSeverity:
         assert np.allclose(sev[finite], sev.T[finite])
 
     def test_matches_single_edge_function(self, tiv_matrix):
-        result = compute_tiv_severity(tiv_matrix)
-        for i, j, _ in tiv_matrix.edges():
-            assert result.edge_severity(i, j) == pytest.approx(edge_tiv_severity(tiv_matrix, i, j))
+        # The second matrix gives edge (0, 2) a zero-length detour through
+        # node 1: an infinite ratio, which must not warn on either path.
+        zero_detour = DelayMatrix([[0, 0, 5], [0, 0, 0], [5, 0, 0]], symmetrize=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for matrix in (tiv_matrix, zero_detour):
+                result = compute_tiv_severity(matrix)
+                for i, j, _ in matrix.edges():
+                    assert result.edge_severity(i, j) == pytest.approx(
+                        edge_tiv_severity(matrix, i, j)
+                    )
+        assert edge_tiv_severity(zero_detour, 0, 2) == np.inf
 
     def test_diagonal_nan(self, tiv_matrix):
         result = compute_tiv_severity(tiv_matrix)
@@ -293,6 +304,62 @@ def _tie_heavy_matrix(n: int, beta: float, seed: int, holes: float, zeros: float
     values[rng.random((n, n)) < holes] = np.nan
     upper = np.triu(values, k=1)
     return DelayMatrix(upper + upper.T, symmetrize=False)
+
+
+def _severity_loop(matrix: DelayMatrix, chunk_size: int | None = None) -> TIVSeverityResult:
+    """Scalar oracle: every source row over every column, one witness at a time.
+
+    Each chunk of witnesses sums into its own partial row, in witness
+    order, before the row total takes it — the order a whole-row numpy
+    reduction over the chunk uses.
+    """
+    n = matrix.n_nodes
+    delays = _prepared_delays(matrix)
+    step = n if chunk_size is None else min(chunk_size, n)
+    severity = np.zeros((n, n))
+    counts = np.zeros((n, n), dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(n):
+            direct = delays[a]
+            for b0 in range(0, n, step):
+                ratio_sum = np.zeros(n)
+                for b in range(b0, min(b0 + step, n)):
+                    two_hop = delays[a, b] + delays[b]
+                    violating = two_hop < direct
+                    violating[b] = False  # B == C
+                    if b == a:
+                        violating[:] = False
+                    ratio_sum += np.where(violating, direct / two_hop, 0.0)
+                    counts[a] += violating
+                severity[a] += ratio_sum
+    severity /= n
+    measured = np.isfinite(matrix.values)
+    severity[~measured] = np.nan
+    np.fill_diagonal(severity, np.nan)
+    counts[~measured] = 0
+    return TIVSeverityResult(severity=severity, violation_counts=counts, n_nodes=n)
+
+
+class TestSeverityOracle:
+    """The one-triangle kernel equals the full-row scalar loop bit for bit."""
+
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        beta=st.sampled_from([0.1, 0.5, 0.9]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        holes=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        zeros=st.sampled_from([0.0, 0.2]),
+        chunk_size=st.sampled_from([None, 1, 7]),
+    )
+    # Slices that start past the diagonal (c > a) drift here by an ulp.
+    @example(n=32, beta=0.1, seed=1, holes=0.0, zeros=0.0, chunk_size=None)
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical(self, n, beta, seed, holes, zeros, chunk_size):
+        matrix = _tie_heavy_matrix(n, beta, seed, holes, zeros)
+        expected = _severity_loop(matrix, chunk_size)
+        actual = compute_tiv_severity(matrix, chunk_size=chunk_size)
+        assert np.array_equal(actual.severity, expected.severity, equal_nan=True)
+        assert np.array_equal(actual.violation_counts, expected.violation_counts)
 
 
 class TestViolatingTriangleOracle:
