@@ -126,7 +126,7 @@ def prune_cache(root: PathLike, *, dry_run: bool = False) -> PruneReport:
             report.pruned.append(PrunedEntry(kind_dir.name, meta_path.stem, reason))
             if not dry_run:
                 for path in kind_dir.glob(f"{meta_path.stem}[._]*"):
-                    path.unlink()
+                    path.unlink(missing_ok=True)
         for path in sorted(p for p in kind_dir.iterdir() if p.is_file()):
             if path.name.startswith(TEMP_PREFIX):
                 reason = "abandoned temp file (store interrupted mid-write)"
@@ -138,5 +138,5 @@ def prune_cache(root: PathLike, *, dry_run: bool = False) -> PruneReport:
                 reason = "stray file (no .json metadata)"
             report.pruned.append(PrunedEntry(kind_dir.name, path.name, reason))
             if not dry_run:
-                path.unlink()
+                path.unlink(missing_ok=True)
     return report
