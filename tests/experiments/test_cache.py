@@ -126,31 +126,6 @@ class TestRawLayout:
         assert cache.load_raw("dataset", params) is None  # eviction took
         np.testing.assert_array_equal(entry.arrays["block"], arrays["block"])
 
-    def test_store_load_roundtrip_memmaps(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        arrays = {"severity": np.arange(12.0).reshape(3, 4), "counts": np.ones((3, 4))}
-        cache.store_raw("dataset", {"a": 1}, arrays, meta={"start": 0, "stop": 3})
-        entry = cache.load_raw("dataset", {"a": 1})
-        assert entry is not None
-        assert isinstance(entry.arrays["severity"], np.memmap)
-        assert np.array_equal(entry.arrays["severity"], arrays["severity"])
-        assert entry.meta["start"] == 0
-
-    def test_corrupt_raw_entry_evicted(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        cache.store_raw("dataset", {"a": 2}, {"x": np.ones(3)}, meta={})
-        [npy] = list((tmp_path / "cache" / "dataset").glob("*__x.npy"))
-        npy.write_bytes(b"garbage")
-        assert cache.load_raw("dataset", {"a": 2}) is None
-        assert not list((tmp_path / "cache" / "dataset").iterdir())
-
-    def test_missing_raw_file_is_a_miss(self, tmp_path):
-        cache = ArtifactCache(tmp_path / "cache")
-        cache.store_raw("dataset", {"a": 3}, {"x": np.ones(3)}, meta={})
-        [npy] = list((tmp_path / "cache" / "dataset").glob("*__x.npy"))
-        npy.unlink()
-        assert cache.load_raw("dataset", {"a": 3}) is None
-
 
 class TestMissesAndCorruption:
     def test_missing_entry_is_miss(self, cache):

@@ -1,22 +1,38 @@
 """Import contracts.
 
 numpy is the one runtime dependency: every module under ``src/`` imports
-only numpy, the standard library and ``repro`` itself.  Every third-party
-module the tests import is declared in ``pyproject.toml``.
+only numpy, the standard library and ``repro`` itself, so importing the
+package never loads scipy.  Every third-party module the tests import is
+declared in ``pyproject.toml``.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from importlib.metadata import packages_distributions
 from pathlib import Path
+
+import pytest
 
 import repro
 
 SRC = Path(repro.__file__).resolve().parents[1]
 ROOT = Path(__file__).resolve().parents[1]
 FIRST_PARTY = {"repro", "tests"}
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.cli"])
+def test_import_leaves_scipy_unloaded(module):
+    # A fresh interpreter: what this test process has imported does not count.
+    code = f"import sys, {module}; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def _normalise(name: str) -> str:
