@@ -20,7 +20,6 @@ from repro.artifacts.graph import (
     ResolvedArtifact,
     graph_status,
     resolve_artifact,
-    resolve_graph,
     resolve_plan,
 )
 from repro.artifacts.nodes import (
@@ -28,7 +27,6 @@ from repro.artifacts.nodes import (
     ArtifactKey,
     ArtifactNode,
     get_node,
-    list_nodes,
     node_kinds,
     register_node,
     requirement_keys,
@@ -45,12 +43,10 @@ __all__ = [
     "ResolvedArtifact",
     "get_node",
     "graph_status",
-    "list_nodes",
     "node_kinds",
     "prune_cache",
     "register_node",
     "requirement_keys",
     "resolve_artifact",
-    "resolve_graph",
     "resolve_plan",
 ]

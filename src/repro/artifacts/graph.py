@@ -137,13 +137,6 @@ class ExecutionPlan:
     graph: ArtifactGraph
     figure_needs: dict[str, frozenset[ArtifactKey]]
 
-    def keys_for(self, experiment_ids: Iterable[str]) -> frozenset[ArtifactKey]:
-        """Union artifact closure of the given figures."""
-        keys: set[ArtifactKey] = set()
-        for experiment_id in experiment_ids:
-            keys |= self.figure_needs[experiment_id]
-        return frozenset(keys)
-
 
 def _probe_context(config: "ExperimentConfig | None"):
     # Imported lazily: the context materialises artifacts through the node
@@ -216,16 +209,6 @@ def resolve_plan(
         experiment_id: graph.closure(keys) for experiment_id, keys in roots.items()
     }
     return ExecutionPlan(graph=graph, figure_needs=figure_needs)
-
-
-def resolve_graph(
-    config: "ExperimentConfig | None" = None,
-    experiment_ids: Iterable[str] | None = None,
-    *,
-    context=None,
-) -> ArtifactGraph:
-    """The artifact DAG of :func:`resolve_plan` without the figure closures."""
-    return resolve_plan(config, experiment_ids, context=context).graph
 
 
 def graph_status(

@@ -413,11 +413,6 @@ def get_node(name: str) -> ArtifactNode:
         ) from None
 
 
-def list_nodes() -> tuple[str, ...]:
-    """Names of all registered artifact nodes."""
-    return tuple(_NODES)
-
-
 def node_kinds() -> dict[str, ArtifactNode]:
     """Registered nodes keyed by their on-disk cache kind."""
     return {node.kind: node for node in _NODES.values()}

@@ -335,7 +335,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         batch=args.batch,
         batches=args.batches,
         warmup_batches=args.warmup_batches,
-        workers=args.workers,
         k=args.k,
     )
     report = run_serving_benchmark(workload, sizes=sizes or None)
@@ -924,12 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="untimed warm-up batches (default: 1)",
-    )
-    serve_bench.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes firing the load (default: 1, in-process)",
     )
     serve_bench.add_argument(
         "--k", type=int, default=3, help="neighbours per closest query (default: 3)"

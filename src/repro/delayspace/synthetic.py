@@ -17,13 +17,6 @@ Two generators are provided:
   inter-cluster edges) is then *inflated* by a heavy-tailed detour factor.
   Inflated edges are exactly the edges for which shorter two-hop detours
   exist, which is the routing-policy mechanism the paper attributes TIV to.
-
-Both generators also come in a *sparse-measurement* variant
-(:func:`sparse_clustered_delay_space`, :func:`sparse_euclidean_delay_space`):
-when only a fraction of node pairs is measured, the measured pair set is
-sampled first (in memory proportional to the sample, not to N²) and delays
-are computed for those pairs only — the dense path's O(N²·d) position-difference
-temporaries are never allocated, and nothing is generated just to be masked.
 """
 
 from __future__ import annotations
@@ -206,150 +199,6 @@ def euclidean_delay_space(
     off_diag = ~np.eye(n_nodes, dtype=bool)
     delays[off_diag] = np.maximum(delays[off_diag], min_delay)
     return DelayMatrix(delays, labels=labels, symmetrize=False)
-
-
-def sample_measured_pairs(
-    n_nodes: int, fraction: float, rng: RngLike = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample a measured-pair set: distinct upper-triangle ``(rows, cols)``.
-
-    Picks ``round(fraction * n_edges)`` distinct unordered pairs.  For small
-    pair spaces the exact without-replacement sampler is used; for large
-    ones pairs are drawn as linear edge ids with rejection of duplicates,
-    so peak memory stays proportional to the sample — the full
-    ``np.triu_indices`` pair list (O(N²) int64) is never materialised.
-    """
-    n = int(n_nodes)
-    if n < 2:
-        raise ConfigError("sample_measured_pairs needs at least 2 nodes")
-    if not 0 < fraction <= 1:
-        raise ConfigError(f"fraction must lie in (0, 1], got {fraction}")
-    gen = ensure_rng(rng)
-    n_edges = n * (n - 1) // 2
-    k = min(n_edges, max(1, int(round(fraction * n_edges))))
-    if n_edges <= 1 << 22 or k > n_edges // 2:
-        linear = np.sort(gen.choice(n_edges, size=k, replace=False))
-    else:
-        linear = np.unique(gen.integers(0, n_edges, size=k + k // 8 + 16))
-        while linear.size < k:
-            extra = gen.integers(0, n_edges, size=k - linear.size + 16)
-            linear = np.unique(np.concatenate([linear, extra]))
-        if linear.size > k:
-            linear = np.sort(gen.choice(linear, size=k, replace=False))
-    # Linear edge id -> (row, col): row i owns the n-1-i ids starting at
-    # offsets[i]; a searchsorted over the n offsets inverts that in O(n).
-    offsets = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
-    rows = np.searchsorted(offsets, linear, side="right") - 1
-    cols = rows + 1 + (linear - offsets[rows])
-    return rows.astype(np.intp), cols.astype(np.intp)
-
-
-def _sparse_inflate_and_jitter(
-    config: SyntheticSpaceConfig,
-    pair_delays: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    assignment: np.ndarray,
-    gen: np.random.Generator,
-) -> np.ndarray:
-    """The per-pair counterpart of :func:`_inflate_edges` +
-    :func:`_apply_jitter_and_missing`, operating on measured pairs only."""
-    k = pair_delays.size
-    if config.tiv_edge_fraction > 0 and k:
-        same_cluster = assignment[rows] == assignment[cols]
-        weights = np.where(same_cluster, config.intra_cluster_tiv_weight, 1.0)
-        if pair_delays.max() > 0:
-            weights = weights * (0.5 + 0.5 * pair_delays / pair_delays.max())
-        weights = weights / weights.sum()
-        n_inflate = min(max(int(round(config.tiv_edge_fraction * k)), 0), k)
-        if n_inflate:
-            chosen = gen.choice(k, size=n_inflate, replace=False, p=weights)
-            pareto = gen.pareto(config.inflation_shape, size=n_inflate)
-            factors = np.minimum(
-                1.0 + config.inflation_scale * pareto, config.max_inflation
-            )
-            pair_delays[chosen] *= factors
-    if config.jitter_fraction > 0 and k:
-        noise = gen.normal(0.0, config.jitter_fraction, size=k)
-        noise = np.clip(noise, -3 * config.jitter_fraction, 3 * config.jitter_fraction)
-        pair_delays *= 1.0 + noise
-    pair_delays = np.maximum(pair_delays, config.min_delay)
-    if config.missing_fraction > 0 and k:
-        n_missing = int(round(config.missing_fraction * k))
-        if n_missing:
-            drop = gen.choice(k, size=n_missing, replace=False)
-            pair_delays[drop] = np.nan
-    return pair_delays
-
-
-def _pairs_to_matrix(
-    n_nodes: int, rows: np.ndarray, cols: np.ndarray, pair_delays: np.ndarray
-) -> DelayMatrix:
-    """Scatter per-pair delays into the symmetric NaN-background matrix."""
-    values = np.full((n_nodes, n_nodes), np.nan, dtype=float)
-    values[rows, cols] = pair_delays
-    values[cols, rows] = pair_delays
-    np.fill_diagonal(values, 0.0)
-    return DelayMatrix(values, symmetrize=False)
-
-
-def sparse_clustered_delay_space(
-    config: SyntheticSpaceConfig | None = None,
-    *,
-    measured_fraction: float,
-    rng: RngLike = None,
-    return_clusters: bool = False,
-) -> DelayMatrix | tuple:
-    """Clustered delay space over a sampled sparse measurement set.
-
-    Equivalent in *distribution* to masking :func:`clustered_delay_space`
-    down to ``measured_fraction`` of its pairs, but only the sampled pairs
-    are ever generated: node placement and access delays stay O(N), the
-    geometry/inflation/jitter stages run on the pair sample, and the only
-    O(N²) allocation is the output matrix itself (NaN background).  The
-    two paths follow different RNG streams, so they are distinct presets,
-    not bit-equal alternatives.
-    """
-    cfg = config if config is not None else SyntheticSpaceConfig()
-    gen = ensure_rng(rng)
-    assignment = _assign_clusters(cfg, gen)
-    positions = _node_positions(cfg, assignment, gen)
-    access = _access_delays(cfg, gen)
-    rows, cols = sample_measured_pairs(cfg.n_nodes, measured_fraction, gen)
-    diffs = positions[rows] - positions[cols]
-    pair_delays = np.sqrt(np.sum(diffs * diffs, axis=-1)) + access[rows] + access[cols]
-    pair_delays = _sparse_inflate_and_jitter(cfg, pair_delays, rows, cols, assignment, gen)
-    matrix = _pairs_to_matrix(cfg.n_nodes, rows, cols, pair_delays)
-    if return_clusters:
-        return matrix, assignment
-    return matrix
-
-
-def sparse_euclidean_delay_space(
-    n_nodes: int,
-    *,
-    measured_fraction: float,
-    dimension: int = 5,
-    scale: float = 150.0,
-    min_delay: float = 0.5,
-    rng: RngLike = None,
-) -> DelayMatrix:
-    """TIV-free Euclidean delays over a sampled sparse measurement set.
-
-    The sparse counterpart of :func:`euclidean_delay_space`: distances are
-    computed for the sampled pairs only, never as the full O(N²·d)
-    difference tensor.
-    """
-    if n_nodes < 2:
-        raise ConfigError("sparse_euclidean_delay_space needs at least 2 nodes")
-    if scale <= 0:
-        raise ConfigError("scale must be positive")
-    gen = ensure_rng(rng)
-    points = gen.uniform(0.0, scale, size=(int(n_nodes), dimension))
-    rows, cols = sample_measured_pairs(int(n_nodes), measured_fraction, gen)
-    diffs = points[rows] - points[cols]
-    pair_delays = np.maximum(np.sqrt(np.sum(diffs * diffs, axis=-1)), min_delay)
-    return _pairs_to_matrix(int(n_nodes), rows, cols, pair_delays)
 
 
 def _assign_clusters(config: SyntheticSpaceConfig, gen: np.random.Generator) -> np.ndarray:

@@ -4,10 +4,8 @@
   ratio (the empirical basis of the alert).
 * :func:`fig20_alert_accuracy` / :func:`fig21_alert_recall` — precision and
   recall of the alert across ratio thresholds and worst-severity targets.
-* :func:`fig22_dynamic_neighbor_severity` — severity of Vivaldi neighbour
-  edges across dynamic-neighbour iterations.
-* :func:`fig23_dynamic_neighbor_penalty` — neighbour-selection penalty of
-  dynamic-neighbour Vivaldi.
+* :func:`fig22_23_dynamic_neighbor` — severity of Vivaldi neighbour edges
+  and the neighbour-selection penalty across dynamic-neighbour iterations.
 * :func:`fig24_meridian_alert_normal` — TIV-aware Meridian in the normal
   setting (half the nodes are Meridian nodes).
 * :func:`fig25_meridian_alert_small` — TIV-aware Meridian in the small,
@@ -176,20 +174,6 @@ def fig22_23_dynamic_neighbor(
             "neighbour selection beats original Vivaldi after a few iterations."
         ),
     )
-
-
-def fig22_dynamic_neighbor_severity(
-    config: ExperimentConfig | None = None, **kwargs
-) -> ExperimentResult:
-    """Figure 22 alias of :func:`fig22_23_dynamic_neighbor`."""
-    return fig22_23_dynamic_neighbor(config, **kwargs)
-
-
-def fig23_dynamic_neighbor_penalty(
-    config: ExperimentConfig | None = None, **kwargs
-) -> ExperimentResult:
-    """Figure 23 alias of :func:`fig22_23_dynamic_neighbor`."""
-    return fig22_23_dynamic_neighbor(config, **kwargs)
 
 
 def _meridian_alert_comparison(

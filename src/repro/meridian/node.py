@@ -7,7 +7,7 @@ target given the β acceptance window.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.errors import MeridianError
 from repro.meridian.rings import MeridianConfig, RingSet
@@ -63,29 +63,6 @@ class MeridianNode:
             raise MeridianError("a Meridian node cannot be its own ring member")
         extra = adjuster(self.node_id, member, delay) if adjuster is not None else None
         return self.rings.add(member, delay, also_at_delay=extra)
-
-    def populate(
-        self,
-        candidates: Iterable[int],
-        delay_of: Callable[[int], float],
-        *,
-        adjuster: MembershipAdjuster | None = None,
-    ) -> int:
-        """Fill the rings from ``candidates`` using ``delay_of`` for measurements.
-
-        Candidates with unmeasurable (non-finite) delay are skipped.  Returns
-        the number of members stored.
-        """
-        added = 0
-        for candidate in candidates:
-            if candidate == self.node_id:
-                continue
-            delay = delay_of(candidate)
-            if delay is None or not (delay == delay) or delay == float("inf"):  # NaN / inf guard
-                continue
-            if self.add_member(candidate, float(delay), adjuster=adjuster):
-                added += 1
-        return added
 
     def eligible_members(self, delay_to_target: float) -> list[int]:
         """Members allowed to probe a target at ``delay_to_target`` ms away.

@@ -185,36 +185,6 @@ class RingSet:
             self._delays[member] = delay
         return placed
 
-    def bulk_add(self, members: np.ndarray, delays: np.ndarray) -> int:
-        """Add many fresh members at once, in order, without double placement.
-
-        Equivalent to calling :meth:`add` for each ``(member, delay)`` pair:
-        members fall into their ring by delay, each ring keeps its first
-        arrivals up to the remaining capacity, and members whose ring is
-        full are dropped entirely.
-
-        ``members`` must be distinct and not already stored; violations
-        raise rather than silently re-placing a member.
-
-        Returns the number of members stored.
-        """
-        member_arr = np.asarray(members, dtype=np.int64)
-        delay_arr = np.asarray(delays, dtype=float)
-        if member_arr.shape != delay_arr.shape or member_arr.ndim != 1:
-            raise MeridianError("members and delays must be matching 1-D arrays")
-        if member_arr.size == 0:
-            return 0
-        if delay_arr.min() < 0 or not np.all(np.isfinite(delay_arr)):
-            raise MeridianError("invalid member delay in bulk add")
-        if np.unique(member_arr).size != member_arr.size:
-            raise MeridianError("bulk add requires distinct members")
-        if any(int(m) in self for m in member_arr):
-            raise MeridianError("bulk add cannot re-add stored members")
-        return sum(
-            self.add(member, delay)
-            for member, delay in zip(member_arr.tolist(), delay_arr.tolist())
-        )
-
     def member_delay(self, member: int) -> float:
         """Measured delay to ``member``."""
         try:

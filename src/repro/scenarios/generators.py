@@ -32,8 +32,6 @@ from repro.delayspace.synthetic import (
     SyntheticSpaceConfig,
     clustered_delay_space,
     euclidean_delay_space,
-    sparse_clustered_delay_space,
-    sparse_euclidean_delay_space,
 )
 from repro.scenarios.spec import Scenario
 
@@ -104,11 +102,14 @@ def scenario_space_config(
     return config
 
 
-def _perturbation_rng(scenario: Scenario, seed: int) -> np.random.Generator:
-    """Perturbation random stream, independent of the generation stream."""
-    return np.random.default_rng(
-        [abs(int(seed)) & 0xFFFFFFFF, scenario.seed_offset & 0xFFFFFFFF, 0x5C3A]
-    )
+def _perturbation_rng(seed: int) -> np.random.Generator:
+    """Perturbation random stream, independent of the generation stream.
+
+    The middle seed word is a literal ``0``, so the stream stays
+    bit-identical to the one that produced the artifacts already cached
+    under the same addresses.
+    """
+    return np.random.default_rng([abs(int(seed)) & 0xFFFFFFFF, 0, 0x5C3A])
 
 
 def _churned_count(scenario: Scenario, n_nodes: int) -> int:
@@ -195,36 +196,19 @@ def load_scenario_dataset(
         return load_dataset(preset_name, n_nodes=count, rng=seed, return_clusters=True)
 
     generated_count = _churned_count(scenario, count)
-    sparse = scenario.measured_fraction < 1.0
     if preset.euclidean or preset.config is None:
         # Euclidean presets have no synthetic-space configuration: the
         # pre-generation dimensions are no-ops and only the perturbations
         # apply (the space stays TIV-free unless a perturbation breaks it).
-        if sparse:
-            matrix = sparse_euclidean_delay_space(
-                generated_count, measured_fraction=scenario.measured_fraction, rng=seed
-            )
-        else:
-            matrix = euclidean_delay_space(generated_count, rng=seed)
+        matrix = euclidean_delay_space(generated_count, rng=seed)
         clusters = np.zeros(generated_count, dtype=int)
     else:
         config = scenario_space_config(scenario, preset.config, generated_count)
-        if sparse:
-            # The sparse path samples the measured pair set up front and
-            # generates those pairs only — a full matrix is never built
-            # just to be masked down to the measurement set.
-            matrix, clusters = sparse_clustered_delay_space(
-                config,
-                measured_fraction=scenario.measured_fraction,
-                rng=seed,
-                return_clusters=True,
-            )
-        else:
-            matrix, clusters = clustered_delay_space(config, rng=seed, return_clusters=True)
+        matrix, clusters = clustered_delay_space(config, rng=seed, return_clusters=True)
     return apply_perturbations(
         scenario,
         matrix,
         clusters,
         n_nodes=count,
-        rng=_perturbation_rng(scenario, seed),
+        rng=_perturbation_rng(seed),
     )

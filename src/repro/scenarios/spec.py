@@ -80,16 +80,6 @@ class Scenario:
     rescale:
         Global multiplicative rescaling of every delay (the
         matrix-rescaling sweep dimension).
-    measured_fraction:
-        Fraction of node pairs that are measured at all.  Unlike
-        ``dropout`` — which generates the full measurement set and then
-        *removes* edges — a fraction below one switches generation to the
-        sparse path (:func:`repro.delayspace.synthetic.sparse_clustered_delay_space`):
-        only the sampled pairs are ever computed, so no full matrix is
-        allocated and immediately masked.
-    seed_offset:
-        Offset mixed into the perturbation random stream so otherwise
-        identical scenarios can be replicated independently.
     """
 
     name: str
@@ -103,8 +93,6 @@ class Scenario:
     dropout: float = 0.0
     churn: float = 0.0
     rescale: float = 1.0
-    seed_offset: int = 0
-    measured_fraction: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -135,8 +123,6 @@ class Scenario:
             raise ConfigError("churn must lie in [0, 0.9)")
         if self.rescale <= 0:
             raise ConfigError("rescale must be positive")
-        if not 0 < self.measured_fraction <= 1:
-            raise ConfigError("measured_fraction must lie in (0, 1]")
 
     #: Fields that change the generated matrices (everything except the
     #: identification fields and ``size_factor``, which acts on the node
@@ -151,8 +137,6 @@ class Scenario:
         "dropout",
         "churn",
         "rescale",
-        "seed_offset",
-        "measured_fraction",
     )
 
     @property

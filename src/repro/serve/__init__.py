@@ -9,7 +9,7 @@ the figure runners and ``repro bench`` cover.  A workload
 (:class:`~repro.serve.workload.ServingWorkload`) pins the warm state and
 the query mix; the load generator
 (:func:`~repro.serve.loadgen.run_serving_benchmark`) fires the queries in
-batched and scalar modes across one or more worker processes; the report
+batched and scalar modes from one in-process client; the report
 (:class:`~repro.serve.report.ServingReport`, ``BENCH_serving.json``)
 records QPS and p50/p95/p99 per query family in a shape ``repro
 perf-gate`` accepts as a baseline.

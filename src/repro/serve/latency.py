@@ -71,39 +71,3 @@ def summarize_latencies(
         p95_ms=float(p95 * 1000.0),
         p99_ms=float(p99 * 1000.0),
     )
-
-
-def merge_summaries(summaries: Sequence[LatencySummary]) -> LatencySummary:
-    """Aggregate per-worker summaries of the same stream.
-
-    Workers fire concurrently, so aggregate QPS is the *sum* of the
-    per-worker rates while per-query best/mean and the tail percentiles
-    are taken over the pooled stream.  With one summary this is the
-    identity.
-    """
-    if not summaries:
-        raise ServeError("cannot merge zero latency summaries")
-    if len(summaries) == 1:
-        return summaries[0]
-    queries = sum(s.queries for s in summaries)
-    total = max(s.total_seconds for s in summaries)
-    qps = sum(s.qps for s in summaries)
-    # Percentiles over the pooled stream, approximated by weighting each
-    # worker's percentile by its query count (workers run identical
-    # workloads, so counts — and hence weights — are equal in practice).
-    weights = np.asarray([s.queries for s in summaries], dtype=float)
-    weights /= weights.sum()
-
-    def pooled(attr: str) -> float:
-        return float(sum(getattr(s, attr) * w for s, w in zip(summaries, weights)))
-
-    return LatencySummary(
-        queries=int(queries),
-        total_seconds=float(total),
-        best_seconds=float(min(s.best_seconds for s in summaries)),
-        mean_seconds=pooled("mean_seconds"),
-        qps=float(qps),
-        p50_ms=pooled("p50_ms"),
-        p95_ms=pooled("p95_ms"),
-        p99_ms=pooled("p99_ms"),
-    )

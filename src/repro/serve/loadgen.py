@@ -4,10 +4,8 @@ For every requested ``(family, mode, size)`` the generator replays the
 workload's deterministic query stream against the warm context and times
 it: batched mode wraps each batch call (every query in the batch
 experiences the batch's wall time), scalar mode wraps every individual
-call.  With ``workers > 1`` the same streams are fired from that many
-worker processes at once — each process builds its own warm context once,
-via the pool initializer — and the per-worker results are merged
-(aggregate QPS sums, latency percentiles pool).
+call.  One client fires every stream in-process, against one warm context
+per size.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.errors import ServeError
-from repro.serve.latency import LatencySummary, merge_summaries, summarize_latencies
+from repro.serve.latency import LatencySummary, summarize_latencies
 from repro.serve.report import ServingReport, ServingRow
 from repro.serve.workload import (
     ServingWorkload,
@@ -91,72 +89,19 @@ def measure_stream(
     return summarize_latencies(latencies, total_seconds=total, best_per_query_seconds=best)
 
 
-# -- worker-process plumbing ----------------------------------------------------
-
-#: Per-process warm state, built once by the pool initializer; module-level
-#: because ProcessPoolExecutor tasks can only reach globals.
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(workload: ServingWorkload) -> None:
-    _WORKER_STATE["workload"] = workload
-    _WORKER_STATE["context"] = build_warm_context(workload)
-
-
-def _worker_measure(family: str, mode: str) -> LatencySummary:
-    return measure_stream(
-        _WORKER_STATE["context"], _WORKER_STATE["workload"], family, mode
-    )
-
-
 def _measure_all(workload: ServingWorkload) -> list[ServingRow]:
     """Every (family, mode) stream of one workload, at its single size."""
-    streams = [(family, mode) for family in workload.families for mode in workload.modes]
-    if workload.workers == 1:
-        context = build_warm_context(workload)
-        summaries = {
-            stream: [measure_stream(context, workload, *stream)] for stream in streams
-        }
-    else:
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-        summaries = {stream: [] for stream in streams}
-        with ProcessPoolExecutor(
-            max_workers=workload.workers,
-            initializer=_init_worker,
-            initargs=(workload,),
-        ) as pool:
-            futures = {
-                stream: [
-                    pool.submit(_worker_measure, *stream)
-                    for _ in range(workload.workers)
-                ]
-                for stream in streams
-            }
-            for (family, mode), handles in futures.items():
-                for worker_index, handle in enumerate(handles):
-                    try:
-                        summaries[(family, mode)].append(handle.result())
-                    except BrokenExecutor as exc:
-                        # A dead worker (OOM kill, segfault) poisons every
-                        # future with the same bare exception; name the
-                        # stream so the failure is actionable.
-                        raise ServeError(
-                            f"serving worker {worker_index} of {workload.workers} "
-                            f"died while measuring family={family!r} mode={mode!r} "
-                            f"(n_nodes={workload.n_nodes}): {type(exc).__name__}: "
-                            f"{exc}"
-                        ) from exc
+    context = build_warm_context(workload)
     return [
         ServingRow(
             family=family,
             mode=mode,
             size=workload.n_nodes,
             batch=workload.batch,
-            workers=workload.workers,
-            summary=merge_summaries(summaries[(family, mode)]),
+            summary=measure_stream(context, workload, family, mode),
         )
-        for family, mode in streams
+        for family in workload.families
+        for mode in workload.modes
     ]
 
 

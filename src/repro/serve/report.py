@@ -4,8 +4,8 @@ The report's ``kernels`` rows carry the same ``kernel`` / ``size`` /
 ``best_seconds`` triple the perf-gate comparator keys on — so ``repro
 perf-gate --baseline BENCH_serving.json`` guards serving latency with the
 exact machinery that guards the compute kernels — plus the
-serving-specific numbers (QPS, tail latency, batch width, workers) the
-gate ignores but humans and the acceptance checks read.
+serving-specific numbers (QPS, tail latency, batch width) the gate
+ignores but humans and the acceptance checks read.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class ServingRow:
     mode: str
     size: int
     batch: int
-    workers: int
     summary: LatencySummary
 
     @property
@@ -44,7 +43,6 @@ class ServingRow:
             "mode": self.mode,
             "size": self.size,
             "batch": self.batch,
-            "workers": self.workers,
             "units": "queries/s",
             "throughput": self.summary.qps,
         }

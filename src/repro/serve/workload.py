@@ -3,7 +3,7 @@
 A :class:`ServingWorkload` is a frozen, validated description of one
 serving benchmark: how the warm state is built (trace preset, node count,
 seed, warm-up duration, churn) and what is fired at it (query families,
-execution modes, batch size, batch count, worker processes).  Identical
+execution modes, batch size, batch count).  Identical
 workloads produce identical warm state and identical query streams, so
 two runs differ only in timing — the property the serving perf gate
 relies on.
@@ -53,10 +53,6 @@ class ServingWorkload:
     batches, warmup_batches:
         Timed batches per (family, mode) and untimed warm-up batches
         before them.
-    workers:
-        Worker processes firing the load.  1 runs in-process; more than
-        one builds the warm context once per worker and aggregates QPS
-        across them.
     k:
         Neighbours returned per closest-node query.
     """
@@ -73,7 +69,6 @@ class ServingWorkload:
     batch: int = 64
     batches: int = 8
     warmup_batches: int = 1
-    workers: int = 1
     k: int = 3
 
     def __post_init__(self) -> None:
@@ -91,8 +86,6 @@ class ServingWorkload:
             raise ServeError("batches must be >= 1")
         if self.warmup_batches < 0:
             raise ServeError("warmup_batches must be >= 0")
-        if self.workers < 1:
-            raise ServeError("workers must be >= 1")
         if self.k < 1:
             raise ServeError("k must be >= 1")
         object.__setattr__(self, "families", _validated(self.families, FAMILIES, "family"))
@@ -112,7 +105,6 @@ class ServingWorkload:
             "batch": self.batch,
             "batches": self.batches,
             "warmup_batches": self.warmup_batches,
-            "workers": self.workers,
             "k": self.k,
         }
 
@@ -195,7 +187,7 @@ def generate_query_batches(
 
     Returns ``warmup_batches + batches`` batches of ``batch`` queries
     each, drawn from a dedicated RNG stream so the batched and scalar
-    modes (and every worker) answer byte-identical query sequences.
+    modes answer byte-identical query sequences.
     """
     if family not in FAMILIES:
         raise ServeError(f"unknown family {family!r}; expected one of {FAMILIES}")

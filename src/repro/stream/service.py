@@ -79,9 +79,11 @@ class DefenseConfig:
         While quarantined, every N-th report is re-gated instead of
         dropped, giving a falsely accused node a path back in.
     drop_late_events:
-        Accept out-of-order streams by dropping events that arrive
-        behind the service clock (counted, never applied) instead of
-        raising — the survival posture for clock-skewed feeds.
+        Accept out-of-order streams instead of raising — the survival
+        posture for clock-skewed feeds.  A measurement that arrives
+        behind the service clock is dropped (counted, never applied); a
+        late join or leave still applies, because dropping it would break
+        every later event on that node, and the clock does not move back.
     """
 
     warmup_observations: int = 256
@@ -327,11 +329,14 @@ class StreamCoordinateService:
 
     def _advance(self, t: float) -> None:
         if t < self._clock:
-            raise StreamError(
-                f"event at t={t} arrived after the clock reached {self._clock}; "
-                "traces must be time-ordered"
-            )
-        self._clock = float(t)
+            defense = self._config.defense
+            if defense is None or not defense.drop_late_events:
+                raise StreamError(
+                    f"event at t={t} arrived after the clock reached {self._clock}; "
+                    "traces must be time-ordered"
+                )
+        else:
+            self._clock = float(t)
         self._events += 1
 
     def join(self, node: int, t: float = 0.0) -> None:

@@ -20,13 +20,6 @@ class TestMeridianNode:
         with pytest.raises(MeridianError):
             node.add_member(0, 10.0)
 
-    def test_populate_skips_unmeasurable(self):
-        node = MeridianNode(0, MeridianConfig())
-        delays = {1: 10.0, 2: float("nan"), 3: float("inf"), 4: 30.0}
-        added = node.populate([1, 2, 3, 4, 0], lambda m: delays[m])
-        assert added == 2
-        assert set(node.members()) == {1, 4}
-
     def test_eligible_members_window(self):
         node = MeridianNode(0, MeridianConfig(beta=0.5))
         node.add_member(1, 40.0)

@@ -168,51 +168,3 @@ class TestRingIndices:
         with pytest.raises(MeridianError):
             ring_indices(np.array([1.0, -0.5]), MeridianConfig())
 
-
-class TestBulkAdd:
-    """RingSet.bulk_add must behave exactly like sequential add calls."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_equivalent_to_sequential_adds(self, seed):
-        config = MeridianConfig(k=3, n_rings=5)
-        rng = np.random.default_rng(seed)
-        members = rng.permutation(200)[:120]
-        delays = rng.uniform(0.0, 300.0, size=members.size)
-
-        sequential = RingSet(config)
-        for member, delay in zip(members, delays):
-            sequential.add(int(member), float(delay))
-        bulk = RingSet(config)
-        added = bulk.bulk_add(members, delays)
-
-        assert added == len(sequential)
-        assert bulk.members() == sequential.members()  # incl. insertion order
-        for index in range(config.n_rings):
-            assert bulk.ring_members(index) == sequential.ring_members(index)
-
-    def test_respects_existing_occupancy(self):
-        config = MeridianConfig(k=2, n_rings=3, alpha=10.0, s=2.0)
-        rings = RingSet(config)
-        rings.add(99, 5.0)  # ring 0 now has one free slot
-        added = rings.bulk_add(np.array([1, 2, 3]), np.array([4.0, 6.0, 7.0]))
-        assert added == 1
-        assert rings.members() == [99, 1]
-
-    def test_rejects_invalid_input(self):
-        rings = RingSet(MeridianConfig())
-        with pytest.raises(MeridianError):
-            rings.bulk_add(np.array([1, 2]), np.array([1.0]))
-        with pytest.raises(MeridianError):
-            rings.bulk_add(np.array([1, 2]), np.array([1.0, -2.0]))
-        with pytest.raises(MeridianError):
-            rings.bulk_add(np.array([1, 2]), np.array([1.0, np.inf]))
-        with pytest.raises(MeridianError):
-            rings.bulk_add(np.array([1, 1]), np.array([1.0, 2.0]))
-        rings.add(7, 3.0)
-        with pytest.raises(MeridianError):
-            rings.bulk_add(np.array([7]), np.array([4.0]))
-
-    def test_empty_bulk_add_is_a_noop(self):
-        rings = RingSet(MeridianConfig())
-        assert rings.bulk_add(np.array([], dtype=int), np.array([])) == 0
-        assert len(rings) == 0

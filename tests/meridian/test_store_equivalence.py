@@ -244,18 +244,6 @@ class TestStoredRingSetWrites:
             targets, start_nodes=starts
         ) == overlays[1].closest_neighbor_query_batch(targets, start_nodes=starts)
 
-    def test_bulk_add_through_store(self):
-        matrix = random_matrix(30, np.array([3.0, 9.0, 40.0]), 0.0, np.random.default_rng(0))
-        overlays = [
-            MeridianOverlay(matrix, range(10), rng=0, membership_sample_size=1, kernel=kernel)
-            for kernel in ("batched", "reference")
-        ]
-        fresh = np.arange(10, 30)
-        delays = np.linspace(0.5, 900.0, fresh.size)
-        stored = [overlay.node(4).rings.bulk_add(fresh, delays) for overlay in overlays]
-        assert stored[0] == stored[1] > 0
-        assert_same_rings(*overlays)
-
 
 class TestFiguresMatchReference:
     """Every Meridian figure gives the same data under both kernels."""

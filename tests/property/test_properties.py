@@ -221,7 +221,6 @@ def scenarios():
         dropout=st.sampled_from((0.0, 0.05, 0.15)),
         churn=st.sampled_from((0.0, 0.2, 0.4)),
         rescale=st.sampled_from((0.5, 1.0, 2.0)),
-        seed_offset=st.integers(min_value=0, max_value=3),
     )
 
 

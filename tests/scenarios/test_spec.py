@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
+from repro.scenarios.library import scenario_matrix
 from repro.scenarios.spec import Scenario
 
 
@@ -56,8 +57,11 @@ class TestCacheParams:
         assert scenario.cache_params() == {}
         assert scenario.is_noop
 
-    def test_seed_offset_is_a_content_knob(self):
-        assert Scenario("s", seed_offset=3).cache_params() == {"seed_offset": 3}
+    def test_every_content_knob_is_set_by_a_library_scenario(self):
+        # A knob no scenario of the full matrix sets selects a path no
+        # workload takes.
+        used = set().union(*(s.cache_params() for s in scenario_matrix("full")))
+        assert used == set(Scenario._CONTENT_FIELDS)
 
 
 class TestSerialisation:

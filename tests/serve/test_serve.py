@@ -12,7 +12,6 @@ from repro.serve import (
     run_serving_benchmark,
     summarize_latencies,
 )
-from repro.serve.latency import merge_summaries
 from repro.serve.loadgen import measure_stream
 from repro.serve.report import validate_serving_payload
 from repro.serve.workload import FAMILIES, MODES, generate_query_batches
@@ -44,7 +43,6 @@ class TestWorkloadValidation:
             dict(batch=0),
             dict(batches=0),
             dict(warmup_batches=-1),
-            dict(workers=0),
             dict(k=0),
             dict(families=()),
             dict(families=("teleport",)),
@@ -129,14 +127,6 @@ class TestLatencySummaries:
         assert summary.p50_ms == pytest.approx(1.0)
         assert summary.p99_ms > summary.p50_ms
 
-    def test_merge_sums_qps_and_pools_tails(self):
-        a = summarize_latencies([0.001] * 10, total_seconds=0.01, best_per_query_seconds=0.001)
-        merged = merge_summaries([a, a])
-        assert merged.queries == 20
-        assert merged.qps == pytest.approx(2 * a.qps)
-        assert merged.p50_ms == pytest.approx(a.p50_ms)
-        assert merge_summaries([a]) is a
-
 
 class TestServingReport:
     def test_rows_cover_every_family_and_mode(self, tiny_report):
@@ -161,7 +151,7 @@ class TestServingReport:
         for row in payload["kernels"]:
             assert row["best_seconds"] > 0
             assert row["qps"] == row["throughput"]
-            assert {"p50_ms", "p95_ms", "p99_ms", "batch", "workers"} <= set(row)
+            assert {"p50_ms", "p95_ms", "p99_ms", "batch"} <= set(row)
 
         # The perf gate accepts the serving report on both sides.
         from repro.perf.gate import compare_reports, load_report, regressions
@@ -238,32 +228,3 @@ class TestServeBenchCli:
         assert code == 1
         assert "unknown family" in captured.err
 
-
-def _die_in_worker(family, mode):
-    import os
-
-    os._exit(1)  # hard worker death: BrokenProcessPool, no traceback
-
-
-class TestWorkerDeath:
-    def test_dead_worker_raises_serve_error_naming_stream(self, monkeypatch):
-        from repro.serve import loadgen
-
-        # Module-level so the pool can pickle it by qualified name; fork
-        # start method makes the monkeypatch visible inside the workers.
-        monkeypatch.setattr(loadgen, "_worker_measure", _die_in_worker)
-        workload = ServingWorkload(
-            n_nodes=32,
-            warm_duration=4.0,
-            batch=4,
-            batches=1,
-            warmup_batches=0,
-            workers=2,
-            families=("closest",),
-            modes=("scalar",),
-        )
-        with pytest.raises(ServeError, match=r"worker \d+ of 2") as excinfo:
-            run_serving_benchmark(workload)
-        message = str(excinfo.value)
-        assert "family='closest'" in message
-        assert "mode='scalar'" in message

@@ -158,6 +158,51 @@ class TestLateEvents:
         with pytest.raises(StreamError, match="time"):
             service.apply(NodeJoin(0.5, 1))
 
+    def test_skewed_churning_trace_replays_and_resumes(self, tmp_path):
+        # Forward-skewed measurements move the clock past later joins and
+        # leaves (the first at event 360): those still apply, and the
+        # clock does not move back.
+        trace = synthesize_trace(
+            n_nodes=40,
+            duration=30,
+            churn=0.2,
+            seed=3,
+            faults=FaultSpec(skew_fraction=0.05, seed=3),
+        )
+        config = StreamServiceConfig(defense=DefenseConfig())
+        service = StreamCoordinateService(config=config, rng=0)
+        for event in trace.events[:360]:
+            service.apply(event)
+        clock, leave = service.clock, trace.events[360]
+        assert isinstance(leave, NodeLeave) and leave.t < clock
+        service.apply(leave)
+        assert service.clock == clock
+        assert leave.node not in service.active_nodes()
+
+        uninterrupted = replay_trace(trace, config=config)
+        assert uninterrupted.totals["late_dropped_events"] > 0
+        assert uninterrupted.totals["final_active_nodes"] == 40
+
+        # Stop between checkpoints so the WAL suffix (events 400-449)
+        # replays two late leaves during recovery.
+        ck, wal = tmp_path / "ck.npz", tmp_path / "wal.jsonl"
+        replay_trace(
+            trace,
+            config=config,
+            checkpoint_path=ck,
+            wal_path=wal,
+            checkpoint_every=100,
+            stop_after_events=450,
+        )
+        resumed = replay_trace(
+            trace, config=config, checkpoint_path=ck, wal_path=wal, resume=True
+        )
+        assert resumed.totals["resumed_at_event"] == 450
+        assert (
+            resumed.totals["state_fingerprint"]
+            == uninterrupted.totals["state_fingerprint"]
+        )
+
 
 class TestEndToEnd:
     def test_defense_quarantines_injected_liars(self):
