@@ -312,19 +312,35 @@ class OnlineVivaldi:
         return float(self._errors[self._slot_of(node)])
 
     def update_count_of(self, node) -> int:
-        return int(self._update_counts[self._slot_of(node)])
+        try:
+            return self._update_counts.item(self._slots[node])
+        except KeyError:
+            raise EmbeddingError(f"node {node!r} is not active") from None
 
     def distance(self, a, b) -> float:
-        """Predicted delay between two active nodes (live state)."""
+        """Predicted delay between two active nodes (live state).
+
+        Both nodes must be active, ``a == b`` included (0.0), as in the
+        batch paths.
+        """
+        slots = self._slots
+        try:
+            i = slots[a]
+            j = slots[b]
+        except KeyError:
+            missing = a if a not in slots else b
+            raise EmbeddingError(f"node {missing!r} is not active") from None
         if a == b:
             return 0.0
-        i, j = self._slot_of(a), self._slot_of(b)
         # Same einsum formulation as the batch paths (norm() differs from
-        # it in the last bits), so scalar and batch answers bit-match.
+        # it in the last bits), so scalar and batch answers bit-match;
+        # math.sqrt and Python float addition round exactly as the numpy
+        # scalar ops do.
         diff = self._coords[i] - self._coords[j]
-        dist = float(np.sqrt(np.einsum("i,i->", diff, diff)))
+        dist = math.sqrt(np.einsum("i,i->", diff, diff))
         if self._config.use_height:
-            dist += float(self._heights[i] + self._heights[j])
+            heights = self._heights
+            dist += heights.item(i) + heights.item(j)
         return dist
 
     def distances_from(self, node) -> dict:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -188,6 +189,39 @@ def _encode_event(seq: int, event: Event) -> dict:
     raise StreamError(f"cannot log unknown stream event {event!r}")
 
 
+def _wal_line(seq: int, event: Event) -> str:
+    """``json.dumps(_encode_event(seq, event)) + "\\n"``, formatted directly.
+
+    An exact ``int`` and a finite exact ``float`` print as ``json.dumps``
+    prints them (``int.__repr__``, ``float.__repr__``), between the same
+    keys and separators.  Everything else — ``nan`` and ``±inf``, numpy
+    scalars, ``bool`` and other subclasses, unknown event types — goes
+    through ``json.dumps`` itself, so it is written, or refused, exactly
+    as before.
+    """
+    cls = type(event)
+    if cls is MeasurementEvent:
+        t, src, dst, rtt = event.t, event.src, event.dst, event.rtt
+        if (
+            type(t) is float
+            and type(rtt) is float
+            and type(src) is int
+            and type(dst) is int
+            and math.isfinite(t)
+            and math.isfinite(rtt)
+        ):
+            return (
+                f'{{"seq": {seq}, "kind": "measure", "t": {t!r}, '
+                f'"src": {src}, "dst": {dst}, "rtt": {rtt!r}}}\n'
+            )
+    elif cls is NodeJoin or cls is NodeLeave:
+        t, node = event.t, event.node
+        if type(t) is float and type(node) is int and math.isfinite(t):
+            kind = "join" if cls is NodeJoin else "leave"
+            return f'{{"seq": {seq}, "kind": "{kind}", "t": {t!r}, "node": {node}}}\n'
+    return json.dumps(_encode_event(seq, event)) + "\n"
+
+
 def _decode_event(record: dict) -> tuple[int, Event]:
     kind = record["kind"]
     if kind == "measure":
@@ -225,7 +259,7 @@ class WalWriter:
 
     def log(self, seq: int, event: Event) -> None:
         """Append one event under global sequence number ``seq``."""
-        self._handle.write(json.dumps(_encode_event(int(seq), event)) + "\n")
+        self._handle.write(_wal_line(int(seq), event))
         self._handle.flush()
 
     def cut(self) -> None:

@@ -136,25 +136,31 @@ def _window_metrics(
             max_staleness=float("nan"),
             alert_fraction=float("nan"),
         )
-    embedding = service.embedding
-    errors = []
-    alerts = evaluated_alerts = 0
-    for a, b in zip(rows, cols):
-        a, b = int(a), int(b)
-        if not (embedding.is_active(a) and embedding.is_active(b)):
-            continue
-        predicted = embedding.distance(a, b)
-        errors.append(abs(predicted - truth[a, b]) / truth[a, b])
-        # An alert query needs an observed RTT for the edge; sample edges
-        # without one are skipped rather than counted.
-        try:
-            verdict = service.tiv_alert(a, b)
-        except StreamError:
-            continue
-        evaluated_alerts += 1
-        alerts += int(verdict["alerted"])
+    # One batched prediction and one RTT gather score every sample edge
+    # whose endpoints are both live; element by element they are the
+    # scalar distance() and tiv_alert() answers, so every metric is too.
+    is_active = service.embedding.is_active
+    live = np.fromiter(
+        (is_active(a) and is_active(b) for a, b in zip(rows.tolist(), cols.tolist())),
+        dtype=bool,
+        count=rows.size,
+    )
+    live_rows, live_cols = rows[live], cols[live]
+    pairs = list(zip(live_rows.tolist(), live_cols.tolist()))
+    predicted = service.distance_batch(pairs)
+    actual = truth[live_rows, live_cols]
+    errors_arr = np.abs(predicted - actual) / actual
+    # An alert query needs an observed RTT for the edge; sample edges
+    # without one are skipped rather than counted.
+    observed = service.observed_rtt_batch(pairs)
+    seen = ~np.isnan(observed)
+    evaluated_alerts = int(np.count_nonzero(seen))
+    alerts = int(
+        np.count_nonzero(
+            predicted[seen] / observed[seen] < service.config.alert_threshold
+        )
+    )
     staleness = service.staleness()
-    errors_arr = np.asarray(errors, dtype=float)
     return StreamWindow(
         index=index,
         t_start=float(t_start),

@@ -215,9 +215,12 @@ class StreamCoordinateService:
         self._embedding = OnlineVivaldi(self._config.online, rng=rng)
         self._rng = rng
         # Live measurement memory: last observed RTT (+ timestamp) per
-        # undirected edge, and per-node adjacency over those edges.
+        # undirected edge, and per active node a map from each measured
+        # peer to that edge's RTT — the same float object the edge record
+        # holds, so the severity update reads witness RTTs without
+        # building edge keys.
         self._edge_rtt: dict[tuple[int, int], tuple[float, float]] = {}
-        self._peers: dict[int, set[int]] = {}
+        self._peer_rtt: dict[int, dict[int, float]] = {}
         self._severity: dict[tuple[int, int], float] = {}
         self._clock = 0.0
         self._events = 0
@@ -345,7 +348,7 @@ class StreamCoordinateService:
         if self._embedding.is_active(node):
             raise StreamError(f"node {node} joined twice without leaving")
         self._embedding.join(node, t)
-        self._peers.setdefault(node, set())
+        self._peer_rtt.setdefault(node, {})
 
     def leave(self, node: int, t: float = 0.0) -> None:
         """Node left: drop its coordinate and every edge observation on it.
@@ -358,11 +361,12 @@ class StreamCoordinateService:
         if not self._embedding.is_active(node):
             raise StreamError(f"node {node} left while not active")
         self._embedding.leave(node)
-        for peer in self._peers.pop(node, set()):
-            edge = _edge(node, peer)
-            self._edge_rtt.pop(edge, None)
-            self._severity.pop(edge, None)
-            self._peers[peer].discard(node)
+        peer_rtt, edge_rtt, severity = self._peer_rtt, self._edge_rtt, self._severity
+        for peer in peer_rtt.pop(node, {}):
+            edge = (node, peer) if node <= peer else (peer, node)
+            edge_rtt.pop(edge, None)
+            severity.pop(edge, None)
+            peer_rtt[peer].pop(node, None)
 
     def observe(self, src: int, dst: int, rtt: float, t: float = 0.0) -> None:
         """Apply one measurement: update coordinates, memory and severity.
@@ -404,8 +408,8 @@ class StreamCoordinateService:
         rtt = float(rtt)
         edge = _edge(src, dst)
         self._edge_rtt[edge] = (rtt, float(t))
-        self._peers[src].add(dst)
-        self._peers[dst].add(src)
+        self._peer_rtt[src][dst] = rtt
+        self._peer_rtt[dst][src] = rtt
         self._update_severity(src, dst, edge, rtt)
 
     # -- the measurement defense ----------------------------------------------
@@ -494,30 +498,26 @@ class StreamCoordinateService:
 
         Witnesses are the common peers of ``src`` and ``dst`` (never the
         endpoints themselves: there are no self-edges), visited in sorted
-        order.  A set's iteration order depends on its insertion history,
-        which a restored service does not share, so summing in set order
+        order.  A map's iteration order depends on its insertion history,
+        which a restored service does not share, so summing in map order
         would let a checkpoint round trip move the estimate by an ulp.
         """
-        peers = self._peers
-        witnesses = sorted(peers[src] & peers[dst])
+        near_src = self._peer_rtt[src]
+        near_dst = self._peer_rtt[dst]
+        witnesses = sorted(near_src.keys() & near_dst.keys())
         if not witnesses:
             return
         k = self._config.severity_witnesses
         if len(witnesses) > k:
             chosen = self._rng.choice(len(witnesses), size=k, replace=False)
-            witnesses = [witnesses[index] for index in chosen]
-        # Every witness is a peer of both endpoints, so both of its edges
-        # are in the table and carry a positive RTT.
-        edge_rtt = self._edge_rtt
+            witnesses = [witnesses[index] for index in chosen.tolist()]
+        # Every witness is a peer of both endpoints, so both maps hold the
+        # positive RTT of its edge to that endpoint.
         total = 0.0
         for witness in witnesses:
-            detour = (
-                edge_rtt[(src, witness) if src <= witness else (witness, src)][0]
-                + edge_rtt[(witness, dst) if witness <= dst else (dst, witness)][0]
-            )
             # The paper's severity ratio: >1 iff the witness offers a
             # faster two-hop detour than the direct edge (a TIV).
-            ratio = rtt / detour
+            ratio = rtt / (near_src[witness] + near_dst[witness])
             total += ratio if ratio > 1.0 else 1.0
         sample = total / len(witnesses)
         previous = self._severity.get(edge)
@@ -584,6 +584,19 @@ class StreamCoordinateService:
             )
         return verdicts
 
+    def observed_rtt_batch(self, edges) -> np.ndarray:
+        """Last observed RTT of each ``(a, b)`` edge, ``nan`` where none is remembered.
+
+        Only finite, positive RTTs are ever remembered (:meth:`observe`
+        drops the rest), so ``nan`` marks exactly the edges a
+        :meth:`tiv_alert` query refuses.
+        """
+        edge_rtt = self._edge_rtt
+        unobserved = (math.nan, 0.0)
+        return np.fromiter(
+            (edge_rtt.get(_edge(a, b), unobserved)[0] for a, b in edges), dtype=float
+        )
+
     def severity_estimate(self, a: int, b: int) -> float | None:
         """Rolling TIV-severity estimate of edge (a, b), if any evidence."""
         return self._severity.get(_edge(a, b))
@@ -646,7 +659,7 @@ class StreamCoordinateService:
         equal arrays: ``edge_ids`` (E x 2 int64) with ``edge_obs`` (E x 2
         float64: the RTT and the time it was observed), and
         ``severity_ids`` (S x 2 int64) with ``severity`` (S float64).
-        The per-node peer sets are not stored: they are exactly the
+        The per-node RTT maps are not stored: they are exactly the
         adjacency of the edge table over the active nodes, which
         :meth:`from_state` rebuilds.  Restoring via :meth:`from_state`
         and continuing a replay is bit-identical to never having stopped
@@ -689,24 +702,25 @@ class StreamCoordinateService:
         )
         edges = _id_pairs(state["edge_ids"])
         obs = np.asarray(state["edge_obs"], dtype=float).reshape(-1, 2)
-        service._edge_rtt = dict(zip(edges, zip(obs[:, 0].tolist(), obs[:, 1].tolist())))
+        rtts = obs[:, 0].tolist()
+        service._edge_rtt = dict(zip(edges, zip(rtts, obs[:, 1].tolist())))
         service._severity = dict(
             zip(
                 _id_pairs(state["severity_ids"]),
                 np.asarray(state["severity"], dtype=float).tolist(),
             )
         )
-        peers: dict[int, set[int]] = {
-            node: set() for node in service._embedding.active_nodes()
+        peer_rtt: dict[int, dict[int, float]] = {
+            node: {} for node in service._embedding.active_nodes()
         }
-        for a, b in edges:
-            if a >= b or a not in peers or b not in peers:
+        for (a, b), rtt in zip(edges, rtts):
+            if a >= b or a not in peer_rtt or b not in peer_rtt:
                 raise StreamError(
                     f"edge ({a}, {b}) is not an ordered pair of distinct active nodes"
                 )
-            peers[a].add(b)
-            peers[b].add(a)
-        service._peers = peers
+            peer_rtt[a][b] = rtt
+            peer_rtt[b][a] = rtt
+        service._peer_rtt = peer_rtt
         service._clock = float(state["clock"])
         service._events = int(state["events"])
         service._dropped = int(state["dropped"])

@@ -1,6 +1,8 @@
 """Checkpoint + WAL durability: round-trips, corruption, bit-identical recovery."""
 
 import json
+import math
+import re
 import zipfile
 
 import numpy as np
@@ -111,7 +113,7 @@ def _write_v1_checkpoint(service, path):
     state["edge_rtt"] = [
         [a, b, rtt, at] for (a, b), (rtt, at) in service._edge_rtt.items()
     ]
-    state["peers"] = {node: sorted(peers) for node, peers in service._peers.items()}
+    state["peers"] = {node: sorted(peers) for node, peers in service._peer_rtt.items()}
     state["severity"] = [[a, b, value] for (a, b), value in service._severity.items()]
     embedding = dict(state["embedding"])
     arrays = {key: embedding.pop(key) for key in EMBEDDING_ARRAYS}
@@ -163,7 +165,7 @@ class TestCheckpointFormat:
         state = service.state_dict()
         assert "peers" not in state
         restored = StreamCoordinateService.from_state(state)
-        assert restored._peers == service._peers
+        assert restored._peer_rtt == service._peer_rtt
 
     def test_v1_file_restores_the_live_service(self, tmp_path):
         trace = synthesize_trace(n_nodes=16, seed=2, duration=30.0, churn=0.2)
@@ -210,8 +212,10 @@ class TestRestoredServiceMatchesLive:
         restored = load_checkpoint(path)
 
         def set_order(service):
-            # The witness list as the old code built it.
-            return list((service._peers[0] & service._peers[2]) - {0, 2})
+            # The witness list as the old code built it, from peer sets
+            # filled in the order the maps were.
+            peers = service._peer_rtt
+            return list((set(peers[0]) & set(peers[2])) - {0, 2})
 
         # The precondition that made the bug visible: same witnesses,
         # different iteration order.
@@ -305,6 +309,111 @@ class TestWal:
             wal.log(2, self.EVENTS[2])
         assert path.read_text(encoding="utf-8").count("\n") == 1
         assert read_wal(path) == [(2, self.EVENTS[2])]
+
+
+def _wal_record(seq, event):
+    """The record dict a WAL line holds, keys in line order."""
+    if isinstance(event, MeasurementEvent):
+        return {
+            "seq": seq,
+            "kind": "measure",
+            "t": event.t,
+            "src": event.src,
+            "dst": event.dst,
+            "rtt": event.rtt,
+        }
+    kind = "join" if isinstance(event, NodeJoin) else "leave"
+    return {"seq": seq, "kind": kind, "t": event.t, "node": event.node}
+
+
+def _same_number(a, b):
+    """Equal, NaN-aware and sign-of-zero-aware."""
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+_wal_floats = (
+    st.sampled_from(_EDGE_FLOATS)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=-(10**6), max_value=10**6)
+    | st.floats(allow_nan=False).map(np.float64)
+)
+_wal_ids = st.integers(min_value=-(2**63), max_value=2**63 - 1) | st.booleans()
+_wal_events = st.one_of(
+    st.builds(MeasurementEvent, _wal_floats, _wal_ids, _wal_ids, _wal_floats),
+    st.builds(NodeJoin, _wal_floats, _wal_ids),
+    st.builds(NodeLeave, _wal_floats, _wal_ids),
+)
+
+
+class TestWalLineFormat:
+    """``WalWriter.log`` formats its lines itself; they stay ``json.dumps``'s bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        events=st.lists(_wal_events, min_size=1, max_size=12),
+        start=st.integers(min_value=0, max_value=2**63 - 13),
+    )
+    def test_every_line_is_json_dumps_of_its_record(
+        self, tmp_path_factory, events, start
+    ):
+        path = tmp_path_factory.mktemp("wal") / "wal.jsonl"
+        with WalWriter(path) as wal:
+            for offset, event in enumerate(events):
+                wal.log(start + offset, event)
+        expected = "".join(
+            json.dumps(_wal_record(start + offset, event)) + "\n"
+            for offset, event in enumerate(events)
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+        entries = read_wal(path)
+        assert [seq for seq, _ in entries] == list(range(start, start + len(events)))
+        for (_, got), event in zip(entries, events):
+            assert type(got) is type(event)
+            want, have = _wal_record(0, event), _wal_record(0, got)
+            assert want.keys() == have.keys()
+            for key in ("t", "rtt"):
+                if key in want:
+                    assert _same_number(have[key], float(want[key]))
+            for key in ("src", "dst", "node"):
+                if key in want:
+                    assert have[key] == want[key]
+
+    @staticmethod
+    def _circular_rtt():
+        loop = []
+        loop.append(loop)
+        return MeasurementEvent(1.0, 1, 2, loop)
+
+    @pytest.mark.parametrize(
+        "make_event",
+        [
+            lambda: MeasurementEvent(1.0, np.int64(1), 2, 20.0),
+            lambda: NodeJoin(0.0, object()),
+            lambda: NodeLeave(0.0, {3}),
+            lambda: TestWalLineFormat._circular_rtt(),
+        ],
+        ids=["numpy-id", "object-id", "set-id", "circular-rtt"],
+    )
+    def test_what_json_dumps_refuses_is_still_refused(self, tmp_path, make_event):
+        event = make_event()
+        with pytest.raises((TypeError, ValueError)) as refused:
+            json.dumps(_wal_record(0, event))
+        path = tmp_path / "wal.jsonl"
+        with WalWriter(path) as wal:
+            with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+                wal.log(0, event)
+        assert path.read_bytes() == b""
+
+    def test_unknown_event_type_raises_stream_error(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        with WalWriter(path) as wal:
+            with pytest.raises(StreamError, match="cannot log unknown stream event"):
+                wal.log(0, ("join", 0.0, 1))
+        assert path.read_bytes() == b""
 
 
 class TestRecovery:

@@ -103,6 +103,24 @@ class TestBatchEdgeCases:
         with pytest.raises(EmbeddingError, match="not active"):
             emb.closest_batch([99999], k=1)
 
+    def test_self_pair_of_an_inactive_node_is_refused_everywhere(self):
+        emb = OnlineVivaldi(rng=0)
+        for node in (1, 2):
+            emb.join(node)
+        emb.observe(1, 2, 25.0, t=1.0)
+        assert emb.distance(1, 1) == 0.0
+        with pytest.raises(EmbeddingError, match="node 7 is not active"):
+            emb.distance(7, 7)
+        with pytest.raises(EmbeddingError, match="node 7 is not active"):
+            emb.distance_batch([(7, 7)])
+        with pytest.raises(EmbeddingError, match="node 7 is not active"):
+            emb.closest_batch([7])
+        with pytest.raises(EmbeddingError, match="node 7 is not active"):
+            emb.distances_matrix([7])
+        emb.leave(2)
+        with pytest.raises(EmbeddingError, match="node 2 is not active"):
+            emb.distance(2, 2)
+
     def test_k_is_clamped_to_population(self):
         emb = churny_embedding(1, n=10)
         nodes = emb.active_nodes()

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from repro.coords.online import OnlineVivaldiConfig
-from repro.errors import StreamError
+from repro.errors import EmbeddingError, StreamError
 from repro.stream import (
+    FaultSpec,
     MeasurementEvent,
     NodeJoin,
     NodeLeave,
     StreamCoordinateService,
     StreamServiceConfig,
+    state_fingerprint,
+    synthesize_trace,
 )
 
 
@@ -242,6 +245,29 @@ class TestBatchQueries:
         with pytest.raises(StreamError, match="no observed measurement"):
             service.tiv_alert_batch([good, (998, 999)])
 
+    def test_self_pair_of_an_inactive_node_is_refused(self):
+        service = StreamCoordinateService(rng=0)
+        for node in (1, 2):
+            service.join(node)
+        service.observe(1, 2, 20.0, t=1.0)
+        assert service.distance(2, 2) == 0.0
+        with pytest.raises(EmbeddingError, match="node 7 is not active"):
+            service.distance(7, 7)
+        with pytest.raises(EmbeddingError, match="node 7 is not active"):
+            service.distance_batch([(7, 7)])
+
+    def test_observed_rtt_batch_matches_tiv_alert(self):
+        service = self.warmed()
+        edges = service.observed_edges()[:16]
+        flipped = [(b, a) for a, b in edges[:4]]
+        queries = edges + flipped + [(0, 0), (998, 999)]
+        got = service.observed_rtt_batch(queries)
+        assert got.dtype == np.float64 and got.shape == (len(queries),)
+        for (a, b), rtt in zip(edges + flipped, got.tolist()):
+            assert rtt == service.tiv_alert(a, b)["observed"]
+        assert np.isnan(got[-2:]).all()
+        assert service.observed_rtt_batch([]).shape == (0,)
+
     def test_observed_edges_sorted_and_undirected(self):
         service = StreamCoordinateService(rng=0)
         for node in (1, 2, 3):
@@ -293,3 +319,81 @@ class TestQueries:
         stats = service.staleness()
         assert stats["nodes"] == 0.0
         assert np.isnan(stats["mean"])
+
+
+class EdgeTableSeverity(StreamCoordinateService):
+    """The severity update read straight off the tuple-keyed edge table.
+
+    Common peers are recomputed from ``_edge_rtt`` on every sample and
+    each witness RTT is looked up by edge key, so nothing here reads the
+    per-node RTT maps the service keeps for the same purpose.
+    """
+
+    def _update_severity(self, src, dst, edge, rtt):
+        def peers_of(node):
+            return {b if a == node else a for a, b in self._edge_rtt if node in (a, b)}
+
+        witnesses = sorted(peers_of(src) & peers_of(dst))
+        if not witnesses:
+            return
+        k = self._config.severity_witnesses
+        if len(witnesses) > k:
+            chosen = self._rng.choice(len(witnesses), size=k, replace=False)
+            witnesses = [witnesses[index] for index in chosen]
+        edge_rtt = self._edge_rtt
+        total = 0.0
+        for witness in witnesses:
+            detour = (
+                edge_rtt[(src, witness) if src <= witness else (witness, src)][0]
+                + edge_rtt[(witness, dst) if witness <= dst else (dst, witness)][0]
+            )
+            ratio = rtt / detour
+            total += ratio if ratio > 1.0 else 1.0
+        sample = total / len(witnesses)
+        previous = self._severity.get(edge)
+        if previous is None:
+            self._severity[edge] = sample
+        else:
+            alpha = self._config.severity_alpha
+            self._severity[edge] = alpha * sample + (1 - alpha) * previous
+
+
+class TestSeverityOracle:
+    def test_rtt_maps_match_the_edge_table_through_churn_and_restore(self):
+        trace = synthesize_trace(
+            n_nodes=20,
+            duration=40.0,
+            churn=0.3,
+            seed=5,
+            faults=FaultSpec.parse("flaps=6,dupes=0.05,spikes=0.2,seed=5"),
+        )
+        # The trace must exercise every way a map entry can go stale or
+        # missing: leaves, rejoins, and edges observed again with a new
+        # RTT (spikes), some after an endpoint came back.
+        left, rejoined, last_rtt = set(), set(), {}
+        changed = after_rejoin = 0
+        for event in trace.events:
+            if isinstance(event, NodeLeave):
+                left.add(event.node)
+            elif isinstance(event, NodeJoin):
+                if event.node in left:
+                    rejoined.add(event.node)
+            else:
+                edge = (min(event.src, event.dst), max(event.src, event.dst))
+                changed += last_rtt.get(edge, event.rtt) != event.rtt
+                after_rejoin += bool(rejoined & set(edge))
+                last_rtt[edge] = event.rtt
+        assert len(left) >= 5 and len(rejoined) >= 5
+        assert changed > 100 and after_rejoin > 50
+
+        middle = trace.n_events // 2
+        service = StreamCoordinateService(rng=3)
+        oracle = EdgeTableSeverity(rng=3)
+        for index, event in enumerate(trace.events):
+            if index == middle:
+                service = StreamCoordinateService.from_state(service.state_dict())
+            service.apply(event)
+            oracle.apply(event)
+            assert state_fingerprint(service) == state_fingerprint(oracle), index
+        assert service.n_observed_edges > 50
+        assert len(service.worst_edges(1000)) > 50
