@@ -17,6 +17,35 @@ import numpy as np
 from repro.errors import EmbeddingError
 
 
+def squared_distance(diffs):
+    """Sum of the squares of per-axis differences, in a fixed order.
+
+    ``diffs`` yields one difference per coordinate axis: Python floats, or
+    equally shaped arrays (one plane per axis).  The squares of the even
+    axes are summed in order, then those of the odd axes, then the two
+    totals.  Below 8 axes that is the order of numpy's contiguous
+    dot-product loop on builds with two float64 SIMD lanes (the x86-64-v2
+    baseline), so the result equals ``np.einsum("...d,...d->...", diff,
+    diff)`` there bit for bit; unlike einsum, it does not depend on the
+    numpy build.  The online embedding's scalar and batched queries,
+    ``VivaldiSystem.predict_edges`` and fig11's oscillation fold all sum
+    through it, so the answers that tests compare exactly agree bit for bit.
+
+    Array planes are squared and summed in place (the first two become the
+    totals), so pass temporaries the caller no longer needs.
+    """
+    lanes = []
+    for axis, diff in enumerate(diffs):
+        diff *= diff
+        if axis < 2:
+            lanes.append(diff)
+        else:
+            lanes[axis % 2] += diff
+    if len(lanes) == 2:
+        lanes[0] += lanes[1]
+    return lanes[0]
+
+
 class DelayPredictor(abc.ABC):
     """A system that predicts pairwise network delays."""
 

@@ -28,10 +28,12 @@ stream-vs-batch equivalence tests pin.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.coords.base import squared_distance
 from repro.errors import EmbeddingError
 from repro.stats.rng import RngLike, ensure_rng
 
@@ -332,12 +334,13 @@ class OnlineVivaldi:
             raise EmbeddingError(f"node {missing!r} is not active") from None
         if a == b:
             return 0.0
-        # Same einsum formulation as the batch paths (norm() differs from
-        # it in the last bits), so scalar and batch answers bit-match;
-        # math.sqrt and Python float addition round exactly as the numpy
-        # scalar ops do.
-        diff = self._coords[i] - self._coords[j]
-        dist = math.sqrt(np.einsum("i,i->", diff, diff))
+        # The batch paths' sum order over Python floats, so scalar and
+        # batch answers bit-match: Python float arithmetic and math.sqrt
+        # round exactly as the numpy element-wise ops do.
+        coords = self._coords
+        dist = math.sqrt(
+            squared_distance(map(operator.sub, coords[i].tolist(), coords[j].tolist()))
+        )
         if self._config.use_height:
             heights = self._heights
             dist += heights.item(i) + heights.item(j)
@@ -350,8 +353,7 @@ class OnlineVivaldi:
         if not others:
             return {}
         slots = np.fromiter((slot for _, slot in others), dtype=np.int64)
-        diff = self._coords[slots] - self._coords[i]
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dists = np.sqrt(squared_distance((self._coords[slots] - self._coords[i]).T))
         if self._config.use_height:
             dists = dists + self._heights[slots] + self._heights[i]
         return {other: float(d) for (other, _), d in zip(others, dists)}
@@ -393,26 +395,22 @@ class OnlineVivaldi:
     def _distances_to_active(self, q_slots: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """``(Q, N)`` predicted delays from query slots to active slots.
 
-        The op sequence (subtract, einsum, sqrt, add heights row-wise then
-        column-wise) mirrors :meth:`distances_from` exactly, so every
-        entry is bit-identical to the scalar query for that pair.  The
-        C-contiguous ``(Q, N, D)`` difference tensor is filled one
-        coordinate axis at a time, so each subtraction's inner loop runs
-        over the N active nodes rather than the D dimensions; its values
-        and layout, and hence the einsum's, are those of one broadcast
-        subtraction.
+        The op sequence (subtract, :func:`squared_distance`, sqrt, add
+        heights row-wise then column-wise) mirrors :meth:`distances_from`
+        exactly, so every entry is bit-identical to the scalar query for
+        that pair.  Each coordinate axis is one contiguous ``(Q, N)``
+        plane of differences, so every operation's inner loop runs over
+        the N active nodes.
         """
-        active = self._coords[slots]
-        queries = self._coords[q_slots]
-        diff = np.empty((len(q_slots), len(slots), active.shape[1]))
-        for axis in range(active.shape[1]):
-            np.subtract(
-                active[None, :, axis], queries[:, axis, None], out=diff[:, :, axis]
-            )
-        dists = np.sqrt(np.einsum("qnd,qnd->qn", diff, diff))
+        active = self._coords[slots].T.copy()
+        queries = self._coords[q_slots].T
+        dists = squared_distance(
+            np.subtract(active[axis], queries[axis, :, None]) for axis in range(len(active))
+        )
+        np.sqrt(dists, out=dists)
         if self._config.use_height:
-            dists = dists + self._heights[slots][None, :]
-            dists = dists + self._heights[q_slots][:, None]
+            dists += self._heights[slots][None, :]
+            dists += self._heights[q_slots][:, None]
         return dists
 
     def distances_matrix(self, nodes) -> tuple[list, np.ndarray]:
@@ -421,8 +419,8 @@ class OnlineVivaldi:
         Returns ``(active, matrix)``: ``active`` is the sorted active id
         list and ``matrix[q, j]`` the predicted delay between query node
         ``nodes[q]`` and ``active[j]`` (0.0 for the query node itself).
-        One einsum over all active slots answers the whole batch;
-        per-pair values bit-match :meth:`distances_from`.
+        One set of per-axis planes over all active slots answers the whole
+        batch; per-pair values bit-match :meth:`distances_from`.
         """
         nodes = list(nodes)
         active, _, slots = self._active_arrays()
@@ -484,8 +482,8 @@ class OnlineVivaldi:
     def distance_batch(self, pairs) -> np.ndarray:
         """Predicted delays for a batch of ``(a, b)`` node pairs.
 
-        One gathered einsum over all pairs; each value bit-matches
-        :meth:`distance` (0.0 for self-pairs).
+        One gathered difference array over all pairs; each value
+        bit-matches :meth:`distance` (0.0 for self-pairs).
         """
         pairs = [(a, b) for a, b in pairs]
         if not pairs:
@@ -496,8 +494,7 @@ class OnlineVivaldi:
         b_slots = np.fromiter(
             (self._slot_of(b) for _, b in pairs), dtype=np.int64, count=len(pairs)
         )
-        diff = self._coords[a_slots] - self._coords[b_slots]
-        dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dists = np.sqrt(squared_distance((self._coords[a_slots] - self._coords[b_slots]).T))
         if self._config.use_height:
             dists = dists + (self._heights[a_slots] + self._heights[b_slots])
         same = np.fromiter((a == b for a, b in pairs), dtype=bool, count=len(pairs))

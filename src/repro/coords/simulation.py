@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.coords.base import squared_distance
 from repro.coords.vivaldi import VivaldiConfig, VivaldiSystem
 from repro.delayspace.matrix import DelayMatrix
 from repro.errors import EmbeddingError
@@ -29,7 +30,7 @@ from repro.stats.binning import BinnedStats, bin_by_value
 from repro.stats.rng import RngLike
 
 #: Steps of coordinates the oscillation tracker buffers before folding
-#: them into the running extrema (bounds the buffer at 64 × N × d floats).
+#: them into the running extrema (bounds the buffer at d × 64 × N floats).
 _FOLD_STEPS = 64
 
 
@@ -131,14 +132,16 @@ class VivaldiSimulation:
         track_oscillation:
             Record the running min/max predicted distance of every measured
             edge so the oscillation range can be reported (Fig. 11).  Each
-            step's coordinates go into a buffer of up to 64 steps; a full
-            (or final) buffer is folded source row by source row into the
-            N×N extrema of the squared distances, and the square roots are
-            taken once, after the last step.  Each squared distance is the
-            same contiguous length-d einsum reduction as
-            :meth:`~repro.coords.vivaldi.VivaldiSystem.predict_edges`, so the
-            range equals the extrema of per-step ``predict_edges`` calls bit
-            for bit.  Still the most expensive option.
+            step's coordinates go into a buffer of up to 64 steps, one
+            plane per axis; a full (or final) buffer is folded source row
+            by source row into the N×N extrema of the squared distances,
+            and the square roots are taken once, after the last step.  The
+            squares are summed by
+            :func:`~repro.coords.base.squared_distance`, as
+            :meth:`~repro.coords.vivaldi.VivaldiSystem.predict_edges` sums
+            them, so the range equals the extrema of per-step
+            ``predict_edges`` calls bit for bit.  Still the most expensive
+            option.
         track_movement:
             Record per-node movement magnitudes each step.
         """
@@ -169,7 +172,7 @@ class VivaldiSimulation:
             # the end.
             n = self._system.n_nodes
             dimension = self._system.config.dimension
-            history = np.empty((min(seconds, _FOLD_STEPS), n, dimension))
+            history = np.empty((dimension, min(seconds, _FOLD_STEPS), n))
             running_min = np.full((n, n), np.inf)
             running_max = np.full((n, n), -np.inf)
 
@@ -184,10 +187,10 @@ class VivaldiSimulation:
                 predicted = self._system.predict_edges(tracked_rows, tracked_cols)
                 tracked_errors[step] = predicted - tracked_measured
             if track_oscillation:
-                history[filled] = self._system.coordinates
+                history[:, filled] = self._system.coordinates.T
                 filled += 1
-                if filled == len(history) or step == seconds - 1:
-                    _fold_squared_extrema(history[:filled], running_min, running_max)
+                if filled == history.shape[1] or step == seconds - 1:
+                    _fold_squared_extrema(history[:, :filled], running_min, running_max)
                     filled = 0
 
         oscillation = None
@@ -211,15 +214,16 @@ class VivaldiSimulation:
 def _fold_squared_extrema(
     history: np.ndarray, running_min: np.ndarray, running_max: np.ndarray
 ) -> None:
-    """Fold a ``(steps, N, d)`` block of coordinates into pair extrema.
+    """Fold a ``(d, steps, N)`` block of per-axis coordinates into pair extrema.
 
     Updates the upper triangle of the N×N running minimum and maximum of
     the squared distance between every node pair, one source row at a
     time, in place.
     """
-    for i in range(history.shape[1] - 1):
-        diff = history[:, i, None, :] - history[:, i + 1 :, :]
-        squared = np.einsum("sjk,sjk->sj", diff, diff)
+    for i in range(history.shape[2] - 1):
+        squared = squared_distance(
+            np.subtract(plane[:, i, None], plane[:, i + 1 :]) for plane in history
+        )
         low = running_min[i, i + 1 :]
         high = running_max[i, i + 1 :]
         np.minimum(low, squared.min(axis=0), out=low)

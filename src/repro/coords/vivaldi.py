@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.coords.base import DelayPredictor
+from repro.coords.base import DelayPredictor, squared_distance
 from repro.delayspace.matrix import DelayMatrix
 from repro.errors import EmbeddingError
 from repro.stats.rng import RngLike, ensure_rng
@@ -383,10 +383,10 @@ class VivaldiSystem(DelayPredictor):
         computed as a single array operation — trace recording
         (:mod:`repro.coords.simulation`) calls this every step, where the
         per-pair form (or a full ``predicted_matrix``) would dominate the
-        step cost.
+        step cost.  The squares are summed by :func:`squared_distance`,
+        as fig11's oscillation fold sums them.
         """
-        diff = self._coords[rows] - self._coords[cols]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        return np.sqrt(squared_distance((self._coords[rows] - self._coords[cols]).T))
 
     def predicted_matrix(self) -> np.ndarray:
         diffs = self._coords[:, None, :] - self._coords[None, :, :]

@@ -246,6 +246,8 @@ class MeridianOverlay:
         self._store = RingStore.place(config, members, delays, usable, extra)
         self._row_of = np.full(self._matrix.n_nodes, -1, dtype=np.int64)
         self._row_of[ids] = np.arange(n_meridian)
+        # target -> (closest Meridian node, its delay), filled on first use.
+        self._optimum: dict[int, tuple[int, float]] = {}
 
     # -- accessors ------------------------------------------------------------
 
@@ -288,18 +290,16 @@ class MeridianOverlay:
         return {nid: self.node(nid).rings.occupancy() for nid in self._meridian_ids}
 
     def true_closest(self, target: int) -> tuple[int, float]:
-        """Ground-truth closest Meridian node to ``target`` and its delay."""
+        """Ground-truth closest Meridian node to ``target`` and its delay.
+
+        Raises :class:`MeridianError` for a target outside the delay matrix
+        (as the query methods do) and for one no Meridian node has a
+        measured delay to.
+        """
+        if not 0 <= target < self._matrix.n_nodes:
+            raise MeridianError(f"target {target} is not in the delay matrix")
         if self._kernel == "batched":
-            # One gather over the whole Meridian column; argmin keeps the
-            # first minimum, matching the scalar loop's tie-breaking.
-            delays = self._delays[self._meridian_arr, target]
-            valid = (self._meridian_arr != target) & np.isfinite(delays)
-            if not valid.any():
-                raise MeridianError(
-                    f"no Meridian node has a measured delay to target {target}"
-                )
-            position = int(np.argmin(np.where(valid, delays, np.inf)))
-            return int(self._meridian_arr[position]), float(delays[position])
+            return self._true_closest_all([target])[0]
         best_node, best_delay = -1, np.inf
         for node_id in self._meridian_ids:
             if node_id == target:
@@ -311,16 +311,32 @@ class MeridianOverlay:
             raise MeridianError(f"no Meridian node has a measured delay to target {target}")
         return best_node, best_delay
 
-    def _true_closest_all(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`true_closest` of many targets with one two-dimensional gather."""
-        delays = self._delays[self._meridian_arr[:, None], targets[None, :]]
-        valid = (self._meridian_arr[:, None] != targets[None, :]) & np.isfinite(delays)
-        unreachable = ~valid.any(axis=0)
-        if unreachable.any():
-            target = int(targets[np.argmax(unreachable)])
-            raise MeridianError(f"no Meridian node has a measured delay to target {target}")
-        positions = np.argmin(np.where(valid, delays, np.inf), axis=0)
-        return self._meridian_arr[positions], delays[positions, np.arange(targets.size)]
+    def _true_closest_all(self, targets: list[int]) -> list[tuple[int, float]]:
+        """:meth:`true_closest` of many in-range targets, each computed once.
+
+        The delays are read-only, so every target's answer is remembered
+        from the first call that asks for it.  The targets not seen before
+        are answered by one two-dimensional gather over the Meridian rows;
+        argmin keeps the first minimum, matching the scalar loop's
+        tie-breaking.  A target no Meridian node has a delay to raises,
+        naming the first such target of ``targets``, and then nothing of
+        the batch is remembered.
+        """
+        optimum = self._optimum
+        new = [target for target in dict.fromkeys(targets) if target not in optimum]
+        if new:
+            columns = np.asarray(new, dtype=np.int64)
+            delays = self._delays[self._meridian_arr[:, None], columns[None, :]]
+            valid = (self._meridian_arr[:, None] != columns[None, :]) & np.isfinite(delays)
+            unreachable = ~valid.any(axis=0)
+            if unreachable.any():
+                target = new[int(np.argmax(unreachable))]
+                raise MeridianError(f"no Meridian node has a measured delay to target {target}")
+            positions = np.argmin(np.where(valid, delays, np.inf), axis=0)
+            nodes = self._meridian_arr[positions].tolist()
+            values = delays[positions, np.arange(len(new))].tolist()
+            optimum.update(zip(new, zip(nodes, values)))
+        return [optimum[target] for target in targets]
 
     # -- the recursive query ---------------------------------------------------
 
@@ -501,8 +517,9 @@ class MeridianOverlay:
         with the scalar query, one target at a time.
         """
         targets = [int(t) for t in targets]
+        n_nodes = self._matrix.n_nodes
         for target in targets:
-            if not 0 <= target < self._matrix.n_nodes:
+            if not 0 <= target < n_nodes:
                 raise MeridianError(f"target {target} is not in the delay matrix")
         if start_nodes is None:
             starts = [
@@ -546,7 +563,7 @@ class MeridianOverlay:
         store = self._store
         n_nodes = self._matrix.n_nodes
         count = targets.size
-        optimal, optimal_delay = self._true_closest_all(targets)
+        optimum = self._true_closest_all(targets.tolist())
 
         first = self._delays[starts, targets]
         current = starts.copy()
@@ -656,10 +673,22 @@ class MeridianOverlay:
             hops[live, n_hops[live]] = next_node[moving]
             n_hops[live] += 1
 
+        # Results are built from Python values, one tolist() per array.
+        columns = zip(
+            targets.tolist(),
+            best_node.tolist(),
+            best_delay.tolist(),
+            optimum,
+            probes.tolist(),
+            hops[:, : n_hops.max()].tolist(),
+            n_hops.tolist(),
+            restarted.tolist(),
+        )
         results = []
-        for q in range(count):
-            selected, selected_delay = int(best_node[q]), float(best_delay[q])
-            target = int(targets[q])
+        for q, (
+            target, selected, selected_delay, (optimal, optimal_delay), probe_count,
+            hop_row, hop_count, was_restarted,
+        ) in enumerate(columns):
             others = [m for m in probe_log.get(q, ()) if m != target]
             if selected == target and others:
                 # Never answer the target itself: the closest other probed
@@ -671,12 +700,12 @@ class MeridianOverlay:
                 QueryResult(
                     target=target,
                     selected=selected,
-                    selected_delay=float(selected_delay),
-                    optimal=int(optimal[q]),
-                    optimal_delay=float(optimal_delay[q]),
-                    probes=int(probes[q]),
-                    hops=hops[q, : n_hops[q]].tolist(),
-                    restarted=bool(restarted[q]),
+                    selected_delay=selected_delay,
+                    optimal=optimal,
+                    optimal_delay=optimal_delay,
+                    probes=probe_count,
+                    hops=hop_row[:hop_count],
+                    restarted=was_restarted,
                 )
             )
         return results

@@ -253,8 +253,9 @@ def _setup_stream_closest(kernel: str):
 
             def run() -> int:
                 # One call = a closest-node query from every node, answered
-                # by one whole-population einsum + one tie-aware top-k
-                # selection — the serving hot path `repro serve-bench` stresses.
+                # by one set of per-axis distance planes over the whole
+                # population + one tie-aware top-k selection — the serving
+                # hot path `repro serve-bench` stresses.
                 service.closest_batch(nodes, k=3)
                 return len(nodes)
 
@@ -378,8 +379,8 @@ _KERNELS: dict[str, KernelSpec] = {
         ),
         KernelSpec(
             "stream_closest_batched",
-            "closest-node queries from every node over one whole-population "
-            "einsum (the live-service batch query path)",
+            "closest-node queries from every node over whole-population "
+            "per-axis distance planes (the live-service batch query path)",
             "queries/s",
             _setup_stream_closest("batched"),
         ),

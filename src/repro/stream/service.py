@@ -565,11 +565,10 @@ class StreamCoordinateService:
                     f"no observed measurement for edge {edge}; cannot evaluate a TIV alert"
                 )
             observed.append(record)
-        predicted = self._embedding.distance_batch(keyed)
+        predicted = self._embedding.distance_batch(keyed).tolist()
         threshold = self._config.alert_threshold
         verdicts = []
         for edge, (rtt, observed_at), pred in zip(keyed, observed, predicted):
-            pred = float(pred)
             ratio = pred / rtt if rtt > 0 else float("nan")
             verdicts.append(
                 {

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.delayspace.matrix import DelayMatrix
 from repro.errors import MeridianError
 from repro.meridian.overlay import MeridianOverlay
 from repro.meridian.rings import MeridianConfig
@@ -174,3 +175,52 @@ class TestScalarMeridianTargetRegression:
         result = overlay.closest_neighbor_query(0, start_node=2)
         assert result.target == 0
         assert result.selected != 0  # never the target itself
+
+
+def unreachable_matrix(matrix, unreachable):
+    """``matrix`` with no measured delay between any Meridian node and ``unreachable``."""
+    delays = matrix.to_array()
+    for target in unreachable:
+        delays[::2, target] = np.nan
+        delays[target, ::2] = np.nan
+    return DelayMatrix(delays, symmetrize=False)
+
+
+class TestGroundTruthPerOverlay:
+    """An overlay remembers each target's optimum; answers must not change."""
+
+    def test_later_batches_match_scalar_queries(self, small_internet_matrix):
+        ov_scalar, ov_batch = overlays(small_internet_matrix, seed=9)
+        # Repeated targets, within a batch and across batches, and new ones.
+        for targets in ([1, 3, 5, 7], [5, 9, 1, 11, 11], [13, 3, 15, 9, 17]):
+            scalar = [ov_scalar.closest_neighbor_query(t) for t in targets]
+            assert ov_batch.closest_neighbor_query_batch(targets) == scalar
+
+    def test_true_closest_is_the_same_before_and_after_a_batch(self, small_internet_matrix):
+        ids = range(0, small_internet_matrix.n_nodes, 2)
+        batched = MeridianOverlay(small_internet_matrix, ids, rng=2)
+        reference = MeridianOverlay(small_internet_matrix, ids, rng=2, kernel="reference")
+        targets = [1, 3, 5, 7, 9, 11]
+        expected = [reference.true_closest(t) for t in targets]
+        assert [batched.true_closest(t) for t in targets[:3]] == expected[:3]
+        results = batched.closest_neighbor_query_batch(targets[1:5])
+        assert [(r.optimal, r.optimal_delay) for r in results] == expected[1:5]
+        after = [batched.true_closest(t) for t in targets]
+        assert after == expected
+        assert all(type(node) is int and type(delay) is float for node, delay in after)
+
+    def test_unreachable_target_raises_in_every_batch_that_asks(self, small_internet_matrix):
+        matrix = unreachable_matrix(small_internet_matrix, [7, 13])
+        ov_scalar, ov_batch = overlays(matrix, seed=4)
+        failing = [([1, 7, 3], 7), ([7], 7), ([5, 3, 13, 9, 7], 13), ([1, 3, 7], 7)]
+        for targets, named in failing:
+            with pytest.raises(MeridianError, match=f"delay to target {named}$"):
+                ov_batch.closest_neighbor_query_batch(targets, start_nodes=[0] * len(targets))
+            with pytest.raises(MeridianError, match=f"delay to target {named}$"):
+                ov_batch.true_closest(named)
+        # Every target of the failed batches but the unreachable ones.
+        targets = [1, 3, 5, 9, 11]
+        scalar = [ov_scalar.closest_neighbor_query(t, start_node=0) for t in targets]
+        assert ov_batch.closest_neighbor_query_batch(targets, start_nodes=[0] * 5) == scalar
+        with pytest.raises(MeridianError, match="delay to target 13$"):
+            ov_batch.closest_neighbor_query_batch([1, 13], start_nodes=[0, 0])

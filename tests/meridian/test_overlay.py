@@ -387,6 +387,16 @@ class TestKernels:
         for target in range(1, 80, 2):
             assert overlays[0].true_closest(target) == overlays[1].true_closest(target)
 
+    @pytest.mark.parametrize("kernel", ["batched", "reference"])
+    def test_true_closest_rejects_targets_outside_the_matrix(self, small_internet_matrix, kernel):
+        # numpy would wrap -1 to the last node and fail on n with a bare
+        # IndexError; the query methods' error is the contract.
+        overlay = MeridianOverlay(small_internet_matrix, range(0, 80, 2), rng=1, kernel=kernel)
+        for target in (-1, small_internet_matrix.n_nodes):
+            with pytest.raises(MeridianError, match=f"target {target} is not in the delay matrix"):
+                overlay.true_closest(target)
+        assert overlay.true_closest(79) == overlay.true_closest(np.int64(79))
+
     def test_batched_true_closest_missing_delays_raise(self):
         delays = np.array(
             [

@@ -1,14 +1,16 @@
 """Batch-query equivalence: the serving hot path must bit-match the scalar path.
 
-``closest_batch`` / ``distances_matrix`` / ``distance_batch`` answer with
-the same einsum formulation the scalar queries use, so every value is
-required to be *bit-identical* (plain ``==``, no approx) to the
-per-query answer — across churny populations, seeds, and slot reuse
-after leaves.  ``closest_batch`` selects its top k for the whole batch at
-once, so a Hypothesis property also pins it to scalar ``closest`` on
-tie-heavy populations: nodes that never probed sit at the origin with
-the minimum height, and a selection that keeps an arbitrary subset of
-the delays tied at the k-th place returns the wrong ids.
+``closest_batch`` / ``distances_matrix`` / ``distance_batch`` sum their
+squared differences through the same ``squared_distance`` helper as the
+scalar queries, so every value is required to be *bit-identical* (plain
+``==``, no approx) to the per-query answer — across churny populations,
+seeds, and slot reuse after leaves.  ``closest_batch`` selects its top k
+for the whole batch at once, so a Hypothesis property also pins it to
+scalar ``closest`` on tie-heavy populations: nodes that never probed sit
+at the origin with the minimum height, and a selection that keeps an
+arbitrary subset of the delays tied at the k-th place returns the wrong
+ids.  The property draws 1 to 12 dimensions: from 8 on, numpy's einsum
+sums in another order, so one path that went back to einsum fails it.
 """
 
 import numpy as np
@@ -160,7 +162,7 @@ def tie_heavy_populations(draw):
     Queries may repeat an id, and ``k`` runs past the population.
     """
     config = OnlineVivaldiConfig(
-        dimension=draw(st.integers(min_value=1, max_value=5)),
+        dimension=draw(st.integers(min_value=1, max_value=12)),
         use_height=draw(st.booleans()),
     )
     n_nodes = draw(st.integers(min_value=1, max_value=40))
