@@ -517,9 +517,8 @@ class MeridianOverlay:
         with the scalar query, one target at a time.
         """
         targets = [int(t) for t in targets]
-        n_nodes = self._matrix.n_nodes
         for target in targets:
-            if not 0 <= target < n_nodes:
+            if not 0 <= target < self._matrix.n_nodes:
                 raise MeridianError(f"target {target} is not in the delay matrix")
         if start_nodes is None:
             starts = [
@@ -673,7 +672,6 @@ class MeridianOverlay:
             hops[live, n_hops[live]] = next_node[moving]
             n_hops[live] += 1
 
-        # Results are built from Python values, one tolist() per array.
         columns = zip(
             targets.tolist(),
             best_node.tolist(),

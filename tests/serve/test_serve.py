@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ServeError
@@ -92,15 +93,18 @@ class TestWarmContext:
 
 class TestMeasurement:
     def test_modes_answer_identical_queries(self, tiny_context):
-        # Both modes replay the same stream: the batched answers must
-        # match the scalar answers query for query.
-        batches = generate_query_batches(TINY, tiny_context, "closest")
+        # Both modes replay the same stream: in every family the batched
+        # answers must match the scalar answers query for query.
         from repro.serve.loadgen import _answer_batch, _answer_one
 
-        for queries in batches[:2]:
-            batched = _answer_batch(tiny_context, "closest", queries, TINY.k)
-            scalar = [_answer_one(tiny_context, "closest", q, TINY.k) for q in queries]
-            assert batched == scalar
+        for family in FAMILIES:
+            for queries in generate_query_batches(TINY, tiny_context, family)[:2]:
+                batched = _answer_batch(tiny_context, family, queries, TINY.k)
+                scalar = [_answer_one(tiny_context, family, q, TINY.k) for q in queries]
+                if family == "distance":
+                    assert np.array_equal(batched, scalar), family
+                else:
+                    assert batched == scalar, family
 
     def test_measure_stream_summary_shape(self, tiny_context):
         summary = measure_stream(tiny_context, TINY, "distance", "batched")
