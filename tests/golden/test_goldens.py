@@ -66,8 +66,12 @@ CASES = [
     ("fig08", "churn_snapshot", DEFAULT_RTOL),
     ("fig09", "noisy_sparse", DEFAULT_RTOL),
     ("fig13", "heavy_tiv", DEFAULT_RTOL),
+    ("fig15", "noisy_sparse", VIVALDI_RTOL),
+    ("fig16", "baseline", VIVALDI_RTOL),
     ("fig17", "baseline", VIVALDI_RTOL),
     ("fig19", "heavy_tiv", VIVALDI_RTOL),
+    ("fig22_23", "baseline", VIVALDI_RTOL),
+    ("fig25", "two_continent", VIVALDI_RTOL),
 ]
 
 
