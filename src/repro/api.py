@@ -81,7 +81,6 @@ def build_embedding(
     matrix: "DelayMatrix",
     *,
     system: str = "vivaldi",
-    kernel: str = "batched",
     seconds: int = 100,
     seed: int = 0,
     **kwargs,
@@ -94,9 +93,6 @@ def build_embedding(
         ``"vivaldi"`` (the paper's main embedding), ``"ides"`` or
         ``"lat"`` (the §4.2 strawmen; LAT fits a Vivaldi embedding first
         and adjusts it).
-    kernel:
-        ``"batched"`` (the whole-array code path every figure runs) or
-        ``"reference"`` (the scalar loops kept as its equivalence oracle).
     seconds:
         Simulated convergence seconds (Vivaldi-based systems only).
     seed:
@@ -107,17 +103,17 @@ def build_embedding(
     if system == "vivaldi":
         from repro.coords.vivaldi import embed_vivaldi
 
-        return embed_vivaldi(matrix, seconds=seconds, rng=seed, kernel=kernel, **kwargs)
+        return embed_vivaldi(matrix, seconds=seconds, rng=seed, **kwargs)
     if system == "ides":
         from repro.coords.ides import fit_ides
 
-        return fit_ides(matrix, rng=seed, kernel=kernel, **kwargs)
+        return fit_ides(matrix, rng=seed, **kwargs)
     if system == "lat":
         from repro.coords.lat import fit_lat
         from repro.coords.vivaldi import embed_vivaldi
 
-        base = embed_vivaldi(matrix, seconds=seconds, rng=seed + 1, kernel=kernel)
-        return fit_lat(base, rng=seed, kernel=kernel, **kwargs)
+        base = embed_vivaldi(matrix, seconds=seconds, rng=seed + 1)
+        return fit_lat(base, rng=seed, **kwargs)
     raise ConfigError(
         f"unknown embedding system {system!r}; expected one of "
         f"{', '.join(EMBEDDING_SYSTEMS)}"

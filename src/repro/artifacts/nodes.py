@@ -332,7 +332,7 @@ def _compute_ides(ctx, instance):
     n_landmarks = max(6, round(0.005 * ctx.matrix.n_nodes))
     return fit_ides(
         ctx.matrix,
-        IDESConfig(method="svd", n_landmarks=n_landmarks),
+        IDESConfig(n_landmarks=n_landmarks),
         rng=ctx.config.seed,
     )
 

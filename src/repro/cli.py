@@ -38,6 +38,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,6 +58,13 @@ def _json_default(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     return str(value)
+
+
+def _make_parent_dirs(*paths) -> None:
+    """Create the directories of a command's output files, before any work."""
+    for path in paths:
+        if path:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
 def _print_json(payload, stream=None) -> None:
@@ -290,8 +298,9 @@ def _cmd_run_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import run_benchmarks, write_report
+    from repro.perf.bench import run_benchmarks
     from repro.perf.kernels import resolve_kernel_names
+    from repro.utils.io import write_json_report
 
     try:
         sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
@@ -309,7 +318,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     _print_json(report.as_dict())
     if args.report:
-        write_report(report, args.report)
+        write_json_report(args.report, report.as_dict())
         print(f"wrote bench report to {args.report}", file=sys.stderr)
     return 0
 
@@ -377,6 +386,7 @@ def _cmd_perf_gate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.report import generate_report
 
+    _make_parent_dirs(args.output)
     config = ExperimentConfig(n_nodes=args.nodes, seed=args.seed)
     report = generate_report(config, only=args.only)
     if args.output:
@@ -391,6 +401,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_make_trace(args: argparse.Namespace) -> int:
     from repro.stream import FaultSpec, save_trace, synthesize_trace
 
+    _make_parent_dirs(args.output)
     faults = None
     if args.faults:
         faults = FaultSpec.parse(args.faults)
@@ -427,6 +438,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         replay_trace,
     )
 
+    _make_parent_dirs(args.checkpoint, args.wal)
     trace = load_trace(args.trace)
     config = StreamServiceConfig(
         alert_threshold=args.alert_threshold,
@@ -452,7 +464,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.stream import FaultSpec
-    from repro.stream.chaos import run_chaos, write_chaos_report
+    from repro.stream.chaos import run_chaos
+    from repro.utils.io import write_json_report
 
     template = FaultSpec.parse(args.faults) if args.faults else None
     try:
@@ -477,7 +490,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     _print_json(payload)
     if args.report:
-        write_chaos_report(payload, args.report)
+        write_json_report(args.report, payload)
         print(f"wrote chaos report to {args.report}", file=sys.stderr)
     return 0
 

@@ -10,11 +10,11 @@ better *neighbour selection*.
 
 The implementation follows the IDES architecture: a small set of
 **landmarks** measures the full landmark-to-landmark delay matrix, which is
-factorised (SVD or NMF); every ordinary host then derives its outgoing and
-incoming vectors by least squares from its measured delays *to the landmarks
-only*.  This keeps the measurement cost at O(N · L) like the real system —
-fitting a factorisation to the complete N×N matrix would both be unrealistic
-and overstate IDES's accuracy.
+factorised by a truncated SVD; every ordinary host then derives its outgoing
+and incoming vectors by least squares from its measured delays *to the
+landmarks only*.  This keeps the measurement cost at O(N · L) like the real
+system — fitting a factorisation to the complete N×N matrix would both be
+unrealistic and overstate IDES's accuracy.
 
 Two fit kernels are available (see the ``kernel`` argument of
 :func:`fit_ides`):
@@ -22,12 +22,10 @@ Two fit kernels are available (see the ``kernel`` argument of
 ``"batched"`` (default)
     The host projection solves *one* least-squares system with all hosts'
     landmark measurements stacked as right-hand sides (the factor matrix is
-    shared, so LAPACK factorises it once), and the NMF multiplicative
-    updates run in their Gram-matrix form (``(WᵀW)H`` instead of
-    ``Wᵀ(WH)``), dropping the per-update cost from O(L²k) to O(Lk²).
+    shared, so LAPACK factorises it once).
 ``"reference"``
-    The original per-host least-squares loop and textbook update order,
-    kept for equivalence testing and benchmarking.
+    The original per-host least-squares loop, kept for equivalence testing
+    and benchmarking.
 
 Both kernels solve the same least-squares problems; results agree to
 floating-point accuracy.
@@ -61,29 +59,16 @@ class IDESConfig:
         Number of landmark nodes whose full pairwise delays seed the
         factorisation.  ``None`` picks ``max(2 * dimension, 20)`` (capped at
         the node count), matching the guidance in the IDES paper.
-    method:
-        ``"svd"`` or ``"nmf"`` factorisation of the landmark matrix.
-    nmf_iterations:
-        Number of multiplicative-update iterations for the NMF back-end.
-    nmf_epsilon:
-        Small constant avoiding division by zero in the updates.
     """
 
     dimension: int = 10
     n_landmarks: Optional[int] = None
-    method: str = "svd"
-    nmf_iterations: int = 200
-    nmf_epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.dimension < 1:
             raise EmbeddingError("dimension must be >= 1")
         if self.n_landmarks is not None and self.n_landmarks < 2:
             raise EmbeddingError("n_landmarks must be >= 2")
-        if self.method not in ("svd", "nmf"):
-            raise EmbeddingError(f"unknown IDES method {self.method!r}")
-        if self.nmf_iterations < 1:
-            raise EmbeddingError("nmf_iterations must be >= 1")
 
 
 class IDESCoordinates(DelayPredictor):
@@ -136,7 +121,7 @@ class IDESCoordinates(DelayPredictor):
 
 
 def _filled(matrix: DelayMatrix) -> np.ndarray:
-    data = matrix.with_filled_missing("median").to_array()
+    data = matrix.with_filled_missing().to_array()
     np.fill_diagonal(data, 0.0)
     return data
 
@@ -147,46 +132,6 @@ def _fit_svd(data: np.ndarray, dimension: int) -> tuple[np.ndarray, np.ndarray]:
     outgoing = u[:, :k] * s[:k]
     incoming = vt[:k, :].T
     return outgoing, incoming
-
-
-def _fit_nmf(
-    data: np.ndarray, dimension: int, iterations: int, epsilon: float, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    n = data.shape[0]
-    k = min(dimension, n)
-    scale = np.sqrt(max(data.mean(), epsilon) / k)
-    w = gen.uniform(epsilon, 1.0, size=(n, k)) * scale
-    h = gen.uniform(epsilon, 1.0, size=(k, n)) * scale
-    target = np.maximum(data, 0.0)
-    for _ in range(iterations):
-        wh = w @ h
-        h *= (w.T @ target) / (w.T @ wh + epsilon)
-        wh = w @ h
-        w *= (target @ h.T) / (wh @ h.T + epsilon)
-    return w, h.T
-
-
-def _fit_nmf_batched(
-    data: np.ndarray, dimension: int, iterations: int, epsilon: float, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Multiplicative NMF updates in Gram-matrix form.
-
-    Mathematically the same Lee–Seung updates as :func:`_fit_nmf` (same
-    initialisation, same RNG stream), but the denominators are evaluated as
-    ``(WᵀW)H`` and ``W(HHᵀ)``: the k×k Gram matrix is formed first, so each
-    update costs O(Lk² + k²L) instead of the O(L²k) of materialising the
-    L×L reconstruction ``WH`` twice per sweep.
-    """
-    n = data.shape[0]
-    k = min(dimension, n)
-    scale = np.sqrt(max(data.mean(), epsilon) / k)
-    w = gen.uniform(epsilon, 1.0, size=(n, k)) * scale
-    h = gen.uniform(epsilon, 1.0, size=(k, n)) * scale
-    target = np.maximum(data, 0.0)
-    for _ in range(iterations):
-        h *= (w.T @ target) / ((w.T @ w) @ h + epsilon)
-        w *= (target @ h.T) / (w @ (h @ h.T) + epsilon)
-    return w, h.T
 
 
 def fit_ides(
@@ -206,15 +151,14 @@ def fit_ides(
     config:
         Factorisation parameters.
     rng:
-        Seed or generator (landmark selection and NMF initialisation).
+        Seed or generator (landmark selection).
     landmarks:
         Explicit landmark node indices; chosen uniformly at random when
         omitted.
     kernel:
         ``"batched"`` (default) projects every ordinary host in one
-        multi-right-hand-side least-squares solve and runs the NMF updates
-        in Gram-matrix form; ``"reference"`` keeps the per-host loop.  See
-        the module docstring.
+        multi-right-hand-side least-squares solve; ``"reference"`` keeps the
+        per-host loop.  See the module docstring.
     """
     if kernel not in KERNELS:
         raise EmbeddingError(f"unknown IDES kernel {kernel!r}; expected one of {KERNELS}")
@@ -237,17 +181,7 @@ def fit_ides(
         landmark_idx = np.sort(gen.choice(n, size=count, replace=False))
 
     rank = min(cfg.dimension, landmark_idx.size)
-    landmark_matrix = data[np.ix_(landmark_idx, landmark_idx)]
-    if cfg.method == "svd":
-        landmark_out, landmark_in = _fit_svd(landmark_matrix, rank)
-    elif kernel == "batched":
-        landmark_out, landmark_in = _fit_nmf_batched(
-            landmark_matrix, rank, cfg.nmf_iterations, cfg.nmf_epsilon, gen
-        )
-    else:
-        landmark_out, landmark_in = _fit_nmf(
-            landmark_matrix, rank, cfg.nmf_iterations, cfg.nmf_epsilon, gen
-        )
+    landmark_out, landmark_in = _fit_svd(data[np.ix_(landmark_idx, landmark_idx)], rank)
 
     outgoing = np.zeros((n, rank))
     incoming = np.zeros((n, rank))
@@ -268,16 +202,10 @@ def fit_ides(
             rhs = to_landmarks[host_idx].T
             outgoing[host_idx] = np.linalg.lstsq(landmark_in, rhs, rcond=None)[0].T
             incoming[host_idx] = np.linalg.lstsq(landmark_out, rhs, rcond=None)[0].T
-            if cfg.method == "nmf":
-                outgoing[host_idx] = np.maximum(outgoing[host_idx], 0.0)
-                incoming[host_idx] = np.maximum(incoming[host_idx], 0.0)
     else:
         for host in host_idx:
             d = to_landmarks[host]
             outgoing[host] = np.linalg.lstsq(landmark_in, d, rcond=None)[0]
             incoming[host] = np.linalg.lstsq(landmark_out, d, rcond=None)[0]
-            if cfg.method == "nmf":
-                outgoing[host] = np.maximum(outgoing[host], 0.0)
-                incoming[host] = np.maximum(incoming[host], 0.0)
 
     return IDESCoordinates(outgoing, incoming, landmarks=landmark_idx.tolist())

@@ -38,16 +38,10 @@ from repro.errors import EmbeddingError
 from repro.stats.rng import RngLike, ensure_rng
 
 
-def _tie_key(node):
-    """Deterministic tie-break key for equal predicted delays.
-
-    Integer ids compare numerically (so node 2 ranks before node 10);
-    everything else falls back to its string form, ordered after the
-    integers so mixed populations still have a total order.
-    """
-    if isinstance(node, (int, np.integer)) and not isinstance(node, bool):
-        return (0, int(node))
-    return (1, str(node))
+def _check_id(node) -> None:
+    """Refuse a node id that is not an integer (``bool`` included)."""
+    if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
+        raise EmbeddingError(f"node id {node!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -107,8 +101,9 @@ class OnlineVivaldiConfig:
 class OnlineVivaldi:
     """A live Vivaldi embedding over a churning node population.
 
-    Node identifiers are arbitrary hashables (the stream layer uses
-    integers).  Internally each active node owns a slot in preallocated
+    Node identifiers are integers, as in traces, the WAL and checkpoints;
+    ties between equal predicted delays order by id.  Internally each
+    active node owns a slot in preallocated
     coordinate/height/error arrays; slots freed by :meth:`leave` are
     reused by later joins, so capacity tracks the *concurrent* population,
     not the total number of identifiers ever seen.
@@ -157,13 +152,8 @@ class OnlineVivaldi:
         return self._observations
 
     def active_nodes(self) -> list:
-        """Identifiers of the active nodes, sorted.
-
-        Integer ids sort numerically, anything else by string form after
-        the integers — the same total order the query tie-break uses, so
-        mixed-type populations are supported everywhere.
-        """
-        return sorted(self._slots, key=_tie_key)
+        """Identifiers of the active nodes, sorted."""
+        return sorted(self._slots)
 
     def is_active(self, node) -> bool:
         return node in self._slots
@@ -193,8 +183,9 @@ class OnlineVivaldi:
         error — its first observations move it almost the full spring
         displacement, so it localises quickly (the adaptive timestep at
         work).  Rejoining while active is an error: the stream layer
-        treats it as a malformed trace.
+        treats it as a malformed trace.  So is a non-integer id.
         """
+        _check_id(node)
         if node in self._slots:
             raise EmbeddingError(f"node {node!r} is already active")
         if self._free:
@@ -367,29 +358,23 @@ class OnlineVivaldi:
         if k < 1:
             raise EmbeddingError("k must be >= 1")
         dists = self.distances_from(node)
-        ranked = sorted(dists.items(), key=lambda item: (item[1], _tie_key(item[0])))
+        ranked = sorted(dists.items(), key=lambda item: (item[1], item[0]))
         return ranked[: int(k)]
 
     # -- batch queries (the serving hot path) ---------------------------------
 
-    def _active_arrays(self) -> tuple[list, np.ndarray | None, np.ndarray]:
+    def _active_arrays(self) -> tuple[list, np.ndarray, np.ndarray]:
         """``(ids, int_ids, slots)`` over the active population, sorted by id.
 
-        ``int_ids`` is an int64 array when every id is an integer (the
-        vectorised tie-break path), ``None`` otherwise.  Cached until the
-        next join/leave.
+        ``int_ids`` holds the ids as an int64 array (the vectorised
+        tie-break).  Cached until the next join/leave.
         """
         if self._active_cache is None:
             nodes = self.active_nodes()
             slots = np.fromiter(
                 (self._slots[n] for n in nodes), dtype=np.int64, count=len(nodes)
             )
-            all_int = all(
-                isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-                for n in nodes
-            )
-            ids = np.asarray(nodes, dtype=np.int64) if all_int and nodes else None
-            self._active_cache = (nodes, ids, slots)
+            self._active_cache = (nodes, np.asarray(nodes, dtype=np.int64), slots)
         return self._active_cache
 
     def _distances_to_active(self, q_slots: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -446,8 +431,7 @@ class OnlineVivaldi:
         tie-breaking are identical to per-query :meth:`closest` calls.
         Coordinates stay finite (:meth:`observe` refuses non-finite RTTs
         and gravity is clamped), so every row holds at least ``take``
-        candidates.  Populations with non-integer ids fall back to the
-        scalar path per query.
+        candidates.
         """
         if k < 1:
             raise EmbeddingError("k must be >= 1")
@@ -455,8 +439,6 @@ class OnlineVivaldi:
         if not nodes:
             return []
         active, ids, slots = self._active_arrays()
-        if ids is None:
-            return [self.closest(node, k) for node in nodes]
         q_slots = np.fromiter(
             (self._slot_of(n) for n in nodes), dtype=np.int64, count=len(nodes)
         )
@@ -582,6 +564,8 @@ class OnlineVivaldi:
         embedding._errors = np.array(state["errors"], dtype=float)
         embedding._last_update = np.array(state["last_update"], dtype=float)
         embedding._update_counts = np.array(state["update_counts"], dtype=np.int64)
+        for node in state["nodes"]:
+            _check_id(node)
         embedding._slots = dict(zip(state["nodes"], (int(s) for s in state["slots"])))
         embedding._free = [int(slot) for slot in state["free"]]
         embedding._observations = int(state["observations"])

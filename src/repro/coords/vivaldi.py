@@ -394,10 +394,6 @@ class VivaldiSystem(DelayPredictor):
         np.fill_diagonal(distances, 0.0)
         return distances
 
-    def prediction_ratio_matrix(self) -> np.ndarray:
-        """Predicted / measured delay for every measured edge (else ``nan``)."""
-        return self.prediction_ratios(self._delays)
-
 
 def embed_vivaldi(
     matrix: DelayMatrix,
@@ -406,7 +402,6 @@ def embed_vivaldi(
     seconds: int = 100,
     rng: RngLike = None,
     neighbors: Optional[Sequence[Sequence[int]]] = None,
-    kernel: str = "batched",
 ) -> VivaldiSystem:
     """Convenience helper: build a :class:`VivaldiSystem` and run it.
 
@@ -422,9 +417,7 @@ def embed_vivaldi(
         Seed or generator.
     neighbors:
         Optional explicit neighbour lists.
-    kernel:
-        Step kernel, ``"batched"`` (default) or ``"reference"``.
     """
-    system = VivaldiSystem(matrix, config, rng=rng, neighbors=neighbors, kernel=kernel)
+    system = VivaldiSystem(matrix, config, rng=rng, neighbors=neighbors)
     system.run(seconds)
     return system

@@ -132,18 +132,6 @@ class TIVAlert:
         """Predicted delays of many edges: ``predicted_matrix[rows, cols]``."""
         return self._predicted[rows, cols]
 
-    def is_alert(self, i: int, j: int, *, threshold: float = 0.6) -> bool:
-        """True when the alert fires for edge ``(i, j)`` at ``threshold``.
-
-        The alert fires when the prediction ratio is at most ``threshold``
-        (the edge was shrunk at least that much by the embedding).  Edges
-        with an unknown ratio never fire.
-        """
-        if threshold <= 0:
-            raise AlertError("threshold must be positive")
-        value = self._ratios[i, j]
-        return bool(np.isfinite(value) and value <= threshold)
-
     def alerted_edges(self, *, threshold: float = 0.6) -> set[tuple[int, int]]:
         """All measured edges the alert fires on at ``threshold`` (i < j)."""
         if threshold <= 0:

@@ -147,13 +147,23 @@ class DynamicNeighborVivaldi:
         the per-node ranking is a row-wise stable argsort.  Ties rank the
         current neighbours ahead of the fresh candidates (in list order),
         which keeps the refinement deterministic per seed.
+
+        The current lists hold ``k`` distinct ids per node, as the initial
+        random lists and every refinement do; any other lists (set from
+        outside through :meth:`VivaldiSystem.set_neighbors`) are refused.
         """
         n = self._matrix.n_nodes
         k = min(self._config.vivaldi.n_neighbors, n - 1)
         pool_size = min(self._config.candidate_multiplier * k, n - 1)
+        current = self._system.neighbors
+        for i, nbrs in enumerate(current):
+            if len(nbrs) != k or len(set(nbrs)) != k:
+                raise EmbeddingError(
+                    f"node {i}'s neighbour list {nbrs} does not hold {k} distinct ids"
+                )
+        members = np.asarray(current, dtype=np.int64)
         measured = self._matrix.values
         predicted = self._system.predicted_matrix()
-        current = self._system.neighbors
 
         # Unmeasurable edges get an infinite ratio so they are never flagged
         # as TIV-suspect (the paper's alert only fires on shrunken edges).
@@ -165,62 +175,24 @@ class DynamicNeighborVivaldi:
         # A random priority per (node, candidate) pair; current neighbours
         # and the node itself are pushed to the back so the front of each
         # row's ordering is a uniform sample of the fresh candidates.
-        # External set_neighbors permits ragged lists and duplicate entries;
-        # dedupe (order-preserving, so tie-ranking stays deterministic)
-        # before pooling, like the pre-vectorised set-based implementation.
-        current = [list(dict.fromkeys(nbrs)) for nbrs in current]
-
         priorities = self._rng.random((n, n))
         priorities[np.arange(n), np.arange(n)] = np.inf
-        member_rows = np.fromiter(
-            (i for i, nbrs in enumerate(current) for _ in nbrs), np.int64
-        )
-        member_cols = np.fromiter(
-            (j for nbrs in current for j in nbrs), np.int64
-        )
-        priorities[member_rows, member_cols] = np.inf
+        priorities[np.arange(n)[:, None], members] = np.inf
 
-        lengths = {len(nbrs) for nbrs in current}
-        if len(lengths) == 1:
-            # Uniform current lists (the class always produces these): the
-            # pool/rank/keep pipeline runs as three whole-matrix gathers.
-            width = lengths.pop()
-            n_extras = max(0, pool_size - width)
-            if n_extras > 0:
-                # Only the n_extras smallest priorities per row matter
-                # (their relative order is irrelevant: ties in the ratio
-                # ranking below resolve by pool position, which is
-                # deterministic either way), so partition instead of a
-                # full-row sort.  n_extras <= n-1-width, so the selection
-                # can never reach the infinite-priority member slots.
-                extras = np.argpartition(priorities, n_extras - 1, axis=1)[:, :n_extras]
-            else:
-                extras = np.empty((n, 0), dtype=np.int64)
-            pool = np.concatenate(
-                [np.asarray(current, dtype=np.int64), extras], axis=1
-            )
-            pool_ratios = np.take_along_axis(ratio, pool, axis=1)
-            order = np.argsort(-pool_ratios, axis=1, kind="stable")[:, :k]
-            kept = np.take_along_axis(pool, order, axis=1)
-            return [[int(j) for j in row] for row in kept]
-
-        # Ragged current lists (only reachable via an external
-        # set_neighbors): same algorithm, assembled row by row.  The full
-        # row sort keeps members (infinite priority) safely at the back
-        # even though rows need different extras counts.
-        extras = np.argsort(priorities, axis=1)
-        new_lists: list[list[int]] = []
-        for i in range(n):
-            row_pool = np.concatenate(
-                [
-                    np.asarray(current[i], dtype=np.int64),
-                    extras[i, : max(0, pool_size - len(current[i]))],
-                ]
-            )
-            order = np.argsort(-ratio[i, row_pool], kind="stable")[:k]
-            kept = [int(j) for j in row_pool[order]]
-            new_lists.append(kept if kept else list(current[i]))
-        return new_lists
+        n_extras = pool_size - k
+        if n_extras > 0:
+            # Only the n_extras smallest priorities per row matter (their
+            # relative order is irrelevant: ties in the ratio ranking below
+            # resolve by pool position, which is deterministic either way),
+            # so partition instead of a full-row sort.  n_extras <= n-1-k,
+            # so the selection can never reach the infinite-priority slots.
+            extras = np.argpartition(priorities, n_extras - 1, axis=1)[:, :n_extras]
+        else:
+            extras = np.empty((n, 0), dtype=np.int64)
+        pool = np.concatenate([members, extras], axis=1)
+        pool_ratios = np.take_along_axis(ratio, pool, axis=1)
+        order = np.argsort(-pool_ratios, axis=1, kind="stable")[:, :k]
+        return np.take_along_axis(pool, order, axis=1).tolist()
 
     def run(self, iterations: int) -> list[DynamicVivaldiIteration]:
         """Run the initial period plus ``iterations`` refinement periods.

@@ -24,26 +24,43 @@ PathLike = Union[str, Path]
 
 
 def save_npz(matrix: DelayMatrix, path: PathLike) -> None:
-    """Save ``matrix`` (delays and labels) to a ``.npz`` archive."""
+    """Save ``matrix`` (delays and labels) to a ``.npz`` archive at exactly ``path``.
+
+    Labels are stored as a string array, so loading never unpickles.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        path,
-        delays=matrix.to_array(),
-        labels=np.asarray(matrix.labels, dtype=object),
-    )
+    with open(path, "wb") as handle:
+        np.savez_compressed(
+            handle,
+            delays=matrix.to_array(),
+            labels=np.asarray(matrix.labels, dtype=str),
+        )
 
 
 def load_npz(path: PathLike) -> DelayMatrix:
-    """Load a delay matrix previously written by :func:`save_npz`."""
+    """Load a delay matrix previously written by :func:`save_npz`.
+
+    Pickled data (a whole-file pickle or an object-array member) is
+    refused, never unpickled; it and any other unreadable file raise a
+    :class:`DelayMatrixError` naming the path.
+    """
     path = Path(path)
     if not path.exists():
         raise DelayMatrixError(f"no such file: {path}")
-    with np.load(path, allow_pickle=True) as data:
-        if "delays" not in data:
-            raise DelayMatrixError(f"{path} does not contain a 'delays' array")
-        delays = data["delays"]
-        labels = [str(x) for x in data["labels"]] if "labels" in data else None
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if "delays" not in data:
+                raise DelayMatrixError(f"{path} does not contain a 'delays' array")
+            delays = data["delays"]
+            labels = [str(x) for x in data["labels"]] if "labels" in data else None
+    except DelayMatrixError:
+        raise
+    except Exception as exc:
+        raise DelayMatrixError(
+            f"{path} is refused: not a pickle-free .npz delay matrix "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
     return DelayMatrix(delays, labels=labels)
 
 

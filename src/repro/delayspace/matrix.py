@@ -182,29 +182,15 @@ class DelayMatrix:
         labels = [self._labels[int(i)] for i in idx]
         return DelayMatrix(sub, labels=labels, symmetrize=False)
 
-    def with_filled_missing(self, fill: str = "median") -> "DelayMatrix":
-        """Return a copy with missing delays filled.
-
-        Parameters
-        ----------
-        fill:
-            ``"median"`` fills with the median measured delay, ``"max"`` with
-            the maximum, or a float string parsable value is not accepted —
-            use :meth:`to_array` for custom filling.
-        """
+    def with_filled_missing(self) -> "DelayMatrix":
+        """Return a copy with missing delays filled with the median measured delay."""
         data = self.to_array()
         mask = ~np.isfinite(data)
         np.fill_diagonal(mask, False)
         if not mask.any():
             return DelayMatrix(data, labels=self._labels, symmetrize=False)
         measured = data[np.isfinite(data) & ~np.eye(self.n_nodes, dtype=bool)]
-        if fill == "median":
-            value = float(np.median(measured))
-        elif fill == "max":
-            value = float(np.max(measured))
-        else:
-            raise DelayMatrixError(f"unknown fill strategy {fill!r}")
-        data[mask] = value
+        data[mask] = float(np.median(measured))
         return DelayMatrix(data, labels=self._labels, symmetrize=False)
 
     def reordered(self, order: Sequence[int]) -> "DelayMatrix":
@@ -214,53 +200,7 @@ class DelayMatrix:
             raise DelayMatrixError("order must be a permutation of all node indices")
         return self.submatrix(idx)
 
-    # -- queries used by neighbour selection ---------------------------------
-
-    def nearest_neighbor(self, i: int, candidates: Optional[Iterable[int]] = None) -> int:
-        """Return the candidate with the smallest measured delay to node ``i``.
-
-        Parameters
-        ----------
-        i:
-            The reference node.
-        candidates:
-            Candidate node indices (defaults to every other node).  Candidates
-            with missing delay to ``i`` are skipped.
-        """
-        self._check_index(i)
-        if candidates is None:
-            pool = np.arange(self.n_nodes)
-        else:
-            pool = np.asarray(list(candidates), dtype=int)
-        pool = pool[pool != i]
-        if pool.size == 0:
-            raise DelayMatrixError("no candidates to choose a nearest neighbour from")
-        delays = self._delays[i, pool]
-        finite = np.isfinite(delays)
-        if not finite.any():
-            raise DelayMatrixError(
-                f"node {i} has no measured delay to any candidate"
-            )
-        pool, delays = pool[finite], delays[finite]
-        return int(pool[int(np.argmin(delays))])
-
-    def k_nearest_neighbors(self, i: int, k: int, candidates: Optional[Iterable[int]] = None) -> list[int]:
-        """Return the ``k`` candidates with smallest measured delay to ``i``."""
-        self._check_index(i)
-        if k < 1:
-            raise DelayMatrixError("k must be >= 1")
-        if candidates is None:
-            pool = np.arange(self.n_nodes)
-        else:
-            pool = np.asarray(list(candidates), dtype=int)
-        pool = pool[pool != i]
-        delays = self._delays[i, pool]
-        finite = np.isfinite(delays)
-        pool, delays = pool[finite], delays[finite]
-        if pool.size == 0:
-            raise DelayMatrixError(f"node {i} has no measured candidates")
-        order = np.argsort(delays, kind="stable")
-        return [int(x) for x in pool[order[:k]]]
+    # -- summaries -----------------------------------------------------------
 
     def mean_delay(self) -> float:
         """Mean of all measured edge delays."""

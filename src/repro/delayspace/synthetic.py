@@ -112,9 +112,6 @@ class SyntheticSpaceConfig:
     jitter_fraction:
         Multiplicative measurement noise applied to every edge
         (``delay *= 1 + Normal(0, jitter_fraction)``), truncated at ±3σ.
-    missing_fraction:
-        Fraction of edges reported as missing (``nan``), mimicking
-        measurement gaps in the real matrices.
     """
 
     n_nodes: int = 400
@@ -129,7 +126,6 @@ class SyntheticSpaceConfig:
     inflation_scale: float = 0.9
     max_inflation: float = 6.0
     jitter_fraction: float = 0.03
-    missing_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         if self.n_nodes < 4:
@@ -141,8 +137,6 @@ class SyntheticSpaceConfig:
             )
         if not 0 <= self.tiv_edge_fraction < 1:
             raise ConfigError("tiv_edge_fraction must be in [0, 1)")
-        if not 0 <= self.missing_fraction < 1:
-            raise ConfigError("missing_fraction must be in [0, 1)")
         if self.inflation_shape <= 1.0:
             raise ConfigError("inflation_shape must be > 1 for a finite-mean tail")
         if self.max_inflation < 1.0:
@@ -319,7 +313,7 @@ def _inflate_edges(
     return delays, inflated
 
 
-def _apply_jitter_and_missing(
+def _apply_jitter(
     config: SyntheticSpaceConfig, delays: np.ndarray, gen: np.random.Generator
 ) -> np.ndarray:
     n = config.n_nodes
@@ -331,13 +325,6 @@ def _apply_jitter_and_missing(
         delays[(iu[1], iu[0])] = delays[iu]
     delays[iu] = np.maximum(delays[iu], config.min_delay)
     delays[(iu[1], iu[0])] = delays[iu]
-    if config.missing_fraction > 0:
-        n_missing = int(round(config.missing_fraction * iu[0].size))
-        if n_missing:
-            chosen = gen.choice(iu[0].size, size=n_missing, replace=False)
-            rows, cols = iu[0][chosen], iu[1][chosen]
-            delays[rows, cols] = np.nan
-            delays[cols, rows] = np.nan
     return delays
 
 
@@ -378,7 +365,7 @@ def clustered_delay_space(
     positions = _node_positions(cfg, assignment, gen)
     delays = _base_delays(cfg, positions, gen)
     delays, inflated = _inflate_edges(cfg, delays, assignment, gen)
-    delays = _apply_jitter_and_missing(cfg, delays, gen)
+    delays = _apply_jitter(cfg, delays, gen)
     np.fill_diagonal(delays, 0.0)
     matrix = DelayMatrix(delays, symmetrize=False)
     extras: list = []

@@ -15,7 +15,7 @@ to enumerate them.
 from repro.experiments.cache import ArtifactCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
-from repro.experiments.engine import ExperimentEngine, RunReport, run_experiments
+from repro.experiments.engine import RunReport, run_experiments
 from repro.experiments.registry import (
     list_experiments,
     run_all_experiments,
@@ -27,7 +27,6 @@ __all__ = [
     "ArtifactCache",
     "ExperimentConfig",
     "ExperimentContext",
-    "ExperimentEngine",
     "ExperimentResult",
     "RunReport",
     "list_experiments",

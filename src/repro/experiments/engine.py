@@ -351,45 +351,6 @@ class _InlineExecutor:
         self._context = None
 
 
-class ExperimentEngine:
-    """Runs a set of figure experiments with artifact caching.
-
-    Parameters
-    ----------
-    config:
-        Shared experiment configuration (defaults to the scaled-down
-        defaults).
-    jobs:
-        Worker process count; ``1`` runs every task in-process,
-        ``0``/``None`` uses one worker per CPU.
-    cache_dir:
-        Directory of the on-disk artifact cache; ``None`` disables
-        persistence (the run works through a temporary scratch cache,
-        deleted afterwards).
-    """
-
-    def __init__(
-        self,
-        config: ExperimentConfig | None = None,
-        *,
-        jobs: int | None = 1,
-        cache_dir: PathLike | None = None,
-    ):
-        self.config = config if config is not None else ExperimentConfig()
-        self.jobs = resolve_jobs(jobs)
-        self.cache_dir = str(cache_dir) if cache_dir is not None else None
-
-    def run(self, only: Iterable[str] | None = None) -> EngineOutcome:
-        """Run every registered experiment (or the subset in ``only``)."""
-        wanted = resolve_experiment_ids(only)
-        started = time.perf_counter()
-        outcome = run_plans(
-            {"": self.config}, wanted, jobs=self.jobs, cache_dir=self.cache_dir
-        )[""]
-        outcome.report.wall_seconds = time.perf_counter() - started
-        return outcome
-
-
 @dataclass(frozen=True)
 class ArtifactTask:
     """One schedulable artifact materialisation, identified by cache address.
@@ -852,7 +813,7 @@ def run_plans(
 ) -> dict[str, EngineOutcome]:
     """Run the figures ``wanted`` under every tagged configuration.
 
-    The one execution path: :meth:`ExperimentEngine.run` is its one-tag
+    The one execution path: :func:`run_experiments` is its one-tag
     case, :func:`repro.scenarios.runner.run_scenario_matrix` its
     one-tag-per-scenario case.  Each configuration's plan is resolved, the
     artifact tasks are merged by cache address (an artifact two
@@ -953,16 +914,25 @@ def run_experiments(
     cache_dir: PathLike | None = None,
     report_path: PathLike | None = None,
 ) -> EngineOutcome:
-    """Run experiments through the engine and optionally write the run report.
+    """Run every registered experiment (or the subset in ``only``) and
+    optionally write the run report.
 
-    This is the functional entry point used by
+    ``jobs`` is the worker process count (``1`` runs every task
+    in-process, ``0``/``None`` one worker per CPU); ``cache_dir`` is the
+    on-disk artifact cache (``None``: a scratch cache deleted afterwards).
+    The report's ``wall_seconds`` is the wall time of the :func:`run_plans`
+    call.  This is the functional entry point used by
     :func:`repro.experiments.registry.run_all_experiments` and by
     ``repro run-all``.  If any experiment fails, the report (including the
     per-experiment ``status``/``error`` records) is still written before an
     :class:`ExperimentError` summarising the failures is raised.
     """
-    engine = ExperimentEngine(config, jobs=jobs, cache_dir=cache_dir)
-    outcome = engine.run(only=only)
+    config = config if config is not None else ExperimentConfig()
+    jobs = resolve_jobs(jobs)
+    wanted = resolve_experiment_ids(only)
+    started = time.perf_counter()
+    outcome = run_plans({"": config}, wanted, jobs=jobs, cache_dir=cache_dir)[""]
+    outcome.report.wall_seconds = time.perf_counter() - started
     if report_path is not None:
         outcome.report.write(report_path)
     if outcome.failures:

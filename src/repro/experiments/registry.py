@@ -186,7 +186,7 @@ def run_all_experiments(
 ) -> dict[str, ExperimentResult]:
     """Run every registered experiment (or the subset in ``only``).
 
-    Delegates to :class:`repro.experiments.engine.ExperimentEngine`, which
+    Delegates to :func:`repro.experiments.engine.run_experiments`, which
     schedules the artifact DAG and the runners as one frontier: ``jobs``
     worker processes, or in-process at ``jobs=1`` (the default).
     ``cache_dir`` persists the shared artifacts so repeated runs are

@@ -19,7 +19,7 @@ The paper evaluates every mechanism with the same protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -265,7 +265,6 @@ class MeridianSelectionExperiment:
         rng: RngLike = 0,
         overlay_kwargs: Optional[dict] = None,
         restart_policy: RestartPolicy | None = None,
-        overlay_factory: Optional[Callable[[DelayMatrix, Sequence[int], np.random.Generator], MeridianOverlay]] = None,
     ):
         if n_meridian < 2 or n_meridian >= matrix.n_nodes:
             raise NeighborSelectionError("n_meridian must be in [2, n_nodes)")
@@ -279,20 +278,6 @@ class MeridianSelectionExperiment:
         self._rng = ensure_rng(rng)
         self._overlay_kwargs = dict(overlay_kwargs or {})
         self._restart_policy = restart_policy
-        self._overlay_factory = overlay_factory
-
-    def _build_overlay(
-        self, meridian_nodes: np.ndarray, run_rng: np.random.Generator
-    ) -> MeridianOverlay:
-        if self._overlay_factory is not None:
-            return self._overlay_factory(self._matrix, meridian_nodes, run_rng)
-        return MeridianOverlay(
-            self._matrix,
-            meridian_nodes,
-            self._config,
-            rng=run_rng,
-            **self._overlay_kwargs,
-        )
 
     def run(self) -> NeighborSelectionResult:
         """Run all Meridian selection rounds and pool the penalties."""
@@ -304,7 +289,13 @@ class MeridianSelectionExperiment:
             clients = permutation[self._n_meridian:]
             if self._max_clients is not None and clients.size > self._max_clients:
                 clients = clients[: self._max_clients]
-            overlay = self._build_overlay(meridian_nodes, run_rng)
+            overlay = MeridianOverlay(
+                self._matrix,
+                meridian_nodes,
+                self._config,
+                rng=run_rng,
+                **self._overlay_kwargs,
+            )
             outcomes = overlay.closest_neighbor_query_batch(
                 clients.tolist(), restart_policy=self._restart_policy
             )

@@ -15,7 +15,7 @@ regressions); the programmatic surface is :func:`run_benchmarks`,
 :mod:`repro.perf.kernels`.
 """
 
-from repro.perf.bench import BenchReport, KernelTiming, run_benchmarks, write_report
+from repro.perf.bench import BenchReport, KernelTiming, run_benchmarks
 from repro.perf.gate import GateRow, compare_reports, format_table, load_report, regressions
 from repro.perf.kernels import (
     KernelSpec,
@@ -39,5 +39,4 @@ __all__ = [
     "regressions",
     "resolve_kernel_names",
     "run_benchmarks",
-    "write_report",
 ]

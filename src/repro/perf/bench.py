@@ -16,7 +16,6 @@ asserts on.
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from dataclasses import dataclass, field
@@ -172,10 +171,3 @@ def run_benchmarks(
                 )
             )
     return BenchReport(sizes=sizes, repeats=repeats, seed=seed, timings=tuple(timings))
-
-
-def write_report(report: BenchReport, path: str) -> None:
-    """Write ``report`` to ``path`` as indented JSON."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.as_dict(), handle, indent=2)
-        handle.write("\n")

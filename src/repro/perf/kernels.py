@@ -75,10 +75,9 @@ def _setup_ides_fit(kernel: str):
         from repro.coords.ides import IDESConfig, fit_ides
 
         matrix = _dataset(size, seed)
-        # SVD factorisation: the landmark fit is a single shared solve, so
-        # the timing isolates the host-projection stage the kernels differ
-        # in (the NMF iterations would be identical cost on both sides).
-        config = IDESConfig(method="svd")
+        # The landmark SVD is one shared solve, so the timing isolates the
+        # host-projection stage the kernels differ in.
+        config = IDESConfig()
         return (lambda: fit_ides(matrix, config, rng=seed + 1, kernel=kernel)), float(size)
 
     return setup

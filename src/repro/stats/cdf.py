@@ -69,25 +69,6 @@ class ECDF:
         """Fraction of the sample that is <= ``x`` (alias of calling the ECDF)."""
         return float(self(x))
 
-    def fraction_above(self, x: float) -> float:
-        """Fraction of the sample strictly greater than ``x``."""
-        return 1.0 - float(self(x))
-
-    def curve(self, points: int = 200) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(x, y)`` arrays tracing the CDF, suitable for plotting.
-
-        The x grid spans the sample range with ``points`` evenly spaced
-        values; y is the CDF evaluated on that grid.
-        """
-        if points < 2:
-            raise ValueError("points must be >= 2")
-        lo, hi = float(self.values[0]), float(self.values[-1])
-        if lo == hi:
-            xs = np.array([lo, hi])
-        else:
-            xs = np.linspace(lo, hi, points)
-        return xs, np.asarray(self(xs), dtype=float)
-
     def describe(self) -> dict[str, float]:
         """Return a small dictionary of summary statistics."""
         return {

@@ -9,7 +9,7 @@ whenever a seed is supplied.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -47,31 +47,3 @@ def spawn_rngs(rng: RngLike, count: int) -> list[np.random.Generator]:
     seeds = base.integers(0, 2**63 - 1, size=count, dtype=np.int64)
     return [np.random.default_rng(int(seed)) for seed in seeds]
 
-
-def random_subset(
-    rng: RngLike, population: int, size: int, exclude: Optional[Sequence[int]] = None
-) -> np.ndarray:
-    """Choose ``size`` distinct indices from ``range(population)``.
-
-    Parameters
-    ----------
-    rng:
-        Seed or generator.
-    population:
-        Number of items to choose from.
-    size:
-        Number of indices to draw (without replacement).
-    exclude:
-        Optional indices that must not appear in the result.
-    """
-    gen = ensure_rng(rng)
-    if exclude:
-        excluded = set(int(i) for i in exclude)
-        pool = np.array([i for i in range(population) if i not in excluded], dtype=np.int64)
-    else:
-        pool = np.arange(population, dtype=np.int64)
-    if size > pool.size:
-        raise ValueError(
-            f"cannot draw {size} distinct indices from a pool of {pool.size}"
-        )
-    return gen.choice(pool, size=size, replace=False)

@@ -27,7 +27,6 @@ from repro.stream.faults import FaultSpec
 from repro.stream.replay import replay_trace
 from repro.stream.service import DefenseConfig, StreamServiceConfig
 from repro.stream.synth import synthesize_trace
-from repro.utils.io import write_json_report
 
 #: Schema tag of the chaos report payload.
 CHAOS_REPORT_SCHEMA = "chaos-report/v1"
@@ -165,8 +164,3 @@ def run_chaos(
                 error / baseline if baseline else float("nan")
             )
     return out
-
-
-def write_chaos_report(report: dict, path) -> None:
-    """Write a chaos report as diff-friendly JSON."""
-    write_json_report(path, report)

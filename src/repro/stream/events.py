@@ -201,19 +201,20 @@ def _unpack_events(kind, t, a, b, rtt) -> tuple[Event, ...]:
 
 
 def save_trace(trace: Trace, path: PathLike) -> None:
-    """Persist a trace as one compressed ``.npz`` file."""
+    """Persist a trace as one compressed ``.npz`` file at exactly ``path``."""
     kind, t, a, b, rtt = _pack_events(trace.events)
     meta = {"schema": TRACE_SCHEMA, "ordered": trace.ordered, **trace.meta}
-    np.savez_compressed(
-        Path(path),
-        kind=kind,
-        t=t,
-        a=a,
-        b=b,
-        rtt=rtt,
-        ground_truth=trace.ground_truth,
-        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-    )
+    with open(path, "wb") as handle:
+        np.savez_compressed(
+            handle,
+            kind=kind,
+            t=t,
+            a=a,
+            b=b,
+            rtt=rtt,
+            ground_truth=trace.ground_truth,
+            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        )
 
 
 def load_trace(path: PathLike) -> Trace:

@@ -25,6 +25,10 @@ from repro.utils.io import write_json_report
 #: Schema tag of the stream report payload.
 STREAM_REPORT_SCHEMA = "stream-report/v1"
 
+#: Closest-node answers (the lowest-id active nodes) and TIV-alert answers
+#: (the worst rolling-severity edges) a report carries from the final state.
+_REPORT_QUERIES = 8
+
 
 @dataclass(frozen=True)
 class StreamWindow:
@@ -185,8 +189,6 @@ def replay_trace(
     config: StreamServiceConfig | None = None,
     window_seconds: float = 10.0,
     eval_edges: int = 512,
-    query_nodes: int = 8,
-    query_edges: int = 8,
     rng=0,
     checkpoint_path=None,
     wal_path=None,
@@ -209,10 +211,6 @@ def replay_trace(
     eval_edges:
         Cap on the deterministically sampled ground-truth edges scored
         per window.
-    query_nodes, query_edges:
-        How many closest-node queries (over the lowest-id active nodes)
-        and TIV-alert queries (over the worst rolling-severity edges) to
-        answer from the final live state and embed in the report.
     rng:
         Seed of the service's random stream (coincident-coordinate
         pushes, witness sampling).  Replay is deterministic given
@@ -387,14 +385,14 @@ def replay_trace(
         totals["stopped_after_events"] = int(applied)
 
     queries: dict = {"closest": [], "tiv_alerts": []}
-    for node in service.active_nodes()[: int(query_nodes)]:
+    for node in service.active_nodes()[:_REPORT_QUERIES]:
         ranked = service.closest(node, k=1)
         if ranked:
             peer, predicted = ranked[0]
             queries["closest"].append(
                 {"node": int(node), "closest": int(peer), "predicted": float(predicted)}
             )
-    for edge, severity in service.worst_edges(int(query_edges)):
+    for edge, severity in service.worst_edges(_REPORT_QUERIES):
         verdict = service.tiv_alert(*edge)
         queries["tiv_alerts"].append(
             {

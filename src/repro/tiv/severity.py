@@ -84,13 +84,6 @@ class TIVSeverityResult:
             selected = np.concatenate([above, boundary[: count - above.size]])
         return {(int(rows[k]), int(cols[k])) for k in selected}
 
-    def severity_threshold(self, fraction: float) -> float:
-        """Severity value separating the worst ``fraction`` of edges from the rest."""
-        if not 0 < fraction <= 1:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        vals = self.edge_severities()
-        return float(np.quantile(vals, 1.0 - fraction))
-
     def violating_triangle_fraction(self) -> float:
         """Fraction of measured triangles that violate the inequality (§2).
 

@@ -12,19 +12,11 @@ class TestIDESConfig:
     def test_defaults(self):
         config = IDESConfig()
         assert config.dimension == 10
-        assert config.method == "svd"
+        assert config.n_landmarks is None
 
     def test_invalid_dimension(self):
         with pytest.raises(EmbeddingError):
             IDESConfig(dimension=0)
-
-    def test_invalid_method(self):
-        with pytest.raises(EmbeddingError):
-            IDESConfig(method="pca")
-
-    def test_invalid_iterations(self):
-        with pytest.raises(EmbeddingError):
-            IDESConfig(nmf_iterations=0)
 
 
 class TestIDESCoordinates:
@@ -47,25 +39,9 @@ class TestIDESCoordinates:
 
 class TestFitIdes:
     def test_svd_accuracy_reasonable(self, small_internet_matrix):
-        coords = fit_ides(small_internet_matrix, IDESConfig(dimension=10, method="svd"))
+        coords = fit_ides(small_internet_matrix, IDESConfig(dimension=10))
         error = median_absolute_error(small_internet_matrix.values, coords.predicted_matrix())
         assert error < small_internet_matrix.median_delay()
-
-    def test_nmf_runs_and_is_nonnegative(self, small_internet_matrix):
-        coords = fit_ides(
-            small_internet_matrix,
-            IDESConfig(dimension=6, method="nmf", nmf_iterations=60),
-            rng=0,
-        )
-        predicted = coords.predicted_matrix()
-        assert np.all(predicted >= 0)
-        assert np.all(np.isfinite(predicted))
-
-    def test_nmf_reproducible_with_seed(self, small_internet_matrix):
-        config = IDESConfig(dimension=4, method="nmf", nmf_iterations=30)
-        a = fit_ides(small_internet_matrix, config, rng=7).predicted_matrix()
-        b = fit_ides(small_internet_matrix, config, rng=7).predicted_matrix()
-        assert np.allclose(a, b)
 
     def test_higher_rank_fits_better(self, small_internet_matrix):
         low = fit_ides(small_internet_matrix, IDESConfig(dimension=2))
@@ -108,20 +84,15 @@ class TestKernels:
         with pytest.raises(EmbeddingError):
             fit_ides(small_internet_matrix, kernel="turbo")
 
-    @pytest.mark.parametrize("method", ["svd", "nmf"])
-    def test_kernels_agree_to_float_accuracy(self, small_internet_matrix, method):
+    def test_kernels_agree_to_float_accuracy(self, small_internet_matrix):
         """The multi-RHS projection solves the same least-squares systems.
 
         Same landmark selection (identical RNG stream), same factor
         matrices; LAPACK's multi-column path may round differently in the
         last ulps, hence allclose rather than array_equal.
         """
-        batched = fit_ides(
-            small_internet_matrix, IDESConfig(method=method), rng=7, kernel="batched"
-        )
-        reference = fit_ides(
-            small_internet_matrix, IDESConfig(method=method), rng=7, kernel="reference"
-        )
+        batched = fit_ides(small_internet_matrix, IDESConfig(), rng=7, kernel="batched")
+        reference = fit_ides(small_internet_matrix, IDESConfig(), rng=7, kernel="reference")
         assert batched.landmarks == reference.landmarks
         assert np.allclose(batched.outgoing, reference.outgoing, atol=1e-9)
         assert np.allclose(batched.incoming, reference.incoming, atol=1e-9)
@@ -142,15 +113,7 @@ class TestKernels:
 
     @pytest.mark.parametrize("kernel", ["batched", "reference"])
     def test_per_seed_determinism(self, small_internet_matrix, kernel):
-        a = fit_ides(small_internet_matrix, IDESConfig(method="nmf"), rng=5, kernel=kernel)
-        b = fit_ides(small_internet_matrix, IDESConfig(method="nmf"), rng=5, kernel=kernel)
+        a = fit_ides(small_internet_matrix, IDESConfig(), rng=5, kernel=kernel)
+        b = fit_ides(small_internet_matrix, IDESConfig(), rng=5, kernel=kernel)
         assert np.array_equal(a.outgoing, b.outgoing)
         assert np.array_equal(a.incoming, b.incoming)
-
-    def test_nmf_kernels_stay_nonnegative(self, small_internet_matrix):
-        for kernel in ("batched", "reference"):
-            coords = fit_ides(
-                small_internet_matrix, IDESConfig(method="nmf"), rng=1, kernel=kernel
-            )
-            assert np.all(coords.outgoing >= 0)
-            assert np.all(coords.incoming >= 0)

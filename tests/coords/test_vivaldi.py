@@ -76,7 +76,7 @@ class TestVivaldiSystem:
 
     def test_prediction_ratio_matrix(self, small_internet_matrix):
         system = embed_vivaldi(small_internet_matrix, seconds=20, rng=4)
-        ratios = system.prediction_ratio_matrix()
+        ratios = system.prediction_ratios(small_internet_matrix.values)
         assert np.all(np.isnan(np.diag(ratios)))
         finite = ratios[np.isfinite(ratios)]
         assert np.all(finite >= 0)
@@ -107,10 +107,9 @@ class TestKernels:
 
     @pytest.mark.parametrize("kernel", ["batched", "reference"])
     def test_per_seed_determinism(self, euclidean_matrix, kernel):
-        runs = [
-            embed_vivaldi(euclidean_matrix, seconds=12, rng=11, kernel=kernel)
-            for _ in range(2)
-        ]
+        runs = [VivaldiSystem(euclidean_matrix, rng=11, kernel=kernel) for _ in range(2)]
+        for system in runs:
+            system.run(12)
         assert np.array_equal(runs[0].coordinates, runs[1].coordinates)
         assert np.array_equal(runs[0].errors, runs[1].errors)
 
@@ -126,9 +125,8 @@ class TestKernels:
         for kernel in ("batched", "reference"):
             errors = []
             for seed in range(3):
-                system = embed_vivaldi(
-                    small_internet_matrix, seconds=100, rng=seed, kernel=kernel
-                )
+                system = VivaldiSystem(small_internet_matrix, rng=seed, kernel=kernel)
+                system.run(100)
                 rel = relative_errors(
                     small_internet_matrix.values, system.predicted_matrix()
                 )

@@ -35,12 +35,12 @@ class TestTIVAlertBasics:
         finite = np.isfinite(ratios[iu])
         i, j = iu[0][finite][0], iu[1][finite][0]
         value = internet_alert.ratio(i, j)
-        assert internet_alert.is_alert(i, j, threshold=value + 0.01)
-        assert not internet_alert.is_alert(i, j, threshold=value - 0.01)
+        assert (i, j) in internet_alert.alerted_edges(threshold=value + 0.01)
+        assert (i, j) not in internet_alert.alerted_edges(threshold=value - 0.01)
 
     def test_is_alert_invalid_threshold(self, internet_alert):
         with pytest.raises(AlertError):
-            internet_alert.is_alert(0, 1, threshold=0.0)
+            internet_alert.alerted_edges(threshold=0.0)
 
     def test_alerted_edges_monotone_in_threshold(self, internet_alert):
         small = internet_alert.alerted_edges(threshold=0.3)

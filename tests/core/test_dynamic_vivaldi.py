@@ -90,20 +90,6 @@ class TestDynamicNeighborVivaldi:
         assert a[1].neighbor_lists == b[1].neighbor_lists
         assert np.allclose(a[1].predicted, b[1].predicted)
 
-    def test_refinement_dedupes_duplicate_neighbors(self, small_internet_matrix):
-        """Externally-set duplicate entries never survive into refined lists."""
-        dynamic = DynamicNeighborVivaldi(
-            small_internet_matrix, _config(period=5, neighbors=4), rng=12
-        )
-        dynamic.run(0)
-        n = small_internet_matrix.n_nodes
-        duplicated = [[(i + 1) % n, (i + 1) % n, (i + 2) % n] for i in range(n)]
-        dynamic.system.set_neighbors(duplicated)
-        snapshots = dynamic.run(1)
-        for i, kept in enumerate(snapshots[-1].neighbor_lists):
-            assert len(set(kept)) == len(kept)
-            assert i not in kept
-
     def test_refinement_keeps_largest_ratio_candidates(self, small_internet_matrix):
         """The vectorised ranking keeps exactly the k largest-ratio pool edges."""
         dynamic = DynamicNeighborVivaldi(
@@ -135,19 +121,20 @@ class TestDynamicNeighborVivaldi:
                 best_dropped = max(ratio(i, j) for j in dropped)
                 assert worst_kept >= best_dropped - 1e-12
 
-    def test_refinement_handles_ragged_neighbor_lists(self, small_internet_matrix):
-        """External ragged lists take the per-row fallback path unchanged."""
+    @pytest.mark.parametrize("shape", ["duplicates", "ragged"])
+    def test_refinement_refuses_lists_without_k_distinct_ids(
+        self, small_internet_matrix, shape
+    ):
+        """Only lists of k distinct ids per node are refined; others raise."""
         dynamic = DynamicNeighborVivaldi(
-            small_internet_matrix, _config(period=5, neighbors=4), rng=10
+            small_internet_matrix, _config(period=5, neighbors=4), rng=12
         )
         dynamic.run(0)
         n = small_internet_matrix.n_nodes
-        ragged = [
-            [(i + 1) % n] if i % 3 else [(i + 1) % n, (i + 2) % n]
-            for i in range(n)
-        ]
-        dynamic.system.set_neighbors(ragged)
-        snapshots = dynamic.run(1)
-        for i, kept in enumerate(snapshots[-1].neighbor_lists):
-            assert 1 <= len(kept) <= 4
-            assert i not in kept
+        if shape == "duplicates":
+            lists = [[(i + d) % n for d in (1, 1, 2, 3)] for i in range(n)]
+        else:
+            lists = [[(i + d) % n for d in range(1, 5 - (i == 7))] for i in range(n)]
+        dynamic.system.set_neighbors(lists)
+        with pytest.raises(EmbeddingError, match="does not hold 4 distinct ids"):
+            dynamic.run(1)

@@ -1,5 +1,8 @@
 """Tests for repro.delayspace.io."""
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,38 @@ class TestNpzRoundTrip:
         path = tmp_path / "bad.npz"
         np.savez(path, something=np.zeros(3))
         with pytest.raises(DelayMatrixError):
+            load_npz(path)
+
+    def test_labels_are_stored_as_strings_at_the_exact_path(self, sample_matrix, tmp_path):
+        path = tmp_path / "matrix"
+        save_npz(sample_matrix, path)
+        assert path.exists() and not (tmp_path / "matrix.npz").exists()
+        with np.load(path) as data:
+            assert data["labels"].dtype.kind == "U"
+        assert load_npz(path).labels == ("a", "b", "c")
+
+    @pytest.mark.parametrize("layout", ["object_member", "whole_file"])
+    def test_pickled_data_is_refused_without_unpickling(self, tmp_path, layout):
+        marker = tmp_path / "unpickled"
+
+        class Payload:
+            def __reduce__(self):
+                return os.mkdir, (str(marker),)
+
+        path = tmp_path / "evil.npz"
+        if layout == "object_member":
+            np.savez(path, delays=np.zeros((2, 2)), labels=np.array([Payload()] * 2))
+        else:
+            path.write_bytes(pickle.dumps(Payload()))
+        with pytest.raises(DelayMatrixError, match="evil.npz is refused"):
+            load_npz(path)
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("content", [b"", b"PK\x03\x04 truncated", b"\x93NUMPY"])
+    def test_unreadable_file_raises(self, tmp_path, content):
+        path = tmp_path / "broken.npz"
+        path.write_bytes(content)
+        with pytest.raises(DelayMatrixError, match="broken.npz"):
             load_npz(path)
 
 

@@ -137,40 +137,11 @@ class TestTransformations:
             _simple_matrix().reordered([0, 1, 2])
 
     def test_fill_missing_median(self):
-        filled = _simple_matrix().with_filled_missing("median")
+        filled = _simple_matrix().with_filled_missing()
         assert filled.is_complete()
         assert filled.delay(1, 3) == pytest.approx(20.0)
-
-    def test_fill_missing_max(self):
-        filled = _simple_matrix().with_filled_missing("max")
-        assert filled.delay(1, 3) == pytest.approx(30.0)
-
-    def test_fill_missing_unknown_raises(self):
-        with pytest.raises(DelayMatrixError):
-            _simple_matrix().with_filled_missing("bogus")
 
     def test_fill_missing_noop_when_complete(self):
         complete = DelayMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert complete.with_filled_missing().is_complete()
 
-
-class TestNeighborQueries:
-    def test_nearest_neighbor(self):
-        assert _simple_matrix().nearest_neighbor(0) == 1
-
-    def test_nearest_neighbor_with_candidates(self):
-        assert _simple_matrix().nearest_neighbor(0, candidates=[2, 3]) == 2
-
-    def test_nearest_neighbor_skips_missing(self):
-        assert _simple_matrix().nearest_neighbor(1, candidates=[3, 2]) == 2
-
-    def test_nearest_neighbor_no_candidates_raises(self):
-        with pytest.raises(DelayMatrixError):
-            _simple_matrix().nearest_neighbor(0, candidates=[0])
-
-    def test_k_nearest(self):
-        assert _simple_matrix().k_nearest_neighbors(0, 2) == [1, 2]
-
-    def test_k_nearest_invalid_k(self):
-        with pytest.raises(DelayMatrixError):
-            _simple_matrix().k_nearest_neighbors(0, 0)

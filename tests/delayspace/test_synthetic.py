@@ -121,11 +121,6 @@ class TestClusteredDelaySpace:
         across = values[iu][~same[iu]]
         assert within.mean() < across.mean()
 
-    def test_missing_fraction_applied(self):
-        config = SyntheticSpaceConfig(n_nodes=40, missing_fraction=0.1)
-        matrix = clustered_delay_space(config, rng=6)
-        assert 0.05 < matrix.missing_fraction() < 0.2
-
     def test_higher_tiv_fraction_more_violations(self):
         low = clustered_delay_space(
             SyntheticSpaceConfig(n_nodes=60, tiv_edge_fraction=0.05), rng=7

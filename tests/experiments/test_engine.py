@@ -16,7 +16,6 @@ from repro.experiments.cache import ArtifactCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
 from repro.experiments.engine import (
-    ExperimentEngine,
     resolve_jobs,
     results_equal,
     run_experiments,
@@ -281,9 +280,13 @@ class TestResultsEqual:
 
 class TestEngineValidation:
     def test_unknown_only_rejected_before_running(self, tmp_path):
-        engine = ExperimentEngine(TINY, jobs=1, cache_dir=tmp_path / "artifacts")
         with pytest.raises(ExperimentError, match="unknown experiments"):
-            engine.run(only=["fig03", "not_a_figure"])
+            run_experiments(
+                TINY,
+                only=["fig03", "not_a_figure"],
+                jobs=1,
+                cache_dir=tmp_path / "artifacts",
+            )
         # Nothing ran: the cache directory was never populated.
         assert not list((tmp_path / "artifacts").rglob("*.npz"))
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.perf.bench import SCHEMA, run_benchmarks, write_report
+from repro.perf.bench import SCHEMA, run_benchmarks
 from repro.perf.kernels import (
     BenchmarkError,
     available_kernels,
@@ -13,6 +13,7 @@ from repro.perf.kernels import (
     kernel_families,
     resolve_kernel_names,
 )
+from repro.utils.io import write_json_report
 
 #: Small enough that every kernel runs in milliseconds.
 TINY = 24
@@ -152,7 +153,7 @@ class TestRunBenchmarks:
             kernels=["vivaldi_step_batched"], sizes=[TINY], repeats=1, warmup=0
         )
         path = tmp_path / "BENCH_perf.json"
-        write_report(report, str(path))
+        write_json_report(path, report.as_dict())
         loaded = json.loads(path.read_text())
         assert loaded["schema"] == SCHEMA
         assert loaded["kernels"] == [row.as_dict() for row in report.timings]

@@ -47,14 +47,6 @@ class TestDelayMatrixProperties:
         assert np.allclose(values, values.T, equal_nan=True)
         assert np.allclose(np.diag(values), 0.0)
 
-    @given(delay_matrices(), st.integers(min_value=0, max_value=11))
-    @settings(max_examples=30, deadline=None)
-    def test_nearest_neighbor_is_minimal(self, matrix, node):
-        node = node % matrix.n_nodes
-        nearest = matrix.nearest_neighbor(node)
-        delays = [matrix.delay(node, j) for j in range(matrix.n_nodes) if j != node]
-        assert matrix.delay(node, nearest) == pytest.approx(np.nanmin(delays))
-
     @given(delay_matrices())
     @settings(max_examples=20, deadline=None)
     def test_submatrix_preserves_delays(self, matrix):

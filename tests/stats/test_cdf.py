@@ -55,28 +55,12 @@ class TestECDFEvaluation:
         qs = cdf.quantile([0.1, 0.9])
         assert np.allclose(qs, [10, 90])
 
-    def test_fraction_above(self):
+    def test_fraction_at_most(self):
         cdf = ECDF([1, 2, 3, 4])
-        assert cdf.fraction_above(2) == pytest.approx(0.5)
         assert cdf.fraction_at_most(2) == pytest.approx(0.5)
 
 
 class TestECDFCurveAndDescribe:
-    def test_curve_is_monotone(self):
-        cdf = ECDF(np.random.default_rng(0).normal(size=200))
-        xs, ys = cdf.curve(points=50)
-        assert xs.size == 50
-        assert np.all(np.diff(ys) >= 0)
-        assert ys[-1] == pytest.approx(1.0)
-
-    def test_curve_degenerate_sample(self):
-        xs, ys = ECDF([2.0, 2.0]).curve()
-        assert np.all(ys == 1.0)
-
-    def test_curve_requires_two_points(self):
-        with pytest.raises(ValueError):
-            ECDF([1, 2]).curve(points=1)
-
     def test_describe_keys(self):
         info = ECDF([1, 2, 3]).describe()
         assert set(info) == {"count", "mean", "median", "p10", "p90", "min", "max"}

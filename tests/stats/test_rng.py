@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats.rng import ensure_rng, random_subset, spawn_rngs
+from repro.stats.rng import ensure_rng, spawn_rngs
 
 
 class TestEnsureRng:
@@ -50,21 +50,3 @@ class TestSpawnRngs:
     def test_zero_count(self):
         assert spawn_rngs(0, 0) == []
 
-
-class TestRandomSubset:
-    def test_size_and_uniqueness(self):
-        subset = random_subset(1, population=50, size=10)
-        assert subset.size == 10
-        assert len(set(subset.tolist())) == 10
-
-    def test_exclusion_respected(self):
-        subset = random_subset(2, population=10, size=5, exclude=[0, 1, 2])
-        assert not set(subset.tolist()) & {0, 1, 2}
-
-    def test_too_large_raises(self):
-        with pytest.raises(ValueError):
-            random_subset(3, population=5, size=6)
-
-    def test_exclusion_shrinks_pool(self):
-        with pytest.raises(ValueError):
-            random_subset(4, population=5, size=4, exclude=[0, 1])

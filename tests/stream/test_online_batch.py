@@ -131,14 +131,6 @@ class TestBatchEdgeCases:
             assert len(got) == len(nodes) - 1
             assert got == emb.closest(node, k=10 * len(nodes))
 
-    def test_string_ids_fall_back_to_the_scalar_path(self):
-        emb = OnlineVivaldi(rng=0)
-        for node in ("a", "b", "c", 4):
-            emb.join(node)
-        emb.observe("a", "b", 25.0, t=1.0)
-        batch = emb.closest_batch(["a", 4], k=2)
-        assert batch == [emb.closest("a", k=2), emb.closest(4, k=2)]
-
     def test_cache_invalidated_by_membership_changes(self):
         emb = churny_embedding(2, n=12)
         before = emb.closest_batch(emb.active_nodes(), k=2)

@@ -51,12 +51,6 @@ class TestBuildEmbedding:
         assert predicted.shape == (24, 24)
         assert np.isfinite(predicted[np.triu_indices(24, k=1)]).any()
 
-    def test_kernel_reaches_the_fit(self, matrix):
-        predictor = api.build_embedding(
-            matrix, system="vivaldi", kernel="reference", seconds=2
-        )
-        assert predictor.kernel == "reference"
-
     def test_unknown_system_rejected(self, matrix):
         for system in ("warp_drive", "gnp"):
             with pytest.raises(ConfigError, match="unknown embedding system"):

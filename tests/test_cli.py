@@ -1,7 +1,9 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import os
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -61,6 +63,32 @@ class TestGenerateAndAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--input", str(tmp_path / "nope.npz"))
         assert code == 1
         assert "error" in err
+
+    def test_generate_then_analyze_through_a_path_without_suffix(self, capsys, tmp_path):
+        target = tmp_path / "matrix"
+        code, out, _ = run_cli(
+            capsys, "generate", "p2psim_like", "-o", str(target), "--nodes", "30"
+        )
+        assert code == 0
+        assert f"to {target}" in out
+        assert target.exists() and not (tmp_path / "matrix.npz").exists()
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(target))
+        assert code == 0
+        assert json.loads(out)["n_nodes"] == 30
+
+    def test_analyze_refuses_a_pickled_member(self, capsys, tmp_path):
+        marker = tmp_path / "unpickled"
+
+        class Payload:
+            def __reduce__(self):
+                return os.mkdir, (str(marker),)
+
+        path = tmp_path / "evil.npz"
+        np.savez(path, delays=np.zeros((3, 3)), labels=np.array([Payload()] * 3))
+        code, _, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert code == 1
+        assert "evil.npz is refused: not a pickle-free .npz" in err
+        assert not marker.exists()
 
 
 class TestExperimentsCommands:
@@ -318,6 +346,18 @@ class TestStreamCommands:
         assert code == 0
         assert target.exists()
         return target, out
+
+    def test_make_trace_then_stream_through_a_path_without_suffix(self, capsys, tmp_path):
+        target = tmp_path / "trace"
+        code, out, _ = run_cli(
+            capsys, "make-trace", "-o", str(target), "--nodes", "16", "--duration", "10"
+        )
+        assert code == 0
+        assert f"to {target}" in out
+        assert target.exists() and not (tmp_path / "trace.npz").exists()
+        code, out, _ = run_cli(capsys, "stream", "--trace", str(target))
+        assert code == 0
+        assert json.loads(out)["totals"]["final_active_nodes"] == 16
 
     def test_make_trace_writes_and_summarises(self, capsys, tmp_path):
         target, out = self.make_trace(capsys, tmp_path)
@@ -627,3 +667,44 @@ class TestCachePruneCommand:
         )
         assert code == 0
         assert json.loads(out)["totals"]["all_cache_hits"]
+
+
+class TestOutputDirectories:
+    """Output paths in a directory that does not exist yet are created."""
+
+    def test_make_trace(self, capsys, tmp_path):
+        target = tmp_path / "new" / "dir" / "trace.npz"
+        code, _, _ = run_cli(
+            capsys, "make-trace", "-o", str(target), "--nodes", "16", "--duration", "10"
+        )
+        assert code == 0
+        assert target.exists()
+
+    def test_stream_checkpoint_and_wal(self, capsys, tmp_path):
+        trace = tmp_path / "trace.npz"
+        run_cli(capsys, "make-trace", "-o", str(trace), "--nodes", "16", "--duration", "10")
+        checkpoint = tmp_path / "ck" / "dir" / "ck.npz"
+        wal = tmp_path / "wal" / "dir" / "wal.jsonl"
+        code, _, _ = run_cli(
+            capsys, "stream", "--trace", str(trace),
+            "--checkpoint", str(checkpoint), "--wal", str(wal),
+        )
+        assert code == 0
+        assert checkpoint.exists() and wal.exists()
+
+    def test_bench_report(self, capsys, tmp_path):
+        target = tmp_path / "new" / "dir" / "BENCH_perf.json"
+        code, out, _ = run_cli(
+            capsys, "bench", "--sizes", "24", "--kernels", "vivaldi_step_batched",
+            "--repeats", "1", "--warmup", "0", "--report", str(target),
+        )
+        assert code == 0
+        assert json.loads(target.read_text()) == json.loads(out)
+
+    def test_report_output(self, capsys, tmp_path):
+        target = tmp_path / "new" / "dir" / "report.md"
+        code, _, _ = run_cli(
+            capsys, "report", "--nodes", "48", "--only", "fig09", "-o", str(target)
+        )
+        assert code == 0
+        assert "## fig09" in target.read_text()
