@@ -83,7 +83,7 @@ def build_embedding(
     system: str = "vivaldi",
     seconds: int = 100,
     seed: int = 0,
-    **kwargs,
+    config=None,
 ) -> "DelayPredictor":
     """Fit one coordinate system to ``matrix`` and return its predictor.
 
@@ -97,23 +97,26 @@ def build_embedding(
         Simulated convergence seconds (Vivaldi-based systems only).
     seed:
         Seed of the fit's random stream.
-    kwargs:
-        Forwarded to the underlying fit (e.g. ``config=...``).
+    config:
+        The fit's parameters, ``None`` for the defaults: a
+        :class:`~repro.coords.vivaldi.VivaldiConfig` for ``"vivaldi"`` and
+        for the Vivaldi embedding ``"lat"`` adjusts, an
+        :class:`~repro.coords.ides.IDESConfig` for ``"ides"``.
     """
     if system == "vivaldi":
         from repro.coords.vivaldi import embed_vivaldi
 
-        return embed_vivaldi(matrix, seconds=seconds, rng=seed, **kwargs)
+        return embed_vivaldi(matrix, config=config, seconds=seconds, rng=seed)
     if system == "ides":
         from repro.coords.ides import fit_ides
 
-        return fit_ides(matrix, rng=seed, **kwargs)
+        return fit_ides(matrix, config, rng=seed)
     if system == "lat":
         from repro.coords.lat import fit_lat
         from repro.coords.vivaldi import embed_vivaldi
 
-        base = embed_vivaldi(matrix, seconds=seconds, rng=seed + 1)
-        return fit_lat(base, rng=seed, **kwargs)
+        base = embed_vivaldi(matrix, config=config, seconds=seconds, rng=seed + 1)
+        return fit_lat(base, rng=seed)
     raise ConfigError(
         f"unknown embedding system {system!r}; expected one of "
         f"{', '.join(EMBEDDING_SYSTEMS)}"

@@ -22,8 +22,8 @@ event, converging to the offline metric on a static matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -177,28 +177,25 @@ def _edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-def _sorted_table(table: dict, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """An edge-keyed dict as ``(ids, values)`` arrays, rows sorted by id pair.
+#: Rows the edge table holds before it first grows (it doubles when full).
+_MIN_ROWS = 256
 
-    ``width`` is the length of each value tuple, or 0 for float values.
+#: The largest severity estimate the service holds.
+_MAX_FLOAT = sys.float_info.max
+
+
+def _empty_columns(capacity: int) -> tuple[np.ndarray, ...]:
+    """Edge-table columns of ``capacity`` rows: a, b, RTT, observed-at, severity.
+
+    Severity starts NaN, the mark of a row without an estimate.
     """
-    n = len(table)
-    ids = np.fromiter(chain.from_iterable(table), dtype=np.int64, count=2 * n)
-    ids = ids.reshape(n, 2)
-    if width:
-        values = np.fromiter(
-            chain.from_iterable(table.values()), dtype=float, count=width * n
-        ).reshape(n, width)
-    else:
-        values = np.fromiter(table.values(), dtype=float, count=n)
-    order = np.lexsort((ids[:, 1], ids[:, 0]))
-    return ids[order], values[order]
-
-
-def _id_pairs(ids) -> list[tuple[int, int]]:
-    """The rows of an E x 2 id array as ``(int, int)`` tuples."""
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1, 2)
-    return list(zip(ids[:, 0].tolist(), ids[:, 1].tolist()))
+    return (
+        np.empty(capacity, dtype=np.int64),
+        np.empty(capacity, dtype=np.int64),
+        np.empty(capacity),
+        np.empty(capacity),
+        np.full(capacity, math.nan),
+    )
 
 
 class StreamCoordinateService:
@@ -214,14 +211,21 @@ class StreamCoordinateService:
         rng = ensure_rng(rng)
         self._embedding = OnlineVivaldi(self._config.online, rng=rng)
         self._rng = rng
-        # Live measurement memory: last observed RTT (+ timestamp) per
-        # undirected edge, and per active node a map from each measured
-        # peer to that edge's RTT — the same float object the edge record
-        # holds, so the severity update reads witness RTTs without
-        # building edge keys.
-        self._edge_rtt: dict[tuple[int, int], tuple[float, float]] = {}
+        # Live measurement memory, the edge table: each remembered
+        # undirected edge (a, b), a < b, owns one row of five numpy
+        # columns (both ids, the last RTT, when it was observed, and the
+        # rolling severity, NaN until the edge's first witness sample).
+        # ``_row_of`` finds an edge's row; ``_free_rows`` stacks the rows
+        # that hold no edge, those leave() freed and those the table has
+        # not used yet.  Single values go through memoryviews of the
+        # columns (a numpy scalar store costs twice as much); checkpoints
+        # and batch reads gather whole columns.  Per active node,
+        # ``_peer_rtt`` maps each measured peer to that edge's RTT, so the
+        # severity update reads witness RTTs without building edge keys.
+        self._row_of: dict[tuple[int, int], int] = {}
+        self._set_columns(*_empty_columns(_MIN_ROWS))
+        self._free_rows = list(range(_MIN_ROWS - 1, -1, -1))
         self._peer_rtt: dict[int, dict[int, float]] = {}
-        self._severity: dict[tuple[int, int], float] = {}
         self._clock = 0.0
         self._events = 0
         self._dropped = 0
@@ -266,7 +270,7 @@ class StreamCoordinateService:
     @property
     def n_observed_edges(self) -> int:
         """Edges with a remembered RTT observation."""
-        return len(self._edge_rtt)
+        return len(self._row_of)
 
     @property
     def dropped_measurements(self) -> int:
@@ -315,7 +319,42 @@ class StreamCoordinateService:
 
     def observed_edges(self) -> list[tuple[int, int]]:
         """Undirected edges with a remembered RTT observation, sorted."""
-        return sorted(self._edge_rtt)
+        return sorted(self._row_of)
+
+    # -- the edge table ---------------------------------------------------------
+
+    def _set_columns(self, a, b, rtt, seen, severity) -> None:
+        self._a, self._b, self._rtt, self._seen, self._severity = a, b, rtt, seen, severity
+        self._a_cells, self._b_cells, self._rtt_cells, self._seen_cells = (
+            memoryview(a), memoryview(b), memoryview(rtt), memoryview(seen)
+        )
+        self._severity_cells = memoryview(severity)
+
+    def _grow_rows(self) -> int:
+        """Double the full edge table and return the first new row.
+
+        The other new rows go on the (empty) free stack, lowest on top.
+        """
+        used = self._a.size
+        columns = _empty_columns(2 * used)
+        for column, old in zip(
+            columns, (self._a, self._b, self._rtt, self._seen, self._severity)
+        ):
+            column[:used] = old
+        self._set_columns(*columns)
+        self._free_rows = list(range(2 * used - 1, used, -1))
+        return used
+
+    def _live_rows(self) -> np.ndarray:
+        """The rows that hold an edge, ordered by id pair."""
+        live = np.ones(self._a.size, dtype=bool)
+        live[self._free_rows] = False
+        rows = np.flatnonzero(live)
+        return rows[np.lexsort((self._b[rows], self._a[rows]))]
+
+    def _severity_at(self, row: int) -> float | None:
+        value = self._severity_cells[row]
+        return None if value != value else value
 
     # -- event ingestion ------------------------------------------------------
 
@@ -361,11 +400,12 @@ class StreamCoordinateService:
         if not self._embedding.is_active(node):
             raise StreamError(f"node {node} left while not active")
         self._embedding.leave(node)
-        peer_rtt, edge_rtt, severity = self._peer_rtt, self._edge_rtt, self._severity
+        peer_rtt, row_of, free = self._peer_rtt, self._row_of, self._free_rows
+        severity = self._severity_cells
         for peer in peer_rtt.pop(node, {}):
-            edge = (node, peer) if node <= peer else (peer, node)
-            edge_rtt.pop(edge, None)
-            severity.pop(edge, None)
+            row = row_of.pop((node, peer) if node <= peer else (peer, node))
+            severity[row] = math.nan  # the next edge in this row starts unestimated
+            free.append(row)
             peer_rtt[peer].pop(node, None)
 
     def observe(self, src: int, dst: int, rtt: float, t: float = 0.0) -> None:
@@ -406,11 +446,19 @@ class StreamCoordinateService:
             self._dropped += 1
             return
         rtt = float(rtt)
-        edge = _edge(src, dst)
-        self._edge_rtt[edge] = (rtt, float(t))
-        self._peer_rtt[src][dst] = rtt
-        self._peer_rtt[dst][src] = rtt
-        self._update_severity(src, dst, edge, rtt)
+        edge = (src, dst) if src <= dst else (dst, src)
+        row = self._row_of.get(edge)
+        if row is None:
+            free = self._free_rows
+            row = free.pop() if free else self._grow_rows()
+            self._row_of[edge] = row
+            self._a_cells[row], self._b_cells[row] = edge
+        self._rtt_cells[row] = rtt
+        self._seen_cells[row] = t
+        peer_rtt = self._peer_rtt
+        peer_rtt[src][dst] = rtt
+        peer_rtt[dst][src] = rtt
+        self._update_severity(src, dst, row, rtt)
 
     # -- the measurement defense ----------------------------------------------
 
@@ -491,10 +539,8 @@ class StreamCoordinateService:
             self._quarantined.discard(node)
             self._probation.pop(node, None)
 
-    def _update_severity(
-        self, src: int, dst: int, edge: tuple[int, int], rtt: float
-    ) -> None:
-        """Fold one witness sample into the edge's rolling severity.
+    def _update_severity(self, src: int, dst: int, row: int, rtt: float) -> None:
+        """Fold one witness sample into the rolling severity of the edge in ``row``.
 
         Witnesses are the common peers of ``src`` and ``dst`` (never the
         endpoints themselves: there are no self-edges), visited in sorted
@@ -520,12 +566,17 @@ class StreamCoordinateService:
             ratio = rtt / (near_src[witness] + near_dst[witness])
             total += ratio if ratio > 1.0 else 1.0
         sample = total / len(witnesses)
-        previous = self._severity.get(edge)
-        if previous is None:
-            self._severity[edge] = sample
+        severity = self._severity_cells
+        previous = severity[row]
+        if previous != previous:  # NaN: the edge's first sample
+            estimate = sample
         else:
             alpha = self._config.severity_alpha
-            self._severity[edge] = alpha * sample + (1 - alpha) * previous
+            estimate = alpha * sample + (1 - alpha) * previous
+        # A ratio past the float range (a 1e300 ms RTT over a 1e-300 ms
+        # detour) saturates instead of turning the estimate infinite,
+        # which from_state refuses.
+        severity[row] = estimate if estimate < _MAX_FLOAT else _MAX_FLOAT
 
     # -- live queries ---------------------------------------------------------
 
@@ -557,18 +608,26 @@ class StreamCoordinateService:
         query does.
         """
         keyed = [_edge(int(a), int(b)) for a, b in edges]
-        observed = []
+        row_of = self._row_of
+        rows = []
         for edge in keyed:
-            record = self._edge_rtt.get(edge)
-            if record is None:
+            row = row_of.get(edge)
+            if row is None:
                 raise StreamError(
                     f"no observed measurement for edge {edge}; cannot evaluate a TIV alert"
                 )
-            observed.append(record)
+            rows.append(row)
+        rows = np.array(rows, dtype=np.intp)
+        rtts = self._rtt[rows].tolist()
+        seen = self._seen[rows].tolist()
+        severities = self._severity[rows].tolist()
         predicted = self._embedding.distance_batch(keyed).tolist()
         threshold = self._config.alert_threshold
+        clock = self._clock
         verdicts = []
-        for edge, (rtt, observed_at), pred in zip(keyed, observed, predicted):
+        for edge, rtt, observed_at, severity, pred in zip(
+            keyed, rtts, seen, severities, predicted
+        ):
             ratio = pred / rtt if rtt > 0 else float("nan")
             verdicts.append(
                 {
@@ -577,8 +636,8 @@ class StreamCoordinateService:
                     "observed": rtt,
                     "ratio": ratio,
                     "alerted": bool(ratio < threshold),
-                    "severity_estimate": self._severity.get(edge),
-                    "observation_age": self._clock - observed_at,
+                    "severity_estimate": None if severity != severity else severity,
+                    "observation_age": clock - observed_at,
                 }
             )
         return verdicts
@@ -590,20 +649,37 @@ class StreamCoordinateService:
         drops the rest), so ``nan`` marks exactly the edges a
         :meth:`tiv_alert` query refuses.
         """
-        edge_rtt = self._edge_rtt
-        unobserved = (math.nan, 0.0)
-        return np.fromiter(
-            (edge_rtt.get(_edge(a, b), unobserved)[0] for a, b in edges), dtype=float
+        get = self._row_of.get
+        rows = np.fromiter(
+            (get((a, b) if a <= b else (b, a), -1) for a, b in edges), dtype=np.intp
         )
+        observed = self._rtt[rows]
+        observed[rows < 0] = math.nan
+        return observed
 
     def severity_estimate(self, a: int, b: int) -> float | None:
         """Rolling TIV-severity estimate of edge (a, b), if any evidence."""
-        return self._severity.get(_edge(a, b))
+        row = self._row_of.get(_edge(a, b))
+        return None if row is None else self._severity_at(row)
 
     def worst_edges(self, count: int = 10) -> list[tuple[tuple[int, int], float]]:
-        """The ``count`` edges with the highest rolling severity estimate."""
-        ranked = sorted(self._severity.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[: int(count)]
+        """The ``count`` edges with the highest rolling severity estimate.
+
+        Ties rank by id pair, ascending.
+        """
+        rows = self._live_rows()
+        severity = self._severity[rows]
+        estimated = ~np.isnan(severity)
+        rows, severity = rows[estimated], severity[estimated]
+        # The rows are in id-pair order, so a stable sort keeps it for ties.
+        top = np.argsort(-severity, kind="stable")[: int(count)]
+        rows = rows[top]
+        return [
+            ((a, b), value)
+            for a, b, value in zip(
+                self._a[rows].tolist(), self._b[rows].tolist(), severity[top].tolist()
+            )
+        ]
 
     def tiv_alert(self, a: int, b: int) -> dict:
         """TIV-alert query for edge (a, b) against the live state.
@@ -615,12 +691,12 @@ class StreamCoordinateService:
         supporting observation.
         """
         edge = _edge(a, b)
-        observed = self._edge_rtt.get(edge)
-        if observed is None:
+        row = self._row_of.get(edge)
+        if row is None:
             raise StreamError(
                 f"no observed measurement for edge {edge}; cannot evaluate a TIV alert"
             )
-        rtt, observed_at = observed
+        rtt, observed_at = self._rtt_cells[row], self._seen_cells[row]
         predicted = self._embedding.distance(a, b)
         ratio = predicted / rtt if rtt > 0 else float("nan")
         return {
@@ -629,7 +705,7 @@ class StreamCoordinateService:
             "observed": rtt,
             "ratio": ratio,
             "alerted": bool(ratio < self._config.alert_threshold),
-            "severity_estimate": self._severity.get(edge),
+            "severity_estimate": self._severity_at(row),
             "observation_age": self._clock - observed_at,
         }
 
@@ -657,24 +733,34 @@ class StreamCoordinateService:
         is four arrays with rows sorted by id pair, so equal states give
         equal arrays: ``edge_ids`` (E x 2 int64) with ``edge_obs`` (E x 2
         float64: the RTT and the time it was observed), and
-        ``severity_ids`` (S x 2 int64) with ``severity`` (S float64).
-        The per-node RTT maps are not stored: they are exactly the
-        adjacency of the edge table over the active nodes, which
-        :meth:`from_state` rebuilds.  Restoring via :meth:`from_state`
+        ``severity_ids`` (S x 2 int64) with ``severity`` (S float64), the
+        edges that hold an estimate.  They are gathered from the edge
+        table's columns: the rows that hold an edge, put in order by one
+        lexsort, with no per-edge Python work.  Row numbers and free rows
+        are not stored, and neither are the per-node RTT maps: those are
+        exactly the adjacency of the edge table over the active nodes,
+        which :meth:`from_state` rebuilds.  Restoring via :meth:`from_state`
         and continuing a replay is bit-identical to never having stopped
         — the guarantee :func:`repro.stream.durability.recover` and the
         recovery property tests pin.
         """
-        edge_ids, edge_obs = _sorted_table(self._edge_rtt, 2)
-        severity_ids, severity = _sorted_table(self._severity, 0)
+        rows = self._live_rows()
+        edge_ids = np.empty((rows.size, 2), dtype=np.int64)
+        edge_ids[:, 0] = self._a[rows]
+        edge_ids[:, 1] = self._b[rows]
+        edge_obs = np.empty((rows.size, 2))
+        edge_obs[:, 0] = self._rtt[rows]
+        edge_obs[:, 1] = self._seen[rows]
+        severity = self._severity[rows]
+        estimated = ~np.isnan(severity)
         return {
             "config": self._config.as_dict(),
             "embedding": self._embedding.state_dict(),
             "rng_state": self._rng.bit_generator.state,
             "edge_ids": edge_ids,
             "edge_obs": edge_obs,
-            "severity_ids": severity_ids,
-            "severity": severity,
+            "severity_ids": edge_ids[estimated],
+            "severity": severity[estimated],
             "clock": float(self._clock),
             "events": int(self._events),
             "dropped": int(self._dropped),
@@ -691,7 +777,15 @@ class StreamCoordinateService:
 
     @classmethod
     def from_state(cls, state: dict) -> "StreamCoordinateService":
-        """Rebuild a service whose behaviour bit-matches the captured one."""
+        """Rebuild a service whose behaviour bit-matches the captured one.
+
+        The checkpoint's edge arrays become rows 0..E-1 of the edge table,
+        in the order they come (a v1 file's rows are unsorted).  A
+        :class:`StreamError` naming the edge refuses an edge that is not
+        an ordered pair of distinct active nodes or comes twice, a
+        severity row whose edge is not in the edge table, and a
+        non-finite severity.
+        """
         config = StreamServiceConfig.from_dict(state["config"])
         rng = np.random.default_rng()
         rng.bit_generator.state = state["rng_state"]
@@ -699,27 +793,9 @@ class StreamCoordinateService:
         service._embedding = OnlineVivaldi.from_state(
             state["embedding"], config.online, rng=rng
         )
-        edges = _id_pairs(state["edge_ids"])
-        obs = np.asarray(state["edge_obs"], dtype=float).reshape(-1, 2)
-        rtts = obs[:, 0].tolist()
-        service._edge_rtt = dict(zip(edges, zip(rtts, obs[:, 1].tolist())))
-        service._severity = dict(
-            zip(
-                _id_pairs(state["severity_ids"]),
-                np.asarray(state["severity"], dtype=float).tolist(),
-            )
+        service._adopt_edges(
+            state["edge_ids"], state["edge_obs"], state["severity_ids"], state["severity"]
         )
-        peer_rtt: dict[int, dict[int, float]] = {
-            node: {} for node in service._embedding.active_nodes()
-        }
-        for (a, b), rtt in zip(edges, rtts):
-            if a >= b or a not in peer_rtt or b not in peer_rtt:
-                raise StreamError(
-                    f"edge ({a}, {b}) is not an ordered pair of distinct active nodes"
-                )
-            peer_rtt[a][b] = rtt
-            peer_rtt[b][a] = rtt
-        service._peer_rtt = peer_rtt
         service._clock = float(state["clock"])
         service._events = int(state["events"])
         service._dropped = int(state["dropped"])
@@ -738,3 +814,66 @@ class StreamCoordinateService:
         }
         service._ever_quarantined = {int(node) for node in state["ever_quarantined"]}
         return service
+
+    def _adopt_edges(self, edge_ids, edge_obs, severity_ids, severity) -> None:
+        """Make a checkpoint's edge arrays rows 0..E-1 of this empty edge table.
+
+        Derives the per-node RTT maps as the table's adjacency.  A stored
+        NaN or infinite severity is refused: NaN marks a row without an
+        estimate, so it could not be told from a missing one.
+        """
+        ids = np.asarray(edge_ids, dtype=np.int64).reshape(-1, 2)
+        obs = np.asarray(edge_obs, dtype=float).reshape(-1, 2)
+        n = len(ids)
+        if len(obs) != n:
+            raise StreamError(f"the edge table has {n} ids but {len(obs)} observations")
+        a, b = ids[:, 0], ids[:, 1]
+        active = self._embedding.active_nodes()
+        bad = (a >= b) | ~np.isin(a, active) | ~np.isin(b, active)
+        if bad.any():
+            i = int(bad.argmax())
+            raise StreamError(
+                f"edge ({a[i]}, {b[i]}) is not an ordered pair of distinct active nodes"
+            )
+        a_ids, b_ids = a.tolist(), b.tolist()
+        row_of = dict(zip(zip(a_ids, b_ids), range(n)))
+        if len(row_of) < n:
+            # The dict kept each edge's last row: the first row it did not
+            # keep is the first repeat.
+            row = next(row for row, edge in enumerate(zip(a_ids, b_ids)) if row_of[edge] != row)
+            raise StreamError(f"edge ({a_ids[row]}, {b_ids[row]}) is in the edge table twice")
+
+        estimated = np.asarray(severity_ids, dtype=np.int64).reshape(-1, 2)
+        values = np.asarray(severity, dtype=float).reshape(-1)
+        if len(values) != len(estimated):
+            raise StreamError(
+                f"the severity table has {len(estimated)} ids but {len(values)} values"
+            )
+        # zip hands map one reused tuple, so no per-edge tuple outlives
+        # its lookup (each would be work for the garbage collector).
+        sa, sb = estimated[:, 0].tolist(), estimated[:, 1].tolist()
+        rows = list(map(row_of.get, zip(sa, sb)))
+        if None in rows:
+            i = rows.index(None)
+            raise StreamError(
+                f"severity row of edge ({sa[i]}, {sb[i]}) is not in the edge table"
+            )
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise StreamError(f"severity {values[i]} of edge ({sa[i]}, {sb[i]}) is not finite")
+
+        capacity = max(n, _MIN_ROWS)
+        self._set_columns(*_empty_columns(capacity))
+        self._a[:n] = a
+        self._b[:n] = b
+        self._rtt[:n] = obs[:, 0]
+        self._seen[:n] = obs[:, 1]
+        self._severity[rows] = values
+        self._row_of = row_of
+        self._free_rows = list(range(capacity - 1, n - 1, -1))
+        peer_rtt: dict[int, dict[int, float]] = {node: {} for node in active}
+        for x, y, rtt in zip(a_ids, b_ids, obs[:, 0].tolist()):
+            peer_rtt[x][y] = rtt
+            peer_rtt[y][x] = rtt
+        self._peer_rtt = peer_rtt

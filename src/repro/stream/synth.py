@@ -19,6 +19,8 @@ returning nodes.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from repro.errors import StreamError
@@ -142,11 +144,18 @@ def synthesize_trace(
             picks = rng.integers(0, live.size - 1, size=live.size)
             picks += picks >= np.arange(live.size)
             targets = live[picks]
-            t_probe = float(second) + 0.5
-            for src, dst in zip(live, targets):
-                rtt = truth[src, dst]
-                if np.isfinite(rtt) and rtt > 0:
-                    events.append(MeasurementEvent(t_probe, int(src), int(dst), float(rtt)))
+            # One gather and one mask keep the usable probes, in probe order.
+            rtts = truth[live, targets]
+            usable = np.isfinite(rtts) & (rtts > 0)
+            events.extend(
+                map(
+                    MeasurementEvent,
+                    repeat(float(second) + 0.5),
+                    live[usable].tolist(),
+                    targets[usable].tolist(),
+                    rtts[usable].tolist(),
+                )
+            )
 
     meta = {
         "preset": preset,

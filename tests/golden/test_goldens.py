@@ -22,6 +22,7 @@ dynamics amplify last-ulp differences.
 """
 
 import dataclasses
+import json
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,11 @@ def snapshot_path(experiment_id: str, scenario: str) -> Path:
     return SNAPSHOT_DIR / f"{experiment_id}__{scenario}.json"
 
 
+def golden_config(scenario: str) -> dict:
+    """The ``config`` block ``--update-goldens`` writes for ``scenario``."""
+    return dataclasses.asdict(dataclasses.replace(GOLDEN_CONFIG, scenario=scenario))
+
+
 @pytest.fixture(scope="module")
 def scenario_contexts():
     """One shared context per scenario so figures reuse the artefacts."""
@@ -111,9 +117,7 @@ def test_golden_summary(experiment_id, scenario, rtol, scenario_contexts, update
                 experiment_id,
                 scenario,
                 summary,
-                config=dataclasses.asdict(
-                    dataclasses.replace(GOLDEN_CONFIG, scenario=scenario)
-                ),
+                config=golden_config(scenario),
             ),
         )
         return
@@ -182,7 +186,9 @@ class TestSnapshotHygiene:
         assert actual == expected
 
     def test_snapshots_carry_the_golden_config(self):
+        # The whole block, so a config field added or removed shows up
+        # here and a later --update-goldens diff stays purely numeric.
         for experiment_id, scenario, _ in CASES:
             golden = read_golden(snapshot_path(experiment_id, scenario))
-            assert golden["config"]["n_nodes"] == GOLDEN_CONFIG.n_nodes
-            assert golden["config"]["scenario"] == scenario
+            expected = json.loads(json.dumps(golden_config(scenario)))
+            assert golden["config"] == expected, (experiment_id, scenario)

@@ -105,16 +105,14 @@ def _write_v1_checkpoint(service, path):
     """Save ``service`` in the ``stream-checkpoint/v1`` layout.
 
     v1 kept the edge memory and the peer sets as JSON lists in dict
-    order and zlib-compressed every member.
+    order and zlib-compressed every member.  The rows are written in
+    reverse id-pair order here, so the loader cannot lean on v2's sort.
     """
     state = service.state_dict()
-    for key in EDGE_ARRAYS:
-        del state[key]
-    state["edge_rtt"] = [
-        [a, b, rtt, at] for (a, b), (rtt, at) in service._edge_rtt.items()
-    ]
+    edges, obs, severity_ids, severity = (state.pop(key).tolist() for key in EDGE_ARRAYS)
+    state["edge_rtt"] = [ids + row for ids, row in zip(edges, obs)][::-1]
     state["peers"] = {node: sorted(peers) for node, peers in service._peer_rtt.items()}
-    state["severity"] = [[a, b, value] for (a, b), value in service._severity.items()]
+    state["severity"] = [ids + [value] for ids, value in zip(severity_ids, severity)][::-1]
     embedding = dict(state["embedding"])
     arrays = {key: embedding.pop(key) for key in EMBEDDING_ARRAYS}
     state["embedding"] = embedding
@@ -187,6 +185,47 @@ class TestCheckpointFormat:
         state["edge_ids"] = np.array([[0, 999]], dtype=np.int64)
         state["edge_obs"] = np.array([[10.0, 0.0]])
         with pytest.raises(StreamError, match="active nodes"):
+            StreamCoordinateService.from_state(state)
+
+    def test_repeated_edge_refused(self):
+        state = _busy_service().state_dict()
+        a, b = state["edge_ids"][3].tolist()
+        state["edge_ids"] = np.concatenate([state["edge_ids"], state["edge_ids"][3:4]])
+        state["edge_obs"] = np.concatenate([state["edge_obs"], state["edge_obs"][3:4]])
+        with pytest.raises(StreamError, match=rf"edge \({a}, {b}\) is in the edge table twice"):
+            StreamCoordinateService.from_state(state)
+
+    def test_severity_of_an_unremembered_edge_refused(self):
+        # Both endpoints are active, but the pair has no row in the edge
+        # table: its estimate would have no RTT to belong to.
+        service = _busy_service()
+        state = service.state_dict()
+        remembered = set(map(tuple, state["edge_ids"].tolist()))
+        active = service.active_nodes()
+        a, b = next(
+            (x, y) for x in active for y in active if x < y and (x, y) not in remembered
+        )
+        state["severity_ids"] = np.concatenate(
+            [state["severity_ids"], np.array([[a, b]], dtype=np.int64)]
+        )
+        state["severity"] = np.append(state["severity"], 1.5)
+        with pytest.raises(
+            StreamError, match=rf"severity row of edge \({a}, {b}\) is not in the edge table"
+        ):
+            StreamCoordinateService.from_state(state)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_severity_refused(self, value):
+        # NaN marks a row without an estimate, so a stored NaN (or an
+        # infinity) cannot be told apart from a missing one: refuse it.
+        state = _busy_service().state_dict()
+        assert len(state["severity"]) > 5
+        a, b = state["severity_ids"][5].tolist()
+        state["severity"] = state["severity"].copy()
+        state["severity"][5] = value
+        with pytest.raises(
+            StreamError, match=rf"severity {value} of edge \({a}, {b}\) is not finite"
+        ):
             StreamCoordinateService.from_state(state)
 
 

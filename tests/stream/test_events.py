@@ -16,6 +16,8 @@ from repro.stream import (
     synthesize_trace,
 )
 from repro.stream.events import TRACE_SCHEMA
+from repro.stream.faults import FaultSpec, apply_faults
+from repro.stream.synth import _resolve_scenario, _trace_rng
 
 
 def tiny_truth(n=4, seed=0):
@@ -157,6 +159,112 @@ class TestSynthesis:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(StreamError):
             synthesize_trace(**kwargs)
+
+
+def _probe_loop_trace(*, preset="ds2_like", n_nodes=64, seed=0, scenario=None,
+                      duration=60.0, rate=1, churn=0.0, faults=None):
+    """``synthesize_trace`` one probe at a time, the reference for its array form.
+
+    The same RNG draws in the same order; each probe's RTT is read as a
+    numpy scalar, tested, and converted on its own.
+    """
+    from repro.scenarios.generators import load_scenario_dataset
+
+    resolved = _resolve_scenario(scenario)
+    matrix, _ = load_scenario_dataset(resolved, preset, int(n_nodes), int(seed))
+    truth = matrix.to_array()
+    n = truth.shape[0]
+    rng = _trace_rng(seed)
+    churn_plan = {}
+    n_churned = int(round(churn * n))
+    if n_churned:
+        churned = rng.choice(n, size=n_churned, replace=False)
+        t_leave = duration * rng.uniform(0.2, 0.6, size=n_churned)
+        downtime = duration * rng.uniform(0.1, 0.3, size=n_churned)
+        t_rejoin = np.minimum(t_leave + downtime, duration * 0.95)
+        for node, leave_at, rejoin_at in zip(churned, t_leave, t_rejoin):
+            churn_plan[int(node)] = (float(leave_at), float(rejoin_at))
+    events = [NodeJoin(0.0, node) for node in range(n)]
+    active = np.ones(n, dtype=bool)
+    schedule = sorted(
+        [(t_leave, "leave", node) for node, (t_leave, _) in churn_plan.items()]
+        + [(t_rejoin, "join", node) for node, (_, t_rejoin) in churn_plan.items()]
+    )
+    index = 0
+    for second in range(int(np.ceil(duration))):
+        while index < len(schedule) and schedule[index][0] < second + 1:
+            _, kind, node = schedule[index]
+            index += 1
+            if kind == "leave":
+                events.append(NodeLeave(float(second), node))
+                active[node] = False
+            else:
+                events.append(NodeJoin(float(second), node))
+                active[node] = True
+        live = np.flatnonzero(active)
+        if live.size < 2:
+            continue
+        for _ in range(int(rate)):
+            picks = rng.integers(0, live.size - 1, size=live.size)
+            picks += picks >= np.arange(live.size)
+            targets = live[picks]
+            t_probe = float(second) + 0.5
+            for src, dst in zip(live, targets):
+                rtt = truth[src, dst]
+                if np.isfinite(rtt) and rtt > 0:
+                    events.append(MeasurementEvent(t_probe, int(src), int(dst), float(rtt)))
+    meta = {
+        "preset": preset,
+        "scenario": resolved.name if resolved is not None else None,
+        "n_nodes": int(n),
+        "seed": int(seed),
+        "duration": float(duration),
+        "rate": int(rate),
+        "churn": float(churn),
+    }
+    trace = Trace(events=tuple(events), ground_truth=truth, meta=meta)
+    return apply_faults(trace, faults) if faults is not None else trace
+
+
+def _typed(events):
+    return [
+        (type(event).__name__, *((name, type(value), value) for name, value in vars(event).items()))
+        for event in events
+    ]
+
+
+class TestSynthesisMatchesTheProbeLoop:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_nodes=40, seed=3, duration=30.0, churn=0.3),
+            dict(n_nodes=32, seed=5, duration=20.0, churn=0.2, scenario="noisy_sparse"),
+            dict(n_nodes=24, seed=1, duration=15.0, rate=2, churn=0.25),
+            dict(n_nodes=30, seed=7, duration=20.0, churn=0.2,
+                 faults=FaultSpec.parse("liars=0.1,spikes=0.05,dupes=0.05,flaps=3,seed=7")),
+            dict(n_nodes=30, seed=9, duration=20.0,
+                 faults=FaultSpec.parse("skew=0.05,seed=9")),
+        ],
+        ids=["churn", "dropout", "rate2", "faults", "skew"],
+    )
+    def test_events_truth_and_meta_equal_the_loop(self, kwargs):
+        got = synthesize_trace(**kwargs)
+        want = _probe_loop_trace(**kwargs)
+        assert _typed(got.events) == _typed(want.events)
+        assert np.array_equal(got.ground_truth, want.ground_truth, equal_nan=True)
+        assert got.ground_truth.dtype == want.ground_truth.dtype
+        assert got.meta == want.meta
+        assert got.ordered == want.ordered
+
+    def test_dropout_trace_skips_unusable_probes(self):
+        # The mask must drop probes along edges the scenario left unmeasured.
+        kwargs = dict(n_nodes=32, seed=5, duration=20.0, scenario="noisy_sparse")
+        trace = synthesize_trace(**kwargs)
+        truth = trace.ground_truth
+        assert (~np.isfinite(truth[np.triu_indices(32, k=1)])).any()
+        assert trace.counts()["measurements"] < 32 * 20
+        assert all(np.isfinite(e.rtt) and e.rtt > 0 for e in trace.events
+                   if isinstance(e, MeasurementEvent))
 
 
 class TestDamagedTraceFiles:

@@ -1,5 +1,8 @@
 """Unit tests for the live streaming coordinate service."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,26 @@ class TestSeverity:
         worst = service.worst_edges(2)
         assert worst[0][0] == (0, 2)
         assert worst[0][1] > worst[1][1]
+
+    def test_overflowing_ratio_saturates_and_still_checkpoints(self, tmp_path):
+        # 1e300 ms over a 2e-300 ms detour overflows the ratio; the
+        # estimate saturates at the largest float, which a checkpoint keeps.
+        from repro.stream import load_checkpoint, save_checkpoint
+
+        service = StreamCoordinateService(
+            StreamServiceConfig(severity_alpha=1.0), rng=0
+        )
+        for node in (0, 1, 2):
+            service.join(node)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in (1.0, 2.0):
+                service.observe(0, 1, 1e-300, t=t)
+                service.observe(1, 2, 1e-300, t=t)
+                service.observe(0, 2, 1e300, t=t)
+        assert service.severity_estimate(0, 2) == sys.float_info.max
+        path = tmp_path / "ck.npz"
+        save_checkpoint(service, path)
+        assert state_fingerprint(load_checkpoint(path)) == state_fingerprint(service)
 
     def test_no_estimate_without_witnesses(self):
         service = StreamCoordinateService(rng=0)
@@ -322,16 +345,20 @@ class TestQueries:
 
 
 class EdgeTableSeverity(StreamCoordinateService):
-    """The severity update read straight off the tuple-keyed edge table.
+    """The severity update read straight off the row table.
 
-    Common peers are recomputed from ``_edge_rtt`` on every sample and
-    each witness RTT is looked up by edge key, so nothing here reads the
-    per-node RTT maps the service keeps for the same purpose.
+    Common peers are recomputed on every sample from the id columns of
+    the rows that hold an edge, and each witness RTT is read from the RTT
+    column at its edge's row, so nothing here reads the per-node RTT maps
+    the service keeps for the same purpose.
     """
 
-    def _update_severity(self, src, dst, edge, rtt):
+    def _update_severity(self, src, dst, row, rtt):
+        rows = self._live_rows()
+        a, b = self._a[rows].tolist(), self._b[rows].tolist()
+
         def peers_of(node):
-            return {b if a == node else a for a, b in self._edge_rtt if node in (a, b)}
+            return {y if x == node else x for x, y in zip(a, b) if node in (x, y)}
 
         witnesses = sorted(peers_of(src) & peers_of(dst))
         if not witnesses:
@@ -340,22 +367,22 @@ class EdgeTableSeverity(StreamCoordinateService):
         if len(witnesses) > k:
             chosen = self._rng.choice(len(witnesses), size=k, replace=False)
             witnesses = [witnesses[index] for index in chosen]
-        edge_rtt = self._edge_rtt
+
+        def rtt_of(x, y):
+            return float(self._rtt[self._row_of[(x, y) if x <= y else (y, x)]])
+
         total = 0.0
         for witness in witnesses:
-            detour = (
-                edge_rtt[(src, witness) if src <= witness else (witness, src)][0]
-                + edge_rtt[(witness, dst) if witness <= dst else (dst, witness)][0]
-            )
-            ratio = rtt / detour
+            ratio = rtt / (rtt_of(src, witness) + rtt_of(witness, dst))
             total += ratio if ratio > 1.0 else 1.0
         sample = total / len(witnesses)
-        previous = self._severity.get(edge)
-        if previous is None:
-            self._severity[edge] = sample
+        previous = float(self._severity[row])
+        if math.isnan(previous):
+            estimate = sample
         else:
             alpha = self._config.severity_alpha
-            self._severity[edge] = alpha * sample + (1 - alpha) * previous
+            estimate = alpha * sample + (1 - alpha) * previous
+        self._severity[row] = min(estimate, sys.float_info.max)
 
 
 class TestSeverityOracle:

@@ -2,12 +2,16 @@
 
 The model holds what the service promises through its public surface:
 the active nodes, the remembered RTT (and observation time) of every
-measured edge, the event count, the dropped-measurement count and the
-clock.  Node ids come from 0-300, about half of them multiples of 8, so
-the service's small per-node peer sets collide in their hash tables and
-their iteration order depends on insertion history.  Every run starts
-from 8-16 nodes and two probe rounds, dense enough that edges have
-several common witnesses.
+measured edge, which edges hold a severity estimate, the event count,
+the dropped-measurement count and the clock.  An edge gains an estimate
+when a usable observation of it finds a common witness (a peer measured
+by both endpoints) and loses it when either endpoint leaves, so a row
+of the service's edge table that a later edge reuses must never carry
+the old edge's estimate.  Node ids come from 0-300, about half of them
+multiples of 8, so the service's small per-node peer sets collide in
+their hash tables and their iteration order depends on insertion
+history.  Every run starts from 8-16 nodes and two probe rounds, dense
+enough that edges have several common witnesses.
 
 Three kinds of copy must stay bit-identical to the live service: a copy
 restored from ``state_dict`` at the start of every probe round, a
@@ -84,6 +88,7 @@ class StreamServiceMachine(RuleBasedStateMachine):
         self.twin = None
         self.active: set[int] = set()
         self.edges: dict[tuple[int, int], tuple[float, float]] = {}
+        self.estimated: set[tuple[int, int]] = set()
         self.events = 0
         self.dropped = 0
         self.clock = 0.0
@@ -91,6 +96,9 @@ class StreamServiceMachine(RuleBasedStateMachine):
     def teardown(self):
         self.wal.close()
         shutil.rmtree(self.workdir, ignore_errors=True)
+
+    def _peers(self, node) -> set[int]:
+        return {b if a == node else a for a, b in self.edges if node in (a, b)}
 
     def _copies(self, extra):
         return [c for c in (self.service, self.twin, extra) if c is not None]
@@ -139,6 +147,7 @@ class StreamServiceMachine(RuleBasedStateMachine):
         self._apply(NodeLeave(self.clock + dt, node))
         self.active.discard(node)
         self.edges = {edge: obs for edge, obs in self.edges.items() if node not in edge}
+        self.estimated = {edge for edge in self.estimated if node not in edge}
 
     # -- measurements ----------------------------------------------------------
 
@@ -164,7 +173,10 @@ class StreamServiceMachine(RuleBasedStateMachine):
                 continue
             self._apply(event, extra=restored)
             if math.isfinite(rtt) and rtt > 0:
-                self.edges[(min(src, dst), max(src, dst))] = (rtt, event.t)
+                edge = (min(src, dst), max(src, dst))
+                self.edges[edge] = (rtt, event.t)
+                if self._peers(src) & self._peers(dst):
+                    self.estimated.add(edge)
             else:
                 self.dropped += 1
         assert state_fingerprint(restored) == state_fingerprint(self.service)
@@ -232,6 +244,12 @@ class StreamServiceMachine(RuleBasedStateMachine):
         assert [tuple(row) for row in state["edge_obs"].tolist()] == [
             self.edges[edge] for edge in edges
         ]
+        assert [tuple(row) for row in state["severity_ids"].tolist()] == sorted(
+            self.estimated
+        )
+        for edge in edges:
+            estimate = service.severity_estimate(*edge)
+            assert (estimate is None) == (edge not in self.estimated), edge
 
     @invariant()
     def twin_matches_the_live_service(self):

@@ -51,6 +51,29 @@ class TestBuildEmbedding:
         assert predicted.shape == (24, 24)
         assert np.isfinite(predicted[np.triu_indices(24, k=1)]).any()
 
+    @pytest.mark.parametrize("system", api.EMBEDDING_SYSTEMS)
+    def test_config_is_the_only_extra_keyword(self, matrix, system):
+        # No keyword reaches the underlying fit unnamed: the retired
+        # kernel= switch and any misspelling fail alike for every system.
+        for keyword in ({"kernel": "reference"}, {"configs": None}):
+            with pytest.raises(TypeError):
+                api.build_embedding(matrix, system=system, seconds=3, **keyword)
+
+    @pytest.mark.parametrize("system", api.EMBEDDING_SYSTEMS)
+    def test_config_reaches_the_fit(self, matrix, system):
+        # LAT's config is the one of the Vivaldi embedding it adjusts.
+        from repro.coords.ides import IDESConfig
+        from repro.coords.vivaldi import VivaldiConfig
+
+        if system == "ides":
+            predictor = api.build_embedding(matrix, system=system, config=IDESConfig(dimension=3))
+            assert predictor.dimension == 3
+        else:
+            predictor = api.build_embedding(
+                matrix, system=system, seconds=3, config=VivaldiConfig(dimension=3)
+            )
+            assert predictor.coordinates.shape == (24, 3)
+
     def test_unknown_system_rejected(self, matrix):
         for system in ("warp_drive", "gnp"):
             with pytest.raises(ConfigError, match="unknown embedding system"):
