@@ -99,9 +99,9 @@ def build_embedding(
         Seed of the fit's random stream.
     config:
         The fit's parameters, ``None`` for the defaults: a
-        :class:`~repro.coords.vivaldi.VivaldiConfig` for ``"vivaldi"`` and
-        for the Vivaldi embedding ``"lat"`` adjusts, an
-        :class:`~repro.coords.ides.IDESConfig` for ``"ides"``.
+        :class:`~repro.coords.vivaldi.VivaldiConfig` for ``"vivaldi"``, an
+        :class:`~repro.coords.ides.IDESConfig` for ``"ides"``.  ``"lat"``
+        takes none (``TypeError``).
     """
     if system == "vivaldi":
         from repro.coords.vivaldi import embed_vivaldi
@@ -115,7 +115,9 @@ def build_embedding(
         from repro.coords.lat import fit_lat
         from repro.coords.vivaldi import embed_vivaldi
 
-        base = embed_vivaldi(matrix, config=config, seconds=seconds, rng=seed + 1)
+        if config is not None:
+            raise TypeError("build_embedding(system='lat') takes no config")
+        base = embed_vivaldi(matrix, seconds=seconds, rng=seed + 1)
         return fit_lat(base, rng=seed)
     raise ConfigError(
         f"unknown embedding system {system!r}; expected one of "

@@ -415,9 +415,18 @@ class StreamCoordinateService:
         quarantine check and the adaptive residual gate; a rejected
         measurement still advances the clock and the event counter (so
         WAL replay stays aligned) but never touches the embedding or the
-        edge memory.  A self-measurement (``src == dst``) is refused before
-        it touches any state.
+        edge memory.  A self-measurement (``src == dst``) and a node id
+        that is not an integer, as :meth:`join` requires, are refused
+        before they touch any state.
         """
+        if type(src) is not int or type(dst) is not int:
+            # numpy integers pass; 3.0 or True would match node 3 or 1 by
+            # equality but cannot be written to the edge table's id columns.
+            for node in (src, dst):
+                if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
+                    raise StreamError(
+                        f"measurement {src!r}->{dst!r}: node id {node!r} is not an integer"
+                    )
         if src == dst:
             raise StreamError(f"measurement {src}->{dst} is a self-measurement")
         defense = self._config.defense
@@ -814,6 +823,13 @@ class StreamCoordinateService:
         }
         service._ever_quarantined = {int(node) for node in state["ever_quarantined"]}
         return service
+
+    def __reduce__(self):
+        # copy.copy, copy.deepcopy and pickle go through the checkpoint
+        # state: the memoryviews over the edge-table columns cannot be
+        # copied, and from_state rebuilds a service that continues
+        # bit-identically.
+        return (type(self).from_state, (self.state_dict(),))
 
     def _adopt_edges(self, edge_ids, edge_obs, severity_ids, severity) -> None:
         """Make a checkpoint's edge arrays rows 0..E-1 of this empty edge table.

@@ -1,7 +1,9 @@
 """Checkpoint + WAL durability: round-trips, corruption, bit-identical recovery."""
 
+import copy
 import json
 import math
+import pickle
 import re
 import zipfile
 
@@ -230,6 +232,26 @@ class TestCheckpointFormat:
 
 
 class TestRestoredServiceMatchesLive:
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda service: pickle.loads(pickle.dumps(service))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_continue_identically(self, clone):
+        trace = synthesize_trace(n_nodes=16, seed=2, duration=30.0, churn=0.2)
+        service = StreamCoordinateService(config=DEFENDED, rng=4)
+        for event in trace.events[:200]:
+            service.apply(event)
+        copied = clone(service)
+        assert type(copied) is StreamCoordinateService
+        assert state_fingerprint(copied) == state_fingerprint(service)
+        for event in trace.events[200:260]:
+            service.apply(event)
+        assert state_fingerprint(copied) != state_fingerprint(service)
+        for event in trace.events[200:260]:
+            copied.apply(event)
+        assert state_fingerprint(copied) == state_fingerprint(service)
+
     def test_witness_order_does_not_depend_on_set_history(self, tmp_path):
         """Regression: severity summed witnesses in set iteration order.
 

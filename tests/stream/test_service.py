@@ -90,6 +90,22 @@ class TestEventHandling:
         service.leave(2, t=2.0)
         assert service.active_nodes() == [1]
 
+    @pytest.mark.parametrize("src, dst", [(3.0, 5), (3, np.float64(5)), (True, 5)])
+    def test_non_integer_id_rejected_without_touching_state(self, src, dst):
+        # 3.0 and True equal active ids 3 and 1; refused all the same,
+        # since the edge table's id columns hold integers only.
+        service = StreamCoordinateService(rng=0)
+        for node in (1, 3, 5, 7):
+            service.join(node)
+        service.observe(1, 5, 10.0, t=1.0)
+        service.observe(3, 7, 12.0, t=1.0)
+        before = state_fingerprint(service)
+        with pytest.raises(StreamError, match="is not an integer"):
+            service.observe(src, dst, 20.0, t=2.0)
+        assert state_fingerprint(service) == before
+        service.observe(np.int64(3), 5, 20.0, t=2.0)
+        assert service.observed_edges() == [(1, 5), (3, 5), (3, 7)]
+
 
 class TestEdgeMemory:
     def test_observation_is_remembered(self):

@@ -59,9 +59,8 @@ class TestBuildEmbedding:
             with pytest.raises(TypeError):
                 api.build_embedding(matrix, system=system, seconds=3, **keyword)
 
-    @pytest.mark.parametrize("system", api.EMBEDDING_SYSTEMS)
+    @pytest.mark.parametrize("system", ["vivaldi", "ides"])
     def test_config_reaches_the_fit(self, matrix, system):
-        # LAT's config is the one of the Vivaldi embedding it adjusts.
         from repro.coords.ides import IDESConfig
         from repro.coords.vivaldi import VivaldiConfig
 
@@ -73,6 +72,12 @@ class TestBuildEmbedding:
                 matrix, system=system, seconds=3, config=VivaldiConfig(dimension=3)
             )
             assert predictor.coordinates.shape == (24, 3)
+
+    def test_lat_takes_no_config(self, matrix):
+        from repro.coords.vivaldi import VivaldiConfig
+
+        with pytest.raises(TypeError, match="takes no config"):
+            api.build_embedding(matrix, system="lat", seconds=3, config=VivaldiConfig())
 
     def test_unknown_system_rejected(self, matrix):
         for system in ("warp_drive", "gnp"):
