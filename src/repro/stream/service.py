@@ -420,8 +420,8 @@ class StreamCoordinateService:
         before they touch any state.
         """
         if type(src) is not int or type(dst) is not int:
-            # numpy integers pass; 3.0 or True would match node 3 or 1 by
-            # equality but cannot be written to the edge table's id columns.
+            # numpy integers pass, as in join().  A float such as 3.0 finds
+            # node 3 by equality but cannot be written to an id column.
             for node in (src, dst):
                 if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
                     raise StreamError(
