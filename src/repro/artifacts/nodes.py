@@ -2,14 +2,15 @@
 
 Every expensive intermediate of the experiment harness — a synthetic delay
 matrix, its TIV severities, all-pairs shortest paths, each embedding, the
-TIV alert, the strawman embeddings — is registered here as an
-:class:`ArtifactNode`: a declaration of the artifact's cache kind, its
-dependencies on other artifacts, the parameters that content-address it,
-and the functions that compute, persist and restore it.
+TIV alert, the strawman embeddings, the simulation runs of Figs. 11, 13 and
+22–23 — is registered here as an :class:`ArtifactNode`: a declaration of
+the artifact's cache kind, its dependencies on other artifacts, the
+parameters that content-address it, and the functions that compute,
+persist and restore it.
 
 The declarations are the single source of truth for the dependency
 structure (dataset → severity/clusters/shortest paths, dataset →
-vivaldi/ides, vivaldi → lat/alert):
+vivaldi/ides/oscillation/misplacement/dynamic, vivaldi → lat/alert):
 
 * :class:`~repro.experiments.context.ExperimentContext` materialises
   artifacts by looking nodes up here (it carries no per-kind plumbing);
@@ -39,6 +40,14 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from repro.errors import ExperimentError
+
+#: One-second steps fig11 tracks once its embedding has warmed up.
+OSCILLATION_STEPS = 200
+#: fig13's Meridian acceptance thresholds, and the (Ni, Nj) pairs it samples.
+MISPLACEMENT_BETAS = (0.1, 0.5, 0.9)
+MISPLACEMENT_PAIRS = 40_000
+#: Refinement periods of fig22_23's dynamic-neighbour run, after the first one.
+DYNAMIC_ITERATIONS = 5
 
 #: Values the kernel parameters of live addresses may take.  Every
 #: experiment run uses the batched kernels, so entries carrying any other
@@ -173,6 +182,13 @@ def _lat_params(ctx, instance) -> dict:
     streams."""
     params = _embedding_params(ctx, instance)
     params["coords_kernel"] = "batched"
+    return params
+
+
+def _warmup_params(ctx, instance) -> dict:
+    """Dataset address plus the warm-up length (fig11's and fig22_23's runs)."""
+    params = _main_dataset_params(ctx, instance)
+    params["vivaldi_seconds"] = ctx.config.vivaldi_seconds
     return params
 
 
@@ -370,6 +386,97 @@ def _payload_lat(value):
     return {"coordinates": value.coordinates, "adjustments": value.adjustments}, {}
 
 
+def _compute_oscillation(ctx, instance):
+    from repro.coords.simulation import VivaldiSimulation
+    from repro.coords.vivaldi import VivaldiConfig
+
+    sim = VivaldiSimulation(ctx.matrix, VivaldiConfig(), rng=ctx.config.seed + 3)
+    # Let the embedding reach steady state before measuring oscillation.
+    sim.system.run(ctx.config.vivaldi_seconds)
+    return sim.run(OSCILLATION_STEPS, track_oscillation=True, track_movement=True)
+
+
+#: The trace fields fig11's run fills (it tracks no single edge's error).
+_TRACE_ARRAYS = ("times", "oscillation_range", "edge_delays", "movement_speeds")
+
+
+def _restore_oscillation(ctx, instance, entry):
+    from repro.coords.simulation import EmbeddingTrace
+
+    return EmbeddingTrace(edge_errors={}, **{name: entry.arrays[name] for name in _TRACE_ARRAYS})
+
+
+def _payload_oscillation(value):
+    return {name: getattr(value, name) for name in _TRACE_ARRAYS}, {}
+
+
+def _compute_misplacement(ctx, instance):
+    from repro.meridian.analysis import pair_misplacement
+
+    fractions = {}
+    for beta in MISPLACEMENT_BETAS:
+        # One seed draws the same pairs for every beta, so one delay
+        # column serves them all.
+        delays, fractions[beta] = pair_misplacement(
+            ctx.matrix, beta=beta, max_pairs=MISPLACEMENT_PAIRS, rng=ctx.config.seed
+        )
+    return delays, fractions
+
+
+def _restore_misplacement(ctx, instance, entry):
+    return (
+        entry.arrays["delays"],
+        dict(zip(entry.meta["betas"], entry.arrays["fractions"])),
+    )
+
+
+def _payload_misplacement(value):
+    delays, fractions = value
+    return (
+        {"delays": delays, "fractions": np.stack(list(fractions.values()))},
+        {"betas": list(fractions)},
+    )
+
+
+def _compute_dynamic(ctx, instance):
+    from repro.core.dynamic_vivaldi import DynamicNeighborVivaldi, DynamicVivaldiConfig
+
+    dynamic = DynamicNeighborVivaldi(
+        ctx.matrix,
+        DynamicVivaldiConfig(period=ctx.config.vivaldi_seconds),
+        rng=ctx.config.seed + 8,
+    )
+    return dynamic.run(DYNAMIC_ITERATIONS)
+
+
+def _restore_dynamic(ctx, instance, entry):
+    from repro.coords.vivaldi import pairwise_distances
+    from repro.core.dynamic_vivaldi import DynamicVivaldiIteration
+
+    # Each snapshot's predicted matrix is a function of its coordinates.
+    return [
+        DynamicVivaldiIteration(
+            iteration=index,
+            neighbor_lists=neighbors.tolist(),
+            coordinates=coordinates,
+            predicted=pairwise_distances(coordinates),
+        )
+        for index, (neighbors, coordinates) in enumerate(
+            zip(entry.arrays["neighbors"], entry.arrays["coordinates"])
+        )
+    ]
+
+
+def _payload_dynamic(value):
+    return (
+        {
+            "neighbors": np.array([snapshot.neighbor_lists for snapshot in value]),
+            "coordinates": np.stack([snapshot.coordinates for snapshot in value]),
+        },
+        {},
+    )
+
+
 # -- the registry -------------------------------------------------------------
 
 
@@ -495,30 +602,56 @@ for _node in (
         payload=_payload_lat,
         era_params={"kernel": KNOWN_KERNELS, "coords_kernel": KNOWN_KERNELS},
     ),
+    ArtifactNode(
+        name="oscillation",
+        kind="oscillation",
+        deps=_main_dataset_dep,
+        params=_warmup_params,
+        compute=_compute_oscillation,
+        restore=_restore_oscillation,
+        payload=_payload_oscillation,
+    ),
+    ArtifactNode(
+        name="misplacement",
+        kind="misplacement",
+        deps=_main_dataset_dep,
+        params=_main_dataset_params,
+        compute=_compute_misplacement,
+        restore=_restore_misplacement,
+        payload=_payload_misplacement,
+    ),
+    ArtifactNode(
+        name="dynamic",
+        kind="dynamic",
+        deps=_main_dataset_dep,
+        params=_warmup_params,
+        compute=_compute_dynamic,
+        restore=_restore_dynamic,
+        payload=_payload_dynamic,
+    ),
 ):
     register_node(_node)
 
 
 # -- figure requirements ------------------------------------------------------
 
+#: Tokens that name a node bound to the main dataset, instance ``()``.
+_SINGLETONS = (
+    "clusters",
+    "shortest",
+    "vivaldi",
+    "alert",
+    "ides",
+    "lat",
+    "oscillation",
+    "misplacement",
+    "dynamic",
+)
 #: Requirement tokens a figure runner may declare.  Most name an artifact
 #: node directly; ``"matrix"`` is the main dataset, ``"datasets"`` the four
 #: scaled measured-data presets plus their severities (Figs. 2, 4-7, 9) and
 #: ``"euclidean"`` the TIV-free Fig. 14 baseline.
-REQUIREMENTS = frozenset(
-    {
-        "matrix",
-        "clusters",
-        "severity",
-        "shortest",
-        "vivaldi",
-        "alert",
-        "ides",
-        "lat",
-        "datasets",
-        "euclidean",
-    }
-)
+REQUIREMENTS = frozenset({"matrix", "severity", "datasets", "euclidean", *_SINGLETONS})
 
 
 def requirement_keys(ctx, token: str) -> tuple[ArtifactKey, ...]:
@@ -527,7 +660,7 @@ def requirement_keys(ctx, token: str) -> tuple[ArtifactKey, ...]:
         return (ArtifactKey("dataset", _main_instance(ctx)),)
     if token == "severity":
         return (ArtifactKey("severity", _main_instance(ctx)),)
-    if token in ("clusters", "shortest", "vivaldi", "alert", "ides", "lat"):
+    if token in _SINGLETONS:
         return (ArtifactKey(token),)
     if token == "datasets":
         from repro.experiments.tiv_figures import DATASET_PRESETS, dataset_sizes

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,16 @@ import numpy as np
 from repro.coords.base import squared_distance
 from repro.errors import EmbeddingError
 from repro.stats.rng import RngLike, ensure_rng
+
+
+#: The largest RTT (ms) an observation may carry, and the cap on a height:
+#: the fourth root of the largest float, about 1.2e77.  An update moves a
+#: coordinate by up to an RTT plus two heights and then squares the moved
+#: row's norm, which at this scale stays far below overflow; a 1e160 ms RTT
+#: overflowed it and turned the coordinate into NaN.  The height needs the
+#: cap too: its update divides by the core distance, so nearly coincident
+#: nodes could inflate a height far past any RTT.
+MAX_RTT = sys.float_info.max**0.25
 
 
 def _check_id(node) -> None:
@@ -218,7 +229,8 @@ class OnlineVivaldi:
         Only ``src`` moves — Vivaldi's protocol is asynchronous, each node
         updates its own coordinate from the probes *it* issues; ``dst``
         will move when its own probes come through the stream.  Returns
-        the magnitude of ``src``'s coordinate movement.
+        the magnitude of ``src``'s coordinate movement.  An RTT that is not
+        a number in ``(0, MAX_RTT]`` moves nothing and returns 0.0.
         """
         try:
             i = self._slots[src]
@@ -229,7 +241,7 @@ class OnlineVivaldi:
                 f"cannot observe {src!r} -> {dst!r}: node {missing!r} is not active"
             ) from None
         cfg = self._config
-        if not (math.isfinite(rtt) and rtt > 0):
+        if not 0.0 < rtt <= MAX_RTT:  # also false for NaN
             return 0.0
         rtt = float(rtt)
 
@@ -267,7 +279,8 @@ class OnlineVivaldi:
         if cfg.use_height and mag > 0:
             # The height absorbs the share of the spring force that
             # travelled the access links rather than the Euclidean core.
-            self._heights[i] = max(cfg.min_height, h_i + force * (h_i + h_j) / mag)
+            height = max(cfg.min_height, h_i + force * (h_i + h_j) / mag)
+            self._heights[i] = min(height, MAX_RTT)
 
         if cfg.rho > 0:
             # Rho gravity (Ledlie et al.): a quadratic pull toward the

@@ -389,10 +389,30 @@ class VivaldiSystem(DelayPredictor):
         return np.sqrt(squared_distance((self._coords[rows] - self._coords[cols]).T))
 
     def predicted_matrix(self) -> np.ndarray:
-        diffs = self._coords[:, None, :] - self._coords[None, :, :]
-        distances = np.sqrt(np.sum(diffs * diffs, axis=-1))
-        np.fill_diagonal(distances, 0.0)
-        return distances
+        return pairwise_distances(self._coords)
+
+
+def pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """Euclidean distances between all rows of ``coords``: an N×N matrix, zero diagonal.
+
+    The squared differences are built one (N, N) plane per axis and added
+    in axis order.  Below 8 axes that is the order in which ``np.sum(...,
+    axis=-1)`` adds the squares of an (N, N, d) difference tensor, so the
+    result equals that form bit for bit without materialising the tensor.
+    From 8 axes on (no configuration uses them) numpy sums pairwise, and
+    the two forms can differ in the last bits.
+    """
+    total = None
+    for plane in coords.T:
+        square = np.subtract.outer(plane, plane)
+        square *= square
+        if total is None:
+            total = square
+        else:
+            total += square
+    np.sqrt(total, out=total)
+    np.fill_diagonal(total, 0.0)
+    return total
 
 
 def embed_vivaldi(

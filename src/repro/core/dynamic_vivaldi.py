@@ -122,7 +122,11 @@ class DynamicNeighborVivaldi:
 
     @property
     def system(self) -> VivaldiSystem:
-        """The underlying Vivaldi system (reflects the latest iteration)."""
+        """The underlying Vivaldi system (reflects the latest iteration).
+
+        Read it, but advance it only through :meth:`run`: a refinement
+        ranks candidates under the last snapshot's predictions.
+        """
         return self._system
 
     @property
@@ -140,6 +144,10 @@ class DynamicNeighborVivaldi:
 
     def _refine_neighbors(self) -> list[list[int]]:
         """Build the next neighbour lists by dropping the smallest-ratio edges.
+
+        The candidates are ranked under the last snapshot's predicted
+        matrix: :meth:`run` refines right after taking a snapshot, so that
+        matrix belongs to the current coordinates.
 
         The whole refinement is array-shaped: one RNG call draws the random
         extra candidates of every node, the predicted-vs-measured ratios of
@@ -163,7 +171,7 @@ class DynamicNeighborVivaldi:
                 )
         members = np.asarray(current, dtype=np.int64)
         measured = self._matrix.values
-        predicted = self._system.predicted_matrix()
+        predicted = self._iterations[-1].predicted
 
         # Unmeasurable edges get an infinite ratio so they are never flagged
         # as TIV-suspect (the paper's alert only fires on shrunken edges).

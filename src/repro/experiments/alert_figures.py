@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.coords.base import MatrixPredictor
 from repro.core.alert import severity_vs_prediction_ratio
-from repro.core.dynamic_vivaldi import DynamicNeighborVivaldi, DynamicVivaldiConfig
 from repro.core.tiv_aware_meridian import (
     TIVAwareMeridianConfig,
     tiv_aware_membership_adjuster,
@@ -30,6 +29,9 @@ from repro.experiments.result import ExperimentResult
 from repro.meridian.rings import MeridianConfig
 from repro.neighbor.selection import MeridianSelectionExperiment
 from repro.stats.cdf import ECDF
+
+#: The refinement iterations (besides the initial period 0) fig22_23 reports.
+DYNAMIC_REPORT_ITERATIONS = (1, 2, 5)
 
 
 def fig19_severity_vs_ratio(
@@ -126,30 +128,23 @@ def fig21_alert_recall(
 
 
 def fig22_23_dynamic_neighbor(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    iterations: int = 5,
-    report_iterations: tuple[int, ...] = (1, 2, 5),
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
     """Figures 22-23: dynamic-neighbour Vivaldi severity and penalty.
 
     One runner covers both figures because they come from the same dynamic
-    neighbour run: Fig. 22 is the severity CDF of the neighbour edges per
-    iteration, Fig. 23 is the neighbour-selection penalty per iteration.
+    neighbour run (the ``dynamic`` artifact): Fig. 22 is the severity CDF
+    of the neighbour edges per iteration, Fig. 23 is the
+    neighbour-selection penalty per iteration.
     """
     ctx = ExperimentContext.resolve(config, context)
-    cfg = ctx.config
-    dynamic_config = DynamicVivaldiConfig(period=cfg.vivaldi_seconds)
-    dynamic = DynamicNeighborVivaldi(ctx.matrix, dynamic_config, rng=cfg.seed + 8)
-    snapshots = dynamic.run(iterations)
-    report = tuple(i for i in report_iterations if i <= iterations)
+    snapshots = ctx.dynamic
 
     experiment = ctx.selection_experiment()
     severity_by_iteration = {}
     penalty_by_iteration = {}
     for snap in snapshots:
-        if snap.iteration != 0 and snap.iteration not in report:
+        if snap.iteration != 0 and snap.iteration not in DYNAMIC_REPORT_ITERATIONS:
             continue
         severities = snap.neighbor_edge_severities(ctx.severity)
         cdf = ECDF(severities)
@@ -167,7 +162,7 @@ def fig22_23_dynamic_neighbor(
         data={
             "neighbor_edge_severity": severity_by_iteration,
             "selection_penalty": penalty_by_iteration,
-            "iterations": iterations,
+            "iterations": snapshots[-1].iteration,
         },
         paper_expectation=(
             "Neighbour-edge TIV severity shrinks iteration over iteration and "

@@ -253,6 +253,21 @@ class ExperimentContext:
         """The Fig. 16 Vivaldi+LAT strawman embedding."""
         return self.materialize(ArtifactKey("lat"))
 
+    @property
+    def oscillation(self):
+        """The Fig. 11 trace: a warmed-up Vivaldi run's oscillation and movement."""
+        return self.materialize(ArtifactKey("oscillation"))
+
+    @property
+    def misplacement(self):
+        """The Fig. 13 sample: ``(delays, {beta: per-pair misplaced fractions})``."""
+        return self.materialize(ArtifactKey("misplacement"))
+
+    @property
+    def dynamic(self):
+        """The Figs. 22-23 dynamic-neighbour run, one snapshot per iteration."""
+        return self.materialize(ArtifactKey("dynamic"))
+
     # -- harness helpers -------------------------------------------------------
 
     def selection_experiment(self):

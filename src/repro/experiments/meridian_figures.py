@@ -13,28 +13,28 @@ import numpy as np
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
 from repro.experiments.result import ExperimentResult
-from repro.meridian.analysis import ring_misplacement_by_delay
+from repro.meridian.analysis import bin_misplacement
 from repro.meridian.rings import MeridianConfig
 from repro.neighbor.selection import MeridianSelectionExperiment
 
+#: Width (ms) of fig13's delay bins.
+MISPLACEMENT_BIN_WIDTH = 50.0
+
 
 def fig13_ring_misplacement(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    betas: tuple[float, ...] = (0.1, 0.5, 0.9),
-    bin_width: float = 50.0,
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
-    """Figure 13: percentage of Meridian ring members misplaced by TIVs."""
+    """Figure 13: percentage of Meridian ring members misplaced by TIVs.
+
+    The sampled pairs and their misplaced fractions per β are the
+    ``misplacement`` artifact; this runner bins them by delay.
+    """
     ctx = ExperimentContext.resolve(config, context)
+    delays, fractions = ctx.misplacement
     series = {}
-    for beta in betas:
-        centers, fraction, counts = ring_misplacement_by_delay(
-            ctx.matrix,
-            beta=beta,
-            bin_width=bin_width,
-            max_pairs=40_000,
-            rng=ctx.config.seed,
+    for beta, per_pair in fractions.items():
+        centers, fraction, counts = bin_misplacement(
+            delays, per_pair, bin_width=MISPLACEMENT_BIN_WIDTH
         )
         series[f"beta={beta}"] = {
             "bin_centers": centers.tolist(),
@@ -45,7 +45,7 @@ def fig13_ring_misplacement(
     return ExperimentResult(
         experiment_id="fig13",
         title="Percentage of Meridian ring members misplaced",
-        data={"series": series, "bin_width_ms": bin_width},
+        data={"series": series, "bin_width_ms": MISPLACEMENT_BIN_WIDTH},
         paper_expectation=(
             "Placement errors are frequent (10-30% even for short delays at "
             "beta=0.5) and decrease as beta grows, at the cost of more probes."

@@ -94,9 +94,9 @@ for _experiment_id, _runner, _needs in (
     ("fig08", fig08_shortest_path, ("matrix", "clusters", "shortest")),
     ("fig09", fig09_proximity, ("datasets",)),
     ("fig10", fig10_three_node_trace, ()),
-    ("fig11", fig11_oscillation, ("matrix",)),
+    ("fig11", fig11_oscillation, ("oscillation",)),
     ("text_3_2_1", text_vivaldi_error_stats, ("matrix", "severity", "vivaldi")),
-    ("fig13", fig13_ring_misplacement, ("matrix",)),
+    ("fig13", fig13_ring_misplacement, ("misplacement",)),
     ("fig14", fig14_meridian_ideal, ("matrix", "euclidean")),
     ("fig15", fig15_ides, ("matrix", "vivaldi", "ides")),
     ("fig16", fig16_lat, ("matrix", "vivaldi", "lat")),
@@ -105,7 +105,7 @@ for _experiment_id, _runner, _needs in (
     ("fig19", fig19_severity_vs_ratio, ("matrix", "severity", "vivaldi", "alert")),
     ("fig20", fig20_alert_accuracy, ("matrix", "severity", "vivaldi", "alert")),
     ("fig21", fig21_alert_recall, ("matrix", "severity", "vivaldi", "alert")),
-    ("fig22_23", fig22_23_dynamic_neighbor, ("matrix", "severity")),
+    ("fig22_23", fig22_23_dynamic_neighbor, ("matrix", "severity", "dynamic")),
     ("fig24", fig24_meridian_alert_normal, ("matrix", "vivaldi", "alert")),
     ("fig25", fig25_meridian_alert_small, ("matrix", "vivaldi", "alert")),
 ):

@@ -19,6 +19,9 @@ from repro.experiments.context import ExperimentContext
 from repro.experiments.result import ExperimentResult
 from repro.stats.summary import absolute_errors
 
+#: Width (ms) of fig11's edge-delay bins.
+OSCILLATION_BIN_WIDTH = 10.0
+
 
 def fig10_three_node_trace(
     config: ExperimentConfig | None = None,
@@ -65,24 +68,17 @@ def fig10_three_node_trace(
 
 
 def fig11_oscillation(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    seconds: int = 200,
-    bin_width: float = 10.0,
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
     """Figure 11: oscillation range of predicted distances per delay bin.
 
-    The paper tracks a 500 s window at 4000-node scale; the scaled default
-    tracks a shorter window, which preserves the qualitative point (ranges
-    of tens of ms even for short edges).
+    The paper tracks a 500 s window at 4000-node scale; the scaled run (the
+    ``oscillation`` artifact) tracks a shorter window, which preserves the
+    qualitative point (ranges of tens of ms even for short edges).
     """
     ctx = ExperimentContext.resolve(config, context)
-    sim = VivaldiSimulation(ctx.matrix, VivaldiConfig(), rng=ctx.config.seed + 3)
-    # Let the embedding reach steady state before measuring oscillation.
-    sim.system.run(ctx.config.vivaldi_seconds)
-    trace = sim.run(seconds, track_oscillation=True, track_movement=True)
-    stats = trace.oscillation_vs_delay(bin_width=bin_width)
+    trace = ctx.oscillation
+    stats = trace.oscillation_vs_delay(bin_width=OSCILLATION_BIN_WIDTH)
     return ExperimentResult(
         experiment_id="fig11",
         title="Distribution of the oscillation range of all edges",

@@ -58,6 +58,28 @@ def ring_misplacement_by_delay(
         members that are misplaced, over all sampled pairs whose delay falls
         in bin ``b``; bins with no pairs hold ``nan``.
 
+    This is :func:`pair_misplacement` followed by :func:`bin_misplacement`.
+    """
+    delays, fractions = pair_misplacement(matrix, beta=beta, max_pairs=max_pairs, rng=rng)
+    return bin_misplacement(delays, fractions, bin_width=bin_width)
+
+
+def pair_misplacement(
+    matrix: DelayMatrix,
+    *,
+    beta: float = 0.5,
+    max_pairs: int | None = 200_000,
+    rng: RngLike = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample (Ni, Nj) pairs and the misplaced fraction of each, for one ``beta``.
+
+    Parameters are those of :func:`ring_misplacement_by_delay`.  Returns
+    ``(delays, fractions)``: the measured delay ``d_ij`` of every sampled
+    pair that has one, and the fraction of its would-be ring members that
+    are misplaced (0 where it has none).  The sample depends on ``rng``,
+    the node count and which delays are measured, not on ``beta``, so the
+    same seed gives every ``beta`` the same pairs.
+
     Pairs are evaluated a chunk at a time as whole-row array operations,
     with the chunk sized so its temporaries stay under ``_CHUNK_BYTES``.
     """
@@ -105,13 +127,24 @@ def ring_misplacement_by_delay(
         count = np.count_nonzero(near, axis=1)
         wrong = np.count_nonzero(misplaced, axis=1)
         fractions[chunk] = np.where(count > 0, wrong / np.maximum(count, 1), 0.0)
+    return d_ij, fractions
 
-    max_delay = float(d_ij.max())
+
+def bin_misplacement(
+    delays: np.ndarray, fractions: np.ndarray, *, bin_width: float = 50.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Average per-pair misplaced fractions over delay bins of ``bin_width`` ms.
+
+    Takes what :func:`pair_misplacement` returns and gives the
+    ``(bin_centers, misplacement_fraction, pair_counts)`` of
+    :func:`ring_misplacement_by_delay`.
+    """
+    max_delay = float(delays.max())
     n_bins = max(1, int(np.ceil(max_delay / bin_width)))
     centers = bin_width * (np.arange(n_bins) + 0.5)
     mean_fraction = np.full(n_bins, np.nan)
     counts = np.zeros(n_bins, dtype=int)
-    bins = np.minimum((d_ij / bin_width).astype(int), n_bins - 1)
+    bins = np.minimum((delays / bin_width).astype(int), n_bins - 1)
     for b in range(n_bins):
         mask = bins == b
         if mask.any():

@@ -153,14 +153,16 @@ def _setup_tiv_severity(size: int, seed: int) -> tuple[PreparedKernel, float]:
 
 
 def _setup_ring_misplacement(size: int, seed: int) -> tuple[PreparedKernel, float]:
+    from repro.artifacts.nodes import MISPLACEMENT_PAIRS
     from repro.meridian.analysis import ring_misplacement_by_delay
 
     matrix = _dataset(size, seed)
-    max_pairs = 40_000  # what the fig13 runner samples
     # One call = one beta's curve of the Fig. 13 analysis.
     return (
-        lambda: ring_misplacement_by_delay(matrix, beta=0.5, max_pairs=max_pairs, rng=seed)
-    ), float(min(size * (size - 1), max_pairs))
+        lambda: ring_misplacement_by_delay(
+            matrix, beta=0.5, max_pairs=MISPLACEMENT_PAIRS, rng=seed
+        )
+    ), float(min(size * (size - 1), MISPLACEMENT_PAIRS))
 
 
 def _setup_violating_triangles(size: int, seed: int) -> tuple[PreparedKernel, float]:

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.coords.online import OnlineVivaldi, OnlineVivaldiConfig
+from repro.coords.online import MAX_RTT, OnlineVivaldi, OnlineVivaldiConfig
 from repro.errors import StreamError
 from repro.stats.rng import RngLike, ensure_rng
 from repro.stream.events import Event, MeasurementEvent, NodeJoin, NodeLeave
@@ -449,8 +449,9 @@ class StreamCoordinateService:
         if defense is not None and not self._admit(defense, src, dst, rtt):
             return
         self._embedding.observe(src, dst, rtt, t)
-        if not (math.isfinite(rtt) and rtt > 0):
-            # The embedding no-oped on this RTT and the edge would carry
+        if not 0.0 < rtt <= MAX_RTT:
+            # The embedding no-oped on this RTT (not a number, not
+            # positive, or too large to embed) and the edge would carry
             # unusable evidence — count the drop instead of hiding it.
             self._dropped += 1
             return
@@ -480,7 +481,7 @@ class StreamCoordinateService:
                 return False
             # Probation sample: falls through to the gate below; an
             # acceptance decays suspicion toward release.
-        if not (math.isfinite(rtt) and rtt > 0):
+        if not 0.0 < rtt <= MAX_RTT:
             return True  # the unusable-RTT drop path counts these itself
         gate_armed = (
             self._gate_accepted >= defense.warmup_observations

@@ -109,7 +109,23 @@ class TestAddressCompatibility:
         legacy_lat = dict(legacy_embedding, coords_kernel="batched")
         assert plan.graph[ArtifactKey("lat")].address == stable_key("lat", legacy_lat)
 
+    def test_simulation_run_addresses(self):
+        # Each address holds exactly the config fields its run reads.
+        plan = resolve_plan(TINY, ["fig11", "fig13", "fig22_23"])
+        dataset = {"preset": TINY.dataset, "n_nodes": TINY.n_nodes, "seed": TINY.seed}
+        warmed = dict(dataset, vivaldi_seconds=TINY.vivaldi_seconds)
+        for node, params in (
+            ("oscillation", warmed),
+            ("misplacement", dataset),
+            ("dynamic", warmed),
+        ):
+            artifact = plan.graph[ArtifactKey(node)]
+            assert artifact.params == params, node
+            assert artifact.address == stable_key(node, params), node
+
     def test_kind_layout_unchanged(self):
+        # The eight kinds of the original layout, plus the three simulation
+        # runs, whose kinds only added entries.
         plan = resolve_plan(TINY)
         kinds = {artifact.kind for artifact in plan.graph}
         assert kinds == {
@@ -121,6 +137,9 @@ class TestAddressCompatibility:
             "alert",
             "ides",
             "lat",
+            "oscillation",
+            "misplacement",
+            "dynamic",
         }
 
     def test_baseline_scenario_shares_addresses_with_plain(self):

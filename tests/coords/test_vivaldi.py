@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.coords.vivaldi import VivaldiConfig, VivaldiSystem, embed_vivaldi
+from repro.coords.vivaldi import (
+    VivaldiConfig,
+    VivaldiSystem,
+    embed_vivaldi,
+    pairwise_distances,
+)
 from repro.errors import EmbeddingError
 from repro.stats.summary import median_absolute_error, relative_errors
 
@@ -73,6 +78,18 @@ class TestVivaldiSystem:
         matrix = system.predicted_matrix()
         assert matrix[4, 7] == pytest.approx(system.predict(4, 7))
         assert np.allclose(np.diag(matrix), 0.0)
+
+    @pytest.mark.parametrize("dimension", [2, 5])
+    def test_predicted_matrix_equals_the_difference_tensor(self, dimension):
+        # The per-axis planes add in the order np.sum reduces the last axis
+        # of an (N, N, d) tensor below 8 axes, so the two agree bit for bit.
+        rng = np.random.default_rng(dimension)
+        for scale in (1e-3, 1.0, 150.0, 1e6):
+            coords = rng.normal(0.0, scale, size=(60, dimension))
+            diffs = coords[:, None, :] - coords[None, :, :]
+            tensor = np.sqrt(np.sum(diffs * diffs, axis=-1))
+            np.fill_diagonal(tensor, 0.0)
+            assert np.array_equal(pairwise_distances(coords), tensor), scale
 
     def test_prediction_ratio_matrix(self, small_internet_matrix):
         system = embed_vivaldi(small_internet_matrix, seconds=20, rng=4)

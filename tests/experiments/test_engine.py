@@ -38,6 +38,9 @@ TINY = ExperimentConfig(
 #: clusters, severity, shortest paths, Vivaldi, alert, multi-dataset loads).
 SUBSET = ("fig02", "fig03", "fig08", "fig19", "text_3_2_1")
 
+#: The figures whose simulation runs are artifacts of their own, one each.
+SIMULATION_FIGURES = {"fig11": "oscillation", "fig13": "misplacement", "fig22_23": "dynamic"}
+
 
 class TestParallelExecution:
     def test_parallel_matches_sequential(self):
@@ -72,25 +75,31 @@ class TestParallelExecution:
 
 class TestCachedRuns:
     def test_cold_then_warm_run_is_all_hits(self, tmp_path):
-        cache_dir = tmp_path / "artifacts"
-        report_path = tmp_path / "BENCH_experiments.json"
-        cold = run_experiments(
-            TINY, only=list(SUBSET), jobs=1, cache_dir=cache_dir, report_path=report_path
-        )
-        assert cold.report.total_cache().misses > 0
-        assert not cold.report.all_cache_hits
+        for subset in (SUBSET, tuple(SIMULATION_FIGURES)):
+            cache_dir = tmp_path / "-".join(subset)
+            report_path = tmp_path / "BENCH_experiments.json"
+            cold = run_experiments(
+                TINY, only=list(subset), jobs=1, cache_dir=cache_dir, report_path=report_path
+            )
+            assert cold.report.total_cache().misses > 0
+            assert not cold.report.all_cache_hits
 
-        warm = run_experiments(
-            TINY, only=list(SUBSET), jobs=1, cache_dir=cache_dir, report_path=report_path
-        )
-        total = warm.report.total_cache()
-        assert total.misses == 0
-        assert total.hits > 0
-        assert warm.report.all_cache_hits
-        for experiment_id in SUBSET:
-            assert results_equal(
-                cold.results[experiment_id].data, warm.results[experiment_id].data
-            ), experiment_id
+            warm = run_experiments(
+                TINY, only=list(subset), jobs=1, cache_dir=cache_dir, report_path=report_path
+            )
+            total = warm.report.total_cache()
+            assert total.misses == 0
+            assert total.hits > 0
+            assert warm.report.all_cache_hits
+            for experiment_id in subset:
+                assert results_equal(
+                    cold.results[experiment_id].data, warm.results[experiment_id].data
+                ), experiment_id
+
+        # The cold run computed each simulation run once; the warm one computed nothing.
+        computes = {record.node: record.computes for record in cold.report.artifacts}
+        assert [computes.get(node) for node in SIMULATION_FIGURES.values()] == [1, 1, 1]
+        assert not any(record.computes for record in warm.report.artifacts)
 
     def test_full_sweep_warm_phase_precomputes_shared_artifacts(self, tmp_path):
         outcome = run_experiments(TINY, jobs=1, cache_dir=tmp_path / "artifacts")

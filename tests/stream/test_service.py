@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.coords.online import OnlineVivaldiConfig
+from repro.coords.online import MAX_RTT, OnlineVivaldiConfig
 from repro.errors import EmbeddingError, StreamError
 from repro.stream import (
     FaultSpec,
@@ -175,8 +175,9 @@ class TestSeverity:
         assert worst[0][1] > worst[1][1]
 
     def test_overflowing_ratio_saturates_and_still_checkpoints(self, tmp_path):
-        # 1e300 ms over a 2e-300 ms detour overflows the ratio; the
-        # estimate saturates at the largest float, which a checkpoint keeps.
+        # 1e77 ms (just under MAX_RTT) over a 2e-300 ms detour overflows
+        # the ratio; the estimate saturates at the largest float, which a
+        # checkpoint keeps.
         from repro.stream import load_checkpoint, save_checkpoint
 
         service = StreamCoordinateService(
@@ -188,7 +189,7 @@ class TestSeverity:
             for t in (1.0, 2.0):
                 service.observe(0, 1, 1e-300, t=t)
                 service.observe(1, 2, 1e-300, t=t)
-                service.observe(0, 2, 1e300, t=t)
+                service.observe(0, 2, 1e77, t=t)
         assert service.severity_estimate(0, 2) == sys.float_info.max
         path = tmp_path / "ck.npz"
         save_checkpoint(service, path)
@@ -237,6 +238,61 @@ class TestDroppedMeasurements:
         service.observe(1, 2, -1.0, t=7.0)
         assert service.clock == 7.0
         assert service.n_events == 3
+
+
+class TestHugeRtts:
+    """No admitted RTT may turn the embedding or an answer into NaN."""
+
+    CONFIGS = {
+        "default": StreamServiceConfig(),
+        "no_gravity": StreamServiceConfig(online=OnlineVivaldiConfig(rho=0.0)),
+    }
+    ORDINARY = [(0, 1, 30.0), (1, 2, 40.0), (2, 0, 50.0), (1, 0, 30.0), (0, 2, 50.0)]
+
+    @staticmethod
+    def replay(config, measurements, n_nodes=3):
+        service = StreamCoordinateService(config, rng=0)
+        for node in range(n_nodes):
+            service.join(node)
+        for t, (src, dst, rtt) in enumerate(measurements, start=1):
+            service.observe(src, dst, rtt, t=float(t))
+        return service
+
+    @staticmethod
+    def assert_finite(service, n_nodes=3):
+        embedding = service.embedding
+        for node in range(n_nodes):
+            assert np.all(np.isfinite(embedding.coordinate_of(node))), node
+            assert math.isfinite(embedding.height_of(node)), node
+            assert math.isfinite(embedding.error_of(node)), node
+            for other in range(n_nodes):
+                assert not math.isnan(service.distance(node, other)), (node, other)
+            assert not any(math.isnan(d) for _, d in service.closest(node, k=2)), node
+
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    @pytest.mark.parametrize("n_nodes", [2, 3])
+    def test_rtts_too_large_to_embed_are_dropped(self, config, n_nodes):
+        huge = [(0, 1, rtt) for rtt in (1e160, 1e200, 1e300)]
+        ordinary = [m for m in self.ORDINARY * 3 if max(m[:2]) < n_nodes]
+        service = self.replay(self.CONFIGS[config], huge + ordinary, n_nodes)
+        assert service.dropped_measurements == 3
+        self.assert_finite(service, n_nodes)
+        # The refused RTTs moved nothing: the run equals one without them.
+        clean = self.replay(self.CONFIGS[config], [(0, 1, -1.0)] * 3 + ordinary, n_nodes)
+        assert state_fingerprint(service) == state_fingerprint(clean)
+
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    def test_largest_admitted_rtt_keeps_values_finite(self, config):
+        # Near-coincident nodes, then the largest admitted RTT twice: the
+        # height update divides by the tiny core distance, and without its
+        # cap the next update overflowed the default config's norm.
+        tiny = 1e-6
+        measurements = [
+            (0, 2, tiny), (1, 0, tiny), (2, 1, MAX_RTT), (2, 1, MAX_RTT), (2, 1, tiny),
+        ]
+        service = self.replay(self.CONFIGS[config], measurements + self.ORDINARY)
+        assert service.dropped_measurements == 0
+        self.assert_finite(service)
 
 
 class TestBatchQueries:

@@ -618,11 +618,13 @@ class TestCachePruneCommand:
         from repro.experiments.cache import ArtifactCache
 
         cache_dir = tmp_path / "cache"
+        # fig03 plus the three figures whose simulation runs are artifacts.
+        figures = ("fig03", "fig11", "fig13", "fig22_23")
         run_cli(
             capsys,
             "run-all",
             "--only",
-            "fig03",
+            *figures,
             "--nodes",
             "48",
             "--jobs",
@@ -630,6 +632,8 @@ class TestCachePruneCommand:
             "--cache-dir",
             str(cache_dir),
         )
+        for kind in ("oscillation", "misplacement", "dynamic"):
+            assert len(list((cache_dir / kind).glob("*.npz"))) == 1, kind
         # A pre-kernel-era vivaldi entry that current code can never hit.
         ArtifactCache(cache_dir).store(
             "vivaldi",
@@ -657,7 +661,7 @@ class TestCachePruneCommand:
             capsys,
             "run-all",
             "--only",
-            "fig03",
+            *figures,
             "--nodes",
             "48",
             "--jobs",
