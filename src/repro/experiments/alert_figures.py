@@ -30,21 +30,22 @@ from repro.meridian.rings import MeridianConfig
 from repro.neighbor.selection import MeridianSelectionExperiment
 from repro.stats.cdf import ECDF
 
+#: Width of fig19's prediction-ratio bins, and the ratio where they stop.
+RATIO_BIN_WIDTH = 0.1
+MAX_RATIO = 5.0
+#: Worst-severity edge shares whose alert fig20 and fig21 score.
+ALERT_TARGET_FRACTIONS = (0.01, 0.05, 0.10, 0.20)
 #: The refinement iterations (besides the initial period 0) fig22_23 reports.
 DYNAMIC_REPORT_ITERATIONS = (1, 2, 5)
 
 
 def fig19_severity_vs_ratio(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    bin_width: float = 0.1,
-    max_ratio: float = 5.0,
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
     """Figure 19: TIV severity of edges with different prediction ratios."""
     ctx = ExperimentContext.resolve(config, context)
     stats = severity_vs_prediction_ratio(
-        ctx.matrix, ctx.severity, ctx.alert, bin_width=bin_width, max_ratio=max_ratio
+        ctx.matrix, ctx.severity, ctx.alert, bin_width=RATIO_BIN_WIDTH, max_ratio=MAX_RATIO
     )
     nonempty = stats.nonempty()
     # Quantify the monotone trend the paper highlights: median severity of
@@ -64,7 +65,7 @@ def fig19_severity_vs_ratio(
             "severity_vs_ratio": nonempty.as_dict(),
             "median_severity_shrunk": _median_in(0.0, 0.5),
             "median_severity_neutral": _median_in(0.9, 1.1),
-            "median_severity_stretched": _median_in(2.0, max_ratio),
+            "median_severity_stretched": _median_in(2.0, MAX_RATIO),
         },
         paper_expectation=(
             "Edges that the embedding shrank (ratio << 1) have much higher TIV "
@@ -74,15 +75,12 @@ def fig19_severity_vs_ratio(
 
 
 def fig20_alert_accuracy(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    target_fractions: tuple[float, ...] = (0.01, 0.05, 0.10, 0.20),
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
     """Figure 20: accuracy of the TIV alert across ratio thresholds."""
     ctx = ExperimentContext.resolve(config, context)
     curves = {}
-    for fraction in target_fractions:
+    for fraction in ALERT_TARGET_FRACTIONS:
         evaluation = ctx.alert.evaluate(ctx.severity, target_fraction=fraction)
         curves[f"worst_{int(fraction * 100)}pct"] = {
             "thresholds": evaluation.thresholds.tolist(),
@@ -101,15 +99,12 @@ def fig20_alert_accuracy(
 
 
 def fig21_alert_recall(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    target_fractions: tuple[float, ...] = (0.01, 0.05, 0.10, 0.20),
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
     """Figure 21: recall of the TIV alert across ratio thresholds."""
     ctx = ExperimentContext.resolve(config, context)
     curves = {}
-    for fraction in target_fractions:
+    for fraction in ALERT_TARGET_FRACTIONS:
         evaluation = ctx.alert.evaluate(ctx.severity, target_fraction=fraction)
         curves[f"worst_{int(fraction * 100)}pct"] = {
             "thresholds": evaluation.thresholds.tolist(),

@@ -15,13 +15,15 @@ scenario matrix, at every job count:
   node's declared parameters.  With a cache directory a second run of the
   same configuration is served entirely from disk; without one the run
   works through a scratch cache deleted when it ends.
-* **DAG-level scheduling** — one :class:`FrontierScheduler` runs the plan
-  at *artifact* granularity: an artifact task is released the moment its
-  dependencies finish (independent embeddings of the same dataset build
-  concurrently), every artifact is computed exactly once per run however
-  many figures share it, and each figure task is submitted as soon as its
-  artifact closure is materialised — a slow artifact chain never stalls
-  unrelated figures.  ``jobs > 1`` runs the tasks on a
+* **One task DAG** — the plans become one DAG whose nodes are artifact
+  tasks, keyed by cache address (every artifact is computed exactly once
+  per run however many figures or scenarios share it), and figure tasks,
+  keyed by ``(tag, experiment_id)`` and waiting on their whole artifact
+  closure.  One :class:`FrontierScheduler` runs it: a task is released the
+  moment its last dependency finishes (independent embeddings of the same
+  dataset build concurrently, and a slow artifact chain never stalls
+  unrelated figures), and a failed task fails everything downstream of
+  it.  ``jobs > 1`` runs the tasks on a
   :class:`concurrent.futures.ProcessPoolExecutor`; ``jobs == 1`` runs them
   in-process.
 
@@ -288,7 +290,7 @@ def resolve_experiment_ids(only: Iterable[str] | None) -> list[str]:
 
 
 def _run_task(
-    context: ExperimentContext, kind: str, target: Any
+    context: ExperimentContext, target: Union[ArtifactKey, str]
 ) -> tuple[float, CacheStats, Any]:
     """Run one artifact or figure task through ``context``: the one task body.
 
@@ -303,7 +305,7 @@ def _run_task(
     context.drain_events()
     before = context.cache.stats.snapshot()
     start = time.perf_counter()
-    if kind == "artifact":
+    if isinstance(target, ArtifactKey):
         context.materialize(target)
         payload = context.drain_events()
     else:
@@ -312,7 +314,7 @@ def _run_task(
 
 
 def _run_fresh_task(
-    config: ExperimentConfig, cache_dir: str, kind: str, target: Any
+    config: ExperimentConfig, cache_dir: str, target: Union[ArtifactKey, str]
 ) -> tuple[float, CacheStats, Any]:
     """:func:`_run_task` in a pool worker, over a fresh context.
 
@@ -320,7 +322,7 @@ def _run_fresh_task(
     only releases a task once its dependencies are on disk, so the context
     restores them and computes nothing but the target.
     """
-    return _run_task(ExperimentContext(config, cache=ArtifactCache(cache_dir)), kind, target)
+    return _run_task(ExperimentContext(config, cache=ArtifactCache(cache_dir)), target)
 
 
 class _InlineExecutor:
@@ -336,13 +338,13 @@ class _InlineExecutor:
     def __init__(self) -> None:
         self._context: Optional[ExperimentContext] = None
 
-    def submit(self, fn, config: ExperimentConfig, cache_dir: str, kind: str, target) -> Future:
+    def submit(self, fn, config: ExperimentConfig, cache_dir: str, target) -> Future:
         """Run ``fn``'s task now, through the held context instead of a fresh one."""
         if self._context is None or self._context.config != config:
             self._context = ExperimentContext(config, cache=ArtifactCache(cache_dir))
         future: Future = Future()
         try:
-            future.set_result(_run_task(self._context, kind, target))
+            future.set_result(_run_task(self._context, target))
         except Exception as exc:
             future.set_exception(exc)
         return future
@@ -351,62 +353,72 @@ class _InlineExecutor:
         self._context = None
 
 
-@dataclass(frozen=True)
-class ArtifactTask:
-    """One schedulable artifact materialisation, identified by cache address.
+#: A node of the task DAG: an artifact's cache address, or a figure's
+#: ``(tag, experiment_id)``.
+TaskId = Union[str, tuple[str, str]]
 
-    The *address* — not the :class:`ArtifactKey` — is the unit of
-    deduplication: two scenarios resolving the same key to the same
-    parameters describe the same bytes on disk, so the scheduler computes
-    them once and charges the first declarer (``owner``).
+
+@dataclass(frozen=True)
+class _Task:
+    """One node of the task DAG: an artifact or a figure.
+
+    ``target`` is the artifact's key or the figure's experiment id, ``tag``
+    the configuration it runs under (for an artifact several configurations
+    share, the first that declares it), and ``deps`` the addresses of the
+    artifacts still to compute that it waits on: among an artifact's
+    dependencies, or a figure's whole closure.
     """
 
-    address: str
-    key: ArtifactKey
-    owner: str
-    kind: str
-    params: dict
-    deps: tuple[str, ...]  # dependency cache addresses
+    tag: str
+    target: Union[ArtifactKey, str]
+    deps: frozenset[str]
 
     @property
-    def label(self) -> str:
-        return self.key.label
+    def is_artifact(self) -> bool:
+        return isinstance(self.target, ArtifactKey)
 
 
-def plan_artifact_tasks(plan: ExecutionPlan, *, tag: str) -> dict[str, ArtifactTask]:
-    """Address-keyed artifact tasks of one plan, in topological order."""
-    tasks: dict[str, ArtifactTask] = {}
-    graph = plan.graph
-    for key in graph.topological_order():
-        artifact = graph[key]
-        if artifact.address in tasks:
-            continue
-        tasks[artifact.address] = ArtifactTask(
-            address=artifact.address,
-            key=key,
-            owner=tag,
-            kind=artifact.kind,
-            params=artifact.params,
-            deps=tuple(graph[dep].address for dep in artifact.deps),
-        )
+def _task_dag(
+    plans: Mapping[str, ExecutionPlan], wanted: list[str], cache: ArtifactCache
+) -> dict[TaskId, _Task]:
+    """The task DAG of ``plans``, every task after the tasks it waits on.
+
+    One artifact task per cache address ``cache`` lacks, in each plan's
+    topological order, then one figure task per ``(tag, experiment_id)`` in
+    grid order.  The address, not the key, is the unit of deduplication:
+    two plans resolving an artifact to the same parameters describe the same
+    bytes on disk, so it runs once, charged to the first plan that declares
+    it.  Tasks wait only on artifacts still to compute, so a warm rerun
+    submits no artifact work.
+    """
+    tasks: dict[TaskId, _Task] = {}
+
+    def still_to_compute(plan: ExecutionPlan, keys: Iterable[ArtifactKey]) -> frozenset[str]:
+        return frozenset({plan.graph[key].address for key in keys} & tasks.keys())
+
+    for tag, plan in plans.items():
+        for artifact in plan.graph:
+            if artifact.address not in tasks and not cache.contains(artifact.kind, artifact.params):
+                deps = still_to_compute(plan, artifact.deps)
+                tasks[artifact.address] = _Task(tag, artifact.key, deps)
+    for tag, plan in plans.items():
+        for experiment_id in wanted:
+            deps = still_to_compute(plan, plan.figure_needs[experiment_id])
+            tasks[(tag, experiment_id)] = _Task(tag, experiment_id, deps)
     return tasks
 
 
-def plan_figure_addresses(plan: ExecutionPlan, experiment_id: str) -> frozenset[str]:
-    """The cache addresses of one figure's artifact closure."""
-    return frozenset(plan.graph[key].address for key in plan.figure_needs[experiment_id])
-
-
 class FrontierScheduler:
-    """DAG-frontier execution of artifact + figure tasks.
+    """Frontier execution of one task DAG of artifacts and figures.
 
     The executor behind :func:`run_plans`, for one configuration or a whole
-    scenario matrix (cross-scenario artifacts deduplicated by cache address
-    before scheduling): an artifact task is released the moment its last
-    dependency lands on disk, each figure task the moment its artifact
-    closure is materialised, and every artifact address is computed at most
-    once per run.  ``jobs > 1`` runs each task on a process pool in a fresh
-    context; ``jobs == 1`` runs it in-process on an :class:`_InlineExecutor`.
+    scenario matrix: a task is released the moment the last task it waits
+    on has finished (its dependencies are then on disk), ready tasks are
+    submitted in DAG order (artifacts in topological order, then figures in
+    grid order), and a failed task fails every task downstream of it while
+    independent work continues.  ``jobs > 1`` runs each task on a process
+    pool in a fresh context; ``jobs == 1`` runs it in-process on an
+    :class:`_InlineExecutor`.
 
     Supervision (pool only: an in-process task cannot kill its worker): a
     worker death — segfault, OOM kill, hard exit — tears the pool down and
@@ -414,394 +426,263 @@ class FrontierScheduler:
     ``_BACKOFF_CAP``).  A crash is charged to a task only when that task
     flew alone; unattributed suspects re-run one at a time (probe mode) so
     the next crash names its culprit, and a task charged more than
-    ``_MAX_RETRIES`` times is isolated as poison into the ordinary
-    failure-cascade path.  Deterministic task exceptions are never retried —
-    a runner that raises will raise again, and retrying it would only mask
-    the bug.
+    ``_MAX_RETRIES`` times is isolated as poison: it fails like any other
+    task.  Deterministic task exceptions are never retried — a runner that
+    raises will raise again, and retrying it would only mask the bug.
 
-    Parameters
-    ----------
-    tasks:
-        Address-keyed artifact tasks in topological order (a dependency's
-        address precedes its dependents'); addresses already materialised
-        in the cache are skipped, which is what makes a warm rerun submit
-        zero artifact work.
-    configs:
-        Configuration per scenario tag (the engine uses the single tag
-        ``""``); each task runs under its owner's configuration.
-    figure_needs:
-        The ordered ``(tag, experiment_id)`` figure tasks, each mapped to
-        its artifact closure (as addresses).
+    ``tasks`` is the DAG :func:`_task_dag` builds, each task after the tasks
+    it waits on; each runs under its tag's entry in ``configs``.  After
+    :meth:`execute`, ``finished`` holds each finished task's ``(seconds,
+    cache counters, payload)`` in completion order, ``failed`` each failed
+    task's ``(message, exception or None)`` in failure order, ``retries``
+    the re-submissions per task, and ``pool_rebuilds`` how often the pool
+    was rebuilt.
     """
 
     def __init__(
         self,
+        tasks: Mapping[TaskId, _Task],
         *,
-        tasks: Mapping[str, ArtifactTask],
         configs: Mapping[str, ExperimentConfig],
-        figure_needs: Mapping[tuple[str, str], frozenset[str]],
         cache_dir: str,
         jobs: int,
     ):
         self.tasks = dict(tasks)
         self.configs = dict(configs)
-        self.figure_needs = dict(figure_needs)
-        self.figure_grid = list(self.figure_needs)
         self.cache_dir = str(cache_dir)
         self.jobs = jobs
-
-        self.results: dict[tuple[str, str], ExperimentResult] = {}
-        self.figure_records: dict[tuple[str, str], ExperimentRunRecord] = {}
-        # Supervision accounting, readable after execute(): re-submissions
-        # per task, and how often the worker pool had to be rebuilt.
-        self.artifact_retry_counts: dict[str, int] = {}
-        self.figure_retry_counts: dict[tuple[str, str], int] = {}
+        self.finished: dict[TaskId, tuple[float, CacheStats, Any]] = {}
+        self.failed: dict[TaskId, tuple[str, Optional[BaseException]]] = {}
+        self.retries: dict[TaskId, int] = {}
         self.pool_rebuilds = 0
-        # First exception per scenario tag: a shared artifact's failure is
-        # charged to every scenario it broke, not just the owner, so each
-        # scenario's outcome chains a cause that actually affected it.
-        self._tag_exceptions: dict[str, BaseException] = {}
-        self._owner_events: dict[str, list[ArtifactEvent]] = {tag: [] for tag in configs}
-        self._owner_stats: dict[str, CacheStats] = {tag: CacheStats() for tag in configs}
-        self._owner_wall: dict[str, float] = {tag: 0.0 for tag in configs}
-        self._owner_errors: dict[str, list[str]] = {tag: [] for tag in configs}
-
-    def tag_exception(self, tag: str) -> BaseException | None:
-        """The first exception that affected ``tag``'s artifacts or figures."""
-        return self._tag_exceptions.get(tag)
-
-    def shared_record(self, tag: str) -> ExperimentRunRecord:
-        """The ``__shared__`` report record of one scenario's artifact tasks.
-
-        ``wall_seconds`` is the *summed* wall-clock of the tag's artifact
-        tasks — they interleave with each other and with figure tasks, so
-        no distinct shared-phase elapsed time exists (the run report's
-        top-level ``wall_seconds`` carries the true wall-clock).
-        """
-        errors = self._owner_errors[tag]
-        return ExperimentRunRecord(
-            experiment_id="__shared__",
-            wall_seconds=self._owner_wall[tag],
-            cache=self._owner_stats[tag],
-            status="ok" if not errors else "error",
-            error="; ".join(errors),
-            retries=sum(
-                count
-                for address, count in self.artifact_retry_counts.items()
-                if self.tasks[address].owner == tag
-            ),
-        )
-
-    def owner_events(self, tag: str) -> list[ArtifactEvent]:
-        """Materialisation events of the artifact tasks charged to ``tag``."""
-        return list(self._owner_events[tag])
 
     def execute(self) -> None:
-        cache = ArtifactCache(self.cache_dir)
-        to_compute = [
-            address
-            for address, task in self.tasks.items()
-            if not cache.contains(task.kind, task.params)
-        ]
-        pending = set(to_compute)
-        dep_left = {
-            address: sum(1 for dep in self.tasks[address].deps if dep in pending)
-            for address in to_compute
-        }
-        dependents: dict[str, list[str]] = {address: [] for address in to_compute}
-        for address in to_compute:
-            for dep in self.tasks[address].deps:
-                if dep in pending:
-                    dependents[dep].append(address)
-        figure_left = {
-            task: sum(1 for address in self.figure_needs[task] if address in pending)
-            for task in self.figure_grid
-        }
-        failed: dict[str, str] = {}
-        completed_artifacts: set[str] = set()
-        # Supervision state.  ``attempts`` counts *attributed* crashes per
-        # task key (("artifact", address) or ("figure", (tag, id)));
-        # ``probe_queue`` holds crash suspects, which run one at a time so
-        # the next pool break is attributable to exactly one task.
-        attempts: dict[tuple[str, Any], int] = {}
-        probe_queue: list[tuple[str, Any]] = []
-
-        max_workers = min(self.jobs, max(1, len(self.figure_grid) + len(to_compute)))
+        waiting = {task_id: len(task.deps) for task_id, task in self.tasks.items()}
+        dependents: dict[TaskId, list[TaskId]] = {task_id: [] for task_id in self.tasks}
+        for task_id, task in self.tasks.items():
+            for dep in task.deps:
+                dependents[dep].append(task_id)
+        # Supervision state: attributed crashes per task, and the crash
+        # suspects, which run one at a time so the next pool break is
+        # attributable to exactly one task (``probe``, while it runs).
+        attempts: dict[TaskId, int] = {}
+        probes: list[TaskId] = []
+        probe: Optional[TaskId] = None
+        running: dict[TaskId, Future] = {}
 
         def new_pool() -> Any:
             if self.jobs == 1:
                 return _InlineExecutor()
-            return ProcessPoolExecutor(max_workers=max_workers)
+            return ProcessPoolExecutor(max_workers=min(self.jobs, max(1, len(self.tasks))))
 
         pool = new_pool()
-        inflight: dict[Any, tuple[str, Any]] = {}
-        flying: set[tuple[str, Any]] = set()
-        probe_future: Any = None
 
-        def record_figure_failure(task: tuple[str, str], message: str) -> None:
-            self.figure_records[task] = ExperimentRunRecord(
-                experiment_id=task[1],
-                wall_seconds=0.0,
-                status="error",
-                error=message,
-                retries=self.figure_retry_counts.get(task, 0),
-            )
+        def settled(task_id: TaskId) -> bool:
+            return task_id in self.finished or task_id in self.failed
 
-        def fail_artifact(
-            address: str, message: str, exc: BaseException | None = None
-        ) -> None:
-            """Mark an artifact failed and cascade to dependents/figures."""
-            stack = [(address, message)]
+        def runnable(task_id: TaskId) -> bool:
+            return waiting[task_id] == 0 and task_id not in running and not settled(task_id)
+
+        def complete(task_id: TaskId, outcome: tuple[float, CacheStats, Any]) -> None:
+            self.finished[task_id] = outcome
+            for dependent in dependents[task_id]:
+                waiting[dependent] -= 1
+
+        def fail(task_id: TaskId, message: str, exc: Optional[BaseException] = None) -> None:
+            """Record ``task_id`` failed, then every task downstream of it.
+
+            A failed artifact's figures follow its dependent artifacts in
+            its dependents, so the last-in-first-out walk settles them
+            first: each figure names the root failure.
+            """
+            stack = [(task_id, message)]
             while stack:
-                current, current_message = stack.pop()
-                if current in failed or current in completed_artifacts:
+                task_id, message = stack.pop()
+                if settled(task_id):
                     continue
-                failed[current] = current_message
-                task = self.tasks[current]
-                self._owner_errors[task.owner].append(
-                    f"{task.label}: {current_message}"
-                )
-                if exc is not None:
-                    self._tag_exceptions.setdefault(task.owner, exc)
-                downstream = f"artifact {task.label} failed: {current_message}"
-                for dependent in dependents.get(current, ()):
-                    stack.append((dependent, downstream))
-                for figure_task in self.figure_grid:
-                    if figure_task in self.figure_records:
-                        continue
-                    if current in self.figure_needs[figure_task]:
-                        record_figure_failure(
-                            figure_task,
-                            f"shared artifact {task.label} failed: {current_message}",
-                        )
-                        if exc is not None:
-                            self._tag_exceptions.setdefault(figure_task[0], exc)
+                self.failed[task_id] = (message, exc)
+                upstream = self.tasks[task_id].target
+                for dependent in dependents[task_id]:
+                    noun = "artifact" if self.tasks[dependent].is_artifact else "shared artifact"
+                    stack.append((dependent, f"{noun} {upstream.label} failed: {message}"))
 
-        def artifact_done(address: str) -> None:
-            if address in completed_artifacts:
-                return
-            completed_artifacts.add(address)
-            for dependent in dependents.get(address, ()):
-                dep_left[dependent] -= 1
-            for figure_task in self.figure_grid:
-                if address in self.figure_needs[figure_task]:
-                    figure_left[figure_task] -= 1
-
-        def runnable(key: tuple[str, Any]) -> bool:
-            kind, payload = key
-            if key in flying:
-                return False
-            if kind == "artifact":
-                return (
-                    payload not in failed
-                    and payload not in completed_artifacts
-                    and dep_left[payload] == 0
-                )
-            return payload not in self.figure_records and figure_left[payload] == 0
-
-        def submit(key: tuple[str, Any]) -> bool:
+        def submit(task_id: TaskId) -> bool:
             """Submit one task; ``False`` means the pool refused (broken)."""
-            kind, payload = key
-            if kind == "artifact":
-                task = self.tasks[payload]
-                config, target = self.configs[task.owner], task.key
-            else:
-                config, target = self.configs[payload[0]], payload[1]
+            task = self.tasks[task_id]
+            config = self.configs[task.tag]
             try:
-                future = pool.submit(_run_fresh_task, config, self.cache_dir, kind, target)
+                running[task_id] = pool.submit(_run_fresh_task, config, self.cache_dir, task.target)
             except Exception:
                 return False
-            inflight[future] = key
-            flying.add(key)
             return True
 
         def submit_ready() -> bool:
-            """Fill the pool; ``False`` means it broke mid-submission."""
-            nonlocal probe_future
-            if probe_future is not None:
+            """Fill the pool in DAG order; ``False`` means it broke mid-submission."""
+            nonlocal probe
+            if probe is not None:
                 return True  # probing: exactly one task in flight at a time
-            while probe_queue:
-                key = probe_queue.pop(0)
-                if not runnable(key):
+            while probes:
+                task_id = probes.pop(0)
+                if not runnable(task_id):
                     continue
-                if not submit(key):
-                    probe_queue.insert(0, key)
+                if not submit(task_id):
+                    probes.insert(0, task_id)
                     return False
-                probe_future = next(f for f, k in inflight.items() if k == key)
+                probe = task_id
                 return True
-            for address in to_compute:
-                key = ("artifact", address)
-                if runnable(key) and not submit(key):
-                    return False
-            for figure_task in self.figure_grid:
-                key = ("figure", figure_task)
-                if runnable(key) and not submit(key):
-                    return False
-            return True
+            return all(submit(task_id) for task_id in self.tasks if runnable(task_id))
 
-        def complete(future: Any, key: tuple[str, Any]) -> None:
-            """Fold one successfully finished task into the run state."""
-            kind, payload = key
-            elapsed, stats, value = future.result()
-            if kind == "artifact":
-                owner = self.tasks[payload].owner
-                self._owner_wall[owner] += elapsed
-                self._owner_stats[owner].merge(stats)
-                self._owner_events[owner].extend(value)
-                artifact_done(payload)
-            else:
-                self.results[payload] = value
-                self.figure_records[payload] = ExperimentRunRecord(
-                    experiment_id=payload[1],
-                    wall_seconds=elapsed,
-                    cache=stats,
-                    retries=self.figure_retry_counts.get(payload, 0),
-                )
-
-        def isolate(key: tuple[str, Any], message: str, exc: BaseException | None) -> None:
-            """Route a poison task into the ordinary failure-cascade path."""
-            kind, payload = key
-            if kind == "artifact":
-                fail_artifact(payload, message, exc)
-            else:
-                if exc is not None:
-                    self._tag_exceptions.setdefault(payload[0], exc)
-                record_figure_failure(payload, message)
-
-        def handle_pool_failure(
-            crashed: list[tuple[str, Any]],
-            attributed: list[tuple[str, Any]],
-            exc: BaseException | None,
+        def rebuild(
+            suspects: list[TaskId],
+            charged: list[TaskId],
+            exc: Optional[BaseException],
             reason: str,
         ) -> None:
-            """Rebuild the pool; charge ``attributed`` tasks, requeue the rest.
+            """Rebuild the pool; strike ``charged`` tasks, requeue the suspects.
 
             A broken pool poisons every in-flight future with the same
             exception, so the crasher is only knowable when it flew alone.
             Unattributed suspects are requeued without a strike and probed
             one at a time.
             """
-            nonlocal pool, probe_future
-            probe_future = None
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
+            nonlocal pool, probe
+            probe = None
+            for process in list((getattr(pool, "_processes", None) or {}).values()):
                 try:
                     process.terminate()
                 except Exception:
                     pass
             pool.shutdown(wait=False, cancel_futures=True)
-            inflight.clear()
-            flying.clear()
+            running.clear()
             self.pool_rebuilds += 1
             time.sleep(min(_BACKOFF_CAP, _RETRY_BACKOFF * (2 ** (self.pool_rebuilds - 1))))
             pool = new_pool()
-            charged = set(attributed)
-            for key in crashed:
-                kind, payload = key
-                if kind == "artifact" and (
-                    payload in completed_artifacts or payload in failed
-                ):
+            for task_id in suspects:
+                if settled(task_id):
                     continue
-                if kind == "figure" and payload in self.figure_records:
-                    continue
-                if key in charged:
-                    attempts[key] = attempts.get(key, 0) + 1
-                    if attempts[key] > _MAX_RETRIES:
-                        isolate(
-                            key,
-                            f"{reason}; isolated after "
-                            f"{attempts[key]} attributed failures",
-                            exc,
-                        )
+                if task_id in charged:
+                    attempts[task_id] = attempts.get(task_id, 0) + 1
+                    if attempts[task_id] > _MAX_RETRIES:
+                        isolated = f"isolated after {attempts[task_id]} attributed failures"
+                        fail(task_id, f"{reason}; {isolated}", exc)
                         continue
-                if kind == "artifact":
-                    self.artifact_retry_counts[payload] = (
-                        self.artifact_retry_counts.get(payload, 0) + 1
-                    )
-                else:
-                    self.figure_retry_counts[payload] = (
-                        self.figure_retry_counts.get(payload, 0) + 1
-                    )
-                if key not in probe_queue:
-                    probe_queue.append(key)
+                self.retries[task_id] = self.retries.get(task_id, 0) + 1
+                if task_id not in probes:
+                    probes.append(task_id)
 
         try:
             healthy = submit_ready()
-            while inflight or probe_queue or not healthy:
+            while running or not healthy:
                 if not healthy:
                     # The pool broke while we were feeding it.
-                    handle_pool_failure(
-                        list(inflight.values()),
-                        list(inflight.values()) if len(inflight) == 1 else [],
-                        None,
-                        "worker pool broke during submission",
-                    )
+                    suspects = list(running)
+                    charged = suspects if len(suspects) == 1 else []
+                    rebuild(suspects, charged, None, "worker pool broke during submission")
                     healthy = submit_ready()
                     continue
-                if not inflight:
-                    # Probe queue drained to only unrunnable entries.
-                    probe_queue.clear()
-                    healthy = submit_ready()
-                    if not inflight and healthy:
-                        break
-                    continue
-                done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-                crashed: list[tuple[str, Any]] = []
-                crash_exc: BaseException | None = None
+                done, _ = wait(set(running.values()), return_when=FIRST_COMPLETED)
+                crashed: list[TaskId] = []
+                crash_exc: Optional[BaseException] = None
                 # Fold finished tasks in submission order, so an in-process
                 # run reports its artifacts in topological order.
-                for future in [f for f in inflight if f in done]:
-                    key = inflight.pop(future)
-                    flying.discard(key)
-                    if future is probe_future:
-                        probe_future = None
+                for task_id, future in [(t, f) for t, f in running.items() if f in done]:
+                    del running[task_id]
+                    if task_id == probe:
+                        probe = None
                     error = future.exception()
                     if error is None:
-                        complete(future, key)
+                        complete(task_id, future.result())
                     elif isinstance(error, BrokenExecutor):
                         # The worker died (segfault, OOM kill, hard exit):
                         # retryable, unlike a deterministic task exception.
-                        crashed.append(key)
+                        crashed.append(task_id)
                         crash_exc = error
-                    elif key[0] == "artifact":
-                        fail_artifact(key[1], f"{type(error).__name__}: {error}", error)
                     else:
-                        self._tag_exceptions.setdefault(key[1][0], error)
-                        record_figure_failure(
-                            key[1], f"{type(error).__name__}: {error}"
-                        )
+                        fail(task_id, f"{type(error).__name__}: {error}", error)
                 if crashed:
                     # The break poisons everything still in flight; sweep
                     # survivors that actually finished, requeue the rest.
                     remaining = []
-                    for future, key in list(inflight.items()):
+                    for task_id, future in list(running.items()):
                         if future.done() and future.exception() is None:
-                            complete(future, key)
+                            complete(task_id, future.result())
                         else:
-                            remaining.append(key)
-                    attributed = (
-                        crashed if len(crashed) == 1 and not remaining else []
-                    )
-                    handle_pool_failure(
-                        crashed + remaining,
-                        attributed,
-                        crash_exc,
-                        "worker process crashed",
-                    )
+                            remaining.append(task_id)
+                    charged = crashed if len(crashed) == 1 and not remaining else []
+                    rebuild(crashed + remaining, charged, crash_exc, "worker process crashed")
                 healthy = submit_ready()
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
-        # Anything still unscheduled lost its dependency chain.
-        for address in to_compute:
-            if address not in completed_artifacts and address not in failed:
-                fail_artifact(address, "never became schedulable")
-        for figure_task in self.figure_grid:
-            if figure_task not in self.figure_records:
-                record_figure_failure(
-                    figure_task,
-                    "shared artifact phase failed before this figure ran",
+        # Anything still unsettled lost its dependency chain.
+        for task_id in self.tasks:
+            if not settled(task_id):
+                fail(task_id, "never became schedulable")
+
+    def tag_outcome(
+        self, tag: str, wanted: list[str]
+    ) -> tuple[
+        ExperimentRunRecord,
+        list[ExperimentRunRecord],
+        list[ArtifactEvent],
+        dict[str, ExperimentResult],
+        Optional[BaseException],
+    ]:
+        """``tag``'s share of the outcomes, for its run report.
+
+        Returns the ``__shared__`` record of its artifact tasks, the record
+        of each figure in ``wanted``, its artifact tasks' materialisation
+        events, its figures' results, and the first exception among its
+        failed tasks (a shared artifact's failure fails the tasks of every
+        scenario that needs it, so each outcome chains a cause that affected
+        it).  The shared record's ``wall_seconds`` is the *summed*
+        time of its artifact tasks: they interleave with each other and with
+        figure tasks, so no distinct shared-phase elapsed time exists.
+        """
+        mine = {task_id for task_id, task in self.tasks.items() if task.tag == tag}
+        artifacts = {task_id for task_id in mine if self.tasks[task_id].is_artifact}
+        built = [self.finished[t] for t in self.finished if t in artifacts]
+        errors = [
+            f"{self.tasks[t].target.label}: {self.failed[t][0]}"
+            for t in self.failed
+            if t in artifacts
+        ]
+        stats = CacheStats()
+        for _, delta, _ in built:
+            stats.merge(delta)
+        shared = ExperimentRunRecord(
+            experiment_id="__shared__",
+            wall_seconds=sum(seconds for seconds, _, _ in built),
+            cache=stats,
+            status="error" if errors else "ok",
+            error="; ".join(errors),
+            retries=sum(self.retries.get(t, 0) for t in artifacts),
+        )
+        records = []
+        for experiment_id in wanted:
+            task_id = (tag, experiment_id)
+            retries = self.retries.get(task_id, 0)
+            if task_id in self.finished:
+                seconds, delta, _ = self.finished[task_id]
+                records.append(ExperimentRunRecord(experiment_id, seconds, delta, retries=retries))
+            else:
+                error = self.failed[task_id][0]
+                records.append(
+                    ExperimentRunRecord(
+                        experiment_id, 0.0, status="error", error=error, retries=retries
+                    )
                 )
+        events = [event for _, _, payload in built for event in payload]
+        results = {
+            experiment_id: self.finished[(tag, experiment_id)][2]
+            for experiment_id in wanted
+            if (tag, experiment_id) in self.finished
+        }
+        first_exception = next(
+            (exc for t, (_, exc) in self.failed.items() if t in mine and exc is not None),
+            None,
+        )
+        return shared, records, events, results, first_exception
 
 
 def run_plans(
@@ -816,11 +697,11 @@ def run_plans(
     The one execution path: :func:`run_experiments` is its one-tag
     case, :func:`repro.scenarios.runner.run_scenario_matrix` its
     one-tag-per-scenario case.  Each configuration's plan is resolved, the
-    artifact tasks are merged by cache address (an artifact two
-    configurations share is computed once and charged to its first
-    declarer), and every task runs on one :class:`FrontierScheduler`.
-    Without ``cache_dir`` the run works through a ``repro-engine-cache-*``
-    scratch cache, removed on every exit (``^C`` included).
+    plans become one task DAG (an artifact two configurations share is one
+    task, computed once and charged to its first declarer), and the DAG
+    runs on one :class:`FrontierScheduler`.  Without ``cache_dir`` the run
+    works through a ``repro-engine-cache-*`` scratch cache, removed on
+    every exit (``^C`` included).
 
     A configuration whose plan fails to resolve is recorded against each of
     its figures; the others still run.  Each outcome's report
@@ -835,23 +716,15 @@ def run_plans(
         except Exception as exc:
             unresolved[tag] = exc
 
-    tasks: dict[str, ArtifactTask] = {}
-    figure_needs: dict[tuple[str, str], frozenset[str]] = {}
-    for tag, plan in plans.items():
-        for address, task in plan_artifact_tasks(plan, tag=tag).items():
-            tasks.setdefault(address, task)
-        for experiment_id in wanted:
-            figure_needs[(tag, experiment_id)] = plan_figure_addresses(plan, experiment_id)
-
     scratch_dir: Optional[str] = None
     try:
         if report_cache_dir is None:
             scratch_dir = tempfile.mkdtemp(prefix="repro-engine-cache-")
+        run_cache_dir = report_cache_dir or scratch_dir
         scheduler = FrontierScheduler(
-            tasks=tasks,
+            _task_dag(plans, wanted, ArtifactCache(run_cache_dir)),
             configs={tag: configs[tag] for tag in plans},
-            figure_needs=figure_needs,
-            cache_dir=report_cache_dir or scratch_dir,
+            cache_dir=run_cache_dir,
             jobs=jobs,
         )
         scheduler.execute()
@@ -872,11 +745,9 @@ def run_plans(
                 for eid in wanted
             ]
             events: list[ArtifactEvent] = []
+            results: dict[str, ExperimentResult] = {}
         else:
-            first_exception = scheduler.tag_exception(tag)
-            shared = scheduler.shared_record(tag)
-            records = [scheduler.figure_records[(tag, eid)] for eid in wanted]
-            events = scheduler.owner_events(tag)
+            shared, records, events, results, first_exception = scheduler.tag_outcome(tag, wanted)
         report = RunReport(
             config=config_fingerprint(config),
             jobs=jobs,
@@ -894,11 +765,7 @@ def run_plans(
             pool_rebuilds=scheduler.pool_rebuilds,
         )
         outcomes[tag] = EngineOutcome(
-            results={
-                eid: scheduler.results[(tag, eid)]
-                for eid in wanted
-                if (tag, eid) in scheduler.results
-            },
+            results=results,
             report=report,
             failures={r.experiment_id: r.error for r in records if r.status != "ok"},
             first_exception=first_exception,

@@ -137,7 +137,6 @@ def run_experiment(
     *,
     context: "ExperimentContext | None" = None,
     scenario: str | None = None,
-    **kwargs,
 ) -> ExperimentResult:
     """Run one experiment by id (e.g. ``"fig20"``).
 
@@ -172,8 +171,8 @@ def run_experiment(
 
             config = apply_scenario(config, scenario, caller="run_experiment")
     if context is not None:
-        return runner(context.config, context=context, **kwargs)
-    return runner(config, **kwargs)
+        return runner(context.config, context=context)
+    return runner(config)
 
 
 def run_all_experiments(

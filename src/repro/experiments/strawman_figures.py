@@ -17,6 +17,9 @@ from repro.meridian.rings import MeridianConfig
 from repro.neighbor.filters import severity_excluded_edges, severity_filtered_neighbor_lists
 from repro.neighbor.selection import MeridianSelectionExperiment
 
+#: Share of the worst-severity edges that fig17 and fig18 filter out.
+FILTER_FRACTION = 0.2
+
 
 def fig15_ides(
     config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
@@ -69,10 +72,7 @@ def fig16_lat(
 
 
 def fig17_vivaldi_filter(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    filter_fraction: float = 0.2,
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
     """Figure 17: Vivaldi whose probing neighbours avoid the worst-TIV edges."""
     ctx = ExperimentContext.resolve(config, context)
@@ -83,7 +83,7 @@ def fig17_vivaldi_filter(
         ctx.matrix,
         ctx.severity,
         n_neighbors=ctx.vivaldi.config.n_neighbors,
-        fraction=filter_fraction,
+        fraction=FILTER_FRACTION,
         rng=ctx.config.seed + 5,
     )
     filtered_system = VivaldiSystem(
@@ -100,7 +100,7 @@ def fig17_vivaldi_filter(
         data={
             "vivaldi_original": vivaldi_result.summary(),
             "vivaldi_severity_filter": filtered_result.summary(),
-            "filter_fraction": filter_fraction,
+            "filter_fraction": FILTER_FRACTION,
         },
         paper_expectation=(
             "Excluding the globally worst-severity edges from Vivaldi probing "
@@ -110,15 +110,12 @@ def fig17_vivaldi_filter(
 
 
 def fig18_meridian_filter(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    filter_fraction: float = 0.2,
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
     """Figure 18: Meridian whose rings avoid the worst-TIV edges (it gets worse)."""
     ctx = ExperimentContext.resolve(config, context)
     cfg = ctx.config
-    excluded = severity_excluded_edges(ctx.severity, fraction=filter_fraction)
+    excluded = severity_excluded_edges(ctx.severity, fraction=FILTER_FRACTION)
     meridian_config = MeridianConfig()
 
     original = MeridianSelectionExperiment(
@@ -144,7 +141,7 @@ def fig18_meridian_filter(
         data={
             "meridian_original": original.summary(),
             "meridian_severity_filter": filtered.summary(),
-            "filter_fraction": filter_fraction,
+            "filter_fraction": FILTER_FRACTION,
         },
         paper_expectation=(
             "Removing the worst-severity edges degrades Meridian: rings become "

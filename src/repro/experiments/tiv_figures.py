@@ -38,6 +38,13 @@ DATASET_PRESETS: dict[str, str] = {
     "PlanetLab": "planetlab_like",
 }
 
+#: Width (ms) of the edge-delay bins of Figs. 4-7.
+SEVERITY_BIN_WIDTH = 10.0
+#: Width (ms) of fig08's edge-delay bins.
+SHORTEST_PATH_BIN_WIDTH = 50.0
+#: Edges fig09 samples per data set (the paper's 10 000).
+PROXIMITY_SAMPLES = 10_000
+
 
 def dataset_sizes(config: ExperimentConfig) -> dict[str, int]:
     """Scale the four data sets' node counts relative to the config.
@@ -119,10 +126,7 @@ def fig03_cluster_matrix(
 
 
 def fig04_07_severity_vs_delay(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    bin_width: float = 10.0,
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
     """Figures 4-7: TIV severity versus edge delay, one series per data set.
 
@@ -135,12 +139,12 @@ def fig04_07_severity_vs_delay(
     for name, preset in DATASET_PRESETS.items():
         matrix = ctx.dataset_matrix(preset, sizes[name])
         severity = ctx.dataset_severity(preset, sizes[name])
-        stats = severity_vs_delay(matrix, severity, bin_width=bin_width)
+        stats = severity_vs_delay(matrix, severity, bin_width=SEVERITY_BIN_WIDTH)
         series[name] = stats.nonempty().as_dict()
     return ExperimentResult(
         experiment_id="fig04_07",
         title="Relation between edge delay and TIV severity",
-        data={"series": series, "bin_width_ms": bin_width},
+        data={"series": series, "bin_width_ms": SEVERITY_BIN_WIDTH},
         paper_expectation=(
             "Longer edges tend to cause more severe violations, but the "
             "relationship is irregular and edges of very different lengths can "
@@ -150,18 +154,15 @@ def fig04_07_severity_vs_delay(
 
 
 def fig08_shortest_path(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    bin_width: float = 50.0,
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
     """Figure 8: within-cluster fraction and shortest-path length vs edge delay."""
     ctx = ExperimentContext.resolve(config, context)
     centers, fraction, counts = within_cluster_fraction_vs_delay(
-        ctx.matrix, ctx.cluster_assignment, bin_width=bin_width
+        ctx.matrix, ctx.cluster_assignment, bin_width=SHORTEST_PATH_BIN_WIDTH
     )
     delays, shortest = shortest_path_lengths_for_edges(ctx.matrix, ctx.shortest_paths)
-    shortest_stats = bin_by_value(delays, shortest, bin_width=bin_width)
+    shortest_stats = bin_by_value(delays, shortest, bin_width=SHORTEST_PATH_BIN_WIDTH)
     return ExperimentResult(
         experiment_id="fig08",
         title="Shortest path length for edges at different delays",
@@ -180,10 +181,7 @@ def fig08_shortest_path(
 
 
 def fig09_proximity(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    n_samples: int = 10_000,
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
     """Figure 9: proximity does not predict TIV severity.
 
@@ -197,7 +195,9 @@ def fig09_proximity(
     for name, preset in DATASET_PRESETS.items():
         matrix = ctx.dataset_matrix(preset, sizes[name])
         severity = ctx.dataset_severity(preset, sizes[name])
-        result = proximity_analysis(matrix, severity, n_samples=n_samples, rng=cfg.seed)
+        result = proximity_analysis(
+            matrix, severity, n_samples=PROXIMITY_SAMPLES, rng=cfg.seed
+        )
         datasets[name] = {
             "median_nearest_difference": result.nearest_cdf().median,
             "median_random_difference": result.random_cdf().median,
@@ -206,7 +206,7 @@ def fig09_proximity(
     return ExperimentResult(
         experiment_id="fig09",
         title="Proximity property of TIVs",
-        data={"datasets": datasets, "n_samples": n_samples},
+        data={"datasets": datasets, "n_samples": PROXIMITY_SAMPLES},
         paper_expectation=(
             "Nearest-pair edges are only slightly more similar in TIV severity "
             "than random pairs: proximity alone cannot predict severity."

@@ -19,15 +19,14 @@ from repro.experiments.context import ExperimentContext
 from repro.experiments.result import ExperimentResult
 from repro.stats.summary import absolute_errors
 
+#: Length (s) of fig10's three-node run.
+THREE_NODE_SECONDS = 100
 #: Width (ms) of fig11's edge-delay bins.
 OSCILLATION_BIN_WIDTH = 10.0
 
 
 def fig10_three_node_trace(
-    config: ExperimentConfig | None = None,
-    *,
-    context: ExperimentContext | None = None,
-    seconds: int = 100,
+    config: ExperimentConfig | None = None, *, context: ExperimentContext | None = None
 ) -> ExperimentResult:
     """Figure 10: Vivaldi error trace on the 3-node TIV network.
 
@@ -42,10 +41,10 @@ def fig10_three_node_trace(
     vivaldi_config = VivaldiConfig(n_neighbors=2, dimension=2)
     sim = VivaldiSimulation(matrix, vivaldi_config, rng=cfg.seed)
     edges = [(0, 1), (1, 2), (2, 0)]
-    trace = sim.run(seconds, track_edges=edges)
+    trace = sim.run(THREE_NODE_SECONDS, track_edges=edges)
 
     traces = {f"{matrix.labels[i]}-{matrix.labels[j]}": trace.edge_errors[(i, j)] for i, j in edges}
-    half = seconds // 2
+    half = THREE_NODE_SECONDS // 2
     residual = {
         name: float(series[half:].max() - series[half:].min())
         for name, series in traces.items()

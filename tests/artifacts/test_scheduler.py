@@ -167,7 +167,7 @@ class TestFailureCascade:
         with pytest.raises(ExperimentError, match="embedding exploded"):
             run_experiments(
                 TINY,
-                only=["fig03", "fig19"],
+                only=["fig03", "fig16", "fig19"],
                 jobs=jobs,
                 cache_dir=tmp_path / "cache",
                 report_path=report_path,
@@ -176,14 +176,20 @@ class TestFailureCascade:
         by_id = {row["id"]: row for row in payload["experiments"]}
         # fig03 never touches the embedding: it completed.
         assert by_id["fig03"]["status"] == "ok"
-        # fig19 needs vivaldi (and alert, which cascades): recorded error.
-        assert by_id["fig19"]["status"] == "error"
-        assert "vivaldi" in by_id["fig19"]["error"]
+        # fig16 needs lat and fig19 needs alert, both built on vivaldi: each
+        # figure names the root failure, not the artifact nearest to it.
+        root = "RuntimeError: embedding exploded"
+        for experiment_id in ("fig16", "fig19"):
+            assert by_id[experiment_id]["status"] == "error"
+            assert by_id[experiment_id]["error"] == f"shared artifact vivaldi failed: {root}"
+        # lat and alert were cascaded, not attempted, each naming the
+        # artifact it waited on, in the order the cascade reached them.
         shared = payload["shared_precompute"]
         assert shared["status"] == "error"
-        assert "embedding exploded" in shared["error"]
-        # The alert artifact was cascaded, not attempted.
-        assert "alert" in shared["error"]
+        assert shared["error"] == (
+            f"vivaldi: {root}; lat: artifact vivaldi failed: {root}; "
+            f"alert: artifact vivaldi failed: {root}"
+        )
 
 
     def test_matrix_exceptions_attributed_per_scenario(self, tmp_path, monkeypatch):
@@ -325,18 +331,26 @@ class TestConcurrentCacheWrites:
         assert final is not None
         assert observed > 0
 
-    def test_scheduler_never_submits_one_address_twice(self, tmp_path):
+    def test_scheduler_never_submits_one_address_twice(self, monkeypatch):
         # Deduplication by address is what guarantees "exactly one
         # compute" even when many consumers race for the same artifact:
         # the engine's frontier submits one task per address, full stop.
-        from repro.artifacts import resolve_plan
-        from repro.experiments.engine import plan_artifact_tasks
+        # Read off the scheduler's own submissions in a cold in-process run.
+        import repro.experiments.engine as engine
+        from repro.artifacts.nodes import ArtifactKey
 
-        plan = resolve_plan(TINY, ["fig15", "fig16", "fig17", "fig19"])
-        tasks = plan_artifact_tasks(plan, tag="")
-        addresses = [task.address for task in tasks.values()]
-        assert len(addresses) == len(set(addresses))
+        figures = ["fig15", "fig16", "fig17", "fig19"]
+        plan = resolve_plan(TINY, figures)
+        submitted: list[str] = []
+        run_task = engine._run_task
+
+        def recording(context, target):
+            if isinstance(target, ArtifactKey):
+                submitted.append(plan.graph[target].address)
+            return run_task(context, target)
+
+        monkeypatch.setattr(engine, "_run_task", recording)
+        run_experiments(TINY, only=figures, jobs=1)
+        assert len(submitted) == len(set(submitted)), submitted
         # Every artifact of the plan maps onto exactly one task address.
-        assert {plan.graph[key].address for key in plan.graph.topological_order()} == set(
-            addresses
-        )
+        assert {artifact.address for artifact in plan.graph} == set(submitted)
