@@ -7,9 +7,8 @@ content-addressing parameters, cache address and dependency edges) plus the
 per-figure artifact closures the scheduler gates figure tasks on.
 
 The graph is small (tens of nodes), so resolution is cheap enough to run
-per engine invocation; ``repro bench`` still times it
-(``artifact_graph_resolve``) so a future regression in resolution cost is
-visible.
+per engine invocation; the repository benchmark's traced pass reports its
+cost (``graph.resolve_s``), so a regression in it is visible.
 """
 
 from __future__ import annotations

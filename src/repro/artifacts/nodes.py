@@ -50,8 +50,8 @@ MISPLACEMENT_PAIRS = 40_000
 DYNAMIC_ITERATIONS = 5
 
 #: Values the kernel parameters of live addresses may take.  Every
-#: experiment run uses the batched kernels, so entries carrying any other
-#: value (``"reference"`` entries written while runs could pick a kernel)
+#: system has one kernel, so entries carrying any other value
+#: (``"reference"`` entries written while runs could pick a kernel)
 #: or missing a declared era parameter entirely belong to a retired kernel
 #: era and are eligible for ``repro cache prune``.
 KNOWN_KERNELS = ("batched",)
@@ -157,9 +157,9 @@ def _embedding_params(ctx, instance) -> dict:
         "n_nodes": ctx.config.n_nodes,
         "seed": ctx.config.seed,
         "vivaldi_seconds": ctx.config.vivaldi_seconds,
-        # Every run uses the batched kernel, but its name stays in the
-        # address: it follows a different per-seed stream than the scalar
-        # one, so entries written by pre-kernel versions of this code must
+        # The embedding has one kernel, but its name stays in the address:
+        # it follows a different per-seed stream than the retired scalar
+        # loop, so entries written by pre-kernel versions of this code must
         # read as misses, not as stale hits.
         "kernel": "batched",
     }
@@ -178,8 +178,8 @@ def _ides_params(ctx, instance) -> dict:
 def _lat_params(ctx, instance) -> dict:
     """LAT adjusts the converged Vivaldi coordinates, so everything that
     addresses the embedding addresses LAT too; the coords kernel joins on
-    top because the two LAT kernels follow different per-seed sampling
-    streams."""
+    top because LAT's sampling follows a different per-seed stream than the
+    retired per-node loop's."""
     params = _embedding_params(ctx, instance)
     params["coords_kernel"] = "batched"
     return params

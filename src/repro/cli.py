@@ -21,10 +21,8 @@ driven without writing Python::
         --churn 0.2 --faults liars=0.1,spikes=0.05  # churning, faulty trace
     python -m repro stream --trace trace.npz --defense \
         --report STREAM_report.json               # replay it through the live service
-    python -m repro bench --sizes 100,200 \
-        --report BENCH_perf.json                  # time the hot kernels
-    python -m repro perf-gate --baseline BENCH_perf.json \
-        --current bench-new.json                  # CI perf-regression gate
+    python -m repro serve-bench --sizes 96 \
+        --report BENCH_serving.json               # query load at a warm service
 
 Common flags (``--nodes/--seed``, ``--jobs``, ``--cache-dir``,
 ``--report``, ``--only``) are defined once as argparse parent parsers —
@@ -297,32 +295,6 @@ def _cmd_run_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import run_benchmarks
-    from repro.perf.kernels import resolve_kernel_names
-    from repro.utils.io import write_json_report
-
-    try:
-        sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
-    except ValueError:
-        print(f"error: --sizes must be comma-separated integers, got {args.sizes!r}",
-              file=sys.stderr)
-        return 1
-    kernels = resolve_kernel_names(args.kernels) if args.kernels is not None else None
-    report = run_benchmarks(
-        kernels=kernels,
-        sizes=sizes,
-        repeats=args.repeats,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
-    _print_json(report.as_dict())
-    if args.report:
-        write_json_report(args.report, report.as_dict())
-        print(f"wrote bench report to {args.report}", file=sys.stderr)
-    return 0
-
-
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serve import ServingWorkload, run_serving_benchmark
     from repro.serve.workload import FAMILIES
@@ -351,35 +323,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.report:
         report.write(args.report)
         print(f"wrote serving report to {args.report}", file=sys.stderr)
-    return 0
-
-
-def _cmd_perf_gate(args: argparse.Namespace) -> int:
-    from repro.perf.gate import (
-        compare_reports,
-        format_table,
-        load_report,
-        regressions,
-    )
-
-    rows = compare_reports(
-        load_report(args.baseline), load_report(args.current), threshold=args.threshold
-    )
-    table = format_table(rows, threshold=args.threshold)
-    print(table, end="")
-    if args.summary:
-        # Append (not truncate): $GITHUB_STEP_SUMMARY accumulates sections.
-        with open(args.summary, "a", encoding="utf-8") as handle:
-            handle.write(table)
-    failed = regressions(rows)
-    if failed:
-        details = ", ".join(f"{row.kernel}@{row.size} ({row.ratio:.2f}x)" for row in failed)
-        print(
-            f"error: {len(failed)} kernel timing(s) regressed more than "
-            f"{args.threshold:g}x against {args.baseline}: {details}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -854,33 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.set_defaults(func=_cmd_chaos)
 
-    bench = sub.add_parser(
-        "bench",
-        help="time the library's hot kernels and write BENCH_perf.json",
-        parents=[_report_parent("BENCH_perf.json")],
-    )
-    bench.add_argument(
-        "--sizes",
-        default="100,200",
-        help="comma-separated node counts to benchmark at (default: 100,200)",
-    )
-    bench.add_argument(
-        "--kernels",
-        nargs="+",
-        default=None,
-        help="subset of kernels to time: kernel names, family names "
-        "(e.g. ides_fit expands to its batched+reference pair) or "
-        "comma-separated lists of either (default: all kernels)",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=3, help="timed calls per kernel/size (default: 3)"
-    )
-    bench.add_argument(
-        "--warmup", type=int, default=1, help="untimed warmup calls (default: 1)"
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.set_defaults(func=_cmd_bench)
-
     serve_bench = sub.add_parser(
         "serve-bench",
         help="fire query load at a warm live service and write BENCH_serving.json "
@@ -944,34 +860,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="seed of the warm trace and query streams"
     )
     serve_bench.set_defaults(func=_cmd_serve_bench)
-
-    perf_gate = sub.add_parser(
-        "perf-gate",
-        help="compare a fresh bench report against the committed baseline "
-        "and fail on kernel-time regressions",
-    )
-    perf_gate.add_argument(
-        "--baseline",
-        default="BENCH_perf.json",
-        help="committed baseline report (default: BENCH_perf.json)",
-    )
-    perf_gate.add_argument(
-        "--current", required=True, help="freshly measured report to check"
-    )
-    perf_gate.add_argument(
-        "--threshold",
-        type=float,
-        default=2.5,
-        help="fail when a kernel's best time exceeds baseline x threshold "
-        "(default: 2.5, tolerant of noisy CI runners)",
-    )
-    perf_gate.add_argument(
-        "--summary",
-        default=None,
-        help="also append the Markdown comparison table to this file "
-        "(e.g. $GITHUB_STEP_SUMMARY)",
-    )
-    perf_gate.set_defaults(func=_cmd_perf_gate)
 
     report = sub.add_parser(
         "report",

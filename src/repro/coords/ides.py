@@ -16,19 +16,10 @@ landmarks only*.  This keeps the measurement cost at O(N · L) like the real
 system — fitting a factorisation to the complete N×N matrix would both be
 unrealistic and overstate IDES's accuracy.
 
-Two fit kernels are available (see the ``kernel`` argument of
-:func:`fit_ides`):
-
-``"batched"`` (default)
-    The host projection solves *one* least-squares system with all hosts'
-    landmark measurements stacked as right-hand sides (the factor matrix is
-    shared, so LAPACK factorises it once).
-``"reference"``
-    The original per-host least-squares loop, kept for equivalence testing
-    and benchmarking.
-
-Both kernels solve the same least-squares problems; results agree to
-floating-point accuracy.
+Every ordinary host is projected by *one* least-squares solve with all
+hosts' landmark measurements stacked as right-hand sides (the factor matrix
+is shared, so LAPACK factorises it once).  It agrees to floating-point
+accuracy with a per-host oracle in ``tests/coords``.
 """
 
 from __future__ import annotations
@@ -42,10 +33,6 @@ from repro.coords.base import DelayPredictor
 from repro.delayspace.matrix import DelayMatrix
 from repro.errors import EmbeddingError
 from repro.stats.rng import RngLike, ensure_rng
-
-#: Fit kernels accepted by :func:`fit_ides`.
-KERNELS = ("batched", "reference")
-
 
 @dataclass(frozen=True)
 class IDESConfig:
@@ -140,7 +127,6 @@ def fit_ides(
     *,
     rng: RngLike = None,
     landmarks: Optional[Sequence[int]] = None,
-    kernel: str = "batched",
 ) -> IDESCoordinates:
     """Fit landmark-based IDES coordinates to a delay matrix.
 
@@ -155,13 +141,7 @@ def fit_ides(
     landmarks:
         Explicit landmark node indices; chosen uniformly at random when
         omitted.
-    kernel:
-        ``"batched"`` (default) projects every ordinary host in one
-        multi-right-hand-side least-squares solve; ``"reference"`` keeps the
-        per-host loop.  See the module docstring.
     """
-    if kernel not in KERNELS:
-        raise EmbeddingError(f"unknown IDES kernel {kernel!r}; expected one of {KERNELS}")
     cfg = config if config is not None else IDESConfig()
     gen = ensure_rng(rng)
     data = _filled(matrix)
@@ -193,19 +173,12 @@ def fit_ides(
     is_landmark = np.zeros(n, dtype=bool)
     is_landmark[landmark_idx] = True
     host_idx = np.flatnonzero(~is_landmark)
-    to_landmarks = data[:, landmark_idx]
-    if kernel == "batched":
-        if host_idx.size:
-            # One solve per factor: the coefficient matrix is shared by all
-            # hosts, so their measurements stack as right-hand-side columns
-            # and LAPACK factorises the landmark matrix exactly once.
-            rhs = to_landmarks[host_idx].T
-            outgoing[host_idx] = np.linalg.lstsq(landmark_in, rhs, rcond=None)[0].T
-            incoming[host_idx] = np.linalg.lstsq(landmark_out, rhs, rcond=None)[0].T
-    else:
-        for host in host_idx:
-            d = to_landmarks[host]
-            outgoing[host] = np.linalg.lstsq(landmark_in, d, rcond=None)[0]
-            incoming[host] = np.linalg.lstsq(landmark_out, d, rcond=None)[0]
+    if host_idx.size:
+        # One solve per factor: the coefficient matrix is shared by all
+        # hosts, so their measurements stack as right-hand-side columns and
+        # LAPACK factorises the landmark matrix exactly once.
+        rhs = data[np.ix_(host_idx, landmark_idx)].T
+        outgoing[host_idx] = np.linalg.lstsq(landmark_in, rhs, rcond=None)[0].T
+        incoming[host_idx] = np.linalg.lstsq(landmark_out, rhs, rcond=None)[0].T
 
     return IDESCoordinates(outgoing, incoming, landmarks=landmark_idx.tolist())

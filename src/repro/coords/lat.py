@@ -14,21 +14,13 @@ node ``x`` against a sample of measured nodes::
 The paper evaluates LAT as a §4.2 strawman (Fig. 16) and finds it improves
 aggregate accuracy a little but barely helps neighbour selection.
 
-Two fit kernels are available (see the ``kernel`` argument of
-:func:`fit_lat`):
-
-``"batched"`` (default)
-    Samples every node's measured set in one RNG call (a row-shuffled
-    shifted-index matrix, the same trick as Vivaldi's neighbour sampling)
-    and evaluates all adjustment terms as whole-array gathers over a padded
-    ``(n, k)`` sample-index matrix — no per-node, per-sample Python loop.
-``"reference"``
-    The original double loop, kept for equivalence testing and
-    benchmarking.
-
-Both kernels compute the same adjustment formula; with explicit ``samples``
-they agree to floating point, while default random sampling follows a
-different per-seed stream per kernel (one draw versus n draws).
+Every node's measured set is sampled in one RNG call (a row-shuffled
+shifted-index matrix, the same trick as Vivaldi's neighbour sampling) and
+all adjustment terms are evaluated as whole-array gathers over a padded
+``(n, k)`` sample-index matrix.  A per-node, per-sample oracle in
+``tests/coords`` checks it: with explicit ``samples`` the two agree to
+floating point, while random sampling draws a different per-seed stream
+(one draw versus n draws).
 """
 
 from __future__ import annotations
@@ -42,10 +34,6 @@ from repro.coords.vivaldi import VivaldiSystem
 from repro.delayspace.matrix import DelayMatrix
 from repro.errors import EmbeddingError
 from repro.stats.rng import RngLike, ensure_rng
-
-#: Fit kernels accepted by :func:`fit_lat`.
-KERNELS = ("batched", "reference")
-
 
 class LATCoordinates(DelayPredictor):
     """Euclidean coordinates plus per-node localized adjustment terms.
@@ -105,7 +93,7 @@ def _padded_samples(sample_lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, 
     return pad, mask
 
 
-def _batched_adjustments(
+def _adjustments(
     measured: np.ndarray, coords: np.ndarray, pad: np.ndarray, mask: np.ndarray
 ) -> np.ndarray:
     """Evaluate every node's adjustment term as whole-array gathers."""
@@ -129,7 +117,6 @@ def fit_lat(
     sample_size: Optional[int] = None,
     samples: Optional[Sequence[Sequence[int]]] = None,
     rng: RngLike = None,
-    kernel: str = "batched",
 ) -> LATCoordinates:
     """Compute localized adjustment terms for a converged Vivaldi embedding.
 
@@ -146,32 +133,22 @@ def fit_lat(
         Explicit per-node sample lists, overriding ``sample_size``.
     rng:
         Seed or generator used when sampling.
-    kernel:
-        ``"batched"`` (default) draws all samples in one RNG call and
-        evaluates the adjustment terms as padded whole-array gathers;
-        ``"reference"`` keeps the per-node double loop.  See the module
-        docstring.
     """
-    if kernel not in KERNELS:
-        raise EmbeddingError(f"unknown LAT kernel {kernel!r}; expected one of {KERNELS}")
     matrix: DelayMatrix = vivaldi.matrix
     coords = vivaldi.coordinates
     measured = matrix.values
     n = matrix.n_nodes
     gen = ensure_rng(rng)
 
-    if samples is None:
+    if samples is not None:
+        if len(samples) != n:
+            raise EmbeddingError(f"expected {n} sample lists, got {len(samples)}")
+        pad, mask = _padded_samples([[int(j) for j in s] for s in samples])
+    else:
         k = sample_size if sample_size is not None else vivaldi.config.n_neighbors
         k = min(k, n - 1)
         if k < 1:
             raise EmbeddingError("sample_size must be >= 1")
-
-    if samples is not None:
-        if len(samples) != n:
-            raise EmbeddingError(f"expected {n} sample lists, got {len(samples)}")
-        sample_lists = [[int(j) for j in s] for s in samples]
-        pad, mask = _padded_samples(sample_lists)
-    elif kernel == "batched":
         # Row i holds 0..n-1 with i removed (values >= i shift up by one);
         # one rng.permuted call shuffles every row independently and the
         # first k columns are the node's sample — no per-node choice() loop.
@@ -179,26 +156,4 @@ def fit_lat(
         candidates += candidates >= np.arange(n, dtype=np.int64)[:, None]
         pad = gen.permuted(candidates, axis=1)[:, :k]
         mask = np.ones(pad.shape, dtype=bool)
-    else:
-        sample_lists = []
-        for i in range(n):
-            pool = np.delete(np.arange(n), i)
-            sample_lists.append([int(j) for j in gen.choice(pool, size=k, replace=False)])
-
-    if kernel == "batched":
-        return LATCoordinates(coords, _batched_adjustments(measured, coords, pad, mask))
-
-    adjustments = np.zeros(n)
-    for i, sample in enumerate(sample_lists):
-        if not sample:
-            continue
-        errors = []
-        for j in sample:
-            d = measured[i, j]
-            if not np.isfinite(d):
-                continue
-            predicted = float(np.linalg.norm(coords[i] - coords[j]))
-            errors.append(d - predicted)
-        if errors:
-            adjustments[i] = float(np.mean(errors)) / 2.0
-    return LATCoordinates(coords, adjustments)
+    return LATCoordinates(coords, _adjustments(measured, coords, pad, mask))

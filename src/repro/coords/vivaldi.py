@@ -10,25 +10,16 @@ adaptive step size weighted by the relative confidence of the two nodes.
 The paper runs Vivaldi with 32 random neighbours per node in a 5-D Euclidean
 space; those are the defaults of :class:`VivaldiConfig`.
 
-Two step kernels are available (see the ``kernel`` argument of
-:class:`VivaldiSystem`):
-
-``"batched"`` (default)
-    One simulated second is computed as whole-array numpy operations: all N
-    probe targets are drawn in a single RNG call and every node's error and
-    coordinate update is evaluated against a snapshot of the state taken at
-    the start of the probe round (a Jacobi-style sweep).  This is faithful
-    to the protocol the Vivaldi paper describes — nodes probe
-    *asynchronously* and act on remote state that is always slightly stale
-    — and is an order of magnitude faster than the scalar loop.
-``"reference"``
-    The original scalar loop: nodes probe one after another within a round
-    and immediately publish their updates (a Gauss-Seidel sweep).  Kept as
-    the behavioural reference for equivalence testing and benchmarking.
-
-Both kernels converge to statistically indistinguishable embeddings; they
-differ only in within-round update ordering, so per-seed streams (and the
-committed golden snapshots) are kernel-specific.
+One simulated second is computed as whole-array numpy operations: all N
+probe targets are drawn in a single RNG call and every node's error and
+coordinate update is evaluated against a snapshot of the state taken at the
+start of the probe round (a Jacobi-style sweep).  This is faithful to the
+protocol the Vivaldi paper describes — nodes probe *asynchronously* and act
+on remote state that is always slightly stale.  The embedding's
+convergence is checked against a scalar oracle in ``tests/coords`` in
+which nodes probe one after another and publish each update at once (a
+Gauss-Seidel sweep); the two reach statistically indistinguishable
+embeddings.
 """
 
 from __future__ import annotations
@@ -106,14 +97,7 @@ class VivaldiSystem(DelayPredictor):
         ``config.n_neighbors`` random distinct neighbours per node.  The
         dynamic-neighbour Vivaldi of §5.2 swaps these lists between
         iterations via :meth:`set_neighbors`.
-    kernel:
-        ``"batched"`` (default) evaluates each probe round as whole-array
-        numpy operations against a start-of-round state snapshot;
-        ``"reference"`` keeps the scalar per-node probe loop.  See the
-        module docstring for the exact semantics.
     """
-
-    KERNELS = ("batched", "reference")
 
     def __init__(
         self,
@@ -122,16 +106,10 @@ class VivaldiSystem(DelayPredictor):
         *,
         rng: RngLike = None,
         neighbors: Optional[Sequence[Sequence[int]]] = None,
-        kernel: str = "batched",
     ):
-        if kernel not in self.KERNELS:
-            raise EmbeddingError(
-                f"unknown Vivaldi kernel {kernel!r}; expected one of {self.KERNELS}"
-            )
         self._matrix = matrix
         self._config = config if config is not None else VivaldiConfig()
         self._rng = ensure_rng(rng)
-        self._kernel = kernel
         n = matrix.n_nodes
 
         # Small random initial coordinates break the symmetry of starting
@@ -149,11 +127,6 @@ class VivaldiSystem(DelayPredictor):
             self.set_neighbors(neighbors)
 
     # -- configuration and state accessors -----------------------------------
-
-    @property
-    def kernel(self) -> str:
-        """The step kernel in use (``"batched"`` or ``"reference"``)."""
-        return self._kernel
 
     @property
     def matrix(self) -> DelayMatrix:
@@ -215,7 +188,7 @@ class VivaldiSystem(DelayPredictor):
     def _rebuild_neighbor_arrays(self) -> None:
         """Mirror the neighbour lists into the padded array form.
 
-        The batched kernel gathers probe targets as
+        A probe round gathers its targets as
         ``pad[i, rng.integers(0, len[i])]``, which handles ragged lists
         (explicit neighbours may differ in length) without per-node Python
         work.  Pad slots are never indexed, so their value is irrelevant.
@@ -241,7 +214,7 @@ class VivaldiSystem(DelayPredictor):
 
     # -- spring-relaxation dynamics -------------------------------------------
 
-    def _probe_round_batched(self) -> None:
+    def _probe_round(self) -> None:
         """One whole-array probe round: every node probes one neighbour.
 
         All reads (coordinates, errors of both endpoints) come from the
@@ -264,9 +237,9 @@ class VivaldiSystem(DelayPredictor):
         np.divide(diff, dist[:, None], out=direction, where=positive[:, None])
         coincident = valid & ~positive
         if np.any(coincident):
-            # Coincident coordinates: push in a random direction, like the
-            # scalar kernel (drawn only for the affected rows, so the RNG
-            # stream stays deterministic per seed).
+            # Coincident coordinates: push in a random direction (drawn
+            # only for the affected rows, so the RNG stream stays
+            # deterministic per seed).
             push = self._rng.normal(size=(int(coincident.sum()), self._config.dimension))
             push /= np.linalg.norm(push, axis=1, keepdims=True)
             direction[coincident] = push
@@ -284,33 +257,6 @@ class VivaldiSystem(DelayPredictor):
         self._coords = self._coords + movement[:, None] * direction
         self._last_movement += np.abs(movement)
 
-    def _probe(self, i: int, j: int) -> None:
-        """Apply one Vivaldi update at node ``i`` after probing node ``j``."""
-        rtt = self._delays[i, j]
-        if not np.isfinite(rtt) or rtt <= 0:
-            return
-        diff = self._coords[i] - self._coords[j]
-        dist = float(np.linalg.norm(diff))
-        if dist > 0:
-            direction = diff / dist
-        else:
-            # Coincident coordinates: pick a random push direction.
-            direction = self._rng.normal(size=self._config.dimension)
-            direction /= np.linalg.norm(direction)
-
-        e_i = max(self._errors[i], self._config.min_error)
-        e_j = max(self._errors[j], self._config.min_error)
-        w = e_i / (e_i + e_j)
-        relative_error = abs(dist - rtt) / rtt
-
-        ce_w = self._config.ce * w
-        self._errors[i] = relative_error * ce_w + self._errors[i] * (1.0 - ce_w)
-
-        delta = self._config.cc * w
-        movement = delta * (rtt - dist)
-        self._coords[i] = self._coords[i] + movement * direction
-        self._last_movement[i] += abs(movement)
-
     def step(self) -> np.ndarray:
         """Advance the simulation by one second.
 
@@ -320,15 +266,8 @@ class VivaldiSystem(DelayPredictor):
         (the paper's "movement speed per step").
         """
         self._last_movement.fill(0.0)
-        if self._kernel == "batched":
-            for _ in range(self._config.probes_per_node_per_second):
-                self._probe_round_batched()
-        else:
-            for _ in range(self._config.probes_per_node_per_second):
-                for i in range(self.n_nodes):
-                    nbrs = self._neighbors[i]
-                    j = nbrs[int(self._rng.integers(0, len(nbrs)))]
-                    self._probe(i, j)
+        for _ in range(self._config.probes_per_node_per_second):
+            self._probe_round()
         self._time += 1.0
         return self._last_movement.copy()
 

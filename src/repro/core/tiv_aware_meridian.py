@@ -105,8 +105,8 @@ def tiv_aware_membership_adjuster(
     the member's *predicted* delay when the alert's prediction ratio for the
     edge lies outside ``[ts, tl]`` (triggering double placement), or ``None``
     when the measured placement alone is safe.  It also answers for whole
-    index arrays (``placement_delays``), which the batched overlay build
-    reads from the alert's ratio and predicted-delay rows in one pass.
+    index arrays (``placement_delays``), which the overlay build reads from
+    the alert's ratio and predicted-delay rows in one pass.
     """
     return _TIVAwareAdjuster(alert, config if config is not None else TIVAwareMeridianConfig())
 
@@ -153,17 +153,14 @@ def build_tiv_aware_overlay(
     rng: RngLike = None,
     full_membership: bool = False,
     membership_sample_size: Optional[int] = None,
-    kernel: str = "batched",
 ) -> tuple[MeridianOverlay, RestartPolicy]:
     """Construct a TIV-aware Meridian overlay and its restart policy.
 
     This is the convenience entry point used by the Fig. 24 / Fig. 25
     experiments: the overlay is built with the TIV-aware membership
     adjuster, and the matching restart policy is returned so callers can
-    pass it to every query.  ``kernel`` is forwarded to the overlay: the
-    batched kernel places every node's members, double placements
-    included, in one whole-array pass; the reference kernel adds them one
-    by one.
+    pass it to every query.  The overlay places every node's members,
+    double placements included, in one whole-array pass.
     """
     if alert.matrix.n_nodes != matrix.n_nodes:
         raise MeridianError("alert was built for a different delay matrix size")
@@ -176,6 +173,5 @@ def build_tiv_aware_overlay(
         full_membership=full_membership,
         membership_sample_size=membership_sample_size,
         membership_adjuster=tiv_aware_membership_adjuster(alert, cfg),
-        kernel=kernel,
     )
     return overlay, tiv_aware_restart_policy(alert, cfg)

@@ -434,7 +434,8 @@ class FrontierScheduler:
     it waits on; each runs under its tag's entry in ``configs``.  After
     :meth:`execute`, ``finished`` holds each finished task's ``(seconds,
     cache counters, payload)`` in completion order, ``failed`` each failed
-    task's ``(message, exception or None)`` in failure order, ``retries``
+    task's ``(message, exception or None)`` in DAG order, each failure that
+    raised followed by the tasks it failed downstream, ``retries``
     the re-submissions per task, and ``pool_rebuilds`` how often the pool
     was rebuilt.
     """
@@ -489,7 +490,11 @@ class FrontierScheduler:
                 waiting[dependent] -= 1
 
         def fail(task_id: TaskId, message: str, exc: Optional[BaseException] = None) -> None:
-            """Record ``task_id`` failed, then every task downstream of it.
+            """Record ``task_id`` failed; what it fails downstream waits for :func:`cascade`."""
+            self.failed[task_id] = (message, exc)
+
+        def cascade(task_id: TaskId, message: str, exc: Optional[BaseException] = None) -> None:
+            """Record ``task_id`` failed, then every unsettled task downstream of it.
 
             A failed artifact's figures follow its dependent artifacts in
             its dependents, so the last-in-first-out walk settles them
@@ -614,10 +619,16 @@ class FrontierScheduler:
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
+        # Failures cascade in DAG order, not in the order workers reported
+        # them, so every run of one DAG writes the same report.
+        roots, self.failed = self.failed, {}
+        for task_id in self.tasks:
+            if task_id in roots:
+                cascade(task_id, *roots[task_id])
         # Anything still unsettled lost its dependency chain.
         for task_id in self.tasks:
             if not settled(task_id):
-                fail(task_id, "never became schedulable")
+                cascade(task_id, "never became schedulable")
 
     def tag_outcome(
         self, tag: str, wanted: list[str]

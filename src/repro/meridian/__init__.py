@@ -6,8 +6,8 @@ concentric, exponentially growing delay rings, and a query is forwarded
 recursively to whichever ring member is measured (online) to be closest to
 the target.
 
-* :mod:`repro.meridian.rings` — ring geometry, per-node ring sets and the
-  overlay-wide array ring store of the batched kernel;
+* :mod:`repro.meridian.rings` — ring geometry, the overlay-wide array
+  ring store and each node's view of its row;
 * :mod:`repro.meridian.node` — one Meridian node's membership state;
 * :mod:`repro.meridian.overlay` — overlay construction and the recursive
   closest-neighbour query (with probe accounting and the β termination
@@ -23,11 +23,10 @@ the concrete TIV-alert-driven policies live in
 from repro.meridian.analysis import ring_misplacement_by_delay
 from repro.meridian.node import MeridianNode
 from repro.meridian.overlay import MeridianOverlay, QueryResult
-from repro.meridian.rings import MeridianConfig, RingSet, ring_index
+from repro.meridian.rings import MeridianConfig, ring_index
 
 __all__ = [
     "MeridianConfig",
-    "RingSet",
     "ring_index",
     "MeridianNode",
     "MeridianOverlay",

@@ -1,8 +1,9 @@
 """A single Meridian node.
 
-A Meridian node knows its own identifier, keeps a :class:`RingSet` of other
-Meridian nodes, and can report which of its members are eligible to probe a
-target given the β acceptance window.
+A Meridian node knows its own identifier, reads its rings of other Meridian
+nodes through a :class:`~repro.meridian.rings.StoredRingSet` (its row of
+the overlay's ring store), and can report which of its members are eligible
+to probe a target given the β acceptance window.
 """
 
 from __future__ import annotations
@@ -10,15 +11,15 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.errors import MeridianError
-from repro.meridian.rings import MeridianConfig, RingSet
+from repro.meridian.rings import MeridianConfig, StoredRingSet
 
 # A membership adjuster inspects the (owner, member, measured delay) triple
 # and may return a second delay at which the member should also be ring
 # placed (or None to keep the default single placement).  The TIV-aware ring
 # construction of §5.3 supplies one based on the TIV alert.  An adjuster may
 # also offer ``placement_delays(owners, members, delays)``, the same answers
-# for broadcast index arrays with ``nan`` for None; the batched overlay build
-# then asks once for every candidate instead of once per edge.
+# for broadcast index arrays with ``nan`` for None; the overlay build then
+# asks once for every candidate instead of once per edge.
 MembershipAdjuster = Callable[[int, int, float], Optional[float]]
 
 
@@ -31,12 +32,15 @@ class MeridianNode:
         Identifier of this node (an index into the delay matrix).
     config:
         Ring geometry and query parameters.
+    rings:
+        This node's rings (the view of its row that
+        :meth:`~repro.meridian.overlay.MeridianOverlay.node` builds).
     """
 
-    def __init__(self, node_id: int, config: MeridianConfig):
+    def __init__(self, node_id: int, config: MeridianConfig, rings: StoredRingSet):
         self.node_id = int(node_id)
         self.config = config
-        self.rings = RingSet(config)
+        self.rings = rings
 
     def __repr__(self) -> str:
         return f"MeridianNode(id={self.node_id}, members={len(self.rings)})"

@@ -114,18 +114,14 @@ class MeridianOverlay:
         ring membership — the §4.3 severity-filter strawman.
     membership_adjuster:
         Optional TIV-aware double-placement hook (§5.3 ring construction).
-    kernel:
-        ``"batched"`` (default) keeps every node's rings in one
-        :class:`~repro.meridian.rings.RingStore`, filled by one
-        whole-array placement pass (excluded edges, sampled or full
-        membership and adjuster double placements included), and answers
-        batches of queries in lock-step over it; ``"reference"`` keeps the
-        per-member Python loops and dict rings.  Both kernels consume the
-        RNG identically and produce identical rings and query results —
-        the switch only trades loop shape for array operations.
-    """
 
-    KERNELS = ("batched", "reference")
+    Every node's rings live in one :class:`~repro.meridian.rings.RingStore`,
+    filled by one whole-array placement pass (excluded edges, sampled or
+    full membership and adjuster double placements included), and batches
+    of queries advance in lock-step over it.  Rings, probes, hops and
+    answers are checked bit for bit against a member-by-member oracle over
+    dict rings in ``tests/meridian``.
+    """
 
     def __init__(
         self,
@@ -138,17 +134,11 @@ class MeridianOverlay:
         membership_sample_size: Optional[int] = None,
         excluded_edges: Optional[Iterable[tuple[int, int]]] = None,
         membership_adjuster: MembershipAdjuster | None = None,
-        kernel: str = "batched",
     ):
-        if kernel not in self.KERNELS:
-            raise MeridianError(
-                f"unknown Meridian kernel {kernel!r}; expected one of {self.KERNELS}"
-            )
         self._matrix = matrix
         self._delays = matrix.values
         self._config = config if config is not None else MeridianConfig()
         self._rng = ensure_rng(rng)
-        self._kernel = kernel
 
         ids = [int(i) for i in meridian_nodes]
         if len(ids) < 2:
@@ -163,48 +153,11 @@ class MeridianOverlay:
         self._meridian_arr = np.asarray(ids, dtype=np.int64)
 
         self._nodes: dict[int, MeridianNode] = {}
-        if kernel == "batched":
-            self._build_store(
-                full_membership, membership_sample_size, excluded_edges, membership_adjuster
-            )
-            return
-        self._excluded: set[frozenset[int]] = set()
-        if excluded_edges:
-            for a, b in excluded_edges:
-                self._excluded.add(frozenset((int(a), int(b))))
-        self._build(full_membership, membership_sample_size, membership_adjuster)
+        self._build_store(
+            full_membership, membership_sample_size, excluded_edges, membership_adjuster
+        )
 
     # -- construction ---------------------------------------------------------
-
-    def _usable(self, a: int, b: int) -> bool:
-        if self._excluded and frozenset((a, b)) in self._excluded:
-            return False
-        return bool(np.isfinite(self._delays[a, b]))
-
-    def _build(
-        self,
-        full_membership: bool,
-        sample_size: Optional[int],
-        adjuster: MembershipAdjuster | None,
-    ) -> None:
-        config = self._config
-        if sample_size is None:
-            sample_size = config.k * config.n_rings
-        for node_id in self._meridian_ids:
-            node = MeridianNode(node_id, config)
-            others = [m for m in self._meridian_ids if m != node_id]
-            if full_membership or len(others) <= sample_size:
-                candidates = others
-            else:
-                chosen = self._rng.choice(len(others), size=sample_size, replace=False)
-                candidates = [others[int(c)] for c in chosen]
-            for member in candidates:
-                if not self._usable(node_id, member):
-                    continue
-                node.add_member(
-                    member, float(self._delays[node_id, member]), adjuster=adjuster
-                )
-            self._nodes[node_id] = node
 
     def _build_store(
         self,
@@ -213,12 +166,11 @@ class MeridianOverlay:
         excluded_edges: Optional[Iterable[tuple[int, int]]],
         adjuster: MembershipAdjuster | None,
     ) -> None:
-        """The batched build: every node's candidates placed in one pass.
+        """Every node's candidates placed in one pass.
 
-        Candidates are drawn exactly as :meth:`_build` draws them (one
-        ``rng.choice`` per node, in node order), laid out as one row per
-        node, filtered by one boolean edge mask and handed to
-        :meth:`RingStore.place`.
+        Candidates are drawn with one ``rng.choice`` per node, in node
+        order, laid out as one row per node, filtered by one boolean edge
+        mask and handed to :meth:`RingStore.place`.
         """
         config = self._config
         if sample_size is None:
@@ -262,11 +214,6 @@ class MeridianOverlay:
         return self._config
 
     @property
-    def kernel(self) -> str:
-        """The query/build kernel in use (``"batched"`` or ``"reference"``)."""
-        return self._kernel
-
-    @property
     def meridian_ids(self) -> list[int]:
         """Indices of the Meridian nodes."""
         return list(self._meridian_ids)
@@ -276,13 +223,12 @@ class MeridianOverlay:
         node = self._nodes.get(node_id)
         if node is not None:
             return node
-        if self._kernel == "reference" or node_id not in self._meridian_set:
+        if node_id not in self._meridian_set:
             raise MeridianError(f"{node_id} is not a Meridian node")
-        # Batched overlays make node objects on first access, as views of
-        # their row of the ring store.
-        node = MeridianNode(node_id, self._config)
-        node.rings = StoredRingSet(self._store, int(self._row_of[node_id]))
-        self._nodes[node_id] = node
+        # Node objects are made on first access, as views of their row of
+        # the ring store.
+        rings = StoredRingSet(self._store, int(self._row_of[node_id]))
+        node = self._nodes[node_id] = MeridianNode(node_id, self._config, rings)
         return node
 
     def ring_occupancy(self) -> dict[int, list[int]]:
@@ -298,18 +244,7 @@ class MeridianOverlay:
         """
         if not 0 <= target < self._matrix.n_nodes:
             raise MeridianError(f"target {target} is not in the delay matrix")
-        if self._kernel == "batched":
-            return self._true_closest_all([target])[0]
-        best_node, best_delay = -1, np.inf
-        for node_id in self._meridian_ids:
-            if node_id == target:
-                continue
-            d = self._delays[node_id, target]
-            if np.isfinite(d) and d < best_delay:
-                best_node, best_delay = node_id, float(d)
-        if best_node < 0:
-            raise MeridianError(f"no Meridian node has a measured delay to target {target}")
-        return best_node, best_delay
+        return self._true_closest_all([target])[0]
 
     def _true_closest_all(self, targets: list[int]) -> list[tuple[int, float]]:
         """:meth:`true_closest` of many in-range targets, each computed once.
@@ -352,13 +287,12 @@ class MeridianOverlay:
         Already-probed members reuse their cached delay; the target itself
         (it may be a ring member of the hop) is reported at 0.0 without a
         probe, being trivially its own closest node.  New members are
-        measured — as one whole-ring array gather under the batched kernel,
-        one scalar lookup each under the reference kernel — recorded in
-        ``probed_delay``, and counted: the second return value is the number
-        of on-demand probes this call performed.
+        measured in one array gather, recorded in ``probed_delay``, and
+        counted: the second return value is the number of on-demand probes
+        this call performed.
 
         The returned mapping preserves ``members`` order, so ``min`` over it
-        breaks ties identically under both kernels.
+        breaks ties toward the member listed first.
         """
         delays: dict[int, float] = {}
         new: list[int] = []
@@ -376,11 +310,8 @@ class MeridianOverlay:
                 delays[member] = np.inf  # placeholder, overwritten below
                 new.append(member)
         if new:
-            if self._kernel == "batched":
-                measured = self._delays[np.asarray(new, dtype=np.int64), target]
-                values = np.where(np.isfinite(measured), measured, np.inf).tolist()
-            else:
-                values = [self._measured(member, target) for member in new]
+            measured = self._delays[np.asarray(new, dtype=np.int64), target]
+            values = np.where(np.isfinite(measured), measured, np.inf).tolist()
             for member, value in zip(new, values):
                 probed_delay[member] = value
                 delays[member] = value
@@ -493,7 +424,6 @@ class MeridianOverlay:
             restarted=restarted,
         )
 
-
     # -- the multi-query batch search ------------------------------------------
 
     def closest_neighbor_query_batch(
@@ -509,12 +439,10 @@ class MeridianOverlay:
         Results (selected node, probe counts, hops, restarts, tie-breaking)
         are identical to calling :meth:`closest_neighbor_query` once per
         target in order with the same ``restart_policy``, including RNG
-        consumption when ``start_nodes`` is omitted.  Under the batched
-        kernel every live query advances in lock-step: each hop is one
-        eligibility test over the ring store rows the queries sit at and
-        one delay gather for all of them; only a restart policy, where
-        consulted, runs per query.  The reference kernel answers the batch
-        with the scalar query, one target at a time.
+        consumption when ``start_nodes`` is omitted.  Every live query
+        advances in lock-step: each hop is one eligibility test over the
+        ring store rows the queries sit at and one delay gather for all of
+        them; only a restart policy, where consulted, runs per query.
         """
         targets = [int(t) for t in targets]
         for target in targets:
@@ -536,13 +464,6 @@ class MeridianOverlay:
                     raise MeridianError(f"start node {start} is not a Meridian node")
         if not targets:
             return []
-        if self._kernel == "reference":
-            return [
-                self.closest_neighbor_query(
-                    target, start_node=start, restart_policy=restart_policy, max_hops=max_hops
-                )
-                for target, start in zip(targets, starts)
-            ]
         return self._lockstep_queries(
             np.asarray(targets, dtype=np.int64),
             np.asarray(starts, dtype=np.int64),
@@ -557,7 +478,7 @@ class MeridianOverlay:
         restart_policy: RestartPolicy | None,
         max_hops: int,
     ) -> list[QueryResult]:
-        """The batched kernel's query loop; mirrors :meth:`closest_neighbor_query`."""
+        """The lock-step query loop; mirrors :meth:`closest_neighbor_query`."""
         config = self._config
         store = self._store
         n_nodes = self._matrix.n_nodes
@@ -720,8 +641,8 @@ def _second_placements(
 
     An adjuster exposing ``placement_delays(owners, members, delays)``
     answers for the whole candidate array at once; any other callable is
-    asked about each usable candidate, in the order the reference build
-    asks.
+    asked about each usable candidate, row by row in node order, as a
+    member-by-member build would ask.
     """
     whole = getattr(adjuster, "placement_delays", None)
     if whole is not None:

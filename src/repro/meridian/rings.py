@@ -4,8 +4,12 @@ Each Meridian node organises its members into concentric, non-overlapping
 rings.  The ``i``-th ring (1-based, as in the Meridian paper) has inner
 radius ``alpha * s**(i-1)`` and outer radius ``alpha * s**i``; the innermost
 ring additionally covers delays below ``alpha``.  A node keeps at most ``k``
-members per ring; the outermost ring is unbounded above so no member is ever
-dropped for being too far.
+members per ring (first come, first kept: ring replacement policies are out
+of scope for the reproduction); the outermost ring is unbounded above so no
+member is ever dropped for being too far.
+
+An overlay keeps the rings of all its nodes in one :class:`RingStore`;
+each node reads and adds to its own row through a :class:`StoredRingSet`.
 """
 
 from __future__ import annotations
@@ -115,122 +119,6 @@ def ring_bounds(index: int, config: MeridianConfig) -> tuple[float, float]:
     return inner, outer
 
 
-class RingSet:
-    """The ring membership of a single Meridian node.
-
-    Members are stored per ring with their measured delays; at most ``k``
-    members are retained per ring (first-come, first-kept, matching the
-    paper's simple ring management — ring replacement policies are out of
-    scope for the reproduction).
-    """
-
-    def __init__(self, config: MeridianConfig):
-        self._config = config
-        self._rings: list[dict[int, float]] = [dict() for _ in range(config.n_rings)]
-        self._delays: dict[int, float] = {}
-
-    @property
-    def config(self) -> MeridianConfig:
-        """The ring geometry parameters."""
-        return self._config
-
-    def __len__(self) -> int:
-        return len(self._delays)
-
-    def __contains__(self, member: int) -> bool:
-        return member in self._delays
-
-    def add(self, member: int, delay: float, *, also_at_delay: float | None = None) -> bool:
-        """Try to add ``member`` measured at ``delay`` ms.
-
-        Parameters
-        ----------
-        member:
-            Node identifier of the member.
-        delay:
-            Measured delay from the ring owner to the member.
-        also_at_delay:
-            Optional second delay at which the member is *also* ring-placed.
-            This is the hook used by the TIV-aware ring construction of
-            §5.3: when the TIV alert fires for the owner-member edge, the
-            member is placed both by its measured delay and by its predicted
-            delay, so a TIV-shrunk edge cannot hide the member from queries.
-
-        Returns
-        -------
-        bool
-            True if the member was stored in at least one ring.
-
-        Notes
-        -----
-        Each ring records the *placement delay* used for that ring (the
-        measured delay normally, the predicted delay for a double
-        placement), so queries consulting a ring see the member at the delay
-        that put it there.  :meth:`member_delay` always reports the measured
-        delay.
-        """
-        if delay < 0 or not math.isfinite(delay):
-            raise MeridianError(f"invalid member delay {delay}")
-        placed = False
-        for d in ([delay] if also_at_delay is None else [delay, also_at_delay]):
-            idx = ring_index(d, self._config)
-            ring = self._rings[idx]
-            if member in ring:
-                placed = True
-                continue
-            if len(ring) < self._config.k:
-                ring[member] = d
-                placed = True
-        if placed:
-            self._delays[member] = delay
-        return placed
-
-    def member_delay(self, member: int) -> float:
-        """Measured delay to ``member``."""
-        try:
-            return self._delays[member]
-        except KeyError:
-            raise MeridianError(f"node {member} is not a ring member") from None
-
-    def members(self) -> list[int]:
-        """All distinct ring members."""
-        return list(self._delays)
-
-    def ring_members(self, index: int) -> dict[int, float]:
-        """Members of ring ``index`` with their delays (copy)."""
-        if not 0 <= index < self._config.n_rings:
-            raise MeridianError(f"ring index {index} out of range")
-        return dict(self._rings[index])
-
-    def ring_of(self, member: int) -> list[int]:
-        """Indices of the rings that contain ``member``."""
-        return [i for i, ring in enumerate(self._rings) if member in ring]
-
-    def members_within(self, low: float, high: float) -> list[int]:
-        """Members whose *placement* delay lies within ``[low, high]``.
-
-        Only rings that overlap the interval are inspected, mirroring how a
-        real Meridian node would consult its ring structure.  A member that
-        was double-placed (TIV-aware construction) is visible through either
-        of its placement delays.
-        """
-        if low > high:
-            return []
-        found: set[int] = set()
-        for idx in range(self._config.n_rings):
-            inner, outer = ring_bounds(idx, self._config)
-            if outer < low or inner > high:
-                continue
-            for member, delay in self._rings[idx].items():
-                if low <= delay <= high:
-                    found.add(member)
-        return sorted(found)
-
-    def occupancy(self) -> list[int]:
-        """Number of members stored in each ring."""
-        return [len(ring) for ring in self._rings]
-
-
 class RingStore:
     """The rings of every node of one overlay, as padded whole arrays.
 
@@ -240,9 +128,9 @@ class RingStore:
     at ``measured[r, c]``.  A double-placed member fills two slots, one
     per ring.  Padding slots hold member ``-1`` and ``nan`` delays.
 
-    This is the batched Meridian kernel's ring state: a query hop's
-    eligible members are one comparison over a row (:meth:`eligible`), and
-    a lock-step batch of queries compares many rows at once.
+    A query hop's eligible members are one comparison over a row
+    (:meth:`eligible`), and a lock-step batch of queries compares many rows
+    at once.
     """
 
     def __init__(self, config: MeridianConfig, n_rows: int, width: int = 1):
@@ -281,11 +169,10 @@ class RingStore:
         ``(n_rows, width)`` arrays.  Row ``r`` offers ``members[r, j]``, measured at ``delays[r, j]``,
         in column order, skipping columns where ``usable`` is False;
         ``extra[r, j]`` (``nan`` for none) is a second placement delay like
-        :meth:`RingSet.add`'s ``also_at_delay``.  Members must be distinct
-        within a row.  The rings equal what :meth:`RingSet.add` builds from
-        an empty ring set per row, calls made in the same order: every
-        placement claims a slot in its ring, and each ring keeps its first
-        ``k`` claims.
+        :meth:`add`'s ``also_at_delay``.  Members must be distinct within a
+        row.  The rings equal what :meth:`add` builds from an empty row,
+        calls made in the same order: every placement claims a slot in its
+        ring, and each ring keeps its first ``k`` claims.
         """
         n_rows, width = members.shape
         first = delays[usable]
@@ -347,7 +234,17 @@ class RingStore:
         return (self._reach_low[rows] >= low) & (self._reach_high[rows] <= high)
 
     def add(self, row: int, member: int, delay: float, also_at_delay: float | None = None) -> bool:
-        """:meth:`RingSet.add` on row ``row`` (same rules, same result)."""
+        """Try to add ``member``, measured at ``delay`` ms, to row ``row``.
+
+        ``also_at_delay`` is an optional second delay at which the member
+        is *also* ring-placed: the hook of the TIV-aware ring construction
+        of §5.3, which places a member whose owner-member edge fires the
+        TIV alert by both its measured and its predicted delay, so a
+        TIV-shrunk edge cannot hide it from queries.  Each placement is
+        stored at the delay that put it there; the measured delay is kept
+        for every slot of the member.  Returns True if the member was
+        stored in at least one ring.
+        """
         if delay < 0 or not math.isfinite(delay):
             raise MeridianError(f"invalid member delay {delay}")
         placed = False
@@ -388,20 +285,23 @@ class RingStore:
         return self.members[row, : self.counts[row]]
 
 
-class StoredRingSet(RingSet):
-    """One node's rings held in row ``row`` of a :class:`RingStore`.
+class StoredRingSet:
+    """The ring membership of one Meridian node: row ``row`` of a :class:`RingStore`.
 
-    A :class:`RingSet` in every observable way — same methods, same values,
-    same insertion orders — whose state lives in the overlay-wide store the
-    batched kernel queries, so reading or adding through either view sees
-    the same rings.
+    Reading or adding through this view reads or writes the overlay-wide
+    store the lock-step queries compare, so both always see the same
+    rings.
     """
 
     def __init__(self, store: RingStore, row: int):
-        # The dict-backed state of RingSet is replaced by the store row.
         self._config = store.config
         self._store = store
         self._row = int(row)
+
+    @property
+    def config(self) -> MeridianConfig:
+        """The ring geometry parameters."""
+        return self._config
 
     def __len__(self) -> int:
         return len(self.members())
@@ -410,18 +310,22 @@ class StoredRingSet(RingSet):
         return bool(np.any(self._store.row_members(self._row) == member))
 
     def add(self, member: int, delay: float, *, also_at_delay: float | None = None) -> bool:
+        """Try to add ``member`` measured at ``delay`` ms (see :meth:`RingStore.add`)."""
         return self._store.add(self._row, member, delay, also_at_delay)
 
     def member_delay(self, member: int) -> float:
+        """Measured delay to ``member``."""
         slots = np.flatnonzero(self._store.row_members(self._row) == member)
         if slots.size == 0:
             raise MeridianError(f"node {member} is not a ring member")
         return float(self._store.measured[self._row, slots[0]])
 
     def members(self) -> list[int]:
+        """All distinct ring members, in insertion order."""
         return list(dict.fromkeys(self._store.row_members(self._row).tolist()))
 
     def ring_members(self, index: int) -> dict[int, float]:
+        """Members of ring ``index`` with their placement delays (copy)."""
         if not 0 <= index < self._config.n_rings:
             raise MeridianError(f"ring index {index} out of range")
         count = self._store.counts[self._row]
@@ -434,17 +338,25 @@ class StoredRingSet(RingSet):
         )
 
     def ring_of(self, member: int) -> list[int]:
+        """Indices of the rings that contain ``member``."""
         count = self._store.counts[self._row]
         mine = self._store.members[self._row, :count] == member
         return np.unique(self._store.rings[self._row, :count][mine]).tolist()
 
     def members_within(self, low: float, high: float) -> list[int]:
+        """Members whose *placement* delay lies within ``[low, high]``, sorted.
+
+        Only rings that overlap the interval are consulted, as a real
+        Meridian node would consult its ring structure.  A double-placed
+        member is visible through either of its placement delays.
+        """
         found = np.sort(self._store.members[self._row][self._store.eligible(self._row, low, high)])
         if self._store.repeats and found.size > 1:
             found = found[np.concatenate(([True], found[1:] != found[:-1]))]
         return found.tolist()
 
     def occupancy(self) -> list[int]:
+        """Number of members stored in each ring."""
         count = self._store.counts[self._row]
         return np.bincount(
             self._store.rings[self._row, :count], minlength=self._config.n_rings

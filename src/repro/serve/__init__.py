@@ -5,14 +5,14 @@ second and tail latency of the closest-node, coordinate-distance and
 TIV-alert queries answered by a warm
 :class:`~repro.stream.service.StreamCoordinateService`, plus the batch
 Meridian closest-neighbour search — rather than the *convergence* story
-the figure runners and ``repro bench`` cover.  A workload
+the figure runners cover.  A workload
 (:class:`~repro.serve.workload.ServingWorkload`) pins the warm state and
 the query mix; the load generator
 (:func:`~repro.serve.loadgen.run_serving_benchmark`) fires the queries in
 batched and scalar modes from one in-process client; the report
 (:class:`~repro.serve.report.ServingReport`, ``BENCH_serving.json``)
-records QPS and p50/p95/p99 per query family in a shape ``repro
-perf-gate`` accepts as a baseline.
+records QPS and p50/p95/p99 per query family and mode, and the
+batched-over-scalar speedup.
 """
 
 from repro.serve.latency import LatencySummary, summarize_latencies

@@ -1,11 +1,9 @@
 """The serving benchmark report (``BENCH_serving.json``).
 
-The report's ``kernels`` rows carry the same ``kernel`` / ``size`` /
-``best_seconds`` triple the perf-gate comparator keys on — so ``repro
-perf-gate --baseline BENCH_serving.json`` guards serving latency with the
-exact machinery that guards the compute kernels — plus the
-serving-specific numbers (QPS, tail latency, batch width) the gate
-ignores but humans and the acceptance checks read.
+One ``kernels`` row per measured stream, named ``serve_<family>_<mode>``
+and keyed by ``size``, with its best per-query time (``best_seconds``),
+QPS, tail latency and batch width, plus the batched-over-scalar QPS
+ratio per family and size.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import platform
 from dataclasses import dataclass, field
 
-from repro.errors import ServeError
 from repro.serve.latency import LatencySummary
 from repro.utils.io import PathLike, write_json_report
 
@@ -31,14 +28,9 @@ class ServingRow:
     batch: int
     summary: LatencySummary
 
-    @property
-    def kernel(self) -> str:
-        """Gate-comparable kernel name, e.g. ``serve_closest_batched``."""
-        return f"serve_{self.family}_{self.mode}"
-
     def as_dict(self) -> dict:
         payload = {
-            "kernel": self.kernel,
+            "kernel": f"serve_{self.family}_{self.mode}",
             "family": self.family,
             "mode": self.mode,
             "size": self.size,
@@ -104,15 +96,3 @@ class ServingReport:
         """Write the report as diff-friendly JSON."""
         write_json_report(path, self.as_dict())
 
-
-def validate_serving_payload(payload: dict) -> None:
-    """Cheap structural check of a loaded serving report."""
-    if payload.get("schema") != SERVING_SCHEMA:
-        raise ServeError(
-            f"serving report has schema {payload.get('schema')!r}, "
-            f"expected {SERVING_SCHEMA!r}"
-        )
-    for row in payload.get("kernels", []):
-        for key in ("kernel", "size", "best_seconds", "qps"):
-            if key not in row:
-                raise ServeError(f"serving report row {row!r} is missing {key!r}")

@@ -5,8 +5,7 @@ serving benchmark: how the warm state is built (trace preset, node count,
 seed, warm-up duration, churn) and what is fired at it (query families,
 execution modes, batch size, batch count).  Identical
 workloads produce identical warm state and identical query streams, so
-two runs differ only in timing — the property the serving perf gate
-relies on.
+two runs differ only in timing.
 
 The warm context pairs a :class:`~repro.stream.service.StreamCoordinateService`
 that has replayed the full synthetic trace (so its embedding, edge memory

@@ -4,6 +4,7 @@ and concurrent cache-write safety."""
 import dataclasses
 import json
 import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -191,6 +192,57 @@ class TestFailureCascade:
             f"alert: artifact vivaldi failed: {root}"
         )
 
+
+    def test_independent_failures_report_alike_whichever_fails_first(
+        self, tmp_path, monkeypatch
+    ):
+        # Severity and vivaldi fail independently; whichever a worker
+        # reports first, failures cascade in DAG order, so every run of
+        # the DAG writes the same report.
+        import repro.artifacts.nodes as nodes
+
+        original = {name: nodes._NODES[name] for name in ("severity", "vivaldi")}
+        messages = {"severity": "severity exploded", "vivaldi": "embedding exploded"}
+
+        def failing(name, delayed):
+            def compute(ctx, instance):
+                if delayed:
+                    time.sleep(0.5)
+                raise RuntimeError(messages[name])
+
+            return compute
+
+        reports = {}
+        for delayed in ("severity", "vivaldi"):
+            for name, node in original.items():
+                replaced = dataclasses.replace(node, compute=failing(name, name == delayed))
+                monkeypatch.setitem(nodes._NODES, name, replaced)
+            for jobs in (1, 2):
+                report_path = tmp_path / f"{delayed}-jobs{jobs}.json"
+                with pytest.raises(ExperimentError):
+                    run_experiments(
+                        TINY,
+                        only=["fig03", "fig16", "fig19"],
+                        jobs=jobs,
+                        cache_dir=tmp_path / f"cache-{delayed}-{jobs}",
+                        report_path=report_path,
+                    )
+                payload = json.loads(report_path.read_text(encoding="utf-8"))
+                reports[(delayed, jobs)] = (
+                    payload["shared_precompute"]["error"],
+                    [(row["id"], row["status"], row["error"]) for row in payload["experiments"]],
+                )
+        first = reports[("severity", 1)]
+        assert all(report == first for report in reports.values()), reports
+        severity = "RuntimeError: severity exploded"
+        vivaldi = "RuntimeError: embedding exploded"
+        shared_error, rows = first
+        assert shared_error == (
+            f"severity[ds2_like,48]: {severity}; vivaldi: {vivaldi}; "
+            f"lat: artifact vivaldi failed: {vivaldi}; alert: artifact vivaldi failed: {vivaldi}"
+        )
+        errors = {experiment_id: error for experiment_id, _, error in rows}
+        assert errors["fig19"] == f"shared artifact severity[ds2_like,48] failed: {severity}"
 
     def test_matrix_exceptions_attributed_per_scenario(self, tmp_path, monkeypatch):
         # A broken scenario must not leak its exception into a healthy

@@ -6,6 +6,10 @@ import pytest
 from repro.coords.ides import IDESConfig, IDESCoordinates, fit_ides
 from repro.errors import EmbeddingError
 from repro.stats.summary import median_absolute_error
+from tests.coords.oracles import ides_per_host
+
+#: The library fit and the per-host oracle, by the names the tests carry.
+FITS = {"batched": fit_ides, "reference": ides_per_host}
 
 
 class TestIDESConfig:
@@ -78,10 +82,11 @@ class TestFitIdes:
 
 
 class TestKernels:
-    """Batched vs reference IDES kernels: float-level equivalence."""
+    """The one IDES fit against the per-host oracle: float-level equivalence."""
 
     def test_unknown_kernel_raises(self, small_internet_matrix):
-        with pytest.raises(EmbeddingError):
+        # The kernel switch is gone: every kernel keyword is unknown.
+        with pytest.raises(TypeError):
             fit_ides(small_internet_matrix, kernel="turbo")
 
     def test_kernels_agree_to_float_accuracy(self, small_internet_matrix):
@@ -91,8 +96,8 @@ class TestKernels:
         matrices; LAPACK's multi-column path may round differently in the
         last ulps, hence allclose rather than array_equal.
         """
-        batched = fit_ides(small_internet_matrix, IDESConfig(), rng=7, kernel="batched")
-        reference = fit_ides(small_internet_matrix, IDESConfig(), rng=7, kernel="reference")
+        batched = fit_ides(small_internet_matrix, IDESConfig(), rng=7)
+        reference = ides_per_host(small_internet_matrix, IDESConfig(), rng=7)
         assert batched.landmarks == reference.landmarks
         assert np.allclose(batched.outgoing, reference.outgoing, atol=1e-9)
         assert np.allclose(batched.incoming, reference.incoming, atol=1e-9)
@@ -101,19 +106,15 @@ class TestKernels:
     def test_landmarks_keep_exact_landmark_vectors(self, small_internet_matrix, kernel):
         """Regression: the host projection must not touch landmark rows."""
         landmarks = list(range(0, 40, 4))
-        coords = fit_ides(
-            small_internet_matrix, IDESConfig(), rng=3, landmarks=landmarks, kernel=kernel
-        )
-        rerun = fit_ides(
-            small_internet_matrix, IDESConfig(), rng=3, landmarks=landmarks, kernel=kernel
-        )
+        coords = FITS[kernel](small_internet_matrix, IDESConfig(), rng=3, landmarks=landmarks)
+        rerun = FITS[kernel](small_internet_matrix, IDESConfig(), rng=3, landmarks=landmarks)
         assert coords.landmarks == tuple(landmarks)
         assert np.array_equal(coords.outgoing[landmarks], rerun.outgoing[landmarks])
         assert np.array_equal(coords.incoming[landmarks], rerun.incoming[landmarks])
 
     @pytest.mark.parametrize("kernel", ["batched", "reference"])
     def test_per_seed_determinism(self, small_internet_matrix, kernel):
-        a = fit_ides(small_internet_matrix, IDESConfig(), rng=5, kernel=kernel)
-        b = fit_ides(small_internet_matrix, IDESConfig(), rng=5, kernel=kernel)
+        a = FITS[kernel](small_internet_matrix, IDESConfig(), rng=5)
+        b = FITS[kernel](small_internet_matrix, IDESConfig(), rng=5)
         assert np.array_equal(a.outgoing, b.outgoing)
         assert np.array_equal(a.incoming, b.incoming)

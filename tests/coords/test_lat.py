@@ -6,6 +6,10 @@ import pytest
 from repro.coords.lat import LATCoordinates, fit_lat
 from repro.errors import EmbeddingError
 from repro.stats.summary import absolute_errors
+from tests.coords.oracles import lat_double_loop
+
+#: The library fit and the double-loop oracle, by the names the tests carry.
+FITS = {"batched": fit_lat, "reference": lat_double_loop}
 
 
 class TestLATCoordinates:
@@ -69,41 +73,42 @@ class TestFitLat:
 
 
 class TestKernels:
-    """Batched vs reference LAT kernels."""
+    """The one LAT fit against the double-loop oracle."""
 
     def test_unknown_kernel_raises(self, converged_vivaldi):
-        with pytest.raises(EmbeddingError):
+        # The kernel switch is gone: every kernel keyword is unknown.
+        with pytest.raises(TypeError):
             fit_lat(converged_vivaldi, kernel="turbo")
 
     def test_explicit_samples_agree_exactly(self, converged_vivaldi):
-        """With the sampling fixed, both kernels compute the same formula."""
+        """With the sampling fixed, the fit and the oracle compute the same formula."""
         n = converged_vivaldi.n_nodes
         samples = [[(i + 1) % n, (i + 3) % n, (i + 7) % n] for i in range(n)]
-        batched = fit_lat(converged_vivaldi, samples=samples, kernel="batched")
-        reference = fit_lat(converged_vivaldi, samples=samples, kernel="reference")
+        batched = fit_lat(converged_vivaldi, samples=samples)
+        reference = lat_double_loop(converged_vivaldi, samples=samples)
         assert np.allclose(batched.adjustments, reference.adjustments, atol=1e-12)
 
     def test_ragged_and_empty_sample_lists(self, converged_vivaldi):
         n = converged_vivaldi.n_nodes
         samples = [[] if i % 3 == 0 else [(i + 1) % n, (i + 2) % n][: i % 3] for i in range(n)]
-        batched = fit_lat(converged_vivaldi, samples=samples, kernel="batched")
-        reference = fit_lat(converged_vivaldi, samples=samples, kernel="reference")
+        batched = fit_lat(converged_vivaldi, samples=samples)
+        reference = lat_double_loop(converged_vivaldi, samples=samples)
         assert np.allclose(batched.adjustments, reference.adjustments, atol=1e-12)
-        # Nodes with no sample keep a zero adjustment under both kernels.
+        # Nodes with no sample keep a zero adjustment in both.
         assert batched.adjustments[0] == 0.0
 
     @pytest.mark.parametrize("kernel", ["batched", "reference"])
     def test_per_seed_determinism(self, converged_vivaldi, kernel):
-        a = fit_lat(converged_vivaldi, rng=9, kernel=kernel)
-        b = fit_lat(converged_vivaldi, rng=9, kernel=kernel)
+        a = FITS[kernel](converged_vivaldi, rng=9)
+        b = FITS[kernel](converged_vivaldi, rng=9)
         assert np.array_equal(a.adjustments, b.adjustments)
 
     def test_random_sampling_statistically_equivalent(self, converged_vivaldi):
-        """Default sampling streams differ per kernel but estimate the same
-        quantity: the mean adjustment (half the average signed prediction
-        error) must agree closely when averaged over the whole system."""
-        batched = fit_lat(converged_vivaldi, sample_size=40, rng=2, kernel="batched")
-        reference = fit_lat(converged_vivaldi, sample_size=40, rng=2, kernel="reference")
+        """The fit's one-draw sampling and the oracle's per-node draws differ
+        but estimate the same quantity: the mean adjustment (half the average
+        signed prediction error) must agree closely over the whole system."""
+        batched = fit_lat(converged_vivaldi, sample_size=40, rng=2)
+        reference = lat_double_loop(converged_vivaldi, sample_size=40, rng=2)
         assert np.all(np.isfinite(batched.adjustments))
         scale = np.abs(reference.adjustments).mean() + 1e-9
         assert abs(batched.adjustments.mean() - reference.adjustments.mean()) < 0.5 * scale
@@ -111,6 +116,6 @@ class TestKernels:
     def test_batched_improves_or_matches_aggregate_error(self, converged_vivaldi):
         measured = converged_vivaldi.matrix.values
         plain = absolute_errors(measured, converged_vivaldi.predicted_matrix()).mean()
-        lat = fit_lat(converged_vivaldi, sample_size=20, rng=2, kernel="batched")
+        lat = fit_lat(converged_vivaldi, sample_size=20, rng=2)
         adjusted = absolute_errors(measured, lat.predicted_matrix()).mean()
         assert adjusted <= plain * 1.05

@@ -7,6 +7,7 @@ from repro.delayspace.matrix import DelayMatrix
 from repro.errors import MeridianError
 from repro.meridian.overlay import MeridianOverlay
 from repro.meridian.rings import MeridianConfig
+from tests.meridian.oracle import OracleOverlay
 
 
 def overlays(matrix, seed=0, **config_kwargs):
@@ -199,7 +200,7 @@ class TestGroundTruthPerOverlay:
     def test_true_closest_is_the_same_before_and_after_a_batch(self, small_internet_matrix):
         ids = range(0, small_internet_matrix.n_nodes, 2)
         batched = MeridianOverlay(small_internet_matrix, ids, rng=2)
-        reference = MeridianOverlay(small_internet_matrix, ids, rng=2, kernel="reference")
+        reference = OracleOverlay(small_internet_matrix, ids, rng=2)
         targets = [1, 3, 5, 7, 9, 11]
         expected = [reference.true_closest(t) for t in targets]
         assert [batched.true_closest(t) for t in targets[:3]] == expected[:3]

@@ -6,22 +6,27 @@ import pytest
 
 from repro.errors import MeridianError
 from repro.meridian.node import MeridianNode
-from repro.meridian.rings import MeridianConfig
+from repro.meridian.rings import MeridianConfig, RingStore, StoredRingSet
+
+
+def make_node(node_id: int, config: MeridianConfig) -> MeridianNode:
+    """A node whose rings are the view of a one-row ring store."""
+    return MeridianNode(node_id, config, StoredRingSet(RingStore(config, 1), 0))
 
 
 class TestMeridianNode:
     def test_add_member(self):
-        node = MeridianNode(0, MeridianConfig())
+        node = make_node(0, MeridianConfig())
         assert node.add_member(3, 25.0)
         assert node.members() == [3]
 
     def test_self_member_raises(self):
-        node = MeridianNode(0, MeridianConfig())
+        node = make_node(0, MeridianConfig())
         with pytest.raises(MeridianError):
             node.add_member(0, 10.0)
 
     def test_eligible_members_window(self):
-        node = MeridianNode(0, MeridianConfig(beta=0.5))
+        node = make_node(0, MeridianConfig(beta=0.5))
         node.add_member(1, 40.0)
         node.add_member(2, 100.0)
         node.add_member(3, 160.0)
@@ -32,12 +37,12 @@ class TestMeridianNode:
         assert set(node.eligible_members(300.0)) == {3, 4}
 
     def test_eligible_members_negative_delay_raises(self):
-        node = MeridianNode(0, MeridianConfig())
+        node = make_node(0, MeridianConfig())
         with pytest.raises(MeridianError):
             node.eligible_members(-1.0)
 
     def test_adjuster_double_places(self):
-        node = MeridianNode(0, MeridianConfig())
+        node = make_node(0, MeridianConfig())
 
         def adjuster(owner, member, delay):
             return 10.0 if member == 5 else None
@@ -48,6 +53,6 @@ class TestMeridianNode:
         assert len(node.rings.ring_of(6)) == 1
 
     def test_repr(self):
-        node = MeridianNode(2, MeridianConfig())
+        node = make_node(2, MeridianConfig())
         assert "id=2" in repr(node)
         assert not math.isnan(len(node.members()) + 0.0)

@@ -7,6 +7,10 @@ from repro.delayspace.matrix import DelayMatrix
 from repro.errors import MeridianError
 from repro.meridian.overlay import MeridianOverlay
 from repro.meridian.rings import MeridianConfig
+from tests.meridian.oracle import OracleOverlay
+
+#: The overlay and its oracle, by the names the tests carry.
+OVERLAYS = {"batched": MeridianOverlay, "reference": OracleOverlay}
 
 
 def fig12_matrix() -> DelayMatrix:
@@ -287,26 +291,31 @@ class TestDegenerateOverlays:
 
 
 class TestKernels:
-    """Batched vs reference overlay kernels: exact equivalence.
+    """The overlay against the member-by-member oracle: exact equivalence.
 
-    Unlike the embedding kernels, the Meridian switch only trades loop
-    shape for array gathers — both kernels consume the RNG identically, so
-    rings, member order and every query outcome must match bit for bit.
+    The array build only trades loop shape for array gathers — it consumes
+    the RNG as the oracle does, so rings, member order and every query
+    outcome must match bit for bit.
     """
 
     def test_unknown_kernel_raises(self, small_internet_matrix):
-        with pytest.raises(MeridianError):
+        # The kernel switch is gone: every kernel keyword is unknown.
+        with pytest.raises(TypeError):
             MeridianOverlay(small_internet_matrix, [0, 1, 2], kernel="turbo")
 
     def test_kernel_property(self, small_internet_matrix):
-        assert MeridianOverlay(small_internet_matrix, [0, 1], rng=0).kernel == "batched"
-        assert (
-            MeridianOverlay(small_internet_matrix, [0, 1], rng=0, kernel="reference").kernel
-            == "reference"
-        )
+        # One kernel, so an overlay names none; the TIV alert the §5.3
+        # overlays read keeps the "batched" literal in its cache address.
+        from repro.artifacts import ArtifactKey
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.context import ExperimentContext
+
+        assert not hasattr(MeridianOverlay(small_internet_matrix, [0, 1], rng=0), "kernel")
+        context = ExperimentContext(ExperimentConfig(n_nodes=40))
+        assert context.artifact_params(ArtifactKey("alert"))["kernel"] == "batched"
 
     @staticmethod
-    def _assert_same_rings(a: MeridianOverlay, b: MeridianOverlay):
+    def _assert_same_rings(a: MeridianOverlay, b: OracleOverlay):
         assert a.meridian_ids == b.meridian_ids
         for node_id in a.meridian_ids:
             assert a.node(node_id).members() == b.node(node_id).members()
@@ -318,55 +327,50 @@ class TestKernels:
     @pytest.mark.parametrize("full_membership", [True, False])
     def test_identical_rings(self, small_internet_matrix, full_membership):
         overlays = [
-            MeridianOverlay(
+            overlay(
                 small_internet_matrix,
                 range(0, 80, 2),
                 rng=5,
                 full_membership=full_membership,
                 membership_sample_size=12,
-                kernel=kernel,
             )
-            for kernel in ("batched", "reference")
+            for overlay in (MeridianOverlay, OracleOverlay)
         ]
         self._assert_same_rings(*overlays)
 
     def test_identical_rings_with_excluded_edges(self, small_internet_matrix):
         excluded = [(0, 2), (4, 6), (2, 10)]
         overlays = [
-            MeridianOverlay(
+            overlay(
                 small_internet_matrix,
                 range(0, 80, 4),
                 rng=3,
                 excluded_edges=excluded,
-                kernel=kernel,
             )
-            for kernel in ("batched", "reference")
+            for overlay in (MeridianOverlay, OracleOverlay)
         ]
         self._assert_same_rings(*overlays)
 
     def test_identical_rings_with_membership_adjuster(self, small_internet_matrix):
-        # A plain callable adjuster is asked edge by edge; the batched build
+        # A plain callable adjuster is asked edge by edge; the overlay build
         # still places the resulting double placements in one pass.
         adjuster = lambda owner, member, delay: delay * 2 if delay < 50 else None  # noqa: E731
         overlays = [
-            MeridianOverlay(
+            overlay(
                 small_internet_matrix,
                 range(0, 80, 4),
                 rng=3,
                 membership_adjuster=adjuster,
-                kernel=kernel,
             )
-            for kernel in ("batched", "reference")
+            for overlay in (MeridianOverlay, OracleOverlay)
         ]
         self._assert_same_rings(*overlays)
 
     def test_identical_query_results(self, small_internet_matrix):
         meridian_ids = list(range(0, 80, 2))
         overlays = {
-            kernel: MeridianOverlay(
-                small_internet_matrix, meridian_ids, rng=7, kernel=kernel
-            )
-            for kernel in ("batched", "reference")
+            kernel: overlay(small_internet_matrix, meridian_ids, rng=7)
+            for kernel, overlay in (("batched", MeridianOverlay), ("reference", OracleOverlay))
         }
         targets = [node for node in range(80) if node % 2]
         for target in targets:
@@ -381,8 +385,8 @@ class TestKernels:
 
     def test_identical_true_closest(self, small_internet_matrix):
         overlays = [
-            MeridianOverlay(small_internet_matrix, range(0, 80, 2), rng=1, kernel=kernel)
-            for kernel in ("batched", "reference")
+            overlay(small_internet_matrix, range(0, 80, 2), rng=1)
+            for overlay in (MeridianOverlay, OracleOverlay)
         ]
         for target in range(1, 80, 2):
             assert overlays[0].true_closest(target) == overlays[1].true_closest(target)
@@ -391,7 +395,7 @@ class TestKernels:
     def test_true_closest_rejects_targets_outside_the_matrix(self, small_internet_matrix, kernel):
         # numpy would wrap -1 to the last node and fail on n with a bare
         # IndexError; the query methods' error is the contract.
-        overlay = MeridianOverlay(small_internet_matrix, range(0, 80, 2), rng=1, kernel=kernel)
+        overlay = OVERLAYS[kernel](small_internet_matrix, range(0, 80, 2), rng=1)
         for target in (-1, small_internet_matrix.n_nodes):
             with pytest.raises(MeridianError, match=f"target {target} is not in the delay matrix"):
                 overlay.true_closest(target)
@@ -406,6 +410,6 @@ class TestKernels:
             ]
         )
         matrix = DelayMatrix(delays, symmetrize=False)
-        overlay = MeridianOverlay(matrix, [0, 1], rng=0, kernel="batched")
+        overlay = MeridianOverlay(matrix, [0, 1], rng=0)
         with pytest.raises(MeridianError):
             overlay.true_closest(2)

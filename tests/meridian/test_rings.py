@@ -8,11 +8,17 @@ import pytest
 from repro.errors import MeridianError
 from repro.meridian.rings import (
     MeridianConfig,
-    RingSet,
+    RingStore,
+    StoredRingSet,
     ring_bounds,
     ring_index,
     ring_indices,
 )
+
+
+def one_row_rings(config: MeridianConfig) -> StoredRingSet:
+    """One node's rings: the view of a one-row ring store."""
+    return StoredRingSet(RingStore(config, 1), 0)
 
 
 class TestMeridianConfig:
@@ -82,19 +88,19 @@ class TestRingIndex:
 
 class TestRingSet:
     def test_add_and_lookup(self):
-        rings = RingSet(MeridianConfig())
+        rings = one_row_rings(MeridianConfig())
         assert rings.add(7, 12.0)
         assert 7 in rings
         assert rings.member_delay(7) == 12.0
         assert len(rings) == 1
 
     def test_unknown_member_raises(self):
-        rings = RingSet(MeridianConfig())
+        rings = one_row_rings(MeridianConfig())
         with pytest.raises(MeridianError):
             rings.member_delay(3)
 
     def test_invalid_delay_raises(self):
-        rings = RingSet(MeridianConfig())
+        rings = one_row_rings(MeridianConfig())
         with pytest.raises(MeridianError):
             rings.add(1, float("nan"))
         with pytest.raises(MeridianError):
@@ -102,7 +108,7 @@ class TestRingSet:
 
     def test_capacity_enforced(self):
         config = MeridianConfig(k=2)
-        rings = RingSet(config)
+        rings = one_row_rings(config)
         # All these delays fall in the same ring (delays 10..15 -> ring 4).
         assert rings.add(1, 10.0)
         assert rings.add(2, 11.0)
@@ -110,7 +116,7 @@ class TestRingSet:
         assert 3 not in rings
 
     def test_members_within(self):
-        rings = RingSet(MeridianConfig())
+        rings = one_row_rings(MeridianConfig())
         rings.add(1, 5.0)
         rings.add(2, 50.0)
         rings.add(3, 500.0)
@@ -120,7 +126,7 @@ class TestRingSet:
 
     def test_double_placement(self):
         config = MeridianConfig(k=4)
-        rings = RingSet(config)
+        rings = one_row_rings(config)
         rings.add(9, 200.0, also_at_delay=20.0)
         placed = rings.ring_of(9)
         assert len(placed) == 2
@@ -129,12 +135,12 @@ class TestRingSet:
 
     def test_double_placement_same_ring_is_single(self):
         config = MeridianConfig()
-        rings = RingSet(config)
+        rings = one_row_rings(config)
         rings.add(9, 200.0, also_at_delay=210.0)
         assert len(rings.ring_of(9)) == 1
 
     def test_occupancy(self):
-        rings = RingSet(MeridianConfig())
+        rings = one_row_rings(MeridianConfig())
         rings.add(1, 5.0)
         rings.add(2, 6.0)
         occupancy = rings.occupancy()

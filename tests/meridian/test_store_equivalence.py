@@ -1,14 +1,14 @@
-"""The batched ring store and lock-step query against the ``reference`` kernel.
+"""The ring store and lock-step query against the Meridian oracle.
 
 Small random matrices are drawn from a pool of awkward delays — exact ring
 boundaries ``alpha * s**i`` and their float neighbours (which rounding can
 place just outside their ring), the β window edges around them, repeated
 values (ties) and ``nan`` (unmeasured, seen as ``inf`` by queries) — so
 every comparison, rounding and tie-break of the array code meets the case
-the per-member reference loops decide one at a time.
+the oracle's per-member loops decide one at a time.
 """
 
-import functools
+import copy
 
 import numpy as np
 import pytest
@@ -27,6 +27,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_experiment
 from repro.meridian.overlay import MeridianOverlay
 from repro.meridian.rings import MeridianConfig
+from tests.meridian.oracle import OracleOverlay
 
 
 def delay_pool(config: MeridianConfig, gen: np.random.Generator) -> np.ndarray:
@@ -56,7 +57,7 @@ def random_alert(matrix: DelayMatrix, pool: np.ndarray, gen: np.random.Generator
     return TIVAlert.from_ratio_matrix(matrix, ratios, predicted)
 
 
-def assert_same_rings(batched: MeridianOverlay, reference: MeridianOverlay) -> None:
+def assert_same_rings(batched: MeridianOverlay, reference: OracleOverlay) -> None:
     config = reference.config
     assert batched.ring_occupancy() == reference.ring_occupancy()
     for node_id in reference.meridian_ids:
@@ -99,7 +100,7 @@ overlay_cases = st.fixed_dictionaries(
 
 
 def build_pair(case):
-    """A batched and a reference overlay of one drawn case, plus its inputs."""
+    """An overlay and its oracle for one drawn case, plus its inputs."""
     alpha, s, n_rings, k = case["geometry"]
     config = MeridianConfig(
         alpha=alpha,
@@ -126,7 +127,7 @@ def build_pair(case):
         else None,
     }[case["adjuster"]]
     overlays = {
-        kernel: MeridianOverlay(
+        kernel: overlay(
             matrix,
             meridian_ids,
             config,
@@ -135,9 +136,8 @@ def build_pair(case):
             membership_sample_size=case["sample_size"],
             excluded_edges=excluded,
             membership_adjuster=adjuster,
-            kernel=kernel,
         )
-        for kernel in ("batched", "reference")
+        for kernel, overlay in (("batched", MeridianOverlay), ("reference", OracleOverlay))
     }
     return overlays, matrix, alert, tiv_config, gen
 
@@ -203,7 +203,7 @@ class TestLockstepQueryMatchesReference:
 
 
 class TestStoredRingSetWrites:
-    """Adds through a batched overlay's node land in the store, as in a RingSet."""
+    """Adds through an overlay's node land in the store, as in the oracle's dict rings."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -225,8 +225,8 @@ class TestStoredRingSetWrites:
         matrix = random_matrix(40, pool, 0.1, gen)
         ids = list(range(12))
         overlays = [
-            MeridianOverlay(matrix, ids, config, rng=seed, membership_sample_size=2, kernel=kernel)
-            for kernel in ("batched", "reference")
+            overlay(matrix, ids, config, rng=seed, membership_sample_size=2)
+            for overlay in (MeridianOverlay, OracleOverlay)
         ]
         for owner, member, delay, also in adds:
             if member == owner:
@@ -246,20 +246,38 @@ class TestStoredRingSetWrites:
 
 
 class TestFiguresMatchReference:
-    """Every Meridian figure gives the same data under both kernels."""
+    """Every Meridian figure gives the same data with batches answered one
+    target at a time, and every overlay it builds holds the oracle's rings."""
 
     def test_meridian_figures(self, monkeypatch):
         config = ExperimentConfig(n_nodes=48, seed=2)
         figures = ("fig14", "fig18", "fig24", "fig25")
+        built = []
+        build = MeridianOverlay.__init__
+
+        def recording_build(overlay, matrix, meridian_nodes, config=None, **kwargs):
+            # The oracle draws from a copy of the generator the overlay is
+            # about to draw from, so both see the same candidates.
+            built.append((overlay, OracleOverlay(
+                matrix, meridian_nodes, config, **copy.deepcopy(kwargs)
+            )))
+            build(overlay, matrix, meridian_nodes, config, **kwargs)
+
+        monkeypatch.setattr(MeridianOverlay, "__init__", recording_build)
         batched = {figure: run_experiment(figure, config).data for figure in figures}
-        # The runners build their overlays with the default kernel; make
-        # that default the reference one.
-        monkeypatch.setattr(
-            MeridianOverlay,
-            "__init__",
-            functools.partialmethod(MeridianOverlay.__init__, kernel="reference"),
-        )
-        probe = random_matrix(6, np.array([3.0, 9.0]), 0.0, np.random.default_rng(0))
-        assert MeridianOverlay(probe, range(3), rng=0).kernel == "reference"
+        assert built
+        for overlay, oracle in built:
+            assert_same_rings(overlay, oracle)
+
+        def one_at_a_time(overlay, targets, *, start_nodes=None, restart_policy=None, **kwargs):
+            starts = [None] * len(targets) if start_nodes is None else start_nodes
+            return [
+                overlay.closest_neighbor_query(
+                    target, start_node=start, restart_policy=restart_policy, **kwargs
+                )
+                for target, start in zip(targets, starts)
+            ]
+
+        monkeypatch.setattr(MeridianOverlay, "closest_neighbor_query_batch", one_at_a_time)
         for figure in figures:
             assert run_experiment(figure, config).data == batched[figure], figure

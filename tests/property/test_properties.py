@@ -311,7 +311,7 @@ class TestPenaltyProperties:
 
 
 class TestBatchedKernelProperties:
-    """Invariants of the batched IDES, LAT and Meridian kernels."""
+    """Invariants of the whole-array IDES, LAT and Meridian code."""
 
     @given(delay_matrices(min_nodes=6, max_nodes=12))
     @settings(max_examples=10, deadline=None)
@@ -319,9 +319,7 @@ class TestBatchedKernelProperties:
         from repro.coords.ides import IDESConfig, _filled, _fit_svd, fit_ides
 
         landmarks = list(range(4))
-        fit = fit_ides(
-            matrix, IDESConfig(dimension=3), rng=0, landmarks=landmarks, kernel="batched"
-        )
+        fit = fit_ides(matrix, IDESConfig(dimension=3), rng=0, landmarks=landmarks)
         assert np.all(np.isfinite(fit.outgoing))
         assert np.all(np.isfinite(fit.incoming))
         # Landmark vectors come straight from the landmark factorisation;
@@ -336,6 +334,7 @@ class TestBatchedKernelProperties:
     def test_lat_batched_matches_reference_on_any_sample_lists(self, n, seed):
         from repro.coords.lat import fit_lat
         from repro.coords.vivaldi import VivaldiConfig, VivaldiSystem
+        from tests.coords.oracles import lat_double_loop
 
         matrix = euclidean_delay_space(n, rng=seed)
         system = VivaldiSystem(
@@ -347,8 +346,8 @@ class TestBatchedKernelProperties:
             [int(j) for j in rng.choice(n, size=int(rng.integers(0, n)), replace=False)]
             for _ in range(n)
         ]
-        batched = fit_lat(system, samples=samples, kernel="batched")
-        reference = fit_lat(system, samples=samples, kernel="reference")
+        batched = fit_lat(system, samples=samples)
+        reference = lat_double_loop(system, samples=samples)
         assert np.all(np.isfinite(batched.adjustments))
         assert np.allclose(batched.adjustments, reference.adjustments, atol=1e-9)
 

@@ -500,8 +500,7 @@ class TestHelpSnapshots:
 
     COMMAND_LIST = (
         "{datasets,generate,analyze,experiments,run,run-all,graph,cache,"
-        "scenarios,run-scenarios,make-trace,stream,chaos,bench,serve-bench,"
-        "perf-gate,report}"
+        "scenarios,run-scenarios,make-trace,stream,chaos,serve-bench,report}"
     )
 
     MAKE_TRACE_USAGE = (
@@ -603,7 +602,6 @@ class TestHelpSnapshots:
         for command, artifact in (
             ("run-all", "BENCH_experiments.json"),
             ("run-scenarios", "BENCH_scenarios.json"),
-            ("bench", "BENCH_perf.json"),
             ("serve-bench", "BENCH_serving.json"),
             ("stream", "STREAM_report.json"),
         ):
@@ -697,10 +695,11 @@ class TestOutputDirectories:
         assert checkpoint.exists() and wal.exists()
 
     def test_bench_report(self, capsys, tmp_path):
-        target = tmp_path / "new" / "dir" / "BENCH_perf.json"
+        target = tmp_path / "new" / "dir" / "BENCH_serving.json"
         code, out, _ = run_cli(
-            capsys, "bench", "--sizes", "24", "--kernels", "vivaldi_step_batched",
-            "--repeats", "1", "--warmup", "0", "--report", str(target),
+            capsys, "serve-bench", "--sizes", "24", "--warm-duration", "5", "--batch", "4",
+            "--batches", "1", "--warmup-batches", "0", "--families", "distance",
+            "--report", str(target),
         )
         assert code == 0
         assert json.loads(target.read_text()) == json.loads(out)
