@@ -10,6 +10,13 @@
 # which side runs first.  Then `bench/compare.py` prints base vs head, and
 # the table is appended to $GITHUB_STEP_SUMMARY when that is set.
 #
+# A row reads `unresolved` when either side's quartile spread exceeds the
+# metric's bound, so a slowdown inside a noisy metric's spread would pass
+# unseen.  Every end-to-end row that reads `unresolved` while the head's
+# median is worse than the base's by more than the bound is listed after
+# the table, with both sides' per-seed values, in the log and in
+# $GITHUB_STEP_SUMMARY.  The list does not change the exit status.
+#
 # Exits 1 when any run is incorrect (naming the side, the seed and the
 # workloads, with the tail of that run's output) or any row reads
 # `regressed`.
@@ -66,6 +73,48 @@ table=$(python3 "$head/bench/compare.py" "$out/base" "$out/head") || status=1
 echo "$table"
 if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
     printf '## bench-ab: base vs head, seeds 1-5\n\n%s\n' "$table" >> "$GITHUB_STEP_SUMMARY"
+fi
+
+hidden=$(python3 - "$head" "$out/base" "$out/head" <<'EOF'
+import json
+import sys
+from pathlib import Path
+
+head = Path(sys.argv[1])
+sys.path.insert(0, str(head / "bench"))
+from compare import compare, load_runs, summarize  # noqa: E402
+
+spec = json.loads((head / "BENCHMARK.json").read_text(encoding="utf-8"))
+end_to_end = {metric["name"]: metric for metric in spec["end_to_end"]}
+base, ours = load_runs(Path(sys.argv[2])), load_runs(Path(sys.argv[3]))
+by_seed = summarize(base), summarize(ours)
+lines = []
+for row in compare(base, ours, spec):
+    metric = end_to_end.get(row["metric"])
+    if metric is None or row["verdict"] != "unresolved":
+        continue
+    worse = row["delta"] if metric["better"] == "lower" else -row["delta"]
+    if not worse > metric["bound"]:
+        continue
+    key = (row["workload"], row["metric"])
+    sides = [
+        ", ".join(f"{seed}: {value:.4g}" for seed, value in sorted(table[key]["values"].items()))
+        for table in by_seed
+    ]
+    lines.append(f"| {key[0]} | {key[1]} | {row['delta']:+.1%} | {metric['bound']:.0%} "
+                 f"| {sides[0]} | {sides[1]} |")
+if lines:
+    print("| workload | metric | change | bound | base by seed | head by seed |")
+    print("|---|---|---|---|---|---|")
+    print("\n".join(lines))
+EOF
+) || status=1
+if [ -n "$hidden" ]; then
+    note="unresolved, but the head median is worse than the base median by more than the bound"
+    printf '\nbench-ab: %s:\n%s\n' "$note" "$hidden"
+    if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then
+        printf '\n### %s\n\n%s\n' "$note" "$hidden" >> "$GITHUB_STEP_SUMMARY"
+    fi
 fi
 if grep -q '| regressed |' <<< "$table"; then
     echo "bench-ab: an end-to-end metric regressed:" >&2

@@ -37,6 +37,7 @@ import numpy as np
 from repro.coords.base import squared_distance
 from repro.errors import EmbeddingError
 from repro.stats.rng import RngLike, ensure_rng
+from repro.utils import is_integer
 
 
 #: The largest RTT (ms) an observation may carry, and the cap on a height:
@@ -51,7 +52,7 @@ MAX_RTT = sys.float_info.max**0.25
 
 def _check_id(node) -> None:
     """Refuse a node id that is not an integer (``bool`` included)."""
-    if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
+    if not is_integer(node):
         raise EmbeddingError(f"node id {node!r} is not an integer")
 
 

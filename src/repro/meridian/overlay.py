@@ -28,6 +28,7 @@ from repro.errors import MeridianError
 from repro.meridian.node import MembershipAdjuster, MeridianNode
 from repro.meridian.rings import MeridianConfig, RingStore, StoredRingSet
 from repro.stats.rng import RngLike, ensure_rng
+from repro.utils import is_integer
 
 # A restart policy is consulted when the recursive query is about to
 # terminate at ``current`` for ``target`` (measured delay ``d``).  It may
@@ -238,10 +239,12 @@ class MeridianOverlay:
     def true_closest(self, target: int) -> tuple[int, float]:
         """Ground-truth closest Meridian node to ``target`` and its delay.
 
-        Raises :class:`MeridianError` for a target outside the delay matrix
-        (as the query methods do) and for one no Meridian node has a
-        measured delay to.
+        Raises :class:`MeridianError` for a target that is not an integer
+        or lies outside the delay matrix (as the query methods do) and for
+        one no Meridian node has a measured delay to.
         """
+        if type(target) is not int:
+            target = _node_id(target, "target")
         if not 0 <= target < self._matrix.n_nodes:
             raise MeridianError(f"target {target} is not in the delay matrix")
         return self._true_closest_all([target])[0]
@@ -340,13 +343,23 @@ class MeridianOverlay:
             terminate.
         max_hops:
             Safety bound on the number of forwarding steps.
+
+        A target or start node that is not an integer (``bool`` and floats
+        such as 3.0 included) raises :class:`MeridianError`, as does a
+        target outside the delay matrix or a start that is not a Meridian
+        node.
         """
+        if type(target) is not int:
+            target = _node_id(target, "target")
         if not 0 <= target < self._matrix.n_nodes:
             raise MeridianError(f"target {target} is not in the delay matrix")
         if start_node is None:
             start_node = self._meridian_ids[int(self._rng.integers(0, len(self._meridian_ids)))]
-        elif start_node not in self._meridian_set:
-            raise MeridianError(f"start node {start_node} is not a Meridian node")
+        else:
+            if type(start_node) is not int:
+                start_node = _node_id(start_node, "start node")
+            if start_node not in self._meridian_set:
+                raise MeridianError(f"start node {start_node} is not a Meridian node")
 
         config = self._config
         probes = 0
@@ -442,9 +455,10 @@ class MeridianOverlay:
         consumption when ``start_nodes`` is omitted.  Every live query
         advances in lock-step: each hop is one eligibility test over the
         ring store rows the queries sit at and one delay gather for all of
-        them; only a restart policy, where consulted, runs per query.
+        them; only a restart policy, where consulted, runs per query.  Ids
+        are refused as the scalar query refuses them.
         """
-        targets = [int(t) for t in targets]
+        targets = [t if type(t) is int else _node_id(t, "target") for t in targets]
         for target in targets:
             if not 0 <= target < self._matrix.n_nodes:
                 raise MeridianError(f"target {target} is not in the delay matrix")
@@ -454,7 +468,7 @@ class MeridianOverlay:
                 for _ in targets
             ]
         else:
-            starts = [int(s) for s in start_nodes]
+            starts = [s if type(s) is int else _node_id(s, "start node") for s in start_nodes]
             if len(starts) != len(targets):
                 raise MeridianError(
                     f"start_nodes has {len(starts)} entries for {len(targets)} targets"
@@ -628,6 +642,13 @@ class MeridianOverlay:
                 )
             )
         return results
+
+
+def _node_id(node, role: str) -> int:
+    """``node`` as a Python int; a :class:`MeridianError` unless it is an integer."""
+    if not is_integer(node):
+        raise MeridianError(f"{role} {node!r} is not an integer node id")
+    return int(node)
 
 
 def _second_placements(

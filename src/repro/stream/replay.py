@@ -108,6 +108,23 @@ def _evaluation_edges(truth: np.ndarray, limit: int) -> tuple[np.ndarray, np.nda
     return rows, cols
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D array, bit for bit, without ``numpy.ma``.
+
+    ``np.median`` imports ``numpy.ma`` on its first call to test for NaNs,
+    which made the first scored window of a replay its slowest batch.  This
+    runs the same steps: one partition at the middle order statistics and
+    the last position (where any NaN sorts), the NaN found there if there
+    is one, else the mean of the middle one or two values.
+    """
+    half = values.size // 2
+    middle = [half] if values.size % 2 else [half - 1, half]
+    part = np.partition(values, middle + [-1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[middle[0] : half + 1]))
+
+
 def _window_metrics(
     index: int,
     t_start: float,
@@ -175,7 +192,7 @@ def _window_metrics(
         leaves=int(counts["leaves"]),
         active_nodes=service.n_active,
         evaluated_edges=int(errors_arr.size),
-        median_relative_error=float(np.median(errors_arr)) if errors_arr.size else float("nan"),
+        median_relative_error=_median(errors_arr) if errors_arr.size else float("nan"),
         mean_relative_error=float(errors_arr.mean()) if errors_arr.size else float("nan"),
         mean_staleness=float(staleness["mean"]),
         max_staleness=float(staleness["max"]),

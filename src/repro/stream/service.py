@@ -31,6 +31,7 @@ from repro.coords.online import MAX_RTT, OnlineVivaldi, OnlineVivaldiConfig
 from repro.errors import StreamError
 from repro.stats.rng import RngLike, ensure_rng
 from repro.stream.events import Event, MeasurementEvent, NodeJoin, NodeLeave
+from repro.utils import is_integer
 
 
 @dataclass(frozen=True)
@@ -177,17 +178,44 @@ def _edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+def _node_id(node) -> int:
+    """``node`` as a Python int; a :class:`StreamError` unless it is an integer."""
+    if not is_integer(node):
+        raise StreamError(f"node id {node!r} is not an integer")
+    return int(node)
+
+
 #: Rows the edge table holds before it first grows (it doubles when full).
 _MIN_ROWS = 256
+
+#: Edge ids spanning fewer values than this order by one packed int64 key.
+_PACKED_SPAN = 2**31
 
 #: The largest severity estimate the service holds.
 _MAX_FLOAT = sys.float_info.max
 
 
-def _empty_columns(capacity: int) -> tuple[np.ndarray, ...]:
-    """Edge-table columns of ``capacity`` rows: a, b, RTT, observed-at, severity.
+def _pair_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The order a lexsort on (a, b) gives unique id pairs with a < b.
 
-    Severity starts NaN, the mark of a row without an estimate.
+    One argsort of the packed key ``(a - lo) * span + (b - lo)`` over the
+    ids' range orders them the same way; ids spanning 2**31 values or
+    more, whose key could overflow int64, take the lexsort.
+    """
+    if not a.size:
+        return np.empty(0, dtype=np.intp)
+    lo = int(a.min())
+    span = int(b.max()) - lo + 1
+    if span < _PACKED_SPAN:
+        return np.argsort((a - lo) * span + (b - lo))
+    return np.lexsort((b, a))
+
+
+def _empty_columns(capacity: int) -> tuple[np.ndarray, ...]:
+    """Edge-table columns of ``capacity`` rows: a, b, RTT, observed-at, severity, live.
+
+    Severity starts NaN, the mark of a row without an estimate, and every
+    row starts free.
     """
     return (
         np.empty(capacity, dtype=np.int64),
@@ -195,6 +223,7 @@ def _empty_columns(capacity: int) -> tuple[np.ndarray, ...]:
         np.empty(capacity),
         np.empty(capacity),
         np.full(capacity, math.nan),
+        np.zeros(capacity, dtype=bool),
     )
 
 
@@ -212,16 +241,18 @@ class StreamCoordinateService:
         self._embedding = OnlineVivaldi(self._config.online, rng=rng)
         self._rng = rng
         # Live measurement memory, the edge table: each remembered
-        # undirected edge (a, b), a < b, owns one row of five numpy
-        # columns (both ids, the last RTT, when it was observed, and the
-        # rolling severity, NaN until the edge's first witness sample).
-        # ``_row_of`` finds an edge's row; ``_free_rows`` stacks the rows
-        # that hold no edge, those leave() freed and those the table has
-        # not used yet.  Single values go through memoryviews of the
-        # columns (a numpy scalar store costs twice as much); checkpoints
-        # and batch reads gather whole columns.  Per active node,
-        # ``_peer_rtt`` maps each measured peer to that edge's RTT, so the
-        # severity update reads witness RTTs without building edge keys.
+        # undirected edge (a, b), a < b, owns one row of six numpy
+        # columns (both ids, the last RTT, when it was observed, the
+        # rolling severity, NaN until the edge's first witness sample, and
+        # whether the row holds an edge at all, written only where a row
+        # is taken or freed).  ``_row_of`` finds an edge's row;
+        # ``_free_rows`` stacks the rows that hold no edge, those leave()
+        # freed and those the table has not used yet.  Single values go
+        # through memoryviews of the columns (a numpy scalar store costs
+        # twice as much); checkpoints and batch reads gather whole
+        # columns.  Per active node, ``_peer_rtt`` maps each measured peer
+        # to that edge's RTT, so the severity update reads witness RTTs
+        # without building edge keys.
         self._row_of: dict[tuple[int, int], int] = {}
         self._set_columns(*_empty_columns(_MIN_ROWS))
         self._free_rows = list(range(_MIN_ROWS - 1, -1, -1))
@@ -318,17 +349,25 @@ class StreamCoordinateService:
         return self._embedding.active_nodes()
 
     def observed_edges(self) -> list[tuple[int, int]]:
-        """Undirected edges with a remembered RTT observation, sorted."""
-        return sorted(self._row_of)
+        """Undirected edges with a remembered RTT observation, sorted.
+
+        The edges are the edge map's own key tuples, put in order by their
+        rows' ids: a new tuple per edge would cost a caller that keeps the
+        list about 120 bytes an edge.
+        """
+        edges = list(self._row_of)
+        rows = np.fromiter(self._row_of.values(), dtype=np.intp, count=len(edges))
+        return [edges[i] for i in _pair_order(self._a[rows], self._b[rows]).tolist()]
 
     # -- the edge table ---------------------------------------------------------
 
-    def _set_columns(self, a, b, rtt, seen, severity) -> None:
-        self._a, self._b, self._rtt, self._seen, self._severity = a, b, rtt, seen, severity
+    def _set_columns(self, a, b, rtt, seen, severity, live) -> None:
+        self._a, self._b, self._rtt, self._seen = a, b, rtt, seen
+        self._severity, self._live = severity, live
         self._a_cells, self._b_cells, self._rtt_cells, self._seen_cells = (
             memoryview(a), memoryview(b), memoryview(rtt), memoryview(seen)
         )
-        self._severity_cells = memoryview(severity)
+        self._severity_cells, self._live_cells = memoryview(severity), memoryview(live)
 
     def _grow_rows(self) -> int:
         """Double the full edge table and return the first new row.
@@ -338,7 +377,7 @@ class StreamCoordinateService:
         used = self._a.size
         columns = _empty_columns(2 * used)
         for column, old in zip(
-            columns, (self._a, self._b, self._rtt, self._seen, self._severity)
+            columns, (self._a, self._b, self._rtt, self._seen, self._severity, self._live)
         ):
             column[:used] = old
         self._set_columns(*columns)
@@ -347,10 +386,8 @@ class StreamCoordinateService:
 
     def _live_rows(self) -> np.ndarray:
         """The rows that hold an edge, ordered by id pair."""
-        live = np.ones(self._a.size, dtype=bool)
-        live[self._free_rows] = False
-        rows = np.flatnonzero(live)
-        return rows[np.lexsort((self._b[rows], self._a[rows]))]
+        rows = np.flatnonzero(self._live)
+        return rows[_pair_order(self._a[rows], self._b[rows])]
 
     def _severity_at(self, row: int) -> float | None:
         value = self._severity_cells[row]
@@ -401,10 +438,11 @@ class StreamCoordinateService:
             raise StreamError(f"node {node} left while not active")
         self._embedding.leave(node)
         peer_rtt, row_of, free = self._peer_rtt, self._row_of, self._free_rows
-        severity = self._severity_cells
+        severity, live = self._severity_cells, self._live_cells
         for peer in peer_rtt.pop(node, {}):
             row = row_of.pop((node, peer) if node <= peer else (peer, node))
             severity[row] = math.nan  # the next edge in this row starts unestimated
+            live[row] = False
             free.append(row)
             peer_rtt[peer].pop(node, None)
 
@@ -423,7 +461,7 @@ class StreamCoordinateService:
             # numpy integers pass, as in join().  A float such as 3.0 finds
             # node 3 by equality but cannot be written to an id column.
             for node in (src, dst):
-                if not isinstance(node, (int, np.integer)) or isinstance(node, bool):
+                if not is_integer(node):
                     raise StreamError(
                         f"measurement {src!r}->{dst!r}: node id {node!r} is not an integer"
                     )
@@ -463,6 +501,7 @@ class StreamCoordinateService:
             row = free.pop() if free else self._grow_rows()
             self._row_of[edge] = row
             self._a_cells[row], self._b_cells[row] = edge
+            self._live_cells[row] = True
         self._rtt_cells[row] = rtt
         self._seen_cells[row] = t
         peer_rtt = self._peer_rtt
@@ -613,19 +652,22 @@ class StreamCoordinateService:
     def tiv_alert_batch(self, edges) -> list[dict]:
         """Batch :meth:`tiv_alert`: one gathered distance op answers every edge.
 
-        Each verdict dict is identical to the scalar query's; an edge
-        without an observed measurement raises, exactly as the scalar
-        query does.
+        Each verdict dict is identical to the scalar query's; a node id
+        that is not an integer and an edge without an observed measurement
+        raise, exactly as the scalar query does.
         """
-        keyed = [_edge(int(a), int(b)) for a, b in edges]
         row_of = self._row_of
-        rows = []
-        for edge in keyed:
+        keyed, rows = [], []
+        for a, b in edges:
+            if type(a) is not int or type(b) is not int:
+                a, b = _node_id(a), _node_id(b)
+            edge = (a, b) if a <= b else (b, a)
             row = row_of.get(edge)
             if row is None:
                 raise StreamError(
                     f"no observed measurement for edge {edge}; cannot evaluate a TIV alert"
                 )
+            keyed.append(edge)
             rows.append(row)
         rows = np.array(rows, dtype=np.intp)
         rtts = self._rtt[rows].tolist()
@@ -675,14 +717,17 @@ class StreamCoordinateService:
     def worst_edges(self, count: int = 10) -> list[tuple[tuple[int, int], float]]:
         """The ``count`` edges with the highest rolling severity estimate.
 
-        Ties rank by id pair, ascending.
+        Ties rank by id pair, ascending.  A count that is not a
+        non-negative integer raises :class:`StreamError`.
         """
+        if not is_integer(count) or count < 0:
+            raise StreamError(f"worst_edges count {count!r} is not a non-negative integer")
         rows = self._live_rows()
         severity = self._severity[rows]
         estimated = ~np.isnan(severity)
         rows, severity = rows[estimated], severity[estimated]
         # The rows are in id-pair order, so a stable sort keeps it for ties.
-        top = np.argsort(-severity, kind="stable")[: int(count)]
+        top = np.argsort(-severity, kind="stable")[:count]
         rows = rows[top]
         return [
             ((a, b), value)
@@ -698,9 +743,13 @@ class StreamCoordinateService:
         a ratio far below 1 means the embedding shrunk the edge, the
         signature of a TIV-inflated measurement), whether it crosses the
         alert threshold, the rolling severity estimate and the age of the
-        supporting observation.
+        supporting observation.  A node id that is not an integer
+        (``bool`` and floats such as 3.0 included) and an edge without an
+        observed measurement raise :class:`StreamError`.
         """
-        edge = _edge(a, b)
+        if type(a) is not int or type(b) is not int:
+            a, b = _node_id(a), _node_id(b)
+        edge = (a, b) if a <= b else (b, a)
         row = self._row_of.get(edge)
         if row is None:
             raise StreamError(
@@ -745,14 +794,17 @@ class StreamCoordinateService:
         float64: the RTT and the time it was observed), and
         ``severity_ids`` (S x 2 int64) with ``severity`` (S float64), the
         edges that hold an estimate.  They are gathered from the edge
-        table's columns: the rows that hold an edge, put in order by one
-        lexsort, with no per-edge Python work.  Row numbers and free rows
-        are not stored, and neither are the per-node RTT maps: those are
-        exactly the adjacency of the edge table over the active nodes,
-        which :meth:`from_state` rebuilds.  Restoring via :meth:`from_state`
-        and continuing a replay is bit-identical to never having stopped
-        — the guarantee :func:`repro.stream.durability.recover` and the
-        recovery property tests pin.
+        table's columns, with no per-edge Python work: the rows marked
+        live, put in order by one argsort of a packed id-pair key (one
+        lexsort where the live ids span 2**31 values or more; both give
+        the same order, so the arrays do not depend on which ran).  Row
+        numbers and free rows are not stored, and neither are the per-node
+        RTT maps: those are exactly the adjacency of the edge table over
+        the active nodes, which :meth:`from_state` rebuilds.  Restoring via
+        :meth:`from_state` and continuing a replay is bit-identical to
+        never having stopped — the guarantee
+        :func:`repro.stream.durability.recover` and the recovery property
+        tests pin.
         """
         rows = self._live_rows()
         edge_ids = np.empty((rows.size, 2), dtype=np.int64)
@@ -887,6 +939,7 @@ class StreamCoordinateService:
         self._rtt[:n] = obs[:, 0]
         self._seen[:n] = obs[:, 1]
         self._severity[rows] = values
+        self._live[:n] = True
         self._row_of = row_of
         self._free_rows = list(range(capacity - 1, n - 1, -1))
         peer_rtt: dict[int, dict[int, float]] = {node: {} for node in active}

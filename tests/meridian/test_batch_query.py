@@ -135,6 +135,45 @@ class TestBatchQueryValidation:
         assert all(isinstance(r.selected_delay, float) for r in results)
 
 
+class TestNodeIds:
+    """Targets and start nodes must be integers: 3.0 and True equal nodes 3 and 1."""
+
+    BAD = [2.7, 3.0, True, np.float64(2.0)]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_non_integer_target_is_refused(self, small_internet_matrix, bad):
+        overlay, _ = overlays(small_internet_matrix)
+        calls = [
+            lambda: overlay.true_closest(bad),
+            lambda: overlay.closest_neighbor_query(bad, start_node=0),
+            lambda: overlay.closest_neighbor_query_batch([1, bad], start_nodes=[0, 0]),
+        ]
+        for call in calls:
+            with pytest.raises(MeridianError, match="target .* is not an integer node id"):
+                call()
+        assert bad not in overlay._optimum
+
+    @pytest.mark.parametrize("bad", BAD + [np.float64(4.0)])
+    def test_non_integer_start_node_is_refused(self, small_internet_matrix, bad):
+        overlay, _ = overlays(small_internet_matrix)
+        with pytest.raises(MeridianError, match="start node .* is not an integer node id"):
+            overlay.closest_neighbor_query(1, start_node=bad)
+        with pytest.raises(MeridianError, match="start node .* is not an integer node id"):
+            overlay.closest_neighbor_query_batch([1, 3], start_nodes=[0, bad])
+
+    def test_numpy_integers_answer_as_python_ints(self, small_internet_matrix):
+        plain, numpy_ids = overlays(small_internet_matrix, seed=6)
+        assert numpy_ids.true_closest(np.int64(2)) == plain.true_closest(2)
+        assert numpy_ids.true_closest(np.int32(3)) == plain.true_closest(3)
+        assert all(type(target) is int for target in numpy_ids._optimum)
+        assert numpy_ids.closest_neighbor_query(
+            np.int64(2), start_node=np.int64(4)
+        ) == plain.closest_neighbor_query(2, start_node=4)
+        assert numpy_ids.closest_neighbor_query_batch(
+            [np.int64(2), 5], start_nodes=[np.int64(4), 0]
+        ) == plain.closest_neighbor_query_batch([2, 5], start_nodes=[4, 0])
+
+
 class TestBatchRestartPolicy:
     def test_restart_policy_matches_scalar(self, small_internet_matrix):
         # Every stalled query restarts through three of its node's members

@@ -1,14 +1,22 @@
 """Unit tests for trace replay and the stream report."""
 
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.errors import StreamError
 from repro.stream import replay_trace, synthesize_trace
 from repro.stream.events import MeasurementEvent, NodeJoin, Trace
-from repro.stream.replay import STREAM_REPORT_SCHEMA
+from repro.stream.replay import STREAM_REPORT_SCHEMA, _median
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +187,49 @@ class TestWindowMetricsOnPartialPopulations:
             assert window.active_nodes == 2
             assert window.evaluated_edges == 1
             assert np.isfinite(window.median_relative_error)
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+class TestWindowMedian:
+    """The window median equals ``np.median`` bit for bit, without ``numpy.ma``."""
+
+    VALUES = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=True, width=64),
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, float("nan"), -float("nan")]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(VALUES, min_size=1, max_size=40))
+    def test_equals_np_median(self, values):
+        array = np.array(values, dtype=np.float64)
+        # inf + -inf and a sum past the float range warn in both, alike.
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert _bits(_median(array)) == _bits(np.median(array))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 511, 512])
+    def test_odd_and_even_sizes(self, size):
+        array = np.random.default_rng(size).lognormal(size=size)
+        assert _bits(_median(array)) == _bits(np.median(array))
+        array[size // 3] = np.nan
+        assert np.isnan(_median(array))
+        assert _bits(_median(array)) == _bits(np.median(array))
+
+    def test_replay_leaves_numpy_ma_unloaded(self):
+        # np.median imports numpy.ma on first use (about 8 ms), which made
+        # the first scored window the slowest batch of every replay.
+        code = (
+            "import sys\n"
+            "from repro.stream import replay_trace, synthesize_trace\n"
+            "trace = synthesize_trace(n_nodes=16, seed=7, duration=10.0)\n"
+            "report = replay_trace(trace, window_seconds=5.0)\n"
+            "assert report.windows[0].evaluated_edges > 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert proc.stdout.strip() == "False"

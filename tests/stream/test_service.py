@@ -174,6 +174,20 @@ class TestSeverity:
         assert worst[0][0] == (0, 2)
         assert worst[0][1] > worst[1][1]
 
+    @pytest.mark.parametrize("count", [-1, 1.5, 2.0, True, None])
+    def test_worst_edges_refuses_a_count_that_is_not_a_non_negative_integer(self, count):
+        # Slicing with -1 would drop only the last edge, and 1.5 would truncate to 1.
+        service = self.make_tiv_service()
+        with pytest.raises(StreamError, match="not a non-negative integer"):
+            service.worst_edges(count)
+
+    def test_worst_edges_counts(self):
+        service = self.make_tiv_service()
+        everything = service.worst_edges(10)
+        assert len(everything) == 3
+        assert service.worst_edges(0) == []
+        assert service.worst_edges(np.int64(2)) == everything[:2]
+
     def test_overflowing_ratio_saturates_and_still_checkpoints(self, tmp_path):
         # 1e77 ms (just under MAX_RTT) over a 2e-300 ms detour overflows
         # the ratio; the estimate saturates at the largest float, which a
@@ -362,6 +376,36 @@ class TestBatchQueries:
             assert rtt == service.tiv_alert(a, b)["observed"]
         assert np.isnan(got[-2:]).all()
         assert service.observed_rtt_batch([]).shape == (0,)
+
+    def id_service(self):
+        """Nodes 0-3 with edges (0, 2), (0, 3) and (1, 2) observed.
+
+        2.7, 3.0 and True sit next to ids with an edge to 0 or 2, so a
+        query that rounded or compared them would find one.
+        """
+        service = StreamCoordinateService(rng=0)
+        for node in range(4):
+            service.join(node)
+        for t, (a, b) in enumerate([(0, 2), (0, 3), (1, 2), (2, 3)], start=1):
+            service.observe(a, b, 10.0 + t, t=float(t))
+        return service
+
+    @pytest.mark.parametrize("bad", [2.7, 3.0, True, np.float64(2.0)])
+    def test_tiv_alerts_refuse_an_id_that_is_not_an_integer(self, bad):
+        service = self.id_service()
+        for other in (0, 2):
+            for edge in ((bad, other), (other, bad)):
+                with pytest.raises(StreamError, match="is not an integer"):
+                    service.tiv_alert(*edge)
+                with pytest.raises(StreamError, match="is not an integer"):
+                    service.tiv_alert_batch([(0, 2), edge])
+
+    def test_tiv_alerts_take_numpy_integers(self):
+        service = self.id_service()
+        expected = service.tiv_alert(0, 2)
+        assert service.tiv_alert(np.int64(2), 0) == expected
+        assert service.tiv_alert_batch([(0, np.int64(2)), (np.int32(2), 0)]) == [expected] * 2
+        assert all(type(node) is int for node in service.tiv_alert(np.int64(2), 0)["edge"])
 
     def test_observed_edges_sorted_and_undirected(self):
         service = StreamCoordinateService(rng=0)
