@@ -20,8 +20,8 @@ timestep (Dabek et al., SIGCOMM 2004, Fig. 3):
   slow drift of the whole coordinate system.
 
 With ``use_height=False`` and ``rho=0`` the per-observation update is
-exactly the scalar Vivaldi rule of
-:meth:`~repro.coords.vivaldi.VivaldiSystem._probe`, which is what the
+exactly the scalar Vivaldi rule of the Gauss-Seidel oracle
+``tests/coords/oracles.py::GaussSeidelVivaldi.probe``, which is what the
 stream-vs-batch equivalence tests pin.
 """
 
@@ -352,7 +352,12 @@ class OnlineVivaldi:
         return dist
 
     def distances_from(self, node) -> dict:
-        """Predicted delay from ``node`` to every other active node."""
+        """Predicted delay from ``node`` to every other active node.
+
+        A node id that is not an integer raises, as in :meth:`join`: 3.0
+        and True would find nodes 3 and 1 by equality and answer for them.
+        """
+        _check_id(node)
         i = self._slot_of(node)
         others = [(other, slot) for other, slot in self._slots.items() if other != node]
         if not others:

@@ -30,8 +30,7 @@ import numpy as np
 from repro.core.alert import TIVAlert
 from repro.delayspace.matrix import DelayMatrix
 from repro.errors import AlertError, MeridianError
-from repro.meridian.node import MembershipAdjuster
-from repro.meridian.overlay import MeridianOverlay, RestartPolicy
+from repro.meridian.overlay import MembershipAdjuster, MeridianOverlay, RestartPolicy
 from repro.meridian.rings import MeridianConfig
 from repro.stats.rng import RngLike
 
@@ -101,12 +100,13 @@ def tiv_aware_membership_adjuster(
 ) -> MembershipAdjuster:
     """Build the §5.3 ring-construction adjuster.
 
-    The returned callable, given ``(owner, member, measured_delay)``, returns
-    the member's *predicted* delay when the alert's prediction ratio for the
-    edge lies outside ``[ts, tl]`` (triggering double placement), or ``None``
-    when the measured placement alone is safe.  It also answers for whole
-    index arrays (``placement_delays``), which the overlay build reads from
-    the alert's ratio and predicted-delay rows in one pass.
+    Its ``placement_delays`` returns, for whole owner and member index
+    arrays, each member's *predicted* delay where the alert's prediction
+    ratio for the edge lies outside ``[ts, tl]`` (triggering double
+    placement), and ``nan`` where the measured placement alone is safe; the
+    overlay build reads it from the alert's ratio and predicted-delay rows
+    in one pass.  Called as ``(owner, member, measured_delay)``, it gives
+    the same answer for one edge (``None`` for ``nan``).
     """
     return _TIVAwareAdjuster(alert, config if config is not None else TIVAwareMeridianConfig())
 
@@ -132,7 +132,7 @@ def tiv_aware_restart_policy(
         ratio = alert.ratio(current, target)
         if not np.isfinite(ratio) or ratio >= cfg.ts:
             return None
-        members = overlay.node(current).members()
+        members = overlay.members(current)
         if not members:
             return None
         predicted = alert.predicted_delays(np.asarray(members, dtype=np.int64), target)

@@ -19,14 +19,13 @@ Two hooks make the §4.3 and §5.3 variants expressible without subclassing:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.delayspace.matrix import DelayMatrix, edge_mask
 from repro.errors import MeridianError
-from repro.meridian.node import MembershipAdjuster, MeridianNode
-from repro.meridian.rings import MeridianConfig, RingStore, StoredRingSet
+from repro.meridian.rings import MeridianConfig, RingStore
 from repro.stats.rng import RngLike, ensure_rng
 from repro.utils import is_integer
 
@@ -36,6 +35,20 @@ from repro.utils import is_integer
 # restart uses the predicted delay to pick them), or None to accept
 # termination.
 RestartPolicy = Callable[["MeridianOverlay", int, int, float], Optional[Sequence[int]]]
+
+
+class MembershipAdjuster(Protocol):
+    """The §5.3 double-placement hook of the overlay build.
+
+    Given broadcast index arrays of ring owners and candidate members and
+    the candidates' measured delays, it returns a second placement delay
+    per candidate, ``nan`` where the member is placed by its measured
+    delay alone.  The overlay asks once, for every candidate at once.
+    """
+
+    def placement_delays(
+        self, owners: np.ndarray, members: np.ndarray, delays: np.ndarray
+    ) -> np.ndarray: ...
 
 
 @dataclass
@@ -114,7 +127,8 @@ class MeridianOverlay:
         Set of ``(i, j)`` pairs (in any order) that must not be used for
         ring membership — the §4.3 severity-filter strawman.
     membership_adjuster:
-        Optional TIV-aware double-placement hook (§5.3 ring construction).
+        Optional TIV-aware double-placement hook (§5.3 ring construction),
+        a :class:`MembershipAdjuster`.
 
     Every node's rings live in one :class:`~repro.meridian.rings.RingStore`,
     filled by one whole-array placement pass (excluded edges, sampled or
@@ -141,7 +155,7 @@ class MeridianOverlay:
         self._config = config if config is not None else MeridianConfig()
         self._rng = ensure_rng(rng)
 
-        ids = [int(i) for i in meridian_nodes]
+        ids = [_node_id(i, "meridian node") for i in meridian_nodes]
         if len(ids) < 2:
             raise MeridianError("a Meridian overlay needs at least 2 Meridian nodes")
         if len(set(ids)) != len(ids):
@@ -153,7 +167,6 @@ class MeridianOverlay:
         self._meridian_set = set(ids)
         self._meridian_arr = np.asarray(ids, dtype=np.int64)
 
-        self._nodes: dict[int, MeridianNode] = {}
         self._build_store(
             full_membership, membership_sample_size, excluded_edges, membership_adjuster
         )
@@ -195,7 +208,7 @@ class MeridianOverlay:
             usable &= ~edge_mask(self._matrix.n_nodes, excluded_edges)[owners, members]
         extra = None
         if adjuster is not None:
-            extra = _second_placements(adjuster, owners, members, delays, usable)
+            extra = np.asarray(adjuster.placement_delays(owners, members, delays), dtype=float)
         self._store = RingStore.place(config, members, delays, usable, extra)
         self._row_of = np.full(self._matrix.n_nodes, -1, dtype=np.int64)
         self._row_of[ids] = np.arange(n_meridian)
@@ -219,22 +232,35 @@ class MeridianOverlay:
         """Indices of the Meridian nodes."""
         return list(self._meridian_ids)
 
-    def node(self, node_id: int) -> MeridianNode:
-        """Return the :class:`MeridianNode` with the given id."""
-        node = self._nodes.get(node_id)
-        if node is not None:
-            return node
+    def members(self, node_id: int) -> list[int]:
+        """Every distinct ring member of Meridian node ``node_id``, in insertion order."""
+        return list(dict.fromkeys(self._slots(node_id)[0]))
+
+    def rings(self, node_id: int) -> list[dict[int, float]]:
+        """Each ring of Meridian node ``node_id`` as ``{member: placement delay}``.
+
+        Rings are listed innermost first, members in insertion order.  A
+        double-placed member appears in both of its rings, each time at
+        the delay that put it there.
+        """
+        rings: list[dict[int, float]] = [{} for _ in range(self._config.n_rings)]
+        for member, ring, delay in zip(*self._slots(node_id)):
+            rings[ring][member] = delay
+        return rings
+
+    def _slots(self, node_id: int) -> tuple[list[int], list[int], list[float]]:
+        """Member, ring and placement delay of each filled slot of ``node_id``'s row."""
+        if type(node_id) is not int:
+            node_id = _node_id(node_id, "node")
         if node_id not in self._meridian_set:
             raise MeridianError(f"{node_id} is not a Meridian node")
-        # Node objects are made on first access, as views of their row of
-        # the ring store.
-        rings = StoredRingSet(self._store, int(self._row_of[node_id]))
-        node = self._nodes[node_id] = MeridianNode(node_id, self._config, rings)
-        return node
-
-    def ring_occupancy(self) -> dict[int, list[int]]:
-        """Per-node ring occupancy counts (used to study under-population)."""
-        return {nid: self.node(nid).rings.occupancy() for nid in self._meridian_ids}
+        store, row = self._store, self._row_of[node_id]
+        filled = slice(0, store.counts[row])
+        return (
+            store.members[row, filled].tolist(),
+            store.rings[row, filled].tolist(),
+            store.placement[row, filled].tolist(),
+        )
 
     def true_closest(self, target: int) -> tuple[int, float]:
         """Ground-truth closest Meridian node to ``target`` and its delay.
@@ -362,6 +388,7 @@ class MeridianOverlay:
                 raise MeridianError(f"start node {start_node} is not a Meridian node")
 
         config = self._config
+        store = self._store
         probes = 0
         hops = [start_node]
         restarted = False
@@ -374,8 +401,14 @@ class MeridianOverlay:
         probed_delay: dict[int, float] = {current: current_delay}
 
         for _ in range(max_hops):
-            node = self.node(current)
-            candidates = node.eligible_members(current_delay)
+            # The eligible members of the hop's row, sorted and each listed
+            # once, as the lock-step batch reads them (np.unique would load
+            # numpy.ma, 1.7 MiB, on its first call).
+            row = self._row_of[current]
+            eligible = store.eligible(
+                row, (1.0 - config.beta) * current_delay, (1.0 + config.beta) * current_delay
+            )
+            candidates = list(dict.fromkeys(np.sort(store.members[row][eligible]).tolist()))
             candidate_delays, new_probes = self._gather_candidate_delays(
                 candidates, target, probed_delay
             )
@@ -410,6 +443,10 @@ class MeridianOverlay:
                         if closest_delay < best_delay:
                             best_node, best_delay = closest_member, closest_delay
                         if closest_delay < current_delay and closest_member != current:
+                            if self._row_of[closest_member] < 0:
+                                raise MeridianError(
+                                    f"restart policy chose {closest_member}, not a Meridian node"
+                                )
                             next_node = closest_member
 
             if next_node is None:
@@ -649,28 +686,3 @@ def _node_id(node, role: str) -> int:
     if not is_integer(node):
         raise MeridianError(f"{role} {node!r} is not an integer node id")
     return int(node)
-
-
-def _second_placements(
-    adjuster: MembershipAdjuster,
-    owners: np.ndarray,
-    members: np.ndarray,
-    delays: np.ndarray,
-    usable: np.ndarray,
-) -> np.ndarray:
-    """The adjuster's second placement delay of every candidate (``nan``: none).
-
-    An adjuster exposing ``placement_delays(owners, members, delays)``
-    answers for the whole candidate array at once; any other callable is
-    asked about each usable candidate, row by row in node order, as a
-    member-by-member build would ask.
-    """
-    whole = getattr(adjuster, "placement_delays", None)
-    if whole is not None:
-        return np.asarray(whole(owners, members, delays), dtype=float)
-    extra = np.full(delays.shape, np.nan)
-    for row, col in zip(*np.nonzero(usable)):
-        value = adjuster(int(owners[row, 0]), int(members[row, col]), float(delays[row, col]))
-        if value is not None:
-            extra[row, col] = value
-    return extra

@@ -8,8 +8,9 @@ members per ring (first come, first kept: ring replacement policies are out
 of scope for the reproduction); the outermost ring is unbounded above so no
 member is ever dropped for being too far.
 
-An overlay keeps the rings of all its nodes in one :class:`RingStore`;
-each node reads and adds to its own row through a :class:`StoredRingSet`.
+An overlay keeps the rings of all its nodes in one :class:`RingStore`,
+filled once by :meth:`RingStore.place` and read only through
+:meth:`RingStore.eligible` and its arrays.
 """
 
 from __future__ import annotations
@@ -124,13 +125,13 @@ class RingStore:
 
     Row ``r`` lists its owner's ring placements in insertion order: slot
     ``c < counts[r]`` puts ``members[r, c]`` into ring ``rings[r, c]`` at
-    placement delay ``placement[r, c]``, the member having been measured
-    at ``measured[r, c]``.  A double-placed member fills two slots, one
-    per ring.  Padding slots hold member ``-1`` and ``nan`` delays.
+    placement delay ``placement[r, c]``.  A double-placed member fills two
+    slots, one per ring.  Padding slots hold member ``-1`` and ``nan``
+    delays.
 
-    A query hop's eligible members are one comparison over a row
-    (:meth:`eligible`), and a lock-step batch of queries compares many rows
-    at once.
+    :meth:`place` fills a store once; nothing is added later.  A query
+    hop's eligible members are one comparison over a row (:meth:`eligible`),
+    and a lock-step batch of queries compares many rows at once.
     """
 
     def __init__(self, config: MeridianConfig, n_rows: int, width: int = 1):
@@ -139,7 +140,6 @@ class RingStore:
         self.members = np.full(shape, -1, dtype=np.int64)
         self.rings = np.zeros(shape, dtype=np.int64)
         self.placement = np.full(shape, np.nan)
-        self.measured = np.full(shape, np.nan)
         self.counts = np.zeros(shape[0], dtype=np.int64)
         # Whether some row holds a member in two slots (double placement).
         self.repeats = False
@@ -147,10 +147,10 @@ class RingStore:
         self._inner = np.array([inner for inner, _ in bounds])
         self._outer = np.array([outer for _, outer in bounds])
         # A slot is eligible for a window [low, high] when its placement
-        # delay lies inside it *and* its ring overlaps it (members_within
-        # skips non-overlapping rings, which matters when rounding put a
-        # boundary delay just outside its ring).  Both tests fold into
-        # reach_low >= low and reach_high <= high.
+        # delay lies inside it *and* its ring overlaps it (a node consults
+        # only the rings that overlap the window, which matters when
+        # rounding put a boundary delay just outside its ring).  Both tests
+        # fold into reach_low >= low and reach_high <= high.
         self._reach_low = np.full(shape, np.nan)
         self._reach_high = np.full(shape, np.nan)
 
@@ -166,13 +166,18 @@ class RingStore:
         """Fill a store with one vectorised placement pass over all rows.
 
         ``members``, ``delays``, ``usable`` and ``extra`` are matching
-        ``(n_rows, width)`` arrays.  Row ``r`` offers ``members[r, j]``, measured at ``delays[r, j]``,
-        in column order, skipping columns where ``usable`` is False;
-        ``extra[r, j]`` (``nan`` for none) is a second placement delay like
-        :meth:`add`'s ``also_at_delay``.  Members must be distinct within a
-        row.  The rings equal what :meth:`add` builds from an empty row,
-        calls made in the same order: every placement claims a slot in its
-        ring, and each ring keeps its first ``k`` claims.
+        ``(n_rows, width)`` arrays.  Row ``r`` offers ``members[r, j]``,
+        measured at ``delays[r, j]``, in column order, skipping columns
+        where ``usable`` is False.  ``extra[r, j]`` (``nan`` for none) is a
+        second delay at which the member is *also* ring-placed: the hook of
+        the TIV-aware ring construction of §5.3, which places a member
+        whose owner-member edge fires the TIV alert by both its measured
+        and its predicted delay, so a TIV-shrunk edge cannot hide it from
+        queries.  Each placement is stored at the delay that put it there.
+        Members must be distinct within a row.  The rings equal what adding
+        the members one by one, in the same order, to a dict per ring
+        builds: every placement claims a slot in its ring, and each ring
+        keeps its first ``k`` claims.
         """
         n_rows, width = members.shape
         first = delays[usable]
@@ -216,7 +221,6 @@ class RingStore:
         store.members[rows, columns] = members.ravel()[candidate]
         store.rings[rows, columns] = np.stack(ring, axis=-1).ravel()[claims]
         store.placement[rows, columns] = np.stack(placement, axis=-1).ravel()[claims]
-        store.measured[rows, columns] = delays.ravel()[candidate]
         store.counts = counts.astype(np.int64)
         store.repeats = bool(np.any(candidate[1:] == candidate[:-1]))
         store._reach_low = np.minimum(store.placement, store._outer[store.rings])
@@ -224,140 +228,12 @@ class RingStore:
         return store
 
     def eligible(self, rows, low, high) -> np.ndarray:
-        """Slot mask of ``rows`` that ``members_within(low, high)`` reports.
+        """Slot mask of ``rows`` that a query window ``[low, high]`` sees.
 
-        ``rows`` is one row index or an index array; ``low``/``high`` are
-        scalars or one window per row.
+        A slot is seen when its placement delay lies in the window and its
+        ring overlaps the window.  ``rows`` is one row index or an index
+        array; ``low``/``high`` are scalars or one window per row.
         """
         low = np.asarray(low, dtype=float)[..., None]
         high = np.asarray(high, dtype=float)[..., None]
         return (self._reach_low[rows] >= low) & (self._reach_high[rows] <= high)
-
-    def add(self, row: int, member: int, delay: float, also_at_delay: float | None = None) -> bool:
-        """Try to add ``member``, measured at ``delay`` ms, to row ``row``.
-
-        ``also_at_delay`` is an optional second delay at which the member
-        is *also* ring-placed: the hook of the TIV-aware ring construction
-        of §5.3, which places a member whose owner-member edge fires the
-        TIV alert by both its measured and its predicted delay, so a
-        TIV-shrunk edge cannot hide it from queries.  Each placement is
-        stored at the delay that put it there; the measured delay is kept
-        for every slot of the member.  Returns True if the member was
-        stored in at least one ring.
-        """
-        if delay < 0 or not math.isfinite(delay):
-            raise MeridianError(f"invalid member delay {delay}")
-        placed = False
-        for d in ([delay] if also_at_delay is None else [delay, also_at_delay]):
-            idx = ring_index(d, self.config)
-            count = int(self.counts[row])
-            in_ring = self.rings[row, :count] == idx
-            if np.any(in_ring & (self.members[row, :count] == member)):
-                placed = True
-                continue
-            if np.count_nonzero(in_ring) < self.config.k:
-                self.repeats |= bool(np.any(self.members[row, :count] == member))
-                self._append(row, member, idx, d)
-                placed = True
-        if placed:
-            count = int(self.counts[row])
-            self.measured[row, :count][self.members[row, :count] == member] = delay
-        return placed
-
-    def _append(self, row: int, member: int, ring: int, placement: float) -> None:
-        count = int(self.counts[row])
-        if count == self.members.shape[1]:
-            pad = self.members.shape[1]
-            self.members = np.pad(self.members, ((0, 0), (0, pad)), constant_values=-1)
-            self.rings = np.pad(self.rings, ((0, 0), (0, pad)))
-            for name in ("placement", "measured", "_reach_low", "_reach_high"):
-                grown = np.pad(getattr(self, name), ((0, 0), (0, pad)), constant_values=np.nan)
-                setattr(self, name, grown)
-        self.members[row, count] = member
-        self.rings[row, count] = ring
-        self.placement[row, count] = placement
-        self._reach_low[row, count] = min(placement, self._outer[ring])
-        self._reach_high[row, count] = max(placement, self._inner[ring])
-        self.counts[row] = count + 1
-
-    def row_members(self, row: int) -> np.ndarray:
-        """Member id of every filled slot of ``row``, in insertion order."""
-        return self.members[row, : self.counts[row]]
-
-
-class StoredRingSet:
-    """The ring membership of one Meridian node: row ``row`` of a :class:`RingStore`.
-
-    Reading or adding through this view reads or writes the overlay-wide
-    store the lock-step queries compare, so both always see the same
-    rings.
-    """
-
-    def __init__(self, store: RingStore, row: int):
-        self._config = store.config
-        self._store = store
-        self._row = int(row)
-
-    @property
-    def config(self) -> MeridianConfig:
-        """The ring geometry parameters."""
-        return self._config
-
-    def __len__(self) -> int:
-        return len(self.members())
-
-    def __contains__(self, member: int) -> bool:
-        return bool(np.any(self._store.row_members(self._row) == member))
-
-    def add(self, member: int, delay: float, *, also_at_delay: float | None = None) -> bool:
-        """Try to add ``member`` measured at ``delay`` ms (see :meth:`RingStore.add`)."""
-        return self._store.add(self._row, member, delay, also_at_delay)
-
-    def member_delay(self, member: int) -> float:
-        """Measured delay to ``member``."""
-        slots = np.flatnonzero(self._store.row_members(self._row) == member)
-        if slots.size == 0:
-            raise MeridianError(f"node {member} is not a ring member")
-        return float(self._store.measured[self._row, slots[0]])
-
-    def members(self) -> list[int]:
-        """All distinct ring members, in insertion order."""
-        return list(dict.fromkeys(self._store.row_members(self._row).tolist()))
-
-    def ring_members(self, index: int) -> dict[int, float]:
-        """Members of ring ``index`` with their placement delays (copy)."""
-        if not 0 <= index < self._config.n_rings:
-            raise MeridianError(f"ring index {index} out of range")
-        count = self._store.counts[self._row]
-        in_ring = self._store.rings[self._row, :count] == index
-        return dict(
-            zip(
-                self._store.members[self._row, :count][in_ring].tolist(),
-                self._store.placement[self._row, :count][in_ring].tolist(),
-            )
-        )
-
-    def ring_of(self, member: int) -> list[int]:
-        """Indices of the rings that contain ``member``."""
-        count = self._store.counts[self._row]
-        mine = self._store.members[self._row, :count] == member
-        return np.unique(self._store.rings[self._row, :count][mine]).tolist()
-
-    def members_within(self, low: float, high: float) -> list[int]:
-        """Members whose *placement* delay lies within ``[low, high]``, sorted.
-
-        Only rings that overlap the interval are consulted, as a real
-        Meridian node would consult its ring structure.  A double-placed
-        member is visible through either of its placement delays.
-        """
-        found = np.sort(self._store.members[self._row][self._store.eligible(self._row, low, high)])
-        if self._store.repeats and found.size > 1:
-            found = found[np.concatenate(([True], found[1:] != found[:-1]))]
-        return found.tolist()
-
-    def occupancy(self) -> list[int]:
-        """Number of members stored in each ring."""
-        count = self._store.counts[self._row]
-        return np.bincount(
-            self._store.rings[self._row, :count], minlength=self._config.n_rings
-        ).tolist()

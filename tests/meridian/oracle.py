@@ -1,12 +1,13 @@
 """The Meridian oracle: dict rings, a member-by-member build, one query at a time.
 
 :class:`OracleOverlay` builds each node's rings by adding its candidates one
-by one to a :class:`DictRingSet` (a dict per ring, first come first kept),
-drawing candidates from the RNG exactly as
-:class:`~repro.meridian.overlay.MeridianOverlay` draws them, and answers
+by one to a :class:`DictRingNode`, whose :class:`DictRingSet` keeps a dict
+per ring (first come first kept), drawing candidates from the RNG exactly
+as :class:`~repro.meridian.overlay.MeridianOverlay` draws them, and answers
 every query with a scalar recursive search, probing one member at a time.
-The overlay's one-pass ring store and lock-step batch search must agree
-with it bit for bit: rings, member order, probes, hops and answers.
+The overlay's one-pass ring store and both its queries must agree with it
+bit for bit: rings, member order, eligible members, probes, hops and
+answers.
 """
 
 import math
@@ -14,7 +15,6 @@ import math
 import numpy as np
 
 from repro.errors import MeridianError
-from repro.meridian.node import MeridianNode
 from repro.meridian.overlay import QueryResult
 from repro.meridian.rings import MeridianConfig, ring_bounds, ring_index
 from repro.stats.rng import ensure_rng
@@ -25,65 +25,67 @@ class DictRingSet:
 
     def __init__(self, config: MeridianConfig):
         self.config = config
-        self._rings: list[dict[int, float]] = [dict() for _ in range(config.n_rings)]
-        self._delays: dict[int, float] = {}
-
-    def __len__(self) -> int:
-        return len(self._delays)
-
-    def __contains__(self, member: int) -> bool:
-        return member in self._delays
+        self.rings: list[dict[int, float]] = [dict() for _ in range(config.n_rings)]
+        self._members: dict[int, None] = {}
 
     def add(self, member: int, delay: float, *, also_at_delay: float | None = None) -> bool:
         if delay < 0 or not math.isfinite(delay):
             raise MeridianError(f"invalid member delay {delay}")
         placed = False
         for d in [delay] if also_at_delay is None else [delay, also_at_delay]:
-            ring = self._rings[ring_index(d, self.config)]
+            ring = self.rings[ring_index(d, self.config)]
             if member in ring:
                 placed = True
             elif len(ring) < self.config.k:
                 ring[member] = d
                 placed = True
         if placed:
-            self._delays[member] = delay
+            self._members[member] = None
         return placed
 
-    def member_delay(self, member: int) -> float:
-        try:
-            return self._delays[member]
-        except KeyError:
-            raise MeridianError(f"node {member} is not a ring member") from None
-
     def members(self) -> list[int]:
-        return list(self._delays)
-
-    def ring_members(self, index: int) -> dict[int, float]:
-        if not 0 <= index < self.config.n_rings:
-            raise MeridianError(f"ring index {index} out of range")
-        return dict(self._rings[index])
-
-    def ring_of(self, member: int) -> list[int]:
-        return [i for i, ring in enumerate(self._rings) if member in ring]
+        return list(self._members)
 
     def members_within(self, low: float, high: float) -> list[int]:
         """Members placed within ``[low, high]``, from the rings overlapping it."""
         if low > high:
             return []
         found: set[int] = set()
-        for index, ring in enumerate(self._rings):
+        for index, ring in enumerate(self.rings):
             inner, outer = ring_bounds(index, self.config)
             if outer < low or inner > high:
                 continue
             found.update(member for member, delay in ring.items() if low <= delay <= high)
         return sorted(found)
 
-    def occupancy(self) -> list[int]:
-        return [len(ring) for ring in self._rings]
+
+class DictRingNode:
+    """One oracle Meridian node: its id and its dict rings."""
+
+    def __init__(self, node_id: int, config: MeridianConfig):
+        self.node_id = node_id
+        self.config = config
+        self.rings = DictRingSet(config)
+
+    def add_member(self, member: int, delay: float, adjuster=None) -> bool:
+        """Add ``member``; ``adjuster(owner, member, delay)`` may give a second delay."""
+        extra = adjuster(self.node_id, member, delay) if adjuster is not None else None
+        return self.rings.add(member, delay, also_at_delay=extra)
+
+    def eligible_members(self, delay_to_target: float) -> list[int]:
+        """Members placed within the β window around ``delay_to_target``."""
+        beta = self.config.beta
+        return self.rings.members_within(
+            (1.0 - beta) * delay_to_target, (1.0 + beta) * delay_to_target
+        )
 
 
 class OracleOverlay:
-    """A Meridian overlay built member by member and queried target by target."""
+    """A Meridian overlay built member by member and queried target by target.
+
+    ``membership_adjuster`` is called once per edge, as
+    ``adjuster(owner, member, measured_delay)``.
+    """
 
     def __init__(
         self,
@@ -105,9 +107,9 @@ class OracleOverlay:
         excluded = {frozenset((int(a), int(b))) for a, b in excluded_edges or ()}
         if membership_sample_size is None:
             membership_sample_size = self.config.k * self.config.n_rings
-        self._nodes: dict[int, MeridianNode] = {}
+        self._nodes: dict[int, DictRingNode] = {}
         for node_id in self.meridian_ids:
-            node = MeridianNode(node_id, self.config, DictRingSet(self.config))
+            node = DictRingNode(node_id, self.config)
             others = [m for m in self.meridian_ids if m != node_id]
             if full_membership or len(others) <= membership_sample_size:
                 candidates = others
@@ -121,14 +123,17 @@ class OracleOverlay:
                 node.add_member(member, float(delay), adjuster=membership_adjuster)
             self._nodes[node_id] = node
 
-    def node(self, node_id: int) -> MeridianNode:
+    def node(self, node_id: int) -> DictRingNode:
         try:
             return self._nodes[node_id]
         except KeyError:
             raise MeridianError(f"{node_id} is not a Meridian node") from None
 
-    def ring_occupancy(self) -> dict[int, list[int]]:
-        return {node_id: self.node(node_id).rings.occupancy() for node_id in self.meridian_ids}
+    def members(self, node_id: int) -> list[int]:
+        return self.node(node_id).rings.members()
+
+    def rings(self, node_id: int) -> list[dict[int, float]]:
+        return [dict(ring) for ring in self.node(node_id).rings.rings]
 
     def true_closest(self, target: int) -> tuple[int, float]:
         if not 0 <= target < self.matrix.n_nodes:

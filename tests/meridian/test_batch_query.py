@@ -96,6 +96,30 @@ class TestBatchQueryEquivalence:
             assert_same_result(s, b)
 
 
+    def test_ties_go_to_the_lowest_member_id(self):
+        # Node 0's ring holds members 2 and 1 in that order (the Meridian
+        # list's order); both are eligible for target 3 and equally close
+        # to it.  Both queries, like the oracle, advance to member 1.
+        delays = np.array(
+            [
+                [0.0, 10.0, 10.0, 10.0],
+                [10.0, 0.0, 3.0, 2.0],
+                [10.0, 3.0, 0.0, 2.0],
+                [10.0, 2.0, 2.0, 0.0],
+            ]
+        )
+        matrix = DelayMatrix(delays)
+        ids = [0, 2, 1]
+        overlay = MeridianOverlay(matrix, ids, rng=0, full_membership=True)
+        assert overlay.members(0) == [2, 1]
+        expected = OracleOverlay(matrix, ids, full_membership=True).closest_neighbor_query(
+            3, start_node=0
+        )
+        assert (expected.selected, expected.hops) == (1, [0, 1])
+        assert overlay.closest_neighbor_query(3, start_node=0) == expected
+        assert overlay.closest_neighbor_query_batch([3], start_nodes=[0]) == [expected]
+
+
 class TestBatchQueryValidation:
     def test_empty_batch(self, small_internet_matrix):
         overlay, _ = overlays(small_internet_matrix)
@@ -136,7 +160,8 @@ class TestBatchQueryValidation:
 
 
 class TestNodeIds:
-    """Targets and start nodes must be integers: 3.0 and True equal nodes 3 and 1."""
+    """Meridian nodes, targets and start nodes must be integers: 3.0 and True
+    equal nodes 3 and 1."""
 
     BAD = [2.7, 3.0, True, np.float64(2.0)]
 
@@ -153,6 +178,11 @@ class TestNodeIds:
                 call()
         assert bad not in overlay._optimum
 
+    @pytest.mark.parametrize("bad", BAD)
+    def test_non_integer_meridian_node_is_refused(self, small_internet_matrix, bad):
+        with pytest.raises(MeridianError, match="meridian node .* is not an integer node id"):
+            MeridianOverlay(small_internet_matrix, [0, bad, 6])
+
     @pytest.mark.parametrize("bad", BAD + [np.float64(4.0)])
     def test_non_integer_start_node_is_refused(self, small_internet_matrix, bad):
         overlay, _ = overlays(small_internet_matrix)
@@ -162,7 +192,14 @@ class TestNodeIds:
             overlay.closest_neighbor_query_batch([1, 3], start_nodes=[0, bad])
 
     def test_numpy_integers_answer_as_python_ints(self, small_internet_matrix):
-        plain, numpy_ids = overlays(small_internet_matrix, seed=6)
+        plain, _ = overlays(small_internet_matrix, seed=6)
+        # The selection experiment passes its Meridian nodes as an int64 array.
+        numpy_ids = MeridianOverlay(
+            small_internet_matrix, np.arange(0, small_internet_matrix.n_nodes, 2), rng=6
+        )
+        assert numpy_ids.meridian_ids == plain.meridian_ids
+        assert all(type(node) is int for node in numpy_ids.meridian_ids)
+        assert numpy_ids.rings(np.int64(4)) == plain.rings(4)
         assert numpy_ids.true_closest(np.int64(2)) == plain.true_closest(2)
         assert numpy_ids.true_closest(np.int32(3)) == plain.true_closest(3)
         assert all(type(target) is int for target in numpy_ids._optimum)
@@ -179,7 +216,7 @@ class TestBatchRestartPolicy:
         # Every stalled query restarts through three of its node's members
         # (repeats included); the batch must replay the scalar control flow.
         def restart(overlay, current, target, delay):
-            return overlay.node(current).members()[:3] * 2
+            return overlay.members(current)[:3] * 2
 
         ov_scalar, ov_batch = overlays(small_internet_matrix, seed=6)
         targets = list(range(1, 80, 2))
@@ -193,6 +230,28 @@ class TestBatchRestartPolicy:
         )
         assert batch == scalar
         assert any(r.restarted for r in batch)
+
+    def test_alternate_that_is_not_a_meridian_node_raises(self):
+        # Client 2 is closer to target 3 than start 0 is, and 0's only ring
+        # member is outside the β window: the query stalls, restarts, and
+        # would advance to a node with no rings.
+        delays = np.array(
+            [
+                [0.0, 50.0, 30.0, 10.0],
+                [50.0, 0.0, 30.0, 40.0],
+                [30.0, 30.0, 0.0, 1.0],
+                [10.0, 40.0, 1.0, 0.0],
+            ]
+        )
+        overlay = MeridianOverlay(DelayMatrix(delays), [0, 1], rng=0, full_membership=True)
+
+        def to_client(overlay, current, target, delay):
+            return [2]
+
+        with pytest.raises(MeridianError, match="not a Meridian node"):
+            overlay.closest_neighbor_query(3, start_node=0, restart_policy=to_client)
+        with pytest.raises(MeridianError, match="not a Meridian node"):
+            overlay.closest_neighbor_query_batch([3], start_nodes=[0], restart_policy=to_client)
 
 
 class TestScalarMeridianTargetRegression:

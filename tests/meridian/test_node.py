@@ -1,58 +1,46 @@
-"""Tests for repro.meridian.node."""
+"""One Meridian node's rings: a row of the overlay's ring store.
 
-import math
+A node keeps no object of its own: its rings are one row of a
+:class:`~repro.meridian.rings.RingStore` filled by ``RingStore.place``, and
+the members a query at the node may probe are the row's slots that
+``RingStore.eligible`` passes for the β window around the delay to the
+target.
+"""
 
+import numpy as np
 import pytest
 
 from repro.errors import MeridianError
-from repro.meridian.node import MeridianNode
-from repro.meridian.rings import MeridianConfig, RingStore, StoredRingSet
+from repro.meridian.rings import MeridianConfig
+from tests.meridian.test_rings import one_row, row_rings, within
 
 
-def make_node(node_id: int, config: MeridianConfig) -> MeridianNode:
-    """A node whose rings are the view of a one-row ring store."""
-    return MeridianNode(node_id, config, StoredRingSet(RingStore(config, 1), 0))
+def eligible_members(store, beta: float, delay_to_target: float) -> list[int]:
+    """The row's members inside ``[(1 - beta) * d, (1 + beta) * d]``."""
+    return within(store, (1.0 - beta) * delay_to_target, (1.0 + beta) * delay_to_target)
 
 
 class TestMeridianNode:
-    def test_add_member(self):
-        node = make_node(0, MeridianConfig())
-        assert node.add_member(3, 25.0)
-        assert node.members() == [3]
-
-    def test_self_member_raises(self):
-        node = make_node(0, MeridianConfig())
-        with pytest.raises(MeridianError):
-            node.add_member(0, 10.0)
-
     def test_eligible_members_window(self):
-        node = make_node(0, MeridianConfig(beta=0.5))
-        node.add_member(1, 40.0)
-        node.add_member(2, 100.0)
-        node.add_member(3, 160.0)
-        node.add_member(4, 400.0)
+        config = MeridianConfig(beta=0.5)
+        store = one_row(config, [1, 2, 3, 4], [40.0, 100.0, 160.0, 400.0])
         # target at 100 ms -> eligible window [50, 150]
-        assert node.eligible_members(100.0) == [2]
+        assert eligible_members(store, config.beta, 100.0) == [2]
         # target at 300 ms -> window [150, 450]
-        assert set(node.eligible_members(300.0)) == {3, 4}
+        assert eligible_members(store, config.beta, 300.0) == [3, 4]
 
     def test_eligible_members_negative_delay_raises(self):
-        node = make_node(0, MeridianConfig())
-        with pytest.raises(MeridianError):
-            node.eligible_members(-1.0)
+        # The second placement delay is checked as the measured one is, so
+        # no placement a window can see is negative or infinite.
+        config = MeridianConfig()
+        for bad in (-1.0, np.inf):
+            with pytest.raises(MeridianError, match="invalid second placement delay"):
+                one_row(config, [5], [300.0], extra=[bad])
 
     def test_adjuster_double_places(self):
-        node = make_node(0, MeridianConfig())
-
-        def adjuster(owner, member, delay):
-            return 10.0 if member == 5 else None
-
-        node.add_member(5, 300.0, adjuster=adjuster)
-        node.add_member(6, 300.0, adjuster=adjuster)
-        assert len(node.rings.ring_of(5)) == 2
-        assert len(node.rings.ring_of(6)) == 1
-
-    def test_repr(self):
-        node = make_node(2, MeridianConfig())
-        assert "id=2" in repr(node)
-        assert not math.isnan(len(node.members()) + 0.0)
+        config = MeridianConfig()
+        store = one_row(config, [5, 6], [300.0, 300.0], extra=[10.0, None])
+        rings = row_rings(store)
+        assert sum(5 in ring for ring in rings) == 2
+        assert sum(6 in ring for ring in rings) == 1
+        assert eligible_members(store, config.beta, 10.0) == [5]

@@ -51,7 +51,7 @@ class TestOverlayConstruction:
             small_internet_matrix, ids, MeridianConfig(k=16), rng=0, full_membership=True
         )
         for node_id in ids:
-            assert len(overlay.node(node_id).members()) == 9
+            assert len(overlay.members(node_id)) == 9
 
     def test_sampled_membership_capped(self, small_internet_matrix):
         ids = list(range(40))
@@ -63,7 +63,7 @@ class TestOverlayConstruction:
             membership_sample_size=10,
         )
         for node_id in ids:
-            assert len(overlay.node(node_id).members()) <= 10
+            assert len(overlay.members(node_id)) <= 10
 
     def test_excluded_edges_not_used(self, small_internet_matrix):
         ids = list(range(10))
@@ -75,18 +75,22 @@ class TestOverlayConstruction:
             full_membership=True,
             excluded_edges=excluded,
         )
-        assert overlay.node(0).members() == []
+        assert overlay.members(0) == []
 
     def test_node_lookup_unknown_raises(self, small_internet_matrix):
         overlay = MeridianOverlay(small_internet_matrix, [0, 1, 2], rng=0)
-        with pytest.raises(MeridianError):
-            overlay.node(50)
+        for read in (overlay.members, overlay.rings):
+            with pytest.raises(MeridianError, match="50 is not a Meridian node"):
+                read(50)
+            with pytest.raises(MeridianError, match="not an integer node id"):
+                read(1.0)
 
     def test_ring_occupancy_report(self, small_internet_matrix):
         overlay = MeridianOverlay(small_internet_matrix, list(range(8)), rng=0, full_membership=True)
-        occupancy = overlay.ring_occupancy()
-        assert set(occupancy) == set(range(8))
-        assert all(sum(rings) == 7 for rings in occupancy.values())
+        for node_id in range(8):
+            occupancy = [len(ring) for ring in overlay.rings(node_id)]
+            assert len(occupancy) == overlay.config.n_rings
+            assert sum(occupancy) == 7
 
     def test_true_closest(self, small_internet_matrix):
         overlay = MeridianOverlay(small_internet_matrix, list(range(20)), rng=0)
@@ -228,9 +232,8 @@ class TestDegenerateOverlays:
             excluded_edges=excluded,
         )
         for node_id in ids:
-            assert overlay.node(node_id).members() == []
-            assert overlay.node(node_id).eligible_members(10.0) == []
-        assert all(sum(r) == 0 for r in overlay.ring_occupancy().values())
+            assert overlay.members(node_id) == []
+            assert overlay.rings(node_id) == [{}] * overlay.config.n_rings
 
     def test_query_with_empty_rings_returns_start_node(self, small_internet_matrix):
         # With no ring members the query cannot forward anywhere: it must
@@ -263,8 +266,8 @@ class TestDegenerateOverlays:
         )
         matrix = DelayMatrix(delays, symmetrize=False)
         overlay = MeridianOverlay(matrix, [0, 1], rng=0, full_membership=True)
-        assert overlay.node(0).members() == []
-        assert overlay.node(1).members() == []
+        assert overlay.members(0) == []
+        assert overlay.members(1) == []
         result = overlay.closest_neighbor_query(2, start_node=0)
         assert result.selected == 0
         assert result.selected_delay == 20.0
@@ -318,11 +321,8 @@ class TestKernels:
     def _assert_same_rings(a: MeridianOverlay, b: OracleOverlay):
         assert a.meridian_ids == b.meridian_ids
         for node_id in a.meridian_ids:
-            assert a.node(node_id).members() == b.node(node_id).members()
-            for ring in range(a.config.n_rings):
-                assert a.node(node_id).rings.ring_members(ring) == b.node(
-                    node_id
-                ).rings.ring_members(ring)
+            assert a.members(node_id) == b.members(node_id)
+            assert a.rings(node_id) == b.rings(node_id)
 
     @pytest.mark.parametrize("full_membership", [True, False])
     def test_identical_rings(self, small_internet_matrix, full_membership):
@@ -352,9 +352,17 @@ class TestKernels:
         self._assert_same_rings(*overlays)
 
     def test_identical_rings_with_membership_adjuster(self, small_internet_matrix):
-        # A plain callable adjuster is asked edge by edge; the overlay build
-        # still places the resulting double placements in one pass.
-        adjuster = lambda owner, member, delay: delay * 2 if delay < 50 else None  # noqa: E731
+        # The oracle asks the adjuster edge by edge; the overlay build asks
+        # once for every candidate and places the double placements in one
+        # pass.
+        class Doubling:
+            def __call__(self, owner, member, delay):
+                return delay * 2 if delay < 50 else None
+
+            def placement_delays(self, owners, members, delays):
+                return np.where(delays < 50, delays * 2, np.nan)
+
+        adjuster = Doubling()
         overlays = [
             overlay(
                 small_internet_matrix,

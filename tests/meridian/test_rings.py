@@ -9,16 +9,42 @@ from repro.errors import MeridianError
 from repro.meridian.rings import (
     MeridianConfig,
     RingStore,
-    StoredRingSet,
     ring_bounds,
     ring_index,
     ring_indices,
 )
 
 
-def one_row_rings(config: MeridianConfig) -> StoredRingSet:
-    """One node's rings: the view of a one-row ring store."""
-    return StoredRingSet(RingStore(config, 1), 0)
+def one_row(config: MeridianConfig, members, delays, extra=None) -> RingStore:
+    """One node's rings: a one-row store offered ``members`` at ``delays``, in order.
+
+    ``extra`` holds each member's second placement delay (None for none).
+    """
+    if extra is not None:
+        extra = np.array([[np.nan if e is None else e for e in extra]], dtype=float)
+    members = np.array([members], dtype=np.int64)
+    return RingStore.place(
+        config, members, np.array([delays], dtype=float), np.ones(members.shape, bool), extra
+    )
+
+
+def row_rings(store: RingStore) -> list[dict[int, float]]:
+    """Each ring of the one row as ``{member: placement delay}``, in slot order."""
+    rings: list[dict[int, float]] = [{} for _ in range(store.config.n_rings)]
+    filled = slice(0, store.counts[0])
+    slots = zip(
+        store.members[0, filled].tolist(),
+        store.rings[0, filled].tolist(),
+        store.placement[0, filled].tolist(),
+    )
+    for member, ring, delay in slots:
+        rings[ring][member] = delay
+    return rings
+
+
+def within(store: RingStore, low: float, high: float) -> list[int]:
+    """The row's members a query window ``[low, high]`` sees, sorted, each once."""
+    return np.unique(store.members[0][store.eligible(0, low, high)]).tolist()
 
 
 class TestMeridianConfig:
@@ -87,65 +113,79 @@ class TestRingIndex:
 
 
 class TestRingSet:
-    def test_add_and_lookup(self):
-        rings = one_row_rings(MeridianConfig())
-        assert rings.add(7, 12.0)
-        assert 7 in rings
-        assert rings.member_delay(7) == 12.0
-        assert len(rings) == 1
+    """One node's rings: a one-row store filled by ``RingStore.place``."""
 
-    def test_unknown_member_raises(self):
-        rings = one_row_rings(MeridianConfig())
-        with pytest.raises(MeridianError):
-            rings.member_delay(3)
+    def test_add_and_lookup(self):
+        config = MeridianConfig()
+        store = one_row(config, [7], [12.0])
+        assert store.counts.tolist() == [1]
+        assert row_rings(store)[ring_index(12.0, config)] == {7: 12.0}
+        assert within(store, 0.0, np.inf) == [7]
 
     def test_invalid_delay_raises(self):
-        rings = one_row_rings(MeridianConfig())
-        with pytest.raises(MeridianError):
-            rings.add(1, float("nan"))
-        with pytest.raises(MeridianError):
-            rings.add(1, -2.0)
+        config = MeridianConfig()
+        for bad in (float("nan"), -2.0, float("inf")):
+            with pytest.raises(MeridianError, match="invalid member delay"):
+                one_row(config, [1], [bad])
 
     def test_capacity_enforced(self):
         config = MeridianConfig(k=2)
-        rings = one_row_rings(config)
-        # All these delays fall in the same ring (delays 10..15 -> ring 4).
-        assert rings.add(1, 10.0)
-        assert rings.add(2, 11.0)
-        assert not rings.add(3, 12.0)  # ring full
-        assert 3 not in rings
+        # All these delays fall in the same ring (delays 10..15 -> ring 4):
+        # first come, first kept.
+        store = one_row(config, [1, 2, 3, 4], [10.0, 11.0, 12.0, 300.0])
+        rings = row_rings(store)
+        assert rings[4] == {1: 10.0, 2: 11.0}
+        assert rings[ring_index(300.0, config)] == {4: 300.0}
+        assert 3 not in store.members[0]
 
     def test_members_within(self):
-        rings = one_row_rings(MeridianConfig())
-        rings.add(1, 5.0)
-        rings.add(2, 50.0)
-        rings.add(3, 500.0)
-        assert rings.members_within(4.0, 60.0) == [1, 2]
-        assert rings.members_within(100.0, 1000.0) == [3]
-        assert rings.members_within(60.0, 40.0) == []
+        store = one_row(MeridianConfig(), [1, 2, 3], [5.0, 50.0, 500.0])
+        assert within(store, 4.0, 60.0) == [1, 2]
+        assert within(store, 100.0, 1000.0) == [3]
+        assert within(store, 60.0, 40.0) == []
+
+    def test_members_within_skips_rings_outside_the_window(self):
+        # Rounding puts a delay just past a ring boundary into the ring on
+        # the other side; a window that ends before, or starts after, that
+        # ring does not see it, as a node consults only overlapping rings.
+        below = float(np.nextafter(4.0, 0.0))  # in ring 3, (4, 8]
+        store = one_row(MeridianConfig(), [1], [below])
+        assert ring_bounds(ring_index(below, store.config), store.config) == (4.0, 8.0)
+        assert within(store, 0.0, below) == []
+        assert within(store, below, 8.0) == [1]
+        config = MeridianConfig(s=10.0, n_rings=5)
+        above = float(np.nextafter(1000.0, np.inf))  # in ring 3, (100, 1000]
+        store = one_row(config, [1], [above])
+        assert ring_bounds(ring_index(above, config), config) == (100.0, 1000.0)
+        assert within(store, above, np.inf) == []
+        assert within(store, 100.0, above) == [1]
 
     def test_double_placement(self):
         config = MeridianConfig(k=4)
-        rings = one_row_rings(config)
-        rings.add(9, 200.0, also_at_delay=20.0)
-        placed = rings.ring_of(9)
-        assert len(placed) == 2
-        assert ring_index(200.0, config) in placed
-        assert ring_index(20.0, config) in placed
+        store = one_row(config, [9], [200.0], extra=[20.0])
+        rings = row_rings(store)
+        assert rings[ring_index(200.0, config)] == {9: 200.0}
+        assert rings[ring_index(20.0, config)] == {9: 20.0}
+        assert sum(9 in ring for ring in rings) == 2
+        # Either placement makes the member eligible; it is listed once.
+        assert within(store, 10.0, 30.0) == [9]
+        assert within(store, 150.0, 250.0) == [9]
+        assert within(store, 10.0, 250.0) == [9]
 
     def test_double_placement_same_ring_is_single(self):
         config = MeridianConfig()
-        rings = one_row_rings(config)
-        rings.add(9, 200.0, also_at_delay=210.0)
-        assert len(rings.ring_of(9)) == 1
+        store = one_row(config, [9], [200.0], extra=[210.0])
+        assert store.counts.tolist() == [1]
+        assert row_rings(store)[ring_index(200.0, config)] == {9: 200.0}
+        # The first placement's delay is the one stored.
+        assert within(store, 205.0, 215.0) == []
 
     def test_occupancy(self):
-        rings = one_row_rings(MeridianConfig())
-        rings.add(1, 5.0)
-        rings.add(2, 6.0)
-        occupancy = rings.occupancy()
-        assert sum(occupancy) == 2
+        store = one_row(MeridianConfig(), [1, 2, 3], [5.0, 6.0, 40.0])
+        occupancy = [len(ring) for ring in row_rings(store)]
         assert len(occupancy) == 11
+        assert sum(occupancy) == 3
+        assert occupancy[ring_index(5.0, store.config)] == 2
 
 
 class TestRingIndices:

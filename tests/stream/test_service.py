@@ -400,6 +400,34 @@ class TestBatchQueries:
                 with pytest.raises(StreamError, match="is not an integer"):
                     service.tiv_alert_batch([(0, 2), edge])
 
+    READS = {
+        "severity_estimate": lambda service, node: service.severity_estimate(node, 0),
+        "observed_rtt_batch": lambda service, node: service.observed_rtt_batch(
+            [(0, 2), (node, 0)]
+        ).tolist(),
+        "distance": lambda service, node: service.distance(node, 0),
+        "distance_batch": lambda service, node: service.distance_batch(
+            [(0, 2), (node, 0)]
+        ).tolist(),
+        "closest": lambda service, node: service.closest(node, k=2),
+        "closest_batch": lambda service, node: service.closest_batch([0, node], k=2),
+        "distances_matrix": lambda service, node: [
+            part if isinstance(part, list) else part.tolist()
+            for part in service.distances_matrix([0, node])
+        ],
+        "embedding.distances_from": lambda service, node: service.embedding.distances_from(node),
+    }
+
+    @pytest.mark.parametrize("bad", [3.0, True])
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_reads_refuse_an_id_that_is_not_an_integer(self, read, bad):
+        service = self.id_service()
+        call = self.READS[read]
+        error = EmbeddingError if read.startswith("embedding.") else StreamError
+        with pytest.raises(error, match="is not an integer"):
+            call(service, bad)
+        assert call(service, np.int64(3)) == call(service, 3)
+
     def test_tiv_alerts_take_numpy_integers(self):
         service = self.id_service()
         expected = service.tiv_alert(0, 2)
