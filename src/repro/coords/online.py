@@ -303,6 +303,12 @@ class OnlineVivaldi:
     # -- live-state queries ---------------------------------------------------
 
     def _slot_of(self, node) -> int:
+        """``node``'s slot; an id that is not an integer raises, as in :meth:`join`.
+
+        3.0 and True would find nodes 3 and 1 by equality and answer for them.
+        """
+        if type(node) is not int:
+            _check_id(node)
         try:
             return self._slots[node]
         except KeyError:
@@ -319,17 +325,17 @@ class OnlineVivaldi:
         return float(self._errors[self._slot_of(node)])
 
     def update_count_of(self, node) -> int:
-        try:
-            return self._update_counts.item(self._slots[node])
-        except KeyError:
-            raise EmbeddingError(f"node {node!r} is not active") from None
+        return self._update_counts.item(self._slot_of(node))
 
     def distance(self, a, b) -> float:
         """Predicted delay between two active nodes (live state).
 
         Both nodes must be active, ``a == b`` included (0.0), as in the
-        batch paths.
+        batch paths, and ids must be integers, as in :meth:`_slot_of`.
         """
+        if type(a) is not int or type(b) is not int:
+            _check_id(a)
+            _check_id(b)
         slots = self._slots
         try:
             i = slots[a]
@@ -352,12 +358,7 @@ class OnlineVivaldi:
         return dist
 
     def distances_from(self, node) -> dict:
-        """Predicted delay from ``node`` to every other active node.
-
-        A node id that is not an integer raises, as in :meth:`join`: 3.0
-        and True would find nodes 3 and 1 by equality and answer for them.
-        """
-        _check_id(node)
+        """Predicted delay from ``node`` to every other active node."""
         i = self._slot_of(node)
         others = [(other, slot) for other, slot in self._slots.items() if other != node]
         if not others:

@@ -234,33 +234,12 @@ class MeridianOverlay:
 
     def members(self, node_id: int) -> list[int]:
         """Every distinct ring member of Meridian node ``node_id``, in insertion order."""
-        return list(dict.fromkeys(self._slots(node_id)[0]))
-
-    def rings(self, node_id: int) -> list[dict[int, float]]:
-        """Each ring of Meridian node ``node_id`` as ``{member: placement delay}``.
-
-        Rings are listed innermost first, members in insertion order.  A
-        double-placed member appears in both of its rings, each time at
-        the delay that put it there.
-        """
-        rings: list[dict[int, float]] = [{} for _ in range(self._config.n_rings)]
-        for member, ring, delay in zip(*self._slots(node_id)):
-            rings[ring][member] = delay
-        return rings
-
-    def _slots(self, node_id: int) -> tuple[list[int], list[int], list[float]]:
-        """Member, ring and placement delay of each filled slot of ``node_id``'s row."""
         if type(node_id) is not int:
             node_id = _node_id(node_id, "node")
         if node_id not in self._meridian_set:
             raise MeridianError(f"{node_id} is not a Meridian node")
         store, row = self._store, self._row_of[node_id]
-        filled = slice(0, store.counts[row])
-        return (
-            store.members[row, filled].tolist(),
-            store.rings[row, filled].tolist(),
-            store.placement[row, filled].tolist(),
-        )
+        return list(dict.fromkeys(store.members[row, : store.counts[row]].tolist()))
 
     def true_closest(self, target: int) -> tuple[int, float]:
         """Ground-truth closest Meridian node to ``target`` and its delay.
@@ -345,6 +324,23 @@ class MeridianOverlay:
                 probed_delay[member] = value
                 delays[member] = value
         return delays, len(new)
+
+    def _alternates(self, alternates: Sequence[int], current: int, target: int) -> list[int]:
+        """A restart policy's alternates other than ``current`` and ``target``, as ints.
+
+        An alternate that is not an integer, or lies outside the delay
+        matrix, raises before anything is probed: a numpy index would read
+        -2 as node ``n - 2``, and 2.0 would be probed as node 2.
+        """
+        members = []
+        for member in alternates:
+            if type(member) is not int:
+                member = _node_id(member, "restart alternate")
+            if not 0 <= member < self._matrix.n_nodes:
+                raise MeridianError(f"restart policy returned {member}, not in the delay matrix")
+            if member != current and member != target:
+                members.append(member)
+        return members
 
     def closest_neighbor_query(
         self,
@@ -432,9 +428,7 @@ class MeridianOverlay:
                 if alternates:
                     restarted = True
                     alt_delays, new_probes = self._gather_candidate_delays(
-                        [m for m in alternates if m != current and m != target],
-                        target,
-                        probed_delay,
+                        self._alternates(alternates, current, target), target, probed_delay
                     )
                     probes += new_probes
                     if alt_delays:
@@ -443,7 +437,7 @@ class MeridianOverlay:
                         if closest_delay < best_delay:
                             best_node, best_delay = closest_member, closest_delay
                         if closest_delay < current_delay and closest_member != current:
-                            if self._row_of[closest_member] < 0:
+                            if closest_member not in self._meridian_set:
                                 raise MeridianError(
                                     f"restart policy chose {closest_member}, not a Meridian node"
                                 )
@@ -573,7 +567,7 @@ class MeridianOverlay:
             value[is_target] = 0.0
 
             # The closest eligible member per query; ties go to the lowest
-            # member id, as min() over the sorted members_within list does.
+            # member id, as min() over the scalar query's sorted candidates does.
             has_candidates = np.bincount(query, minlength=live.size) > 0
             group_starts = np.searchsorted(query, np.flatnonzero(has_candidates))
             closest_delay = np.full(live.size, np.inf)
@@ -615,7 +609,7 @@ class MeridianOverlay:
                 if not alternates:
                     continue
                 restarted[q] = True
-                members = [int(m) for m in alternates if m != node and m != goal]
+                members = self._alternates(alternates, node, goal)
                 # A repeated unprobed member counts once per occurrence,
                 # like the scalar gather.
                 fresh = [m for m in members if not probed[q, m]]
@@ -630,7 +624,7 @@ class MeridianOverlay:
                 if values[closest_member] < best_delay[q]:
                     best_node[q], best_delay[q] = closest_member, values[closest_member]
                 if values[closest_member] < current_delay[q] and closest_member != node:
-                    if self._row_of[closest_member] < 0:
+                    if closest_member not in self._meridian_set:
                         raise MeridianError(
                             f"restart policy chose {closest_member}, not a Meridian node"
                         )

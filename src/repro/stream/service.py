@@ -175,6 +175,9 @@ class StreamServiceConfig:
 
 
 def _edge(a: int, b: int) -> tuple[int, int]:
+    """The edge-table key of ``(a, b)``; :func:`_node_id` refuses an id that is not an int."""
+    if type(a) is not int or type(b) is not int:
+        a, b = _node_id(a), _node_id(b)
     return (a, b) if a <= b else (b, a)
 
 
@@ -183,30 +186,6 @@ def _node_id(node) -> int:
     if not is_integer(node):
         raise StreamError(f"node id {node!r} is not an integer")
     return int(node)
-
-
-def _node_ids(nodes) -> list:
-    """``nodes`` as a list, once :func:`_node_id` passed every id that is not a Python int."""
-    nodes = list(nodes)
-    for node in nodes:
-        if type(node) is not int:
-            _node_id(node)
-    return nodes
-
-
-def _node_pairs(pairs) -> list:
-    """``pairs`` as a list, checked as :func:`_node_ids` checks; no pair is rebuilt.
-
-    (Rebuilt pair tuples, freed between the edge table's long-lived key
-    tuples, raised the 400-node stream-replay benchmark's peak RSS by
-    about 1 MiB.)
-    """
-    pairs = list(pairs)
-    for a, b in pairs:
-        if type(a) is not int or type(b) is not int:
-            _node_id(a)
-            _node_id(b)
-    return pairs
 
 
 #: Rows the edge table holds before it first grows (it doubles when full).
@@ -653,31 +632,29 @@ class StreamCoordinateService:
 
     # -- live queries ---------------------------------------------------------
     # Each refuses a node id that is not an integer, as observe() does: 3.0
-    # and True would find nodes 3 and 1 by equality.
+    # and True would find nodes 3 and 1 by equality.  The embedding reads
+    # raise EmbeddingError, as they do for an inactive node; the edge-table
+    # reads raise StreamError.
 
     def distance(self, a: int, b: int) -> float:
         """Predicted delay between two active nodes, from the live embedding."""
-        if type(a) is not int or type(b) is not int:
-            a, b = _node_id(a), _node_id(b)
         return self._embedding.distance(a, b)
 
     def closest(self, node: int, k: int = 1) -> list[tuple[int, float]]:
         """The ``k`` active nodes predicted closest to ``node``."""
-        if type(node) is not int:
-            node = _node_id(node)
         return self._embedding.closest(node, k)
 
     def closest_batch(self, nodes, k: int = 1) -> list[list[tuple[int, float]]]:
         """Batch :meth:`closest` over the live embedding (one vector op)."""
-        return self._embedding.closest_batch(_node_ids(nodes), k)
+        return self._embedding.closest_batch(nodes, k)
 
     def distances_matrix(self, nodes):
         """Batch :meth:`distance`: ``(active_ids, matrix)`` for query ``nodes``."""
-        return self._embedding.distances_matrix(_node_ids(nodes))
+        return self._embedding.distances_matrix(nodes)
 
     def distance_batch(self, pairs):
         """Predicted delays for a batch of ``(a, b)`` pairs (one vector op)."""
-        return self._embedding.distance_batch(_node_pairs(pairs))
+        return self._embedding.distance_batch(pairs)
 
     def tiv_alert_batch(self, edges) -> list[dict]:
         """Batch :meth:`tiv_alert`: one gathered distance op answers every edge.
@@ -732,18 +709,13 @@ class StreamCoordinateService:
         :meth:`tiv_alert` query refuses.
         """
         get = self._row_of.get
-        rows = np.fromiter(
-            (get((a, b) if a <= b else (b, a), -1) for a, b in _node_pairs(edges)),
-            dtype=np.intp,
-        )
+        rows = np.fromiter((get(_edge(a, b), -1) for a, b in edges), dtype=np.intp)
         observed = self._rtt[rows]
         observed[rows < 0] = math.nan
         return observed
 
     def severity_estimate(self, a: int, b: int) -> float | None:
         """Rolling TIV-severity estimate of edge (a, b), if any evidence."""
-        if type(a) is not int or type(b) is not int:
-            a, b = _node_id(a), _node_id(b)
         row = self._row_of.get(_edge(a, b))
         return None if row is None else self._severity_at(row)
 

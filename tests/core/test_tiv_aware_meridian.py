@@ -14,6 +14,7 @@ from repro.delayspace.matrix import DelayMatrix
 from repro.errors import AlertError, MeridianError
 from repro.meridian.overlay import MeridianOverlay
 from repro.meridian.rings import MeridianConfig
+from tests.meridian.test_rings import row_rings
 
 
 def _fig12_matrix() -> DelayMatrix:
@@ -88,7 +89,7 @@ class TestMembershipAdjuster:
         )
         # Node B (1) should have N (2) placed in two rings: by measured 12 ms
         # and by predicted 4 ms.
-        assert sum(2 in ring for ring in overlay.rings(1)) == 2
+        assert sum(2 in ring for ring in row_rings(overlay._store, overlay._row_of[1])) == 2
 
 
 class TestRestartPolicy:

@@ -199,7 +199,7 @@ class TestNodeIds:
         )
         assert numpy_ids.meridian_ids == plain.meridian_ids
         assert all(type(node) is int for node in numpy_ids.meridian_ids)
-        assert numpy_ids.rings(np.int64(4)) == plain.rings(4)
+        assert numpy_ids.members(np.int64(4)) == plain.members(4)
         assert numpy_ids.true_closest(np.int64(2)) == plain.true_closest(2)
         assert numpy_ids.true_closest(np.int32(3)) == plain.true_closest(3)
         assert all(type(target) is int for target in numpy_ids._optimum)
@@ -231,19 +231,20 @@ class TestBatchRestartPolicy:
         assert batch == scalar
         assert any(r.restarted for r in batch)
 
+    #: Start 0's only ring member is outside the β window for target 3, so
+    #: the query stalls and restarts; node 2 is closer to 3 than 0 is.
+    STALLS = np.array(
+        [
+            [0.0, 50.0, 30.0, 10.0],
+            [50.0, 0.0, 30.0, 40.0],
+            [30.0, 30.0, 0.0, 1.0],
+            [10.0, 40.0, 1.0, 0.0],
+        ]
+    )
+
     def test_alternate_that_is_not_a_meridian_node_raises(self):
-        # Client 2 is closer to target 3 than start 0 is, and 0's only ring
-        # member is outside the β window: the query stalls, restarts, and
-        # would advance to a node with no rings.
-        delays = np.array(
-            [
-                [0.0, 50.0, 30.0, 10.0],
-                [50.0, 0.0, 30.0, 40.0],
-                [30.0, 30.0, 0.0, 1.0],
-                [10.0, 40.0, 1.0, 0.0],
-            ]
-        )
-        overlay = MeridianOverlay(DelayMatrix(delays), [0, 1], rng=0, full_membership=True)
+        # The restart would advance to client 2, a node with no rings.
+        overlay = MeridianOverlay(DelayMatrix(self.STALLS), [0, 1], rng=0, full_membership=True)
 
         def to_client(overlay, current, target, delay):
             return [2]
@@ -252,6 +253,32 @@ class TestBatchRestartPolicy:
             overlay.closest_neighbor_query(3, start_node=0, restart_policy=to_client)
         with pytest.raises(MeridianError, match="not a Meridian node"):
             overlay.closest_neighbor_query_batch([3], start_nodes=[0], restart_policy=to_client)
+
+    @pytest.mark.parametrize(
+        "alternates, refused",
+        [
+            ([-2], "returned -2, not in the delay matrix"),
+            ([2, -4], "returned -4, not in the delay matrix"),
+            ([4], "returned 4, not in the delay matrix"),
+            ([2.0], "restart alternate 2.0 is not an integer node id"),
+            ([2, True], "restart alternate True is not an integer node id"),
+        ],
+        ids=["wraps-to-node-2", "wraps-to-start", "past-end", "float", "bool"],
+    )
+    def test_alternate_that_names_no_node_raises(self, alternates, refused):
+        # A numpy index reads -2 as Meridian node 2, which the query would
+        # advance to, and -4 as start 0, which the batch counts as probed
+        # while the scalar query probes it again; 4 indexes nothing.  The
+        # scalar query advanced to 2.0 and answered it, the batch to 2.
+        overlay = MeridianOverlay(DelayMatrix(self.STALLS), [0, 2], rng=0, full_membership=True)
+
+        def restart(overlay, current, target, delay):
+            return alternates
+
+        with pytest.raises(MeridianError, match=refused):
+            overlay.closest_neighbor_query(3, start_node=0, restart_policy=restart)
+        with pytest.raises(MeridianError, match=refused):
+            overlay.closest_neighbor_query_batch([3], start_nodes=[0], restart_policy=restart)
 
 
 class TestScalarMeridianTargetRegression:

@@ -8,6 +8,7 @@ from repro.errors import MeridianError
 from repro.meridian.overlay import MeridianOverlay
 from repro.meridian.rings import MeridianConfig
 from tests.meridian.oracle import OracleOverlay
+from tests.meridian.test_rings import row_rings
 
 #: The overlay and its oracle, by the names the tests carry.
 OVERLAYS = {"batched": MeridianOverlay, "reference": OracleOverlay}
@@ -79,16 +80,16 @@ class TestOverlayConstruction:
 
     def test_node_lookup_unknown_raises(self, small_internet_matrix):
         overlay = MeridianOverlay(small_internet_matrix, [0, 1, 2], rng=0)
-        for read in (overlay.members, overlay.rings):
-            with pytest.raises(MeridianError, match="50 is not a Meridian node"):
-                read(50)
-            with pytest.raises(MeridianError, match="not an integer node id"):
-                read(1.0)
+        with pytest.raises(MeridianError, match="50 is not a Meridian node"):
+            overlay.members(50)
+        with pytest.raises(MeridianError, match="not an integer node id"):
+            overlay.members(1.0)
 
     def test_ring_occupancy_report(self, small_internet_matrix):
         overlay = MeridianOverlay(small_internet_matrix, list(range(8)), rng=0, full_membership=True)
         for node_id in range(8):
-            occupancy = [len(ring) for ring in overlay.rings(node_id)]
+            rings = row_rings(overlay._store, overlay._row_of[node_id])
+            occupancy = [len(ring) for ring in rings]
             assert len(occupancy) == overlay.config.n_rings
             assert sum(occupancy) == 7
 
@@ -233,7 +234,6 @@ class TestDegenerateOverlays:
         )
         for node_id in ids:
             assert overlay.members(node_id) == []
-            assert overlay.rings(node_id) == [{}] * overlay.config.n_rings
 
     def test_query_with_empty_rings_returns_start_node(self, small_internet_matrix):
         # With no ring members the query cannot forward anywhere: it must
@@ -322,7 +322,7 @@ class TestKernels:
         assert a.meridian_ids == b.meridian_ids
         for node_id in a.meridian_ids:
             assert a.members(node_id) == b.members(node_id)
-            assert a.rings(node_id) == b.rings(node_id)
+            assert row_rings(a._store, a._row_of[node_id]) == b.rings(node_id)
 
     @pytest.mark.parametrize("full_membership", [True, False])
     def test_identical_rings(self, small_internet_matrix, full_membership):

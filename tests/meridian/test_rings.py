@@ -28,14 +28,18 @@ def one_row(config: MeridianConfig, members, delays, extra=None) -> RingStore:
     )
 
 
-def row_rings(store: RingStore) -> list[dict[int, float]]:
-    """Each ring of the one row as ``{member: placement delay}``, in slot order."""
+def row_rings(store: RingStore, row: int = 0) -> list[dict[int, float]]:
+    """Each ring of one row as ``{member: placement delay}``, in slot order.
+
+    A double-placed member appears in both of its rings, each time at the
+    delay that put it there.
+    """
     rings: list[dict[int, float]] = [{} for _ in range(store.config.n_rings)]
-    filled = slice(0, store.counts[0])
+    filled = slice(0, store.counts[row])
     slots = zip(
-        store.members[0, filled].tolist(),
-        store.rings[0, filled].tolist(),
-        store.placement[0, filled].tolist(),
+        store.members[row, filled].tolist(),
+        store.rings[row, filled].tolist(),
+        store.placement[row, filled].tolist(),
     )
     for member, ring, delay in slots:
         rings[ring][member] = delay

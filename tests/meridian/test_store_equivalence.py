@@ -28,6 +28,7 @@ from repro.experiments.registry import run_experiment
 from repro.meridian.overlay import MeridianOverlay
 from repro.meridian.rings import MeridianConfig
 from tests.meridian.oracle import OracleOverlay
+from tests.meridian.test_rings import row_rings
 
 
 def delay_pool(config: MeridianConfig, gen: np.random.Generator) -> np.ndarray:
@@ -62,14 +63,14 @@ def assert_same_rings(batched: MeridianOverlay, reference: OracleOverlay) -> Non
     store = batched._store
     for node_id in reference.meridian_ids:
         assert batched.members(node_id) == reference.members(node_id)  # insertion order too
-        rings = batched.rings(node_id)
+        row = batched._row_of[node_id]
+        rings = row_rings(store, row)
         assert [list(ring.items()) for ring in rings] == [
             list(ring.items()) for ring in reference.rings(node_id)
         ]
         # Eligibility is the queries' one ring read.  Windows ending exactly
         # at a placement delay see the ring-overlap test: a boundary delay
         # rounded into the next ring hides there.
-        row = batched._row_of[node_id]
         want = reference.node(node_id).rings
         placements = {delay for ring in rings for delay in ring.values()}
         windows = [(0.0, np.inf), (5.0, 2.0)]

@@ -416,14 +416,30 @@ class TestBatchQueries:
             for part in service.distances_matrix([0, node])
         ],
         "embedding.distances_from": lambda service, node: service.embedding.distances_from(node),
+        "embedding.distance": lambda service, node: service.embedding.distance(node, 0),
+        "embedding.distance_batch": lambda service, node: service.embedding.distance_batch(
+            [(0, node)]
+        ).tolist(),
+        "embedding.closest_batch": lambda service, node: service.embedding.closest_batch([node]),
+        "embedding.distances_matrix": lambda service, node: (
+            service.embedding.distances_matrix([node])[1].tolist()
+        ),
+        "embedding.coordinate_of": lambda service, node: (
+            service.embedding.coordinate_of(node).tolist()
+        ),
+        "embedding.update_count_of": lambda service, node: service.embedding.update_count_of(node),
     }
+
+    #: The reads of the service's edge table; the others read the embedding
+    #: and refuse as it refuses an inactive node.
+    EDGE_READS = {"severity_estimate", "observed_rtt_batch"}
 
     @pytest.mark.parametrize("bad", [3.0, True])
     @pytest.mark.parametrize("read", sorted(READS))
     def test_reads_refuse_an_id_that_is_not_an_integer(self, read, bad):
         service = self.id_service()
         call = self.READS[read]
-        error = EmbeddingError if read.startswith("embedding.") else StreamError
+        error = StreamError if read in self.EDGE_READS else EmbeddingError
         with pytest.raises(error, match="is not an integer"):
             call(service, bad)
         assert call(service, np.int64(3)) == call(service, 3)
