@@ -724,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--checkpoint",
         default=None,
-        help="stream-checkpoint/v2 .npz path to write (and resume from; v1 files load too)",
+        help="stream-checkpoint/v2 .npz path to write (and resume from)",
     )
     stream.add_argument(
         "--wal",

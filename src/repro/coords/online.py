@@ -56,6 +56,14 @@ def _check_id(node) -> None:
         raise EmbeddingError(f"node id {node!r} is not an integer")
 
 
+def _check_k(k) -> None:
+    """Refuse a neighbour count that is not an integer (``bool`` included) or below 1."""
+    if type(k) is not int and not is_integer(k):
+        raise EmbeddingError(f"k {k!r} is not an integer")
+    if k < 1:
+        raise EmbeddingError("k must be >= 1")
+
+
 @dataclass(frozen=True)
 class OnlineVivaldiConfig:
     """Parameters of the online coordinate update.
@@ -168,6 +176,9 @@ class OnlineVivaldi:
         return sorted(self._slots)
 
     def is_active(self, node) -> bool:
+        """Whether ``node`` is active; an id that is not an integer raises, as in :meth:`join`."""
+        if type(node) is not int:
+            _check_id(node)
         return node in self._slots
 
     def _grow(self) -> None:
@@ -195,9 +206,12 @@ class OnlineVivaldi:
         error — its first observations move it almost the full spring
         displacement, so it localises quickly (the adaptive timestep at
         work).  Rejoining while active is an error: the stream layer
-        treats it as a malformed trace.  So is a non-integer id.
+        treats it as a malformed trace.  So is a non-integer id; a numpy
+        integer joins as the equal Python int.
         """
-        _check_id(node)
+        if type(node) is not int:
+            _check_id(node)
+            node = int(node)
         if node in self._slots:
             raise EmbeddingError(f"node {node!r} is already active")
         if self._free:
@@ -215,7 +229,12 @@ class OnlineVivaldi:
         self._active_cache = None
 
     def leave(self, node) -> None:
-        """Remove ``node`` from the live population, freeing its slot."""
+        """Remove ``node`` from the live population, freeing its slot.
+
+        3.0 and True, which would remove nodes 3 and 1, raise as in :meth:`join`.
+        """
+        if type(node) is not int:
+            _check_id(node)
         slot = self._slots.pop(node, None)
         if slot is None:
             raise EmbeddingError(f"node {node!r} is not active")
@@ -231,8 +250,12 @@ class OnlineVivaldi:
         updates its own coordinate from the probes *it* issues; ``dst``
         will move when its own probes come through the stream.  Returns
         the magnitude of ``src``'s coordinate movement.  An RTT that is not
-        a number in ``(0, MAX_RTT]`` moves nothing and returns 0.0.
+        a number in ``(0, MAX_RTT]`` moves nothing and returns 0.0.  A node
+        id that is not an integer raises, as in :meth:`join`.
         """
+        if type(src) is not int or type(dst) is not int:
+            _check_id(src)
+            _check_id(dst)
         try:
             i = self._slots[src]
             j = self._slots[dst]
@@ -373,10 +396,10 @@ class OnlineVivaldi:
         """The ``k`` active nodes predicted closest to ``node``.
 
         Returns ``(node_id, predicted_delay)`` pairs sorted by predicted
-        delay (ties broken by node id, so the answer is deterministic).
+        delay (ties broken by node id, so the answer is deterministic).  A
+        ``k`` below 1 or not an integer (``bool`` and 1.5 included) raises.
         """
-        if k < 1:
-            raise EmbeddingError("k must be >= 1")
+        _check_k(k)
         dists = self.distances_from(node)
         ranked = sorted(dists.items(), key=lambda item: (item[1], item[0]))
         return ranked[: int(k)]
@@ -453,8 +476,7 @@ class OnlineVivaldi:
         and gravity is clamped), so every row holds at least ``take``
         candidates.
         """
-        if k < 1:
-            raise EmbeddingError("k must be >= 1")
+        _check_k(k)
         nodes = list(nodes)
         if not nodes:
             return []

@@ -116,13 +116,13 @@ def tiv_aware_restart_policy(
 ) -> RestartPolicy:
     """Build the §5.3 query-restart policy.
 
-    The returned callable is consulted by
-    :meth:`repro.meridian.overlay.MeridianOverlay.closest_neighbor_query`
-    when the recursion is about to stop at ``current``.  If the prediction
-    ratio of the (current, target) edge is below ``ts`` — i.e. the measured
-    delay to the target is suspected to be TIV-inflated — the policy selects
-    the ``restart_members`` ring members whose *predicted* delay to the
-    target is smallest and asks the overlay to probe them.
+    The overlay's lock-step query (:meth:`MeridianOverlay.closest_neighbor_query_batch`)
+    consults the returned callable when a query is about to stop at
+    ``current``.  If the prediction ratio of the (current, target) edge is
+    below ``ts`` — i.e. the measured delay to the target is suspected to be
+    TIV-inflated — the policy selects the ``restart_members`` ring members
+    whose *predicted* delay to the target is smallest and asks the overlay
+    to probe them.
     """
     cfg = config if config is not None else TIVAwareMeridianConfig()
 
@@ -156,11 +156,11 @@ def build_tiv_aware_overlay(
 ) -> tuple[MeridianOverlay, RestartPolicy]:
     """Construct a TIV-aware Meridian overlay and its restart policy.
 
-    This is the convenience entry point used by the Fig. 24 / Fig. 25
-    experiments: the overlay is built with the TIV-aware membership
-    adjuster, and the matching restart policy is returned so callers can
-    pass it to every query.  The overlay places every node's members,
-    double placements included, in one whole-array pass.
+    The overlay is built with the TIV-aware membership adjuster, which
+    places every node's members, double placements included, in one pass,
+    and the matching restart policy is returned for callers to pass to
+    every query.  The Fig. 24 / Fig. 25 runners do not call this: they
+    hand the same adjuster and policy to ``MeridianSelectionExperiment``.
     """
     if alert.matrix.n_nodes != matrix.n_nodes:
         raise MeridianError("alert was built for a different delay matrix size")

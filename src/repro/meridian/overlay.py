@@ -132,10 +132,10 @@ class MeridianOverlay:
 
     Every node's rings live in one :class:`~repro.meridian.rings.RingStore`,
     filled by one whole-array placement pass (excluded edges, sampled or
-    full membership and adjuster double placements included), and batches
-    of queries advance in lock-step over it.  Rings, probes, hops and
-    answers are checked bit for bit against a member-by-member oracle over
-    dict rings in ``tests/meridian``.
+    full membership and adjuster double placements included), and every
+    query, alone or in a batch, advances in lock-step over it.  Rings,
+    probes, hops and answers are checked bit for bit against a
+    member-by-member oracle over dict rings in ``tests/meridian``.
     """
 
     def __init__(
@@ -260,8 +260,8 @@ class MeridianOverlay:
         The delays are read-only, so every target's answer is remembered
         from the first call that asks for it.  The targets not seen before
         are answered by one two-dimensional gather over the Meridian rows;
-        argmin keeps the first minimum, matching the scalar loop's
-        tie-breaking.  A target no Meridian node has a delay to raises,
+        argmin keeps the first minimum, so ties go to the Meridian node
+        listed first.  A target no Meridian node has a delay to raises,
         naming the first such target of ``targets``, and then nothing of
         the batch is remembered.
         """
@@ -286,44 +286,6 @@ class MeridianOverlay:
     def _measured(self, a: int, b: int) -> float:
         d = self._delays[a, b]
         return float(d) if np.isfinite(d) else np.inf
-
-    def _gather_candidate_delays(
-        self, members: Sequence[int], target: int, probed_delay: dict[int, float]
-    ) -> tuple[dict[int, float], int]:
-        """Delays of ``members`` to ``target`` in member order.
-
-        Already-probed members reuse their cached delay; the target itself
-        (it may be a ring member of the hop) is reported at 0.0 without a
-        probe, being trivially its own closest node.  New members are
-        measured in one array gather, recorded in ``probed_delay``, and
-        counted: the second return value is the number of on-demand probes
-        this call performed.
-
-        The returned mapping preserves ``members`` order, so ``min`` over it
-        breaks ties toward the member listed first.
-        """
-        delays: dict[int, float] = {}
-        new: list[int] = []
-        for member in members:
-            if member == target:
-                # Cache the trivial self-delay too: if the query advances
-                # to the target (a Meridian-node target appearing in a
-                # hop's rings), the hop loop reads probed_delay[current]
-                # and must find it rather than crash.
-                delays[member] = 0.0
-                probed_delay[member] = 0.0
-            elif member in probed_delay:
-                delays[member] = probed_delay[member]
-            else:
-                delays[member] = np.inf  # placeholder, overwritten below
-                new.append(member)
-        if new:
-            measured = self._delays[np.asarray(new, dtype=np.int64), target]
-            values = np.where(np.isfinite(measured), measured, np.inf).tolist()
-            for member, value in zip(new, values):
-                probed_delay[member] = value
-                delays[member] = value
-        return delays, len(new)
 
     def _alternates(self, alternates: Sequence[int], current: int, target: int) -> list[int]:
         """A restart policy's alternates other than ``current`` and ``target``, as ints.
@@ -371,104 +333,10 @@ class MeridianOverlay:
         target outside the delay matrix or a start that is not a Meridian
         node.
         """
-        if type(target) is not int:
-            target = _node_id(target, "target")
-        if not 0 <= target < self._matrix.n_nodes:
-            raise MeridianError(f"target {target} is not in the delay matrix")
-        if start_node is None:
-            start_node = self._meridian_ids[int(self._rng.integers(0, len(self._meridian_ids)))]
-        else:
-            if type(start_node) is not int:
-                start_node = _node_id(start_node, "start node")
-            if start_node not in self._meridian_set:
-                raise MeridianError(f"start node {start_node} is not a Meridian node")
-
-        config = self._config
-        store = self._store
-        probes = 0
-        hops = [start_node]
-        restarted = False
-
-        current = start_node
-        current_delay = self._measured(current, target)
-        probes += 1
-
-        best_node, best_delay = current, current_delay
-        probed_delay: dict[int, float] = {current: current_delay}
-
-        for _ in range(max_hops):
-            # The eligible members of the hop's row, sorted and each listed
-            # once, as the lock-step batch reads them (np.unique would load
-            # numpy.ma, 1.7 MiB, on its first call).
-            row = self._row_of[current]
-            eligible = store.eligible(
-                row, (1.0 - config.beta) * current_delay, (1.0 + config.beta) * current_delay
-            )
-            candidates = list(dict.fromkeys(np.sort(store.members[row][eligible]).tolist()))
-            candidate_delays, new_probes = self._gather_candidate_delays(
-                candidates, target, probed_delay
-            )
-            probes += new_probes
-
-            next_node: Optional[int] = None
-            if candidate_delays:
-                closest_member = min(candidate_delays, key=candidate_delays.get)
-                closest_delay = candidate_delays[closest_member]
-                if closest_delay < best_delay:
-                    best_node, best_delay = closest_member, closest_delay
-                if config.use_termination:
-                    advance = closest_delay <= config.beta * current_delay
-                else:
-                    advance = closest_delay < current_delay
-                if advance and closest_member != current:
-                    next_node = closest_member
-
-            if next_node is None and restart_policy is not None:
-                alternates = restart_policy(self, current, target, current_delay)
-                if alternates:
-                    restarted = True
-                    alt_delays, new_probes = self._gather_candidate_delays(
-                        self._alternates(alternates, current, target), target, probed_delay
-                    )
-                    probes += new_probes
-                    if alt_delays:
-                        closest_member = min(alt_delays, key=alt_delays.get)
-                        closest_delay = alt_delays[closest_member]
-                        if closest_delay < best_delay:
-                            best_node, best_delay = closest_member, closest_delay
-                        if closest_delay < current_delay and closest_member != current:
-                            if closest_member not in self._meridian_set:
-                                raise MeridianError(
-                                    f"restart policy chose {closest_member}, not a Meridian node"
-                                )
-                            next_node = closest_member
-
-            if next_node is None:
-                break
-            current = next_node
-            current_delay = probed_delay[current]
-            hops.append(current)
-
-        # The query answers with the closest node it actually probed.
-        if best_node == target and len(probed_delay) > 1:
-            # Never return the target itself as its own closest neighbour.
-            others = {k: v for k, v in probed_delay.items() if k != target}
-            best_node = min(others, key=others.get)
-            best_delay = others[best_node]
-
-        optimal, optimal_delay = self.true_closest(target)
-        return QueryResult(
-            target=target,
-            selected=best_node,
-            selected_delay=float(best_delay),
-            optimal=optimal,
-            optimal_delay=float(optimal_delay),
-            probes=probes,
-            hops=hops,
-            restarted=restarted,
-        )
-
-    # -- the multi-query batch search ------------------------------------------
+        starts = None if start_node is None else [start_node]
+        return self.closest_neighbor_query_batch(
+            [target], start_nodes=starts, restart_policy=restart_policy, max_hops=max_hops
+        )[0]
 
     def closest_neighbor_query_batch(
         self,
@@ -480,14 +348,16 @@ class MeridianOverlay:
     ) -> list[QueryResult]:
         """Run the recursive closest-neighbour query for a batch of targets.
 
-        Results (selected node, probe counts, hops, restarts, tie-breaking)
-        are identical to calling :meth:`closest_neighbor_query` once per
-        target in order with the same ``restart_policy``, including RNG
-        consumption when ``start_nodes`` is omitted.  Every live query
-        advances in lock-step: each hop is one eligibility test over the
-        ring store rows the queries sit at and one delay gather for all of
-        them; only a restart policy, where consulted, runs per query.  Ids
-        are refused as the scalar query refuses them.
+        Queries do not interact: each result (selected node, probe counts,
+        hops, restarts, tie-breaking) is the one its target gets alone, as
+        a batch of one (:meth:`closest_neighbor_query`).  With
+        ``start_nodes`` omitted, each target in order draws its random
+        start with one ``rng.integers`` call.  Every live query advances in
+        lock-step: each hop is one eligibility test over the ring store
+        rows the queries sit at and one delay gather for all of them; only
+        a restart policy, where consulted, runs per query.  Ids are refused
+        as :meth:`closest_neighbor_query` documents, before the RNG is
+        drawn or anything is probed.
         """
         targets = [t if type(t) is int else _node_id(t, "target") for t in targets]
         for target in targets:
@@ -523,7 +393,7 @@ class MeridianOverlay:
         restart_policy: RestartPolicy | None,
         max_hops: int,
     ) -> list[QueryResult]:
-        """The lock-step query loop; mirrors :meth:`closest_neighbor_query`."""
+        """The lock-step query loop behind both query methods."""
         config = self._config
         store = self._store
         n_nodes = self._matrix.n_nodes
@@ -567,7 +437,7 @@ class MeridianOverlay:
             value[is_target] = 0.0
 
             # The closest eligible member per query; ties go to the lowest
-            # member id, as min() over the scalar query's sorted candidates does.
+            # member id, the first of a hop's candidates in id order.
             has_candidates = np.bincount(query, minlength=live.size) > 0
             group_starts = np.searchsorted(query, np.flatnonzero(has_candidates))
             closest_delay = np.full(live.size, np.inf)
@@ -600,7 +470,7 @@ class MeridianOverlay:
             next_delay = closest_delay
 
             # A stalled query consults the restart policy and probes its
-            # alternates exactly as the scalar query does.
+            # alternates, one query at a time.
             stalled = np.flatnonzero(~advance) if restart_policy is not None else []
             for position in stalled:
                 q = int(live[position])
@@ -610,8 +480,7 @@ class MeridianOverlay:
                     continue
                 restarted[q] = True
                 members = self._alternates(alternates, node, goal)
-                # A repeated unprobed member counts once per occurrence,
-                # like the scalar gather.
+                # An unprobed member listed twice counts twice.
                 fresh = [m for m in members if not probed[q, m]]
                 probes[q] += len(fresh)
                 probed[q, fresh] = True

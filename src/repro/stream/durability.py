@@ -13,9 +13,8 @@ survive a crash with a classic two-piece recovery protocol:
   JSON blob holds the rest: config, RNG bit-generator state, slot map,
   free-slot stack, counters and defense ledger.  Writes go through a
   temp file + atomic rename so a crash mid-checkpoint never leaves a
-  torn file where a good one stood.  ``stream-checkpoint/v1`` files,
-  which kept the edge memory and the peer sets as JSON lists, still
-  load.
+  torn file where a good one stood.  A file with any other schema tag is
+  refused.
 * **The WAL** (:class:`WalWriter` / :func:`read_wal`): a JSONL log of
   the events applied since the last checkpoint, each line carrying its
   global sequence number and flushed before the event is applied.  The
@@ -51,16 +50,14 @@ from repro.stream.service import StreamCoordinateService
 
 PathLike = Union[str, Path]
 
-#: Schema tag of the checkpoint files :func:`save_checkpoint` writes.
+#: Schema tag of the checkpoint files :func:`save_checkpoint` writes and
+#: :func:`load_checkpoint` reads.
 CHECKPOINT_SCHEMA = "stream-checkpoint/v2"
-
-#: The previous tag, still accepted by :func:`load_checkpoint`.
-_CHECKPOINT_SCHEMA_V1 = "stream-checkpoint/v1"
 
 #: Embedding arrays stored as npz members instead of inside the JSON blob.
 _ARRAY_KEYS = ("coords", "heights", "errors", "last_update", "update_counts")
 
-#: Edge-memory arrays of the service state, npz members since v2.
+#: Edge-memory arrays of the service state, also stored as npz members.
 _EDGE_KEYS = ("edge_ids", "edge_obs", "severity_ids", "severity")
 
 
@@ -72,26 +69,6 @@ def _split_state(state: dict) -> tuple[dict, dict]:
     arrays.update((key, np.asarray(state.pop(key))) for key in _EDGE_KEYS)
     state["embedding"] = embedding
     return state, arrays
-
-
-def _edge_arrays_from_v1(state: dict) -> dict:
-    """The v2 edge arrays of a v1 state, whose edge memory is JSON lists.
-
-    v1 stored ``edge_rtt`` rows ``[a, b, rtt, observed_at]``, ``severity``
-    rows ``[a, b, value]`` and the per-node ``peers`` lists, which v2
-    derives from the edge table instead.
-    """
-    edges = state.pop("edge_rtt")
-    severity = state.pop("severity")
-    state.pop("peers")
-    return {
-        "edge_ids": np.array([row[:2] for row in edges], dtype=np.int64).reshape(-1, 2),
-        "edge_obs": np.array([row[2:] for row in edges], dtype=float).reshape(-1, 2),
-        "severity_ids": np.array(
-            [row[:2] for row in severity], dtype=np.int64
-        ).reshape(-1, 2),
-        "severity": np.array([row[2] for row in severity], dtype=float),
-    }
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -120,10 +97,10 @@ def save_checkpoint(service: StreamCoordinateService, path: PathLike) -> None:
 def load_checkpoint(path: PathLike) -> StreamCoordinateService:
     """Restore a service from a checkpoint written by :func:`save_checkpoint`.
 
-    Reads ``stream-checkpoint/v2`` and the older ``v1`` layout.  Damaged
-    files — truncation, corrupt members, missing arrays, a bad schema
-    tag — surface as typed :class:`StreamError`\\ s naming the path,
-    mirroring :func:`repro.stream.events.load_trace`.
+    Reads ``stream-checkpoint/v2`` files only.  Damaged files —
+    truncation, corrupt members, missing arrays, any other schema tag —
+    surface as typed :class:`StreamError`\\ s naming the path, mirroring
+    :func:`repro.stream.events.load_trace`.
     """
     path = Path(path)
     if not path.exists():
@@ -133,8 +110,9 @@ def load_checkpoint(path: PathLike) -> StreamCoordinateService:
             try:
                 payload = json.loads(bytes(data["state"]).decode("utf-8"))
                 schema = payload.get("schema")
-                keys = _ARRAY_KEYS + (_EDGE_KEYS if schema == CHECKPOINT_SCHEMA else ())
-                arrays = {key: np.array(data[key]) for key in keys}
+                if schema != CHECKPOINT_SCHEMA:
+                    raise StreamError(f"{path} has schema {schema!r}, not {CHECKPOINT_SCHEMA}")
+                arrays = {key: np.array(data[key]) for key in _ARRAY_KEYS + _EDGE_KEYS}
             except KeyError as exc:
                 raise StreamError(
                     f"{path} is not a stream checkpoint (missing {exc})"
@@ -146,15 +124,8 @@ def load_checkpoint(path: PathLike) -> StreamCoordinateService:
             f"checkpoint file {path} is truncated or corrupted "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-    if schema not in (CHECKPOINT_SCHEMA, _CHECKPOINT_SCHEMA_V1):
-        raise StreamError(
-            f"{path} has schema {schema!r}, not {CHECKPOINT_SCHEMA} "
-            f"or {_CHECKPOINT_SCHEMA_V1}"
-        )
     try:
         state = payload["state"]
-        if schema == _CHECKPOINT_SCHEMA_V1:
-            arrays.update(_edge_arrays_from_v1(state))
         state["embedding"] = {
             **state["embedding"],
             **{key: arrays.pop(key) for key in _ARRAY_KEYS},

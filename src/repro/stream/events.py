@@ -19,6 +19,7 @@ from typing import Union
 import numpy as np
 
 from repro.errors import StreamError
+from repro.utils import is_integer
 
 PathLike = Union[str, Path]
 
@@ -72,8 +73,8 @@ class Trace:
         second's measurements.
     ground_truth:
         The ``(n, n)`` delay matrix measurements were sampled from
-        (``nan`` marks unmeasured edges).  Node ids in the events index
-        into this matrix.
+        (``nan`` marks unmeasured edges).  Node ids in the events are
+        integers (numpy integers included) that index into this matrix.
     meta:
         Provenance of the synthesis (preset, scenario, seed, duration,
         rates) — carried into stream reports, never interpreted by
@@ -114,6 +115,11 @@ class Trace:
             else:
                 ids = (event.node,)
             for node in ids:
+                if type(node) is not int and not is_integer(node):
+                    # 1.7 and True would be saved as nodes 1 and 1.
+                    raise StreamError(
+                        f"event at t={event.t} names node {node!r}, not an integer id"
+                    )
                 if not 0 <= node < n:
                     raise StreamError(
                         f"event references node {node}, outside the "

@@ -422,7 +422,13 @@ class StreamCoordinateService:
         self._events += 1
 
     def join(self, node: int, t: float = 0.0) -> None:
-        """Node joined: allocate live state (fresh coordinate, no memory)."""
+        """Node joined: allocate live state (fresh coordinate, no memory).
+
+        A node id that is not an integer is refused before the clock or
+        the event counter moves; a numpy integer joins as the equal int.
+        """
+        if type(node) is not int:
+            node = _node_id(node)
         self._advance(t)
         if self._embedding.is_active(node):
             raise StreamError(f"node {node} joined twice without leaving")
@@ -434,8 +440,11 @@ class StreamCoordinateService:
 
         Dropping the edges keeps the memory bounded by the *live* edge
         set and prevents a returning node from inheriting stale evidence
-        recorded before it went away.
+        recorded before it went away.  Ids are refused as in :meth:`join`
+        (3.0 and True would find nodes 3 and 1).
         """
+        if type(node) is not int:
+            node = _node_id(node)
         self._advance(t)
         if not self._embedding.is_active(node):
             raise StreamError(f"node {node} left while not active")
@@ -461,13 +470,10 @@ class StreamCoordinateService:
         before they touch any state.
         """
         if type(src) is not int or type(dst) is not int:
-            # numpy integers pass, as in join().  A float such as 3.0 finds
-            # node 3 by equality but cannot be written to an id column.
-            for node in (src, dst):
-                if not is_integer(node):
-                    raise StreamError(
-                        f"measurement {src!r}->{dst!r}: node id {node!r} is not an integer"
-                    )
+            # numpy integers pass as the equal Python ints, as in join().  A
+            # float such as 3.0 finds node 3 by equality but cannot be
+            # written to an id column.
+            src, dst = _node_id(src), _node_id(dst)
         if src == dst:
             raise StreamError(f"measurement {src}->{dst} is a self-measurement")
         defense = self._config.defense
@@ -847,11 +853,10 @@ class StreamCoordinateService:
         """Rebuild a service whose behaviour bit-matches the captured one.
 
         The checkpoint's edge arrays become rows 0..E-1 of the edge table,
-        in the order they come (a v1 file's rows are unsorted).  A
-        :class:`StreamError` naming the edge refuses an edge that is not
-        an ordered pair of distinct active nodes or comes twice, a
-        severity row whose edge is not in the edge table, and a
-        non-finite severity.
+        in the order they come.  A :class:`StreamError` naming the edge
+        refuses an edge that is not an ordered pair of distinct active
+        nodes or comes twice, a severity row whose edge is not in the
+        edge table, and a non-finite severity.
         """
         config = StreamServiceConfig.from_dict(state["config"])
         rng = np.random.default_rng()

@@ -5,9 +5,9 @@ by one to a :class:`DictRingNode`, whose :class:`DictRingSet` keeps a dict
 per ring (first come first kept), drawing candidates from the RNG exactly
 as :class:`~repro.meridian.overlay.MeridianOverlay` draws them, and answers
 every query with a scalar recursive search, probing one member at a time.
-The overlay's one-pass ring store and both its queries must agree with it
-bit for bit: rings, member order, eligible members, probes, hops and
-answers.
+The overlay's one-pass ring store and its lock-step query, batched and
+alone, must agree with it bit for bit: rings, member order, eligible
+members, probes, hops, answers and random starts.
 """
 
 import math

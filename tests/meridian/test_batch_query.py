@@ -1,4 +1,4 @@
-"""The multi-query batch closest-neighbour search must mirror the scalar query."""
+"""The lock-step closest-neighbour search, batched and alone, against the oracle."""
 
 import numpy as np
 import pytest
@@ -11,89 +11,89 @@ from tests.meridian.oracle import OracleOverlay
 
 
 def overlays(matrix, seed=0, **config_kwargs):
-    """Two identically seeded overlays, one per query path under test."""
+    """The oracle and the overlay under test, identically seeded."""
     ids = list(range(0, matrix.n_nodes, 2))
     config = MeridianConfig(**config_kwargs) if config_kwargs else None
     return (
-        MeridianOverlay(matrix, ids, config, rng=seed),
+        OracleOverlay(matrix, ids, config, rng=seed),
         MeridianOverlay(matrix, ids, config, rng=seed),
     )
 
 
-def assert_same_result(scalar, batch):
-    assert scalar.target == batch.target
-    assert scalar.selected == batch.selected
-    assert scalar.selected_delay == batch.selected_delay
-    assert scalar.optimal == batch.optimal
-    assert scalar.probes == batch.probes
-    assert scalar.hops == batch.hops
+def assert_same_result(expected, batch):
+    assert expected.target == batch.target
+    assert expected.selected == batch.selected
+    assert expected.selected_delay == batch.selected_delay
+    assert expected.optimal == batch.optimal
+    assert expected.probes == batch.probes
+    assert expected.hops == batch.hops
 
 
 class TestBatchQueryEquivalence:
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_identical_to_sequential_scalar_queries(self, small_internet_matrix, seed):
-        ov_scalar, ov_batch = overlays(small_internet_matrix, seed=seed)
+    def test_identical_to_sequential_oracle_queries(self, small_internet_matrix, seed):
+        oracle, ov_batch = overlays(small_internet_matrix, seed=seed)
         targets = [node for node in range(small_internet_matrix.n_nodes) if node % 2]
-        starts = [ov_scalar.meridian_ids[t % 40] for t in targets]
-        scalar = [
-            ov_scalar.closest_neighbor_query(t, start_node=s)
+        starts = [oracle.meridian_ids[t % 40] for t in targets]
+        expected = [
+            oracle.closest_neighbor_query(t, start_node=s)
             for t, s in zip(targets, starts)
         ]
         batch = ov_batch.closest_neighbor_query_batch(targets, start_nodes=starts)
-        for s, b in zip(scalar, batch):
-            assert_same_result(s, b)
+        for e, b in zip(expected, batch):
+            assert_same_result(e, b)
 
     def test_random_starts_consume_the_rng_identically(self, small_internet_matrix):
-        ov_scalar, ov_batch = overlays(small_internet_matrix, seed=3)
+        oracle, ov_batch = overlays(small_internet_matrix, seed=3)
         targets = [1, 3, 5, 7, 9, 11]
-        scalar = [ov_scalar.closest_neighbor_query(t) for t in targets]
+        expected = [oracle.closest_neighbor_query(t) for t in targets]
         batch = ov_batch.closest_neighbor_query_batch(targets)
-        for s, b in zip(scalar, batch):
-            assert_same_result(s, b)
+        for e, b in zip(expected, batch):
+            assert_same_result(e, b)
+        assert ov_batch._rng.bit_generator.state == oracle._rng.bit_generator.state
 
     def test_meridian_node_targets_supported(self, small_internet_matrix):
         # A Meridian node appearing as a target shows up in other nodes'
-        # rings at delay 0 — the case the scalar path's self-delay caching
-        # regression guarded against.
-        ov_scalar, ov_batch = overlays(small_internet_matrix, seed=1)
+        # rings at delay 0, where a query may advance to its own target.
+        oracle, ov_batch = overlays(small_internet_matrix, seed=1)
         targets = [0, 2, 4, 6]
-        starts = [ov_scalar.meridian_ids[-1]] * len(targets)
-        scalar = [
-            ov_scalar.closest_neighbor_query(t, start_node=s)
+        starts = [oracle.meridian_ids[-1]] * len(targets)
+        expected = [
+            oracle.closest_neighbor_query(t, start_node=s)
             for t, s in zip(targets, starts)
         ]
         batch = ov_batch.closest_neighbor_query_batch(targets, start_nodes=starts)
-        for s, b in zip(scalar, batch):
-            assert_same_result(s, b)
+        for e, b in zip(expected, batch):
+            assert_same_result(e, b)
 
     def test_no_termination_window_matches_too(self, small_internet_matrix):
-        ov_scalar, ov_batch = overlays(
+        oracle, ov_batch = overlays(
             small_internet_matrix, seed=2, use_termination=False
         )
         targets = [1, 9, 17, 33]
-        starts = [ov_scalar.meridian_ids[0]] * len(targets)
-        scalar = [
-            ov_scalar.closest_neighbor_query(t, start_node=s)
+        starts = [oracle.meridian_ids[0]] * len(targets)
+        expected = [
+            oracle.closest_neighbor_query(t, start_node=s)
             for t, s in zip(targets, starts)
         ]
         batch = ov_batch.closest_neighbor_query_batch(targets, start_nodes=starts)
-        for s, b in zip(scalar, batch):
-            assert_same_result(s, b)
+        for e, b in zip(expected, batch):
+            assert_same_result(e, b)
 
     def test_shared_ingress_batch(self, small_internet_matrix):
         # The serving workload's shape: one front-end node receives the
         # whole batch, so first-round gathers are genuinely shared.
-        ov_scalar, ov_batch = overlays(small_internet_matrix, seed=4)
+        oracle, ov_batch = overlays(small_internet_matrix, seed=4)
         targets = [node for node in range(1, 40, 2)]
-        start = ov_scalar.meridian_ids[7]
-        scalar = [
-            ov_scalar.closest_neighbor_query(t, start_node=start) for t in targets
+        start = oracle.meridian_ids[7]
+        expected = [
+            oracle.closest_neighbor_query(t, start_node=start) for t in targets
         ]
         batch = ov_batch.closest_neighbor_query_batch(
             targets, start_nodes=[start] * len(targets)
         )
-        for s, b in zip(scalar, batch):
-            assert_same_result(s, b)
+        for e, b in zip(expected, batch):
+            assert_same_result(e, b)
 
 
     def test_ties_go_to_the_lowest_member_id(self):
@@ -122,38 +122,38 @@ class TestBatchQueryEquivalence:
 
 class TestBatchQueryValidation:
     def test_empty_batch(self, small_internet_matrix):
-        overlay, _ = overlays(small_internet_matrix)
+        _, overlay = overlays(small_internet_matrix)
         assert overlay.closest_neighbor_query_batch([]) == []
 
     def test_invalid_target_raises(self, small_internet_matrix):
-        overlay, _ = overlays(small_internet_matrix)
+        _, overlay = overlays(small_internet_matrix)
         with pytest.raises(MeridianError, match="not in the delay matrix"):
             overlay.closest_neighbor_query_batch([1, 10_000])
 
     def test_invalid_start_raises(self, small_internet_matrix):
-        overlay, _ = overlays(small_internet_matrix)
+        _, overlay = overlays(small_internet_matrix)
         with pytest.raises(MeridianError, match="not a Meridian node"):
             overlay.closest_neighbor_query_batch([1], start_nodes=[1])
 
     @pytest.mark.parametrize("max_hops", [-1, 0, 1])
-    def test_hop_budget_matches_scalar(self, small_internet_matrix, max_hops):
-        ov_scalar, ov_batch = overlays(small_internet_matrix, seed=8)
+    def test_hop_budget_matches_oracle(self, small_internet_matrix, max_hops):
+        oracle, ov_batch = overlays(small_internet_matrix, seed=8)
         targets, starts = [1, 3, 5], [0, 2, 4]
-        scalar = [
-            ov_scalar.closest_neighbor_query(t, start_node=s, max_hops=max_hops)
+        expected = [
+            oracle.closest_neighbor_query(t, start_node=s, max_hops=max_hops)
             for t, s in zip(targets, starts)
         ]
         assert ov_batch.closest_neighbor_query_batch(
             targets, start_nodes=starts, max_hops=max_hops
-        ) == scalar
+        ) == expected
 
     def test_mismatched_start_count_raises(self, small_internet_matrix):
-        overlay, _ = overlays(small_internet_matrix)
+        _, overlay = overlays(small_internet_matrix)
         with pytest.raises(MeridianError, match="entries for"):
             overlay.closest_neighbor_query_batch([1, 3], start_nodes=[0])
 
     def test_results_are_never_restarted(self, small_internet_matrix):
-        overlay, _ = overlays(small_internet_matrix)
+        _, overlay = overlays(small_internet_matrix)
         results = overlay.closest_neighbor_query_batch([1, 3, 5])
         assert all(not r.restarted for r in results)
         assert all(isinstance(r.selected_delay, float) for r in results)
@@ -167,7 +167,7 @@ class TestNodeIds:
 
     @pytest.mark.parametrize("bad", BAD)
     def test_non_integer_target_is_refused(self, small_internet_matrix, bad):
-        overlay, _ = overlays(small_internet_matrix)
+        _, overlay = overlays(small_internet_matrix)
         calls = [
             lambda: overlay.true_closest(bad),
             lambda: overlay.closest_neighbor_query(bad, start_node=0),
@@ -185,14 +185,14 @@ class TestNodeIds:
 
     @pytest.mark.parametrize("bad", BAD + [np.float64(4.0)])
     def test_non_integer_start_node_is_refused(self, small_internet_matrix, bad):
-        overlay, _ = overlays(small_internet_matrix)
+        _, overlay = overlays(small_internet_matrix)
         with pytest.raises(MeridianError, match="start node .* is not an integer node id"):
             overlay.closest_neighbor_query(1, start_node=bad)
         with pytest.raises(MeridianError, match="start node .* is not an integer node id"):
             overlay.closest_neighbor_query_batch([1, 3], start_nodes=[0, bad])
 
     def test_numpy_integers_answer_as_python_ints(self, small_internet_matrix):
-        plain, _ = overlays(small_internet_matrix, seed=6)
+        _, plain = overlays(small_internet_matrix, seed=6)
         # The selection experiment passes its Meridian nodes as an int64 array.
         numpy_ids = MeridianOverlay(
             small_internet_matrix, np.arange(0, small_internet_matrix.n_nodes, 2), rng=6
@@ -212,23 +212,23 @@ class TestNodeIds:
 
 
 class TestBatchRestartPolicy:
-    def test_restart_policy_matches_scalar(self, small_internet_matrix):
+    def test_restart_policy_matches_oracle(self, small_internet_matrix):
         # Every stalled query restarts through three of its node's members
-        # (repeats included); the batch must replay the scalar control flow.
+        # (repeats included); the batch must replay the oracle's control flow.
         def restart(overlay, current, target, delay):
             return overlay.members(current)[:3] * 2
 
-        ov_scalar, ov_batch = overlays(small_internet_matrix, seed=6)
+        oracle, ov_batch = overlays(small_internet_matrix, seed=6)
         targets = list(range(1, 80, 2))
-        starts = [ov_scalar.meridian_ids[t % 40] for t in targets]
-        scalar = [
-            ov_scalar.closest_neighbor_query(t, start_node=s, restart_policy=restart)
+        starts = [oracle.meridian_ids[t % 40] for t in targets]
+        expected = [
+            oracle.closest_neighbor_query(t, start_node=s, restart_policy=restart)
             for t, s in zip(targets, starts)
         ]
         batch = ov_batch.closest_neighbor_query_batch(
             targets, start_nodes=starts, restart_policy=restart
         )
-        assert batch == scalar
+        assert batch == expected
         assert any(r.restarted for r in batch)
 
     #: Start 0's only ring member is outside the β window for target 3, so
@@ -267,9 +267,8 @@ class TestBatchRestartPolicy:
     )
     def test_alternate_that_names_no_node_raises(self, alternates, refused):
         # A numpy index reads -2 as Meridian node 2, which the query would
-        # advance to, and -4 as start 0, which the batch counts as probed
-        # while the scalar query probes it again; 4 indexes nothing.  The
-        # scalar query advanced to 2.0 and answered it, the batch to 2.
+        # advance to, and -4 as start 0, which would count as probed; 4
+        # indexes nothing, and 2.0 would be probed as node 2.
         overlay = MeridianOverlay(DelayMatrix(self.STALLS), [0, 2], rng=0, full_membership=True)
 
         def restart(overlay, current, target, delay):
@@ -283,9 +282,9 @@ class TestBatchRestartPolicy:
 
 class TestScalarMeridianTargetRegression:
     def test_query_survives_advancing_to_a_meridian_target(self):
-        # Regression for the latent KeyError: a query whose target is a
-        # Meridian node can advance *to the target* (its ring members see
-        # it at delay 0); the hop loop then reads probed_delay[current].
+        # A query whose target is a Meridian node can advance *to the
+        # target* (its ring members see it at delay 0); it must go on from
+        # there and answer another node.
         delays = np.array(
             [
                 [0.0, 10.0, 50.0],
@@ -315,12 +314,12 @@ def unreachable_matrix(matrix, unreachable):
 class TestGroundTruthPerOverlay:
     """An overlay remembers each target's optimum; answers must not change."""
 
-    def test_later_batches_match_scalar_queries(self, small_internet_matrix):
-        ov_scalar, ov_batch = overlays(small_internet_matrix, seed=9)
+    def test_later_batches_match_oracle_queries(self, small_internet_matrix):
+        oracle, ov_batch = overlays(small_internet_matrix, seed=9)
         # Repeated targets, within a batch and across batches, and new ones.
         for targets in ([1, 3, 5, 7], [5, 9, 1, 11, 11], [13, 3, 15, 9, 17]):
-            scalar = [ov_scalar.closest_neighbor_query(t) for t in targets]
-            assert ov_batch.closest_neighbor_query_batch(targets) == scalar
+            expected = [oracle.closest_neighbor_query(t) for t in targets]
+            assert ov_batch.closest_neighbor_query_batch(targets) == expected
 
     def test_true_closest_is_the_same_before_and_after_a_batch(self, small_internet_matrix):
         ids = range(0, small_internet_matrix.n_nodes, 2)
@@ -337,7 +336,7 @@ class TestGroundTruthPerOverlay:
 
     def test_unreachable_target_raises_in_every_batch_that_asks(self, small_internet_matrix):
         matrix = unreachable_matrix(small_internet_matrix, [7, 13])
-        ov_scalar, ov_batch = overlays(matrix, seed=4)
+        oracle, ov_batch = overlays(matrix, seed=4)
         failing = [([1, 7, 3], 7), ([7], 7), ([5, 3, 13, 9, 7], 13), ([1, 3, 7], 7)]
         for targets, named in failing:
             with pytest.raises(MeridianError, match=f"delay to target {named}$"):
@@ -346,7 +345,7 @@ class TestGroundTruthPerOverlay:
                 ov_batch.true_closest(named)
         # Every target of the failed batches but the unreachable ones.
         targets = [1, 3, 5, 9, 11]
-        scalar = [ov_scalar.closest_neighbor_query(t, start_node=0) for t in targets]
-        assert ov_batch.closest_neighbor_query_batch(targets, start_nodes=[0] * 5) == scalar
+        expected = [oracle.closest_neighbor_query(t, start_node=0) for t in targets]
+        assert ov_batch.closest_neighbor_query_batch(targets, start_nodes=[0] * 5) == expected
         with pytest.raises(MeridianError, match="delay to target 13$"):
             ov_batch.closest_neighbor_query_batch([1, 13], start_nodes=[0, 0])

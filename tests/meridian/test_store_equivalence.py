@@ -167,17 +167,24 @@ class TestRingStoreMatchesReference:
 
 
 class TestLockstepQueryMatchesReference:
-    @given(case=overlay_cases, policy=st.sampled_from([None, "tiv_aware", "repeating"]))
+    @given(
+        case=overlay_cases,
+        policy=st.sampled_from([None, "tiv_aware", "repeating"]),
+        max_hops=st.sampled_from([0, 1, 2, 64]),
+    )
     @settings(max_examples=120, deadline=None)
-    def test_batch_equals_scalar_reference(self, case, policy):
+    def test_batch_equals_scalar_reference(self, case, policy, max_hops):
         overlays, matrix, alert, tiv_config, gen = build_pair(case)
         restart_policy = {
             None: None,
             "tiv_aware": tiv_aware_restart_policy(alert, tiv_config),
             "repeating": repeating_policy,
         }[policy]
+        options = {"restart_policy": restart_policy, "max_hops": max_hops}
         reference = overlays["reference"]
         batched = overlays["batched"]
+        # Answers each query on its own, from the same RNG state.
+        alone = copy.deepcopy(batched)
         # Every node is a target, Meridian nodes included.
         targets = list(range(matrix.n_nodes))
         ids = reference.meridian_ids
@@ -187,65 +194,62 @@ class TestLockstepQueryMatchesReference:
         for target, start in zip(targets, starts):
             try:
                 expected.append(
-                    reference.closest_neighbor_query(
-                        target, start_node=start, restart_policy=restart_policy
-                    )
+                    reference.closest_neighbor_query(target, start_node=start, **options)
                 )
             except MeridianError:
                 continue  # no Meridian node measured this target
             answerable.append((target, start))
         if len(answerable) < len(targets):
             with pytest.raises(MeridianError, match="no Meridian node"):
-                batched.closest_neighbor_query_batch(
-                    targets, start_nodes=starts, restart_policy=restart_policy
-                )
+                batched.closest_neighbor_query_batch(targets, start_nodes=starts, **options)
         if not answerable:
             return
         chosen, chosen_starts = map(list, zip(*answerable))
-        got = batched.closest_neighbor_query_batch(
-            chosen, start_nodes=chosen_starts, restart_policy=restart_policy
-        )
+        got = batched.closest_neighbor_query_batch(chosen, start_nodes=chosen_starts, **options)
         assert got == expected
-        scalar = [
-            batched.closest_neighbor_query(t, start_node=s, restart_policy=restart_policy)
-            for t, s in answerable
-        ]
-        assert scalar == expected
+        # A query answers the same inside the batch as alone.
+        assert [
+            alone.closest_neighbor_query(t, start_node=s, **options) for t, s in answerable
+        ] == got
+
+        # Random starts: the overlay draws them from its RNG as the oracle
+        # does, one draw per target in order, whether alone or batched.
+        expected = reference.closest_neighbor_query_batch(chosen, **options)
+        assert batched.closest_neighbor_query_batch(chosen, **options) == expected
+        assert [alone.closest_neighbor_query(t, **options) for t in chosen] == expected
+        state = reference._rng.bit_generator.state
+        assert batched._rng.bit_generator.state == state
+        assert alone._rng.bit_generator.state == state
 
 
 class TestFiguresMatchReference:
-    """Every Meridian figure gives the same data with batches answered one
-    target at a time, and every overlay it builds holds the oracle's rings."""
+    """Every Meridian figure gives the same data with its batches answered
+    by the oracle, and every overlay it builds holds the oracle's rings."""
 
     def test_meridian_figures(self, monkeypatch):
         config = ExperimentConfig(n_nodes=48, seed=2)
         figures = ("fig14", "fig18", "fig24", "fig25")
+        lockstep = {figure: run_experiment(figure, config).data for figure in figures}
+
         built = []
         build = MeridianOverlay.__init__
 
         def recording_build(overlay, matrix, meridian_nodes, config=None, **kwargs):
             # The oracle draws from a copy of the generator the overlay is
-            # about to draw from, so both see the same candidates.
-            built.append((overlay, OracleOverlay(
-                matrix, meridian_nodes, config, **copy.deepcopy(kwargs)
-            )))
+            # about to draw from, so both see the same candidates and the
+            # oracle draws the random starts the overlay would have drawn.
+            oracle = OracleOverlay(matrix, meridian_nodes, config, **copy.deepcopy(kwargs))
             build(overlay, matrix, meridian_nodes, config, **kwargs)
+            built.append((overlay, oracle))
+
+        def through_the_oracle(overlay, targets, **kwargs):
+            oracle = next(oracle for built_overlay, oracle in built if built_overlay is overlay)
+            return oracle.closest_neighbor_query_batch(targets, **kwargs)
 
         monkeypatch.setattr(MeridianOverlay, "__init__", recording_build)
-        batched = {figure: run_experiment(figure, config).data for figure in figures}
+        monkeypatch.setattr(MeridianOverlay, "closest_neighbor_query_batch", through_the_oracle)
+        for figure in figures:
+            assert run_experiment(figure, config).data == lockstep[figure], figure
         assert built
         for overlay, oracle in built:
             assert_same_rings(overlay, oracle)
-
-        def one_at_a_time(overlay, targets, *, start_nodes=None, restart_policy=None, **kwargs):
-            starts = [None] * len(targets) if start_nodes is None else start_nodes
-            return [
-                overlay.closest_neighbor_query(
-                    target, start_node=start, restart_policy=restart_policy, **kwargs
-                )
-                for target, start in zip(targets, starts)
-            ]
-
-        monkeypatch.setattr(MeridianOverlay, "closest_neighbor_query_batch", one_at_a_time)
-        for figure in figures:
-            assert run_experiment(figure, config).data == batched[figure], figure

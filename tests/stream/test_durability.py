@@ -104,17 +104,16 @@ class TestCheckpointRoundTrip:
 
 
 def _write_v1_checkpoint(service, path):
-    """Save ``service`` in the ``stream-checkpoint/v1`` layout.
+    """Save ``service`` in the retired ``stream-checkpoint/v1`` layout.
 
     v1 kept the edge memory and the peer sets as JSON lists in dict
-    order and zlib-compressed every member.  The rows are written in
-    reverse id-pair order here, so the loader cannot lean on v2's sort.
+    order and zlib-compressed every member.
     """
     state = service.state_dict()
     edges, obs, severity_ids, severity = (state.pop(key).tolist() for key in EDGE_ARRAYS)
-    state["edge_rtt"] = [ids + row for ids, row in zip(edges, obs)][::-1]
+    state["edge_rtt"] = [ids + row for ids, row in zip(edges, obs)]
     state["peers"] = {node: sorted(peers) for node, peers in service._peer_rtt.items()}
-    state["severity"] = [ids + [value] for ids, value in zip(severity_ids, severity)][::-1]
+    state["severity"] = [ids + [value] for ids, value in zip(severity_ids, severity)]
     embedding = dict(state["embedding"])
     arrays = {key: embedding.pop(key) for key in EMBEDDING_ARRAYS}
     state["embedding"] = embedding
@@ -167,19 +166,16 @@ class TestCheckpointFormat:
         restored = StreamCoordinateService.from_state(state)
         assert restored._peer_rtt == service._peer_rtt
 
-    def test_v1_file_restores_the_live_service(self, tmp_path):
-        trace = synthesize_trace(n_nodes=16, seed=2, duration=30.0, churn=0.2)
-        service = StreamCoordinateService(config=DEFENDED, rng=4)
-        for event in trace.events[:200]:
-            service.apply(event)
+    def test_v1_file_is_refused(self, tmp_path):
+        # Only v2 files load; a v1 file is refused by its schema tag,
+        # naming the path, before any of its members is read.
         path = tmp_path / "v1.npz"
-        _write_v1_checkpoint(service, path)
-        restored = load_checkpoint(path)
-        assert state_fingerprint(restored) == state_fingerprint(service)
-        for event in trace.events[200:300]:
-            service.apply(event)
-            restored.apply(event)
-        assert state_fingerprint(restored) == state_fingerprint(service)
+        _write_v1_checkpoint(_busy_service(200), path)
+        refused = re.escape(f"{path} has schema 'stream-checkpoint/v1', not stream-checkpoint/v2")
+        with pytest.raises(StreamError, match=refused):
+            load_checkpoint(path)
+        with pytest.raises(StreamError, match=refused):
+            recover(path)
 
     def test_edge_on_an_inactive_node_refused(self, tmp_path):
         service = _busy_service(50)

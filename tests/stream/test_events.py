@@ -44,6 +44,30 @@ class TestTraceValidation:
         with pytest.raises(StreamError, match="self-measurement of node 2"):
             Trace(events, tiny_truth(), {})
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            NodeJoin(0.0, 1.7),
+            NodeJoin(0.0, True),
+            NodeLeave(0.0, np.float64(2.0)),
+            MeasurementEvent(1.0, 0, 2.9, 9.0),
+            MeasurementEvent(1.0, True, 2, 9.0),
+        ],
+        ids=["join-float", "join-bool", "leave-numpy-float", "measure-float", "measure-bool"],
+    )
+    def test_node_ids_must_be_integers(self, event):
+        # save_trace wrote 1.7, True and 2.9 as nodes 1, 1 and 2.
+        with pytest.raises(StreamError, match="not an integer id"):
+            Trace([event], tiny_truth(), {})
+
+    def test_numpy_integer_ids_are_accepted(self):
+        events = [
+            NodeJoin(0.0, np.int64(1)),
+            NodeJoin(0.0, np.int32(2)),
+            MeasurementEvent(1.0, np.int64(1), 2, 9.0),
+        ]
+        assert Trace(events, tiny_truth(), {}).n_events == 3
+
     def test_properties(self):
         events = [
             NodeJoin(0.0, 0),

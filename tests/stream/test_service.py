@@ -107,6 +107,93 @@ class TestEventHandling:
         assert service.observed_edges() == [(1, 5), (3, 5), (3, 7)]
 
 
+class TestIntegerIdsAtIngest:
+    """join, leave and the embedding's ingest refuse an id that is not an
+    integer (3.0 and True equal nodes 3 and 1), and the neighbour reads a
+    count that is not one, before any state moves; numpy integers pass as
+    the equal Python ints."""
+
+    @staticmethod
+    def edge_service():
+        """Nodes 0-3 with edges (0, 3) and (1, 3): clock 1.0, six events."""
+        service = StreamCoordinateService(rng=0)
+        for node in range(4):
+            service.join(node)
+        service.observe(0, 3, 10.0, t=1.0)
+        service.observe(1, 3, 12.0, t=1.0)
+        return service
+
+    SERVICE_CALLS = {
+        "join-float": lambda service: service.join(2.5, t=7.0),
+        "join-bool": lambda service: service.join(True, t=7.0),
+        "leave-float": lambda service: service.leave(3.0, t=7.0),
+        "leave-bool": lambda service: service.leave(True, t=7.0),
+        "leave-numpy-float": lambda service: service.leave(np.float64(3.0), t=7.0),
+        "apply-leave": lambda service: service.apply(NodeLeave(7.0, 3.0)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(SERVICE_CALLS))
+    def test_service_refuses_before_the_clock_moves(self, call):
+        service = self.edge_service()
+        before = state_fingerprint(service)
+        with pytest.raises(StreamError, match="is not an integer"):
+            self.SERVICE_CALLS[call](service)
+        assert state_fingerprint(service) == before
+        assert (service.clock, service.n_events, service.n_observed_edges) == (1.0, 6, 2)
+
+    EMBEDDING_CALLS = {
+        "leave-float": lambda embedding: embedding.leave(3.0),
+        "leave-bool": lambda embedding: embedding.leave(True),
+        "observe-float": lambda embedding: embedding.observe(0.0, 2, 30.0),
+        "observe-bool": lambda embedding: embedding.observe(0, True, 30.0),
+        "is_active-float": lambda embedding: embedding.is_active(3.0),
+        "is_active-bool": lambda embedding: embedding.is_active(True),
+    }
+
+    @pytest.mark.parametrize("call", sorted(EMBEDDING_CALLS))
+    def test_embedding_refuses(self, call):
+        service = self.edge_service()
+        before = state_fingerprint(service)
+        with pytest.raises(EmbeddingError, match="is not an integer"):
+            self.EMBEDDING_CALLS[call](service.embedding)
+        assert state_fingerprint(service) == before
+
+    K_CALLS = {
+        "closest": lambda service, k: service.closest(0, k=k),
+        "closest_batch": lambda service, k: service.closest_batch([0, 1], k=k),
+        "embedding.closest": lambda service, k: service.embedding.closest(0, k=k),
+        "embedding.closest_batch": lambda service, k: service.embedding.closest_batch(
+            [0, 1], k=k
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", [1.5, True, np.float64(2.0), "2"])
+    @pytest.mark.parametrize("call", sorted(K_CALLS))
+    def test_k_must_be_an_integer(self, call, bad):
+        # 1.5 and True answered one neighbour, as worst_edges no longer does.
+        service = self.edge_service()
+        before = state_fingerprint(service)
+        with pytest.raises(EmbeddingError, match="is not an integer"):
+            self.K_CALLS[call](service, bad)
+        assert state_fingerprint(service) == before
+        assert self.K_CALLS[call](service, np.int64(2)) == self.K_CALLS[call](service, 2)
+
+    def test_numpy_integer_ids_are_taken_as_python_ints(self):
+        plain, numpy_ids = self.edge_service(), self.edge_service()
+        plain.leave(3, t=2.0)
+        plain.join(3, t=3.0)
+        plain.observe(3, 2, 9.0, t=4.0)
+        numpy_ids.leave(np.int64(3), t=2.0)
+        numpy_ids.join(np.int32(3), t=3.0)
+        numpy_ids.observe(np.int64(3), np.int64(2), 9.0, t=4.0)
+        # A numpy id kept as a key made the state unserialisable.
+        assert state_fingerprint(numpy_ids) == state_fingerprint(plain)
+        assert all(type(node) is int for node in numpy_ids.active_nodes())
+        assert numpy_ids.embedding.is_active(np.int64(3))
+        numpy_ids.embedding.leave(np.int64(3))
+        assert not numpy_ids.embedding.is_active(3)
+
+
 class TestEdgeMemory:
     def test_observation_is_remembered(self):
         service = StreamCoordinateService(rng=0)
