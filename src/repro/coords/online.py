@@ -37,7 +37,7 @@ import numpy as np
 from repro.coords.base import squared_distance
 from repro.errors import EmbeddingError
 from repro.stats.rng import RngLike, ensure_rng
-from repro.utils import is_integer
+from repro.utils import fits_int64, is_integer
 
 
 #: The largest RTT (ms) an observation may carry, and the cap on a height:
@@ -54,6 +54,17 @@ def _check_id(node) -> None:
     """Refuse a node id that is not an integer (``bool`` included)."""
     if not is_integer(node):
         raise EmbeddingError(f"node id {node!r} is not an integer")
+
+
+def _check_new_id(node) -> None:
+    """Refuse an id that cannot join: not an integer, or outside int64.
+
+    The batch queries look ids up in an int64 array, so a larger id could
+    join but never be queried.
+    """
+    _check_id(node)
+    if not fits_int64(node):
+        raise EmbeddingError(f"node id {node!r} lies outside int64")
 
 
 def _check_k(k) -> None:
@@ -206,12 +217,11 @@ class OnlineVivaldi:
         error — its first observations move it almost the full spring
         displacement, so it localises quickly (the adaptive timestep at
         work).  Rejoining while active is an error: the stream layer
-        treats it as a malformed trace.  So is a non-integer id; a numpy
-        integer joins as the equal Python int.
+        treats it as a malformed trace.  So is a non-integer id and one
+        outside int64; a numpy integer joins as the equal Python int.
         """
-        if type(node) is not int:
-            _check_id(node)
-            node = int(node)
+        _check_new_id(node)
+        node = int(node)
         if node in self._slots:
             raise EmbeddingError(f"node {node!r} is already active")
         if self._free:
@@ -380,55 +390,42 @@ class OnlineVivaldi:
             dist += heights.item(i) + heights.item(j)
         return dist
 
-    def distances_from(self, node) -> dict:
-        """Predicted delay from ``node`` to every other active node."""
-        i = self._slot_of(node)
-        others = [(other, slot) for other, slot in self._slots.items() if other != node]
-        if not others:
-            return {}
-        slots = np.fromiter((slot for _, slot in others), dtype=np.int64)
-        dists = np.sqrt(squared_distance((self._coords[slots] - self._coords[i]).T))
-        if self._config.use_height:
-            dists = dists + self._heights[slots] + self._heights[i]
-        return {other: float(d) for (other, _), d in zip(others, dists)}
-
     def closest(self, node, k: int = 1) -> list[tuple[object, float]]:
         """The ``k`` active nodes predicted closest to ``node``.
 
         Returns ``(node_id, predicted_delay)`` pairs sorted by predicted
         delay (ties broken by node id, so the answer is deterministic).  A
         ``k`` below 1 or not an integer (``bool`` and 1.5 included) raises.
+        This is :meth:`closest_batch` on a batch of one.
         """
-        _check_k(k)
-        dists = self.distances_from(node)
-        ranked = sorted(dists.items(), key=lambda item: (item[1], item[0]))
-        return ranked[: int(k)]
+        return self.closest_batch([node], k)[0]
 
     # -- batch queries (the serving hot path) ---------------------------------
 
-    def _active_arrays(self) -> tuple[list, np.ndarray, np.ndarray]:
-        """``(ids, int_ids, slots)`` over the active population, sorted by id.
+    def _active_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, slots)`` int64 arrays over the active population, sorted by id.
 
-        ``int_ids`` holds the ids as an int64 array (the vectorised
-        tie-break).  Cached until the next join/leave.
+        Cached until the next join/leave.
         """
         if self._active_cache is None:
             nodes = self.active_nodes()
             slots = np.fromiter(
                 (self._slots[n] for n in nodes), dtype=np.int64, count=len(nodes)
             )
-            self._active_cache = (nodes, np.asarray(nodes, dtype=np.int64), slots)
+            self._active_cache = (np.array(nodes, dtype=np.int64), slots)
         return self._active_cache
 
     def _distances_to_active(self, q_slots: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """``(Q, N)`` predicted delays from query slots to active slots.
 
-        The op sequence (subtract, :func:`squared_distance`, sqrt, add
-        heights row-wise then column-wise) mirrors :meth:`distances_from`
-        exactly, so every entry is bit-identical to the scalar query for
-        that pair.  Each coordinate axis is one contiguous ``(Q, N)``
-        plane of differences, so every operation's inner loop runs over
-        the N active nodes.
+        Each entry is ``(core + h_other) + h_query``: the core distance
+        summed by :func:`squared_distance`, then the other node's height,
+        then the query's.  This is the one order every :meth:`closest`
+        answer ranks by; :meth:`distance` adds the two heights first
+        (``core + (h_a + h_b)``), so the two can differ in the last bit.
+        Each coordinate axis is one contiguous ``(Q, N)`` plane of
+        differences, so every operation's inner loop runs over the N
+        active nodes.
         """
         active = self._coords[slots].T.copy()
         queries = self._coords[q_slots].T
@@ -441,50 +438,26 @@ class OnlineVivaldi:
             dists += self._heights[q_slots][:, None]
         return dists
 
-    def distances_matrix(self, nodes) -> tuple[list, np.ndarray]:
-        """Predicted delays from each query node to every active node.
-
-        Returns ``(active, matrix)``: ``active`` is the sorted active id
-        list and ``matrix[q, j]`` the predicted delay between query node
-        ``nodes[q]`` and ``active[j]`` (0.0 for the query node itself).
-        One set of per-axis planes over all active slots answers the whole
-        batch; per-pair values bit-match :meth:`distances_from`.
-        """
-        nodes = list(nodes)
-        active, _, slots = self._active_arrays()
-        q_slots = np.fromiter(
-            (self._slot_of(n) for n in nodes), dtype=np.int64, count=len(nodes)
-        )
-        if not nodes:
-            return list(active), np.zeros((0, len(active)))
-        dists = self._distances_to_active(q_slots, slots)
-        position = {n: index for index, n in enumerate(active)}
-        for qi, node in enumerate(nodes):
-            dists[qi, position[node]] = 0.0
-        return list(active), dists
-
     def closest_batch(self, nodes, k: int = 1) -> list[list[tuple[object, float]]]:
-        """Batch :meth:`closest`: the ``k`` nearest active nodes per query.
+        """The ``k`` nearest active nodes to each query node, as :meth:`closest`.
 
         One distance matrix and one tie-aware top-k selection answer the
         whole batch: a row-wise partition finds each query's ``take``-th
         smallest delay, every entry at or below it stays a candidate (so
         all ties at the boundary survive), and one lexsort by (query,
-        delay, id) orders the candidates.  Ids, predicted delays and
-        tie-breaking are identical to per-query :meth:`closest` calls.
-        Coordinates stay finite (:meth:`observe` refuses non-finite RTTs
-        and gravity is clamped), so every row holds at least ``take``
-        candidates.
+        delay, id) orders the candidates.  Coordinates stay finite
+        (:meth:`observe` refuses non-finite RTTs and gravity is clamped),
+        so every row holds at least ``take`` candidates.
         """
         _check_k(k)
         nodes = list(nodes)
         if not nodes:
             return []
-        active, ids, slots = self._active_arrays()
+        ids, slots = self._active_arrays()
         q_slots = np.fromiter(
             (self._slot_of(n) for n in nodes), dtype=np.int64, count=len(nodes)
         )
-        take = min(int(k), len(active) - 1)
+        take = min(int(k), ids.size - 1)
         if take == 0:
             return [[] for _ in nodes]
         dists = self._distances_to_active(q_slots, slots)
@@ -607,7 +580,7 @@ class OnlineVivaldi:
         embedding._last_update = np.array(state["last_update"], dtype=float)
         embedding._update_counts = np.array(state["update_counts"], dtype=np.int64)
         for node in state["nodes"]:
-            _check_id(node)
+            _check_new_id(node)
         embedding._slots = dict(zip(state["nodes"], (int(s) for s in state["slots"])))
         embedding._free = [int(slot) for slot in state["free"]]
         embedding._observations = int(state["observations"])

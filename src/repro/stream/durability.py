@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.errors import StreamError
 from repro.stream.events import Event, MeasurementEvent, NodeJoin, NodeLeave
-from repro.stream.service import StreamCoordinateService
+from repro.stream.service import StreamCoordinateService, _node_id
 
 PathLike = Union[str, Path]
 
@@ -144,19 +144,25 @@ def load_checkpoint(path: PathLike) -> StreamCoordinateService:
 
 
 def _encode_event(seq: int, event: Event) -> dict:
+    """The WAL record of ``event``, its node ids as Python ints.
+
+    A numpy-integer id is written as the equal int.  A float or ``bool``
+    id raises :class:`StreamError`: 2.0 and True would read back as nodes
+    2 and 1.
+    """
     if isinstance(event, MeasurementEvent):
         return {
             "seq": seq,
             "kind": "measure",
             "t": event.t,
-            "src": event.src,
-            "dst": event.dst,
+            "src": _node_id(event.src),
+            "dst": _node_id(event.dst),
             "rtt": event.rtt,
         }
     if isinstance(event, NodeJoin):
-        return {"seq": seq, "kind": "join", "t": event.t, "node": event.node}
+        return {"seq": seq, "kind": "join", "t": event.t, "node": _node_id(event.node)}
     if isinstance(event, NodeLeave):
-        return {"seq": seq, "kind": "leave", "t": event.t, "node": event.node}
+        return {"seq": seq, "kind": "leave", "t": event.t, "node": _node_id(event.node)}
     raise StreamError(f"cannot log unknown stream event {event!r}")
 
 
@@ -167,8 +173,8 @@ def _wal_line(seq: int, event: Event) -> str:
     prints them (``int.__repr__``, ``float.__repr__``), between the same
     keys and separators.  Everything else — ``nan`` and ``±inf``, numpy
     scalars, ``bool`` and other subclasses, unknown event types — goes
-    through ``json.dumps`` itself, so it is written, or refused, exactly
-    as before.
+    through :func:`_encode_event` and ``json.dumps``, which write it or
+    refuse it before anything reaches the log.
     """
     cls = type(event)
     if cls is MeasurementEvent:

@@ -402,15 +402,16 @@ def replay_trace(
         totals["stopped_after_events"] = int(applied)
 
     queries: dict = {"closest": [], "tiv_alerts": []}
-    for node in service.active_nodes()[:_REPORT_QUERIES]:
-        ranked = service.closest(node, k=1)
+    nodes = service.active_nodes()[:_REPORT_QUERIES]
+    for node, ranked in zip(nodes, service.closest_batch(nodes, k=1)):
         if ranked:
             peer, predicted = ranked[0]
             queries["closest"].append(
                 {"node": int(node), "closest": int(peer), "predicted": float(predicted)}
             )
-    for edge, severity in service.worst_edges(_REPORT_QUERIES):
-        verdict = service.tiv_alert(*edge)
+    worst = service.worst_edges(_REPORT_QUERIES)
+    verdicts = service.tiv_alert_batch([edge for edge, _ in worst])
+    for (edge, severity), verdict in zip(worst, verdicts):
         queries["tiv_alerts"].append(
             {
                 "edge": [int(edge[0]), int(edge[1])],

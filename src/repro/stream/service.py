@@ -31,7 +31,7 @@ from repro.coords.online import MAX_RTT, OnlineVivaldi, OnlineVivaldiConfig
 from repro.errors import StreamError
 from repro.stats.rng import RngLike, ensure_rng
 from repro.stream.events import Event, MeasurementEvent, NodeJoin, NodeLeave
-from repro.utils import is_integer
+from repro.utils import fits_int64, is_integer
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,13 @@ class StreamCoordinateService:
         return sorted(self._quarantined)
 
     def suspicion_of(self, node: int) -> float:
-        """Current suspicion EWMA of ``node`` (0 if never charged)."""
+        """Current suspicion EWMA of ``node`` (0 if never charged).
+
+        Ids are refused as in :meth:`join` (3.0 and True would find nodes 3
+        and 1).
+        """
+        if type(node) is not int:
+            node = _node_id(node)
         return self._suspicion.get(node, 0.0)
 
     def defense_stats(self) -> dict:
@@ -424,11 +430,14 @@ class StreamCoordinateService:
     def join(self, node: int, t: float = 0.0) -> None:
         """Node joined: allocate live state (fresh coordinate, no memory).
 
-        A node id that is not an integer is refused before the clock or
-        the event counter moves; a numpy integer joins as the equal int.
+        A node id that is not an integer, or lies outside int64 (the id
+        columns' type), is refused before the clock or the event counter
+        moves; a numpy integer joins as the equal int.
         """
         if type(node) is not int:
             node = _node_id(node)
+        if not fits_int64(node):
+            raise StreamError(f"node id {node} lies outside int64")
         self._advance(t)
         if self._embedding.is_active(node):
             raise StreamError(f"node {node} joined twice without leaving")
@@ -654,20 +663,15 @@ class StreamCoordinateService:
         """Batch :meth:`closest` over the live embedding (one vector op)."""
         return self._embedding.closest_batch(nodes, k)
 
-    def distances_matrix(self, nodes):
-        """Batch :meth:`distance`: ``(active_ids, matrix)`` for query ``nodes``."""
-        return self._embedding.distances_matrix(nodes)
-
     def distance_batch(self, pairs):
         """Predicted delays for a batch of ``(a, b)`` pairs (one vector op)."""
         return self._embedding.distance_batch(pairs)
 
     def tiv_alert_batch(self, edges) -> list[dict]:
-        """Batch :meth:`tiv_alert`: one gathered distance op answers every edge.
+        """The :meth:`tiv_alert` verdict of each ``(a, b)`` edge; one distance op answers all.
 
-        Each verdict dict is identical to the scalar query's; a node id
-        that is not an integer and an edge without an observed measurement
-        raise, exactly as the scalar query does.
+        A node id that is not an integer and an edge without an observed
+        measurement raise, as in :meth:`tiv_alert`.
         """
         row_of = self._row_of
         keyed, rows = [], []
@@ -756,28 +760,10 @@ class StreamCoordinateService:
         alert threshold, the rolling severity estimate and the age of the
         supporting observation.  A node id that is not an integer
         (``bool`` and floats such as 3.0 included) and an edge without an
-        observed measurement raise :class:`StreamError`.
+        observed measurement raise :class:`StreamError`.  This is
+        :meth:`tiv_alert_batch` on a batch of one.
         """
-        if type(a) is not int or type(b) is not int:
-            a, b = _node_id(a), _node_id(b)
-        edge = (a, b) if a <= b else (b, a)
-        row = self._row_of.get(edge)
-        if row is None:
-            raise StreamError(
-                f"no observed measurement for edge {edge}; cannot evaluate a TIV alert"
-            )
-        rtt, observed_at = self._rtt_cells[row], self._seen_cells[row]
-        predicted = self._embedding.distance(a, b)
-        ratio = predicted / rtt if rtt > 0 else float("nan")
-        return {
-            "edge": edge,
-            "predicted": predicted,
-            "observed": rtt,
-            "ratio": ratio,
-            "alerted": bool(ratio < self._config.alert_threshold),
-            "severity_estimate": self._severity_at(row),
-            "observation_age": self._clock - observed_at,
-        }
+        return self.tiv_alert_batch([(a, b)])[0]
 
     def staleness(self) -> dict[str, float]:
         """Summary of per-node coordinate staleness at the current clock."""

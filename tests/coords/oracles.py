@@ -10,8 +10,12 @@ against:
 * :func:`ides_per_host` — the IDES host projection, one least-squares solve
   per host and factor (equal to the stacked solve to float accuracy);
 * :func:`lat_double_loop` — the LAT adjustment terms, node by node and
-  sample by sample (equal to the padded gathers to float accuracy).
+  sample by sample (equal to the padded gathers to float accuracy);
+* :func:`oracle_norm` — one Euclidean distance in the fixed summation
+  order of ``repro.coords.base.squared_distance``, bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -122,3 +126,19 @@ def lat_double_loop(vivaldi, *, sample_size=None, samples=None, rng=None) -> LAT
         if errors:
             adjustments[i] = float(np.mean(errors)) / 2.0
     return LATCoordinates(coords, adjustments)
+
+
+def oracle_norm(x, y):
+    """Euclidean distance of two coordinate lists, in the fixed order.
+
+    The squares of the even axes in order, then those of the odd axes,
+    then the two totals; explicit loops, because ``sum()`` of floats is
+    compensated on Python >= 3.12.
+    """
+    diffs = [a - b for a, b in zip(x, y)]
+    even = odd = 0.0
+    for diff in diffs[0::2]:
+        even += diff * diff
+    for diff in diffs[1::2]:
+        odd += diff * diff
+    return math.sqrt(even + odd)

@@ -8,26 +8,15 @@ dimension from 1 to 12.  From 8 axes on, numpy's einsum sums in another
 order, so a query path that went back to einsum fails here.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.coords.online import OnlineVivaldi, OnlineVivaldiConfig
 from repro.coords.vivaldi import VivaldiConfig, VivaldiSystem
+from tests.coords.oracles import oracle_norm
+from tests.stream.oracles import closest_oracle
 
 DIMENSIONS = range(1, 13)
-
-
-def oracle_norm(x, y):
-    """Euclidean distance of two coordinate lists, in the fixed order."""
-    diffs = [a - b for a, b in zip(x, y)]
-    even = odd = 0.0
-    for diff in diffs[0::2]:
-        even += diff * diff
-    for diff in diffs[1::2]:
-        odd += diff * diff
-    return math.sqrt(even + odd)
 
 
 def moved_embedding(dimension, use_height, n=24):
@@ -57,26 +46,15 @@ def test_online_queries_equal_the_oracle(dimension, use_height):
         value = oracle_norm(coords[a], coords[b])
         return value + (heights[a] + heights[b]) if use_height else value
 
-    def row(query, other):
-        """A query row's entry: the other node's height, then the query's."""
-        value = oracle_norm(coords[other], coords[query])
-        return value + heights[other] + heights[query] if use_height else value
-
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
     expected = [pair(a, b) for a, b in pairs]
     assert [emb.distance(a, b) for a, b in pairs] == expected
     assert emb.distance_batch(pairs).tolist() == expected
 
-    active, matrix = emb.distances_matrix(nodes)
-    assert active == nodes
-    assert matrix.tolist() == [
-        [0.0 if other == query else row(query, other) for other in nodes] for query in nodes
-    ]
+    # A ranking adds the other node's height, then the query's.
     for query, answer in zip(nodes, emb.closest_batch(nodes, k=len(nodes))):
-        assert answer == sorted(
-            ((other, row(query, other)) for other in nodes if other != query),
-            key=lambda item: (item[1], item[0]),
-        )
+        assert answer == closest_oracle(emb, query, len(nodes))
+        assert emb.closest(query, k=len(nodes)) == answer
 
 
 @pytest.mark.parametrize("dimension", DIMENSIONS)

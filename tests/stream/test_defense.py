@@ -127,6 +127,16 @@ class TestQuarantine:
         assert 0 in service.quarantined_nodes()
         assert service.suspicion_of(0) > 0
 
+    def test_suspicion_of_refuses_an_id_that_is_not_an_integer(self):
+        # False and 0.0 equal node 0 and used to answer with its suspicion.
+        service, t = _warm_service()
+        service.apply(MeasurementEvent(t, 0, 1, 20_000.0))
+        assert service.suspicion_of(0) > 0
+        for bad in (False, 0.0, np.float64(0.0)):
+            with pytest.raises(StreamError, match="is not an integer"):
+                service.suspicion_of(bad)
+        assert service.suspicion_of(np.int64(0)) == service.suspicion_of(0)
+
     def test_suspicion_decays_on_accepted_traffic(self):
         service, t = _warm_service()
         # Honest follow-up reports must match the fixture's geometry, or

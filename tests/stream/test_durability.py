@@ -19,6 +19,7 @@ from repro.stream import (
     NodeJoin,
     NodeLeave,
     StreamServiceConfig,
+    Trace,
     WalWriter,
     load_checkpoint,
     read_wal,
@@ -369,18 +370,25 @@ class TestWal:
 
 
 def _wal_record(seq, event):
-    """The record dict a WAL line holds, keys in line order."""
+    """The record dict a WAL line holds, keys in line order, ids as Python ints."""
     if isinstance(event, MeasurementEvent):
         return {
             "seq": seq,
             "kind": "measure",
             "t": event.t,
-            "src": event.src,
-            "dst": event.dst,
+            "src": int(event.src),
+            "dst": int(event.dst),
             "rtt": event.rtt,
         }
     kind = "join" if isinstance(event, NodeJoin) else "leave"
-    return {"seq": seq, "kind": kind, "t": event.t, "node": event.node}
+    return {"seq": seq, "kind": kind, "t": event.t, "node": int(event.node)}
+
+
+def _numpy_ids(event):
+    """``event`` with its node ids as numpy int64s."""
+    if isinstance(event, MeasurementEvent):
+        return MeasurementEvent(event.t, np.int64(event.src), np.int64(event.dst), event.rtt)
+    return type(event)(event.t, np.int64(event.node))
 
 
 def _same_number(a, b):
@@ -397,7 +405,8 @@ _wal_floats = (
     | st.integers(min_value=-(10**6), max_value=10**6)
     | st.floats(allow_nan=False).map(np.float64)
 )
-_wal_ids = st.integers(min_value=-(2**63), max_value=2**63 - 1) | st.booleans()
+_int64s = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_wal_ids = _int64s | _int64s.map(np.int64)
 _wal_events = st.one_of(
     st.builds(MeasurementEvent, _wal_floats, _wal_ids, _wal_ids, _wal_floats),
     st.builds(NodeJoin, _wal_floats, _wal_ids),
@@ -446,24 +455,65 @@ class TestWalLineFormat:
         return MeasurementEvent(1.0, 1, 2, loop)
 
     @pytest.mark.parametrize(
-        "make_event",
+        "make_event, error, match",
         [
-            lambda: MeasurementEvent(1.0, np.int64(1), 2, 20.0),
-            lambda: NodeJoin(0.0, object()),
-            lambda: NodeLeave(0.0, {3}),
-            lambda: TestWalLineFormat._circular_rtt(),
+            (lambda: NodeJoin(0.0, object()), StreamError, "is not an integer"),
+            (lambda: NodeLeave(0.0, {3}), StreamError, "is not an integer"),
+            (lambda: TestWalLineFormat._circular_rtt(), ValueError, "Circular reference"),
         ],
-        ids=["numpy-id", "object-id", "set-id", "circular-rtt"],
+        ids=["object-id", "set-id", "circular-rtt"],
     )
-    def test_what_json_dumps_refuses_is_still_refused(self, tmp_path, make_event):
-        event = make_event()
-        with pytest.raises((TypeError, ValueError)) as refused:
-            json.dumps(_wal_record(0, event))
+    def test_what_json_dumps_refuses_is_still_refused(self, tmp_path, make_event, error, match):
+        # An id json.dumps cannot write is refused as an id that is not an
+        # integer; any other value with json.dumps's own error.
         path = tmp_path / "wal.jsonl"
         with WalWriter(path) as wal:
-            with pytest.raises(type(refused.value), match=re.escape(str(refused.value))):
+            with pytest.raises(error, match=match):
+                wal.log(0, make_event())
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            NodeJoin(0.0, True),
+            NodeLeave(0.0, 2.0),
+            NodeJoin(0.0, np.float64(1.0)),
+            MeasurementEvent(1.0, 1, 2.0, 20.0),
+            MeasurementEvent(1.0, False, 2, 20.0),
+        ],
+        ids=["join-bool", "leave-float", "join-numpy-float", "measure-float", "measure-bool"],
+    )
+    def test_a_float_or_bool_id_is_refused_before_anything_is_written(self, tmp_path, event):
+        # json.dumps wrote True and 2.0, which read_wal took for nodes 1 and 2.
+        path = tmp_path / "wal.jsonl"
+        with WalWriter(path) as wal:
+            with pytest.raises(StreamError, match="is not an integer"):
                 wal.log(0, event)
         assert path.read_bytes() == b""
+
+    def test_a_numpy_id_trace_logs_and_recovers_as_plain_ints(self, tmp_path):
+        # replay_trace used to die on the first numpy id with a TypeError.
+        trace = synthesize_trace(n_nodes=16, seed=2, duration=30.0, churn=0.2)
+        numpy_trace = Trace(
+            tuple(map(_numpy_ids, trace.events)), trace.ground_truth, dict(trace.meta)
+        )
+        runs = {}
+        for name, source in (("int", trace), ("numpy", numpy_trace)):
+            full = tmp_path / f"{name}-full.jsonl"
+            ck, wal = tmp_path / f"{name}.npz", tmp_path / f"{name}.jsonl"
+            replay_trace(source, config=DEFENDED, wal_path=full)
+            crashed = replay_trace(
+                source,
+                config=DEFENDED,
+                checkpoint_path=ck,
+                wal_path=wal,
+                checkpoint_every=100,
+                stop_after_events=250,
+            )
+            assert state_fingerprint(recover(ck, wal)) == crashed.totals["state_fingerprint"]
+            runs[name] = (full.read_bytes(), wal.read_bytes(), crashed.as_dict())
+        assert runs["numpy"] == runs["int"]
+        assert b"leave" in runs["int"][0] and b"join" in runs["int"][1]
 
     def test_unknown_event_type_raises_stream_error(self, tmp_path):
         path = tmp_path / "wal.jsonl"

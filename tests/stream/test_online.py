@@ -224,13 +224,6 @@ class TestQueries:
         assert delays == sorted(delays)
         assert emb.closest(0, k=1) == ranked[:1]
 
-    def test_distances_from_matches_pairwise_distance(self, localized):
-        emb, _ = localized
-        dists = emb.distances_from(3)
-        assert set(dists) == set(range(12)) - {3}
-        for other, d in dists.items():
-            assert d == pytest.approx(emb.distance(3, other))
-
     def test_staleness_ages_from_last_update(self):
         emb = OnlineVivaldi(rng=0)
         emb.join(1, t=0.0)

@@ -1,16 +1,18 @@
-"""Batch-query equivalence: the serving hot path must bit-match the scalar path.
+"""Batch-query equivalence: the serving hot path must bit-match the per-query answers.
 
-``closest_batch`` / ``distances_matrix`` / ``distance_batch`` sum their
-squared differences through the same ``squared_distance`` helper as the
-scalar queries, so every value is required to be *bit-identical* (plain
-``==``, no approx) to the per-query answer — across churny populations,
-seeds, and slot reuse after leaves.  ``closest_batch`` selects its top k
-for the whole batch at once, so a Hypothesis property also pins it to
-scalar ``closest`` on tie-heavy populations: nodes that never probed sit
-at the origin with the minimum height, and a selection that keeps an
-arbitrary subset of the delays tied at the k-th place returns the wrong
-ids.  The property draws 1 to 12 dimensions: from 8 on, numpy's einsum
-sums in another order, so one path that went back to einsum fails it.
+``distance_batch`` sums its squared differences through the same
+``squared_distance`` helper as the scalar ``distance``, so every value is
+required to be *bit-identical* (plain ``==``, no approx) to it — across
+churny populations, seeds, and slot reuse after leaves.  ``closest`` is
+``closest_batch`` on a batch of one, so both are held to the plain-Python
+ranking oracle ``tests/stream/oracles.py::closest_oracle`` instead.
+``closest_batch`` selects its top k for the whole batch at once, so a
+Hypothesis property also pins it to the oracle on tie-heavy populations:
+nodes that never probed sit at the origin with the minimum height, and a
+selection that keeps an arbitrary subset of the delays tied at the k-th
+place returns the wrong ids.  The property draws 1 to 12 dimensions: from
+8 on, numpy's einsum sums in another order, so one path that went back to
+einsum fails it.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.coords.online import OnlineVivaldi, OnlineVivaldiConfig
 from repro.errors import EmbeddingError
+from tests.stream.oracles import closest_oracle
 
 
 def churny_embedding(seed: int, n: int = 40, use_height: bool = True) -> OnlineVivaldi:
@@ -59,20 +62,8 @@ class TestBatchEquivalence:
             batch = emb.closest_batch(nodes, k=k)
             assert len(batch) == len(nodes)
             for node, got in zip(nodes, batch):
-                assert got == emb.closest(node, k=k)
-
-    def test_distances_matrix_bit_matches_distances_from(self, seed, use_height):
-        emb = churny_embedding(seed, use_height=use_height)
-        nodes = emb.active_nodes()
-        queries = nodes[::3]
-        active, matrix = emb.distances_matrix(queries)
-        assert active == nodes
-        assert matrix.shape == (len(queries), len(active))
-        for qi, node in enumerate(queries):
-            scalar = emb.distances_from(node)
-            for j, other in enumerate(active):
-                expected = 0.0 if other == node else scalar[other]
-                assert matrix[qi, j] == expected
+                assert got == closest_oracle(emb, node, k)
+                assert emb.closest(node, k=k) == got
 
     def test_distance_batch_bit_matches_distance(self, seed, use_height):
         emb = churny_embedding(seed, use_height=use_height)
@@ -90,9 +81,6 @@ class TestBatchEdgeCases:
     def test_empty_batches(self):
         emb = churny_embedding(0, n=10)
         assert emb.closest_batch([], k=2) == []
-        active, matrix = emb.distances_matrix([])
-        assert active == emb.active_nodes()
-        assert matrix.shape == (0, len(active))
         assert emb.distance_batch([]).shape == (0,)
 
     def test_closest_batch_rejects_bad_k(self):
@@ -118,7 +106,7 @@ class TestBatchEdgeCases:
         with pytest.raises(EmbeddingError, match="node 7 is not active"):
             emb.closest_batch([7])
         with pytest.raises(EmbeddingError, match="node 7 is not active"):
-            emb.distances_matrix([7])
+            emb.closest(7)
         emb.leave(2)
         with pytest.raises(EmbeddingError, match="node 2 is not active"):
             emb.distance(2, 2)
@@ -129,6 +117,7 @@ class TestBatchEdgeCases:
         batch = emb.closest_batch(nodes, k=10 * len(nodes))
         for node, got in zip(nodes, batch):
             assert len(got) == len(nodes) - 1
+            assert got == closest_oracle(emb, node, 10 * len(nodes))
             assert got == emb.closest(node, k=10 * len(nodes))
 
     def test_cache_invalidated_by_membership_changes(self):
@@ -200,6 +189,7 @@ def test_closest_batch_matches_scalar_closest_with_ties(population):
     for src, dst, rtt in probes:
         emb.observe(src, dst, rtt)
     batch = emb.closest_batch(queries, k=k)
+    assert batch == [closest_oracle(emb, node, k) for node in queries]
     assert batch == [emb.closest(node, k=k) for node in queries]
     if len(ids) == 1:
         assert batch == [[] for _ in queries]

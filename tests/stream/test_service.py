@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.coords.online import MAX_RTT, OnlineVivaldiConfig
+from repro.coords.online import MAX_RTT, OnlineVivaldi, OnlineVivaldiConfig
 from repro.errors import EmbeddingError, StreamError
 from repro.stream import (
     FaultSpec,
@@ -18,6 +18,7 @@ from repro.stream import (
     state_fingerprint,
     synthesize_trace,
 )
+from tests.stream.oracles import closest_oracle, tiv_alert_oracle
 
 
 class TestConfigValidation:
@@ -177,6 +178,41 @@ class TestIntegerIdsAtIngest:
             self.K_CALLS[call](service, bad)
         assert state_fingerprint(service) == before
         assert self.K_CALLS[call](service, np.int64(2)) == self.K_CALLS[call](service, 2)
+
+    @pytest.mark.parametrize("node", [2**63, -(2**63) - 1, np.uint64(2**64 - 1)])
+    def test_an_id_outside_int64_is_refused_before_the_clock_moves(self, node):
+        # 2**63 used to join; its first measurement then moved the embedding
+        # and the edge map before the int64 id column refused it, and every
+        # closest_batch after that raised OverflowError.
+        service = self.edge_service()
+        before = state_fingerprint(service)
+        with pytest.raises(StreamError, match="outside int64"):
+            service.join(node, t=7.0)
+        with pytest.raises(EmbeddingError, match="outside int64"):
+            service.embedding.join(node, t=7.0)
+        assert state_fingerprint(service) == before
+        assert (service.clock, service.n_events, service.n_observed_edges) == (1.0, 6, 2)
+
+    def test_the_int64_bounds_join_and_answer(self):
+        service = self.edge_service()
+        low, high = -(2**63), 2**63 - 1
+        service.join(low, t=2.0)
+        service.join(high, t=2.0)
+        service.observe(low, high, 30.0, t=3.0)
+        service.observe(high, 0, 8.0, t=3.0)
+        assert service.observed_edges() == [(low, high), (0, 3), (0, high), (1, 3)]
+        ranked = service.closest(low, k=5)
+        assert ranked == closest_oracle(service.embedding, low, 5)
+        assert service.closest_batch([high, low], k=5)[1] == ranked
+        assert service.tiv_alert(high, low) == tiv_alert_oracle(service, low, high)
+        restored = StreamCoordinateService.from_state(service.state_dict())
+        assert state_fingerprint(restored) == state_fingerprint(service)
+
+    def test_restore_refuses_an_id_outside_int64(self):
+        state = self.edge_service().embedding.state_dict()
+        state["nodes"][0] = 2**63
+        with pytest.raises(EmbeddingError, match="outside int64"):
+            OnlineVivaldi.from_state(state)
 
     def test_numpy_integer_ids_are_taken_as_python_ints(self):
         plain, numpy_ids = self.edge_service(), self.edge_service()
@@ -416,24 +452,28 @@ class TestBatchQueries:
     def test_batch_queries_delegate_to_the_embedding(self):
         service = self.warmed()
         nodes = service.active_nodes()
-        assert service.closest_batch(nodes, k=2) == [
-            service.closest(node, k=2) for node in nodes
-        ]
+        expected = [closest_oracle(service.embedding, node, 2) for node in nodes]
+        assert service.closest_batch(nodes, k=2) == expected
+        assert [service.closest(node, k=2) for node in nodes] == expected
         pairs = [(a, b) for a in nodes[:4] for b in nodes[:4]]
         values = service.distance_batch(pairs)
         for (a, b), got in zip(pairs, values):
             assert got == service.distance(a, b)
-        active, matrix = service.distances_matrix(nodes[:3])
-        assert active == nodes
-        assert matrix.shape == (3, len(nodes))
 
     def test_tiv_alert_batch_matches_scalar_verdicts(self):
         service = self.warmed()
+        # A tenfold RTT on (0, 1) makes the embedding shrink that edge.
+        service.observe(0, 1, 10 * service.distance(0, 1), t=service.clock)
         edges = service.observed_edges()[:16]
+        # Both orders of every edge: the verdict is undirected.
+        edges += [(b, a) for a, b in edges]
         verdicts = service.tiv_alert_batch(edges)
         assert len(verdicts) == len(edges)
+        assert {verdict["alerted"] for verdict in verdicts} == {True, False}
         for edge, got in zip(edges, verdicts):
-            assert got == service.tiv_alert(*edge)
+            expected = tiv_alert_oracle(service, *edge)
+            assert got == expected
+            assert service.tiv_alert(*edge) == expected
 
     def test_tiv_alert_batch_requires_observations_for_every_edge(self):
         service = self.warmed()
@@ -498,28 +538,22 @@ class TestBatchQueries:
         ).tolist(),
         "closest": lambda service, node: service.closest(node, k=2),
         "closest_batch": lambda service, node: service.closest_batch([0, node], k=2),
-        "distances_matrix": lambda service, node: [
-            part if isinstance(part, list) else part.tolist()
-            for part in service.distances_matrix([0, node])
-        ],
-        "embedding.distances_from": lambda service, node: service.embedding.distances_from(node),
+        "suspicion_of": lambda service, node: service.suspicion_of(node),
         "embedding.distance": lambda service, node: service.embedding.distance(node, 0),
         "embedding.distance_batch": lambda service, node: service.embedding.distance_batch(
             [(0, node)]
         ).tolist(),
         "embedding.closest_batch": lambda service, node: service.embedding.closest_batch([node]),
-        "embedding.distances_matrix": lambda service, node: (
-            service.embedding.distances_matrix([node])[1].tolist()
-        ),
         "embedding.coordinate_of": lambda service, node: (
             service.embedding.coordinate_of(node).tolist()
         ),
         "embedding.update_count_of": lambda service, node: service.embedding.update_count_of(node),
     }
 
-    #: The reads of the service's edge table; the others read the embedding
-    #: and refuse as it refuses an inactive node.
-    EDGE_READS = {"severity_estimate", "observed_rtt_batch"}
+    #: The reads of the service's own tables (the edge table, the suspicion
+    #: ledger); the others read the embedding and refuse as it refuses an
+    #: inactive node.
+    EDGE_READS = {"severity_estimate", "observed_rtt_batch", "suspicion_of"}
 
     @pytest.mark.parametrize("bad", [3.0, True])
     @pytest.mark.parametrize("read", sorted(READS))
