@@ -23,7 +23,9 @@ vivaldi/ides/oscillation/misplacement/dynamic, vivaldi → lat/alert):
 ``params`` function reproduces, byte for byte, the addresses the pre-graph
 ``ExperimentContext`` methods produced (``_matrix_params``,
 ``_embedding_params``, ``_ides_params``, ``_lat_params``), so warm caches
-written by earlier releases keep hitting.
+written by earlier releases keep hitting.  A node whose stored values
+change gets a new address through a declared era parameter (the alert's
+``sum_order``).
 
 Nodes are parameterised by an *instance* tuple: ``("ds2_like", 240)`` for a
 dataset/severity variant, ``()`` for the singletons bound to the
@@ -55,6 +57,9 @@ DYNAMIC_ITERATIONS = 5
 #: or missing a declared era parameter entirely belong to a retired kernel
 #: era and are eligible for ``repro cache prune``.
 KNOWN_KERNELS = ("batched",)
+#: The summation order of the alert's stored predicted delays: entries
+#: written while ``pairwise_distances`` summed in axis order lack it.
+SUM_ORDERS = ("two-lane",)
 
 
 @dataclass(frozen=True, order=True)
@@ -145,7 +150,7 @@ def _main_dataset_params(ctx, instance) -> dict:
 
 
 def _embedding_params(ctx, instance) -> dict:
-    """Parameters that fully determine the Vivaldi embedding (and alert).
+    """Parameters that fully determine the Vivaldi embedding (LAT and the alert extend them).
 
     Deliberately narrower than the full config fingerprint: selection and
     Meridian knobs (``max_clients``, ``selection_runs``, ...) never enter
@@ -165,6 +170,13 @@ def _embedding_params(ctx, instance) -> dict:
     }
     if ctx.scenario is not None and not ctx.scenario.is_noop:
         params["scenario"] = ctx.scenario.cache_params()
+    return params
+
+
+def _alert_params(ctx, instance) -> dict:
+    """The embedding's address plus the summation order of its predicted delays."""
+    params = _embedding_params(ctx, instance)
+    params["sum_order"] = "two-lane"
     return params
 
 
@@ -576,11 +588,11 @@ for _node in (
         name="alert",
         kind="alert",
         deps=_embedding_chain_deps,
-        params=_embedding_params,
+        params=_alert_params,
         compute=_compute_alert,
         restore=_restore_alert,
         payload=_payload_alert,
-        era_params={"kernel": KNOWN_KERNELS},
+        era_params={"kernel": KNOWN_KERNELS, "sum_order": SUM_ORDERS},
     ),
     ArtifactNode(
         name="ides",

@@ -1,11 +1,15 @@
 """Common interface for delay-prediction systems.
 
 Every coordinate system in this library (Vivaldi, IDES, LAT) exposes the
-same small surface: predict the delay between two nodes, and materialise the
-full predicted-delay matrix.  The neighbour-selection harness and the TIV
-alert mechanism are written against this interface, so plugging in a new
-coordinate system (e.g. a hyperbolic embedding) only requires implementing
-:class:`DelayPredictor`.
+same small surface: the full predicted-delay matrix.  The
+neighbour-selection harness and the TIV alert mechanism are written
+against it, so plugging in a new coordinate system (e.g. a hyperbolic
+embedding) only requires implementing :class:`DelayPredictor`.
+
+Every predicted delay of a coordinate pair is ``sqrt`` of
+:func:`squared_distance`, plus the two endpoints' terms (heights, LAT
+adjustments) added together as one term, so each value is symmetric by
+construction and every read of one pair gives the same bits.
 """
 
 from __future__ import annotations
@@ -27,12 +31,16 @@ def squared_distance(diffs):
     dot-product loop on builds with two float64 SIMD lanes (the x86-64-v2
     baseline), so the result equals ``np.einsum("...d,...d->...", diff,
     diff)`` there bit for bit; unlike einsum, it does not depend on the
-    numpy build.  The online embedding's scalar and batched queries,
-    ``VivaldiSystem.predict_edges`` and fig11's oscillation fold all sum
-    through it, so the answers that tests compare exactly agree bit for bit.
+    numpy build.  Every predicted distance sums through it:
+    :func:`~repro.coords.vivaldi.pairwise_distances` (and so every
+    ``predicted_matrix`` but IDES's), ``VivaldiSystem.predict_edges``,
+    fig11's oscillation fold, and the online embedding's scalar and
+    batched queries.
 
     Array planes are squared and summed in place (the first two become the
-    totals), so pass temporaries the caller no longer needs.
+    totals), so pass temporaries the caller no longer needs.  A later
+    plane is done with before the next is drawn, so a generator may write
+    all of them into one buffer.
     """
     lanes = []
     for axis, diff in enumerate(diffs):
@@ -55,43 +63,8 @@ class DelayPredictor(abc.ABC):
         """Number of nodes the predictor covers."""
 
     @abc.abstractmethod
-    def predict(self, i: int, j: int) -> float:
-        """Predicted delay between nodes ``i`` and ``j`` in milliseconds."""
-
     def predicted_matrix(self) -> np.ndarray:
-        """Full N×N matrix of predicted delays (zero diagonal).
-
-        The default implementation loops over :meth:`predict`; concrete
-        systems override it with a vectorised version.
-        """
-        n = self.n_nodes
-        out = np.zeros((n, n), dtype=float)
-        for i in range(n):
-            for j in range(i + 1, n):
-                value = self.predict(i, j)
-                out[i, j] = value
-                out[j, i] = value
-        return out
-
-    def prediction_ratios(self, measured: np.ndarray) -> np.ndarray:
-        """Return predicted / measured delay for every entry of ``measured``.
-
-        The prediction ratio is the quantity the paper's TIV alert mechanism
-        thresholds: ratios well below one flag edges that the embedding had
-        to shrink, which correlates with severe TIVs.  Entries with missing
-        or zero measured delay are ``nan``.
-        """
-        measured = np.asarray(measured, dtype=float)
-        if measured.shape != (self.n_nodes, self.n_nodes):
-            raise EmbeddingError(
-                f"measured matrix shape {measured.shape} does not match "
-                f"{self.n_nodes} nodes"
-            )
-        predicted = self.predicted_matrix()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(measured > 0, predicted / measured, np.nan)
-        np.fill_diagonal(ratios, np.nan)
-        return ratios
+        """Full N×N matrix of predicted delays in milliseconds (zero diagonal)."""
 
 
 class MatrixPredictor(DelayPredictor):
@@ -111,9 +84,6 @@ class MatrixPredictor(DelayPredictor):
     @property
     def n_nodes(self) -> int:
         return int(self._matrix.shape[0])
-
-    def predict(self, i: int, j: int) -> float:
-        return float(self._matrix[i, j])
 
     def predicted_matrix(self) -> np.ndarray:
         return self._matrix.copy()

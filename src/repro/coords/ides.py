@@ -33,6 +33,7 @@ from repro.coords.base import DelayPredictor
 from repro.delayspace.matrix import DelayMatrix
 from repro.errors import EmbeddingError
 from repro.stats.rng import RngLike, ensure_rng
+from repro.utils import is_integer
 
 @dataclass(frozen=True)
 class IDESConfig:
@@ -95,12 +96,8 @@ class IDESCoordinates(DelayPredictor):
         """Rank of the factorisation."""
         return int(self.outgoing.shape[1])
 
-    def predict(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        return float(max(self.outgoing[i] @ self.incoming[j], 0.0))
-
     def predicted_matrix(self) -> np.ndarray:
+        """``u_i · v_j``, clamped at 0, zero diagonal: directed, not symmetric."""
         predicted = self.outgoing @ self.incoming.T
         predicted = np.maximum(predicted, 0.0)
         np.fill_diagonal(predicted, 0.0)
@@ -148,7 +145,9 @@ def fit_ides(
     n = matrix.n_nodes
 
     if landmarks is not None:
-        landmark_idx = np.asarray([int(i) for i in landmarks], dtype=int)
+        if not all(is_integer(i) for i in landmarks):
+            raise EmbeddingError(f"landmark ids must be integers, got {landmarks!r}")
+        landmark_idx = np.asarray(landmarks, dtype=int)
         if np.unique(landmark_idx).size != landmark_idx.size:
             raise EmbeddingError("landmark list contains duplicates")
         if landmark_idx.size < 2:

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.coords.base import DelayPredictor
-from repro.coords.vivaldi import VivaldiSystem
+from repro.coords.vivaldi import VivaldiSystem, _peer_lists, pairwise_distances
 from repro.delayspace.matrix import DelayMatrix
 from repro.errors import EmbeddingError
 from repro.stats.rng import RngLike, ensure_rng
@@ -61,17 +61,11 @@ class LATCoordinates(DelayPredictor):
     def n_nodes(self) -> int:
         return int(self.coordinates.shape[0])
 
-    def predict(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        euclidean = float(np.linalg.norm(self.coordinates[i] - self.coordinates[j]))
-        return max(euclidean + self.adjustments[i] + self.adjustments[j], 0.0)
-
     def predicted_matrix(self) -> np.ndarray:
-        diffs = self.coordinates[:, None, :] - self.coordinates[None, :, :]
-        euclidean = np.sqrt(np.sum(diffs * diffs, axis=-1))
-        predicted = euclidean + self.adjustments[:, None] + self.adjustments[None, :]
-        predicted = np.maximum(predicted, 0.0)
+        """``||c_x - c_y|| + (e_x + e_y)``, clamped at 0: equal to its transpose bit for bit."""
+        predicted = pairwise_distances(self.coordinates)
+        predicted += np.add.outer(self.adjustments, self.adjustments)
+        np.maximum(predicted, 0.0, out=predicted)
         np.fill_diagonal(predicted, 0.0)
         return predicted
 
@@ -130,7 +124,8 @@ def fit_lat(
         Defaults to the node's Vivaldi neighbour count (the realistic
         choice: a node only knows the delays it has measured).
     samples:
-        Explicit per-node sample lists, overriding ``sample_size``.
+        Explicit per-node sample lists, overriding ``sample_size``.  Each
+        id must be another node in ``0..n-1``, as a neighbour must.
     rng:
         Seed or generator used when sampling.
     """
@@ -141,9 +136,7 @@ def fit_lat(
     gen = ensure_rng(rng)
 
     if samples is not None:
-        if len(samples) != n:
-            raise EmbeddingError(f"expected {n} sample lists, got {len(samples)}")
-        pad, mask = _padded_samples([[int(j) for j in s] for s in samples])
+        pad, mask = _padded_samples(_peer_lists(samples, n, "sample"))
     else:
         k = sample_size if sample_size is not None else vivaldi.config.n_neighbors
         k = min(k, n - 1)

@@ -418,14 +418,13 @@ class OnlineVivaldi:
     def _distances_to_active(self, q_slots: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """``(Q, N)`` predicted delays from query slots to active slots.
 
-        Each entry is ``(core + h_other) + h_query``: the core distance
-        summed by :func:`squared_distance`, then the other node's height,
-        then the query's.  This is the one order every :meth:`closest`
-        answer ranks by; :meth:`distance` adds the two heights first
-        (``core + (h_a + h_b)``), so the two can differ in the last bit.
-        Each coordinate axis is one contiguous ``(Q, N)`` plane of
-        differences, so every operation's inner loop runs over the N
-        active nodes.
+        Each entry is ``core + (h_query + h_other)``: the core distance
+        summed by :func:`squared_distance`, plus the two heights added as
+        one term, as :meth:`distance` and :meth:`distance_batch` add them.
+        So every :meth:`closest` answer equals ``distance`` of the pair in
+        either order, bit for bit.  Each coordinate axis is one contiguous
+        ``(Q, N)`` plane of differences, so every operation's inner loop
+        runs over the N active nodes.
         """
         active = self._coords[slots].T.copy()
         queries = self._coords[q_slots].T
@@ -434,8 +433,7 @@ class OnlineVivaldi:
         )
         np.sqrt(dists, out=dists)
         if self._config.use_height:
-            dists += self._heights[slots][None, :]
-            dists += self._heights[q_slots][:, None]
+            dists += np.add.outer(self._heights[q_slots], self._heights[slots])
         return dists
 
     def closest_batch(self, nodes, k: int = 1) -> list[list[tuple[object, float]]]:

@@ -137,11 +137,10 @@ class VivaldiSimulation:
             by source row into the N×N extrema of the squared distances,
             and the square roots are taken once, after the last step.  The
             squares are summed by
-            :func:`~repro.coords.base.squared_distance`, as
-            :meth:`~repro.coords.vivaldi.VivaldiSystem.predict_edges` sums
-            them, so the range equals the extrema of per-step
-            ``predict_edges`` calls bit for bit.  Still the most expensive
-            option.
+            :func:`~repro.coords.base.squared_distance`, as every predicted
+            distance sums them, so the range equals the extrema of
+            per-step ``predict_edges`` calls, and of ``predicted_matrix``
+            entries, bit for bit.  Still the most expensive option.
         track_movement:
             Record per-node movement magnitudes each step.
         """
@@ -156,8 +155,7 @@ class VivaldiSimulation:
         measured = self._matrix.values
 
         # Tracked edges are recorded as one (steps, n_tracked) array filled
-        # by a single predict_edges gather per step instead of per-pair
-        # predict calls in a Python loop.
+        # by one predict_edges gather per step.
         tracked_rows = np.asarray([i for i, _ in tracked], dtype=np.int64)
         tracked_cols = np.asarray([j for _, j in tracked], dtype=np.int64)
         tracked_errors = np.zeros((seconds, len(tracked)))

@@ -33,6 +33,7 @@ from repro.coords.base import DelayPredictor, squared_distance
 from repro.delayspace.matrix import DelayMatrix
 from repro.errors import EmbeddingError
 from repro.stats.rng import RngLike, ensure_rng
+from repro.utils import is_integer
 
 
 @dataclass(frozen=True)
@@ -168,20 +169,10 @@ class VivaldiSystem(DelayPredictor):
         Each node must have at least one neighbour, all indices must be valid
         and no node may list itself.
         """
-        n = self.n_nodes
-        if len(neighbors) != n:
-            raise EmbeddingError(f"expected {n} neighbour lists, got {len(neighbors)}")
-        cleaned: list[list[int]] = []
-        for i, nbrs in enumerate(neighbors):
-            lst = [int(j) for j in nbrs]
+        cleaned = _peer_lists(neighbors, self.n_nodes, "neighbour")
+        for i, lst in enumerate(cleaned):
             if not lst:
                 raise EmbeddingError(f"node {i} has an empty neighbour list")
-            for j in lst:
-                if not 0 <= j < n:
-                    raise EmbeddingError(f"node {i} has an out-of-range neighbour {j}")
-                if j == i:
-                    raise EmbeddingError(f"node {i} cannot be its own neighbour")
-            cleaned.append(lst)
         self._neighbors = cleaned
         self._rebuild_neighbor_arrays()
 
@@ -309,21 +300,14 @@ class VivaldiSystem(DelayPredictor):
 
     # -- prediction interface -------------------------------------------------
 
-    def predict(self, i: int, j: int) -> float:
-        """Predicted delay: Euclidean distance between the two coordinates."""
-        if i == j:
-            return 0.0
-        return float(np.linalg.norm(self._coords[i] - self._coords[j]))
-
     def predict_edges(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Predicted delays of the edges ``(rows[k], cols[k])`` in one gather.
 
-        Equivalent to ``[predict(i, j) for i, j in zip(rows, cols)]`` but
-        computed as a single array operation — trace recording
-        (:mod:`repro.coords.simulation`) calls this every step, where the
-        per-pair form (or a full ``predicted_matrix``) would dominate the
-        step cost.  The squares are summed by :func:`squared_distance`,
-        as fig11's oscillation fold sums them.
+        Equal bit for bit to ``predicted_matrix()[rows, cols]`` (both sum
+        through :func:`squared_distance`) without building the N×N
+        matrix — trace recording (:mod:`repro.coords.simulation`) calls
+        this every step, where a full ``predicted_matrix`` would dominate
+        the step cost.  A self-pair reads 0.0, as on the diagonal.
         """
         return np.sqrt(squared_distance((self._coords[rows] - self._coords[cols]).T))
 
@@ -331,24 +315,39 @@ class VivaldiSystem(DelayPredictor):
         return pairwise_distances(self._coords)
 
 
+def _peer_lists(lists: Sequence[Sequence[int]], n: int, what: str) -> list[list[int]]:
+    """One list of other nodes' ids per node, as Python ints.
+
+    Every id must be an integer by :func:`repro.utils.is_integer` (``1.7``
+    and ``True`` would index node 1) and another node in ``0..n-1``.
+    """
+    if len(lists) != n:
+        raise EmbeddingError(f"expected {n} {what} lists, got {len(lists)}")
+    for i, peers in enumerate(lists):
+        for j in peers:
+            # ``type(j) is int`` first: the lists are mostly Python ints.
+            if not ((type(j) is int or is_integer(j)) and 0 <= j < n and j != i):
+                raise EmbeddingError(
+                    f"node {i} lists {j!r} as a {what}: not another node in 0..{n - 1}"
+                )
+    return [[int(j) for j in peers] for peers in lists]
+
+
 def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     """Euclidean distances between all rows of ``coords``: an N×N matrix, zero diagonal.
 
-    The squared differences are built one (N, N) plane per axis and added
-    in axis order.  Below 8 axes that is the order in which ``np.sum(...,
-    axis=-1)`` adds the squares of an (N, N, d) difference tensor, so the
-    result equals that form bit for bit without materialising the tensor.
-    From 8 axes on (no configuration uses them) numpy sums pairwise, and
-    the two forms can differ in the last bits.
+    One (N, N) plane of differences per axis, summed by
+    :func:`squared_distance`, so entry ``(i, j)`` equals every other
+    predicted distance of the pair bit for bit, and ``(j, i)`` too.  The
+    planes after the first two share one buffer: a fresh (N, N) plane per
+    axis nearly doubled the time of a 400-node matrix (2-vCPU x86-64 VM).
     """
-    total = None
-    for plane in coords.T:
-        square = np.subtract.outer(plane, plane)
-        square *= square
-        if total is None:
-            total = square
-        else:
-            total += square
+    n = coords.shape[0]
+    scratch = np.empty((n, n)) if coords.shape[1] > 2 else None
+    total = squared_distance(
+        np.subtract.outer(plane, plane, out=scratch if axis >= 2 else None)
+        for axis, plane in enumerate(coords.T)
+    )
     np.sqrt(total, out=total)
     np.fill_diagonal(total, 0.0)
     return total

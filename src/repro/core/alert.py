@@ -60,6 +60,26 @@ class AlertEvaluation:
     alert_fraction: np.ndarray = field(repr=False)
 
 
+def prediction_ratios(predicted: np.ndarray, measured: np.ndarray) -> np.ndarray:
+    """Predicted / measured delay for every entry of two N×N matrices.
+
+    The prediction ratio is the quantity the paper's TIV alert mechanism
+    thresholds: ratios well below one flag edges that the embedding had
+    to shrink, which correlates with severe TIVs.  Entries with missing
+    or zero measured delay, and the diagonal, are ``nan``.
+    """
+    predicted = np.asarray(predicted, dtype=float)
+    measured = np.asarray(measured, dtype=float)
+    if predicted.shape != measured.shape or measured.ndim != 2:
+        raise AlertError(
+            f"predicted shape {predicted.shape} does not match measured shape {measured.shape}"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(measured > 0, predicted / measured, np.nan)
+    np.fill_diagonal(ratios, np.nan)
+    return ratios
+
+
 class TIVAlert:
     """Prediction-ratio based TIV alert for one embedded delay matrix.
 
@@ -77,24 +97,26 @@ class TIVAlert:
         if predictor.n_nodes != matrix.n_nodes:
             raise AlertError("predictor and matrix cover a different number of nodes")
         self._matrix = matrix
-        self._ratios = predictor.prediction_ratios(matrix.values)
         self._predicted = predictor.predicted_matrix()
+        self._ratios = prediction_ratios(self._predicted, matrix.values)
 
     @classmethod
     def from_ratio_matrix(
-        cls, matrix: DelayMatrix, ratios: np.ndarray, predicted: np.ndarray | None = None
+        cls, matrix: DelayMatrix, ratios: np.ndarray, predicted: np.ndarray
     ) -> "TIVAlert":
-        """Build an alert directly from a precomputed ratio matrix."""
-        ratios = np.asarray(ratios, dtype=float)
-        if ratios.shape != (matrix.n_nodes, matrix.n_nodes):
-            raise AlertError("ratio matrix shape does not match the delay matrix")
+        """Build an alert from precomputed ratio and predicted-delay matrices."""
+        ratios = np.array(ratios, dtype=float)
+        predicted = np.array(predicted, dtype=float)
+        shape = (matrix.n_nodes, matrix.n_nodes)
+        for name, value in (("ratio", ratios), ("predicted-delay", predicted)):
+            if value.shape != shape:
+                raise AlertError(
+                    f"{name} matrix shape {value.shape} does not match the delay matrix {shape}"
+                )
         alert = cls.__new__(cls)
         alert._matrix = matrix
-        alert._ratios = ratios.copy()
-        if predicted is None:
-            measured = matrix.values
-            predicted = np.where(np.isfinite(ratios), ratios * np.where(np.isfinite(measured), measured, 0.0), 0.0)
-        alert._predicted = np.asarray(predicted, dtype=float)
+        alert._ratios = ratios
+        alert._predicted = predicted
         return alert
 
     @property

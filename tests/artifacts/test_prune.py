@@ -44,23 +44,43 @@ class TestLiveEntriesSurvive:
 
 
 class TestStaleEraEviction:
-    def test_pre_kernel_era_entry_is_pruned(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kind, params, arrays, era_key",
+        [
+            # A vivaldi entry written before the kernel switch existed: its
+            # params lack the "kernel" key every live entry now carries.
+            (
+                "vivaldi",
+                {"preset": "ds2_like", "n_nodes": 24, "seed": 0, "vivaldi_seconds": 2},
+                {"coordinates": np.zeros((24, 3)), "errors": np.ones(24)},
+                "kernel",
+            ),
+            # An alert entry written while pairwise_distances summed in axis
+            # order: the embedding's address, without "sum_order".
+            (
+                "alert",
+                {
+                    "preset": "ds2_like",
+                    "n_nodes": 24,
+                    "seed": 0,
+                    "vivaldi_seconds": 2,
+                    "kernel": "batched",
+                },
+                {"ratios": np.ones((24, 24)), "predicted": np.ones((24, 24))},
+                "sum_order",
+            ),
+        ],
+        ids=["vivaldi", "alert"],
+    )
+    def test_pre_kernel_era_entry_is_pruned(self, tmp_path, kind, params, arrays, era_key):
         cache_dir = tmp_path / "cache"
         cache = ArtifactCache(cache_dir)
-        # A vivaldi entry written before the kernel switch existed: its
-        # params lack the "kernel" key every live entry now carries.
-        old_params = {"preset": "ds2_like", "n_nodes": 24, "seed": 0, "vivaldi_seconds": 2}
-        cache.store(
-            "vivaldi",
-            old_params,
-            {"coordinates": np.zeros((24, 3)), "errors": np.ones(24)},
-            meta={"simulation_time": 2.0},
-        )
+        cache.store(kind, params, arrays, meta={"simulation_time": 2.0})
         report = prune_cache(cache_dir)
         assert [entry.reason for entry in report.pruned] == [
-            "pre-'kernel'-era entry (parameter absent)"
+            f"pre-{era_key!r}-era entry (parameter absent)"
         ]
-        assert not list((cache_dir / "vivaldi").iterdir())
+        assert not list((cache_dir / kind).iterdir())
 
     def test_retired_kernel_value_is_pruned(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -238,6 +258,7 @@ class TestEraParamsDeclarations:
         for name in ("vivaldi", "alert", "ides"):
             assert "kernel" in get_node(name).era_params, name
         assert "coords_kernel" in get_node("lat").era_params
+        assert get_node("alert").era_params["sum_order"] == ("two-lane",)
 
     def test_artifact_key_labels(self):
         assert ArtifactKey("vivaldi").label == "vivaldi"

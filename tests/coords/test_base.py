@@ -12,53 +12,38 @@ class TestMatrixPredictor:
         with pytest.raises(EmbeddingError):
             MatrixPredictor(np.zeros((2, 3)))
 
-    def test_predict_and_matrix(self):
+    def test_matrix_and_size(self):
         data = np.array([[0.0, 5.0], [5.0, 0.0]])
         predictor = MatrixPredictor(data)
         assert predictor.n_nodes == 2
-        assert predictor.predict(0, 1) == 5.0
         assert np.array_equal(predictor.predicted_matrix(), data)
 
     def test_diagonal_forced_zero(self):
         data = np.array([[9.0, 5.0], [5.0, 9.0]])
         predictor = MatrixPredictor(data)
-        assert predictor.predict(0, 0) == 0.0
+        assert predictor.predicted_matrix()[0, 0] == 0.0
 
     def test_input_copied(self):
         data = np.array([[0.0, 5.0], [5.0, 0.0]])
         predictor = MatrixPredictor(data)
         data[0, 1] = 99.0
-        assert predictor.predict(0, 1) == 5.0
+        assert predictor.predicted_matrix()[0, 1] == 5.0
+        predictor.predicted_matrix()[0, 1] = 99.0
+        assert predictor.predicted_matrix()[0, 1] == 5.0
 
-    def test_prediction_ratios(self):
-        predicted = np.array([[0.0, 5.0, 8.0], [5.0, 0.0, 12.0], [8.0, 12.0, 0.0]])
-        measured = np.array([[0.0, 10.0, np.nan], [10.0, 0.0, 12.0], [np.nan, 12.0, 0.0]])
-        predictor = MatrixPredictor(predicted)
-        ratios = predictor.prediction_ratios(measured)
-        assert ratios[0, 1] == pytest.approx(0.5)
-        assert ratios[1, 2] == pytest.approx(1.0)
-        assert np.isnan(ratios[0, 2])
-        assert np.isnan(ratios[0, 0])
 
-    def test_prediction_ratios_shape_mismatch(self):
-        predictor = MatrixPredictor(np.zeros((2, 2)))
-        with pytest.raises(EmbeddingError):
-            predictor.prediction_ratios(np.zeros((3, 3)))
-
-    def test_default_predicted_matrix_loop(self):
-        """The DelayPredictor default implementation loops over predict()."""
+class TestDelayPredictor:
+    def test_predicted_matrix_is_the_one_read(self):
+        """A system implements ``n_nodes`` and ``predicted_matrix``, nothing else."""
         from repro.coords.base import DelayPredictor
+
+        assert DelayPredictor.__abstractmethods__ == {"n_nodes", "predicted_matrix"}
+        assert not hasattr(DelayPredictor, "predict")
 
         class Constant(DelayPredictor):
             @property
             def n_nodes(self):
                 return 3
 
-            def predict(self, i, j):
-                return 0.0 if i == j else 7.0
-
-        matrix = Constant().predicted_matrix()
-        assert matrix.shape == (3, 3)
-        assert matrix[0, 1] == 7.0
-        assert matrix[1, 0] == 7.0
-        assert np.allclose(np.diag(matrix), 0.0)
+        with pytest.raises(TypeError):
+            Constant()

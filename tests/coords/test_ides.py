@@ -28,17 +28,18 @@ class TestIDESCoordinates:
         with pytest.raises(EmbeddingError):
             IDESCoordinates(np.zeros((3, 2)), np.zeros((4, 2)))
 
-    def test_predict_nonnegative_and_zero_diagonal(self, small_internet_matrix):
-        coords = fit_ides(small_internet_matrix, IDESConfig(dimension=8))
-        assert coords.predict(0, 0) == 0.0
-        assert coords.predict(0, 1) >= 0.0
-        assert coords.dimension == 8
-
-    def test_predicted_matrix_matches_predict(self, small_internet_matrix):
+    def test_predicted_matrix_nonnegative_and_zero_diagonal(self, small_internet_matrix):
         coords = fit_ides(small_internet_matrix, IDESConfig(dimension=8))
         matrix = coords.predicted_matrix()
-        assert matrix[2, 5] == pytest.approx(coords.predict(2, 5))
-        assert np.allclose(np.diag(matrix), 0.0)
+        assert np.all(np.diag(matrix) == 0.0)
+        assert np.all(matrix >= 0.0)
+        assert coords.dimension == 8
+
+    def test_predicted_matrix_is_the_inner_product(self, small_internet_matrix):
+        coords = fit_ides(small_internet_matrix, IDESConfig(dimension=8))
+        matrix = coords.predicted_matrix()
+        inner = float(coords.outgoing[2] @ coords.incoming[5])
+        assert matrix[2, 5] == pytest.approx(max(inner, 0.0))
 
 
 class TestFitIdes:
@@ -64,6 +65,20 @@ class TestFitIdes:
         predicted = coords.predicted_matrix()
         # A perfect rank-3 factorisation reproduces the TIV exactly.
         assert predicted[0, 2] > predicted[0, 1] + predicted[1, 2]
+
+    @pytest.mark.parametrize(
+        "landmarks",
+        [[0.9, 2.5, 3, 4], [0, True, 3, 4], [0, 1.0, 3, 4]],
+        ids=["fractional", "bool", "float"],
+    )
+    def test_non_integer_landmarks_raise(self, small_internet_matrix, landmarks):
+        # int() would turn 0.9 and 2.5 into landmarks 0 and 2, and True into 1.
+        with pytest.raises(EmbeddingError, match="landmark ids must be integers"):
+            fit_ides(small_internet_matrix, IDESConfig(dimension=2), landmarks=landmarks)
+
+    def test_numpy_integer_landmarks_are_accepted(self, small_internet_matrix):
+        coords = fit_ides(small_internet_matrix, IDESConfig(dimension=2), landmarks=np.arange(4))
+        assert coords.landmarks == (0, 1, 2, 3)
 
     def test_handles_missing_values(self):
         from repro.delayspace.matrix import DelayMatrix

@@ -6,7 +6,7 @@ import pytest
 from repro.coords.lat import LATCoordinates, fit_lat
 from repro.errors import EmbeddingError
 from repro.stats.summary import absolute_errors
-from tests.coords.oracles import lat_double_loop
+from tests.coords.oracles import lat_double_loop, oracle_norm
 
 #: The library fit and the double-loop oracle, by the names the tests carry.
 FITS = {"batched": fit_lat, "reference": lat_double_loop}
@@ -22,20 +22,22 @@ class TestLATCoordinates:
     def test_adjustment_added_to_prediction(self):
         coords = np.array([[0.0, 0.0], [3.0, 4.0]])
         lat = LATCoordinates(coords, np.array([1.0, 2.0]))
-        assert lat.predict(0, 1) == pytest.approx(5.0 + 1.0 + 2.0)
-        assert lat.predict(0, 0) == 0.0
+        matrix = lat.predicted_matrix()
+        assert matrix[0, 1] == 5.0 + 1.0 + 2.0
+        assert matrix[0, 0] == 0.0
 
     def test_prediction_clamped_at_zero(self):
         coords = np.array([[0.0, 0.0], [1.0, 0.0]])
         lat = LATCoordinates(coords, np.array([-5.0, -5.0]))
-        assert lat.predict(0, 1) == 0.0
+        assert lat.predicted_matrix()[0, 1] == 0.0
 
-    def test_predicted_matrix_matches_predict(self, converged_vivaldi):
+    def test_predicted_matrix_matches_oracle(self, converged_vivaldi):
         lat = fit_lat(converged_vivaldi, rng=0)
         matrix = lat.predicted_matrix()
-        assert matrix[3, 8] == pytest.approx(lat.predict(3, 8))
-        assert np.allclose(matrix, matrix.T)
-        assert np.allclose(np.diag(matrix), 0.0)
+        coords, adj = lat.coordinates.tolist(), lat.adjustments
+        assert matrix[3, 8] == oracle_norm(coords[3], coords[8]) + (adj[3] + adj[8])
+        assert np.array_equal(matrix, matrix.T)
+        assert np.all(np.diag(matrix) == 0.0)
 
 
 class TestFitLat:
@@ -53,6 +55,23 @@ class TestFitLat:
     def test_wrong_sample_length_raises(self, converged_vivaldi):
         with pytest.raises(EmbeddingError):
             fit_lat(converged_vivaldi, samples=[[1, 2]])
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            -1,  # numpy would read node n-1
+            "n",  # numpy would raise a bare IndexError
+            1.7,  # int() would read node 1
+            True,
+            0,  # node 0's own id would average in a zero error
+        ],
+    )
+    def test_sample_that_is_not_another_node_raises(self, converged_vivaldi, sample):
+        n = converged_vivaldi.n_nodes
+        samples = [[(i + 1) % n] for i in range(n)]
+        samples[0] = [n if sample == "n" else sample]
+        with pytest.raises(EmbeddingError, match="not another node"):
+            fit_lat(converged_vivaldi, samples=samples)
 
     def test_invalid_sample_size_raises(self, converged_vivaldi):
         with pytest.raises(EmbeddingError):

@@ -73,25 +73,26 @@ class TestVivaldiSimulation:
         assert summary["p90"] >= summary["median"]
 
     def test_tracked_errors_match_system_predictions(self, small_internet_matrix):
-        """The vectorised trace gather equals per-pair predict calls."""
+        """The vectorised trace gather equals the predicted matrix, bit for bit."""
         sim = VivaldiSimulation(small_internet_matrix, VivaldiConfig(n_neighbors=8), rng=5)
         edges = [(0, 1), (2, 9), (4, 3)]
         trace = sim.run(1, track_edges=edges)
+        predicted = sim.system.predicted_matrix()
         for i, j in edges:
-            expected = sim.system.predict(i, j) - float(small_internet_matrix.values[i, j])
-            assert trace.edge_errors[(i, j)][-1] == pytest.approx(expected)
+            expected = predicted[i, j] - float(small_internet_matrix.values[i, j])
+            assert trace.edge_errors[(i, j)][-1] == expected
 
     def test_oscillation_matches_predicted_matrix(self, small_internet_matrix):
         """Edge-wise oscillation equals a replay of per-step predictions.
 
         The trace keeps the extrema of squared distances and takes one sqrt
         at the end.  A second, identically seeded simulation takes the
-        extrema of ``predict_edges`` every step: the two must agree bit for
-        bit, and agree with the full predicted matrix up to its summation
-        order.  70 steps cross the 64-step fold boundary and end on a
-        partial block.  At 9 dimensions numpy's einsum sums in another
-        order than ``squared_distance``, so a fold or a ``predict_edges``
-        that went back to einsum alone fails here.
+        extrema of ``predict_edges`` every step, and of the full predicted
+        matrix: all three must agree bit for bit.  70 steps cross the
+        64-step fold boundary and end on a partial block.  At 9 dimensions
+        numpy's einsum sums in another order than ``squared_distance``, so a
+        fold, a ``predict_edges`` or a ``predicted_matrix`` that went back to
+        einsum alone fails here.
         """
         from repro.coords.vivaldi import VivaldiSystem
 
@@ -116,7 +117,7 @@ class TestVivaldiSimulation:
                 np.maximum(matrix_max, values, out=matrix_max)
 
             assert np.array_equal(trace.oscillation_range, running_max - running_min)
-            assert np.allclose(trace.oscillation_range, matrix_max - matrix_min)
+            assert np.array_equal(trace.oscillation_range, matrix_max - matrix_min)
             assert np.array_equal(
                 trace.edge_delays, small_internet_matrix.values[rows, cols]
             )

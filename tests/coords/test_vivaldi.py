@@ -3,15 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.coords.vivaldi import (
-    VivaldiConfig,
-    VivaldiSystem,
-    embed_vivaldi,
-    pairwise_distances,
-)
+from repro.coords.vivaldi import VivaldiConfig, VivaldiSystem, embed_vivaldi
+from repro.core.alert import prediction_ratios
 from repro.errors import EmbeddingError
 from repro.stats.summary import median_absolute_error, relative_errors
-from tests.coords.oracles import GaussSeidelVivaldi
+from tests.coords.oracles import GaussSeidelVivaldi, oracle_norm
 
 #: The library embedding and the Gauss-Seidel oracle, by the names the
 #: tests carry.
@@ -73,32 +69,20 @@ class TestVivaldiSystem:
         system.run(60)
         assert np.median(system.errors) < 1.0
 
-    def test_predict_symmetric_and_zero_diagonal(self, euclidean_matrix):
-        system = embed_vivaldi(euclidean_matrix, seconds=10, rng=3)
-        assert system.predict(3, 3) == 0.0
-        assert system.predict(1, 2) == pytest.approx(system.predict(2, 1))
-
-    def test_predicted_matrix_matches_predict(self, euclidean_matrix):
+    def test_predicted_matrix_symmetric_and_zero_diagonal(self, euclidean_matrix):
         system = embed_vivaldi(euclidean_matrix, seconds=10, rng=3)
         matrix = system.predicted_matrix()
-        assert matrix[4, 7] == pytest.approx(system.predict(4, 7))
-        assert np.allclose(np.diag(matrix), 0.0)
+        assert np.array_equal(matrix, matrix.T)
+        assert np.all(np.diag(matrix) == 0.0)
 
-    @pytest.mark.parametrize("dimension", [2, 5])
-    def test_predicted_matrix_equals_the_difference_tensor(self, dimension):
-        # The per-axis planes add in the order np.sum reduces the last axis
-        # of an (N, N, d) tensor below 8 axes, so the two agree bit for bit.
-        rng = np.random.default_rng(dimension)
-        for scale in (1e-3, 1.0, 150.0, 1e6):
-            coords = rng.normal(0.0, scale, size=(60, dimension))
-            diffs = coords[:, None, :] - coords[None, :, :]
-            tensor = np.sqrt(np.sum(diffs * diffs, axis=-1))
-            np.fill_diagonal(tensor, 0.0)
-            assert np.array_equal(pairwise_distances(coords), tensor), scale
+    def test_predicted_matrix_matches_oracle_norm(self, euclidean_matrix):
+        system = embed_vivaldi(euclidean_matrix, seconds=10, rng=3)
+        coords = system.coordinates.tolist()
+        assert system.predicted_matrix()[4, 7] == oracle_norm(coords[4], coords[7])
 
     def test_prediction_ratio_matrix(self, small_internet_matrix):
         system = embed_vivaldi(small_internet_matrix, seconds=20, rng=4)
-        ratios = system.prediction_ratios(small_internet_matrix.values)
+        ratios = prediction_ratios(system.predicted_matrix(), small_internet_matrix.values)
         assert np.all(np.isnan(np.diag(ratios)))
         finite = ratios[np.isfinite(ratios)]
         assert np.all(finite >= 0)
@@ -222,13 +206,12 @@ class TestKernels:
         assert system.simulation_time == 1.0
         assert np.any(movement > 0)
 
-    def test_predict_edges_matches_predict(self, euclidean_matrix):
+    def test_predict_edges_matches_predicted_matrix(self, euclidean_matrix):
         system = embed_vivaldi(euclidean_matrix, seconds=10, rng=3)
         rows = np.array([0, 3, 7, 5])
         cols = np.array([1, 2, 7, 30])
         batch = system.predict_edges(rows, cols)
-        expected = [system.predict(int(i), int(j)) for i, j in zip(rows, cols)]
-        assert np.allclose(batch, expected)
+        assert np.array_equal(batch, system.predicted_matrix()[rows, cols])
 
 
 class TestSetNeighbors:
@@ -255,6 +238,25 @@ class TestSetNeighbors:
         bad = [[99] for _ in range(40)]
         with pytest.raises(EmbeddingError):
             VivaldiSystem(euclidean_matrix, neighbors=bad)
+
+    @pytest.mark.parametrize("bad_id", [1.7, True, 1.0])
+    def test_non_integer_neighbor_raises(self, euclidean_matrix, bad_id):
+        # Node 0 lists a float or a bool, which int() would turn into node 1.
+        lists = [[(i + 1) % 40] for i in range(40)]
+        lists[0] = [bad_id]
+        with pytest.raises(EmbeddingError, match="not another node"):
+            VivaldiSystem(euclidean_matrix, neighbors=lists)
+        system = VivaldiSystem(euclidean_matrix, VivaldiConfig(n_neighbors=2), rng=0)
+        before = system.neighbors
+        with pytest.raises(EmbeddingError, match="not another node"):
+            system.set_neighbors(lists)
+        assert system.neighbors == before
+
+    def test_numpy_integer_neighbors_are_python_ints(self, euclidean_matrix):
+        lists = [[np.int64((i + 1) % 40)] for i in range(40)]
+        system = VivaldiSystem(euclidean_matrix, neighbors=lists)
+        assert system.neighbors == [[(i + 1) % 40] for i in range(40)]
+        assert all(type(j) is int for nbrs in system.neighbors for j in nbrs)
 
     def test_missing_delays_are_skipped(self):
         import numpy as np

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.coords.base import MatrixPredictor
-from repro.core.alert import TIVAlert, severity_vs_prediction_ratio
+from repro.core.alert import TIVAlert, prediction_ratios, severity_vs_prediction_ratio
 from repro.errors import AlertError
 
 
@@ -25,9 +25,10 @@ class TestTIVAlertBasics:
         assert np.all(np.isnan(np.diag(ratios)))
 
     def test_ratio_accessors(self, internet_alert, converged_vivaldi, small_internet_matrix):
-        expected = converged_vivaldi.predict(2, 7) / small_internet_matrix.delay(2, 7)
-        assert internet_alert.ratio(2, 7) == pytest.approx(expected)
-        assert internet_alert.predicted_delay(2, 7) == pytest.approx(converged_vivaldi.predict(2, 7))
+        predicted = converged_vivaldi.predicted_matrix()[2, 7]
+        assert internet_alert.ratio(2, 7) == predicted / small_internet_matrix.delay(2, 7)
+        assert internet_alert.predicted_delay(2, 7) == predicted
+        assert np.array_equal(internet_alert.predicted_matrix, converged_vivaldi.predicted_matrix())
 
     def test_is_alert_threshold(self, internet_alert):
         ratios = internet_alert.ratio_matrix
@@ -51,13 +52,63 @@ class TestTIVAlertBasics:
         n = small_internet_matrix.n_nodes
         ratios = np.full((n, n), 1.0)
         np.fill_diagonal(ratios, np.nan)
-        alert = TIVAlert.from_ratio_matrix(small_internet_matrix, ratios)
+        predicted = small_internet_matrix.with_filled_missing().to_array()
+        alert = TIVAlert.from_ratio_matrix(small_internet_matrix, ratios, predicted)
         assert alert.ratio(0, 1) == 1.0
+        assert alert.predicted_delay(0, 1) == predicted[0, 1]
         assert alert.alerted_edges(threshold=0.5) == set()
+        # The alert holds copies, not the caller's arrays.
+        ratios[0, 1] = predicted[0, 1] = 0.0
+        assert alert.ratio(0, 1) == 1.0 and alert.predicted_delay(0, 1) != 0.0
+
+    def test_from_ratio_matrix_requires_predicted(self, small_internet_matrix):
+        n = small_internet_matrix.n_nodes
+        with pytest.raises(TypeError):
+            TIVAlert.from_ratio_matrix(small_internet_matrix, np.ones((n, n)))
 
     def test_from_ratio_matrix_bad_shape(self, small_internet_matrix):
+        n = small_internet_matrix.n_nodes
+        with pytest.raises(AlertError, match="ratio matrix shape"):
+            TIVAlert.from_ratio_matrix(small_internet_matrix, np.ones((3, 3)), np.ones((n, n)))
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_from_ratio_matrix_bad_predicted_shape(self, size):
+        # A 2x2 prediction would raise IndexError on a later read, and a
+        # 4x4 one would answer for nodes the delay matrix does not have.
+        from repro.delayspace.matrix import DelayMatrix
+
+        matrix = DelayMatrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]))
+        with pytest.raises(AlertError, match="predicted-delay matrix shape"):
+            TIVAlert.from_ratio_matrix(matrix, np.ones((3, 3)), np.ones((size, size)))
+
+
+class TestPredictionRatios:
+    def test_prediction_ratios(self):
+        predicted = np.array([[0.0, 5.0, 8.0], [5.0, 0.0, 12.0], [8.0, 12.0, 0.0]])
+        measured = np.array([[0.0, 10.0, np.nan], [10.0, 0.0, 12.0], [np.nan, 12.0, 0.0]])
+        ratios = prediction_ratios(predicted, measured)
+        assert ratios[0, 1] == 0.5
+        assert ratios[1, 2] == 1.0
+        assert np.isnan(ratios[0, 2])
+        assert np.isnan(ratios[0, 0])
+
+    def test_prediction_ratios_shape_mismatch(self):
         with pytest.raises(AlertError):
-            TIVAlert.from_ratio_matrix(small_internet_matrix, np.ones((3, 3)))
+            prediction_ratios(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_alert_builds_its_prediction_once(self, small_internet_matrix, converged_vivaldi):
+        calls = []
+
+        class Counting(MatrixPredictor):
+            def predicted_matrix(self):
+                calls.append(1)
+                return super().predicted_matrix()
+
+        predicted = converged_vivaldi.predicted_matrix()
+        alert = TIVAlert(small_internet_matrix, Counting(predicted))
+        assert len(calls) == 1
+        expected = prediction_ratios(predicted, small_internet_matrix.values)
+        assert np.array_equal(alert.ratio_matrix, expected, equal_nan=True)
 
 
 class TestAlertEvaluation:

@@ -342,9 +342,16 @@ class TestBatchedKernelProperties:
         )
         system.run(3)
         rng = np.random.default_rng(seed)
+        # Any lists of other nodes, empty ones included: a node's own id
+        # is refused, as in a neighbour list.
         samples = [
-            [int(j) for j in rng.choice(n, size=int(rng.integers(0, n)), replace=False)]
-            for _ in range(n)
+            [
+                int(j)
+                for j in rng.choice(
+                    np.delete(np.arange(n), i), size=int(rng.integers(0, n)), replace=False
+                )
+            ]
+            for i in range(n)
         ]
         batched = fit_lat(system, samples=samples)
         reference = lat_double_loop(system, samples=samples)

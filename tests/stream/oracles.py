@@ -6,9 +6,9 @@ with them compares the code with itself.  These oracles answer from
 single-value reads instead:
 
 * :func:`closest_oracle` ranks every other active node by
-  ``(core + h_other) + h_query``, the height order every ``closest``
-  answer has used, ties by id, and keeps the first ``k``.  The core sums
-  its squares in the library's fixed order
+  ``core + (h_query + h_other)``, the order every ``distance`` adds the
+  heights in, ties by id, and keeps the first ``k``.  The core sums its
+  squares in the library's fixed order
   (``tests/coords/oracles.py::oracle_norm``);
 * :func:`tiv_alert_oracle` builds the verdict from
   ``embedding.distance(a, b)``, the edge's ``edge_obs`` row in
@@ -28,7 +28,7 @@ def closest_oracle(embedding, node, k):
             continue
         delay = oracle_norm(embedding.coordinate_of(other).tolist(), query)
         if use_height:
-            delay = delay + embedding.height_of(other) + embedding.height_of(node)
+            delay = delay + (embedding.height_of(node) + embedding.height_of(other))
         ranked.append((other, delay))
     ranked.sort(key=lambda item: (item[1], item[0]))
     return ranked[:k]
